@@ -66,13 +66,7 @@ func (db *DB) WriteTo(w io.Writer) (int64, error) {
 				ts.Rows = append(ts.Rows, r)
 			}
 		}
-		ixNames := make([]string, 0, len(t.indexes))
-		for n := range t.indexes {
-			ixNames = append(ixNames, n)
-		}
-		sort.Strings(ixNames)
-		for _, n := range ixNames {
-			ix := t.indexes[n]
+		for _, ix := range t.indexes {
 			cols := make([]string, len(ix.columns))
 			for i, ci := range ix.columns {
 				cols[i] = t.schema.Columns[ci].Name

@@ -3,9 +3,11 @@ package relstore
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Errors returned by the engine. Wrap-test with errors.Is.
@@ -18,6 +20,9 @@ var (
 	ErrNoIndex      = errors.New("relstore: no such index")
 	ErrIndexExists  = errors.New("relstore: index already exists")
 	ErrArity        = errors.New("relstore: wrong number of values")
+	// ErrSchemaChanged refuses a selection by column position (Sel.Version)
+	// resolved against a schema version the database has since left.
+	ErrSchemaChanged = errors.New("relstore: schema changed")
 )
 
 // Column describes one table column.
@@ -62,11 +67,13 @@ type table struct {
 	rows    []Row // nil entries are deleted slots
 	live    int
 	pkIdx   *hashIndex              // over PrimaryKey columns, unique
-	indexes map[string]*hashIndex   // secondary hash indexes, by name
+	indexes []*hashIndex            // secondary hash indexes, ordered by lower-cased name
 	sorted  map[string]*sortedIndex // ordered indexes for range scans
 }
 
 // hashIndex maps a composite key rendering to the row slots holding it.
+// Every bucket is kept in ascending slot order, so an index lookup visits
+// rows in the order a scan would, whatever the mutation history.
 type hashIndex struct {
 	name    string
 	columns []int // column positions
@@ -83,30 +90,71 @@ func (ix *hashIndex) keyFor(r Row) string {
 	return b.String()
 }
 
+// keyForPins renders the key of the row whose columns cols hold vals; cols
+// must cover every index column.
+func (ix *hashIndex) keyForPins(cols []int, vals []Value) string {
+	var b strings.Builder
+	for _, c := range ix.columns {
+		b.WriteString(hashKey(vals[slices.Index(cols, c)]))
+		b.WriteByte('\x1f')
+	}
+	return b.String()
+}
+
 func (ix *hashIndex) insert(key string, slot int) {
-	ix.buckets[key] = append(ix.buckets[key], slot)
+	bucket := ix.buckets[key]
+	i := sort.SearchInts(bucket, slot)
+	bucket = append(bucket, 0)
+	copy(bucket[i+1:], bucket[i:])
+	bucket[i] = slot
+	ix.buckets[key] = bucket
 }
 
 func (ix *hashIndex) remove(key string, slot int) {
 	bucket := ix.buckets[key]
-	for i, s := range bucket {
-		if s == slot {
-			bucket[i] = bucket[len(bucket)-1]
-			ix.buckets[key] = bucket[:len(bucket)-1]
-			return
-		}
+	i := sort.SearchInts(bucket, slot)
+	if i == len(bucket) || bucket[i] != slot {
+		return
 	}
+	if len(bucket) == 1 {
+		delete(ix.buckets, key)
+		return
+	}
+	ix.buckets[key] = append(bucket[:i], bucket[i+1:]...)
 }
 
 // DB is a collection of tables. The zero value is not usable; call NewDB.
 type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*table
+	// version counts schema changes (tables and indexes created or dropped);
+	// written under mu, read without it by SchemaVersion.
+	version atomic.Uint64
 }
 
 // NewDB returns an empty database.
 func NewDB() *DB {
-	return &DB{tables: make(map[string]*table)}
+	db := &DB{tables: make(map[string]*table)}
+	db.version.Store(1)
+	return db
+}
+
+// SchemaVersion identifies the current set of tables, columns and indexes:
+// it changes whenever a table or an index is created or dropped. Column
+// positions resolved from Schema are valid for as long as it stays the same.
+func (db *DB) SchemaVersion() uint64 { return db.version.Load() }
+
+// table looks a table up under the engine lock, refusing positions resolved
+// at another schema version (0 = the caller resolves nothing by position).
+func (db *DB) table(name string, version uint64) (*table, error) {
+	if version != 0 && version != db.version.Load() {
+		return nil, fmt.Errorf("%w: at version %d, asked for %d", ErrSchemaChanged, db.version.Load(), version)
+	}
+	t, ok := db.tables[strings.ToLower(name)]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNoTable, name)
+	}
+	return t, nil
 }
 
 // CreateTable registers a new table. Primary-key columns become NOT NULL.
@@ -128,7 +176,7 @@ func (db *DB) CreateTable(s Schema) error {
 	if _, ok := db.tables[key]; ok {
 		return fmt.Errorf("%w: %s", ErrTableExists, s.Table)
 	}
-	t := &table{schema: s, indexes: map[string]*hashIndex{}}
+	t := &table{schema: s}
 	if len(s.PrimaryKey) > 0 {
 		cols := make([]int, len(s.PrimaryKey))
 		for i, name := range s.PrimaryKey {
@@ -142,6 +190,7 @@ func (db *DB) CreateTable(s Schema) error {
 		t.pkIdx = &hashIndex{name: "__pk", columns: cols, unique: true, buckets: map[string][]int{}}
 	}
 	db.tables[key] = t
+	db.version.Add(1)
 	return nil
 }
 
@@ -154,6 +203,7 @@ func (db *DB) DropTable(name string) error {
 		return fmt.Errorf("%w: %s", ErrNoTable, name)
 	}
 	delete(db.tables, key)
+	db.version.Add(1)
 	return nil
 }
 
@@ -161,9 +211,9 @@ func (db *DB) DropTable(name string) error {
 func (db *DB) Schema(name string) (Schema, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	t, ok := db.tables[strings.ToLower(name)]
-	if !ok {
-		return Schema{}, fmt.Errorf("%w: %s", ErrNoTable, name)
+	t, err := db.table(name, 0)
+	if err != nil {
+		return Schema{}, err
 	}
 	s := t.schema
 	s.Columns = append([]Column(nil), t.schema.Columns...)
@@ -187,21 +237,18 @@ func (db *DB) TableNames() []string {
 func (db *DB) CreateIndex(indexName, tableName string, columns []string, unique bool) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	t, ok := db.tables[strings.ToLower(tableName)]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoTable, tableName)
+	t, err := db.table(tableName, 0)
+	if err != nil {
+		return err
 	}
 	key := strings.ToLower(indexName)
-	if _, ok := t.indexes[key]; ok {
+	at, exists := sort.Find(len(t.indexes), func(i int) int { return strings.Compare(key, strings.ToLower(t.indexes[i].name)) })
+	if exists {
 		return fmt.Errorf("%w: %s", ErrIndexExists, indexName)
 	}
-	cols := make([]int, len(columns))
-	for i, name := range columns {
-		ci := t.schema.ColumnIndex(name)
-		if ci < 0 {
-			return fmt.Errorf("%w: %s.%s", ErrNoColumn, tableName, name)
-		}
-		cols[i] = ci
+	cols, err := t.positions(columns)
+	if err != nil {
+		return err
 	}
 	ix := &hashIndex{name: indexName, columns: cols, unique: unique, buckets: map[string][]int{}}
 	for slot, r := range t.rows {
@@ -214,8 +261,22 @@ func (db *DB) CreateIndex(indexName, tableName string, columns []string, unique 
 		}
 		ix.insert(k, slot)
 	}
-	t.indexes[key] = ix
+	t.indexes = slices.Insert(t.indexes, at, ix)
+	db.version.Add(1)
 	return nil
+}
+
+// positions resolves column names to their positions in the schema.
+func (t *table) positions(columns []string) ([]int, error) {
+	cols := make([]int, len(columns))
+	for i, name := range columns {
+		ci := t.schema.ColumnIndex(name)
+		if ci < 0 {
+			return nil, fmt.Errorf("%w: %s.%s", ErrNoColumn, t.schema.Table, name)
+		}
+		cols[i] = ci
+	}
+	return cols, nil
 }
 
 // prepareRow validates and coerces values against the schema.
@@ -243,9 +304,9 @@ func (t *table) prepareRow(r Row) (Row, error) {
 func (db *DB) Insert(tableName string, r Row) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	t, ok := db.tables[strings.ToLower(tableName)]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoTable, tableName)
+	t, err := db.table(tableName, 0)
+	if err != nil {
+		return err
 	}
 	row, err := t.prepareRow(r)
 	if err != nil {
@@ -282,79 +343,151 @@ func (t *table) insertLocked(row Row) error {
 	return nil
 }
 
-// Pred filters rows during scans; return true to keep the row.
+// Pred filters rows; return true to keep the row. It runs under the engine
+// lock on the stored row itself: it must not modify or retain the row, nor
+// call back into the database.
 type Pred func(Row) bool
+
+// Range bounds one column: Lo <= value <= Hi, a nil bound being open and the
+// flags making each bound inclusive. NULLs are never in range.
+type Range struct {
+	Col          int
+	Lo, Hi       Value
+	LoInc, HiInc bool
+}
+
+// Sel names the rows of one table an operation applies to, by column
+// position. Every part must hold: the EqCols equal EqVals (under Equal),
+// Range contains its column, Pred accepts the row. A hash index covering a
+// subset of EqCols, or else a sorted index on the Range column, narrows the
+// rows visited; otherwise the table is scanned. Rows are visited in slot
+// (insertion) order whether or not a hash index serves the lookup, and in
+// (value, slot) order when a sorted index does.
+type Sel struct {
+	// Version is the SchemaVersion the positions were resolved at; the
+	// operation fails with ErrSchemaChanged once it is stale. Zero skips
+	// the check, for callers that resolved nothing by position.
+	Version uint64
+	EqCols  []int
+	EqVals  []Value
+	Range   *Range
+	Pred    Pred
+}
+
+// each calls visit for every live row sel selects, until visit returns
+// false.
+func (t *table) each(sel *Sel, visit func(r Row) bool) {
+	match := func(r Row) bool {
+		return r != nil && rowMatches(r, sel.EqCols, sel.EqVals) &&
+			(sel.Range == nil || sel.Range.contains(r[sel.Range.Col])) &&
+			(sel.Pred == nil || sel.Pred(r))
+	}
+	var slots []int
+	if ix := t.findIndex(sel.EqCols); ix != nil {
+		slots = ix.buckets[ix.keyForPins(sel.EqCols, sel.EqVals)]
+	} else if ix := t.rangeIndex(sel); ix != nil {
+		rg := sel.Range
+		ix.scanRange(rg.Lo, rg.Hi, rg.LoInc, rg.HiInc, func(slot int) bool {
+			slots = append(slots, slot)
+			return true
+		})
+	} else {
+		for _, r := range t.rows {
+			if match(r) && !visit(r) {
+				return
+			}
+		}
+		return
+	}
+	for _, slot := range slots {
+		if r := t.rows[slot]; match(r) && !visit(r) {
+			return
+		}
+	}
+}
+
+// rangeIndex returns the sorted index that serves sel's range, if any. Pins
+// take precedence: a selection with both is not ranged.
+func (t *table) rangeIndex(sel *Sel) *sortedIndex {
+	if len(sel.EqCols) > 0 || sel.Range == nil {
+		return nil
+	}
+	return t.findSorted(sel.Range.Col)
+}
+
+// contains reports whether v lies within the bounds; NULL and values that do
+// not compare with a bound are outside.
+func (rg *Range) contains(v Value) bool {
+	if v == nil {
+		return false
+	}
+	if rg.Lo != nil {
+		c, err := Compare(v, rg.Lo)
+		if err != nil || c < 0 || (!rg.LoInc && c == 0) {
+			return false
+		}
+	}
+	if rg.Hi != nil {
+		c, err := Compare(v, rg.Hi)
+		if err != nil || c > 0 || (!rg.HiInc && c == 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// Select returns copies of the rows sel selects. Only selected rows are
+// copied: the predicate sees the stored rows.
+func (db *DB) Select(tableName string, sel Sel) ([]Row, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	t, err := db.table(tableName, sel.Version)
+	if err != nil {
+		return nil, err
+	}
+	return t.selectRows(&sel), nil
+}
+
+func (t *table) selectRows(sel *Sel) []Row {
+	var out []Row
+	t.each(sel, func(r Row) bool {
+		out = append(out, r.clone())
+		return true
+	})
+	return out
+}
 
 // Scan calls fn for every live row matching pred (nil pred = all rows). fn
 // receives a copy; returning false stops the scan early.
 func (db *DB) Scan(tableName string, pred Pred, fn func(Row) bool) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	t, ok := db.tables[strings.ToLower(tableName)]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoTable, tableName)
+	t, err := db.table(tableName, 0)
+	if err != nil {
+		return err
 	}
-	for _, r := range t.rows {
-		if r == nil || (pred != nil && !pred(r)) {
-			continue
-		}
-		if !fn(r.clone()) {
-			return nil
-		}
-	}
+	t.each(&Sel{Pred: pred}, func(r Row) bool { return fn(r.clone()) })
 	return nil
 }
 
 // LookupEqual finds rows where the named columns equal the given values,
-// using an index when one covers exactly those columns, otherwise scanning.
-// Results are copies.
+// using an index when one covers a subset of those columns, otherwise
+// scanning. Results are copies, in slot order either way.
 func (db *DB) LookupEqual(tableName string, columns []string, values []Value) ([]Row, error) {
 	if len(columns) != len(values) {
 		return nil, fmt.Errorf("%w: %d columns, %d values", ErrArity, len(columns), len(values))
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	t, ok := db.tables[strings.ToLower(tableName)]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoTable, tableName)
+	t, err := db.table(tableName, 0)
+	if err != nil {
+		return nil, err
 	}
-	cols := make([]int, len(columns))
-	for i, name := range columns {
-		ci := t.schema.ColumnIndex(name)
-		if ci < 0 {
-			return nil, fmt.Errorf("%w: %s.%s", ErrNoColumn, tableName, name)
-		}
-		cols[i] = ci
+	cols, err := t.positions(columns)
+	if err != nil {
+		return nil, err
 	}
-	if ix := t.findIndex(cols); ix != nil {
-		// Build a probe row carrying the lookup values in their column
-		// positions; the index key function reads only its own columns.
-		probe := make(Row, len(t.schema.Columns))
-		for j, cc := range cols {
-			probe[cc] = values[j]
-		}
-		var out []Row
-		for _, slot := range ix.buckets[ix.keyFor(probe)] {
-			r := t.rows[slot]
-			if r == nil {
-				continue
-			}
-			if rowMatches(r, cols, values) {
-				out = append(out, r.clone())
-			}
-		}
-		return out, nil
-	}
-	var out []Row
-	for _, r := range t.rows {
-		if r == nil {
-			continue
-		}
-		if rowMatches(r, cols, values) {
-			out = append(out, r.clone())
-		}
-	}
-	return out, nil
+	return t.selectRows(&Sel{EqCols: cols, EqVals: values}), nil
 }
 
 func rowMatches(r Row, cols []int, values []Value) bool {
@@ -366,42 +499,31 @@ func rowMatches(r Row, cols []int, values []Value) bool {
 	return true
 }
 
-// findIndex returns an index whose column set equals cols (any order),
-// preferring the primary key.
+// findIndex returns a hash index whose columns are all among cols, so that
+// pinning cols pins its whole key: the primary key if it qualifies, else the
+// index with the most columns, the first by name among equals.
 func (t *table) findIndex(cols []int) *hashIndex {
-	match := func(ix *hashIndex) bool {
-		if len(ix.columns) != len(cols) {
-			return false
-		}
-		for _, c := range cols {
-			found := false
-			for _, ic := range ix.columns {
-				if ic == c {
-					found = true
-					break
-				}
-			}
-			if !found {
+	if len(cols) == 0 {
+		return nil
+	}
+	covered := func(ix *hashIndex) bool {
+		for _, c := range ix.columns {
+			if !slices.Contains(cols, c) {
 				return false
 			}
 		}
 		return true
 	}
-	if t.pkIdx != nil && match(t.pkIdx) {
+	if t.pkIdx != nil && covered(t.pkIdx) {
 		return t.pkIdx
 	}
-	// Deterministic choice among secondaries.
-	var names []string
-	for n := range t.indexes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if ix := t.indexes[n]; match(ix) {
-			return ix
+	var best *hashIndex
+	for _, ix := range t.indexes {
+		if covered(ix) && (best == nil || len(ix.columns) > len(best.columns)) {
+			best = ix
 		}
 	}
-	return nil
+	return best
 }
 
 // Update applies set (column name -> new value) to all rows matching pred
@@ -409,9 +531,9 @@ func (t *table) findIndex(cols []int) *hashIndex {
 func (db *DB) Update(tableName string, pred Pred, set map[string]Value) (int, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	t, ok := db.tables[strings.ToLower(tableName)]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNoTable, tableName)
+	t, err := db.table(tableName, 0)
+	if err != nil {
+		return 0, err
 	}
 	setCols := make(map[int]Value, len(set))
 	for name, v := range set {
@@ -486,9 +608,9 @@ func (t *table) reindex(slot int, old, new Row) {
 func (db *DB) Delete(tableName string, pred Pred) (int, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	t, ok := db.tables[strings.ToLower(tableName)]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNoTable, tableName)
+	t, err := db.table(tableName, 0)
+	if err != nil {
+		return 0, err
 	}
 	n := 0
 	for slot, r := range t.rows {
@@ -506,16 +628,57 @@ func (db *DB) Delete(tableName string, pred Pred) (int, error) {
 		t.live--
 		n++
 	}
+	if len(t.rows)-t.live > t.live {
+		t.compact()
+	}
 	return n, nil
+}
+
+// compact drops the deleted slots, keeping the live rows in order, and
+// renumbers the slots every index holds. Renumbering is monotonic, so hash
+// buckets stay in slot order and sorted entries in (value, slot) order.
+// Delete compacts once dead slots outnumber live ones, which bounds a
+// table's slots at twice its rows and costs a delete O(1) amortized.
+func (t *table) compact() {
+	moved := make([]int, len(t.rows))
+	live := t.rows[:0]
+	for slot, r := range t.rows {
+		if r != nil {
+			moved[slot] = len(live)
+			live = append(live, r)
+		}
+	}
+	for i := len(live); i < len(t.rows); i++ {
+		t.rows[i] = nil
+	}
+	t.rows = live
+	renumber := func(ix *hashIndex) {
+		for _, bucket := range ix.buckets {
+			for i, slot := range bucket {
+				bucket[i] = moved[slot]
+			}
+		}
+	}
+	if t.pkIdx != nil {
+		renumber(t.pkIdx)
+	}
+	for _, ix := range t.indexes {
+		renumber(ix)
+	}
+	for _, ix := range t.sorted {
+		for i := range ix.entries {
+			ix.entries[i].slot = moved[ix.entries[i].slot]
+		}
+	}
 }
 
 // RowCount reports the number of live rows in a table.
 func (db *DB) RowCount(tableName string) (int, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	t, ok := db.tables[strings.ToLower(tableName)]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNoTable, tableName)
+	t, err := db.table(tableName, 0)
+	if err != nil {
+		return 0, err
 	}
 	return t.live, nil
 }

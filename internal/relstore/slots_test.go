@@ -1,0 +1,221 @@
+package relstore
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// towersDB is a deal_towers-shaped table: no primary key, a hash index on
+// each of two columns and a sorted index on a third.
+func towersDB(t *testing.T) *DB {
+	t.Helper()
+	db := NewDB()
+	if err := db.CreateTable(Schema{Table: "towers", Columns: []Column{
+		{Name: "deal", Type: TText},
+		{Name: "tower", Type: TText},
+		{Name: "sub", Type: TText},
+		{Name: "sig", Type: TFloat},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range []struct{ name, col string }{{"by_deal", "deal"}, {"by_tower", "tower"}} {
+		if err := db.CreateIndex(ix.name, "towers", []string{ix.col}, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.CreateSortedIndex("by_sig", "towers", "sig"); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+func putDeal(t *testing.T, db *DB, deal string, r *rand.Rand) {
+	t.Helper()
+	if _, err := db.Delete("towers", func(row Row) bool { return row[0] == deal }); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1 + r.Intn(4); i > 0; i-- {
+		row := Row{deal, fmt.Sprintf("T%d", r.Intn(4)), fmt.Sprintf("S%d", r.Intn(3)), float64(r.Intn(5))}
+		if err := db.Insert("towers", row); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func scanWhere(t *testing.T, db *DB, pred Pred) []Row {
+	t.Helper()
+	var out []Row
+	if err := db.Scan("towers", pred, func(r Row) bool { out = append(out, r); return true }); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func reload(t *testing.T, db *DB) *DB {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := db.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	twin, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return twin
+}
+
+// An index lookup must return rows in the order a scan does, whatever
+// deletes, re-inserts and bucket moves came before, and so must a twin
+// restored from a snapshot (which never lived that history).
+func TestIndexHitsInSlotOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	db := towersDB(t)
+	for i := 0; i < 400; i++ {
+		putDeal(t, db, fmt.Sprintf("D%d", r.Intn(12)), r)
+		if i%5 == 0 { // move rows between by_tower buckets
+			from, to := fmt.Sprintf("T%d", r.Intn(4)), fmt.Sprintf("T%d", r.Intn(4))
+			if _, err := db.Update("towers", func(row Row) bool { return row[1] == from && row[3] == 2.0 },
+				map[string]Value{"tower": to}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%40 != 0 {
+			continue
+		}
+		twin := reload(t, db)
+		for k := 0; k < 4; k++ {
+			tower := fmt.Sprintf("T%d", k)
+			viaIndex, err := db.LookupEqual("towers", []string{"tower"}, []Value{tower})
+			if err != nil {
+				t.Fatal(err)
+			}
+			viaScan := scanWhere(t, db, func(row Row) bool { return row[1] == tower })
+			viaTwin, err := twin.LookupEqual("towers", []string{"tower"}, []Value{tower})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(viaIndex, viaScan) {
+				t.Fatalf("step %d tower %s: index order %v, scan order %v", i, tower, viaIndex, viaScan)
+			}
+			if !reflect.DeepEqual(viaIndex, viaTwin) {
+				t.Fatalf("step %d tower %s: lived %v, restored %v", i, tower, viaIndex, viaTwin)
+			}
+		}
+	}
+}
+
+// Pinning more columns than any index has must still use an index over a
+// subset of them and filter the rest.
+func TestLookupUsesCoveringSubsetIndex(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	db := towersDB(t)
+	for i := 0; i < 30; i++ {
+		putDeal(t, db, fmt.Sprintf("D%d", i), r)
+	}
+	tb := db.tables["towers"]
+	tower, sub := tb.schema.ColumnIndex("tower"), tb.schema.ColumnIndex("sub")
+	if ix := tb.findIndex([]int{tower, sub}); ix == nil || ix.name != "by_tower" {
+		t.Fatalf("tower+sub served by %v, want by_tower", ix)
+	}
+	if ix := tb.findIndex([]int{sub}); ix != nil {
+		t.Fatalf("sub alone served by %s, want a scan", ix.name)
+	}
+	// The wider of two usable indexes wins, whatever their names.
+	if err := db.CreateIndex("a_tower_sub", "towers", []string{"sub", "tower"}, false); err != nil {
+		t.Fatal(err)
+	}
+	if ix := tb.findIndex([]int{tower, sub}); ix.name != "a_tower_sub" {
+		t.Fatalf("tower+sub served by %s, want a_tower_sub", ix.name)
+	}
+	got, err := db.LookupEqual("towers", []string{"sub", "tower"}, []Value{"S1", "T2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := scanWhere(t, db, func(row Row) bool { return row[1] == "T2" && row[2] == "S1" })
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("lookup %v, scan %v", got, want)
+	}
+}
+
+func rangeRows(t *testing.T, db *DB, lo, hi float64) []Row {
+	t.Helper()
+	var out []Row
+	if err := db.ScanRange("towers", "sig", lo, hi, true, false, func(r Row) bool { out = append(out, r); return true }); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// Compaction renumbers slots; nothing a caller can observe may move.
+func TestCompactionPreservesOrderAndIndexes(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	db := towersDB(t)
+	for i := 0; i < 200; i++ {
+		putDeal(t, db, fmt.Sprintf("D%d", r.Intn(40)), r)
+	}
+	tb := db.tables["towers"]
+	if len(tb.rows) == tb.live {
+		t.Fatal("no dead slots to compact; the fixture is too tame")
+	}
+	scan := scanWhere(t, db, nil)
+	byDeal, _ := db.LookupEqual("towers", []string{"deal"}, []Value{"D7"})
+	byTower, _ := db.LookupEqual("towers", []string{"tower"}, []Value{"T1"})
+	ranged := rangeRows(t, db, 1, 4)
+
+	db.mu.Lock()
+	tb.compact()
+	db.mu.Unlock()
+
+	if len(tb.rows) != tb.live || tb.live != len(scan) {
+		t.Fatalf("after compaction %d slots, %d live, %d rows scanned before", len(tb.rows), tb.live, len(scan))
+	}
+	if got := scanWhere(t, db, nil); !reflect.DeepEqual(got, scan) {
+		t.Fatalf("scan order changed:\n%v\n%v", got, scan)
+	}
+	if got, _ := db.LookupEqual("towers", []string{"deal"}, []Value{"D7"}); !reflect.DeepEqual(got, byDeal) {
+		t.Fatalf("by_deal lookup changed: %v, was %v", got, byDeal)
+	}
+	if got, _ := db.LookupEqual("towers", []string{"tower"}, []Value{"T1"}); !reflect.DeepEqual(got, byTower) {
+		t.Fatalf("by_tower lookup changed: %v, was %v", got, byTower)
+	}
+	if got := rangeRows(t, db, 1, 4); len(ranged) == 0 || !reflect.DeepEqual(got, ranged) {
+		t.Fatalf("sorted range changed: %v, was %v", got, ranged)
+	}
+	// The indexes keep working for writes after the renumbering.
+	putDeal(t, db, "D7", r)
+	got, _ := db.LookupEqual("towers", []string{"deal"}, []Value{"D7"})
+	if want := scanWhere(t, db, func(row Row) bool { return row[0] == "D7" }); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after a put: lookup %v, scan %v", got, want)
+	}
+}
+
+// A store that replaces its rows for ever (synopsis.Put: delete, re-insert)
+// must not grow: deleted slots are reclaimed once they outnumber live rows.
+func TestDeletedSlotsAreReclaimed(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	db := towersDB(t)
+	tb := db.tables["towers"]
+	most := 0
+	for i := 0; i < 10000; i++ {
+		putDeal(t, db, fmt.Sprintf("D%d", r.Intn(50)), r)
+		if len(tb.rows) > most {
+			most = len(tb.rows)
+		}
+		if len(tb.rows) > 2*tb.live+4 {
+			t.Fatalf("cycle %d: %d slots for %d live rows", i, len(tb.rows), tb.live)
+		}
+	}
+	if most > 2*50*4+4 { // 50 deals of at most 4 rows, and as many dead slots again
+		t.Fatalf("table reached %d slots", most)
+	}
+	for k := 0; k < 50; k++ {
+		deal := fmt.Sprintf("D%d", k)
+		got, _ := db.LookupEqual("towers", []string{"deal"}, []Value{deal})
+		if want := scanWhere(t, db, func(row Row) bool { return row[0] == deal }); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: lookup %v, scan %v", deal, got, want)
+		}
+	}
+}

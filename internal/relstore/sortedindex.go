@@ -94,9 +94,9 @@ func (ix *sortedIndex) scanRange(lo, hi Value, loInc, hiInc bool, fn func(slot i
 func (db *DB) CreateSortedIndex(indexName, tableName, column string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	t, ok := db.tables[strings.ToLower(tableName)]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoTable, tableName)
+	t, err := db.table(tableName, 0)
+	if err != nil {
+		return err
 	}
 	key := strings.ToLower(indexName)
 	if _, ok := t.sorted[key]; ok {
@@ -116,6 +116,7 @@ func (db *DB) CreateSortedIndex(indexName, tableName, column string) error {
 		t.sorted = map[string]*sortedIndex{}
 	}
 	t.sorted[key] = ix
+	db.version.Add(1)
 	return nil
 }
 
@@ -126,44 +127,16 @@ func (db *DB) CreateSortedIndex(indexName, tableName, column string) error {
 func (db *DB) ScanRange(tableName, column string, lo, hi Value, loInc, hiInc bool, fn func(Row) bool) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	t, ok := db.tables[strings.ToLower(tableName)]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoTable, tableName)
+	t, err := db.table(tableName, 0)
+	if err != nil {
+		return err
 	}
-	ci := t.schema.ColumnIndex(column)
-	if ci < 0 {
-		return fmt.Errorf("%w: %s.%s", ErrNoColumn, tableName, column)
+	cols, err := t.positions([]string{column})
+	if err != nil {
+		return err
 	}
-	if ix := t.findSorted(ci); ix != nil {
-		ix.scanRange(lo, hi, loInc, hiInc, func(slot int) bool {
-			r := t.rows[slot]
-			if r == nil {
-				return true
-			}
-			return fn(r.clone())
-		})
-		return nil
-	}
-	for _, r := range t.rows {
-		if r == nil || r[ci] == nil {
-			continue
-		}
-		if lo != nil {
-			c, err := Compare(r[ci], lo)
-			if err != nil || c < 0 || (!loInc && c == 0) {
-				continue
-			}
-		}
-		if hi != nil {
-			c, err := Compare(r[ci], hi)
-			if err != nil || c > 0 || (!hiInc && c == 0) {
-				continue
-			}
-		}
-		if !fn(r.clone()) {
-			return nil
-		}
-	}
+	sel := Sel{Range: &Range{Col: cols[0], Lo: lo, Hi: hi, LoInc: loInc, HiInc: hiInc}}
+	t.each(&sel, func(r Row) bool { return fn(r.clone()) })
 	return nil
 }
 

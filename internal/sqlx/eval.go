@@ -15,6 +15,13 @@ var (
 	ErrBadParam        = errors.New("sqlx: parameter index out of range")
 )
 
+// This file is the interpreter: it walks the AST against an env that binds
+// every column of the current row by name. INSERT, UPDATE and DELETE run on
+// it (exec.go). SELECT used to as well; it now runs on plans compiled from
+// the same AST (plan.go, compile.go), which compute the same values through
+// the operator helpers below, and the interpreter's SELECT executor survives
+// as the reference those plans are tested against (oracle_test.go).
+
 // env is the name-resolution environment for one (possibly joined) row.
 type env struct {
 	vals      map[string]relstore.Value
@@ -119,7 +126,12 @@ func evalUnary(t *Unary, e *env) (relstore.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch t.Op {
+	return applyUnary(t.Op, v)
+}
+
+// applyUnary applies NOT or numeric negation to a value.
+func applyUnary(op string, v relstore.Value) (relstore.Value, error) {
+	switch op {
 	case "NOT":
 		if v == nil {
 			return false, nil
@@ -140,7 +152,7 @@ func evalUnary(t *Unary, e *env) (relstore.Value, error) {
 		}
 		return nil, fmt.Errorf("sqlx: unary minus applied to %T", v)
 	}
-	return nil, fmt.Errorf("sqlx: unknown unary op %q", t.Op)
+	return nil, fmt.Errorf("sqlx: unknown unary op %q", op)
 }
 
 func evalBinary(t *Binary, e *env) (relstore.Value, error) {
@@ -173,7 +185,13 @@ func evalBinary(t *Binary, e *env) (relstore.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch t.Op {
+	return applyBinary(t.Op, lv, rv)
+}
+
+// applyBinary applies a binary operator other than AND and OR (which
+// short-circuit, so their callers handle them) to two values.
+func applyBinary(op string, lv, rv relstore.Value) (relstore.Value, error) {
+	switch op {
 	case "=", "<>", "<", "<=", ">", ">=":
 		if lv == nil || rv == nil {
 			return false, nil // NULL never compares equal (or ordered)
@@ -182,7 +200,7 @@ func evalBinary(t *Binary, e *env) (relstore.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch t.Op {
+		switch op {
 		case "=":
 			return c == 0, nil
 		case "<>":
@@ -193,17 +211,13 @@ func evalBinary(t *Binary, e *env) (relstore.Value, error) {
 			return c <= 0, nil
 		case ">":
 			return c > 0, nil
-		case ">=":
+		default:
 			return c >= 0, nil
 		}
 	case "LIKE":
-		if lv == nil || rv == nil {
-			return false, nil
-		}
-		s, ok1 := lv.(string)
-		pat, ok2 := rv.(string)
-		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("sqlx: LIKE requires text operands, got %T and %T", lv, rv)
+		s, pat, ok, err := likeOperands(lv, rv)
+		if !ok {
+			return false, err
 		}
 		return MatchLike(s, pat), nil
 	case "||":
@@ -212,9 +226,23 @@ func evalBinary(t *Binary, e *env) (relstore.Value, error) {
 		}
 		return relstore.FormatValue(lv) + relstore.FormatValue(rv), nil
 	case "+", "-", "*", "/", "%":
-		return arith(t.Op, lv, rv)
+		return arith(op, lv, rv)
 	}
-	return nil, fmt.Errorf("sqlx: unknown binary op %q", t.Op)
+	return nil, fmt.Errorf("sqlx: unknown binary op %q", op)
+}
+
+// likeOperands checks LIKE's operands: ok is false, with a nil error, when
+// either is NULL.
+func likeOperands(lv, rv relstore.Value) (s, pat string, ok bool, err error) {
+	if lv == nil || rv == nil {
+		return "", "", false, nil
+	}
+	s, ok1 := lv.(string)
+	pat, ok2 := rv.(string)
+	if !ok1 || !ok2 {
+		return "", "", false, fmt.Errorf("sqlx: LIKE requires text operands, got %T and %T", lv, rv)
+	}
+	return s, pat, true, nil
 }
 
 func arith(op string, lv, rv relstore.Value) (relstore.Value, error) {
@@ -348,6 +376,11 @@ func truthy(x Expr, e *env) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	return asBool(v)
+}
+
+// asBool reads a predicate's value: NULL counts as false.
+func asBool(v relstore.Value) (bool, error) {
 	switch b := v.(type) {
 	case nil:
 		return false, nil
@@ -366,23 +399,81 @@ func boolOf(x Expr, e *env) (relstore.Value, error) {
 	return b, nil
 }
 
-// MatchLike implements SQL LIKE with % (any run) and _ (any single char),
-// case-insensitively, matching DB2's default collation behaviour closely
-// enough for EIL's synopsis queries. The match is iterative with
+// likeMatcher is a LIKE pattern prepared for repeated matching.
+type likeMatcher struct {
+	ready   bool
+	pattern string // lower-cased
+	// needle is what lies between the two % of a %needle% pattern with no
+	// other wildcard; such a pattern is a substring test.
+	needle   string
+	contains bool
+}
+
+func newLikeMatcher(pattern string) likeMatcher {
+	p := strings.ToLower(pattern)
+	m := likeMatcher{ready: true, pattern: p}
+	if n := len(p); n >= 2 && p[0] == '%' && p[n-1] == '%' && !strings.ContainsAny(p[1:n-1], "%_") {
+		m.contains, m.needle = true, p[1:n-1]
+	}
+	return m
+}
+
+// match reports whether s matches the pattern, ignoring case. It allocates
+// only when s holds non-ASCII bytes: an ASCII string is folded byte by byte
+// as it is compared.
+func (m *likeMatcher) match(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			s = strings.ToLower(s)
+			break
+		}
+	}
+	if m.contains {
+		return containsFold(s, m.needle)
+	}
+	return matchFold(s, m.pattern)
+}
+
+func lowerByte(b byte) byte {
+	if 'A' <= b && b <= 'Z' {
+		return b + ('a' - 'A')
+	}
+	return b
+}
+
+// containsFold is strings.Contains(s, needle) with the ASCII capitals of s
+// lowered.
+func containsFold(s, needle string) bool {
+	n := len(needle)
+	if n == 0 {
+		return true
+	}
+	for i := 0; i+n <= len(s); i++ {
+		j := 0
+		for j < n && lowerByte(s[i+j]) == needle[j] {
+			j++
+		}
+		if j == n {
+			return true
+		}
+	}
+	return false
+}
+
+// matchFold matches s, its ASCII capitals lowered, against a lowered
+// pattern: % is any run and _ any single byte, iteratively with
 // backtracking on the last %.
-func MatchLike(s, pattern string) bool {
-	s = strings.ToLower(s)
-	pattern = strings.ToLower(pattern)
+func matchFold(s, pattern string) bool {
 	si, pi := 0, 0
 	star, starSi := -1, 0
 	for si < len(s) {
 		switch {
-		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
-			si++
-			pi++
 		case pi < len(pattern) && pattern[pi] == '%':
 			star = pi
 			starSi = si
+			pi++
+		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == lowerByte(s[si])):
+			si++
 			pi++
 		case star >= 0:
 			starSi++
@@ -396,4 +487,12 @@ func MatchLike(s, pattern string) bool {
 		pi++
 	}
 	return pi == len(pattern)
+}
+
+// MatchLike implements SQL LIKE with % (any run) and _ (any single char),
+// case-insensitively, matching DB2's default collation behaviour closely
+// enough for EIL's synopsis queries.
+func MatchLike(s, pattern string) bool {
+	m := newLikeMatcher(pattern)
+	return m.match(s)
 }

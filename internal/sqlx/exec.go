@@ -1,21 +1,35 @@
 package sqlx
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 
+	"repro/internal/lru"
 	"repro/internal/relstore"
 )
 
-// Conn executes SQL text against a relstore database. It is stateless and
-// safe for concurrent use.
+// Conn executes SQL text against a relstore database. It is safe for
+// concurrent use. A SELECT is parsed and planned once per SQL text and schema
+// version (plan.go) and then only bound to its arguments; every other
+// statement is parsed and interpreted on each call (eval.go).
 type Conn struct {
 	db *relstore.DB
+	// plans caches SELECT plans by SQL text under the database's schema
+	// version: any table or index DDL empties it.
+	plans *lru.Cache[string, *selectPlan]
 }
 
+// planCacheSize bounds the plan cache. A caller issues a fixed, small set of
+// statement texts (synopsis: under twenty SELECTs); texts built per call would
+// only churn it.
+const planCacheSize = 64
+
 // Open wraps a relstore database with the SQL interface.
-func Open(db *relstore.DB) *Conn { return &Conn{db: db} }
+func Open(db *relstore.DB) *Conn {
+	return &Conn{db: db, plans: lru.New[string, *selectPlan](planCacheSize)}
+}
 
 // DB returns the underlying engine, for callers that mix SQL with direct
 // engine access (the EIL synopsis store does).
@@ -75,6 +89,26 @@ func (c *Conn) Exec(sqlText string, args ...relstore.Value) (int, error) {
 
 // Query runs a SELECT and returns the result set.
 func (c *Conn) Query(sqlText string, args ...relstore.Value) (*Rows, error) {
+	for {
+		p, err := c.prepare(sqlText)
+		if err != nil {
+			return nil, err
+		}
+		// A plan that lost a race with DDL reads nothing: the engine checks
+		// the version under its lock. Plan again.
+		if rows, err := p.run(c.db, args); !errors.Is(err, relstore.ErrSchemaChanged) {
+			return rows, err
+		}
+	}
+}
+
+// prepare returns the plan for a SELECT at the current schema version,
+// parsing and planning it on a cache miss.
+func (c *Conn) prepare(sqlText string) (*selectPlan, error) {
+	version := c.db.SchemaVersion()
+	if p, ok := c.plans.Get(sqlText, version); ok {
+		return p, nil
+	}
 	stmt, err := Parse(sqlText)
 	if err != nil {
 		return nil, err
@@ -83,7 +117,12 @@ func (c *Conn) Query(sqlText string, args ...relstore.Value) (*Rows, error) {
 	if !ok {
 		return nil, fmt.Errorf("sqlx: Query requires SELECT, got %T", stmt)
 	}
-	return c.execSelect(sel, args)
+	p, err := planSelect(c.db, sel, version)
+	if err != nil {
+		return nil, err
+	}
+	c.plans.Put(sqlText, version, p)
+	return p, nil
 }
 
 // QueryOne runs a SELECT expected to produce at most one row; it returns
@@ -278,398 +317,160 @@ func (c *Conn) execDelete(s *DeleteStmt, args []relstore.Value) (int, error) {
 	return c.db.Delete(s.Table, pred)
 }
 
-// source is one table participating in a SELECT.
-type source struct {
-	alias  string
-	schema relstore.Schema
-	rows   []relstore.Row
-}
+// run executes the SELECT. Rows in flight are tuples of one stored row per
+// source, kept flat in one slice (stride = number of sources), so a
+// single-table query handles the engine's row slice as it is.
+func (p *selectPlan) run(db *relstore.DB, args []relstore.Value) (*Rows, error) {
+	fr := p.newFrame(args)
+	stride := len(p.srcs)
 
-// rangeFilter is a planner-extracted range predicate on one column.
-type rangeFilter struct {
-	column       string
-	lo, hi       relstore.Value
-	loInc, hiInc bool
-}
-
-func (c *Conn) loadSource(ref TableRef, filterCols []string, filterVals []relstore.Value, rng *rangeFilter) (*source, error) {
-	schema, err := c.db.Schema(ref.Table)
+	// Base table: the WHERE of a single-table query runs inside the engine's
+	// scan, on the stored rows, so only the rows it keeps are copied out.
+	var pred relstore.Pred
+	var predErr error
+	if stride == 1 && p.where != nil {
+		fr.rows = fr.one[:]
+		pred = func(r relstore.Row) bool {
+			if predErr != nil {
+				return false
+			}
+			fr.rows[0] = r
+			ok, err := holds(p.where, fr)
+			if err != nil {
+				predErr = err
+			}
+			return ok
+		}
+	}
+	tuples, err := db.Select(p.base.table, p.base.bind(args, p.version, pred))
+	if err == nil {
+		err = predErr
+	}
 	if err != nil {
 		return nil, err
 	}
-	alias := ref.Alias
-	if alias == "" {
-		alias = schema.Table
-	}
-	src := &source{alias: alias, schema: schema}
-	if len(filterCols) > 0 {
-		rows, err := c.db.LookupEqual(ref.Table, filterCols, filterVals)
+
+	// Joins: nested loops over a full scan of each joined table.
+	for k, j := range p.joins {
+		joined, err := db.Select(j.table, relstore.Sel{Version: p.version})
 		if err != nil {
 			return nil, err
 		}
-		src.rows = rows
-		return src, nil
-	}
-	if rng != nil {
-		if err := c.db.ScanRange(ref.Table, rng.column, rng.lo, rng.hi, rng.loInc, rng.hiInc,
-			func(r relstore.Row) bool {
-				src.rows = append(src.rows, r)
-				return true
-			}); err != nil {
-			return nil, err
-		}
-		return src, nil
-	}
-	if err := c.db.Scan(ref.Table, nil, func(r relstore.Row) bool {
-		src.rows = append(src.rows, r)
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	return src, nil
-}
-
-// extractRangeFilter pulls conjunctive range predicates (`col < lit`,
-// `col >= ?`, ...) on a single base-table column from the WHERE clause. It
-// returns nil when no column carries one. The residual WHERE re-checks the
-// bounds, so over- or under-extraction is safe.
-func extractRangeFilter(where Expr, baseAlias string, schema relstore.Schema, args []relstore.Value) *rangeFilter {
-	byCol := map[string]*rangeFilter{}
-	order := []string{}
-	var walk func(x Expr)
-	walk = func(x Expr) {
-		b, ok := x.(*Binary)
-		if !ok {
-			return
-		}
-		if b.Op == "AND" {
-			walk(b.Left)
-			walk(b.Right)
-			return
-		}
-		op := b.Op
-		col, cok := b.Left.(*ColumnRef)
-		val := b.Right
-		if !cok {
-			// literal OP col: flip the operator.
-			col, cok = b.Right.(*ColumnRef)
-			val = b.Left
-			switch op {
-			case "<":
-				op = ">"
-			case "<=":
-				op = ">="
-			case ">":
-				op = "<"
-			case ">=":
-				op = "<="
-			}
-		}
-		if !cok {
-			return
-		}
-		if col.Table != "" && !strings.EqualFold(col.Table, baseAlias) {
-			return
-		}
-		if schema.ColumnIndex(col.Column) < 0 {
-			return
-		}
-		var v relstore.Value
-		switch lv := val.(type) {
-		case *Literal:
-			v = lv.Value
-		case *Param:
-			if lv.Index >= len(args) {
-				return
-			}
-			v = normalizeParam(args[lv.Index])
-		default:
-			return
-		}
-		if v == nil {
-			return
-		}
-		key := strings.ToLower(col.Column)
-		rf := byCol[key]
-		if rf == nil {
-			rf = &rangeFilter{column: col.Column}
-			byCol[key] = rf
-			order = append(order, key)
-		}
-		switch op {
-		case "<":
-			if rf.hi == nil {
-				rf.hi, rf.hiInc = v, false
-			}
-		case "<=":
-			if rf.hi == nil {
-				rf.hi, rf.hiInc = v, true
-			}
-		case ">":
-			if rf.lo == nil {
-				rf.lo, rf.loInc = v, false
-			}
-		case ">=":
-			if rf.lo == nil {
-				rf.lo, rf.loInc = v, true
-			}
-		}
-	}
-	walk(where)
-	for _, key := range order {
-		rf := byCol[key]
-		if rf.lo != nil || rf.hi != nil {
-			return rf
-		}
-	}
-	return nil
-}
-
-// extractEqFilters pulls `col = literal/param` conjuncts from the WHERE
-// clause that bind unambiguously to the base table, so the scan can be
-// replaced with an indexed lookup. Returns the filter columns/values; the
-// full WHERE is still applied afterwards, so over-extraction is safe.
-func extractEqFilters(where Expr, baseAlias string, schema relstore.Schema, args []relstore.Value) (cols []string, vals []relstore.Value) {
-	var walk func(x Expr)
-	walk = func(x Expr) {
-		b, ok := x.(*Binary)
-		if !ok {
-			return
-		}
-		if b.Op == "AND" {
-			walk(b.Left)
-			walk(b.Right)
-			return
-		}
-		if b.Op != "=" {
-			return
-		}
-		col, cok := b.Left.(*ColumnRef)
-		val := b.Right
-		if !cok {
-			col, cok = b.Right.(*ColumnRef)
-			val = b.Left
-		}
-		if !cok {
-			return
-		}
-		if col.Table != "" && !strings.EqualFold(col.Table, baseAlias) {
-			return
-		}
-		if schema.ColumnIndex(col.Column) < 0 {
-			return
-		}
-		var v relstore.Value
-		switch lv := val.(type) {
-		case *Literal:
-			v = lv.Value
-		case *Param:
-			if lv.Index >= len(args) {
-				return
-			}
-			v = normalizeParam(args[lv.Index])
-		default:
-			return
-		}
-		// Don't extract the same column twice (contradictions handled by
-		// the residual WHERE).
-		for _, c := range cols {
-			if strings.EqualFold(c, col.Column) {
-				return
-			}
-		}
-		cols = append(cols, col.Column)
-		vals = append(vals, v)
-	}
-	walk(where)
-	return cols, vals
-}
-
-func (c *Conn) execSelect(s *SelectStmt, args []relstore.Value) (*Rows, error) {
-	// Load base table, using indexed lookup when the WHERE clause pins
-	// columns by equality and there are no joins complicating aliasing.
-	var filterCols []string
-	var filterVals []relstore.Value
-	baseSchema, err := c.db.Schema(s.From.Table)
-	if err != nil {
-		return nil, err
-	}
-	baseAlias := s.From.Alias
-	if baseAlias == "" {
-		baseAlias = baseSchema.Table
-	}
-	var rng *rangeFilter
-	if s.Where != nil {
-		filterCols, filterVals = extractEqFilters(s.Where, baseAlias, baseSchema, args)
-		if len(filterCols) == 0 {
-			rng = extractRangeFilter(s.Where, baseAlias, baseSchema, args)
-		}
-	}
-	base, err := c.loadSource(s.From, filterCols, filterVals, rng)
-	if err != nil {
-		return nil, err
-	}
-	sources := []*source{base}
-	combos := make([][]relstore.Row, 0, len(base.rows))
-	for _, r := range base.rows {
-		combos = append(combos, []relstore.Row{r})
-	}
-	// Apply joins with nested loops.
-	for _, j := range s.Joins {
-		jsrc, err := c.loadSource(j.Table, nil, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		sources = append(sources, jsrc)
-		var next [][]relstore.Row
-		for _, combo := range combos {
+		width := k + 1
+		fr.rows = make([]relstore.Row, width+1)
+		var next []relstore.Row
+		for i := 0; i < len(tuples); i += width {
+			copy(fr.rows, tuples[i:i+width])
 			matched := false
-			for _, jr := range jsrc.rows {
-				e := newEnv(args)
-				for i, src := range sources[:len(sources)-1] {
-					e.bind(src.alias, src.schema, combo[i])
-				}
-				e.bind(jsrc.alias, jsrc.schema, jr)
-				ok, err := truthy(j.On, e)
+			for _, jr := range joined {
+				fr.rows[width] = jr
+				ok, err := holds(j.on, fr)
 				if err != nil {
 					return nil, err
 				}
 				if ok {
 					matched = true
-					row := append(append([]relstore.Row{}, combo...), jr)
-					next = append(next, row)
+					next = append(next, fr.rows...)
 				}
 			}
-			if !matched && j.Left {
-				row := append(append([]relstore.Row{}, combo...), nil)
-				next = append(next, row)
+			if !matched && j.left {
+				fr.rows[width] = nil
+				next = append(next, fr.rows...)
 			}
 		}
-		combos = next
+		tuples = next
 	}
-	// Build environments and apply WHERE.
-	var envs []*env
-	for _, combo := range combos {
-		e := newEnv(args)
-		for i, src := range sources {
-			e.bind(src.alias, src.schema, combo[i])
-		}
-		if s.Where != nil {
-			ok, err := truthy(s.Where, e)
+	if stride > 1 && p.where != nil {
+		kept := tuples[:0]
+		for i := 0; i < len(tuples); i += stride {
+			fr.rows = tuples[i : i+stride]
+			ok, err := holds(p.where, fr)
 			if err != nil {
 				return nil, err
 			}
-			if !ok {
-				continue
+			if ok {
+				kept = append(kept, fr.rows...)
 			}
 		}
-		envs = append(envs, e)
-	}
-
-	items, names := expandItems(s, sources)
-	aggregated := len(s.GroupBy) > 0 || s.Having != nil
-	for _, it := range items {
-		if hasAggregate(it.Expr) {
-			aggregated = true
-		}
+		tuples = kept
 	}
 
 	var out [][]relstore.Value
-	if aggregated {
-		out, err = projectGroups(s, items, envs, args)
+	if p.aggregated {
+		out, err = p.projectGroups(fr, tuples)
 	} else {
-		out, err = projectRows(items, envs)
+		out, err = p.projectRows(fr, tuples)
 	}
 	if err != nil {
 		return nil, err
 	}
-
-	if s.Distinct {
+	if p.distinct {
 		out = dedupRows(out)
 	}
-
-	if len(s.OrderBy) > 0 {
-		// Row environments stay parallel to output rows only when no
-		// grouping or dedup re-shaped the output.
-		envsParallel := !aggregated && !s.Distinct
-		if err := orderRows(s, names, out, envs, envsParallel); err != nil {
+	if len(p.order) > 0 {
+		if err := p.orderRows(fr, out, tuples); err != nil {
 			return nil, err
 		}
 	}
-
-	// LIMIT / OFFSET.
-	if s.Offset > 0 {
-		if s.Offset >= len(out) {
+	if p.offset > 0 {
+		if p.offset >= len(out) {
 			out = nil
 		} else {
-			out = out[s.Offset:]
+			out = out[p.offset:]
 		}
 	}
-	if s.Limit >= 0 && len(out) > s.Limit {
-		out = out[:s.Limit]
+	if p.limit >= 0 && len(out) > p.limit {
+		out = out[:p.limit]
 	}
-	return &Rows{Columns: names, Data: out}, nil
+	return &Rows{Columns: p.names, Data: out}, nil
 }
 
-// expandItems resolves the select list ('*' and aliases) into concrete
-// expressions and output column names.
-func expandItems(s *SelectStmt, sources []*source) ([]SelectItem, []string) {
-	var items []SelectItem
-	var names []string
-	if s.Items == nil {
-		for _, src := range sources {
-			for _, col := range src.schema.Columns {
-				items = append(items, SelectItem{Expr: &ColumnRef{Table: src.alias, Column: col.Name}})
-				names = append(names, strings.ToLower(col.Name))
-			}
-		}
-		return items, names
-	}
-	for _, it := range s.Items {
-		items = append(items, it)
-		switch {
-		case it.Alias != "":
-			names = append(names, it.Alias)
-		default:
-			if cr, ok := it.Expr.(*ColumnRef); ok {
-				names = append(names, strings.ToLower(cr.Column))
-			} else if fc, ok := it.Expr.(*FuncCall); ok {
-				names = append(names, strings.ToLower(fc.Name))
-			} else {
-				names = append(names, fmt.Sprintf("col%d", len(names)+1))
-			}
-		}
-	}
-	return items, names
-}
-
-func projectRows(items []SelectItem, envs []*env) ([][]relstore.Value, error) {
-	out := make([][]relstore.Value, 0, len(envs))
-	for _, e := range envs {
-		row := make([]relstore.Value, len(items))
-		for i, it := range items {
-			v, err := evalExpr(it.Expr, e)
+func (p *selectPlan) projectRows(fr *frame, tuples []relstore.Row) ([][]relstore.Value, error) {
+	stride, width := len(p.srcs), len(p.items)
+	n := len(tuples) / stride
+	out := make([][]relstore.Value, 0, n)
+	cells := make([]relstore.Value, n*width) // one allocation backs every output row
+	for i := 0; i < len(tuples); i += stride {
+		fr.rows = tuples[i : i+stride]
+		row := cells[:width:width]
+		cells = cells[width:]
+		for k, it := range p.items {
+			v, err := it(fr)
 			if err != nil {
 				return nil, err
 			}
-			row[i] = v
+			row[k] = v
 		}
 		out = append(out, row)
 	}
 	return out, nil
 }
 
-func projectGroups(s *SelectStmt, items []SelectItem, envs []*env, args []relstore.Value) ([][]relstore.Value, error) {
-	type group struct {
-		key  string
-		rows []*env
-	}
+// group is the tuples sharing one GROUP BY key, as offsets into the flat
+// tuple slice.
+type group struct {
+	fr      *frame
+	tuples  []relstore.Row
+	stride  int
+	members []int
+}
+
+// row points the frame at the group's i-th tuple.
+func (g *group) row(i int) *frame {
+	at := g.members[i]
+	g.fr.rows = g.tuples[at : at+g.stride]
+	return g.fr
+}
+
+func (p *selectPlan) projectGroups(fr *frame, tuples []relstore.Row) ([][]relstore.Value, error) {
+	stride := len(p.srcs)
 	var order []string
-	groups := map[string]*group{}
-	for _, e := range envs {
+	groups := map[string][]int{}
+	for i := 0; i < len(tuples); i += stride {
+		fr.rows = tuples[i : i+stride]
 		var kb strings.Builder
-		for _, gx := range s.GroupBy {
-			v, err := evalExpr(gx, e)
+		for _, gx := range p.groupBy {
+			v, err := gx(fr)
 			if err != nil {
 				return nil, err
 			}
@@ -677,24 +478,20 @@ func projectGroups(s *SelectStmt, items []SelectItem, envs []*env, args []relsto
 			kb.WriteByte('\x1f')
 		}
 		k := kb.String()
-		g, ok := groups[k]
-		if !ok {
-			g = &group{key: k}
-			groups[k] = g
+		if _, ok := groups[k]; !ok {
 			order = append(order, k)
 		}
-		g.rows = append(g.rows, e)
+		groups[k] = append(groups[k], i)
 	}
 	// A global aggregate (no GROUP BY) over zero rows still yields one row.
-	if len(s.GroupBy) == 0 && len(order) == 0 {
-		groups[""] = &group{}
+	if len(p.groupBy) == 0 && len(order) == 0 {
 		order = append(order, "")
 	}
 	var out [][]relstore.Value
 	for _, k := range order {
-		g := groups[k]
-		if s.Having != nil {
-			v, err := evalGroupExpr(s.Having, g.rows, args)
+		g := &group{fr: fr, tuples: tuples, stride: stride, members: groups[k]}
+		if p.having != nil {
+			v, err := p.having(g)
 			if err != nil {
 				return nil, err
 			}
@@ -702,9 +499,9 @@ func projectGroups(s *SelectStmt, items []SelectItem, envs []*env, args []relsto
 				continue
 			}
 		}
-		row := make([]relstore.Value, len(items))
-		for i, it := range items {
-			v, err := evalGroupExpr(it.Expr, g.rows, args)
+		row := make([]relstore.Value, len(p.groupItems))
+		for i, it := range p.groupItems {
+			v, err := it(g)
 			if err != nil {
 				return nil, err
 			}
@@ -713,126 +510,6 @@ func projectGroups(s *SelectStmt, items []SelectItem, envs []*env, args []relsto
 		out = append(out, row)
 	}
 	return out, nil
-}
-
-// evalGroupExpr evaluates an expression in grouped context: aggregates
-// compute over the group's rows; other leaves resolve against the group's
-// first row (valid for GROUP BY keys and constants).
-func evalGroupExpr(x Expr, rows []*env, args []relstore.Value) (relstore.Value, error) {
-	if fc, ok := x.(*FuncCall); ok && aggregateFuncs[fc.Name] {
-		return evalAggregate(fc, rows)
-	}
-	switch t := x.(type) {
-	case *Binary:
-		if t.Op == "AND" || t.Op == "OR" {
-			// Re-associate through scalar path with materialized operands.
-			lv, err := evalGroupExpr(t.Left, rows, args)
-			if err != nil {
-				return nil, err
-			}
-			rv, err := evalGroupExpr(t.Right, rows, args)
-			if err != nil {
-				return nil, err
-			}
-			lb, _ := lv.(bool)
-			rb, _ := rv.(bool)
-			if t.Op == "AND" {
-				return lb && rb, nil
-			}
-			return lb || rb, nil
-		}
-		lv, err := evalGroupExpr(t.Left, rows, args)
-		if err != nil {
-			return nil, err
-		}
-		rv, err := evalGroupExpr(t.Right, rows, args)
-		if err != nil {
-			return nil, err
-		}
-		return evalBinary(&Binary{Op: t.Op, Left: &Literal{Value: lv}, Right: &Literal{Value: rv}}, newEnv(args))
-	case *Unary:
-		v, err := evalGroupExpr(t.Expr, rows, args)
-		if err != nil {
-			return nil, err
-		}
-		return evalUnary(&Unary{Op: t.Op, Expr: &Literal{Value: v}}, newEnv(args))
-	case *IsNull:
-		v, err := evalGroupExpr(t.Expr, rows, args)
-		if err != nil {
-			return nil, err
-		}
-		return (v == nil) != t.Negate, nil
-	default:
-		if len(rows) > 0 {
-			return evalExpr(x, rows[0])
-		}
-		return evalExpr(x, newEnv(args))
-	}
-}
-
-func evalAggregate(fc *FuncCall, rows []*env) (relstore.Value, error) {
-	if fc.Star {
-		if fc.Name != "COUNT" {
-			return nil, fmt.Errorf("sqlx: %s(*) is invalid", fc.Name)
-		}
-		return int64(len(rows)), nil
-	}
-	if len(fc.Args) != 1 {
-		return nil, fmt.Errorf("sqlx: %s takes one argument", fc.Name)
-	}
-	var vals []relstore.Value
-	for _, e := range rows {
-		v, err := evalExpr(fc.Args[0], e)
-		if err != nil {
-			return nil, err
-		}
-		if v != nil {
-			vals = append(vals, v)
-		}
-	}
-	switch fc.Name {
-	case "COUNT":
-		return int64(len(vals)), nil
-	case "SUM", "AVG":
-		if len(vals) == 0 {
-			return nil, nil
-		}
-		sum := 0.0
-		allInt := true
-		for _, v := range vals {
-			f, err := asFloat(v)
-			if err != nil {
-				return nil, err
-			}
-			if _, ok := v.(int64); !ok {
-				allInt = false
-			}
-			sum += f
-		}
-		if fc.Name == "AVG" {
-			return sum / float64(len(vals)), nil
-		}
-		if allInt {
-			return int64(sum), nil
-		}
-		return sum, nil
-	case "MIN", "MAX":
-		if len(vals) == 0 {
-			return nil, nil
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			c, err := relstore.Compare(v, best)
-			if err != nil {
-				return nil, err
-			}
-			if (fc.Name == "MIN" && c < 0) || (fc.Name == "MAX" && c > 0) {
-				best = v
-			}
-		}
-		return best, nil
-	}
-	return nil, fmt.Errorf("sqlx: unknown aggregate %q", fc.Name)
 }
 
 func dedupRows(rows [][]relstore.Value) [][]relstore.Value {
@@ -854,50 +531,38 @@ func dedupRows(rows [][]relstore.Value) [][]relstore.Value {
 	return out
 }
 
-// orderRows sorts the projected rows in place. ORDER BY expressions that are
-// bare column references matching an output column sort on that output;
-// otherwise (non-aggregated queries only) they are evaluated against the row
-// environments, which are kept parallel to out rows by construction.
-func orderRows(s *SelectStmt, names []string, out [][]relstore.Value, envs []*env, envsParallel bool) error {
-	type keyed struct {
-		row  []relstore.Value
-		keys []relstore.Value
-	}
-	outCol := func(name string) int {
-		for i, n := range names {
-			if strings.EqualFold(n, name) {
-				return i
-			}
-		}
-		return -1
-	}
-	rows := make([]keyed, len(out))
+// orderRows sorts the projected rows in place. A key is an output column,
+// or (non-aggregated, non-DISTINCT queries only, whose tuples are still
+// parallel to the output rows) an expression over the row's tuple.
+func (p *selectPlan) orderRows(fr *frame, out [][]relstore.Value, tuples []relstore.Row) error {
+	stride, nk := len(p.srcs), len(p.order)
+	keys := make([]relstore.Value, len(out)*nk)
 	for i := range out {
-		rows[i].row = out[i]
-		rows[i].keys = make([]relstore.Value, len(s.OrderBy))
-		for k, ob := range s.OrderBy {
-			if cr, ok := ob.Expr.(*ColumnRef); ok && cr.Table == "" {
-				if ci := outCol(cr.Column); ci >= 0 {
-					rows[i].keys[k] = out[i][ci]
-					continue
-				}
-			}
-			if !envsParallel {
+		for k, ob := range p.order {
+			switch {
+			case ob.outCol >= 0:
+				keys[i*nk+k] = out[i][ob.outCol]
+			case ob.expr == nil:
 				return fmt.Errorf("sqlx: ORDER BY here must reference output columns")
-			}
-			if i < len(envs) {
-				v, err := evalExpr(ob.Expr, envs[i])
+			default:
+				fr.rows = tuples[i*stride : (i+1)*stride]
+				v, err := ob.expr(fr)
 				if err != nil {
 					return err
 				}
-				rows[i].keys[k] = v
+				keys[i*nk+k] = v
 			}
 		}
 	}
+	perm := make([]int, len(out))
+	for i := range perm {
+		perm[i] = i
+	}
 	var sortErr error
-	sort.SliceStable(rows, func(a, b int) bool {
-		for k, ob := range s.OrderBy {
-			c, err := relstore.Compare(rows[a].keys[k], rows[b].keys[k])
+	sort.SliceStable(perm, func(a, b int) bool {
+		ka, kb := keys[perm[a]*nk:], keys[perm[b]*nk:]
+		for k, ob := range p.order {
+			c, err := relstore.Compare(ka[k], kb[k])
 			if err != nil {
 				if sortErr == nil {
 					sortErr = err
@@ -907,7 +572,7 @@ func orderRows(s *SelectStmt, names []string, out [][]relstore.Value, envs []*en
 			if c == 0 {
 				continue
 			}
-			if ob.Desc {
+			if ob.desc {
 				return c > 0
 			}
 			return c < 0
@@ -917,8 +582,10 @@ func orderRows(s *SelectStmt, names []string, out [][]relstore.Value, envs []*en
 	if sortErr != nil {
 		return sortErr
 	}
-	for i := range rows {
-		out[i] = rows[i].row
+	sorted := make([][]relstore.Value, len(out))
+	for i, from := range perm {
+		sorted[i] = out[from]
 	}
+	copy(out, sorted)
 	return nil
 }

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/fault"
@@ -411,6 +410,27 @@ func (s *Store) faultySearch(ctx context.Context, q Query) ([]Hit, error) {
 	return hits, nil
 }
 
+// The directed queries Search issues, one per set criterion. They are
+// constants because sqlx plans a SELECT once per text: with these, Get's six
+// and DealIDs', the store's whole read repertoire stays planned.
+const (
+	searchTowerSub = `SELECT deal_id, tower, significance FROM deal_towers
+		WHERE tower = ? AND subtower = ? ORDER BY significance DESC`
+	searchSub = `SELECT deal_id, tower, significance FROM deal_towers
+		WHERE subtower = ? ORDER BY significance DESC`
+	searchTower = `SELECT deal_id, tower, significance FROM deal_towers
+		WHERE tower = ? ORDER BY significance DESC`
+
+	searchIndustry   = `SELECT id FROM deals WHERE industry = ?`
+	searchConsultant = `SELECT id FROM deals WHERE consultant = ?`
+	searchGeography  = `SELECT id FROM deals WHERE geography = ?`
+	searchCountry    = `SELECT id FROM deals WHERE country = ?`
+
+	searchPersonName    = `SELECT deal_id, validated FROM contacts WHERE name LIKE ?`
+	searchPersonOrg     = `SELECT deal_id, validated FROM contacts WHERE org LIKE ?`
+	searchPersonNameOrg = `SELECT deal_id, validated FROM contacts WHERE name LIKE ? AND org LIKE ?`
+)
+
 // Search executes the synopsis query: a set of directed SQL queries whose
 // intersection forms the candidate set, scored per criterion. This is
 // steps 2 and 4 of the paper's Figure 1.
@@ -446,14 +466,11 @@ func (s *Store) Search(q Query) ([]Hit, error) {
 		var err error
 		switch {
 		case q.Tower != "" && q.SubTower != "":
-			rows, err = s.conn.Query(`SELECT deal_id, tower, significance FROM deal_towers
-				WHERE tower = ? AND subtower = ? ORDER BY significance DESC`, q.Tower, q.SubTower)
+			rows, err = s.conn.Query(searchTowerSub, q.Tower, q.SubTower)
 		case q.SubTower != "":
-			rows, err = s.conn.Query(`SELECT deal_id, tower, significance FROM deal_towers
-				WHERE subtower = ? ORDER BY significance DESC`, q.SubTower)
+			rows, err = s.conn.Query(searchSub, q.SubTower)
 		default:
-			rows, err = s.conn.Query(`SELECT deal_id, tower, significance FROM deal_towers
-				WHERE tower = ? ORDER BY significance DESC`, q.Tower)
+			rows, err = s.conn.Query(searchTower, q.Tower)
 		}
 		if err != nil {
 			return nil, err
@@ -466,17 +483,17 @@ func (s *Store) Search(q Query) ([]Hit, error) {
 		merge(ids, towers)
 	}
 
-	simple := []struct{ col, val string }{
-		{"industry", q.Industry},
-		{"consultant", q.Consultant},
-		{"geography", q.Geography},
-		{"country", q.Country},
+	simple := []struct{ stmt, val string }{
+		{searchIndustry, q.Industry},
+		{searchConsultant, q.Consultant},
+		{searchGeography, q.Geography},
+		{searchCountry, q.Country},
 	}
 	for _, c := range simple {
 		if c.val == "" {
 			continue
 		}
-		rows, err := s.conn.Query(fmt.Sprintf(`SELECT id FROM deals WHERE %s = ?`, c.col), c.val)
+		rows, err := s.conn.Query(c.stmt, c.val)
 		if err != nil {
 			return nil, err
 		}
@@ -488,17 +505,18 @@ func (s *Store) Search(q Query) ([]Hit, error) {
 	}
 
 	if q.PersonName != "" || q.PersonOrg != "" {
-		where := []string{}
-		args := []relstore.Value{}
-		if q.PersonName != "" {
-			where = append(where, `LOWER(name) LIKE ?`)
-			args = append(args, "%"+strings.ToLower(q.PersonName)+"%")
+		// LIKE ignores case (and lowers its pattern once per execution), so
+		// neither side needs LOWER.
+		var rows *sqlx.Rows
+		var err error
+		switch {
+		case q.PersonName != "" && q.PersonOrg != "":
+			rows, err = s.conn.Query(searchPersonNameOrg, "%"+q.PersonName+"%", "%"+q.PersonOrg+"%")
+		case q.PersonOrg != "":
+			rows, err = s.conn.Query(searchPersonOrg, "%"+q.PersonOrg+"%")
+		default:
+			rows, err = s.conn.Query(searchPersonName, "%"+q.PersonName+"%")
 		}
-		if q.PersonOrg != "" {
-			where = append(where, `LOWER(org) LIKE ?`)
-			args = append(args, "%"+strings.ToLower(q.PersonOrg)+"%")
-		}
-		rows, err := s.conn.Query(`SELECT deal_id, validated FROM contacts WHERE `+strings.Join(where, " AND "), args...)
 		if err != nil {
 			return nil, err
 		}
