@@ -358,11 +358,13 @@ type Range struct {
 
 // Sel names the rows of one table an operation applies to, by column
 // position. Every part must hold: the EqCols equal EqVals (under Equal),
-// Range contains its column, Pred accepts the row. A hash index covering a
-// subset of EqCols, or else a sorted index on the Range column, narrows the
-// rows visited; otherwise the table is scanned. Rows are visited in slot
-// (insertion) order whether or not a hash index serves the lookup, and in
-// (value, slot) order when a sorted index does.
+// Range contains its column, Pred accepts the row. An error from Pred ends
+// the operation at that row and is returned; Pred is bound by the rules of
+// the Pred type. A hash index covering a subset of EqCols, or else a sorted
+// index on the Range column, narrows the rows visited; otherwise the table
+// is scanned. Rows are visited in slot (insertion) order whether or not a
+// hash index serves the lookup, and in (value, slot) order when a sorted
+// index does.
 type Sel struct {
 	// Version is the SchemaVersion the positions were resolved at; the
 	// operation fails with ErrSchemaChanged once it is stale. Zero skips
@@ -371,16 +373,24 @@ type Sel struct {
 	EqCols  []int
 	EqVals  []Value
 	Range   *Range
-	Pred    Pred
+	Pred    func(Row) (bool, error)
 }
 
-// each calls visit for every live row sel selects, until visit returns
-// false.
-func (t *table) each(sel *Sel, visit func(r Row) bool) {
+// each calls visit for every live row sel selects, until visit returns false
+// or sel.Pred fails.
+func (t *table) each(sel *Sel, visit func(r Row) bool) error {
+	var err error
 	match := func(r Row) bool {
-		return r != nil && rowMatches(r, sel.EqCols, sel.EqVals) &&
-			(sel.Range == nil || sel.Range.contains(r[sel.Range.Col])) &&
-			(sel.Pred == nil || sel.Pred(r))
+		if r == nil || !rowMatches(r, sel.EqCols, sel.EqVals) ||
+			(sel.Range != nil && !sel.Range.contains(r[sel.Range.Col])) {
+			return false
+		}
+		if sel.Pred == nil {
+			return true
+		}
+		var ok bool
+		ok, err = sel.Pred(r)
+		return ok && err == nil
 	}
 	var slots []int
 	if ix := t.findIndex(sel.EqCols); ix != nil {
@@ -393,17 +403,18 @@ func (t *table) each(sel *Sel, visit func(r Row) bool) {
 		})
 	} else {
 		for _, r := range t.rows {
-			if match(r) && !visit(r) {
-				return
+			if (match(r) && !visit(r)) || err != nil {
+				return err
 			}
 		}
-		return
+		return nil
 	}
 	for _, slot := range slots {
-		if r := t.rows[slot]; match(r) && !visit(r) {
-			return
+		if r := t.rows[slot]; (match(r) && !visit(r)) || err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 // rangeIndex returns the sorted index that serves sel's range, if any. Pins
@@ -445,16 +456,19 @@ func (db *DB) Select(tableName string, sel Sel) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return t.selectRows(&sel), nil
+	return t.selectRows(&sel)
 }
 
-func (t *table) selectRows(sel *Sel) []Row {
+func (t *table) selectRows(sel *Sel) ([]Row, error) {
 	var out []Row
-	t.each(sel, func(r Row) bool {
+	err := t.each(sel, func(r Row) bool {
 		out = append(out, r.clone())
 		return true
 	})
-	return out
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Scan calls fn for every live row matching pred (nil pred = all rows). fn
@@ -466,8 +480,11 @@ func (db *DB) Scan(tableName string, pred Pred, fn func(Row) bool) error {
 	if err != nil {
 		return err
 	}
-	t.each(&Sel{Pred: pred}, func(r Row) bool { return fn(r.clone()) })
-	return nil
+	var sel Sel
+	if pred != nil {
+		sel.Pred = func(r Row) (bool, error) { return pred(r), nil }
+	}
+	return t.each(&sel, func(r Row) bool { return fn(r.clone()) })
 }
 
 // LookupEqual finds rows where the named columns equal the given values,
@@ -487,7 +504,7 @@ func (db *DB) LookupEqual(tableName string, columns []string, values []Value) ([
 	if err != nil {
 		return nil, err
 	}
-	return t.selectRows(&Sel{EqCols: cols, EqVals: values}), nil
+	return t.selectRows(&Sel{EqCols: cols, EqVals: values})
 }
 
 func rowMatches(r Row, cols []int, values []Value) bool {

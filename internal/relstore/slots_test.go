@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -216,6 +217,36 @@ func TestDeletedSlotsAreReclaimed(t *testing.T) {
 		got, _ := db.LookupEqual("towers", []string{"deal"}, []Value{deal})
 		if want := scanWhere(t, db, func(row Row) bool { return row[0] == deal }); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: lookup %v, scan %v", deal, got, want)
+		}
+	}
+}
+
+// A selection whose predicate fails ends at the failing row, on every access
+// path, and reports the failure instead of rows.
+func TestSelectStopsWhenPredFails(t *testing.T) {
+	db := towersDB(t)
+	for i := 0; i < 50; i++ {
+		if err := db.Insert("towers", Row{"D", "T", fmt.Sprintf("S%d", i), float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	boom := errors.New("boom")
+	for name, sel := range map[string]Sel{
+		"scan":         {},
+		"hash index":   {EqCols: []int{0}, EqVals: []Value{"D"}},
+		"sorted index": {Range: &Range{Col: 3, Lo: 0.0, LoInc: true}},
+	} {
+		seen := 0
+		sel.Pred = func(Row) (bool, error) {
+			seen++
+			if seen == 3 {
+				return true, boom
+			}
+			return true, nil
+		}
+		rows, err := db.Select("towers", sel)
+		if !errors.Is(err, boom) || rows != nil || seen != 3 {
+			t.Errorf("%s: %d rows, err %v, predicate saw %d rows; want the error after 3", name, len(rows), err, seen)
 		}
 	}
 }

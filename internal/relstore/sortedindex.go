@@ -136,8 +136,7 @@ func (db *DB) ScanRange(tableName, column string, lo, hi Value, loInc, hiInc boo
 		return err
 	}
 	sel := Sel{Range: &Range{Col: cols[0], Lo: lo, Hi: hi, LoInc: loInc, HiInc: hiInc}}
-	t.each(&sel, func(r Row) bool { return fn(r.clone()) })
-	return nil
+	return t.each(&sel, func(r Row) bool { return fn(r.clone()) })
 }
 
 func (t *table) findSorted(column int) *sortedIndex {

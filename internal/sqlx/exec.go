@@ -3,6 +3,7 @@ package sqlx
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -25,6 +26,12 @@ type Conn struct {
 // statement texts (synopsis: under twenty SELECTs); texts built per call would
 // only churn it.
 const planCacheSize = 64
+
+// maxReplans is how often one Query plans again after losing a race with DDL.
+// An attempt loses only when DDL lands between planning and the engine taking
+// its lock, so a few in a row happen under a DDL-heavy writer (the concurrency
+// test loses four in a row); this many means DDL never pauses.
+const maxReplans = 64
 
 // Open wraps a relstore database with the SQL interface.
 func Open(db *relstore.DB) *Conn {
@@ -89,17 +96,21 @@ func (c *Conn) Exec(sqlText string, args ...relstore.Value) (int, error) {
 
 // Query runs a SELECT and returns the result set.
 func (c *Conn) Query(sqlText string, args ...relstore.Value) (*Rows, error) {
-	for {
-		p, err := c.prepare(sqlText)
-		if err != nil {
+	// A plan that lost a race with DDL reads nothing: the engine checks the
+	// version under its lock. Plan again, a bounded number of times so that
+	// DDL that never pauses surfaces as ErrSchemaChanged and not as a hang.
+	var rows *Rows
+	var err error
+	for attempt := 0; attempt < maxReplans; attempt++ {
+		var p *selectPlan
+		if p, err = c.prepare(sqlText); err != nil {
 			return nil, err
 		}
-		// A plan that lost a race with DDL reads nothing: the engine checks
-		// the version under its lock. Plan again.
-		if rows, err := p.run(c.db, args); !errors.Is(err, relstore.ErrSchemaChanged) {
-			return rows, err
+		if rows, err = p.run(c.db, args); !errors.Is(err, relstore.ErrSchemaChanged) {
+			break
 		}
 	}
+	return rows, err
 }
 
 // prepare returns the plan for a SELECT at the current schema version,
@@ -326,26 +337,15 @@ func (p *selectPlan) run(db *relstore.DB, args []relstore.Value) (*Rows, error) 
 
 	// Base table: the WHERE of a single-table query runs inside the engine's
 	// scan, on the stored rows, so only the rows it keeps are copied out.
-	var pred relstore.Pred
-	var predErr error
+	var pred func(relstore.Row) (bool, error)
 	if stride == 1 && p.where != nil {
 		fr.rows = fr.one[:]
-		pred = func(r relstore.Row) bool {
-			if predErr != nil {
-				return false
-			}
+		pred = func(r relstore.Row) (bool, error) {
 			fr.rows[0] = r
-			ok, err := holds(p.where, fr)
-			if err != nil {
-				predErr = err
-			}
-			return ok
+			return holds(p.where, fr)
 		}
 	}
 	tuples, err := db.Select(p.base.table, p.base.bind(args, p.version, pred))
-	if err == nil {
-		err = predErr
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -422,7 +422,8 @@ func (p *selectPlan) run(db *relstore.DB, args []relstore.Value) (*Rows, error) 
 	if p.limit >= 0 && len(out) > p.limit {
 		out = out[:p.limit]
 	}
-	return &Rows{Columns: p.names, Data: out}, nil
+	// The names are copied: the plan is shared, the result is the caller's.
+	return &Rows{Columns: slices.Clone(p.names), Data: out}, nil
 }
 
 func (p *selectPlan) projectRows(fr *frame, tuples []relstore.Row) ([][]relstore.Value, error) {

@@ -117,7 +117,7 @@ func newAccess(table, alias string, schema relstore.Schema, where Expr) access {
 }
 
 // bind builds the engine selection for one execution.
-func (a *access) bind(args []relstore.Value, version uint64, pred relstore.Pred) relstore.Sel {
+func (a *access) bind(args []relstore.Value, version uint64, pred func(relstore.Row) (bool, error)) relstore.Sel {
 	sel := relstore.Sel{Version: version, Pred: pred}
 	for _, p := range a.pins {
 		// The first bound pin on a column is used; a second is left to the

@@ -214,14 +214,21 @@ func (s *Store) Put(d Deal) error {
 // Delete removes a deal's synopsis entirely (idempotent).
 func (s *Store) Delete(id string) error { return s.deleteDeal(id) }
 
+// clearDeal holds the statements that remove one deal, a fixed text per
+// table.
+var clearDeal = [...]struct{ table, stmt string }{
+	{"deals", `DELETE FROM deals WHERE id = ?`},
+	{"deal_towers", `DELETE FROM deal_towers WHERE deal_id = ?`},
+	{"contacts", `DELETE FROM contacts WHERE deal_id = ?`},
+	{"win_strategies", `DELETE FROM win_strategies WHERE deal_id = ?`},
+	{"client_refs", `DELETE FROM client_refs WHERE deal_id = ?`},
+	{"tech_solutions", `DELETE FROM tech_solutions WHERE deal_id = ?`},
+}
+
 func (s *Store) deleteDeal(id string) error {
-	for _, table := range []string{"deals", "deal_towers", "contacts", "win_strategies", "client_refs", "tech_solutions"} {
-		col := "deal_id"
-		if table == "deals" {
-			col = "id"
-		}
-		if _, err := s.conn.Exec(fmt.Sprintf(`DELETE FROM %s WHERE %s = ?`, table, col), id); err != nil {
-			return fmt.Errorf("synopsis: clear %s: %w", table, err)
+	for _, c := range clearDeal {
+		if _, err := s.conn.Exec(c.stmt, id); err != nil {
+			return fmt.Errorf("synopsis: clear %s: %w", c.table, err)
 		}
 	}
 	s.gen.Add(1)
