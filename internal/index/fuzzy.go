@@ -67,32 +67,24 @@ func (ix *Index) prefixCandidates(q PrefixQuery) []string {
 	return terms
 }
 
-// evalPrefix expands the prefix against the dictionary and evaluates the
-// union at full term scores. When st carries a merged expansion for this
-// leaf (sharded search), that global list replaces local enumeration so
-// every shard evaluates the same terms the monolith would.
-func (ix *Index) evalPrefix(q PrefixQuery, st *Stats) *acc {
-	out := ix.getAcc()
-	var terms []string
-	if st != nil {
-		if exp, ok := st.PrefixExp[prefixLeafKey(q)]; ok {
-			terms = exp
-		} else {
-			terms = ix.prefixCandidates(q)
-		}
-	} else {
-		terms = ix.prefixCandidates(q)
+// prefix materialises a prefix leaf: the prefix expands against the
+// dictionary and a document scores the best of its expansions' full term
+// scores. When st carries a merged expansion for this leaf (sharded search),
+// that global list replaces local enumeration so every shard evaluates the
+// same terms the monolith would.
+func (ev *eval) prefix(q PrefixQuery) node {
+	terms, ok := []string(nil), false
+	if ev.st != nil {
+		terms, ok = ev.st.PrefixExp[prefixLeafKey(q)]
 	}
+	if !ok {
+		terms = ev.ix.prefixCandidates(q)
+	}
+	out := ev.hold()
 	for _, term := range terms {
-		m := ix.evalTerm(q.Field, term, st)
-		for _, id := range m.ids {
-			if m.member[id] {
-				out.addMax(id, m.scores[id])
-			}
-		}
-		ix.putAcc(m)
+		ev.term(q.Field, term).fillMax(out, 1)
 	}
-	return out
+	return leafNode{out}
 }
 
 // fuzzyCandidates enumerates the dictionary terms within edit distance of
@@ -131,22 +123,20 @@ func (ix *Index) fuzzyCandidates(q FuzzyQuery) []TermDist {
 	return cands
 }
 
-// evalFuzzy expands the query term against the dictionary and evaluates the
-// union. Scores are the underlying term scores scaled down by edit distance
-// (exact-distance-1 matches count 60%, distance-2 matches 35%). When st
-// carries a merged expansion for this leaf, it replaces local enumeration.
-func (ix *Index) evalFuzzy(q FuzzyQuery, st *Stats) *acc {
-	var cands []TermDist
-	if st != nil {
-		if exp, ok := st.FuzzyExp[fuzzyLeafKey(q)]; ok {
-			cands = exp
-		} else {
-			cands = ix.fuzzyCandidates(q)
-		}
-	} else {
-		cands = ix.fuzzyCandidates(q)
+// fuzzy materialises a fuzzy leaf: the query term expands against the
+// dictionary and a document scores the best of its expansions' term scores,
+// scaled down by edit distance (distance-1 matches count 60%, distance-2
+// matches 35%). When st carries a merged expansion for this leaf, it
+// replaces local enumeration.
+func (ev *eval) fuzzy(q FuzzyQuery) node {
+	cands, ok := []TermDist(nil), false
+	if ev.st != nil {
+		cands, ok = ev.st.FuzzyExp[fuzzyLeafKey(q)]
 	}
-	out := ix.getAcc()
+	if !ok {
+		cands = ev.ix.fuzzyCandidates(q)
+	}
+	out := ev.hold()
 	for _, c := range cands {
 		scale := 1.0
 		switch c.Dist {
@@ -155,15 +145,9 @@ func (ix *Index) evalFuzzy(q FuzzyQuery, st *Stats) *acc {
 		case 2:
 			scale = 0.35
 		}
-		m := ix.evalTerm(q.Field, c.Term, st)
-		for _, id := range m.ids {
-			if m.member[id] {
-				out.addMax(id, m.scores[id]*scale)
-			}
-		}
-		ix.putAcc(m)
+		ev.term(q.Field, c.Term).fillMax(out, scale)
 	}
-	return out
+	return leafNode{out}
 }
 
 // editDistanceAtMost computes the Levenshtein distance between a and b if

@@ -318,12 +318,43 @@ func (ix *Index) FieldText(id DocID, field string) string {
 	if int(id) >= len(ix.docs) || ix.deleted[id] {
 		return ""
 	}
-	for _, f := range ix.docs[id].fields {
+	return ix.docs[id].text(field)
+}
+
+func (d *docEntry) text(field string) string {
+	for _, f := range d.fields {
 		if f.name == field {
 			return f.text
 		}
 	}
 	return ""
+}
+
+// Stored is what a result list shows of one document. A document deleted
+// after it was scored comes back zero: live documents never have an empty
+// external ID.
+type Stored struct {
+	ExtID string
+	Meta  string // the value of the requested metadata key
+	Text  string // the text of the requested stored field
+}
+
+// StoredFor resolves a hit list to its documents' external IDs, one metadata
+// value and one stored field, in hit order, under a single read lock: the
+// whole list is read from one index state, and a concurrent writer waits for
+// one acquisition per page rather than three per hit.
+func (ix *Index) StoredFor(hits []Hit, metaKey, field string) []Stored {
+	out := make([]Stored, len(hits))
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	for i, h := range hits {
+		if int(h.Doc) >= len(ix.docs) || ix.deleted[h.Doc] {
+			continue
+		}
+		d := &ix.docs[h.Doc]
+		out[i] = Stored{ExtID: d.extID, Meta: d.meta[metaKey], Text: d.text(field)}
+	}
+	return out
 }
 
 // FieldNames returns the sorted set of field names present in the index.

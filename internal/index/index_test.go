@@ -275,6 +275,32 @@ func TestMetaAndFieldText(t *testing.T) {
 	}
 }
 
+// TestStoredFor: one locked pass returns what ExtID, Meta and FieldText
+// return per document, in hit order, and a zero value for documents deleted
+// since they were scored.
+func TestStoredFor(t *testing.T) {
+	ix := newTestIndex(t)
+	hits := ix.Search(AllQuery{}, 0)
+	if err := ix.Delete("d2"); err != nil {
+		t.Fatal(err)
+	}
+	hits = append(hits, Hit{Doc: 99})
+	live := 0
+	for i, d := range ix.StoredFor(hits, "deal", "title") {
+		id := hits[i].Doc
+		ext, _ := ix.ExtID(id)
+		if d.ExtID != ext || d.Meta != ix.Meta(id, "deal") || d.Text != ix.FieldText(id, "title") {
+			t.Fatalf("hit %d (doc %d): %+v", i, id, d)
+		}
+		if d.ExtID != "" {
+			live++
+		}
+	}
+	if live != 2 {
+		t.Fatalf("%d live documents, want 2", live)
+	}
+}
+
 func TestFieldNames(t *testing.T) {
 	ix := newTestIndex(t)
 	names := ix.FieldNames()

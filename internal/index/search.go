@@ -62,16 +62,13 @@ const (
 const phraseBoost = 1.2
 
 // acc is a reusable per-query scoring accumulator: a dense score table plus
-// the list of matched documents, replacing the map[DocID]float64 the
-// evaluator used to allocate per query. ids may retain entries whose member
-// flag has since been cleared by a removal; iterations check member. Members
-// are only ever added while an accumulator is being filled (term/phrase/all/
-// union), never after removals start, so ids holds no duplicates.
+// the list of matched documents. Evaluation only ever adds the documents
+// that survive every clause, so ids holds exactly the members, without
+// duplicates.
 type acc struct {
 	scores []float64
 	member []bool
 	ids    []DocID
-	n      int // live member count
 }
 
 // grow sizes the dense tables for n documents. Pooled accumulators keep
@@ -96,7 +93,6 @@ func (a *acc) add(id DocID, s float64) {
 	a.member[id] = true
 	a.scores[id] = s
 	a.ids = append(a.ids, id)
-	a.n++
 }
 
 // addMax inserts or keeps the maximum score (fuzzy/prefix disjunctions).
@@ -110,17 +106,6 @@ func (a *acc) addMax(id DocID, s float64) {
 	a.member[id] = true
 	a.scores[id] = s
 	a.ids = append(a.ids, id)
-	a.n++
-}
-
-// remove clears one document's membership; its id stays in ids as a stale
-// entry that later iterations skip.
-func (a *acc) remove(id DocID) {
-	if a.member[id] {
-		a.member[id] = false
-		a.scores[id] = 0
-		a.n--
-	}
 }
 
 // reset clears every touched slot so the accumulator can return to the pool
@@ -131,7 +116,6 @@ func (a *acc) reset() {
 		a.member[id] = false
 	}
 	a.ids = a.ids[:0]
-	a.n = 0
 }
 
 // getAcc leases an accumulator sized for the current document space.
@@ -173,6 +157,19 @@ func (ix *Index) SearchCtx(ctx context.Context, q Query, limit int) []Hit {
 // where collected, so a shard of a partitioned corpus produces exactly
 // the scores the monolithic index would. st == nil scores locally.
 func (ix *Index) SearchStatsCtx(ctx context.Context, q Query, limit int, st *Stats) []Hit {
+	hits, _ := ix.SearchTotalCtx(ctx, q, limit, st)
+	return hits
+}
+
+// SearchTotalCtx is SearchStatsCtx also reporting how many documents matched
+// before limit cut the page — what Count would return for q against the same
+// index state (and the same st) — so a caller that wants both evaluates
+// once. The total is -1 when the search was cut off before it evaluated.
+//
+// The span says what the search cost: which clause drove the outermost
+// conjunction, how many posting entries were touched, and how many of the
+// driver's candidates were probed against the other clauses.
+func (ix *Index) SearchTotalCtx(ctx context.Context, q Query, limit int, st *Stats) ([]Hit, int) {
 	_, sp := trace.StartSpan(ctx, "index.search")
 	// Fault-injection boundary (site "index.search"): the index cannot
 	// surface errors, so injected faults here model a degraded — not dead —
@@ -184,37 +181,41 @@ func (ix *Index) SearchStatsCtx(ctx context.Context, q Query, limit int, st *Sta
 			sp.Set("error", err.Error())
 			sp.End()
 		}
-		return nil
+		return nil, -1
 	}
+	ev := eval{ix: ix, st: st, scoring: true}
 	ix.mu.RLock()
-	a := ix.evalAcc(q, st)
+	a, driver := ev.run(q, sp != nil)
 	ix.mu.RUnlock()
+	total := len(a.ids)
 	hits := collectHits(a, limit)
+	ix.putAcc(a)
 	if keep := fault.Keep(ctx, fault.SiteIndexSearch, len(hits)); keep < len(hits) {
 		hits = hits[:keep]
 	}
 	if sp != nil {
-		sp.SetInt("candidates", a.n)
+		sp.Set("driver", driver)
+		sp.SetInt("postings_visited", ev.postings)
+		sp.SetInt("candidates_probed", ev.probed)
+		sp.SetInt("candidates", total)
 		sp.SetInt("returned", len(hits))
-		sp.SetBool("heap_truncated", limit > 0 && a.n > limit)
+		sp.SetBool("heap_truncated", limit > 0 && total > limit)
 		sp.End()
 	}
-	ix.putAcc(a)
-	return hits
+	return hits, total
 }
 
-// Count evaluates q and returns only the number of matching documents.
-// AllQuery short-circuits to the maintained live-document count.
+// Count evaluates q without scoring and returns only the number of matching
+// documents. AllQuery short-circuits to the maintained live-document count.
 func (ix *Index) Count(q Query) int {
 	ix.mu.RLock()
+	defer ix.mu.RUnlock()
 	if _, ok := q.(AllQuery); ok {
-		n := ix.liveDocs
-		ix.mu.RUnlock()
-		return n
+		return ix.liveDocs
 	}
-	a := ix.evalAcc(q, nil)
-	ix.mu.RUnlock()
-	n := a.n
+	ev := eval{ix: ix}
+	a, _ := ev.run(q, false)
+	n := len(a.ids)
 	ix.putAcc(a)
 	return n
 }
@@ -231,12 +232,10 @@ func hitWorse(a, b Hit) bool {
 
 // collectHits turns an accumulator into a ranked hit list.
 func collectHits(a *acc, limit int) []Hit {
-	if limit <= 0 || a.n <= limit {
-		hits := make([]Hit, 0, a.n)
+	if limit <= 0 || len(a.ids) <= limit {
+		hits := make([]Hit, 0, len(a.ids))
 		for _, id := range a.ids {
-			if a.member[id] {
-				hits = append(hits, Hit{Doc: id, Score: a.scores[id]})
-			}
+			hits = append(hits, Hit{Doc: id, Score: a.scores[id]})
 		}
 		sort.Slice(hits, func(i, j int) bool { return hitWorse(hits[j], hits[i]) })
 		return hits
@@ -244,9 +243,6 @@ func collectHits(a *acc, limit int) []Hit {
 	// Bounded selection: a min-heap of size limit ordered worst-at-root.
 	h := make([]Hit, 0, limit)
 	for _, id := range a.ids {
-		if !a.member[id] {
-			continue
-		}
 		cand := Hit{Doc: id, Score: a.scores[id]}
 		if len(h) < limit {
 			h = append(h, cand)
@@ -293,42 +289,22 @@ func siftDown(h []Hit, i int) {
 	}
 }
 
-// evalAcc computes the scored match set for q, scoring against st when
-// non-nil. Callers must hold at least a read lock and must return the
-// accumulator to the pool.
-func (ix *Index) evalAcc(q Query, st *Stats) *acc {
-	switch t := q.(type) {
-	case TermQuery:
-		return ix.evalTerm(t.Field, t.Term, st)
-	case PhraseQuery:
-		return ix.evalPhrase(t.Field, t.Terms, st)
-	case BoolQuery:
-		return ix.evalBool(t, st)
-	case FuzzyQuery:
-		return ix.evalFuzzy(t, st)
-	case PrefixQuery:
-		return ix.evalPrefix(t, st)
-	case AllQuery:
-		a := ix.getAcc()
-		for id := range ix.docs {
-			if !ix.deleted[id] {
-				a.add(DocID(id), 1)
-			}
-		}
-		return a
-	default:
-		return ix.getAcc()
-	}
-}
-
-// bm25 computes the BM25 contribution of a term occurring tf times in a
-// field of length fieldLen, given the field's average length and the term's
-// document frequency df over n live documents.
-func bm25(tf, df, n, fieldLen int, avgLen float64) float64 {
-	if tf == 0 || df == 0 || n == 0 {
+// bm25IDF is the BM25 inverse document frequency of a term found in df of n
+// live documents; 0 when either is 0, which zeroes every score built on it.
+func bm25IDF(df, n int) float64 {
+	if df == 0 || n == 0 {
 		return 0
 	}
-	idf := math.Log(1 + (float64(n)-float64(df)+0.5)/(float64(df)+0.5))
+	return math.Log(1 + (float64(n)-float64(df)+0.5)/(float64(df)+0.5))
+}
+
+// bm25TF completes the BM25 contribution of a term of inverse document
+// frequency idf occurring tf times in a field of length fieldLen, given the
+// field's average length.
+func bm25TF(idf float64, tf, fieldLen int, avgLen float64) float64 {
+	if tf == 0 || idf == 0 {
+		return 0
+	}
 	norm := float64(fieldLen)
 	if avgLen > 0 {
 		norm = float64(fieldLen) / avgLen
@@ -345,102 +321,6 @@ func (ix *Index) fieldStats(field string) (avgLen float64, docs int) {
 	return avgLen, docs
 }
 
-func (ix *Index) evalTerm(field, term string, st *Stats) *acc {
-	a := ix.getAcc()
-	pl := ix.postings[fieldTerm{field, term}]
-	if pl == nil || pl.live == 0 {
-		return a
-	}
-	avgLen, _ := ix.fieldStats(field)
-	df := pl.live
-	n := ix.liveDocs
-	if st != nil {
-		df = st.termDF(field, term, df)
-		n = st.LiveDocs
-		avgLen = st.fieldAvg(field)
-	}
-	fd := ix.fieldLens[field]
-	for i := range pl.entries {
-		p := &pl.entries[i]
-		if ix.deleted[p.doc] {
-			continue
-		}
-		fl, w := fd.at(p.doc)
-		a.add(p.doc, w*bm25(len(p.positions), df, n, fl, avgLen))
-	}
-	return a
-}
-
-func (ix *Index) evalPhrase(field string, terms []string, st *Stats) *acc {
-	switch len(terms) {
-	case 0:
-		return ix.getAcc()
-	case 1:
-		return ix.evalTerm(field, terms[0], st)
-	}
-	a := ix.evalPhraseCounts(field, terms)
-	if a.n == 0 {
-		return a
-	}
-	avgLen, _ := ix.fieldStats(field)
-	n := ix.liveDocs
-	df := a.n
-	if st != nil {
-		df = st.phraseDF(field, terms, df)
-		n = st.LiveDocs
-		avgLen = st.fieldAvg(field)
-	}
-	fd := ix.fieldLens[field]
-	for _, id := range a.ids {
-		tf := int(a.scores[id])
-		fl, w := fd.at(id)
-		a.scores[id] = phraseBoost * w * bm25(tf, df, n, fl, avgLen)
-	}
-	return a
-}
-
-// evalPhraseCounts runs the intersection pass of phrase evaluation: the
-// returned accumulator holds each matching document's phrase occurrence
-// count (not yet a score), and its n is the local phrase document
-// frequency. Callers rescale counts into BM25 or just read n.
-func (ix *Index) evalPhraseCounts(field string, terms []string) *acc {
-	a := ix.getAcc()
-	lists := make([]*postingList, len(terms))
-	for i, term := range terms {
-		lists[i] = ix.postings[fieldTerm{field, term}]
-		if lists[i] == nil {
-			return a
-		}
-	}
-	// Document-at-a-time intersection driven by the first term's postings.
-	// First pass stores each matching document's phrase occurrence count in
-	// the accumulator; the second rescales counts into BM25 scores once the
-	// phrase document frequency (a.n) is known.
-	rest := make([][]uint32, len(terms)-1)
-	for i := range lists[0].entries {
-		p0 := &lists[0].entries[i]
-		if ix.deleted[p0.doc] {
-			continue
-		}
-		ok := true
-		for i := 1; i < len(terms); i++ {
-			p := findPosting(lists[i], p0.doc)
-			if p == nil {
-				ok = false
-				break
-			}
-			rest[i-1] = p.positions
-		}
-		if !ok {
-			continue
-		}
-		if count := countPhrase(p0.positions, rest); count > 0 {
-			a.add(p0.doc, float64(count))
-		}
-	}
-	return a
-}
-
 // findPosting binary-searches a posting list for a document.
 func findPosting(pl *postingList, id DocID) *posting {
 	e := pl.entries
@@ -449,96 +329,4 @@ func findPosting(pl *postingList, id DocID) *posting {
 		return &e[i]
 	}
 	return nil
-}
-
-// countPhrase counts starting positions p in first such that for every
-// following term i, p+i+1 is present in rest[i]. Positions are ascending.
-func countPhrase(first []uint32, rest [][]uint32) int {
-	count := 0
-	for _, p := range first {
-		if p == keywordPos {
-			continue
-		}
-		ok := true
-		for i, positions := range rest {
-			want := p + uint32(i) + 1
-			if !containsPos(positions, want) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			count++
-		}
-	}
-	return count
-}
-
-func containsPos(positions []uint32, want uint32) bool {
-	i := sort.Search(len(positions), func(i int) bool { return positions[i] >= want })
-	return i < len(positions) && positions[i] == want
-}
-
-func (ix *Index) evalBool(q BoolQuery, st *Stats) *acc {
-	var a *acc
-	// Must clauses: intersection with score accumulation.
-	for _, sub := range q.Must {
-		m := ix.evalAcc(sub, st)
-		if a == nil {
-			a = m
-			continue
-		}
-		for _, id := range a.ids {
-			if !a.member[id] {
-				continue
-			}
-			if m.member[id] {
-				a.scores[id] += m.scores[id]
-			} else {
-				a.remove(id)
-			}
-		}
-		ix.putAcc(m)
-		if a.n == 0 {
-			return a
-		}
-	}
-	// Should clauses: union among themselves; if Must is present they only
-	// contribute score plus act as a filter when there are no Must clauses.
-	if len(q.Should) > 0 {
-		union := ix.getAcc()
-		for _, sub := range q.Should {
-			m := ix.evalAcc(sub, st)
-			for _, id := range m.ids {
-				if m.member[id] {
-					union.add(id, m.scores[id])
-				}
-			}
-			ix.putAcc(m)
-		}
-		if a == nil {
-			a = union
-		} else {
-			for _, id := range a.ids {
-				if a.member[id] && union.member[id] {
-					a.scores[id] += union.scores[id]
-				}
-			}
-			ix.putAcc(union)
-		}
-	}
-	if a == nil {
-		// Only MustNot clauses: interpret as AllQuery minus exclusions.
-		a = ix.evalAcc(AllQuery{}, st)
-	}
-	for _, sub := range q.MustNot {
-		m := ix.evalAcc(sub, st)
-		for _, id := range m.ids {
-			if m.member[id] {
-				a.remove(id)
-			}
-		}
-		ix.putAcc(m)
-	}
-	return a
 }

@@ -118,19 +118,22 @@ func (ix *Index) CollectStats(q Query) *Stats {
 	return st
 }
 
+// collectStats records each leaf's local frequency by assignment, not
+// addition: a leaf that occurs twice in one tree (the same word under All and
+// Any) is still one term with one document frequency. Only Merge adds.
 func (ix *Index) collectStats(q Query, st *Stats) {
 	switch t := q.(type) {
 	case TermQuery:
-		st.TermDF[TermKey{t.Field, t.Term}] += ix.liveDF(t.Field, t.Term)
+		st.TermDF[TermKey{t.Field, t.Term}] = ix.liveDF(t.Field, t.Term)
 	case PhraseQuery:
 		switch len(t.Terms) {
 		case 0:
 		case 1:
 			// The evaluator delegates single-term phrases to the term
 			// path, so the stats walk must too.
-			st.TermDF[TermKey{t.Field, t.Terms[0]}] += ix.liveDF(t.Field, t.Terms[0])
+			st.TermDF[TermKey{t.Field, t.Terms[0]}] = ix.liveDF(t.Field, t.Terms[0])
 		default:
-			st.PhraseDF[phraseKey(t.Field, t.Terms)] += ix.phraseCount(t.Field, t.Terms)
+			st.PhraseDF[phraseKey(t.Field, t.Terms)] = ix.phraseCount(t.Field, t.Terms)
 		}
 	case BoolQuery:
 		for _, sub := range t.Must {
@@ -146,13 +149,13 @@ func (ix *Index) collectStats(q Query, st *Stats) {
 		cands := ix.fuzzyCandidates(t)
 		st.FuzzyExp[fuzzyLeafKey(t)] = cands
 		for _, c := range cands {
-			st.TermDF[TermKey{t.Field, c.Term}] += ix.liveDF(t.Field, c.Term)
+			st.TermDF[TermKey{t.Field, c.Term}] = ix.liveDF(t.Field, c.Term)
 		}
 	case PrefixQuery:
 		terms := ix.prefixCandidates(t)
 		st.PrefixExp[prefixLeafKey(t)] = terms
 		for _, term := range terms {
-			st.TermDF[TermKey{t.Field, term}] += ix.liveDF(t.Field, term)
+			st.TermDF[TermKey{t.Field, term}] = ix.liveDF(t.Field, term)
 		}
 	}
 }
@@ -168,11 +171,9 @@ func (ix *Index) liveDF(field, term string) int {
 // phraseCount counts documents matching the phrase — the df the phrase
 // evaluator derives from its intersection pass.
 func (ix *Index) phraseCount(field string, terms []string) int {
-	a := ix.evalPhraseCounts(field, terms)
-	if a == nil {
-		return 0
-	}
-	n := a.n
+	ev := eval{ix: ix}
+	a := ev.phraseCounts(field, terms)
+	n := len(a.ids)
 	ix.putAcc(a)
 	return n
 }

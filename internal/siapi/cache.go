@@ -62,38 +62,39 @@ func cacheKey(q Query, limit int) string {
 	return b.String()
 }
 
-// cachedSearch consults the result LRU before running compute, and stores
-// what compute returns; the second result reports whether the cache served
-// the hit list (trace spans record it). Hit lists are copied on both sides
-// of the cache boundary so callers may mutate what they receive.
-func (e *Engine) cachedSearch(q Query, limit int, compute func() []DocHit) ([]DocHit, bool) {
-	return e.cachedSearchKey(cacheKey(q, limit), compute)
-}
+// countLimit is the limit count-cache keys are encoded with: counts ignore
+// limit, and no Search uses this one.
+const countLimit = -1
 
-// cachedSearchKey is cachedSearch for a precomputed key — the sharded
-// path appends a cluster-stats epoch to the canonical query encoding.
-func (e *Engine) cachedSearchKey(key string, compute func() []DocHit) ([]DocHit, bool) {
-	if e.hitCache == nil {
-		return compute(), false
-	}
+// cachedSearchKey consults the result LRU for key — the canonical query
+// encoding, to which the sharded path appends a cluster-stats epoch — before
+// running compute, and stores what compute returns; the second result
+// reports whether the cache served the hit list (trace spans record it).
+// compute receives the index generation the result will be stored under, so
+// what else it learns can be cached under the same one. Hit lists are copied
+// on both sides of the cache boundary so callers may mutate what they
+// receive.
+func (e *Engine) cachedSearchKey(key string, compute func(epoch uint64) []DocHit) ([]DocHit, bool) {
 	epoch := e.ix.Generation()
+	if e.hitCache == nil {
+		return compute(epoch), false
+	}
 	if hits, ok := e.hitCache.Get(key, epoch); ok {
 		e.cacheHits.Inc()
 		return cloneHits(hits), true
 	}
 	e.cacheMisses.Inc()
-	out := compute()
+	out := compute(epoch)
 	e.hitCache.Put(key, epoch, cloneHits(out))
 	return out, false
 }
 
-// cachedCount is cachedSearch for match counts.
+// cachedCount is cachedSearchKey for match counts.
 func (e *Engine) cachedCount(q Query, compute func() int) (int, bool) {
 	if e.countCache == nil {
 		return compute(), false
 	}
-	// Counts ignore limit; key with a sentinel that no Search uses.
-	key := cacheKey(q, -1)
+	key := cacheKey(q, countLimit)
 	epoch := e.ix.Generation()
 	if n, ok := e.countCache.Get(key, epoch); ok {
 		e.cacheHits.Inc()

@@ -1,7 +1,9 @@
 package siapi
 
 import (
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/index"
@@ -113,5 +115,100 @@ func TestNilEngineCachesDisabled(t *testing.T) {
 	}
 	if got := len(e.Search(Query{All: []string{"storage"}}, 0)); got != 1 {
 		t.Fatalf("uncached search = %d hits", got)
+	}
+}
+
+// TestSearchSeedsCountCache: a search's evaluation already knows how many
+// documents matched, so the Count that follows it is a cache hit with the
+// number an evaluation of its own would have found — until a write.
+func TestSearchSeedsCountCache(t *testing.T) {
+	e := newEngine(t)
+	reg := obs.NewRegistry()
+	e.SetMetrics(reg)
+	hits := reg.Counter("search_cache_hits_total")
+	misses := reg.Counter("search_cache_misses_total")
+
+	for _, q := range []Query{
+		{All: []string{"storage"}},
+		{Any: []string{"storage", "network"}, None: []string{"desktop"}},
+		{Exact: "data replication", Deals: []string{"DEAL A", "DEAL B"}},
+		{All: []string{"nosuchword"}},
+	} {
+		h0, m0 := hits.Value(), misses.Value()
+		page := e.Search(q, 1)
+		n := e.Count(q)
+		if hits.Value() != h0+1 || misses.Value() != m0+1 {
+			t.Fatalf("%+v: search then count: hits %d→%d misses %d→%d", q, h0, hits.Value(), m0, misses.Value())
+		}
+		if want := e.Index().Count(e.Compile(q)); n != want || len(page) > n {
+			t.Fatalf("%+v: seeded count %d, index count %d, page %d", q, n, want, len(page))
+		}
+	}
+
+	q := Query{All: []string{"storage"}}
+	before := e.Count(q)
+	if _, err := e.Index().Add(index.Document{
+		ExtID:  "new/storage.doc",
+		Fields: []index.Field{{Name: FieldBody, Text: "more storage services"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Count(q); got != before+1 {
+		t.Fatalf("count after write = %d, want %d", got, before+1)
+	}
+}
+
+// TestSearchCountConcurrentWithWrites races searches — which seed the count
+// cache and read their page's stored fields in one pass — and counts against
+// a writer adding and removing a deal's documents. Every hit of every page is
+// whole, and once the writer stops the count, the page and the index agree.
+func TestSearchCountConcurrentWithWrites(t *testing.T) {
+	e := newEngine(t)
+	q := Query{All: []string{"replication"}, Deals: []string{"DEAL A", "DEAL C"}}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, h := range e.Search(q, 0) {
+					if h.Path == "" || (h.DealID != "DEAL A" && h.DealID != "DEAL C") {
+						t.Errorf("torn hit: %+v", h)
+						return
+					}
+				}
+				e.Count(q)
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		ext := fmt.Sprintf("c/doc-%d.txt", i)
+		if _, err := e.Index().Add(index.Document{
+			ExtID: ext,
+			Fields: []index.Field{
+				{Name: FieldBody, Text: "replication schedule"},
+				{Name: FieldDeal, Text: "DEAL C", Keyword: true},
+			},
+			Meta: map[string]string{"deal": "DEAL C"},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			if err := e.Index().Delete(ext); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	want := e.Index().Count(e.Compile(q))
+	if got, page := e.Count(q), len(e.Search(q, 0)); got != want || page != want || want != 102 {
+		t.Fatalf("count %d, page %d, index %d, want 102", got, page, want)
 	}
 }

@@ -309,23 +309,33 @@ func (e *Engine) trySearchSnippets(ctx context.Context, q Query, limit int, st *
 	if !withSnippets {
 		key += "|bare"
 	}
-	hits, cached := e.cachedSearchKey(key, func() []DocHit {
-		hits := e.ix.SearchStatsCtx(sctx, e.Compile(q), limit, st)
+	hits, cached := e.cachedSearchKey(key, func(epoch uint64) []DocHit {
+		hits, total := e.ix.SearchTotalCtx(sctx, e.Compile(q), limit, st)
+		// The evaluation already counted its matches: seed the count cache
+		// so a Count of the same query against the same index state does not
+		// evaluate again. Merged statistics change what matches only through
+		// their fuzzy and prefix expansions, which Count does not see.
+		local := st == nil || len(q.Fuzzy)+len(q.Prefix) == 0
+		if local && total >= 0 && e.countCache != nil {
+			e.countCache.Put(cacheKey(q, countLimit), epoch, total)
+		}
 		terms := e.queryTerms(q)
 		out := make([]DocHit, 0, len(hits))
-		for _, h := range hits {
-			path, err := e.ix.ExtID(h.Doc)
-			if err != nil {
-				continue
+		// One locked pass for the whole list, so a page is never half of
+		// one index state and half of the next.
+		for i, d := range e.ix.StoredFor(hits, "deal", FieldTitle) {
+			if d.ExtID == "" {
+				continue // deleted since it was scored
 			}
+			h := hits[i]
 			snippet := ""
 			if withSnippets {
 				snippet = e.snippet(h.Doc, terms)
 			}
 			out = append(out, DocHit{
-				Path:    path,
-				DealID:  e.ix.Meta(h.Doc, "deal"),
-				Title:   e.ix.FieldText(h.Doc, FieldTitle),
+				Path:    d.ExtID,
+				DealID:  d.Meta,
+				Title:   d.Text,
 				Score:   h.Score,
 				Snippet: snippet,
 				doc:     h.Doc,

@@ -10,6 +10,7 @@ import (
 
 	"repro"
 	"repro/internal/qlog"
+	"repro/internal/siapi"
 	"repro/internal/synth"
 	"repro/internal/trace"
 )
@@ -235,5 +236,75 @@ func TestQueryLogSlowWithTraceID(t *testing.T) {
 	}
 	if len(entries) != 1 || entries[0].TraceID != id || entries[0].Latency <= 0 {
 		t.Fatalf("slow entries = %+v, want one with trace %q", entries, id)
+	}
+}
+
+// TestKeywordEvaluatesOnce: a keyword request that misses every cache
+// evaluates its query once — one index.search span, one cache miss, the
+// count served from what the search left behind — and the span says what
+// the evaluation cost. The same attributes reach ?explain=1 through the
+// span tree.
+func TestKeywordEvaluatesOnce(t *testing.T) {
+	srv, sys := tracedServer(t)
+	misses := sys.Registry().Counter("search_cache_misses_total")
+	hits := sys.Registry().Counter("search_cache_hits_total")
+	m0, h0 := misses.Value(), hits.Value()
+
+	u := srv.URL + "/api/keyword?" + url.Values{"q": {`replication "data replication"`}, "limit": {"5"}}.Encode()
+	resp, body := get(t, u, nil)
+	var out struct {
+		Count int
+		Hits  []struct{ Path string }
+	}
+	if err := json.Unmarshal([]byte(body), &out); err != nil {
+		t.Fatal(err)
+	}
+	if want := sys.LiveSIAPI().Index().Count(sys.LiveSIAPI().Compile(siapi.ParseKeywords(`replication "data replication"`))); out.Count != want || out.Count == 0 {
+		t.Fatalf("count %d, index count %d", out.Count, want)
+	}
+	if got := misses.Value() - m0; got != 1 {
+		t.Fatalf("keyword miss cost %d evaluations, want 1", got)
+	}
+	if got := hits.Value() - h0; got < 1 {
+		t.Fatalf("the handler's count was not served from the cache (%d hits)", got)
+	}
+
+	_, detail := get(t, srv.URL+"/debug/trace/"+resp.Header.Get("X-Trace-ID")+"?format=json", nil)
+	var tr struct {
+		Tree *trace.Node `json:"tree"`
+	}
+	if err := json.Unmarshal([]byte(detail), &tr); err != nil || tr.Tree == nil {
+		t.Fatalf("bad trace detail: %v", err)
+	}
+	var searches []*trace.Node
+	tr.Tree.Walk(func(n *trace.Node) {
+		if n.Name == "index.search" {
+			searches = append(searches, n)
+		}
+	})
+	if len(searches) != 1 {
+		t.Fatalf("%d index.search spans, want 1", len(searches))
+	}
+	attrs := map[string]string{}
+	for _, a := range searches[0].Attrs {
+		attrs[a.Key] = a.Value
+	}
+	for _, key := range []string{"driver", "postings_visited", "candidates_probed", "candidates", "returned"} {
+		if attrs[key] == "" {
+			t.Fatalf("index.search span lacks %q: %v", key, attrs)
+		}
+	}
+	if !strings.HasPrefix(attrs["driver"], "must[") {
+		t.Fatalf("driver = %q", attrs["driver"])
+	}
+
+	_, explain := get(t, srv.URL+"/api/search?explain=1&"+url.Values{
+		"tower": {"Storage Management Services"},
+		"exact": {"data replication"},
+	}.Encode(), nil)
+	for _, key := range []string{`"driver"`, `"postings_visited"`, `"candidates_probed"`} {
+		if !strings.Contains(explain, key) {
+			t.Fatalf("explain output lacks %s", key)
+		}
 	}
 }

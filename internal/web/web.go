@@ -538,9 +538,12 @@ func (h *handler) apiKeyword(w http.ResponseWriter, r *http.Request) {
 	if n, err := strconv.Atoi(r.FormValue("limit")); err == nil && n > 0 {
 		limit = n
 	}
+	// Search first: its evaluation leaves the match count in siapi's count
+	// cache, so the count below does not evaluate the query a second time.
+	hits := h.sys.KeywordSearchCtx(r.Context(), q, limit)
 	writeJSON(w, map[string]any{
 		"count": h.sys.KeywordCount(q),
-		"hits":  h.sys.KeywordSearchCtx(r.Context(), q, limit),
+		"hits":  hits,
 	})
 }
 
