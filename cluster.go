@@ -57,14 +57,17 @@ type Cluster struct {
 	SnapshotKeep int
 }
 
-// shardName returns the canonical name of shard i, used for breaker keys,
-// metric labels, and snapshot subdirectories.
-func shardName(i int) string { return fmt.Sprintf("shard-%d", i) }
+// ShardName is shard i as operators read it: breaker keys, metric labels,
+// and readiness check names ("index:shard-2").
+func ShardName(i int) string { return fmt.Sprintf("shard-%d", i) }
+
+// ShardKey is shard i as files and the wire protocol name it: the snapshot
+// subdirectory and the replication handshake's shard field, zero-padded so
+// directory listings sort in shard order.
+func ShardKey(i int) string { return fmt.Sprintf("shard-%04d", i) }
 
 // shardDir returns shard i's snapshot directory under the cluster root.
-func shardDir(dir string, i int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%04d", i))
-}
+func shardDir(dir string, i int) string { return filepath.Join(dir, ShardKey(i)) }
 
 // clusterManifestName is the cluster-level manifest file naming the shard
 // count; each shard keeps its own durable snapshot store underneath.
@@ -233,7 +236,7 @@ func newCluster(shards []*System, ctl *access.Controller, metrics *obs.Registry,
 	backends := make([]core.ShardBackend, len(shards))
 	for i, s := range shards {
 		backends[i] = core.ShardBackend{
-			Name:     shardName(i),
+			Name:     ShardName(i),
 			Synopses: s.Synopses,
 			Docs:     s.siapi,
 		}
@@ -255,8 +258,7 @@ func newCluster(shards []*System, ctl *access.Controller, metrics *obs.Registry,
 	return c
 }
 
-// Registry returns the shared metrics registry (the web layer's Backend
-// surface).
+// Registry returns the shared metrics registry (serving.Telemetry).
 func (c *Cluster) Registry() *obs.Registry { return c.Metrics }
 
 // RequestTracer returns the request tracer, nil when tracing is off.
@@ -264,10 +266,6 @@ func (c *Cluster) RequestTracer() *trace.Tracer { return c.Tracer }
 
 // Log returns the query log, nil when logging is off.
 func (c *Cluster) Log() *qlog.Log { return c.QueryLog }
-
-// CoreEngine returns the coordinator engine (the dashboard's per-shard
-// breaker view).
-func (c *Cluster) CoreEngine() *core.Engine { return c.Engine }
 
 // Search runs a business-activity driven search across every shard.
 func (c *Cluster) Search(user access.User, q core.FormQuery) (core.Result, error) {
@@ -529,15 +527,6 @@ func (c *Cluster) Compact() error {
 		}
 	}
 	return nil
-}
-
-// Generations reports each shard's committed snapshot generation.
-func (c *Cluster) Generations() []uint64 {
-	out := make([]uint64, len(c.Shards))
-	for i, s := range c.Shards {
-		out[i] = s.Generation()
-	}
-	return out
 }
 
 // writeManifest persists the cluster manifest naming the shard count.

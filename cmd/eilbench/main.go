@@ -41,6 +41,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/runtimetel"
+	"repro/internal/serving"
 	"repro/internal/slo"
 	"repro/internal/synth"
 	"repro/internal/trace"
@@ -989,7 +990,7 @@ func telemetryBench(cfg synth.Config, queries int, interval time.Duration) (*tel
 		col := runtimetel.New(runtimetel.Options{
 			Interval:   interval,
 			Registry:   sys.Metrics,
-			AppSampler: sys.AppSampler(sloEng),
+			AppSampler: serving.AppSampler(sys, sloEng),
 		})
 		col.Start()
 		tw, err := timed()

@@ -257,7 +257,7 @@ func replBench(cfg synth.Config, queries, n int) (*replSummary, error) {
 	if err != nil {
 		return nil, err
 	}
-	cpuRouted, err := measure(router.New(sys, sys.RouterNode("primary"), replicaNodes, router.Options{PrimaryReads: true}), workers)
+	cpuRouted, err := measure(router.New(sys, router.PrimaryNode("primary", sys), replicaNodes, router.Options{PrimaryReads: true}), workers)
 	if err != nil {
 		return nil, err
 	}
@@ -275,11 +275,11 @@ func replBench(cfg synth.Config, queries, n int) (*replSummary, error) {
 	for i, f := range followers {
 		slowReplicas[i] = slow(f)
 	}
-	latBase, err := measure(slow(sys.RouterNode("primary")), workers)
+	latBase, err := measure(slow(router.PrimaryNode("primary", sys)), workers)
 	if err != nil {
 		return nil, err
 	}
-	latRouted, err := measure(router.New(sys, slow(sys.RouterNode("primary")), slowReplicas, router.Options{PrimaryReads: true}), workers)
+	latRouted, err := measure(router.New(sys, slow(router.PrimaryNode("primary", sys)), slowReplicas, router.Options{PrimaryReads: true}), workers)
 	if err != nil {
 		return nil, err
 	}

@@ -28,118 +28,34 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
-	"encoding/json"
-	"net"
-
-	"repro"
 	"repro/internal/access"
 	"repro/internal/core"
 	"repro/internal/docmodel"
 	"repro/internal/docparse"
 	"repro/internal/failover"
 	"repro/internal/fault"
-	"repro/internal/health"
 	"repro/internal/loadgen"
-	"repro/internal/obs"
 	"repro/internal/prof"
 	"repro/internal/qlog"
-	"repro/internal/repl"
-	"repro/internal/router"
 	"repro/internal/runtimetel"
-	"repro/internal/siapi"
+	"repro/internal/serving"
 	"repro/internal/slo"
-	"repro/internal/synopsis"
-	"repro/internal/synth"
 	"repro/internal/trace"
 	"repro/internal/web"
 )
-
-// backend abstracts the serving surface over a single System or an N-shard
-// Cluster: the web.Backend routes plus the lifecycle hooks main drives.
-type backend interface {
-	web.Backend
-	NewHealth(opts eil.HealthOptions) *health.Registry
-	AppSampler(sloEng *slo.Engine) func(prev, cur *runtimetel.Sample)
-	EnableWAL(dir string, syncEvery int) error
-	CloseWAL() error
-}
-
-// haBackend adapts a failover-managed HANode to the serving surface: every
-// call delegates to whichever role object (primary System or replicating
-// Follower) the node currently holds, so the HTTP layer survives role
-// transitions without rewiring. Transitions swap the role object under the
-// node's lock, so cur never observes a half-switched node; the last
-// resolved backend is kept as a fallback for the brief shutdown window.
-type haBackend struct {
-	node *eil.HANode
-
-	mu   sync.Mutex
-	last backend
-}
-
-func (b *haBackend) cur() backend {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if sys := b.node.System(); sys != nil {
-		b.last = sys
-	} else if fol := b.node.Follower(); fol != nil {
-		b.last = fol
-	}
-	return b.last
-}
-
-func (b *haBackend) SearchCtx(ctx context.Context, user access.User, q core.FormQuery) (core.Result, error) {
-	return b.cur().SearchCtx(ctx, user, q)
-}
-
-func (b *haBackend) SearchExplain(ctx context.Context, user access.User, q core.FormQuery) (core.Result, *core.Explanation, error) {
-	return b.cur().SearchExplain(ctx, user, q)
-}
-
-func (b *haBackend) KeywordSearchCtx(ctx context.Context, query string, limit int) []siapi.DocHit {
-	return b.cur().KeywordSearchCtx(ctx, query, limit)
-}
-
-func (b *haBackend) KeywordCount(query string) int { return b.cur().KeywordCount(query) }
-
-func (b *haBackend) ExploreCtx(ctx context.Context, user access.User, dealID string, q core.FormQuery) ([]siapi.DocHit, error) {
-	return b.cur().ExploreCtx(ctx, user, dealID, q)
-}
-
-func (b *haBackend) SimilarDeals(user access.User, dealID string, k int) ([]synopsis.SimilarHit, error) {
-	return b.cur().SimilarDeals(user, dealID, k)
-}
-
-func (b *haBackend) Deal(user access.User, dealID string) (synopsis.Deal, error) {
-	return b.cur().Deal(user, dealID)
-}
-
-func (b *haBackend) Registry() *obs.Registry           { return b.cur().Registry() }
-func (b *haBackend) RequestTracer() *trace.Tracer      { return b.cur().RequestTracer() }
-func (b *haBackend) Log() *qlog.Log                    { return b.cur().Log() }
-func (b *haBackend) CoreEngine() *core.Engine          { return b.cur().CoreEngine() }
-func (b *haBackend) EnableWAL(dir string, n int) error { return b.cur().EnableWAL(dir, n) }
-func (b *haBackend) CloseWAL() error                   { return b.cur().CloseWAL() }
-
-func (b *haBackend) NewHealth(opts eil.HealthOptions) *health.Registry {
-	return b.cur().NewHealth(opts)
-}
-
-func (b *haBackend) AppSampler(sloEng *slo.Engine) func(prev, cur *runtimetel.Sample) {
-	return b.cur().AppSampler(sloEng)
-}
 
 // loadCurves reads throughput-vs-latency series from a committed eilbench
 // artifact (the load_curve block of a BENCH json) or from a bare curve
@@ -162,49 +78,6 @@ func loadCurves(path string) ([]loadgen.Curve, error) {
 		return curves, nil
 	}
 	return nil, fmt.Errorf("%s carries no load curves", path)
-}
-
-func clusterDocCount(c *eil.Cluster) int {
-	total := 0
-	for _, s := range c.Shards {
-		total += s.Index.DocCount()
-	}
-	return total
-}
-
-// shardPosition is one shard's replication position in the primary's
-// /api/repl report.
-type shardPosition struct {
-	Shard string `json:"shard,omitempty"`
-	Gen   uint64 `json:"gen"`
-	Seq   uint64 `json:"seq"`
-}
-
-// primaryReport assembles the primary's /api/repl payload: the journal
-// position of every shipped shard plus each connected follower's view.
-func primaryReport(sys *eil.System, cluster *eil.Cluster, shipper *repl.Shipper) any {
-	var positions []shardPosition
-	if cluster != nil {
-		for i, s := range cluster.Shards {
-			_, seq := s.ReplPosition()
-			positions = append(positions, shardPosition{
-				Shard: fmt.Sprintf("shard-%04d", i), Gen: s.Generation(), Seq: seq,
-			})
-		}
-	} else {
-		_, seq := sys.ReplPosition()
-		positions = append(positions, shardPosition{Gen: sys.Generation(), Seq: seq})
-	}
-	var epoch uint64
-	if sys != nil {
-		epoch = sys.FenceEpoch()
-	}
-	return struct {
-		Role      string                `json:"role"`
-		Epoch     uint64                `json:"epoch"`
-		Positions []shardPosition       `json:"positions"`
-		Followers []repl.FollowerStatus `json:"followers"`
-	}{"primary", epoch, positions, shipper.Status()}
 }
 
 // churnDocs builds one synthetic deal's documents for -demo-churn write
@@ -311,217 +184,65 @@ func main() {
 		})
 	}
 
-	var (
-		sys       *eil.System
-		cluster   *eil.Cluster
-		follower  *eil.Follower
-		cfollower *eil.ClusterFollower
-		node      *eil.HANode
-		wr        *router.WriteRouter
-		err       error
-	)
-	switch {
-	case *failoverOn:
-		// Failover-managed node: an HANode owns the role (primary, follower,
-		// fenced) and every transition; the lease loop below (or a manual
-		// POST /api/promote) drives promotions.
-		if *shards > 1 || eil.IsCluster(*sysDir) {
-			log.Fatal("-failover supports single-system deployments (drop -shards)")
-		}
-		if *replListen == "" {
-			log.Fatal("-failover requires -repl-listen: the address this node ships from while primary (use an explicit host, e.g. 127.0.0.1:9301, so peers can dial it)")
-		}
-		name := *replName
-		if name == "" {
-			name = fmt.Sprintf("node-%d", os.Getpid())
-		}
-		haOpts := eil.HANodeOptions{
-			Name:       name,
-			Dir:        *sysDir,
-			ListenAddr: *replListen,
-			SyncEvery:  *walSync,
-			MaxLag:     *maxLag,
-			Access:     ctl,
-			Logf:       log.Printf,
-		}
-		if *replicaOf != "" {
-			if *demo || *snapInterval > 0 || *faultSpec != "" || *budget > 0 {
-				log.Fatal("-failover -replica-of starts read-only: drop -demo, -snapshot-interval, -fault-spec, and -search-budget")
-			}
-			node, err = eil.NewFollowerHANode(*replicaOf, haOpts)
-			if err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("failover node %q: following %s into %s; promotable", name, *replicaOf, *sysDir)
-		} else {
-			var seed *eil.System
-			if *demo {
-				log.Printf("generating demo corpus...")
-				corpus, gerr := synth.Generate(synth.SmallConfig())
-				if gerr != nil {
-					log.Fatal(gerr)
-				}
-				seed, err = eil.Ingest(corpus.Docs, eil.Options{Directory: corpus.Directory, Access: ctl, Tracer: tracer})
-			} else {
-				seed, err = eil.LoadSystem(*sysDir, ctl)
-			}
-			if err != nil {
-				log.Fatal(err)
-			}
-			seed.Access = ctl
-			seed.Tracer = tracer
-			haOpts.Metrics = seed.Registry()
-			node, err = eil.NewPrimaryHANode(seed, haOpts)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if seed.FencedBy() != 0 {
-				log.Printf("WARNING: failover node %q was fenced by epoch %d; serving reads only until repointed at the current primary", name, seed.FencedBy())
-			} else {
-				log.Printf("failover node %q: primary at epoch %d, shipping on %s", name, seed.FenceEpoch(), node.ReplAddr())
-			}
-		}
-		// Mutations (the churn loop, and anything the host adds) go through
-		// the write router: they follow the current primary, queue briefly
-		// through a promotion window, and fail crisply past it.
-		wr = router.NewWriteRouter(router.WriteOptions{IsFenced: failover.IsFenced, Metrics: node.Metrics()})
-		if node.Role() == failover.RolePrimary {
-			wr.SetPrimary(node, node.Status().Epoch)
-		}
-	case *replicaOf != "":
-		// Read replica: no local corpus, no journal, no checkpoints of its
-		// own — state arrives over the replication stream and persists at
-		// the primary's rotation points.
-		if *demo || *walOn || *snapInterval > 0 || *faultSpec != "" || *budget > 0 {
-			log.Fatal("-replica-of is read-only: drop -demo, -wal, -snapshot-interval, -fault-spec, and -search-budget")
-		}
-		fopts := eil.FollowerOptions{
-			Dir:     *sysDir,
-			Addr:    *replicaOf,
-			Name:    *replName,
-			MaxLag:  *maxLag,
-			Access:  ctl,
-			Metrics: obs.NewRegistry(),
-			Tracer:  tracer,
-			Logf:    log.Printf,
-		}
-		if *shards > 1 {
-			cfollower, err = eil.StartClusterFollower(*shards, fopts)
-		} else {
-			follower, err = eil.StartFollower(fopts)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
+	d, err := selectShape(shapeConfig{
+		sysDir:      *sysDir,
+		demo:        *demo,
+		shards:      *shards,
+		failover:    *failoverOn,
+		replicaOf:   *replicaOf,
+		replName:    *replName,
+		replListen:  *replListen,
+		walSync:     *walSync,
+		maxLag:      *maxLag,
+		wal:         *walOn,
+		writerFlags: *demo || *snapInterval > 0 || *faultSpec != "" || *budget > 0,
+		ctl:         ctl,
+		tracer:      tracer,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	be, node, wr := d.be, d.node, d.wr
+	if *replicaOf != "" && node == nil {
 		log.Printf("replicating from %s into %s (staleness bound %d records); serving begins at first sync",
 			*replicaOf, *sysDir, *maxLag)
-	case *demo && *shards > 1:
-		log.Printf("generating demo corpus...")
-		corpus, gerr := synth.Generate(synth.SmallConfig())
-		if gerr != nil {
-			log.Fatal(gerr)
-		}
-		start := time.Now()
-		cluster, err = eil.IngestSharded(corpus.Docs, *shards, eil.Options{Directory: corpus.Directory, Access: ctl, Tracer: tracer})
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("ingested %d documents into %d shards in %v",
-			clusterDocCount(cluster), *shards, time.Since(start).Round(time.Millisecond))
-	case *demo:
-		log.Printf("generating demo corpus...")
-		corpus, gerr := synth.Generate(synth.SmallConfig())
-		if gerr != nil {
-			log.Fatal(gerr)
-		}
-		start := time.Now()
-		sys, err = eil.Ingest(corpus.Docs, eil.Options{Directory: corpus.Directory, Access: ctl, Tracer: tracer})
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("ingested %d documents in %v (%.0f docs/sec)",
-			sys.Index.DocCount(), time.Since(start).Round(time.Millisecond), sys.Stats.DocsPerSec())
-	case eil.IsCluster(*sysDir):
-		cluster, err = eil.LoadCluster(*sysDir, ctl)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cluster.Tracer = tracer
-		log.Printf("loaded %d documents from %d-shard cluster %s",
-			clusterDocCount(cluster), len(cluster.Shards), *sysDir)
-	default:
-		if *shards > 1 {
-			log.Printf("note: -shards ignored; %s holds a single-system snapshot", *sysDir)
-		}
-		sys, err = eil.LoadSystem(*sysDir, ctl)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sys.Access = ctl
-		sys.Tracer = tracer
-		log.Printf("loaded %d documents from %s", sys.Index.DocCount(), *sysDir)
-	}
-	var be backend
-	switch {
-	case node != nil:
-		be = &haBackend{node: node}
-	case cfollower != nil:
-		be = cfollower
-	case follower != nil:
-		be = follower
-	case cluster != nil:
-		be = cluster
-	default:
-		be = sys
 	}
 	if tracer != nil {
 		log.Printf("tracing 1 in %d requests (debug surfaces at /debug/traces)", *traceSample)
 	}
 
+	// The operator's settings go through the admin facet, so a backend whose
+	// state is replaced — a replica installing a snapshot, a failover node
+	// changing role — carries them to the new state.
+	set := serving.Settings{SnapshotKeep: *snapKeep}
 	if *logCap > 0 {
-		switch {
-		case node != nil:
-			if s := node.System(); s != nil {
-				s.QueryLog = qlog.New(*logCap)
-			}
-		case cluster != nil:
-			cluster.QueryLog = qlog.New(*logCap)
-		case sys != nil:
-			sys.QueryLog = qlog.New(*logCap)
-		}
+		set.QueryLog = qlog.New(*logCap)
 	}
+	if *budget > 0 || *retries != 1 {
+		set.Resilience = core.Resilience{Budget: *budget, MaxRetries: *retries}
+		log.Printf("search budget %v, %d retries per backend call", *budget, *retries)
+	}
+	if *faultSpec != "" {
+		inj, ferr := fault.ParseSpec(*faultSpec, *faultSeed)
+		if ferr != nil {
+			log.Fatal(ferr)
+		}
+		set.Faults = inj
+		log.Printf("WARNING: fault injection active (seed %d): %s", *faultSeed, *faultSpec)
+	}
+	be.Tune(set)
 
 	// checkpoint commits the current state to -sys: one generation for a
-	// single system, one per shard (plus the manifest) for a cluster.
-	checkpoint := func() (string, error) {
-		if node != nil {
-			// Only a serving primary checkpoints: a follower persists at the
-			// stream's rotation points, and a fenced node's journal is sealed.
-			s := node.System()
-			if s == nil || node.Role() != failover.RolePrimary {
-				return "skipped (not primary)", nil
-			}
-			gen, err := s.Checkpoint(*sysDir)
-			return fmt.Sprintf("generation %d", gen), err
+	// single system, one per shard (plus the manifest) for a cluster. A
+	// failover node that is not the serving primary skips.
+	checkpoint := func(what string) {
+		if err := be.Save(*sysDir); err != nil {
+			log.Printf("%s: %v", what, err)
+			return
 		}
-		if cluster != nil {
-			gens, err := cluster.Checkpoint(*sysDir)
-			return fmt.Sprintf("generations %v", gens), err
-		}
-		gen, err := sys.Checkpoint(*sysDir)
-		return fmt.Sprintf("generation %d", gen), err
+		log.Printf("%s committed to %s%s", what, *sysDir, d.generations())
 	}
 
-	switch {
-	case node != nil:
-		if s := node.System(); s != nil {
-			s.SnapshotKeep = *snapKeep
-		}
-	case cluster != nil:
-		cluster.SnapshotKeep = *snapKeep
-	case sys != nil:
-		sys.SnapshotKeep = *snapKeep
-	}
 	if *walOn && node != nil {
 		log.Printf("note: -wal is implied by -failover; the node journals whenever it is primary")
 	}
@@ -531,16 +252,12 @@ func main() {
 		if err := be.EnableWAL(*sysDir, *walSync); err != nil {
 			log.Fatal(err)
 		}
-		if cluster != nil {
-			log.Printf("write-ahead journals enabled in %s (generations %v)", *sysDir, cluster.Generations())
-		} else {
-			log.Printf("write-ahead journal enabled in %s (generation %d)", *sysDir, sys.Generation())
-		}
+		log.Printf("write-ahead journal enabled in %s%s", *sysDir, d.generations())
 	}
 
 	// Primary-side replication: ship the journal to any follower that
 	// connects. Requires the journal — the stream is the journal.
-	var shipper *repl.Shipper
+	replStatus := d.replStatus
 	if *replListen != "" && node == nil {
 		if !*walOn {
 			log.Fatal("-repl-listen requires -wal: replication ships the write-ahead journal")
@@ -551,34 +268,13 @@ func main() {
 		}
 		// A parsed -fault-spec reaches the wire too (repl.send / repl.recv /
 		// repl.corrupt), so replication chaos composes with backend chaos.
-		var inj *fault.Injector
-		if *faultSpec != "" {
-			inj = be.CoreEngine().Faults
-		}
-		if cluster != nil {
-			shipper, err = cluster.ServeReplication(lis, inj)
-		} else {
-			shipper, err = sys.ServeReplication(lis, inj)
-		}
-		if err != nil {
-			log.Fatal(err)
+		shipper, serr := d.ship(lis, set.Faults)
+		if serr != nil {
+			log.Fatal(serr)
 		}
 		defer shipper.Close()
+		replStatus = func() any { return d.primaryReport(shipper) }
 		log.Printf("shipping journal to followers on %s (status at /api/repl)", lis.Addr())
-	}
-
-	eng := be.CoreEngine()
-	if *budget > 0 || *retries != 1 {
-		eng.Resilient = core.Resilience{Budget: *budget, MaxRetries: *retries}
-		log.Printf("search budget %v, %d retries per backend call", *budget, *retries)
-	}
-	if *faultSpec != "" {
-		inj, ferr := fault.ParseSpec(*faultSpec, *faultSeed)
-		if ferr != nil {
-			log.Fatal(ferr)
-		}
-		eng.Faults = inj
-		log.Printf("WARNING: fault injection active (seed %d): %s", *faultSeed, *faultSpec)
 	}
 
 	// The judgment layer: SLO burn rates over the HTTP metrics, component
@@ -628,13 +324,13 @@ func main() {
 		collector = runtimetel.New(runtimetel.Options{
 			Interval:   *telInterval,
 			Registry:   be.Registry(),
-			AppSampler: be.AppSampler(sloEng),
+			AppSampler: serving.AppSampler(be, sloEng),
 		})
 		collector.Start()
 		defer collector.Stop()
 		log.Printf("runtime telemetry every %v (dashboard at /debug/dash)", *telInterval)
 	}
-	checks := be.NewHealth(eil.HealthOptions{
+	checks := serving.NewHealth(be, serving.HealthOptions{
 		Collector:        collector,
 		SnapshotInterval: *snapInterval,
 		MaxGoroutines:    *maxGoros,
@@ -655,15 +351,10 @@ func main() {
 	leaseCfg := func() failover.LeaseConfig {
 		return failover.LeaseConfig{Dir: *leaseDir, Name: node.Name(), Addr: node.ReplAddr(), TTL: *leaseTTL, RenewEvery: *leaseTTL / 3}
 	}
-	switch {
-	case node != nil:
-		opts = append(opts, web.WithReplStatus(func() any {
-			return struct {
-				failover.NodeStatus
-				Writes    router.WriteStatus    `json:"writes"`
-				Followers []repl.FollowerStatus `json:"followers,omitempty"`
-			}{node.Status(), wr.Status(), node.ShipperStatus()}
-		}))
+	if replStatus != nil {
+		opts = append(opts, web.WithReplStatus(replStatus))
+	}
+	if node != nil {
 		promote := func(target string) error {
 			if target != "" && target != node.Name() {
 				return fmt.Errorf("this node is %q: POST /api/promote to the node being promoted", node.Name())
@@ -704,14 +395,6 @@ func main() {
 			st := node.Status()
 			return web.FailoverInfo{Role: st.Role, Epoch: st.Epoch, PromotedAt: st.PromotedAt}
 		}, promote))
-	case cfollower != nil:
-		opts = append(opts, web.WithReplStatus(func() any { return cfollower.Status() }))
-	case follower != nil:
-		opts = append(opts, web.WithReplStatus(func() any { return follower.Status() }))
-	case shipper != nil:
-		opts = append(opts, web.WithReplStatus(func() any {
-			return primaryReport(sys, cluster, shipper)
-		}))
 	}
 	if profiler != nil {
 		opts = append(opts, web.WithProfiles(profiler.Ring()))
@@ -819,7 +502,7 @@ func main() {
 		log.Printf("failover: lease protocol active in %s (ttl %v)", *leaseDir, *leaseTTL)
 	}
 
-	if *churn > 0 && (sys != nil || cluster != nil || node != nil) {
+	if *churn > 0 && d.writes != nil {
 		// Synthetic write traffic: add a rotating window of churn deals,
 		// removing the oldest once ten are live, so replication demos have a
 		// continuous journal stream of both AddDocuments and RemoveDeal.
@@ -839,31 +522,14 @@ func main() {
 						log.Printf("churn: %v", derr)
 						continue
 					}
-					var aerr error
-					switch {
-					case node != nil:
-						aerr = wr.AddDocuments(docs)
-					case cluster != nil:
-						aerr = cluster.AddDocuments(docs)
-					default:
-						aerr = sys.AddDocuments(docs)
-					}
-					if aerr != nil {
+					if aerr := d.writes.AddDocuments(docs); aerr != nil {
 						log.Printf("churn: add %s: %v", dealID, aerr)
 						continue
 					}
 					if round > 10 {
 						old := fmt.Sprintf("CHURN DEAL %d", round-10)
-						switch {
-						case node != nil:
-							aerr = wr.RemoveDeal(old)
-						case cluster != nil:
-							aerr = cluster.RemoveDeal(old)
-						default:
-							aerr = sys.RemoveDeal(old)
-						}
-						if aerr != nil {
-							log.Printf("churn: remove %s: %v", old, aerr)
+						if rerr := d.writes.RemoveDeal(old); rerr != nil {
+							log.Printf("churn: remove %s: %v", old, rerr)
 						}
 					}
 				}
@@ -881,12 +547,7 @@ func main() {
 				case <-ctx.Done():
 					return
 				case <-tick.C:
-					desc, err := checkpoint()
-					if err != nil {
-						log.Printf("snapshot: %v", err)
-						continue
-					}
-					log.Printf("snapshot committed: %s", desc)
+					checkpoint("snapshot")
 				}
 			}
 		}()
@@ -910,26 +571,19 @@ func main() {
 		if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Printf("shutdown: %v", err)
 		}
-		switch {
-		case node != nil:
-			if desc, err := checkpoint(); err != nil {
-				log.Printf("final snapshot: %v", err)
-			} else {
-				log.Printf("final snapshot committed: %s", desc)
-			}
-			if err := node.Close(); err != nil {
-				log.Printf("failover node close: %v", err)
-			}
-		case *walOn || *snapInterval > 0:
+		if node != nil || *walOn || *snapInterval > 0 {
 			// Fold journaled operations into a final generation so the next
 			// start loads a clean snapshot instead of replaying.
-			if desc, err := checkpoint(); err != nil {
-				log.Printf("final snapshot: %v", err)
-			} else {
-				log.Printf("final snapshot committed: %s", desc)
-			}
+			checkpoint("final snapshot")
+		}
+		if node == nil && (*walOn || *snapInterval > 0) {
 			if err := be.CloseWAL(); err != nil {
 				log.Printf("close journal: %v", err)
+			}
+		}
+		if d.close != nil {
+			if err := d.close(); err != nil {
+				log.Printf("close: %v", err)
 			}
 		}
 		log.Printf("bye")

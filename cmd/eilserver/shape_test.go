@@ -1,0 +1,192 @@
+package main
+
+import (
+	"encoding/json"
+	"net"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/docmodel"
+	"repro/internal/failover"
+	"repro/internal/health"
+	"repro/internal/serving"
+)
+
+// deadAddr is a loopback address nothing listens on: a replica pointed at
+// it boots and stays unsynced, which is how every replica starts.
+func deadAddr(t *testing.T) string {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	return lis.Addr().String()
+}
+
+func shapeFor(t *testing.T, cfg shapeConfig) *deployment {
+	t.Helper()
+	d, err := selectShape(cfg)
+	if err != nil {
+		t.Fatalf("selectShape(%+v): %v", cfg, err)
+	}
+	if d.close != nil {
+		t.Cleanup(func() { d.close() })
+	}
+	return d
+}
+
+func churn(t *testing.T, round int) []*docmodel.Document {
+	t.Helper()
+	docs, err := churnDocs("CHURN DEAL", round)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return docs
+}
+
+// TestSelectShapePrimaries: the demo and load paths give a system or a
+// cluster whose backend takes writes, ships, saves, and loads back as the
+// same shape.
+func TestSelectShapePrimaries(t *testing.T) {
+	sysDir, clusterDir := t.TempDir(), t.TempDir()
+	for _, tc := range []struct {
+		name   string
+		cfg    shapeConfig
+		kind   string
+		shards int
+	}{
+		{"demo", shapeConfig{demo: true, shards: 1}, "system", 1},
+		{"demo sharded", shapeConfig{demo: true, shards: 3}, "cluster", 3},
+	} {
+		d := shapeFor(t, tc.cfg)
+		if d.kind != tc.kind || len(d.shards) != tc.shards || d.sharded != (tc.shards > 1) {
+			t.Fatalf("%s: kind %q, %d shards, sharded %v", tc.name, d.kind, len(d.shards), d.sharded)
+		}
+		if d.writes == nil || d.ship == nil || d.replStatus != nil || d.node != nil || !d.be.Ready() {
+			t.Fatalf("%s: a primary takes writes, can ship, and has no upstream: %+v", tc.name, d)
+		}
+		if err := d.writes.AddDocuments(churn(t, 1)); err != nil {
+			t.Fatalf("%s: churn write: %v", tc.name, err)
+		}
+		dir := sysDir
+		if d.sharded {
+			dir = clusterDir
+		}
+		if err := d.be.Save(dir); err != nil {
+			t.Fatalf("%s: save: %v", tc.name, err)
+		}
+	}
+
+	// Persisted directories carry their own shape; -shards does not override.
+	if d := shapeFor(t, shapeConfig{sysDir: sysDir, shards: 4}); d.kind != "system" {
+		t.Errorf("loading a system snapshot gave %q", d.kind)
+	}
+	d := shapeFor(t, shapeConfig{sysDir: clusterDir, shards: 1})
+	if d.kind != "cluster" || len(d.shards) != 3 {
+		t.Fatalf("loading a cluster snapshot gave %q with %d shards", d.kind, len(d.shards))
+	}
+
+	// A shipping cluster reports one position per shard under its wire name.
+	if err := d.be.EnableWAL(clusterDir, 1); err != nil {
+		t.Fatal(err)
+	}
+	defer d.be.CloseWAL()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipper, err := d.ship(lis, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shipper.Close()
+	raw, err := json.Marshal(d.primaryReport(shipper))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"role":"primary"`, `"shard":"shard-0000"`, `"shard":"shard-0002"`} {
+		if !strings.Contains(string(raw), want) {
+			t.Errorf("primary report lacks %s: %s", want, raw)
+		}
+	}
+}
+
+// TestSelectShapeReplicas: -replica-of boots a follower (or a cluster
+// follower) that has no state yet; installing the operator's settings on it
+// must not need any — eilserver -replica-of HOST -search-retries 2 used to
+// dereference the missing engine — and its readiness report names the
+// replication check that is keeping it out of rotation.
+func TestSelectShapeReplicas(t *testing.T) {
+	for _, tc := range []struct {
+		shards int
+		kind   string
+		check  string
+	}{
+		{1, "follower", "repl"},
+		{2, "cluster-follower", "repl:shard-1"},
+	} {
+		d := shapeFor(t, shapeConfig{sysDir: t.TempDir(), replicaOf: deadAddr(t), shards: tc.shards})
+		if d.kind != tc.kind || d.writes != nil || d.ship != nil || d.replStatus == nil || d.be.Ready() {
+			t.Fatalf("%s: a booting replica has an upstream, no writes and no state: %+v", tc.kind, d)
+		}
+		d.be.Tune(serving.Settings{Resilience: core.Resilience{MaxRetries: 2}})
+		rep := serving.NewHealth(d.be, serving.HealthOptions{MaxGoroutines: 1}).Evaluate()
+		if rep.Verdict != health.VerdictUnready {
+			t.Errorf("%s: verdict %q before first sync, want unready", tc.kind, rep.Verdict)
+		}
+		var named, watermark bool
+		for _, c := range rep.Checks {
+			named = named || (c.Name == tc.check && c.Status == health.StatusFailed)
+			watermark = watermark || (c.Name == "goroutines" && c.Status == health.StatusDegraded)
+		}
+		if !named || !watermark {
+			t.Errorf("%s: report lacks a failed %q or a degraded goroutines check: %+v", tc.kind, tc.check, rep.Checks)
+		}
+	}
+}
+
+// TestSelectShapeFailover: a failover node is one backend in either role,
+// with mutations behind the write router.
+func TestSelectShapeFailover(t *testing.T) {
+	p := shapeFor(t, shapeConfig{sysDir: t.TempDir(), demo: true, shards: 1, failover: true, replListen: "127.0.0.1:0", replName: "a", walSync: 1, writerFlags: true})
+	if p.kind != "failover" || p.node == nil || p.node.Role() != failover.RolePrimary || p.writes != serving.Writer(p.wr) {
+		t.Fatalf("failover primary: %+v", p)
+	}
+	if err := p.writes.AddDocuments(churn(t, 1)); err != nil {
+		t.Fatalf("write through the router: %v", err)
+	}
+	if st := p.wr.Status(); !st.HasPrimary {
+		t.Errorf("write router has no primary: %+v", st)
+	}
+
+	f := shapeFor(t, shapeConfig{sysDir: t.TempDir(), shards: 1, failover: true, replicaOf: deadAddr(t), replListen: "127.0.0.1:0", replName: "b", walSync: 1})
+	if f.node.Role() != failover.RoleFollower || f.be.Ready() || f.wr.Status().HasPrimary {
+		t.Fatalf("failover follower: role %s, ready %v, router %+v", f.node.Role(), f.be.Ready(), f.wr.Status())
+	}
+	f.be.Tune(serving.Settings{Resilience: core.Resilience{MaxRetries: 2}})
+	if raw, err := json.Marshal(f.replStatus()); err != nil || !strings.Contains(string(raw), `"role":"follower"`) {
+		t.Errorf("failover status = %s, %v", raw, err)
+	}
+}
+
+// TestSelectShapeRefusals: flag combinations no shape can honour are errors,
+// not fatal exits halfway through start-up.
+func TestSelectShapeRefusals(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  shapeConfig
+		want string
+	}{
+		{shapeConfig{replicaOf: "h:1", wal: true}, "read-only"},
+		{shapeConfig{replicaOf: "h:1", writerFlags: true}, "read-only"},
+		{shapeConfig{failover: true, demo: true}, "requires -repl-listen"},
+		{shapeConfig{failover: true, demo: true, shards: 2, replListen: "127.0.0.1:0"}, "single-system"},
+		{shapeConfig{failover: true, replicaOf: "h:1", replListen: "127.0.0.1:0", writerFlags: true}, "read-only"},
+		{shapeConfig{sysDir: t.TempDir()}, "snapshot"},
+	} {
+		if d, err := selectShape(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("selectShape(%+v) = %v, %v; want an error naming %q", tc.cfg, d, err, tc.want)
+		}
+	}
+}

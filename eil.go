@@ -170,6 +170,11 @@ type System struct {
 	fencedBy   atomic.Uint64
 	prevEpoch  uint64
 	sealSeq    uint64
+
+	// replica is set while a Follower owns this state: its history is the
+	// primary's, so the write guard refuses every local mutation and
+	// EnableWAL refuses a journal. Promotion (Follower.Detach) clears it.
+	replica atomic.Bool
 }
 
 // siapi returns the live keyword engine. Searches go through this (not the
@@ -184,7 +189,7 @@ func (s *System) siapi() *siapi.Engine {
 // LiveSIAPI returns the live (compaction-swappable) keyword engine.
 func (s *System) LiveSIAPI() *siapi.Engine { return s.siapi() }
 
-// Registry returns the metrics registry (the web layer's Backend surface).
+// Registry returns the metrics registry (serving.Telemetry).
 func (s *System) Registry() *obs.Registry { return s.Metrics }
 
 // RequestTracer returns the request tracer, nil when tracing is off.
@@ -192,9 +197,6 @@ func (s *System) RequestTracer() *trace.Tracer { return s.Tracer }
 
 // Log returns the query log, nil when logging is off.
 func (s *System) Log() *qlog.Log { return s.QueryLog }
-
-// CoreEngine returns the search engine (the dashboard's breaker view).
-func (s *System) CoreEngine() *core.Engine { return s.Engine }
 
 // Ingest runs the offline pipeline (Data Acquisition already done by the
 // caller: docs are parsed) over the documents: document-level annotators in

@@ -10,14 +10,16 @@ package eil
 // follower's mirrored ship log so laggard survivors tail-resume. Fence
 // is the other side: seal the journal, persist the fencing mark, stop
 // accepting writes. HANode wraps one node in either role and implements
-// failover.Node for the supervisor plus router.WritePrimary for the
-// write router.
+// failover.Node for the supervisor plus the whole serving surface: reads
+// and telemetry follow whichever role object is current, writes are
+// refused with a FencedError unless the node is the live primary.
 
 import (
 	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/access"
@@ -27,6 +29,8 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/repl"
+	"repro/internal/serving"
+	"repro/internal/trace"
 )
 
 // FenceEpoch reports the failover term this state last committed under
@@ -154,13 +158,24 @@ type HANodeOptions struct {
 
 // HANode is one supervised member: a System serving as primary (or
 // sitting fenced) or a Follower replicating from the current primary. It
-// implements failover.Node for the supervisor and router.WritePrimary
-// for the write router; the supervisor drives every role transition.
+// implements failover.Node for the supervisor and serving.Backend for the
+// HTTP layer and the write router; the supervisor drives every role
+// transition. The embedded Switch resolves the role object through an
+// atomic pointer, so a request never takes the node's lock and the
+// readiness checks are always the current role's.
 type HANode struct {
-	opts    HANodeOptions
-	metrics *obs.Registry
+	serving.Switch
+
+	opts HANodeOptions
+
+	// serve is the role object requests resolve to: the System or Follower
+	// last installed under mu. Kill and Close leave it in place, so reads in
+	// the shutdown window answer from the last state; writes go through
+	// writeSys, which a dead node refuses.
+	serve atomic.Pointer[serving.Backend]
 
 	mu          sync.Mutex
+	settings    *serving.Settings // nil until Tune; applied to every new role object
 	alive       bool
 	role        string
 	sys         *System   // primary / fenced role
@@ -172,12 +187,54 @@ type HANode struct {
 	promotedAt  time.Time
 }
 
-func newHANode(opts HANodeOptions) *HANode {
+func newHANode(opts HANodeOptions, tracer *trace.Tracer) *HANode {
 	metrics := opts.Metrics
 	if metrics == nil {
 		metrics = obs.NewRegistry()
 	}
-	return &HANode{opts: opts, metrics: metrics}
+	h := &HANode{opts: opts}
+	h.Switch = serving.NewSwitch(metrics, tracer, h.current)
+	return h
+}
+
+// current resolves the Switch: the role object requests are served from.
+func (h *HANode) current() (serving.Backend, error) {
+	if b := h.serve.Load(); b != nil {
+		return *b, nil
+	}
+	return nil, ErrNotSynced
+}
+
+// adoptLocked makes a freshly built role object (h.sys or h.fol, just set)
+// the one requests resolve to, with the operator's settings applied before
+// any request can reach it. Caller holds h.mu.
+func (h *HANode) adoptLocked(b serving.Backend) {
+	if h.settings != nil {
+		b.Tune(*h.settings)
+	}
+	h.serve.Store(&b)
+}
+
+// Tune installs the operator's settings on the current role object and on
+// every one a later transition builds (serving.Admin).
+func (h *HANode) Tune(set serving.Settings) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.settings = &set
+	if b := h.serve.Load(); b != nil {
+		(*b).Tune(set)
+	}
+}
+
+// Save checkpoints a serving primary (serving.Admin). Any other role
+// skips: a follower persists at the stream's rotation points, and a fenced
+// node's journal is sealed.
+func (h *HANode) Save(dir string) error {
+	sys, err := h.writeSys()
+	if err != nil {
+		return nil
+	}
+	return sys.Save(dir)
 }
 
 func (h *HANode) logf(format string, args ...any) {
@@ -191,7 +248,7 @@ func (h *HANode) logf(format string, args ...any) {
 // starts serving on opts.ListenAddr. A System whose EPOCH record says it
 // was fenced comes up in the fenced role and does not ship.
 func NewPrimaryHANode(sys *System, opts HANodeOptions) (*HANode, error) {
-	h := newHANode(opts)
+	h := newHANode(opts, sys.Tracer)
 	if enabled, _ := sys.WALProbe(); !enabled {
 		if err := sys.EnableWAL(opts.Dir, opts.SyncEvery); err != nil {
 			return nil, err
@@ -200,6 +257,7 @@ func NewPrimaryHANode(sys *System, opts HANodeOptions) (*HANode, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.sys = sys
+	h.adoptLocked(sys)
 	h.alive = true
 	if sys.FencedBy() != 0 {
 		h.role = failover.RoleFenced
@@ -214,7 +272,7 @@ func NewPrimaryHANode(sys *System, opts HANodeOptions) (*HANode, error) {
 
 // NewFollowerHANode starts a node as a follower of primaryAddr.
 func NewFollowerHANode(primaryAddr string, opts HANodeOptions) (*HANode, error) {
-	h := newHANode(opts)
+	h := newHANode(opts, nil)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if err := h.startFollowerLocked(primaryAddr); err != nil {
@@ -253,7 +311,8 @@ func (h *HANode) startFollowerLocked(addr string) error {
 		Name:    h.opts.Name,
 		MaxLag:  h.opts.MaxLag,
 		Access:  h.opts.Access,
-		Metrics: h.metrics,
+		Metrics: h.Registry(),
+		Tracer:  h.RequestTracer(),
 		Logf:    h.opts.Logf,
 		Faults:  h.opts.Faults,
 	})
@@ -261,6 +320,7 @@ func (h *HANode) startFollowerLocked(addr string) error {
 		return err
 	}
 	h.fol = fol
+	h.adoptLocked(fol)
 	h.primaryAddr = addr
 	h.role = failover.RoleFollower
 	return nil
@@ -291,9 +351,6 @@ func (h *HANode) onFenced(newer uint64) {
 
 // Name identifies the node (failover.Node).
 func (h *HANode) Name() string { return h.opts.Name }
-
-// Metrics returns the registry the node's role objects report into.
-func (h *HANode) Metrics() *obs.Registry { return h.metrics }
 
 // Alive reports whether the node is serving (failover.Node). Kill — the
 // in-process stand-in for a crashed process — clears it.
@@ -392,6 +449,11 @@ func (h *HANode) Promote(epoch uint64) error {
 		return err
 	}
 	h.sys, h.fol = sys, nil
+	// The state already carries the settings — the follower applied them at
+	// install — and reads that resolved it before the promotion may still be
+	// running on it, so it is published as is.
+	var promoted serving.Backend = sys
+	h.serve.Store(&promoted)
 	if err := h.startShipperLocked(); err != nil {
 		h.role = failover.RoleFenced
 		return err
@@ -502,14 +564,16 @@ func (h *HANode) Resurrect() error {
 		// whatever its EPOCH record says: unfenced, it ships again (and
 		// gets fenced at its first stale hello); fenced, it waits for a
 		// repoint.
-		sys, err := loadSystemWith(h.opts.Dir, h.opts.Access, h.metrics)
+		sys, err := loadSystemWith(h.opts.Dir, h.opts.Access, h.Registry())
 		if err != nil {
 			return fmt.Errorf("eil: ha %s: resurrect: %w", h.opts.Name, err)
 		}
 		if err := sys.EnableWAL(h.opts.Dir, h.opts.SyncEvery); err != nil && sys.FencedBy() == 0 {
 			return fmt.Errorf("eil: ha %s: resurrect: %w", h.opts.Name, err)
 		}
+		sys.Tracer = h.RequestTracer()
 		h.sys = sys
+		h.adoptLocked(sys)
 		if sys.FencedBy() != 0 {
 			h.role = failover.RoleFenced
 		} else {
@@ -561,7 +625,7 @@ func (h *HANode) writeSys() (*System, error) {
 }
 
 // AddDocuments routes an ingest batch to the primary-role state
-// (router.WritePrimary).
+// (serving.Writer).
 func (h *HANode) AddDocuments(docs []*docmodel.Document) error {
 	sys, err := h.writeSys()
 	if err != nil {
@@ -571,7 +635,7 @@ func (h *HANode) AddDocuments(docs []*docmodel.Document) error {
 }
 
 // RemoveDeal routes a removal to the primary-role state
-// (router.WritePrimary).
+// (serving.Writer).
 func (h *HANode) RemoveDeal(dealID string) error {
 	sys, err := h.writeSys()
 	if err != nil {
@@ -581,7 +645,7 @@ func (h *HANode) RemoveDeal(dealID string) error {
 }
 
 // Compact routes a compaction to the primary-role state
-// (router.WritePrimary).
+// (serving.Writer).
 func (h *HANode) Compact() error {
 	sys, err := h.writeSys()
 	if err != nil {

@@ -231,6 +231,36 @@ func (e *Engine) ShardBreakerStates(backend string) map[string]string {
 	return out
 }
 
+// BreakerStatus is one circuit as the status surfaces list it: the backend
+// hop it guards and, under a scatter-gather coordinator, the shard.
+type BreakerStatus struct {
+	Backend string
+	Shard   string // "" on an unsharded engine
+	State   string // "closed", "open" or "half-open"
+}
+
+// BreakerStates lists every circuit this engine searches through — one per
+// backend hop, or one per hop and shard on a coordinator, in shard order.
+// The readiness checks, the dashboard and the runtime sampler all read this
+// one list. A nil engine has no circuits.
+func (e *Engine) BreakerStates() []BreakerStatus {
+	if e == nil {
+		return nil
+	}
+	var out []BreakerStatus
+	for _, b := range []string{BackendSynopsis, BackendSIAPI} {
+		if !e.Sharded() {
+			out = append(out, BreakerStatus{Backend: b, State: e.BreakerState(b)})
+			continue
+		}
+		for i := range e.Shards {
+			name := e.Shards[i].Name
+			out = append(out, BreakerStatus{Backend: b, Shard: name, State: e.BreakerState(shardBreakerName(b, name))})
+		}
+	}
+	return out
+}
+
 // resilientCall runs one idempotent backend call under the engine's
 // resilience policy: breaker admission, per-attempt deadline slices of the
 // context budget, and bounded retry with decorrelated-jitter backoff.

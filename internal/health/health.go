@@ -72,10 +72,12 @@ func Failedf(format string, args ...any) Result {
 // cheap enough to run on every readiness poll.
 type CheckFunc func() Result
 
-type check struct {
-	name     string
-	critical bool
-	fn       CheckFunc
+// Check is one named probe. A critical check gates readiness hard: its
+// failure makes the verdict "unready".
+type Check struct {
+	Name     string
+	Critical bool
+	Fn       CheckFunc
 }
 
 // Verdict is the rollup over all checks.
@@ -115,7 +117,8 @@ func (r Report) Ready() bool { return r.Verdict == VerdictReady }
 // report with no checks, so wiring is optional everywhere.
 type Registry struct {
 	mu      sync.RWMutex
-	checks  []check
+	checks  []Check
+	sources []func() []Check
 	metrics *obs.Registry
 }
 
@@ -135,18 +138,32 @@ func (r *Registry) Register(name string, critical bool, fn CheckFunc) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.checks = append(r.checks, check{name: name, critical: critical, fn: fn})
+	r.checks = append(r.checks, Check{Name: name, Critical: critical, Fn: fn})
+}
+
+// RegisterSource adds a function that names the checks which apply at the
+// moment of each evaluation. A deployment whose state changes shape — a
+// replica that has not synced yet, a failover node that changes role — is
+// judged by what it is now, not by what it was when the registry was built.
+// Sourced checks run after the registered ones, in the order returned.
+func (r *Registry) RegisterSource(src func() []Check) {
+	if r == nil || src == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.sources = append(r.sources, src)
 }
 
 // runCheck executes one probe, converting a panic into a failed result so
 // one broken probe cannot take down the readiness endpoint.
-func runCheck(c check) (res Result) {
+func runCheck(c Check) (res Result) {
 	defer func() {
 		if p := recover(); p != nil {
 			res = Failedf("check panicked: %v", p)
 		}
 	}()
-	return c.fn()
+	return c.Fn()
 }
 
 // Evaluate runs every check and rolls the outcomes up into a verdict.
@@ -156,9 +173,12 @@ func (r *Registry) Evaluate() Report {
 		return rep
 	}
 	r.mu.RLock()
-	checks := make([]check, len(r.checks))
-	copy(checks, r.checks)
+	checks := append([]Check(nil), r.checks...)
+	sources := append([]func() []Check(nil), r.sources...)
 	r.mu.RUnlock()
+	for _, src := range sources {
+		checks = append(checks, src()...)
+	}
 
 	worst := 0
 	criticalFailed := false
@@ -166,23 +186,23 @@ func (r *Registry) Evaluate() Report {
 		t := obs.StartTimer()
 		res := runCheck(c)
 		cr := CheckResult{
-			Name:           c.name,
-			Critical:       c.critical,
+			Name:           c.Name,
+			Critical:       c.Critical,
 			Status:         res.Status,
 			Detail:         res.Detail,
 			ElapsedSeconds: t.Elapsed().Seconds(),
 		}
 		rep.Checks = append(rep.Checks, cr)
 		if sev := res.Status.severity(); sev > 0 {
-			rep.Causes = append(rep.Causes, fmt.Sprintf("%s: %s", c.name, res.Detail))
+			rep.Causes = append(rep.Causes, fmt.Sprintf("%s: %s", c.Name, res.Detail))
 			if sev > worst {
 				worst = sev
 			}
-			if c.critical && res.Status == StatusFailed {
+			if c.Critical && res.Status == StatusFailed {
 				criticalFailed = true
 			}
 		}
-		r.metrics.Gauge("eil_health_check", "check", c.name).Set(float64(res.Status.severity()))
+		r.metrics.Gauge("eil_health_check", "check", c.Name).Set(float64(res.Status.severity()))
 	}
 	switch {
 	case criticalFailed:

@@ -17,29 +17,14 @@ import (
 	"repro/internal/access"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/qlog"
+	"repro/internal/serving"
 	"repro/internal/siapi"
 	"repro/internal/synopsis"
-	"repro/internal/trace"
 )
 
-// Backend is the primary's full serving surface — structurally identical
-// to the web handler's Backend interface (this package cannot import
-// internal/web without a cycle through the root package). Any web Backend
-// satisfies it, and a Router satisfies the web handler's interface.
-type Backend interface {
-	SearchCtx(ctx context.Context, user access.User, q core.FormQuery) (core.Result, error)
-	SearchExplain(ctx context.Context, user access.User, q core.FormQuery) (core.Result, *core.Explanation, error)
-	KeywordSearchCtx(ctx context.Context, query string, limit int) []siapi.DocHit
-	KeywordCount(query string) int
-	ExploreCtx(ctx context.Context, user access.User, dealID string, q core.FormQuery) ([]siapi.DocHit, error)
-	SimilarDeals(user access.User, dealID string, k int) ([]synopsis.SimilarHit, error)
-	Deal(user access.User, dealID string) (synopsis.Deal, error)
-	Registry() *obs.Registry
-	RequestTracer() *trace.Tracer
-	Log() *qlog.Log
-	CoreEngine() *core.Engine
-}
+// Backend is the primary's pass-through surface: what the HTTP handler
+// needs, so a Router can stand wherever a single backend would.
+type Backend = serving.Frontend
 
 // Node is one read-serving endpoint: the primary or a replica. Lag is the
 // node's distance behind the primary in WAL records (ok=false while
@@ -47,16 +32,23 @@ type Backend interface {
 // primary reports (0, true).
 type Node interface {
 	Name() string
-	Ready() bool
 	Lag() (uint64, bool)
-
-	SearchCtx(ctx context.Context, user access.User, q core.FormQuery) (core.Result, error)
-	KeywordSearchCtx(ctx context.Context, query string, limit int) []siapi.DocHit
-	KeywordCount(query string) int
-	ExploreCtx(ctx context.Context, user access.User, dealID string, q core.FormQuery) ([]siapi.DocHit, error)
-	SimilarDeals(user access.User, dealID string, k int) ([]synopsis.SimilarHit, error)
-	Deal(user access.User, dealID string) (synopsis.Deal, error)
+	serving.Queries
 }
+
+// primaryNode is a primary's Node view: the backend itself, named, never
+// behind.
+type primaryNode struct {
+	serving.Queries
+	name string
+}
+
+func (n primaryNode) Name() string        { return n.name }
+func (n primaryNode) Lag() (uint64, bool) { return 0, true }
+
+// PrimaryNode adapts a primary — a system, a cluster — as the router's
+// primary node.
+func PrimaryNode(name string, primary serving.Queries) Node { return primaryNode{primary, name} }
 
 // Options tunes routing policy.
 type Options struct {
@@ -107,10 +99,9 @@ type NodeStatus struct {
 	Draining    bool    `json:"draining"`
 }
 
-// Router is a web.Backend whose read methods fan out across nodes. Every
-// non-read method (SearchExplain, Registry, Log, tracing, and whatever
-// write/admin surface the embedded backend exposes) passes through to the
-// primary backend.
+// Router is a serving.Frontend whose routable reads fan out across nodes.
+// Everything else (SearchExplain, Ready, and the telemetry the HTTP layer
+// reads) passes through to the primary backend.
 type Router struct {
 	Backend // the primary's full backend: pass-through surface
 

@@ -78,10 +78,10 @@ type fakeBackend struct {
 func (fakeBackend) SearchExplain(ctx context.Context, user access.User, q core.FormQuery) (core.Result, *core.Explanation, error) {
 	return core.Result{}, nil, nil
 }
-func (fakeBackend) Registry() *obs.Registry      { return nil }
-func (fakeBackend) RequestTracer() *trace.Tracer { return nil }
-func (fakeBackend) Log() *qlog.Log               { return nil }
-func (fakeBackend) CoreEngine() *core.Engine     { return nil }
+func (fakeBackend) Registry() *obs.Registry             { return nil }
+func (fakeBackend) RequestTracer() *trace.Tracer        { return nil }
+func (fakeBackend) Log() *qlog.Log                      { return nil }
+func (fakeBackend) BreakerStates() []core.BreakerStatus { return nil }
 
 func newTestRouter(opts Options, replicas ...*fakeNode) (*Router, *fakeNode) {
 	primary := newFakeNode("primary")

@@ -8,15 +8,12 @@ import (
 
 	"repro/internal/docmodel"
 	"repro/internal/obs"
+	"repro/internal/serving"
 )
 
-// WritePrimary is the mutation surface the write router follows: one
-// eil.System or eil.Cluster currently holding the write lease.
-type WritePrimary interface {
-	AddDocuments(docs []*docmodel.Document) error
-	RemoveDeal(dealID string) error
-	Compact() error
-}
+// WritePrimary is the mutation surface the write router follows: whichever
+// backend currently holds the write lease.
+type WritePrimary = serving.Writer
 
 // ErrNoPrimary means no primary appeared within the promotion window.
 var ErrNoPrimary = errors.New("router: no write primary")

@@ -1,0 +1,218 @@
+// Package serving declares EIL's serving surface once. The paper's Figure 1
+// is one search procedure behind one front end, whatever the deployment:
+// a monolithic system, a sharded cluster, a read replica of either, a
+// failover node that changes role, a router over several of those. Each is a
+// Backend; the HTTP layer, the routers and the server command are written
+// against the facets below and nothing else.
+//
+// The package is a leaf: it imports neither the root package, internal/web
+// nor internal/router, so all three can share these declarations.
+package serving
+
+import (
+	"context"
+	"errors"
+	"runtime"
+	"time"
+
+	"repro/internal/access"
+	"repro/internal/core"
+	"repro/internal/docmodel"
+	"repro/internal/fault"
+	"repro/internal/health"
+	"repro/internal/obs"
+	"repro/internal/qlog"
+	"repro/internal/runtimetel"
+	"repro/internal/siapi"
+	"repro/internal/slo"
+	"repro/internal/synopsis"
+	"repro/internal/trace"
+)
+
+// ErrNotSynced is what every facet of a replica answers before its first
+// state lands. It is an outage-class error (core.IsUnavailable), so the HTTP
+// layer answers 503 with Retry-After instead of an empty page.
+var ErrNotSynced error = &core.BackendError{
+	Backend: "replica",
+	Err:     errors.New("eil: replica has not completed initial sync"),
+}
+
+// Queries are the reads a router may send to any node. The two keyword
+// methods cannot report an error, so a caller that must tell "no matches"
+// from "no state" asks Ready first.
+type Queries interface {
+	// Ready reports whether there is state to answer from.
+	Ready() bool
+	SearchCtx(ctx context.Context, user access.User, q core.FormQuery) (core.Result, error)
+	KeywordSearchCtx(ctx context.Context, query string, limit int) []siapi.DocHit
+	KeywordCount(query string) int
+	ExploreCtx(ctx context.Context, user access.User, dealID string, q core.FormQuery) ([]siapi.DocHit, error)
+	SimilarDeals(user access.User, dealID string, k int) ([]synopsis.SimilarHit, error)
+	Deal(user access.User, dealID string) (synopsis.Deal, error)
+}
+
+// Reader is the read facet: Queries plus explain mode, which a router keeps
+// on the primary.
+type Reader interface {
+	Queries
+	SearchExplain(ctx context.Context, user access.User, q core.FormQuery) (core.Result, *core.Explanation, error)
+}
+
+// Writer is the write facet: the three journaled mutations.
+type Writer interface {
+	AddDocuments(docs []*docmodel.Document) error
+	RemoveDeal(dealID string) error
+	Compact() error
+}
+
+// Telemetry is the part of the admin facet the HTTP layer reads.
+type Telemetry interface {
+	Registry() *obs.Registry
+	RequestTracer() *trace.Tracer
+	// Log is the query log, nil when logging is off.
+	Log() *qlog.Log
+	// BreakerStates lists the circuits searches currently run through.
+	BreakerStates() []core.BreakerStatus
+}
+
+// Admin is the admin facet: telemetry plus what the server command drives.
+type Admin interface {
+	Telemetry
+	// Checks names the readiness checks that apply to the current state.
+	// NewHealth calls it on every evaluation.
+	Checks(opts HealthOptions) []health.Check
+	// Tune installs the operator's settings. Call it before serving traffic;
+	// a backend whose state is replaced (a replica installing a snapshot, a
+	// failover node changing role) re-applies them to the new state.
+	Tune(set Settings)
+	EnableWAL(dir string, syncEvery int) error
+	CloseWAL() error
+	// Save commits the current state to dir as a new snapshot generation.
+	Save(dir string) error
+}
+
+// Frontend is what the HTTP handler and the read router's pass-through
+// surface need.
+type Frontend interface {
+	Reader
+	Telemetry
+}
+
+// Backend is the whole surface: what the server command holds, whatever the
+// deployment's shape.
+type Backend interface {
+	Reader
+	Writer
+	Admin
+}
+
+// HealthOptions tunes the component checks.
+type HealthOptions struct {
+	// Collector, when set, supplies the runtime watermark readings
+	// (goroutines, heap); without one the goroutine check falls back to
+	// runtime.NumGoroutine and the heap check is skipped.
+	Collector *runtimetel.Collector
+	// SnapshotInterval is the expected checkpoint cadence; the freshness
+	// check degrades when the last checkpoint is older than three times it.
+	// Zero disables the freshness check (manual-save deployments).
+	SnapshotInterval time.Duration
+	// MaxGoroutines is the goroutine watermark (0 = 10000).
+	MaxGoroutines int
+	// MaxHeapBytes is the heap-live watermark (0 disables the heap check).
+	MaxHeapBytes uint64
+}
+
+// Settings are the operator's choices that belong to the serving state
+// rather than to the process, and so must follow the state when it changes.
+type Settings struct {
+	// Resilience is the search budget, retry and breaker policy.
+	Resilience core.Resilience
+	// Faults, when set, injects backend faults into every search.
+	Faults *fault.Injector
+	// QueryLog, when set, records every search. One log is shared by every
+	// state the backend ever holds.
+	QueryLog *qlog.Log
+	// SnapshotKeep is how many snapshot generations a save retains (0 = the
+	// store's default).
+	SnapshotKeep int
+}
+
+// NewHealth builds the readiness registry over a backend: the checks are
+// whatever a.Checks names at each evaluation, so a replica that syncs or a
+// node that is promoted is judged by its current state.
+func NewHealth(a Admin, opts HealthOptions) *health.Registry {
+	reg := health.NewRegistry(a.Registry())
+	reg.RegisterSource(func() []health.Check { return a.Checks(opts) })
+	return reg
+}
+
+// RuntimeChecks are the process-level watermarks every shape reports.
+func RuntimeChecks(opts HealthOptions) []health.Check {
+	if opts.MaxGoroutines <= 0 {
+		opts.MaxGoroutines = 10000
+	}
+	checks := []health.Check{{Name: "goroutines", Fn: func() health.Result {
+		n := runtime.NumGoroutine()
+		if opts.Collector != nil {
+			if smp, ok := opts.Collector.Latest(); ok {
+				n = smp.Goroutines
+			}
+		}
+		if n > opts.MaxGoroutines {
+			return health.Degradedf("%d goroutines (watermark %d); likely a leak", n, opts.MaxGoroutines)
+		}
+		return health.OKf("%d goroutines", n)
+	}}}
+	if opts.MaxHeapBytes > 0 && opts.Collector != nil {
+		checks = append(checks, health.Check{Name: "heap", Fn: func() health.Result {
+			smp, ok := opts.Collector.Latest()
+			if !ok {
+				return health.OKf("no sample yet")
+			}
+			if smp.HeapLiveBytes > opts.MaxHeapBytes {
+				return health.Degradedf("heap live %d bytes over watermark %d", smp.HeapLiveBytes, opts.MaxHeapBytes)
+			}
+			return health.OKf("heap live %d bytes", smp.HeapLiveBytes)
+		}})
+	}
+	return checks
+}
+
+// AppSampler returns a runtimetel AppSampler that folds the application's
+// one-screen numbers into every runtime sample: aggregate QPS and p99 from
+// the HTTP middleware's overall histogram, the SLO engine's peak burn rate,
+// and how many circuit breakers are currently not closed. It also drives
+// the SLO engine's tick, so one goroutine (the collector's) paces the whole
+// judgment layer.
+func AppSampler(t Telemetry, sloEng *slo.Engine) func(prev, cur *runtimetel.Sample) {
+	return func(prev, cur *runtimetel.Sample) {
+		if sloEng != nil {
+			sloEng.Tick(cur.Time)
+		}
+		app := map[string]float64{}
+		if reg := t.Registry(); reg != nil {
+			h := reg.Histogram("http_requests_overall_seconds", nil)
+			count := float64(h.Count())
+			app["http_requests_total"] = count
+			app["http_p99_seconds"] = h.Quantile(0.99)
+			if prev != nil && prev.App != nil {
+				if dt := cur.Time.Sub(prev.Time).Seconds(); dt > 0 {
+					if d := count - prev.App["http_requests_total"]; d >= 0 {
+						app["qps"] = d / dt
+					}
+				}
+			}
+		}
+		if sloEng != nil {
+			app["slo_burn"] = sloEng.PeakBurn()
+		}
+		open := 0.0
+		for _, b := range t.BreakerStates() {
+			if b.State != "closed" {
+				open++
+			}
+		}
+		app["breakers_open"] = open
+		cur.App = app
+	}
+}

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/runtimetel"
 	"repro/internal/slo"
 )
@@ -164,22 +163,12 @@ func (h *handler) debugDash(w http.ResponseWriter, _ *http.Request) {
 			sparkline(series(func(s runtimetel.Sample) float64 { return s.SchedLatencyP99 }), sw, sh)},
 	}
 
-	if eng := h.sys.CoreEngine(); eng != nil {
-		for _, b := range []string{core.BackendSynopsis, core.BackendSIAPI} {
-			if eng.Sharded() {
-				states := eng.ShardBreakerStates(b)
-				names := make([]string, 0, len(states))
-				for name := range states {
-					names = append(names, name)
-				}
-				sort.Strings(names)
-				for _, name := range names {
-					data.Breakers = append(data.Breakers, dashBreaker{Backend: b + "#" + name, State: states[name]})
-				}
-			} else {
-				data.Breakers = append(data.Breakers, dashBreaker{Backend: b, State: eng.BreakerState(b)})
-			}
+	for _, b := range h.sys.BreakerStates() {
+		label := b.Backend
+		if b.Shard != "" {
+			label += "#" + b.Shard
 		}
+		data.Breakers = append(data.Breakers, dashBreaker{Backend: label, State: b.State})
 	}
 
 	if h.slo != nil {

@@ -36,7 +36,7 @@ func chaosServer(t *testing.T, inj *fault.Injector) (*httptest.Server, *eil.Syst
 	}
 	sys.Engine.Faults = inj
 	sys.Engine.Resilient = core.Resilience{Budget: 2 * time.Second, MaxRetries: 1}
-	srv := httptest.NewServer(Handler(sys))
+	srv := httptest.NewServer(HandlerFor(sys))
 	t.Cleanup(srv.Close)
 	return srv, sys
 }

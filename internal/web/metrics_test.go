@@ -99,12 +99,12 @@ func TestPprofOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Without the option pprof is absent.
-	plain := httptest.NewServer(Handler(sys))
+	plain := httptest.NewServer(HandlerFor(sys))
 	t.Cleanup(plain.Close)
 	if resp, _ := get(t, plain.URL+"/debug/pprof/", nil); resp.StatusCode != 404 {
 		t.Fatalf("pprof mounted without option: %d", resp.StatusCode)
 	}
-	srv := httptest.NewServer(Handler(sys, WithPprof()))
+	srv := httptest.NewServer(HandlerFor(sys, WithPprof()))
 	t.Cleanup(srv.Close)
 	resp, body := get(t, srv.URL+"/debug/pprof/", nil)
 	if resp.StatusCode != 200 || !strings.Contains(body, "goroutine") {
@@ -123,7 +123,7 @@ func TestAccessLogOption(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&buf, nil))
-	srv := httptest.NewServer(Handler(sys, WithAccessLog(logger)))
+	srv := httptest.NewServer(HandlerFor(sys, WithAccessLog(logger)))
 	t.Cleanup(srv.Close)
 	get(t, srv.URL+"/healthz", map[string]string{"X-EIL-User": "alice"})
 	out := buf.String()

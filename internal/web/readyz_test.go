@@ -19,6 +19,7 @@ import (
 	"repro/internal/durable"
 	"repro/internal/fault"
 	"repro/internal/health"
+	"repro/internal/serving"
 	"repro/internal/slo"
 	"repro/internal/synth"
 	"repro/internal/trace"
@@ -48,8 +49,8 @@ func opsServer(t *testing.T, inj *fault.Injector) (*httptest.Server, *eil.System
 		BreakerCooldown: 10 * time.Millisecond,
 	}
 	sloEng := slo.New(slo.Options{Registry: sys.Metrics})
-	checks := sys.NewHealth(eil.HealthOptions{})
-	srv := httptest.NewServer(Handler(sys, WithHealth(checks), WithSLO(sloEng), WithRuntime(nil)))
+	checks := serving.NewHealth(sys, eil.HealthOptions{})
+	srv := httptest.NewServer(HandlerFor(sys, WithHealth(checks), WithSLO(sloEng), WithRuntime(nil)))
 	t.Cleanup(srv.Close)
 	return srv, sys, sloEng
 }

@@ -29,7 +29,7 @@ func tracedServer(t *testing.T) (*httptest.Server, *eil.System) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(Handler(sys))
+	srv := httptest.NewServer(HandlerFor(sys))
 	t.Cleanup(srv.Close)
 	return srv, sys
 }

@@ -6,7 +6,6 @@
 package web
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,18 +17,15 @@ import (
 	"strings"
 	"time"
 
-	"repro"
 	"repro/internal/access"
 	"repro/internal/core"
 	"repro/internal/health"
 	"repro/internal/loadgen"
 	"repro/internal/obs"
 	"repro/internal/prof"
-	"repro/internal/qlog"
 	"repro/internal/runtimetel"
-	"repro/internal/siapi"
+	"repro/internal/serving"
 	"repro/internal/slo"
-	"repro/internal/synopsis"
 	"repro/internal/trace"
 )
 
@@ -116,33 +112,17 @@ func WithLoadCurves(curves []loadgen.Curve) Option {
 	return func(c *config) { c.curves = curves }
 }
 
-// Backend is the serving surface the handler needs: one eil.System or one
-// sharded eil.Cluster — the HTTP layer is identical over both, down to the
-// metric names and degraded-cause labels.
-type Backend interface {
-	SearchCtx(ctx context.Context, user access.User, q core.FormQuery) (core.Result, error)
-	SearchExplain(ctx context.Context, user access.User, q core.FormQuery) (core.Result, *core.Explanation, error)
-	KeywordSearchCtx(ctx context.Context, query string, limit int) []siapi.DocHit
-	KeywordCount(query string) int
-	ExploreCtx(ctx context.Context, user access.User, dealID string, q core.FormQuery) ([]siapi.DocHit, error)
-	SimilarDeals(user access.User, dealID string, k int) ([]synopsis.SimilarHit, error)
-	Deal(user access.User, dealID string) (synopsis.Deal, error)
-	Registry() *obs.Registry
-	RequestTracer() *trace.Tracer
-	Log() *qlog.Log
-	CoreEngine() *core.Engine
-}
+// Backend is the serving surface the handler needs: the read facet and the
+// telemetry it renders. Every deployment shape supplies it — a system, a
+// sharded cluster, a replica, a failover node, a router — and the HTTP layer
+// is identical over all of them, down to the metric names and
+// degraded-cause labels.
+type Backend = serving.Frontend
 
-// Handler serves the EIL UI and API for one system. Every route is wrapped
-// in the metrics middleware (request counts, status classes, and latency
-// histograms in the system's registry), and the registry itself is served
-// at /metrics (Prometheus text exposition) and /api/metrics (JSON).
-func Handler(sys *eil.System, opts ...Option) http.Handler {
-	return HandlerFor(sys, opts...)
-}
-
-// HandlerFor is Handler over any Backend — a monolithic system or a
-// sharded cluster.
+// HandlerFor serves the EIL UI and API over a Backend. Every route is
+// wrapped in the metrics middleware (request counts, status classes, and
+// latency histograms in the backend's registry), and the registry itself is
+// served at /metrics (Prometheus text exposition) and /api/metrics (JSON).
 func HandlerFor(sys Backend, opts ...Option) http.Handler {
 	var cfg config
 	for _, o := range opts {
@@ -456,11 +436,12 @@ func formQuery(r *http.Request) core.FormQuery {
 	return q
 }
 
-// searchError maps a search failure to HTTP semantics: a backend outage
-// (every serving tier gone) is 503 with Retry-After, so load balancers and
-// clients back off instead of hammering a dead backend; anything else is a
-// caller problem and stays 400. Outages are counted per backend cause.
-func (h *handler) searchError(w http.ResponseWriter, route string, err error) {
+// fail maps a read failure to HTTP semantics: a backend outage (every
+// serving tier gone, or a replica with no state yet) is 503 with
+// Retry-After, so load balancers and clients back off instead of hammering a
+// dead backend; anything else is a caller problem and gets the route's own
+// status. Outages are counted per backend cause.
+func (h *handler) fail(w http.ResponseWriter, route string, err error, status int) {
 	if core.IsUnavailable(err) {
 		cause := "backend"
 		var be *core.BackendError
@@ -472,7 +453,7 @@ func (h *handler) searchError(w http.ResponseWriter, route string, err error) {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
-	http.Error(w, err.Error(), http.StatusBadRequest)
+	http.Error(w, err.Error(), status)
 }
 
 // countDegraded records a degraded-but-served search (HTTP 200 with
@@ -491,7 +472,7 @@ func (h *handler) apiSearch(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Has("explain") {
 		res, ex, err := h.sys.SearchExplain(r.Context(), userFrom(r), q)
 		if err != nil {
-			h.searchError(w, "/api/search", err)
+			h.fail(w, "/api/search", err, http.StatusBadRequest)
 			return
 		}
 		h.countDegraded("/api/search", res)
@@ -500,7 +481,7 @@ func (h *handler) apiSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := h.sys.SearchCtx(r.Context(), userFrom(r), q)
 	if err != nil {
-		h.searchError(w, "/api/search", err)
+		h.fail(w, "/api/search", err, http.StatusBadRequest)
 		return
 	}
 	h.countDegraded("/api/search", res)
@@ -522,7 +503,7 @@ func (h *handler) apiDeal(w http.ResponseWriter, r *http.Request) {
 	}
 	deal, err := h.sys.Deal(userFrom(r), id)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
+		h.fail(w, "/api/deal", err, http.StatusNotFound)
 		return
 	}
 	writeJSON(w, deal)
@@ -537,6 +518,12 @@ func (h *handler) apiKeyword(w http.ResponseWriter, r *http.Request) {
 	limit := 20
 	if n, err := strconv.Atoi(r.FormValue("limit")); err == nil && n > 0 {
 		limit = n
+	}
+	// The keyword reads cannot report an error, so "no state yet" is asked
+	// for rather than answered as an empty page.
+	if !h.sys.Ready() {
+		h.fail(w, "/api/keyword", serving.ErrNotSynced, http.StatusServiceUnavailable)
+		return
 	}
 	// Search first: its evaluation leaves the match count in siapi's count
 	// cache, so the count below does not evaluate the query a second time.
@@ -556,11 +543,7 @@ func (h *handler) apiExplore(w http.ResponseWriter, r *http.Request) {
 	}
 	hits, err := h.sys.ExploreCtx(r.Context(), userFrom(r), id, formQuery(r))
 	if err != nil {
-		if core.IsUnavailable(err) {
-			h.searchError(w, "/api/explore", err)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusForbidden)
+		h.fail(w, "/api/explore", err, http.StatusForbidden)
 		return
 	}
 	writeJSON(w, hits)
@@ -579,7 +562,7 @@ func (h *handler) apiSimilar(w http.ResponseWriter, r *http.Request) {
 	}
 	hits, err := h.sys.SimilarDeals(userFrom(r), id, k)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
+		h.fail(w, "/api/similar", err, http.StatusNotFound)
 		return
 	}
 	writeJSON(w, hits)
@@ -681,7 +664,7 @@ func (h *handler) home(w http.ResponseWriter, r *http.Request) {
 	if q.HasConcepts() || q.HasText() {
 		res, err := h.sys.SearchCtx(r.Context(), userFrom(r), q)
 		if err != nil {
-			h.searchError(w, "/", err)
+			h.fail(w, "/", err, http.StatusBadRequest)
 			return
 		}
 		h.countDegraded("/", res)
@@ -751,7 +734,7 @@ func (h *handler) dealPage(w http.ResponseWriter, r *http.Request) {
 	}
 	deal, err := h.sys.Deal(userFrom(r), id)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
+		h.fail(w, "/deal", err, http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")

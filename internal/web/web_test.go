@@ -24,7 +24,7 @@ func testServer(t *testing.T, ctl *access.Controller) (*httptest.Server, *synth.
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(Handler(sys))
+	srv := httptest.NewServer(HandlerFor(sys))
 	t.Cleanup(srv.Close)
 	return srv, corpus
 }
@@ -282,7 +282,7 @@ func testServerWithSystem(t *testing.T) (*httptest.Server, *eil.System) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(Handler(sys))
+	srv := httptest.NewServer(HandlerFor(sys))
 	t.Cleanup(srv.Close)
 	return srv, sys
 }

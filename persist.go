@@ -442,6 +442,9 @@ func (s *System) EnableWAL(dir string, syncEvery int) error {
 	if s.wal != nil {
 		return errors.New("eil: wal already enabled")
 	}
+	if s.replica.Load() {
+		return errReplica
+	}
 	st, err := durable.OpenStore(dir, durable.StoreOptions{Keep: s.SnapshotKeep, Metrics: s.Metrics})
 	if err != nil {
 		return fmt.Errorf("eil: enable wal: %w", err)
@@ -493,14 +496,21 @@ func (s *System) journalHealthyLocked() error {
 	return nil
 }
 
+// errReplica refuses a local mutation or journal on a follower's state.
+var errReplica = errors.New("eil: read-only replica: it neither writes nor journals; its history and durability follow the primary's")
+
 // writeGuardLocked is the refusal gate every mutation passes before it
 // is applied: a fenced node refuses outright — a newer epoch owns the
 // history now, and applying (let alone journaling) here would be a lost
-// write at best and a split brain at worst — and a poisoned journal
+// write at best and a split brain at worst — a follower's state refuses
+// because only the shipped journal may change it, and a poisoned journal
 // refuses for the reason journalHealthyLocked documents.
 func (s *System) writeGuardLocked() error {
 	if by := s.fencedBy.Load(); by != 0 {
 		return &failover.FencedError{Mine: s.fenceEpoch.Load(), Current: by}
+	}
+	if s.replica.Load() {
+		return errReplica
 	}
 	return s.journalHealthyLocked()
 }

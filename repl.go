@@ -14,30 +14,20 @@ import (
 	"time"
 
 	"repro/internal/access"
-	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/fault"
 	"repro/internal/health"
 	"repro/internal/obs"
-	"repro/internal/qlog"
 	"repro/internal/repl"
-	"repro/internal/router"
-	"repro/internal/runtimetel"
-	"repro/internal/siapi"
-	"repro/internal/slo"
-	"repro/internal/synopsis"
+	"repro/internal/serving"
 	"repro/internal/trace"
 )
 
-// ErrNotSynced is returned by a follower's read surface before its first
+// ErrNotSynced is returned by a follower's serving surface before its first
 // snapshot installs. Routers and readiness checks keep traffic away from
 // a follower in this state; seeing the error means a caller bypassed
 // them.
-var ErrNotSynced = errors.New("eil: replica has not completed initial sync")
-
-// shardKey is the wire-protocol shard name for shard i — the same string
-// as its snapshot subdirectory, so logs, dirs, and handshakes agree.
-func shardKey(i int) string { return fmt.Sprintf("shard-%04d", i) }
+var ErrNotSynced = serving.ErrNotSynced
 
 // ---------------------------------------------------------------------------
 // Primary side: ship log wiring and the replication listener.
@@ -187,7 +177,7 @@ func (c *Cluster) ServeReplication(lis net.Listener, faults *fault.Injector) (*r
 		if err != nil {
 			return nil, fmt.Errorf("eil: shard %d: %w", i, err)
 		}
-		shards[shardKey(i)] = s
+		shards[ShardKey(i)] = s
 	}
 	sh := &repl.Shipper{
 		Source:  &systemSource{shards: shards},
@@ -260,13 +250,16 @@ type FollowerOptions struct {
 // latest snapshot generation (or its own local state from a prior run),
 // replays the shipped journal continuously through the shared apply
 // paths, checkpoints locally whenever the primary checkpoints, and serves
-// the full read Backend from its current state.
+// from its current state through the embedded Switch: reads and telemetry
+// answer from the state the stream last installed (ErrNotSynced before the
+// first), writes and EnableWAL meet that state's replica guard.
 type Follower struct {
-	opts    FollowerOptions
-	metrics *obs.Registry
-	client  *repl.Client
-	cancel  context.CancelFunc
-	done    chan struct{}
+	serving.Switch
+
+	opts   FollowerOptions
+	client *repl.Client
+	cancel context.CancelFunc
+	done   chan struct{}
 
 	sys     atomic.Pointer[System]
 	headGen atomic.Uint64
@@ -284,7 +277,8 @@ type Follower struct {
 	fenceEpoch atomic.Uint64
 	shipLog    *repl.Log
 
-	ckptMu sync.Mutex // serializes local checkpoints with Close
+	ckptMu   sync.Mutex       // serializes local checkpoints, installs and Tune with Close
+	settings serving.Settings // re-applied to every installed state; guarded by ckptMu
 }
 
 // StartFollower begins replicating from opts.Addr into opts.Dir. It
@@ -302,13 +296,15 @@ func StartFollower(opts FollowerOptions) (*Follower, error) {
 	if metrics == nil {
 		metrics = obs.NewRegistry()
 	}
-	f := &Follower{opts: opts, metrics: metrics, done: make(chan struct{})}
+	f := &Follower{opts: opts, done: make(chan struct{})}
+	f.Switch = serving.NewSwitch(metrics, opts.Tracer, f.current)
 
 	// Resume from local state when a prior run left a committed
 	// generation: the replica re-serves immediately and tail-resumes from
 	// its checkpointed position instead of re-copying the whole snapshot.
 	if sys, err := loadSystemWith(opts.Dir, opts.Access, metrics); err == nil {
 		sys.Tracer = opts.Tracer
+		sys.replica.Store(true)
 		f.sys.Store(sys)
 		gen, seq := sys.ReplPosition()
 		f.shipLog = repl.NewLog(gen, seq, 0, 0)
@@ -383,15 +379,20 @@ func (f *Follower) Detach() (*System, *repl.Log, error) {
 	if sys == nil {
 		return nil, nil, ErrNotSynced
 	}
+	sys.replica.Store(false)
 	return sys, f.shipLog, nil
+}
+
+// current resolves the Switch: the state the stream last installed.
+func (f *Follower) current() (serving.Backend, error) {
+	if sys := f.sys.Load(); sys != nil {
+		return sys, nil
+	}
+	return nil, ErrNotSynced
 }
 
 // Name identifies the follower (router.Node).
 func (f *Follower) Name() string { return f.opts.Name }
-
-// Ready reports whether the replica holds servable state (router.Node).
-// Staleness is the router's and health check's concern, via Lag.
-func (f *Follower) Ready() bool { return f.sys.Load() != nil }
 
 // Lag reports how many WAL records this replica trails the primary by;
 // ok is false before the first heartbeat establishes the primary's head.
@@ -466,7 +467,7 @@ func (f *Follower) Status() FollowerReport {
 		Seq:     seq,
 		HeadGen: f.headGen.Load(),
 		HeadSeq: f.headSeq.Load(),
-		Synced:  f.Ready(),
+		Synced:  f.sys.Load() != nil,
 		Epoch:   f.fenceEpoch.Load(),
 		Client:  f.client.Status(),
 	}
@@ -492,7 +493,7 @@ func (sk *followerSink) Position() (gen, seq uint64, have bool) {
 }
 
 func (sk *followerSink) BeginSnapshot(gen, seq uint64) (repl.SnapshotInstaller, error) {
-	st, err := durable.OpenStore(sk.f.opts.Dir, durable.StoreOptions{Metrics: sk.f.metrics})
+	st, err := durable.OpenStore(sk.f.opts.Dir, durable.StoreOptions{Metrics: sk.f.Registry()})
 	if err != nil {
 		return nil, err
 	}
@@ -576,7 +577,7 @@ func (sk *followerSink) Rotate(gen, seq uint64) error {
 	_, err := sys.Checkpoint(f.opts.Dir)
 	f.ckptMu.Unlock()
 	if err != nil {
-		f.metrics.Counter("eil_repl_follower_checkpoint_errors_total").Inc()
+		f.Registry().Counter("eil_repl_follower_checkpoint_errors_total").Inc()
 		f.logf("eil: follower checkpoint at gen %d seq %d: %v", gen, seq, err)
 	} else {
 		f.logf("eil: follower checkpointed at gen %d seq %d", gen, seq)
@@ -598,7 +599,7 @@ func (sk *followerSink) Advance(gen, seq uint64) {
 
 func (f *Follower) observeLag() {
 	if lag, ok := f.Lag(); ok {
-		f.metrics.Gauge("eil_repl_lag_records", "follower", f.opts.Name).Set(float64(lag))
+		f.Registry().Gauge("eil_repl_lag_records", "follower", f.opts.Name).Set(float64(lag))
 	}
 }
 
@@ -627,7 +628,7 @@ func (fi *followerInstall) Commit() error {
 	if err := os.Remove(filepath.Join(fi.f.opts.Dir, durable.WALName)); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("eil: remove stale journal: %w", err)
 	}
-	sys, err := loadSystemWith(fi.f.opts.Dir, fi.f.opts.Access, fi.f.metrics)
+	sys, err := loadSystemWith(fi.f.opts.Dir, fi.f.opts.Access, fi.f.Registry())
 	if err != nil {
 		return fmt.Errorf("eil: load installed snapshot: %w", err)
 	}
@@ -637,6 +638,8 @@ func (fi *followerInstall) Commit() error {
 	sys.seq.Store(fi.seq)
 	sys.ckptSeq = fi.seq
 	sys.Tracer = fi.f.opts.Tracer
+	sys.replica.Store(true)
+	sys.Tune(fi.f.settings)
 	fi.f.sys.Store(sys)
 	// The mirrored ship history predates the install; restart it at the
 	// installed position.
@@ -655,180 +658,45 @@ func (fi *followerInstall) Commit() error {
 func (fi *followerInstall) Abort() { fi.imp.Abort() }
 
 // ---------------------------------------------------------------------------
-// Follower read surface: the full web Backend plus the eilserver backend
-// extras, all delegating to the current replica state.
+// Follower admin facet: what the Switch cannot answer from the state alone.
 
-func (f *Follower) backend() (*System, error) {
-	sys := f.sys.Load()
-	if sys == nil {
-		return nil, ErrNotSynced
+// replCheck is the replica's critical readiness check: a stale or unsynced
+// replica must drain.
+func (f *Follower) replCheck() health.Result {
+	st := f.client.Status()
+	if f.sys.Load() == nil {
+		return health.Failedf("initial sync not complete (client %s)", st.State)
 	}
-	return sys, nil
+	lag, ok := f.Lag()
+	if !ok {
+		return health.Degradedf("no primary heartbeat yet (client %s)", st.State)
+	}
+	if f.opts.MaxLag > 0 && lag > f.opts.MaxLag {
+		return health.Failedf("lag %d records exceeds bound %d", lag, f.opts.MaxLag)
+	}
+	return health.OKf("client %s, lag %d records, %d applied", st.State, lag, st.Applied)
 }
 
-func (f *Follower) SearchCtx(ctx context.Context, user access.User, q core.FormQuery) (core.Result, error) {
-	sys, err := f.backend()
-	if err != nil {
-		return core.Result{}, err
-	}
-	return sys.SearchCtx(ctx, user, q)
+// Checks names the replica's readiness checks: replication first, then the
+// current state's (serving.Admin). Unsynced, the repl and index checks fail.
+func (f *Follower) Checks(opts HealthOptions) []health.Check {
+	return stateChecks([]*System{f.sys.Load()}, false, f.BreakerStates(), []*Follower{f}, opts)
 }
 
-func (f *Follower) SearchExplain(ctx context.Context, user access.User, q core.FormQuery) (core.Result, *core.Explanation, error) {
-	sys, err := f.backend()
-	if err != nil {
-		return core.Result{}, nil, err
-	}
-	return sys.SearchExplain(ctx, user, q)
-}
-
-func (f *Follower) KeywordSearchCtx(ctx context.Context, query string, limit int) []siapi.DocHit {
-	sys, err := f.backend()
-	if err != nil {
-		return nil
-	}
-	return sys.KeywordSearchCtx(ctx, query, limit)
-}
-
-func (f *Follower) KeywordCount(query string) int {
-	sys, err := f.backend()
-	if err != nil {
-		return 0
-	}
-	return sys.KeywordCount(query)
-}
-
-func (f *Follower) ExploreCtx(ctx context.Context, user access.User, dealID string, q core.FormQuery) ([]siapi.DocHit, error) {
-	sys, err := f.backend()
-	if err != nil {
-		return nil, err
-	}
-	return sys.ExploreCtx(ctx, user, dealID, q)
-}
-
-func (f *Follower) SimilarDeals(user access.User, dealID string, k int) ([]synopsis.SimilarHit, error) {
-	sys, err := f.backend()
-	if err != nil {
-		return nil, err
-	}
-	return sys.SimilarDeals(user, dealID, k)
-}
-
-func (f *Follower) Deal(user access.User, dealID string) (synopsis.Deal, error) {
-	sys, err := f.backend()
-	if err != nil {
-		return synopsis.Deal{}, err
-	}
-	return sys.Deal(user, dealID)
-}
-
-func (f *Follower) Registry() *obs.Registry { return f.metrics }
-
-func (f *Follower) RequestTracer() *trace.Tracer { return f.opts.Tracer }
-
-func (f *Follower) Log() *qlog.Log { return nil }
-
-func (f *Follower) CoreEngine() *core.Engine {
+// Tune installs the operator's settings on the current state and on every
+// state a later snapshot install brings (serving.Admin).
+func (f *Follower) Tune(set serving.Settings) {
+	f.ckptMu.Lock()
+	defer f.ckptMu.Unlock()
+	f.settings = set
 	if sys := f.sys.Load(); sys != nil {
-		return sys.Engine
-	}
-	return nil
-}
-
-// NewHealth builds the replica's readiness registry: replication sync and
-// staleness are the critical checks (a stale or unsynced replica must
-// drain), plus the index check against the current state.
-func (f *Follower) NewHealth(opts HealthOptions) *health.Registry {
-	reg := health.NewRegistry(f.metrics)
-	reg.Register("repl", true, func() health.Result {
-		sys := f.sys.Load()
-		st := f.client.Status()
-		if sys == nil {
-			return health.Failedf("initial sync not complete (client %s)", st.State)
-		}
-		lag, ok := f.Lag()
-		if !ok {
-			return health.Degradedf("no primary heartbeat yet (client %s)", st.State)
-		}
-		if f.opts.MaxLag > 0 && lag > f.opts.MaxLag {
-			return health.Failedf("lag %d records exceeds bound %d", lag, f.opts.MaxLag)
-		}
-		return health.OKf("client %s, lag %d records, %d applied", st.State, lag, st.Applied)
-	})
-	reg.Register("index", true, func() health.Result {
-		sys := f.sys.Load()
-		if sys == nil || sys.Index == nil {
-			return health.Failedf("no index attached")
-		}
-		return health.OKf("%d docs, epoch %d", sys.Index.DocCount(), sys.Index.Generation())
-	})
-	reg.Register("snapshots", false, func() health.Result {
-		sys := f.sys.Load()
-		if sys == nil {
-			return health.OKf("no state yet")
-		}
-		gen, at := sys.LastCheckpoint()
-		if at.IsZero() {
-			return health.OKf("gen %d", gen)
-		}
-		return health.OKf("gen %d, %s old", gen, time.Since(at).Round(time.Second))
-	})
-	return reg
-}
-
-// AppSampler folds the replica's one-screen numbers into runtime samples,
-// delegating to the current state's sampler (the registry is shared, so
-// QPS and p99 come from this process's HTTP middleware either way).
-func (f *Follower) AppSampler(sloEng *slo.Engine) func(prev, cur *runtimetel.Sample) {
-	return func(prev, cur *runtimetel.Sample) {
-		sys := f.sys.Load()
-		if sys == nil {
-			if sloEng != nil {
-				sloEng.Tick(cur.Time)
-			}
-			return
-		}
-		sys.AppSampler(sloEng)(prev, cur)
+		sys.Tune(set)
 	}
 }
 
-// EnableWAL is refused: a follower's journal is the primary's. Its local
-// durability comes from checkpoints at shipped rotation points.
-func (f *Follower) EnableWAL(dir string, syncEvery int) error {
-	return errors.New("eil: a follower does not journal; its durability follows the primary's checkpoints")
-}
-
-// CloseWAL is a no-op (see EnableWAL).
-func (f *Follower) CloseWAL() error { return nil }
-
-// ---------------------------------------------------------------------------
-// Router node adapters for primaries.
-
-// routedSystem adapts a System as the primary read node.
-type routedSystem struct {
-	*System
-	name string
-}
-
-func (n routedSystem) Name() string        { return n.name }
-func (n routedSystem) Ready() bool         { return true }
-func (n routedSystem) Lag() (uint64, bool) { return 0, true }
-
-// RouterNode adapts the system as the router's primary node.
-func (s *System) RouterNode(name string) router.Node { return routedSystem{s, name} }
-
-// routedCluster adapts a Cluster as the primary read node.
-type routedCluster struct {
-	*Cluster
-	name string
-}
-
-func (n routedCluster) Name() string        { return n.name }
-func (n routedCluster) Ready() bool         { return true }
-func (n routedCluster) Lag() (uint64, bool) { return 0, true }
-
-// RouterNode adapts the cluster as the router's primary node.
-func (c *Cluster) RouterNode(name string) router.Node { return routedCluster{c, name} }
+// Save is a no-op: a replica checkpoints into its own directory at the
+// primary's rotation points and at Close, under ckptMu.
+func (f *Follower) Save(dir string) error { return nil }
 
 // ---------------------------------------------------------------------------
 // ClusterFollower: one follower per shard behind a scatter-gather view.
@@ -838,16 +706,16 @@ func (c *Cluster) RouterNode(name string) router.Node { return routedCluster{c, 
 // reads through a coordinator engine over the replicated shards —
 // the same scatter-gather searches a primary cluster runs.
 type ClusterFollower struct {
+	serving.Switch
+
 	followers []*Follower
 	ctl       *access.Controller
-	metrics   *obs.Registry
-	tracer    *trace.Tracer
 	name      string
-	maxLag    uint64
 
 	mu           sync.Mutex
 	cached       *Cluster
 	cachedEpochs []uint64
+	settings     serving.Settings // re-applied to every rebuilt view
 }
 
 // StartClusterFollower starts one follower per shard under opts.Dir
@@ -875,18 +743,13 @@ func StartClusterFollower(shards int, opts FollowerOptions) (*ClusterFollower, e
 	if err != nil {
 		return nil, fmt.Errorf("eil: cluster follower: %w", err)
 	}
-	cf := &ClusterFollower{
-		ctl:     opts.Access,
-		metrics: metrics,
-		tracer:  opts.Tracer,
-		name:    opts.Name,
-		maxLag:  opts.MaxLag,
-	}
+	cf := &ClusterFollower{ctl: opts.Access, name: opts.Name}
+	cf.Switch = serving.NewSwitch(metrics, opts.Tracer, cf.current)
 	for i := 0; i < shards; i++ {
 		so := opts
 		so.Dir = shardDir(opts.Dir, i)
-		so.Shard = shardKey(i)
-		so.Name = fmt.Sprintf("%s/%s", opts.Name, shardKey(i))
+		so.Shard = ShardKey(i)
+		so.Name = fmt.Sprintf("%s/%s", opts.Name, ShardKey(i))
 		so.Metrics = metrics
 		sub, err := StartFollower(so)
 		if err != nil {
@@ -914,9 +777,10 @@ func (cf *ClusterFollower) Close() error {
 	return first
 }
 
-// backend returns the scatter-gather view over the current shard states,
-// rebuilt only when some shard's state has swapped since the last call.
-func (cf *ClusterFollower) backend() (*Cluster, error) {
+// current resolves the Switch: the scatter-gather view over the current
+// shard states, rebuilt only when some shard's state has swapped since the
+// last call.
+func (cf *ClusterFollower) current() (serving.Backend, error) {
 	epochs := make([]uint64, len(cf.followers))
 	for i, sub := range cf.followers {
 		if sub.sys.Load() == nil {
@@ -942,23 +806,14 @@ func (cf *ClusterFollower) backend() (*Cluster, error) {
 	for i, sub := range cf.followers {
 		shards[i] = sub.sys.Load()
 	}
-	cf.cached = newCluster(shards, cf.ctl, cf.metrics, cf.tracer, false)
+	cf.cached = newCluster(shards, cf.ctl, cf.Registry(), cf.RequestTracer(), false)
+	cf.cached.Tune(cf.settings)
 	cf.cachedEpochs = epochs
 	return cf.cached, nil
 }
 
 // Name identifies the follower (router.Node).
 func (cf *ClusterFollower) Name() string { return cf.name }
-
-// Ready reports whether every shard holds servable state (router.Node).
-func (cf *ClusterFollower) Ready() bool {
-	for _, sub := range cf.followers {
-		if !sub.Ready() {
-			return false
-		}
-	}
-	return true
-}
 
 // Lag reports the worst shard's lag (router.Node); ok only once every
 // shard has heard its primary's head.
@@ -995,118 +850,29 @@ func (cf *ClusterFollower) Status() []FollowerReport {
 	return out
 }
 
-func (cf *ClusterFollower) SearchCtx(ctx context.Context, user access.User, q core.FormQuery) (core.Result, error) {
-	c, err := cf.backend()
-	if err != nil {
-		return core.Result{}, err
-	}
-	return c.SearchCtx(ctx, user, q)
-}
-
-func (cf *ClusterFollower) SearchExplain(ctx context.Context, user access.User, q core.FormQuery) (core.Result, *core.Explanation, error) {
-	c, err := cf.backend()
-	if err != nil {
-		return core.Result{}, nil, err
-	}
-	return c.SearchExplain(ctx, user, q)
-}
-
-func (cf *ClusterFollower) KeywordSearchCtx(ctx context.Context, query string, limit int) []siapi.DocHit {
-	c, err := cf.backend()
-	if err != nil {
-		return nil
-	}
-	return c.KeywordSearchCtx(ctx, query, limit)
-}
-
-func (cf *ClusterFollower) KeywordCount(query string) int {
-	c, err := cf.backend()
-	if err != nil {
-		return 0
-	}
-	return c.KeywordCount(query)
-}
-
-func (cf *ClusterFollower) ExploreCtx(ctx context.Context, user access.User, dealID string, q core.FormQuery) ([]siapi.DocHit, error) {
-	c, err := cf.backend()
-	if err != nil {
-		return nil, err
-	}
-	return c.ExploreCtx(ctx, user, dealID, q)
-}
-
-func (cf *ClusterFollower) SimilarDeals(user access.User, dealID string, k int) ([]synopsis.SimilarHit, error) {
-	c, err := cf.backend()
-	if err != nil {
-		return nil, err
-	}
-	return c.SimilarDeals(user, dealID, k)
-}
-
-func (cf *ClusterFollower) Deal(user access.User, dealID string) (synopsis.Deal, error) {
-	c, err := cf.backend()
-	if err != nil {
-		return synopsis.Deal{}, err
-	}
-	return c.Deal(user, dealID)
-}
-
-func (cf *ClusterFollower) Registry() *obs.Registry { return cf.metrics }
-
-func (cf *ClusterFollower) RequestTracer() *trace.Tracer { return cf.tracer }
-
-func (cf *ClusterFollower) Log() *qlog.Log { return nil }
-
-func (cf *ClusterFollower) CoreEngine() *core.Engine {
-	if c, err := cf.backend(); err == nil {
-		return c.Engine
-	}
-	return nil
-}
-
-// NewHealth builds the cluster replica's readiness registry: one critical
-// repl check per shard plus a per-shard index check.
-func (cf *ClusterFollower) NewHealth(opts HealthOptions) *health.Registry {
-	reg := health.NewRegistry(cf.metrics)
+// Checks names the cluster replica's readiness checks: replication and
+// index per shard, then the scatter-gather view's (serving.Admin).
+func (cf *ClusterFollower) Checks(opts HealthOptions) []health.Check {
+	shards := make([]*System, len(cf.followers))
 	for i, sub := range cf.followers {
-		i, sub := i, sub
-		reg.Register(fmt.Sprintf("repl:shard-%d", i), true, func() health.Result {
-			sys := sub.sys.Load()
-			st := sub.client.Status()
-			if sys == nil {
-				return health.Failedf("initial sync not complete (client %s)", st.State)
-			}
-			lag, ok := sub.Lag()
-			if !ok {
-				return health.Degradedf("no primary heartbeat yet (client %s)", st.State)
-			}
-			if cf.maxLag > 0 && lag > cf.maxLag {
-				return health.Failedf("lag %d records exceeds bound %d", lag, cf.maxLag)
-			}
-			return health.OKf("client %s, lag %d records", st.State, lag)
-		})
+		shards[i] = sub.sys.Load()
 	}
-	return reg
+	return stateChecks(shards, true, cf.BreakerStates(), cf.followers, opts)
 }
 
-// AppSampler delegates to the scatter-gather view when available.
-func (cf *ClusterFollower) AppSampler(sloEng *slo.Engine) func(prev, cur *runtimetel.Sample) {
-	return func(prev, cur *runtimetel.Sample) {
-		c, err := cf.backend()
-		if err != nil {
-			if sloEng != nil {
-				sloEng.Tick(cur.Time)
-			}
-			return
-		}
-		c.AppSampler(sloEng)(prev, cur)
+// Tune installs the operator's settings on the scatter-gather view, now and
+// at every rebuild; snapshot retention reaches each shard's replica.
+func (cf *ClusterFollower) Tune(set serving.Settings) {
+	cf.mu.Lock()
+	defer cf.mu.Unlock()
+	cf.settings = set
+	if cf.cached != nil {
+		cf.cached.Tune(set)
+	}
+	for _, sub := range cf.followers {
+		sub.Tune(serving.Settings{SnapshotKeep: set.SnapshotKeep})
 	}
 }
 
-// EnableWAL is refused (see Follower.EnableWAL).
-func (cf *ClusterFollower) EnableWAL(dir string, syncEvery int) error {
-	return errors.New("eil: a follower does not journal; its durability follows the primary's checkpoints")
-}
-
-// CloseWAL is a no-op.
-func (cf *ClusterFollower) CloseWAL() error { return nil }
+// Save is a no-op (see Follower.Save).
+func (cf *ClusterFollower) Save(dir string) error { return nil }

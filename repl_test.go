@@ -316,7 +316,7 @@ func TestRouterServesThroughFollowerChurn(t *testing.T) {
 	waitApplied(t, f1, primarySeq(sys))
 	waitApplied(t, f2, primarySeq(sys))
 
-	rt := router.New(sys, sys.RouterNode("primary"), []router.Node{f1, f2}, router.Options{})
+	rt := router.New(sys, router.PrimaryNode("primary", sys), []router.Node{f1, f2}, router.Options{})
 	q := differentialQueries()[0]
 	var served atomic.Int64
 	read := func() {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/health"
+	"repro/internal/serving"
 	"repro/internal/synth"
 )
 
@@ -432,7 +433,7 @@ func TestShardedBreakerOpensAndHealthDegrades(t *testing.T) {
 		}
 	}
 
-	rep := cluster.NewHealth(HealthOptions{}).Evaluate()
+	rep := serving.NewHealth(cluster, HealthOptions{}).Evaluate()
 	if rep.Verdict != health.VerdictDegraded {
 		t.Fatalf("cluster health = %q with an open shard breaker, want degraded (causes %v)", rep.Verdict, rep.Causes)
 	}

@@ -1,141 +1,57 @@
 package eil
 
 import (
-	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/health"
-	"repro/internal/runtimetel"
-	"repro/internal/slo"
+	"repro/internal/serving"
 )
 
-// HealthOptions tunes the component checks NewHealth registers.
-type HealthOptions struct {
-	// Collector, when set, supplies the runtime watermark readings
-	// (goroutines, heap); without one the goroutine check falls back to
-	// runtime.NumGoroutine and the heap check is skipped.
-	Collector *runtimetel.Collector
-	// SnapshotInterval is the expected checkpoint cadence; the freshness
-	// check degrades when the last checkpoint is older than three times it.
-	// Zero disables the freshness check (manual-save deployments).
-	SnapshotInterval time.Duration
-	// MaxGoroutines is the goroutine watermark (0 = 10000).
-	MaxGoroutines int
-	// MaxHeapBytes is the heap-live watermark (0 disables the heap check).
-	MaxHeapBytes uint64
-}
+// HealthOptions tunes the component checks serving.NewHealth evaluates.
+type HealthOptions = serving.HealthOptions
 
-// NewHealth builds the system's readiness registry: the component checks
-// /readyz evaluates on every poll. Criticality mirrors what each failure
-// means for traffic — a missing index or dead journal makes answers wrong
-// or lossy (critical, "unready"), while an open breaker or stale snapshot
-// means the resilience envelope is already serving reduced answers
-// (non-critical, "degraded" — still a 503 so load balancers drain the
-// instance, but the verdict names the softer state).
-func (s *System) NewHealth(opts HealthOptions) *health.Registry {
-	reg := health.NewRegistry(s.Metrics)
-	if opts.MaxGoroutines <= 0 {
-		opts.MaxGoroutines = 10000
-	}
+// Every deployment shape is a whole serving.Backend.
+var (
+	_ serving.Backend = (*System)(nil)
+	_ serving.Backend = (*Cluster)(nil)
+	_ serving.Backend = (*Follower)(nil)
+	_ serving.Backend = (*ClusterFollower)(nil)
+	_ serving.Backend = (*HANode)(nil)
+)
 
-	reg.Register("index", true, func() health.Result {
-		if s.Index == nil {
-			return health.Failedf("no index attached")
+// stateChecks names the readiness checks for a deployment's current state:
+// its shard list (length 1 for a monolith; a nil entry is a replica shard
+// whose first state has not landed), the circuits its searches run through,
+// and — on a replica — the follower each shard replicates through. Every
+// shape's Checks is this function over its own view, called per evaluation.
+//
+// Criticality mirrors what each failure means for traffic — a missing
+// index, a dead journal or a stale replica makes answers wrong or lossy
+// (critical, "unready"), while an open breaker or stale snapshot means the
+// resilience envelope is already serving reduced answers (non-critical,
+// "degraded" — still a 503 so load balancers drain the instance, but the
+// verdict names the softer state).
+func stateChecks(shards []*System, sharded bool, breakers []core.BreakerStatus, repl []*Follower, opts HealthOptions) []health.Check {
+	var checks []health.Check
+	for i, s := range shards {
+		sfx := ""
+		if sharded {
+			sfx = ":" + ShardName(i)
 		}
-		return health.OKf("%d docs, epoch %d", s.Index.DocCount(), s.Index.Generation())
-	})
-
-	for _, backend := range []string{core.BackendSynopsis, core.BackendSIAPI} {
-		backend := backend
-		reg.Register("breaker:"+backend, false, func() health.Result {
-			if s.Engine == nil {
-				return health.OKf("no engine")
-			}
-			switch state := s.Engine.BreakerState(backend); state {
-			case "open":
-				return health.Degradedf("circuit open; searches degrade around %s", backend)
-			case "half-open":
-				return health.Degradedf("circuit half-open; probing %s", backend)
-			default:
-				return health.OKf("closed")
-			}
-		})
-	}
-
-	reg.Register("wal", true, func() health.Result {
-		enabled, err := s.WALProbe()
-		if !enabled {
-			return health.OKf("journal not configured")
+		if repl != nil {
+			checks = append(checks, health.Check{Name: "repl" + sfx, Critical: true, Fn: repl[i].replCheck})
 		}
-		if err != nil {
-			return health.Failedf("journal not appendable: %v", err)
-		}
-		return health.OKf("appendable")
-	})
-
-	reg.Register("snapshots", false, func() health.Result {
-		gen, at := s.LastCheckpoint()
-		if opts.SnapshotInterval <= 0 || at.IsZero() {
-			return health.OKf("gen %d; periodic checkpointing not configured", gen)
-		}
-		age := time.Since(at)
-		if age > 3*opts.SnapshotInterval {
-			return health.Degradedf("gen %d is %s old (expected every %s)", gen, age.Round(time.Second), opts.SnapshotInterval)
-		}
-		return health.OKf("gen %d, %s old", gen, age.Round(time.Second))
-	})
-
-	reg.Register("goroutines", false, func() health.Result {
-		n := runtime.NumGoroutine()
-		if opts.Collector != nil {
-			if smp, ok := opts.Collector.Latest(); ok {
-				n = smp.Goroutines
-			}
-		}
-		if n > opts.MaxGoroutines {
-			return health.Degradedf("%d goroutines (watermark %d); likely a leak", n, opts.MaxGoroutines)
-		}
-		return health.OKf("%d goroutines", n)
-	})
-
-	if opts.MaxHeapBytes > 0 && opts.Collector != nil {
-		reg.Register("heap", false, func() health.Result {
-			smp, ok := opts.Collector.Latest()
-			if !ok {
-				return health.OKf("no sample yet")
-			}
-			if smp.HeapLiveBytes > opts.MaxHeapBytes {
-				return health.Degradedf("heap live %d bytes over watermark %d", smp.HeapLiveBytes, opts.MaxHeapBytes)
-			}
-			return health.OKf("heap live %d bytes", smp.HeapLiveBytes)
-		})
-	}
-
-	return reg
-}
-
-// NewHealth builds the cluster's readiness registry: one index and WAL
-// check per shard, plus per-backend breaker checks that walk every shard's
-// circuit — the cluster reports degraded as soon as any shard's breaker is
-// not closed, because searches are already serving reduced answers around
-// that shard.
-func (c *Cluster) NewHealth(opts HealthOptions) *health.Registry {
-	reg := health.NewRegistry(c.Metrics)
-	if opts.MaxGoroutines <= 0 {
-		opts.MaxGoroutines = 10000
-	}
-
-	for i, s := range c.Shards {
-		i, s := i, s
-		reg.Register(fmt.Sprintf("index:shard-%d", i), true, func() health.Result {
-			if s.Index == nil {
+		checks = append(checks, health.Check{Name: "index" + sfx, Critical: true, Fn: func() health.Result {
+			if s == nil || s.Index == nil {
 				return health.Failedf("no index attached")
 			}
 			return health.OKf("%d docs, epoch %d", s.Index.DocCount(), s.Index.Generation())
-		})
-		reg.Register(fmt.Sprintf("wal:shard-%d", i), true, func() health.Result {
+		}})
+		if repl != nil {
+			continue // a replica does not journal: its durability is the primary's
+		}
+		checks = append(checks, health.Check{Name: "wal" + sfx, Critical: true, Fn: func() health.Result {
 			enabled, err := s.WALProbe()
 			if !enabled {
 				return health.OKf("journal not configured")
@@ -144,18 +60,18 @@ func (c *Cluster) NewHealth(opts HealthOptions) *health.Registry {
 				return health.Failedf("journal not appendable: %v", err)
 			}
 			return health.OKf("appendable")
-		})
+		}})
 	}
 
 	for _, backend := range []string{core.BackendSynopsis, core.BackendSIAPI} {
-		backend := backend
-		reg.Register("breaker:"+backend, false, func() health.Result {
-			if c.Engine == nil {
-				return health.OKf("no engine")
-			}
-			open, probing := 0, 0
-			for _, state := range c.Engine.ShardBreakerStates(backend) {
-				switch state {
+		checks = append(checks, health.Check{Name: "breaker:" + backend, Fn: func() health.Result {
+			total, open, probing := 0, 0, 0
+			for _, b := range breakers {
+				if b.Backend != backend {
+					continue
+				}
+				total++
+				switch b.State {
 				case "open":
 					open++
 				case "half-open":
@@ -163,147 +79,90 @@ func (c *Cluster) NewHealth(opts HealthOptions) *health.Registry {
 				}
 			}
 			switch {
+			case total == 0:
+				return health.OKf("no engine")
 			case open > 0:
-				return health.Degradedf("%d of %d shard circuits open; searches degrade around them", open, len(c.Shards))
+				return health.Degradedf("%d of %d %s circuits open; searches degrade around them", open, total, backend)
 			case probing > 0:
-				return health.Degradedf("%d of %d shard circuits half-open; probing", probing, len(c.Shards))
+				return health.Degradedf("%d of %d %s circuits half-open; probing", probing, total, backend)
 			default:
-				return health.OKf("all %d shard circuits closed", len(c.Shards))
+				return health.OKf("all %d closed", total)
 			}
-		})
+		}})
 	}
 
-	reg.Register("snapshots", false, func() health.Result {
-		var oldest time.Time
+	checks = append(checks, health.Check{Name: "snapshots", Fn: func() health.Result {
+		// The oldest shard checkpoint is the one a restart would replay the
+		// most journal on top of.
 		var gen uint64
-		configured := false
-		for _, s := range c.Shards {
-			g, at := s.LastCheckpoint()
-			gen = g
-			if at.IsZero() {
+		var oldest time.Time
+		for _, s := range shards {
+			if s == nil {
 				continue
 			}
-			configured = true
-			if oldest.IsZero() || at.Before(oldest) {
-				oldest = at
+			g, at := s.LastCheckpoint()
+			if oldest.IsZero() || (!at.IsZero() && at.Before(oldest)) {
+				gen, oldest = g, at
 			}
 		}
-		if opts.SnapshotInterval <= 0 || !configured {
-			return health.OKf("gen %d; periodic checkpointing not configured", gen)
+		if oldest.IsZero() {
+			return health.OKf("gen %d; no checkpoint taken by this process", gen)
 		}
 		age := time.Since(oldest)
-		if age > 3*opts.SnapshotInterval {
-			return health.Degradedf("oldest shard checkpoint is %s old (expected every %s)", age.Round(time.Second), opts.SnapshotInterval)
+		if opts.SnapshotInterval > 0 && age > 3*opts.SnapshotInterval {
+			return health.Degradedf("gen %d is %s old (expected every %s)", gen, age.Round(time.Second), opts.SnapshotInterval)
 		}
-		return health.OKf("oldest shard checkpoint %s old", age.Round(time.Second))
-	})
+		return health.OKf("gen %d, %s old", gen, age.Round(time.Second))
+	}})
 
-	reg.Register("goroutines", false, func() health.Result {
-		n := runtime.NumGoroutine()
-		if opts.Collector != nil {
-			if smp, ok := opts.Collector.Latest(); ok {
-				n = smp.Goroutines
-			}
-		}
-		if n > opts.MaxGoroutines {
-			return health.Degradedf("%d goroutines (watermark %d); likely a leak", n, opts.MaxGoroutines)
-		}
-		return health.OKf("%d goroutines", n)
-	})
-
-	if opts.MaxHeapBytes > 0 && opts.Collector != nil {
-		reg.Register("heap", false, func() health.Result {
-			smp, ok := opts.Collector.Latest()
-			if !ok {
-				return health.OKf("no sample yet")
-			}
-			if smp.HeapLiveBytes > opts.MaxHeapBytes {
-				return health.Degradedf("heap live %d bytes over watermark %d", smp.HeapLiveBytes, opts.MaxHeapBytes)
-			}
-			return health.OKf("heap live %d bytes", smp.HeapLiveBytes)
-		})
-	}
-
-	return reg
+	return append(checks, serving.RuntimeChecks(opts)...)
 }
 
-// AppSampler is the cluster-side runtimetel sampler: same one-screen
-// numbers as System.AppSampler, with breakers_open counting every shard's
-// circuits across both backend hops.
-func (c *Cluster) AppSampler(sloEng *slo.Engine) func(prev, cur *runtimetel.Sample) {
-	return func(prev, cur *runtimetel.Sample) {
-		if sloEng != nil {
-			sloEng.Tick(cur.Time)
-		}
-		app := map[string]float64{}
-		if c.Metrics != nil {
-			h := c.Metrics.Histogram("http_requests_overall_seconds", nil)
-			count := float64(h.Count())
-			app["http_requests_total"] = count
-			app["http_p99_seconds"] = h.Quantile(0.99)
-			if prev != nil && prev.App != nil {
-				if dt := cur.Time.Sub(prev.Time).Seconds(); dt > 0 {
-					if d := count - prev.App["http_requests_total"]; d >= 0 {
-						app["qps"] = d / dt
-					}
-				}
-			}
-		}
-		if sloEng != nil {
-			app["slo_burn"] = sloEng.PeakBurn()
-		}
-		if c.Engine != nil {
-			open := 0.0
-			for _, b := range []string{core.BackendSynopsis, core.BackendSIAPI} {
-				for _, state := range c.Engine.ShardBreakerStates(b) {
-					if state != "closed" {
-						open++
-					}
-				}
-			}
-			app["breakers_open"] = open
-		}
-		cur.App = app
-	}
+// Ready reports that a system always has state to answer from
+// (serving.Queries); replicas and failover nodes are the shapes that may not.
+func (s *System) Ready() bool { return true }
+
+// BreakerStates lists the search engine's circuits (serving.Telemetry).
+func (s *System) BreakerStates() []core.BreakerStatus { return s.Engine.BreakerStates() }
+
+// Checks names the system's readiness checks (serving.Admin).
+func (s *System) Checks(opts HealthOptions) []health.Check {
+	return stateChecks([]*System{s}, false, s.BreakerStates(), nil, opts)
 }
 
-// AppSampler returns a runtimetel AppSampler that folds the application's
-// one-screen numbers into every runtime sample: aggregate QPS and p99 from
-// the HTTP middleware's overall histogram, the SLO engine's peak burn rate,
-// and how many circuit breakers are currently not closed. It also drives
-// the SLO engine's tick, so one goroutine (the collector's) paces the whole
-// judgment layer.
-func (s *System) AppSampler(sloEng *slo.Engine) func(prev, cur *runtimetel.Sample) {
-	return func(prev, cur *runtimetel.Sample) {
-		if sloEng != nil {
-			sloEng.Tick(cur.Time)
-		}
-		app := map[string]float64{}
-		if s.Metrics != nil {
-			h := s.Metrics.Histogram("http_requests_overall_seconds", nil)
-			count := float64(h.Count())
-			app["http_requests_total"] = count
-			app["http_p99_seconds"] = h.Quantile(0.99)
-			if prev != nil && prev.App != nil {
-				if dt := cur.Time.Sub(prev.Time).Seconds(); dt > 0 {
-					if d := count - prev.App["http_requests_total"]; d >= 0 {
-						app["qps"] = d / dt
-					}
-				}
-			}
-		}
-		if sloEng != nil {
-			app["slo_burn"] = sloEng.PeakBurn()
-		}
-		if s.Engine != nil {
-			open := 0.0
-			for _, b := range []string{core.BackendSynopsis, core.BackendSIAPI} {
-				if s.Engine.BreakerState(b) != "closed" {
-					open++
-				}
-			}
-			app["breakers_open"] = open
-		}
-		cur.App = app
+// Tune installs the operator's settings (serving.Admin). Call it before the
+// system serves traffic: searches read the engine's policy and the query log
+// unsynchronized. Snapshot retention is read by checkpoints and by a shipper
+// that may already be serving, so it changes under upMu.
+func (s *System) Tune(set serving.Settings) {
+	if s.Engine != nil {
+		s.Engine.Resilient, s.Engine.Faults = set.Resilience, set.Faults
 	}
+	s.QueryLog = set.QueryLog
+	s.upMu.Lock()
+	s.SnapshotKeep = set.SnapshotKeep
+	s.upMu.Unlock()
+}
+
+// Ready reports that a cluster always has state to answer from.
+func (c *Cluster) Ready() bool { return true }
+
+// BreakerStates lists the coordinator's per-shard circuits.
+func (c *Cluster) BreakerStates() []core.BreakerStatus { return c.Engine.BreakerStates() }
+
+// Checks names the cluster's readiness checks: index and journal per shard,
+// and breaker checks that report degraded as soon as any shard's circuit is
+// not closed, because searches are already serving reduced answers around
+// that shard.
+func (c *Cluster) Checks(opts HealthOptions) []health.Check {
+	return stateChecks(c.Shards, true, c.BreakerStates(), nil, opts)
+}
+
+// Tune installs the operator's settings on the coordinator; SnapshotKeep
+// reaches the shards at the next Checkpoint.
+func (c *Cluster) Tune(set serving.Settings) {
+	if c.Engine != nil {
+		c.Engine.Resilient, c.Engine.Faults = set.Resilience, set.Faults
+	}
+	c.QueryLog, c.SnapshotKeep = set.QueryLog, set.SnapshotKeep
 }
