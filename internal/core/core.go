@@ -164,19 +164,10 @@ type Engine struct {
 	// slice must not change after the first search.
 	Shards []ShardBackend
 
-	// synMemo lazily memoizes synopsis query results keyed on the store's
-	// generation counter (see memo.go).
-	synOnce sync.Once
-	synMemo *lru.Cache[string, []synopsis.Hit]
 	// statsOnce/statsMemo memoize merged cluster scoring stats per
 	// compiled query + cluster epoch (sharded search only; see shard.go).
 	statsOnce sync.Once
 	statsMemo *lru.Cache[string, *index.Stats]
-	// synShardMemos holds one synopsis memo per shard: each shard's store
-	// has its own generation counter, and an lru.Cache tracks exactly one
-	// epoch, so shards cannot share a cache without cross-flushing.
-	synShardOnce  sync.Once
-	synShardMemos []*lru.Cache[string, []synopsis.Hit]
 	// breakers holds the lazily built per-key circuit breakers; brMu
 	// guards the map, not the breakers (each has its own lock).
 	brMu     sync.Mutex
@@ -184,9 +175,9 @@ type Engine struct {
 }
 
 // Derive returns a new Engine sharing this engine's stores and
-// configuration. Engines must not be copied by value (they carry memo
-// state); Derive is the supported way to tweak settings — ablations flip
-// DisableScoping or the rank weights on a derived engine.
+// configuration. Engines must not be copied by value (they carry breaker
+// and memo state); Derive is the supported way to tweak settings —
+// ablations flip DisableScoping or the rank weights on a derived engine.
 func (e *Engine) Derive() *Engine {
 	return &Engine{
 		Synopses:       e.Synopses,
@@ -345,7 +336,7 @@ func (e *Engine) search(ctx context.Context, user access.User, q FormQuery) (Res
 			cached bool
 		}
 		out, err := resilientCall(sctx, e, BackendSynopsis, func(c context.Context) (synOut, error) {
-			hits, cached, err := e.synopsisSearch(c, sq)
+			hits, cached, err := e.synopsisSearch(c, e.Synopses, sq)
 			return synOut{hits, cached}, err
 		})
 		if sp != nil {
@@ -556,6 +547,19 @@ func topKActivities(all []Activity, limit int) []Activity {
 	}
 	sort.Slice(h, func(i, j int) bool { return activityWorse(&h[j], &h[i]) })
 	return h
+}
+
+// synopsisSearch runs the synopsis query against one store (the monolith's,
+// or one shard's) and counts whether the store's memo served it; the flag
+// goes on the caller's trace span.
+func (e *Engine) synopsisSearch(ctx context.Context, store *synopsis.Store, sq synopsis.Query) ([]synopsis.Hit, bool, error) {
+	hits, cached, err := store.SearchCached(ctx, sq)
+	if cached {
+		e.Metrics.Counter("synopsis_cache_hits_total").Inc()
+	} else {
+		e.Metrics.Counter("synopsis_cache_misses_total").Inc()
+	}
+	return hits, cached, err
 }
 
 // synopsesFor returns the synopsis store owning dealID: the single store

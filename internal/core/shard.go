@@ -155,32 +155,6 @@ func (e *Engine) clusterEpoch() string {
 	return b.String()
 }
 
-// shardSynopsisSearch is the per-shard synopsis query behind a per-shard
-// epoch-invalidated memo (each shard's store has its own generation
-// counter, so the memos cannot share one cache).
-func (e *Engine) shardSynopsisSearch(ctx context.Context, i int, sb *ShardBackend, sq synopsis.Query) ([]synopsis.Hit, bool, error) {
-	e.synShardOnce.Do(func() {
-		e.synShardMemos = make([]*lru.Cache[string, []synopsis.Hit], len(e.Shards))
-		for j := range e.synShardMemos {
-			e.synShardMemos[j] = lru.New[string, []synopsis.Hit](synopsisMemoSize)
-		}
-	})
-	memo := e.synShardMemos[i]
-	key := synopsisKey(sq)
-	epoch := sb.Synopses.Generation()
-	if hits, ok := memo.Get(key, epoch); ok {
-		e.Metrics.Counter("synopsis_cache_hits_total").Inc()
-		return cloneSynHits(hits), true, nil
-	}
-	e.Metrics.Counter("synopsis_cache_misses_total").Inc()
-	hits, err := sb.Synopses.SearchCtx(ctx, sq)
-	if err != nil {
-		return nil, false, err
-	}
-	memo.Put(key, epoch, cloneSynHits(hits))
-	return hits, false, nil
-}
-
 // clusterStats runs the statistics phase of the two-phase scoring
 // protocol: scatter per-shard stats collection for dq, merge. Per-shard
 // failures come back in errs (the caller treats a shard that cannot
@@ -284,7 +258,7 @@ func (e *Engine) searchSharded(ctx context.Context, user access.User, q FormQuer
 		}
 		outs := scatterShards(sctx, e, "search.synopsis.shard", func(c context.Context, i int, sb *ShardBackend) (synOut, error) {
 			return resilientCall(c, e, shardBreakerName(BackendSynopsis, sb.Name), func(cc context.Context) (synOut, error) {
-				hits, cached, err := e.shardSynopsisSearch(cc, i, sb, sq)
+				hits, cached, err := e.synopsisSearch(cc, sb.Synopses, sq)
 				return synOut{hits, cached}, err
 			})
 		})

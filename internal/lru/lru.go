@@ -1,10 +1,13 @@
-// Package lru provides a small epoch-invalidated LRU cache for query
-// results. The epoch is an external generation counter (for EIL, the index
-// or synopsis-store mutation count): every entry is stored under the epoch
-// current at compute time, and the first access at a newer epoch flushes the
-// whole cache. That makes invalidation free for writers — they bump a
-// counter and never touch the cache — at the cost of a cold cache after
-// every write, the right trade for EIL's read-heavy, slowly-changing corpus.
+// Package lru provides a small LRU cache for query results with two ways to
+// invalidate, chosen per cache by what its entries depend on. An entry that
+// is a function of one known thing (a deal's synopsis, a memoized synopsis
+// query, an immutable document's snippet) lives under a constant epoch, and
+// the writer removes exactly what it changed with Remove or RemoveFunc; the
+// rest stays warm. An entry that depends on the whole collection (a BM25 score
+// reads N, df and average field length, which every add changes) is stored
+// under an external generation counter: the first access at a newer epoch
+// flushes the cache, so the writer only bumps a counter, at the cost of a
+// cold cache after every write.
 package lru
 
 import "sync"
@@ -79,6 +82,34 @@ func (c *Cache[K, V]) Put(key K, epoch uint64, val V) {
 	if len(c.items) > c.cap {
 		c.evict(c.tail)
 	}
+}
+
+// Remove drops key and reports whether it was cached.
+func (c *Cache[K, V]) Remove(key K) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.items[key]
+	if ok {
+		c.evict(e)
+	}
+	return ok
+}
+
+// RemoveFunc drops every entry drop reports true for and returns how many
+// went. drop runs under the cache lock and must not call back into c.
+func (c *Cache[K, V]) RemoveFunc(drop func(K, V) bool) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for e := c.head; e != nil; {
+		next := e.next
+		if drop(e.key, e.val) {
+			c.evict(e)
+			n++
+		}
+		e = next
+	}
+	return n
 }
 
 // Len reports the number of cached entries.

@@ -69,6 +69,58 @@ func TestEpochFlush(t *testing.T) {
 	}
 }
 
+// TestRemove is the scoped discipline: under a constant epoch a writer
+// removes what it changed and the rest stays cached, in its use order.
+func TestRemove(t *testing.T) {
+	c := New[string, int](3)
+	c.Put("a", 0, 1)
+	c.Put("b", 0, 2)
+	c.Put("c", 0, 3)
+	if !c.Remove("b") || c.Remove("b") || c.Remove("nope") {
+		t.Fatal("Remove must report whether the key was cached")
+	}
+	if _, ok := c.Get("b", 0); ok || c.Len() != 2 {
+		t.Fatalf("b survived Remove: Len = %d", c.Len())
+	}
+	// The use list is intact: "a" is least recent and goes first.
+	c.Put("d", 0, 4)
+	c.Put("e", 0, 5)
+	if _, ok := c.Get("a", 0); ok {
+		t.Fatal("a survived eviction after a Remove")
+	}
+	for k, want := range map[string]int{"c": 3, "d": 4, "e": 5} {
+		if v, ok := c.Get(k, 0); !ok || v != want {
+			t.Fatalf("%s = %d, %v", k, v, ok)
+		}
+	}
+}
+
+func TestRemoveFunc(t *testing.T) {
+	c := New[int, int](8)
+	for i := 0; i < 8; i++ {
+		c.Put(i, 0, i*i)
+	}
+	if n := c.RemoveFunc(func(k, v int) bool { return k%2 == 1 && v == k*k }); n != 4 {
+		t.Fatalf("removed %d, want the 4 odd keys", n)
+	}
+	if n := c.RemoveFunc(func(int, int) bool { return false }); n != 0 || c.Len() != 4 {
+		t.Fatalf("a false predicate removed %d; Len = %d", n, c.Len())
+	}
+	for i := 0; i < 8; i++ {
+		if _, ok := c.Get(i, 0); ok != (i%2 == 0) {
+			t.Fatalf("key %d cached = %v", i, ok)
+		}
+	}
+	// Head, tail and everything between can go; the cache still works.
+	if n := c.RemoveFunc(func(int, int) bool { return true }); n != 4 || c.Len() != 0 {
+		t.Fatalf("removed %d, Len = %d", n, c.Len())
+	}
+	c.Put(9, 0, 81)
+	if v, ok := c.Get(9, 0); !ok || v != 81 {
+		t.Fatalf("cache unusable after removing everything: %d, %v", v, ok)
+	}
+}
+
 func TestCapacityFloor(t *testing.T) {
 	c := New[int, int](0)
 	c.Put(1, 0, 1)
@@ -89,6 +141,10 @@ func TestConcurrent(t *testing.T) {
 				epoch := uint64(i / 100)
 				c.Put(key, epoch, i)
 				c.Get(key, epoch)
+				if i%7 == 0 {
+					c.Remove(key)
+					c.RemoveFunc(func(_ string, v int) bool { return v%11 == 0 })
+				}
 			}
 		}(w)
 	}

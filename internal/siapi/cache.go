@@ -5,7 +5,8 @@ package siapi
 // and Count results in small LRUs keyed on a canonical encoding of the
 // query plus the index's generation counter. Any index write bumps the
 // counter, so the first query after a write sees a flushed cache; writers
-// never touch the cache at all.
+// never touch the cache at all. A score reads N, df and the average field
+// length, which every add changes; snippets do not and outlive writes.
 
 import (
 	"strconv"
@@ -118,8 +119,9 @@ func cloneHits(hits []DocHit) []DocHit {
 }
 
 // snippet returns the highlighted extract for doc against terms, memoized
-// per (document, terms) under the index generation. Strings are immutable,
-// so the cached value is shared without cloning.
+// per (document, terms) for the engine's lifetime: a document's stored text
+// never changes (Add rejects a live ExtID, DocIDs are not reused, Compact
+// builds a new Engine). Strings are immutable, so the value is shared.
 func (e *Engine) snippet(doc index.DocID, terms []string) string {
 	if e.snipCache == nil {
 		return e.ix.Snippet(doc, FieldBody, terms, snippetWidth)
@@ -133,12 +135,11 @@ func (e *Engine) snippet(doc index.DocID, terms []string) string {
 		b.WriteString(t)
 	}
 	key := b.String()
-	epoch := e.ix.Generation()
-	if s, ok := e.snipCache.Get(key, epoch); ok {
+	if s, ok := e.snipCache.Get(key, 0); ok {
 		return s
 	}
 	s := e.ix.Snippet(doc, FieldBody, terms, snippetWidth)
-	e.snipCache.Put(key, epoch, s)
+	e.snipCache.Put(key, 0, s)
 	return s
 }
 

@@ -212,3 +212,37 @@ func TestSearchCountConcurrentWithWrites(t *testing.T) {
 		t.Fatalf("count %d, page %d, index %d, want 102", got, page, want)
 	}
 }
+
+// TestSnippetCacheSurvivesWrites: a snippet is a function of (document,
+// terms) and a document's stored text never changes, so index writes leave
+// the snippet cache alone while the hit cache next to it is flushed, and the
+// snippets served after a write equal freshly generated ones.
+func TestSnippetCacheSurvivesWrites(t *testing.T) {
+	e := newEngine(t)
+	q := Query{All: []string{"storage"}}
+	first := e.Search(q, 10)
+	cached := e.snipCache.Len()
+	if len(first) == 0 || cached == 0 {
+		t.Fatalf("%d hits, %d cached snippets", len(first), cached)
+	}
+	if _, err := e.Index().Add(index.Document{
+		ExtID:  "new/storage.doc",
+		Fields: []index.Field{{Name: FieldBody, Text: "more storage services"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Index().Delete(first[len(first)-1].Path); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.snipCache.Len(); got != cached {
+		t.Fatalf("writes changed the snippet cache: %d -> %d entries", cached, got)
+	}
+	after := e.Search(q, 10)
+	if got := e.snipCache.Len(); got != cached+1 {
+		t.Fatalf("re-read generated %d snippets, want only the new document's", got-cached)
+	}
+	fresh := NewEngine(e.Index()).Search(q, 10)
+	if !reflect.DeepEqual(after, fresh) {
+		t.Fatalf("snippets served across writes differ from fresh ones:\n%v\n%v", after, fresh)
+	}
+}

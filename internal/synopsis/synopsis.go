@@ -11,7 +11,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/fault"
@@ -72,23 +74,33 @@ var ErrNotFound = errors.New("synopsis: deal not found")
 // Store persists synopses. Create with NewStore.
 type Store struct {
 	conn *sqlx.Conn
-	// gen counts mutations (Put, Delete); query memoizers key on it so any
-	// synopsis write invalidates without coordination.
-	gen atomic.Uint64
-	// getMemo caches assembled Deal values by ID under the mutation epoch:
-	// Get issues six relational queries, and the search presentation layer
-	// asks for every ranked activity's synopsis on every search. Values are
-	// deep-cloned on both sides of the cache boundary, so callers may
-	// mutate what they receive.
+	// gen counts mutations (Put, Delete) and memoMu orders a reader's
+	// insert-if-unchanged against a writer's bump-and-remove (memo.go). gen
+	// is not a cache key: a write removes the entries it changed, no more.
+	gen    atomic.Uint64
+	memoMu sync.Mutex
+	// getMemo caches assembled Deal values by ID: Get issues six relational
+	// queries, and the search presentation layer asks for every ranked
+	// activity's synopsis on every search. Values are deep-cloned on both
+	// sides of the cache boundary, so callers may mutate what they receive.
 	getMemo *lru.Cache[string, Deal]
+	// searchMemo caches Search answers by canonical query encoding.
+	searchMemo *lru.Cache[string, memoEntry]
+	dropped    atomic.Uint64 // see MemoDropped
+	midGet     func()        // tests only: runs between Get's first two statements
 }
 
-// getMemoSize bounds the Get memo; entries are one assembled synopsis.
-const getMemoSize = 512
+// The memo bounds: entries are one assembled synopsis, and one answer per
+// form query (the form vocabulary is small; a few hundred cover it).
+const getMemoSize, searchMemoSize = 512, 256
 
-// Generation reports the store mutation epoch: it changes after every Put or
-// Delete. Caches key results on it to invalidate on write.
-func (s *Store) Generation() uint64 { return s.gen.Load() }
+func storeOn(conn *sqlx.Conn) *Store {
+	return &Store{
+		conn:       conn,
+		getMemo:    lru.New[string, Deal](getMemoSize),
+		searchMemo: lru.New[string, memoEntry](searchMemoSize),
+	}
+}
 
 // schemaStmts creates the context tables; names mirror the paper's "set of
 // tables in DB2 database as part of the corresponding business context".
@@ -142,7 +154,7 @@ func NewStore(db *relstore.DB) (*Store, error) {
 			return nil, fmt.Errorf("synopsis: schema: %w", err)
 		}
 	}
-	return &Store{conn: conn, getMemo: lru.New[string, Deal](getMemoSize)}, nil
+	return storeOn(conn), nil
 }
 
 // Open wraps a database that already carries the context schema (for
@@ -152,7 +164,7 @@ func Open(db *relstore.DB) (*Store, error) {
 	if _, err := db.Schema("deals"); err != nil {
 		return nil, fmt.Errorf("synopsis: open: %w", err)
 	}
-	return &Store{conn: sqlx.Open(db), getMemo: lru.New[string, Deal](getMemoSize)}, nil
+	return storeOn(sqlx.Open(db)), nil
 }
 
 // DB exposes the underlying engine, for persistence.
@@ -168,6 +180,7 @@ func (s *Store) Put(d Deal) error {
 	if id == "" {
 		return errors.New("synopsis: empty deal id")
 	}
+	defer s.invalidate(id, &d)
 	// Replace wholesale: the offline analysis regenerates synopses.
 	if err := s.deleteDeal(id); err != nil {
 		return err
@@ -207,12 +220,14 @@ func (s *Store) Put(d Deal) error {
 			return fmt.Errorf("synopsis: put solution: %w", err)
 		}
 	}
-	s.gen.Add(1)
 	return nil
 }
 
 // Delete removes a deal's synopsis entirely (idempotent).
-func (s *Store) Delete(id string) error { return s.deleteDeal(id) }
+func (s *Store) Delete(id string) error {
+	defer s.invalidate(id, nil)
+	return s.deleteDeal(id)
+}
 
 // clearDeal holds the statements that remove one deal, a fixed text per
 // table.
@@ -231,26 +246,22 @@ func (s *Store) deleteDeal(id string) error {
 			return fmt.Errorf("synopsis: clear %s: %w", c.table, err)
 		}
 	}
-	s.gen.Add(1)
 	return nil
 }
 
-// Get loads a full deal synopsis. Results are memoized under the store's
-// mutation epoch, so repeated lookups of a slow-changing deal cost a map
-// probe instead of six relational queries.
+// Get loads a full deal synopsis. Results are memoized until the deal is
+// next written, so repeated lookups of a slow-changing deal cost a map probe
+// instead of six relational queries.
 func (s *Store) Get(id string) (Deal, error) {
-	if s.getMemo != nil {
-		if d, ok := s.getMemo.Get(id, s.gen.Load()); ok {
-			return cloneDeal(d), nil
-		}
+	if d, ok := s.getMemo.Get(id, 0); ok {
+		return cloneDeal(d), nil
 	}
+	gen := s.gen.Load()
 	d, err := s.getUncached(id)
 	if err != nil {
 		return Deal{}, err
 	}
-	if s.getMemo != nil {
-		s.getMemo.Put(id, s.gen.Load(), cloneDeal(d))
-	}
+	s.memoize(gen, func() { s.getMemo.Put(id, 0, cloneDeal(d)) })
 	return d, nil
 }
 
@@ -291,6 +302,9 @@ func (s *Store) getUncached(id string) (Deal, error) {
 		International: boolean(row[9]),
 		Repository:    text(row[10]),
 	}, TechSolutions: map[string]string{}}
+	if s.midGet != nil {
+		s.midGet()
+	}
 
 	towers, err := s.conn.Query(`SELECT tower, subtower, significance FROM deal_towers
 		WHERE deal_id = ? ORDER BY significance DESC, tower`, id)
@@ -383,38 +397,58 @@ type Hit struct {
 	MatchedTowers []string
 }
 
-// SearchCtx is Search recording a trace span when ctx carries one: the hit
-// count and whether candidates were pre-restricted. It is also the store's
-// fault-injection boundary (site "synopsis.search"): injected errors, delay,
-// and partial-harvest rules apply here, standing in for a failing DB2.
+// SearchCtx is SearchCached without the flag.
 func (s *Store) SearchCtx(ctx context.Context, q Query) ([]Hit, error) {
+	hits, _, err := s.SearchCached(ctx, q)
+	return hits, err
+}
+
+// Search is SearchCtx outside any request: no span, no fault injector.
+func (s *Store) Search(q Query) ([]Hit, error) { return s.SearchCtx(context.Background(), q) }
+
+// SearchCached executes the synopsis query (steps 2 and 4 of the paper's
+// Figure 1) and reports whether the memo served it, recording a trace span
+// when ctx carries one: the hit count, whether candidates were
+// pre-restricted, whether the answer was memoized.
+func (s *Store) SearchCached(ctx context.Context, q Query) ([]Hit, bool, error) {
 	_, sp := trace.StartSpan(ctx, "synopsis.query")
-	hits, err := s.faultySearch(ctx, q)
+	hits, cached, err := s.search(ctx, q)
 	if sp != nil {
 		sp.SetInt("hits", len(hits))
 		sp.SetBool("restricted", len(q.RestrictTo) > 0)
+		sp.SetBool("cached", cached)
 		if err != nil {
 			sp.Set("error", err.Error())
 		}
 		sp.End()
 	}
-	return hits, err
+	return hits, cached, err
 }
 
-// faultySearch runs Search behind the injection point, truncating the hit
-// list when a partial-harvest rule fires.
-func (s *Store) faultySearch(ctx context.Context, q Query) ([]Hit, error) {
+// search answers q from the memo or, past the store's fault-injection
+// boundary (site "synopsis.search": injected errors, delay and
+// partial-harvest rules, standing in for a failing DB2), from the SQL path.
+// The full answer is memoized before a partial-harvest rule truncates it, so
+// an injected fault ends with the rule that injected it.
+func (s *Store) search(ctx context.Context, q Query) ([]Hit, bool, error) {
+	key := q.key()
+	if e, ok := s.searchMemo.Get(key, 0); ok {
+		return cloneHits(e.hits), true, nil
+	}
 	if err := fault.Inject(ctx, fault.SiteSynopsisSearch); err != nil {
-		return nil, fmt.Errorf("synopsis: query: %w", err)
+		return nil, false, fmt.Errorf("synopsis: query: %w", err)
 	}
-	hits, err := s.Search(q)
+	gen := s.gen.Load()
+	hits, err := s.searchUncached(q)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
+	q.RestrictTo = slices.Clone(q.RestrictTo)
+	s.memoize(gen, func() { s.searchMemo.Put(key, 0, memoEntry{q, cloneHits(hits)}) })
 	if keep := fault.Keep(ctx, fault.SiteSynopsisSearch, len(hits)); keep < len(hits) {
 		hits = hits[:keep]
 	}
-	return hits, nil
+	return hits, false, nil
 }
 
 // The directed queries Search issues, one per set criterion. They are
@@ -438,10 +472,9 @@ const (
 	searchPersonNameOrg = `SELECT deal_id, validated FROM contacts WHERE name LIKE ? AND org LIKE ?`
 )
 
-// Search executes the synopsis query: a set of directed SQL queries whose
-// intersection forms the candidate set, scored per criterion. This is
-// steps 2 and 4 of the paper's Figure 1.
-func (s *Store) Search(q Query) ([]Hit, error) {
+// searchUncached is the synopsis query's one evaluator: a set of directed SQL
+// queries whose intersection forms the candidate set, scored per criterion.
+func (s *Store) searchUncached(q Query) ([]Hit, error) {
 	type cand struct {
 		score   float64
 		matched []string

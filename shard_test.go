@@ -2,12 +2,16 @@ package eil
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/docmodel"
+	"repro/internal/docparse"
 	"repro/internal/fault"
 	"repro/internal/health"
 	"repro/internal/serving"
@@ -619,4 +623,65 @@ func TestShardedStreamingIngestMatchesBatch(t *testing.T) {
 			t.Errorf("keyword %q count: batch=%d streamed=%d", kw, b, s)
 		}
 	}
+}
+
+// TestShardedInterleavedWritesMatchMonolith interleaves writes with repeated
+// reads on a monolith and a 4-shard cluster: after every write (a new deal, a
+// grown deal, a removal) the whole query set is read twice — the first read
+// recomputes what the write dropped from the per-store synopsis memos, the
+// second is served by them — and both must be float-exact between the two
+// shapes and equal to each other.
+func TestShardedInterleavedWritesMatchMonolith(t *testing.T) {
+	corpus, mono, cluster := clusterFixture(t, 4)
+	grow := func(dealID string, n int) []*docmodel.Document {
+		doc, err := docparse.Parse(fmt.Sprintf("%s/late-roster-%d.grid", dealID, n),
+			fmt.Sprintf("GRID Deal Team Roster\nName | Role | Email | Phone\nLate Addition %d | PE | late.%d@ibm.com |\n", n, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc.DealID = dealID
+		return []*docmodel.Document{doc}
+	}
+	both := func(step string, write func(w serving.Writer) error) {
+		t.Helper()
+		for _, w := range []serving.Writer{mono, cluster} {
+			if err := write(w); err != nil {
+				t.Fatalf("%s: %v", step, err)
+			}
+		}
+	}
+	queries := append(differentialQueries(), core.FormQuery{PersonName: "Late Addition"}, core.FormQuery{PersonName: "New Person"})
+	check := func(step string) {
+		t.Helper()
+		for _, q := range queries {
+			label := fmt.Sprintf("%s: %+v", step, q)
+			var first core.Result
+			for pass := 0; pass < 2; pass++ {
+				mres, merr := mono.Search(admin(), q)
+				sres, serr := cluster.Search(admin(), q)
+				if merr != nil || serr != nil {
+					t.Fatalf("%s: mono=%v sharded=%v", label, merr, serr)
+				}
+				assertSameResult(t, label, mres, sres)
+				if pass == 0 {
+					first = mres
+				} else if !reflect.DeepEqual(first.Activities, mres.Activities) {
+					t.Fatalf("%s: the memoized read differs from the recomputed one", label)
+				}
+			}
+		}
+	}
+	check("before any write")
+	for i, id := range []string{"DEAL INTERLEAVED 1", "DEAL INTERLEAVED 2"} {
+		docs := newDealDocs(t, id)
+		both("add "+id, func(w serving.Writer) error { return w.AddDocuments(docs) })
+		check("after adding " + id)
+		docs = grow(corpus.DealIDs[i], i)
+		both("grow "+corpus.DealIDs[i], func(w serving.Writer) error { return w.AddDocuments(docs) })
+		check("after growing " + corpus.DealIDs[i])
+	}
+	both("remove", func(w serving.Writer) error { return w.RemoveDeal("DEAL INTERLEAVED 1") })
+	check("after removing DEAL INTERLEAVED 1")
+	both("remove", func(w serving.Writer) error { return w.RemoveDeal(corpus.DealIDs[2]) })
+	check("after removing " + corpus.DealIDs[2])
 }

@@ -1,6 +1,7 @@
 package eil
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/docmodel"
 	"repro/internal/index"
 	"repro/internal/siapi"
+	"repro/internal/trace"
 )
 
 // PartialBatchError reports an AddDocuments batch that could not be applied
@@ -142,12 +144,38 @@ func (s *System) applyStagedLocked(docs []*docmodel.Document, cases []*analysis.
 			affected = append(affected, id)
 		}
 	}
-	for _, dealID := range affected {
-		if err := s.builder.PutDeal(dealID); err != nil {
-			return &PartialBatchError{Applied: applied, Failed: dealID, Err: fmt.Errorf("synopsis rebuild: %w", err)}
-		}
+	if len(affected) == 0 {
+		return nil
 	}
-	return nil
+	return s.synopsisWrite("update.synopses", len(affected), func() error {
+		for _, dealID := range affected {
+			if err := s.builder.PutDeal(dealID); err != nil {
+				return &PartialBatchError{Applied: applied, Failed: dealID, Err: fmt.Errorf("synopsis rebuild: %w", err)}
+			}
+		}
+		return nil
+	})
+}
+
+// synopsisWrite runs one write to the synopsis store (a batch's rebuilds of
+// deal synopses, or one removal) and makes what it cost the store's memos
+// observable: the entries it removed go to synopsis_memo_dropped_total and,
+// as memo_dropped, onto a trace of the write, so a low synopsis_cache hit
+// ratio has one place to look. The trace follows the tracer's sampling.
+func (s *System) synopsisWrite(route string, deals int, write func() error) error {
+	ctx, tr := s.Tracer.Start(context.Background(), route, trace.StartOptions{})
+	before := s.Synopses.MemoDropped()
+	err := write()
+	dropped := int64(s.Synopses.MemoDropped() - before)
+	s.Metrics.Counter("synopsis_memo_dropped_total").Add(dropped)
+	root := trace.FromContext(ctx)
+	root.SetInt("deals", deals)
+	root.SetInt("memo_dropped", int(dropped))
+	if err != nil {
+		root.Set("error", err.Error())
+	}
+	tr.Finish()
+	return err
 }
 
 // Compact rebuilds the semantic index without the tombstones that
@@ -211,7 +239,7 @@ func (s *System) applyRemoveDeal(dealID string) error {
 			return fmt.Errorf("eil: remove %s: %w", path, err)
 		}
 	}
-	if err := s.Synopses.Delete(dealID); err != nil {
+	if err := s.synopsisWrite("update.remove", 1, func() error { return s.Synopses.Delete(dealID) }); err != nil {
 		return fmt.Errorf("eil: remove synopsis %s: %w", dealID, err)
 	}
 	if s.builder != nil {
