@@ -19,7 +19,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/access"
 	"repro/internal/analysis"
@@ -28,31 +27,20 @@ import (
 	"repro/internal/durable"
 	"repro/internal/index"
 	"repro/internal/obs"
-	"repro/internal/qlog"
 	"repro/internal/siapi"
 	"repro/internal/synopsis"
-	"repro/internal/taxonomy"
 	"repro/internal/trace"
 )
 
-// Cluster is a sharded EIL instance ready to answer queries.
+// Cluster is a sharded EIL instance ready to answer queries. Its embedded
+// front's Engine is the scatter-gather coordinator: a core.Engine whose
+// backends are the shards.
 type Cluster struct {
+	searchFront
 	// Shards are the per-partition systems, in shard order. Their slots
 	// never change after construction; mutating methods route by the same
 	// hash the searches use.
 	Shards []*System
-	// Engine is the scatter-gather coordinator (core.Engine with
-	// ShardBackends attached); ablations and resilience config tune it
-	// directly.
-	Engine   *core.Engine
-	Taxonomy *taxonomy.Taxonomy
-	Access   *access.Controller
-	// QueryLog, when set, records every search and its outcome.
-	QueryLog *qlog.Log
-	// Metrics is the one registry every shard and the coordinator record
-	// into — per-shard series carry the "shard" label.
-	Metrics *obs.Registry
-	Tracer  *trace.Tracer
 	// SnapshotKeep is propagated to every shard's snapshot store.
 	SnapshotKeep int
 }
@@ -230,8 +218,8 @@ func IngestShardedFrom(reader analysis.CollectionReader, n int, opts Options) (*
 }
 
 // newCluster wires N ingested or restored shard systems into a serving
-// cluster: one coordinator engine whose ShardBackends read each shard's
-// live (compaction-swappable) document engine.
+// cluster: one coordinator engine whose backends are each shard's synopsis
+// store and live (compaction-swappable) document engine.
 func newCluster(shards []*System, ctl *access.Controller, metrics *obs.Registry, tracer *trace.Tracer, disableScoping bool) *Cluster {
 	backends := make([]core.ShardBackend, len(shards))
 	for i, s := range shards {
@@ -241,81 +229,23 @@ func newCluster(shards []*System, ctl *access.Controller, metrics *obs.Registry,
 			Docs:     s.siapi,
 		}
 	}
-	c := &Cluster{
-		Shards:   shards,
-		Taxonomy: shards[0].Taxonomy,
-		Access:   ctl,
-		Metrics:  metrics,
-		Tracer:   tracer,
+	tax := shards[0].Taxonomy
+	return &Cluster{
+		searchFront: searchFront{
+			Engine: &core.Engine{
+				Backends:       backends,
+				Access:         ctl,
+				Tax:            tax,
+				DisableScoping: disableScoping,
+				Metrics:        metrics,
+			},
+			Taxonomy: tax,
+			Access:   ctl,
+			Metrics:  metrics,
+			Tracer:   tracer,
+		},
+		Shards: shards,
 	}
-	c.Engine = &core.Engine{
-		Access:         ctl,
-		Tax:            c.Taxonomy,
-		DisableScoping: disableScoping,
-		Metrics:        metrics,
-		Shards:         backends,
-	}
-	return c
-}
-
-// Registry returns the shared metrics registry (serving.Telemetry).
-func (c *Cluster) Registry() *obs.Registry { return c.Metrics }
-
-// RequestTracer returns the request tracer, nil when tracing is off.
-func (c *Cluster) RequestTracer() *trace.Tracer { return c.Tracer }
-
-// Log returns the query log, nil when logging is off.
-func (c *Cluster) Log() *qlog.Log { return c.QueryLog }
-
-// Search runs a business-activity driven search across every shard.
-func (c *Cluster) Search(user access.User, q core.FormQuery) (core.Result, error) {
-	return c.SearchCtx(context.Background(), user, q)
-}
-
-// SearchCtx is Search under the caller's context.
-func (c *Cluster) SearchCtx(ctx context.Context, user access.User, q core.FormQuery) (core.Result, error) {
-	t := obs.StartTimer()
-	res, err := c.Engine.SearchCtx(ctx, user, q)
-	c.logForm(ctx, user, q, res, err, t.Elapsed())
-	return res, err
-}
-
-// SearchExplain runs the scatter-gather search in explain mode: the span
-// tree carries one child span per shard under each scatter stage.
-func (c *Cluster) SearchExplain(ctx context.Context, user access.User, q core.FormQuery) (core.Result, *core.Explanation, error) {
-	t := obs.StartTimer()
-	res, ex, err := c.Engine.SearchExplain(ctx, user, q)
-	c.logForm(ctx, user, q, res, err, t.Elapsed())
-	return res, ex, err
-}
-
-func (c *Cluster) logForm(ctx context.Context, user access.User, q core.FormQuery, res core.Result, err error, latency time.Duration) {
-	if err != nil || c.QueryLog == nil {
-		return
-	}
-	c.QueryLog.Record(qlog.Entry{
-		User:       user.ID,
-		Kind:       qlog.KindForm,
-		Summary:    formSummary(q),
-		Concepts:   formConcepts(q),
-		Activities: len(res.Activities),
-		Fallback:   res.UnscopedFallback,
-		Latency:    latency,
-		TraceID:    trace.ID(ctx),
-	})
-}
-
-// epoch joins every shard's index generation; it keys stats-scored cache
-// entries on the shards so a write anywhere invalidates them.
-func (c *Cluster) epoch() string {
-	var b []byte
-	for i, s := range c.Shards {
-		if i > 0 {
-			b = append(b, '-')
-		}
-		b = fmt.Appendf(b, "%d", s.siapi().Generation())
-	}
-	return string(b)
 }
 
 // keywordStats scatters stats collection for the keyword query and merges;
@@ -358,7 +288,7 @@ func (c *Cluster) KeywordSearch(query string, limit int) []siapi.DocHit {
 func (c *Cluster) KeywordSearchCtx(ctx context.Context, query string, limit int) []siapi.DocHit {
 	kq := siapi.ParseKeywords(query)
 	t := obs.StartTimer()
-	epoch := c.epoch()
+	epoch := c.Engine.ClusterEpoch()
 	st := c.keywordStats(ctx, kq)
 	pages := make([][]siapi.DocHit, len(c.Shards))
 	var wg sync.WaitGroup
@@ -383,16 +313,7 @@ func (c *Cluster) KeywordSearchCtx(ctx context.Context, query string, limit int)
 	if limit > 0 && len(hits) > limit {
 		hits = hits[:limit]
 	}
-	latency := t.Elapsed()
-	if c.QueryLog != nil {
-		c.QueryLog.Record(qlog.Entry{
-			Kind:       qlog.KindKeyword,
-			Summary:    query,
-			Activities: c.keywordCount(kq),
-			Latency:    latency,
-			TraceID:    trace.ID(ctx),
-		})
-	}
+	c.logKeyword(ctx, query, t.Elapsed(), func() int { return c.keywordCount(kq) })
 	return hits
 }
 
@@ -421,17 +342,6 @@ func (c *Cluster) Deal(user access.User, dealID string) (synopsis.Deal, error) {
 		return synopsis.Deal{}, fmt.Errorf("%w: %s", synopsis.ErrNotFound, dealID)
 	}
 	return c.shardFor(dealID).Synopses.Get(dealID)
-}
-
-// Explore searches within one activity's documents on its owning shard,
-// scored against cluster-global statistics.
-func (c *Cluster) Explore(user access.User, dealID string, q core.FormQuery) ([]siapi.DocHit, error) {
-	return c.ExploreCtx(context.Background(), user, dealID, q)
-}
-
-// ExploreCtx is Explore under the caller's context.
-func (c *Cluster) ExploreCtx(ctx context.Context, user access.User, dealID string, q core.FormQuery) ([]siapi.DocHit, error) {
-	return c.Engine.ExploreCtx(ctx, user, dealID, q)
 }
 
 // SimilarDeals fetches the reference deal from its owning shard, scatters

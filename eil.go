@@ -89,28 +89,40 @@ type Options struct {
 	Tracer *trace.Tracer
 }
 
-// System is an ingested EIL instance ready to answer queries.
-type System struct {
-	Index     *index.Index
-	SIAPI     *siapi.Engine
-	Synopses  *synopsis.Store
-	Taxonomy  *taxonomy.Taxonomy
-	Access    *access.Controller
-	Engine    *core.Engine
-	Directory *directory.Directory
-	// Stats summarizes the offline run.
-	Stats analysis.Stats
+// searchFront is the logged search surface a System and a Cluster share:
+// one engine over the deployment's backends (a system's own stores, or every
+// shard's), the collaborators it consults, and the query log its searches are
+// recorded in. Both shapes embed it, so Search, SearchCtx, SearchExplain,
+// Explore and the telemetry getters are written once.
+type searchFront struct {
+	// Engine runs Figure 1 over the deployment's backends; ablations and
+	// resilience config tune it directly.
+	Engine   *core.Engine
+	Taxonomy *taxonomy.Taxonomy
+	Access   *access.Controller
 	// QueryLog, when set, records every search and its outcome (the
 	// telemetry behind the paper's "additional evaluation" improvement
 	// loop).
 	QueryLog *qlog.Log
-	// Metrics holds the system's counters, gauges, and latency histograms:
-	// ingest_* from the offline pipeline, search_* from the online path,
-	// and (when served through internal/web) http_* from the HTTP layer.
+	// Metrics holds the counters, gauges, and latency histograms: ingest_*
+	// from the offline pipeline, search_* from the online path, and (when
+	// served through internal/web) http_* from the HTTP layer. Every shard of
+	// a cluster records into the same registry under a "shard" label.
 	Metrics *obs.Registry
 	// Tracer retains recent and slowest request/document traces; nil when
 	// tracing is off. internal/web serves it at /debug/traces.
 	Tracer *trace.Tracer
+}
+
+// System is an ingested EIL instance ready to answer queries.
+type System struct {
+	searchFront
+	Index     *index.Index
+	SIAPI     *siapi.Engine
+	Synopses  *synopsis.Store
+	Directory *directory.Directory
+	// Stats summarizes the offline run.
+	Stats analysis.Stats
 	// Duplicates lists the redundant documents the dedup pre-pass dropped
 	// (empty unless Options.Dedup was set).
 	Duplicates []string
@@ -178,25 +190,52 @@ type System struct {
 }
 
 // siapi returns the live keyword engine. Searches go through this (not the
-// exported SIAPI field) so Compact can swap backends under concurrent load.
-func (s *System) siapi() *siapi.Engine {
-	if e := s.sia.Load(); e != nil {
-		return e
-	}
-	return s.SIAPI
-}
+// exported SIAPI field) so Compact can swap backends under concurrent load;
+// it is also the Docs getter of the system's one core backend.
+func (s *System) siapi() *siapi.Engine { return s.sia.Load() }
 
 // LiveSIAPI returns the live (compaction-swappable) keyword engine.
 func (s *System) LiveSIAPI() *siapi.Engine { return s.siapi() }
 
+// publish makes ix the system's live index: a fresh keyword engine over it
+// goes to concurrent searches first (atomically — a search sees either the
+// old or the new engine, never a torn mix), then into the construction-time
+// fields for code that reads them sequentially.
+func (s *System) publish(ix *index.Index) {
+	engine := siapi.NewEngine(ix)
+	engine.SetMetrics(s.Metrics)
+	s.sia.Store(engine)
+	s.Index, s.SIAPI = ix, engine
+	if s.writer != nil {
+		s.writer.Ix = ix
+	}
+}
+
+// newSystem is the one place a System's stores become a serving system: an
+// ingest (IngestFrom) and a restore (loadGeneration) fill in what they built
+// or decoded, and this publishes the index and builds the search engine over
+// the list of one backend — the system's own synopsis store and live keyword
+// engine.
+func newSystem(s *System, ix *index.Index, disableScoping bool) *System {
+	s.publish(ix)
+	s.Engine = &core.Engine{
+		Backends:       []core.ShardBackend{{Synopses: s.Synopses, Docs: s.siapi}},
+		Access:         s.Access,
+		Tax:            s.Taxonomy,
+		DisableScoping: disableScoping,
+		Metrics:        s.Metrics,
+	}
+	return s
+}
+
 // Registry returns the metrics registry (serving.Telemetry).
-func (s *System) Registry() *obs.Registry { return s.Metrics }
+func (f *searchFront) Registry() *obs.Registry { return f.Metrics }
 
 // RequestTracer returns the request tracer, nil when tracing is off.
-func (s *System) RequestTracer() *trace.Tracer { return s.Tracer }
+func (f *searchFront) RequestTracer() *trace.Tracer { return f.Tracer }
 
 // Log returns the query log, nil when logging is off.
-func (s *System) Log() *qlog.Log { return s.QueryLog }
+func (f *searchFront) Log() *qlog.Log { return f.QueryLog }
 
 // Ingest runs the offline pipeline (Data Acquisition already done by the
 // caller: docs are parsed) over the documents: document-level annotators in
@@ -261,33 +300,16 @@ func IngestFrom(reader analysis.CollectionReader, opts Options) (*System, error)
 		return nil, fmt.Errorf("eil: ingest: %w", err)
 	}
 
-	sia := siapi.NewEngine(ix)
-	sia.SetMetrics(metrics)
-	sys := &System{
-		Index:      ix,
-		SIAPI:      sia,
-		Synopses:   store,
-		Taxonomy:   tax,
-		Access:     opts.Access,
-		Directory:  opts.Directory,
-		Stats:      stats,
-		Duplicates: duplicates,
-		Metrics:    metrics,
-		Tracer:     opts.Tracer,
-		flow:       pipe.Annotator,
-		builder:    builder,
-		writer:     writer,
-	}
-	sys.sia.Store(sia)
-	sys.Engine = &core.Engine{
-		Synopses:       store,
-		Docs:           sys.SIAPI,
-		Access:         opts.Access,
-		Tax:            tax,
-		DisableScoping: opts.DisableScoping,
-		Metrics:        metrics,
-	}
-	return sys, nil
+	return newSystem(&System{
+		searchFront: searchFront{Taxonomy: tax, Access: opts.Access, Metrics: metrics, Tracer: opts.Tracer},
+		Synopses:    store,
+		Directory:   opts.Directory,
+		Stats:       stats,
+		Duplicates:  duplicates,
+		flow:        pipe.Annotator,
+		builder:     builder,
+		writer:      writer,
+	}, ix, opts.DisableScoping), nil
 }
 
 // dedupReader materializes the document stream, drops near-duplicates
@@ -368,41 +390,58 @@ func entityFlow(tax *taxonomy.Taxonomy) analysis.Annotator {
 }
 
 // Search runs a business-activity driven search for the user (Figure 1).
-func (s *System) Search(user access.User, q core.FormQuery) (core.Result, error) {
-	return s.SearchCtx(context.Background(), user, q)
+func (f *searchFront) Search(user access.User, q core.FormQuery) (core.Result, error) {
+	return f.SearchCtx(context.Background(), user, q)
 }
 
 // SearchCtx is Search under the caller's context: when ctx carries a trace
 // (the web middleware starts one per request), every search stage records a
-// span and the query-log entry carries the trace ID.
-func (s *System) SearchCtx(ctx context.Context, user access.User, q core.FormQuery) (core.Result, error) {
+// span — one child per shard under each scatter stage of a cluster — and the
+// query-log entry carries the trace ID.
+func (f *searchFront) SearchCtx(ctx context.Context, user access.User, q core.FormQuery) (core.Result, error) {
 	t := obs.StartTimer()
-	res, err := s.Engine.SearchCtx(ctx, user, q)
-	s.logForm(ctx, user, q, res, err, t.Elapsed())
+	res, err := f.Engine.SearchCtx(ctx, user, q)
+	f.logForm(ctx, user, q, res, err, t.Elapsed())
 	return res, err
 }
 
 // SearchExplain runs the search in explain mode, returning the result plus
 // the span tree and per-activity score decomposition.
-func (s *System) SearchExplain(ctx context.Context, user access.User, q core.FormQuery) (core.Result, *core.Explanation, error) {
+func (f *searchFront) SearchExplain(ctx context.Context, user access.User, q core.FormQuery) (core.Result, *core.Explanation, error) {
 	t := obs.StartTimer()
-	res, ex, err := s.Engine.SearchExplain(ctx, user, q)
-	s.logForm(ctx, user, q, res, err, t.Elapsed())
+	res, ex, err := f.Engine.SearchExplain(ctx, user, q)
+	f.logForm(ctx, user, q, res, err, t.Elapsed())
 	return res, ex, err
 }
 
 // logForm records one form query in the query log (nil-log safe).
-func (s *System) logForm(ctx context.Context, user access.User, q core.FormQuery, res core.Result, err error, latency time.Duration) {
-	if err != nil || s.QueryLog == nil {
+func (f *searchFront) logForm(ctx context.Context, user access.User, q core.FormQuery, res core.Result, err error, latency time.Duration) {
+	if err != nil || f.QueryLog == nil {
 		return
 	}
-	s.QueryLog.Record(qlog.Entry{
+	f.QueryLog.Record(qlog.Entry{
 		User:       user.ID,
 		Kind:       qlog.KindForm,
 		Summary:    formSummary(q),
 		Concepts:   formConcepts(q),
 		Activities: len(res.Activities),
 		Fallback:   res.UnscopedFallback,
+		Latency:    latency,
+		TraceID:    trace.ID(ctx),
+	})
+}
+
+// logKeyword records one search-box query (nil-log safe). count is the true
+// match count, not the length of the returned page: that is truncated by
+// limit, which would distort zero-result and volume analytics.
+func (f *searchFront) logKeyword(ctx context.Context, query string, latency time.Duration, count func() int) {
+	if f.QueryLog == nil {
+		return
+	}
+	f.QueryLog.Record(qlog.Entry{
+		Kind:       qlog.KindKeyword,
+		Summary:    query,
+		Activities: count(),
 		Latency:    latency,
 		TraceID:    trace.ID(ctx),
 	})
@@ -452,19 +491,7 @@ func (s *System) KeywordSearchCtx(ctx context.Context, query string, limit int) 
 	engine := s.siapi()
 	t := obs.StartTimer()
 	hits := engine.SearchCtx(ctx, kq, limit)
-	latency := t.Elapsed()
-	if s.QueryLog != nil {
-		// Log the true match count, not len(hits): the returned page is
-		// truncated by limit, which would distort zero-result and volume
-		// analytics.
-		s.QueryLog.Record(qlog.Entry{
-			Kind:       qlog.KindKeyword,
-			Summary:    query,
-			Activities: engine.Count(kq),
-			Latency:    latency,
-			TraceID:    trace.ID(ctx),
-		})
-	}
+	s.logKeyword(ctx, query, t.Elapsed(), func() int { return engine.Count(kq) })
 	return hits
 }
 
@@ -475,14 +502,15 @@ func (s *System) KeywordCount(query string) int {
 }
 
 // Explore searches within one business activity's documents (the synopsis
-// drill-down). Requires document-level access to the activity.
-func (s *System) Explore(user access.User, dealID string, q core.FormQuery) ([]siapi.DocHit, error) {
-	return s.Engine.Explore(user, dealID, q)
+// drill-down) on the backend that owns it. Requires document-level access
+// to the activity.
+func (f *searchFront) Explore(user access.User, dealID string, q core.FormQuery) ([]siapi.DocHit, error) {
+	return f.Engine.Explore(user, dealID, q)
 }
 
 // ExploreCtx is Explore under the caller's context.
-func (s *System) ExploreCtx(ctx context.Context, user access.User, dealID string, q core.FormQuery) ([]siapi.DocHit, error) {
-	return s.Engine.ExploreCtx(ctx, user, dealID, q)
+func (f *searchFront) ExploreCtx(ctx context.Context, user access.User, dealID string, q core.FormQuery) ([]siapi.DocHit, error) {
+	return f.Engine.ExploreCtx(ctx, user, dealID, q)
 }
 
 // SimilarDeals finds activities similar to dealID (services mix, industry,

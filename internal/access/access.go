@@ -150,20 +150,12 @@ func (c *Controller) LevelFor(u User, dealID string) Level {
 	return level
 }
 
-// LevelsFor resolves the user's level for each deal in one traced batch —
+// TryLevelsFor resolves the user's level for each deal in one traced batch —
 // the access-filter stage of Figure 1 step 19. The span records how many
-// activities were checked and how many came back invisible. A failing
-// controller (only possible under fault injection) yields nil levels;
-// callers that must distinguish use TryLevelsFor.
-func (c *Controller) LevelsFor(ctx context.Context, u User, dealIDs []string) []Level {
-	levels, _ := c.TryLevelsFor(ctx, u, dealIDs)
-	return levels
-}
-
-// TryLevelsFor is LevelsFor surfacing backend failure — the fault-injection
-// boundary (site "access.levels") standing in for an unreachable entitlement
-// service. The core layer degrades a failed batch to the community-safe
-// synopsis tier rather than guessing per-deal grants.
+// activities were checked and how many came back invisible. It is the
+// fault-injection boundary (site "access.levels") standing in for an
+// unreachable entitlement service: the core layer degrades a failed batch to
+// the community-safe synopsis tier rather than guessing per-deal grants.
 func (c *Controller) TryLevelsFor(ctx context.Context, u User, dealIDs []string) ([]Level, error) {
 	_, sp := trace.StartSpan(ctx, "access.levels")
 	if err := fault.Inject(ctx, fault.SiteAccessLevels); err != nil {

@@ -137,10 +137,3 @@ var (
 	// DatePattern matches ISO dates.
 	DatePattern = regexp.MustCompile(`\d{4}-\d{2}-\d{2}`)
 )
-
-// NewEmailAnnotator returns a regex annotator emitting TypePerson sketches
-// from raw email addresses found in text (step 6 of Figure 3 infers name and
-// organization from the address pattern firstname.lastname@organization.com).
-func NewEmailAnnotator() *Regex {
-	return &Regex{ID: "email-regex", Type: TypePerson, Pattern: EmailPattern, Confidence: 0.6}
-}

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/access"
@@ -121,12 +120,18 @@ type Result struct {
 	Suggestions []string
 }
 
-// Engine wires the stores together. All fields are required except Access
-// (nil means no access control: everyone sees everything — used by offline
-// evaluation) and Tax (nil disables concept-form resolution).
+// Engine runs Figure 1 over a list of backends. All other fields are
+// optional: a nil Access means no access control (everyone sees everything —
+// offline evaluation), a nil Tax disables concept-form resolution.
 type Engine struct {
-	Synopses *synopsis.Store
-	Docs     *siapi.Engine
+	// Backends is what the engine searches: one synopsis store and one
+	// document engine per partition of the deals. A monolith is the list of
+	// one, unnamed; a cluster lists its shards in ShardFor order. A search
+	// observes len(Backends): one backend is called inline on the caller's
+	// goroutine against its own collection statistics, several are scattered
+	// under merged statistics (see shard.go). The slice must not change after
+	// the first search.
+	Backends []ShardBackend
 	Access   *access.Controller
 	Tax      *taxonomy.Taxonomy
 
@@ -151,21 +156,8 @@ type Engine struct {
 	// commonly inject per-request through fault.With on the context.
 	Faults *fault.Injector
 
-	// docs, once SwapDocs has been called, is the live document backend:
-	// compaction republishes the rebuilt index through it so concurrent
-	// searches atomically see either the old or the new engine, never a
-	// torn mix. Reads go through backend(), which falls back to Docs until
-	// the first swap.
-	docs atomic.Pointer[siapi.Engine]
-
-	// Shards, when non-empty, turns this engine into a scatter-gather
-	// coordinator over N self-contained shards: Synopses and Docs are
-	// ignored and every search fans out per shard (see shard.go). The
-	// slice must not change after the first search.
-	Shards []ShardBackend
-
-	// statsOnce/statsMemo memoize merged cluster scoring stats per
-	// compiled query + cluster epoch (sharded search only; see shard.go).
+	// statsOnce/statsMemo memoize merged scoring statistics per compiled
+	// query + cluster epoch (more than one backend only; see shard.go).
 	statsOnce sync.Once
 	statsMemo *lru.Cache[string, *index.Stats]
 	// breakers holds the lazily built per-key circuit breakers; brMu
@@ -174,14 +166,13 @@ type Engine struct {
 	breakers map[string]*breaker
 }
 
-// Derive returns a new Engine sharing this engine's stores and
+// Derive returns a new Engine sharing this engine's backends and
 // configuration. Engines must not be copied by value (they carry breaker
 // and memo state); Derive is the supported way to tweak settings —
 // ablations flip DisableScoping or the rank weights on a derived engine.
 func (e *Engine) Derive() *Engine {
 	return &Engine{
-		Synopses:       e.Synopses,
-		Docs:           e.backend(),
+		Backends:       e.Backends,
 		Access:         e.Access,
 		Tax:            e.Tax,
 		SynopsisWeight: e.SynopsisWeight,
@@ -190,24 +181,8 @@ func (e *Engine) Derive() *Engine {
 		Metrics:        e.Metrics,
 		Resilient:      e.Resilient,
 		Faults:         e.Faults,
-		Shards:         e.Shards,
 	}
 }
-
-// backend returns the current document backend: the atomically swapped one
-// when compaction has republished it, the construction-time Docs otherwise.
-func (e *Engine) backend() *siapi.Engine {
-	if d := e.docs.Load(); d != nil {
-		return d
-	}
-	return e.Docs
-}
-
-// SwapDocs atomically replaces the document backend. Searches in flight
-// keep the engine they already loaded; new searches see the replacement.
-// This is how System.Compact swaps the rebuilt index under live queries
-// without a lock on the search path.
-func (e *Engine) SwapDocs(d *siapi.Engine) { e.docs.Store(d) }
 
 // Search stage labels used in search_stage_seconds.
 const (
@@ -270,11 +245,14 @@ func (e *Engine) SearchCtx(ctx context.Context, user access.User, q FormQuery) (
 	return res, nil
 }
 
+// search is Figure 1, steps 1-19, written once for every shape. A backend
+// stage reports how many of the backends it asked answered and how many
+// failed; the ladder below turns that into the tier of answer that survives.
+// One backend can only report all-ok or all-failed, so a monolith never
+// reaches the partial rungs.
 func (e *Engine) search(ctx context.Context, user access.User, q FormQuery) (Result, error) {
-	if len(e.Shards) > 0 {
-		return e.searchSharded(ctx, user, q)
-	}
 	var res Result
+	n := len(e.Backends)
 	// Resilience envelope: the search budget becomes a context deadline
 	// that every backend attempt slices (see resilience.go), and an
 	// engine-configured fault injector (chaos benching) rides the context
@@ -324,44 +302,31 @@ func (e *Engine) search(ctx context.Context, user access.User, q FormQuery) (Res
 	}
 	e.observeStage(ctx, StageCompose, compose.Elapsed())
 
-	// Step 4: execute the synopsis query, behind the resilience wrapper:
-	// breaker admission, budget-sliced attempt deadlines, bounded retry.
+	// Step 4: execute the synopsis query. A failed backend costs only its
+	// own deals unless every backend is down.
 	var synHits []synopsis.Hit
 	synDown := false
 	if !sq.Empty() {
-		t := obs.StartTimer()
-		sctx, sp := trace.StartSpan(ctx, "search.synopsis")
-		type synOut struct {
-			hits   []synopsis.Hit
-			cached bool
-		}
-		out, err := resilientCall(sctx, e, BackendSynopsis, func(c context.Context) (synOut, error) {
-			hits, cached, err := e.synopsisSearch(c, e.Synopses, sq)
-			return synOut{hits, cached}, err
-		})
-		if sp != nil {
-			sp.SetBool("cache_hit", out.cached)
-			sp.SetInt("hits", len(out.hits))
-			if err != nil {
-				sp.Set("error", err.Error())
-			}
-			sp.End()
-		}
-		e.observeStage(ctx, StageSynopsis, t.Elapsed())
+		var o outcome
+		synHits, o = e.synopsisStage(ctx, sq)
 		switch {
-		case err == nil:
-			synHits = out.hits
+		case o.failed == 0:
 			res.Explain = append(res.Explain, fmt.Sprintf("synopsis query matched %d activities", len(synHits)))
-		case dq.Empty():
-			// Concept-only query with the synopsis store down: there is no
+		case o.ok == 0 && dq.Empty():
+			// Concept-only query with the synopsis side down: there is no
 			// text to fall back to, so the outage surfaces as unavailable.
-			return res, err
-		default:
+			return res, o.err
+		case o.ok == 0:
 			// Harvest degradation (Fox & Brewer): drop the business-context
 			// half, keep answering from the full-text index unscoped.
 			synDown = true
-			degrade(BackendSynopsis, err)
+			degrade(BackendSynopsis, o.err)
 			res.Explain = append(res.Explain, "synopsis backend unavailable; degraded to unscoped full-text")
+		default:
+			// Partial harvest: the surviving shards' business context still
+			// scopes the search; the dead shards' deals are simply absent.
+			degrade(BackendSynopsis, o.err)
+			res.Explain = append(res.Explain, fmt.Sprintf("%d of %d synopsis shards unavailable; serving partial business context", o.failed, n))
 		}
 	}
 
@@ -388,69 +353,54 @@ func (e *Engine) search(ctx context.Context, user access.User, q FormQuery) (Res
 		c.tws = h.MatchedTowers
 	}
 
-	// siapiStage runs one SIAPI activity search under a traced child span,
-	// behind the resilience wrapper.
-	siapiStage := func(scoped bool) ([]siapi.ActivityHit, error) {
-		perDeal := q.DocsPerDeal
-		if perDeal <= 0 {
-			perDeal = 5
-		}
-		t := obs.StartTimer()
-		sctx, sp := trace.StartSpan(ctx, "search.siapi")
-		docActs, err := resilientCall(sctx, e, BackendSIAPI, func(c context.Context) ([]siapi.ActivityHit, error) {
-			return e.backend().TrySearchActivitiesCtx(c, dq, perDeal)
-		})
-		if sp != nil {
-			sp.SetBool("scoped", scoped)
-			sp.SetInt("scope_deals", len(dq.Deals))
-			sp.SetInt("activities", len(docActs))
-			if err != nil {
-				sp.Set("error", err.Error())
-			}
-			sp.End()
-		}
-		e.observeStage(ctx, StageSIAPI, t.Elapsed())
-		return docActs, err
+	perDeal := q.DocsPerDeal
+	if perDeal <= 0 {
+		perDeal = 5
 	}
 
 	switch {
-	case len(synHits) > 0: // steps 5-11
-		if !dq.Empty() {
-			// Step 8: scope the document search to the activities in S.
-			if !e.DisableScoping {
-				for _, h := range synHits {
-					dq.Deals = append(dq.Deals, h.DealID)
-				}
+	case len(synHits) > 0 && dq.Empty(): // step 11: R <- S
+		for _, h := range synHits {
+			addSyn(h)
+		}
+	case len(synHits) > 0: // steps 5-10
+		// Step 8: scope the document search to the activities in S.
+		scope := synHits
+		if e.DisableScoping {
+			scope = nil
+		}
+		docActs, o := e.siapiStage(ctx, dq, scope, perDeal)
+		if o.failed > 0 {
+			// Index down with the synopsis side healthy: the deals of the
+			// backends that failed are served at the reduced tier (R <- S,
+			// no documents) — the same answer the paper's access control
+			// gives unauthorized users, here caused by an outage. With
+			// every backend down that is all of S.
+			degrade(BackendSIAPI, o.err)
+			line := "document index unavailable;"
+			if o.ok > 0 {
+				line = fmt.Sprintf("%d document shards unavailable; affected activities", o.failed)
 			}
-			docActs, err := siapiStage(!e.DisableScoping)
-			if err != nil {
-				// Index down with the synopsis side healthy: serve the
-				// synopsis-plus-contacts tier (R <- S, no documents) —
-				// the same reduced answer the paper's access control gives
-				// unauthorized users, here caused by an outage.
-				degrade(BackendSIAPI, err)
-				res.Explain = append(res.Explain, "document index unavailable; degraded to synopsis-plus-contacts")
-				for _, h := range synHits {
+			res.Explain = append(res.Explain, line+" degraded to synopsis-plus-contacts")
+			for _, h := range synHits {
+				if o.down[ShardFor(h.DealID, n)] {
 					addSyn(h)
 				}
+			}
+			if o.ok == 0 {
 				break
 			}
-			for _, da := range docActs {
-				sh, inS := synByDeal[da.DealID]
-				if !inS {
-					continue // unscoped ablation: intersect to keep semantics
-				}
-				addSyn(sh)
-				acts[da.DealID].doc = da.Score
-				acts[da.DealID].dcs = da.Docs
-			}
-			res.Explain = append(res.Explain, fmt.Sprintf("scoped SIAPI query over %d activities", len(synHits)))
-		} else {
-			// Step 11: R <- S.
-			for _, h := range synHits {
-				addSyn(h)
-			}
 		}
+		for _, da := range docActs {
+			sh, inS := synByDeal[da.DealID]
+			if !inS {
+				continue // unscoped ablation: intersect to keep semantics
+			}
+			addSyn(sh)
+			acts[da.DealID].doc = da.Score
+			acts[da.DealID].dcs = da.Docs
+		}
+		res.Explain = append(res.Explain, fmt.Sprintf("scoped SIAPI query over %d activities", len(synHits)))
 	case !dq.Empty(): // steps 13-15: unscoped SIAPI fallback
 		if !sq.Empty() && !synDown {
 			// The synopsis query ran and matched nothing: the concept
@@ -458,11 +408,15 @@ func (e *Engine) search(ctx context.Context, user access.User, q FormQuery) (Res
 			res.Explain = append(res.Explain, "concept criteria matched no activities")
 			break
 		}
-		docActs, err := siapiStage(false)
-		if err != nil {
+		docActs, o := e.siapiStage(ctx, dq, nil, perDeal)
+		if o.ok == 0 {
 			// Every serving tier is gone (text side down, and any concept
 			// side already failed above): surface the outage.
-			return res, err
+			return res, o.err
+		}
+		if o.failed > 0 {
+			degrade(BackendSIAPI, o.err)
+			res.Explain = append(res.Explain, fmt.Sprintf("%d of %d document shards unavailable; serving partial results", o.failed, n))
 		}
 		for _, da := range docActs {
 			acts[da.DealID] = &combinedAct{doc: da.Score, dcs: da.Docs}
@@ -562,18 +516,9 @@ func (e *Engine) synopsisSearch(ctx context.Context, store *synopsis.Store, sq s
 	return hits, cached, err
 }
 
-// synopsesFor returns the synopsis store owning dealID: the single store
-// on a monolithic engine, the owning shard's on a sharded one.
-func (e *Engine) synopsesFor(dealID string) *synopsis.Store {
-	if len(e.Shards) == 0 {
-		return e.Synopses
-	}
-	return e.Shards[ShardFor(dealID, len(e.Shards))].Synopses
-}
-
-// finishSearch runs the last two Figure-1 stages shared by the monolithic
-// and sharded paths: rank combination with bounded top-k selection (step
-// 18) and per-activity access filtering (step 19).
+// finishSearch runs the last two Figure-1 stages: rank combination with
+// bounded top-k selection (step 18) and per-activity access filtering (step
+// 19).
 func (e *Engine) finishSearch(ctx context.Context, user access.User, q FormQuery, res *Result, acts map[string]*combinedAct, degrade func(cause string, err error)) {
 	// Step 18: rank by the combined score.
 	merge := obs.StartTimer()
@@ -637,7 +582,7 @@ func (e *Engine) finishSearch(ctx context.Context, user access.User, q FormQuery
 			a.Docs = nil // synopsis-plus-contacts fallback
 			synopsisOnly++
 		}
-		deal, err := e.synopsesFor(a.DealID).Get(a.DealID)
+		deal, err := e.Backends[ShardFor(a.DealID, len(e.Backends))].Synopses.Get(a.DealID)
 		if err == nil {
 			a.Synopsis = &deal
 		}
@@ -754,10 +699,25 @@ func (e *Engine) ExploreCtx(ctx context.Context, user access.User, dealID string
 	if e.Faults != nil {
 		ctx = fault.With(ctx, e.Faults)
 	}
-	if len(e.Shards) > 0 {
-		return e.exploreSharded(ctx, dealID, dq, limit)
+	// The activity's documents live wholly on the backend that owns it; in a
+	// cluster they are scored against the merged statistics, so the scores
+	// are the ones a monolith would give.
+	owner := ShardFor(dealID, len(e.Backends))
+	search := func(c context.Context, st *index.Stats, epoch string) ([]siapi.DocHit, error) {
+		b := &e.Backends[owner]
+		return resilientCall(c, e, BackendSIAPI, b, func(cc context.Context) ([]siapi.DocHit, error) {
+			return b.Docs().TrySearchStatsCtx(cc, dq, limit, st, epoch)
+		})
 	}
-	return resilientCall(ctx, e, BackendSIAPI, func(c context.Context) ([]siapi.DocHit, error) {
-		return e.backend().TrySearchCtx(c, dq, limit)
+	if len(e.Backends) == 1 {
+		return search(ctx, nil, "")
+	}
+	epoch := e.ClusterEpoch()
+	st, errs := e.clusterStats(ctx, dq, epoch)
+	if errs[owner] != nil {
+		return nil, errs[owner]
+	}
+	return onShard(ctx, e, "search.siapi.shard", owner, func(c context.Context, _ *trace.Span, _ int) ([]siapi.DocHit, error) {
+		return search(c, st, epoch)
 	})
 }

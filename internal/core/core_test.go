@@ -12,15 +12,11 @@ import (
 	"repro/internal/textproc"
 )
 
-// newEngine hand-builds a two-deal system: DEAL A is a storage deal with a
-// "data replication" solution document; DEAL B is an EUS deal.
-func newEngine(t *testing.T) *Engine {
-	t.Helper()
-	store, err := synopsis.NewStore(relstore.NewDB())
-	if err != nil {
-		t.Fatal(err)
-	}
-	deals := []synopsis.Deal{
+// fixtureDeals and fixtureDocs are the hand-built two-deal corpus: DEAL A is
+// a storage deal with a "data replication" solution document; DEAL B is an
+// EUS deal.
+func fixtureDeals() []synopsis.Deal {
+	return []synopsis.Deal{
 		{
 			Overview: synopsis.Overview{DealID: "DEAL A", Customer: "Acme", Industry: "Banking"},
 			Towers: []synopsis.TowerScope{
@@ -38,13 +34,10 @@ func newEngine(t *testing.T) *Engine {
 			People: []synopsis.Contact{{Name: "Sam White", Org: "ABC", Role: "CIO", Category: "client team"}},
 		},
 	}
-	for _, d := range deals {
-		if err := store.Put(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ix := index.New(textproc.DefaultAnalyzer)
-	docs := []index.Document{
+}
+
+func fixtureDocs() []index.Document {
+	return []index.Document{
 		{ExtID: "DEAL A/sol.deck", Fields: []index.Field{
 			{Name: siapi.FieldTitle, Text: "Technical Solution"},
 			{Name: siapi.FieldBody, Text: "data replication between sites for storage management"},
@@ -57,16 +50,42 @@ func newEngine(t *testing.T) *Engine {
 			{Name: siapi.FieldDeal, Text: "DEAL B", Keyword: true},
 		}, Meta: map[string]string{"deal": "DEAL B"}},
 	}
-	for _, d := range docs {
-		if _, err := ix.Add(d); err != nil {
+}
+
+// newEngineOver builds an engine with one backend per name, the deals and
+// their documents partitioned by ShardFor the way a cluster ingest routes
+// them.
+func newEngineOver(t *testing.T, names []string, deals []synopsis.Deal, docs []index.Document) *Engine {
+	t.Helper()
+	n := len(names)
+	e := &Engine{Tax: taxonomy.Default(), Backends: make([]ShardBackend, n)}
+	indexes := make([]*index.Index, n)
+	for i, name := range names {
+		store, err := synopsis.NewStore(relstore.NewDB())
+		if err != nil {
+			t.Fatal(err)
+		}
+		indexes[i] = index.New(textproc.DefaultAnalyzer)
+		docs := siapi.NewEngine(indexes[i])
+		e.Backends[i] = ShardBackend{Name: name, Synopses: store, Docs: func() *siapi.Engine { return docs }}
+	}
+	for _, d := range deals {
+		if err := e.Backends[ShardFor(d.Overview.DealID, n)].Synopses.Put(d); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return &Engine{
-		Synopses: store,
-		Docs:     siapi.NewEngine(ix),
-		Tax:      taxonomy.Default(),
+	for _, d := range docs {
+		if _, err := indexes[ShardFor(d.Meta["deal"], n)].Add(d); err != nil {
+			t.Fatal(err)
+		}
 	}
+	return e
+}
+
+// newEngine is the monolith over the two-deal corpus.
+func newEngine(t *testing.T) *Engine {
+	t.Helper()
+	return newEngineOver(t, []string{""}, fixtureDeals(), fixtureDocs())
 }
 
 func anyUser() access.User { return access.User{ID: "u", Roles: []access.Role{access.RoleAdmin}} }

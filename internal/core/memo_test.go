@@ -39,7 +39,7 @@ func TestSynopsisMemoScopedInvalidation(t *testing.T) {
 		t.Fatal("memoized search diverges from computed one")
 	}
 
-	if err := e.Synopses.Put(synopsis.Deal{Overview: synopsis.Overview{DealID: "DEAL NEW"}}); err != nil {
+	if err := e.Backends[0].Synopses.Put(synopsis.Deal{Overview: synopsis.Overview{DealID: "DEAL NEW"}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Search(anyUser(), q); err != nil {
@@ -47,7 +47,7 @@ func TestSynopsisMemoScopedInvalidation(t *testing.T) {
 	}
 	expect("after an unrelated write", 2, 1)
 
-	if err := e.Synopses.Put(synopsis.Deal{
+	if err := e.Backends[0].Synopses.Put(synopsis.Deal{
 		Overview: synopsis.Overview{DealID: "DEAL NEW"},
 		Towers:   []synopsis.TowerScope{{Tower: "Storage Management Services", Significance: 0.4}},
 	}); err != nil {

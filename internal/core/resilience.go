@@ -17,6 +17,8 @@ import (
 	"math/rand/v2"
 	"sync"
 	"time"
+
+	"repro/internal/fault"
 )
 
 // Resilience configures the engine's backend-call protection. The zero
@@ -78,11 +80,12 @@ var ErrCircuitOpen = errors.New("core: circuit open")
 // query error stays 4xx.
 type BackendError struct {
 	Backend string // "synopsis", "siapi", or "access"
+	Shard   string // the shard whose hop failed; "" on a monolith
 	Err     error
 }
 
 func (e *BackendError) Error() string {
-	return fmt.Sprintf("core: %s backend unavailable: %v", e.Backend, e.Err)
+	return fmt.Sprintf("core: %s backend unavailable: %v", hopKey(e.Backend, e.Shard), e.Err)
 }
 
 func (e *BackendError) Unwrap() error { return e.Err }
@@ -190,10 +193,8 @@ const (
 // resilience returns the engine's config with defaults filled.
 func (e *Engine) resilience() Resilience { return e.Resilient.withDefaults() }
 
-// breakerFor lazily creates the named backend's breaker. Keys are open
-// ended: the monolithic engine uses the backend names alone, the sharded
-// engine one "<backend>#<shard>" breaker per shard, so one dead shard
-// trips only its own circuit.
+// breakerFor lazily creates the breaker stored under a hopKey: one per
+// backend hop, and per shard in a cluster.
 func (e *Engine) breakerFor(backend string) *breaker {
 	e.brMu.Lock()
 	defer e.brMu.Unlock()
@@ -214,48 +215,26 @@ func (e *Engine) BreakerState(backend string) string {
 	return e.breakerFor(backend).State()
 }
 
-// shardBreakerName is the breaker/metric key for one backend hop of one
-// shard.
-func shardBreakerName(backend, shard string) string {
-	return backend + "#" + shard
-}
-
-// ShardBreakerStates reports every shard's breaker state for one backend
-// hop, keyed by shard name — the per-shard health checks read it.
-func (e *Engine) ShardBreakerStates(backend string) map[string]string {
-	out := make(map[string]string, len(e.Shards))
-	for i := range e.Shards {
-		name := e.Shards[i].Name
-		out[name] = e.BreakerState(shardBreakerName(backend, name))
-	}
-	return out
-}
-
 // BreakerStatus is one circuit as the status surfaces list it: the backend
-// hop it guards and, under a scatter-gather coordinator, the shard.
+// hop it guards and, in a cluster, the shard.
 type BreakerStatus struct {
 	Backend string
-	Shard   string // "" on an unsharded engine
+	Shard   string // "" on a monolith
 	State   string // "closed", "open" or "half-open"
 }
 
 // BreakerStates lists every circuit this engine searches through — one per
-// backend hop, or one per hop and shard on a coordinator, in shard order.
-// The readiness checks, the dashboard and the runtime sampler all read this
-// one list. A nil engine has no circuits.
+// hop and backend, in backend order. The readiness checks, the dashboard and
+// the runtime sampler all read this one list. A nil engine has no circuits.
 func (e *Engine) BreakerStates() []BreakerStatus {
 	if e == nil {
 		return nil
 	}
 	var out []BreakerStatus
-	for _, b := range []string{BackendSynopsis, BackendSIAPI} {
-		if !e.Sharded() {
-			out = append(out, BreakerStatus{Backend: b, State: e.BreakerState(b)})
-			continue
-		}
-		for i := range e.Shards {
-			name := e.Shards[i].Name
-			out = append(out, BreakerStatus{Backend: b, Shard: name, State: e.BreakerState(shardBreakerName(b, name))})
+	for _, hop := range []string{BackendSynopsis, BackendSIAPI} {
+		for i := range e.Backends {
+			b := &e.Backends[i]
+			out = append(out, BreakerStatus{Backend: hop, Shard: b.Name, State: e.BreakerState(hopKey(hop, b.Name))})
 		}
 	}
 	return out
@@ -264,18 +243,24 @@ func (e *Engine) BreakerStates() []BreakerStatus {
 // resilientCall runs one idempotent backend call under the engine's
 // resilience policy: breaker admission, per-attempt deadline slices of the
 // context budget, and bounded retry with decorrelated-jitter backoff.
-// Failures always come back wrapped in a *BackendError.
+// hop names the call and b the backend it goes to, whose fault injector (if
+// any) rides the call; failures always come back wrapped in a *BackendError
+// carrying both.
 //
 // With no deadline on ctx the attempt is a direct inline call — no
 // goroutine, no channel — so a budget-less engine (the zero Resilience
 // config) adds only the breaker check and one time read per backend hop.
-func resilientCall[T any](ctx context.Context, e *Engine, backend string, fn func(context.Context) (T, error)) (T, error) {
+func resilientCall[T any](ctx context.Context, e *Engine, hop string, b *ShardBackend, fn func(context.Context) (T, error)) (T, error) {
 	var zero T
+	if b.Faults != nil {
+		ctx = fault.With(ctx, b.Faults)
+	}
 	r := e.resilience()
+	backend := hopKey(hop, b.Name)
 	br := e.breakerFor(backend)
 	if !br.allow() {
 		e.Metrics.Counter("search_breaker_rejected_total", "backend", backend).Inc()
-		return zero, &BackendError{Backend: backend, Err: ErrCircuitOpen}
+		return zero, &BackendError{Backend: hop, Shard: b.Name, Err: ErrCircuitOpen}
 	}
 	attempts := r.MaxRetries + 1
 	var lastErr error
@@ -318,7 +303,7 @@ func resilientCall[T any](ctx context.Context, e *Engine, backend string, fn fun
 	if e.breakerFor(backend).State() == breakerOpen {
 		e.Metrics.Counter("search_breaker_opened_total", "backend", backend).Inc()
 	}
-	return zero, &BackendError{Backend: backend, Err: lastErr}
+	return zero, &BackendError{Backend: hop, Shard: b.Name, Err: lastErr}
 }
 
 // runAttempt executes fn once. Without a context deadline it calls inline

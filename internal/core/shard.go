@@ -1,34 +1,30 @@
 package core
 
-// Sharded scatter-gather search. The corpus is partitioned by hashed deal
-// ID into N self-contained shards — each with its own index, synopsis
-// store, and durability — and the Figure-1 search path fans every stage
-// out per shard: synopsis scatter, a global-statistics scatter (so BM25
-// scores match the monolithic engine bit-for-bit; see index/stats.go),
-// and a document scatter scoped per shard to its own synopsis hits. The
-// coordinator merges with a single cluster-wide normalization and a
-// bounded top-k heap, reproducing the single-engine ranking exactly.
+// Backends, and the two backend stages of Figure 1 over them. The corpus is
+// partitioned by hashed deal ID into N self-contained backends — each with
+// its own index, synopsis store, and durability; a monolith is N = 1 — and a
+// stage asks every backend that can hold an answer. With one backend that is
+// a direct call. With several it is a parallel scatter: synopsis scatter, a
+// global-statistics scatter (so BM25 scores match the monolithic engine
+// bit-for-bit; see index/stats.go), and a document scatter scoped per shard
+// to its own synopsis hits. Either way the stage normalizes once across
+// everything it gathered, so every shape ranks exactly alike.
 //
-// Resilience generalizes from "2 backends" to N shards: each shard's
-// synopsis and document hops get their own circuit breaker
-// ("<backend>#<shard>"), each shard goroutine gets a deadline carved from
-// the remaining search budget (80%, reserving coordinator headroom), and
-// a straggling, dead, or breaker-open shard degrades the result — its
-// deals drop to a reduced tier and the degraded flag is set — instead of
-// failing the query. Only a total outage of a stage with no tier left to
-// serve surfaces as an error, mirroring the monolithic degradation
-// ladder.
+// Resilience is per backend: each one's synopsis and document hops get their
+// own circuit breaker, each shard goroutine gets a deadline carved from the
+// remaining search budget (80%, reserving coordinator headroom), and a
+// straggling, dead, or breaker-open shard degrades the result — its deals
+// drop to a reduced tier and the degraded flag is set — instead of failing
+// the query. Which tier survives which outage is core.go's ladder.
 
 import (
 	"context"
-	"fmt"
 	"hash/fnv"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/access"
 	"repro/internal/fault"
 	"repro/internal/index"
 	"repro/internal/lru"
@@ -38,17 +34,28 @@ import (
 	"repro/internal/trace"
 )
 
-// ShardBackend is one self-contained shard: a synopsis store and a live
-// document engine over the same partition of deals. Docs is a getter so
-// per-shard compaction can republish its engine atomically (the same
-// SwapDocs discipline the monolith uses). Faults, when set, is attached
-// to this shard's scatter goroutines only — chaos tests kill or slow one
-// shard while the rest stay healthy.
+// ShardBackend is one self-contained backend: a synopsis store and a live
+// document engine over the same partition of deals. Name is empty for the
+// single backend of a monolith and the shard's name in a cluster. Docs is a
+// getter so compaction can republish its engine atomically: a search in
+// flight keeps the engine it loaded, new searches see the replacement.
+// Faults, when set, rides every call to this backend and no other — chaos
+// tests kill or slow one shard while the rest stay healthy.
 type ShardBackend struct {
 	Name     string
 	Synopses *synopsis.Store
 	Docs     func() *siapi.Engine
 	Faults   *fault.Injector
+}
+
+// hopKey is the breaker and metric key of one hop on one backend: the hop
+// alone on a monolith's unnamed backend ("siapi"), "<hop>#<shard>" in a
+// cluster ("siapi#shard-2"), so one dead shard trips only its own circuit.
+func hopKey(hop, shard string) string {
+	if shard == "" {
+		return hop
+	}
+	return hop + "#" + shard
 }
 
 // ShardFor returns the shard owning dealID among n shards: FNV-1a over
@@ -72,30 +79,74 @@ func ShardForDoc(dealID, path string, n int) int {
 	return ShardFor(dealID, n)
 }
 
-// Sharded reports whether this engine coordinates shards.
-func (e *Engine) Sharded() bool { return len(e.Shards) > 0 }
-
 // statsMemoSize bounds the coordinator's merged-stats memo.
 const statsMemoSize = 128
 
 // shardCtx derives one shard's scatter context: a per-shard deadline
 // carved from the remaining search budget (80% of what is left, reserving
 // headroom for the coordinator's merge and access stages after the
-// slowest shard reports), plus the shard's fault injector when set.
-func shardCtx(ctx context.Context, sb *ShardBackend) (context.Context, context.CancelFunc) {
-	cancel := context.CancelFunc(func() {})
-	if deadline, ok := ctx.Deadline(); ok {
-		remaining := time.Until(deadline)
-		slice := remaining - remaining/5
-		if slice < time.Millisecond {
-			slice = time.Millisecond
+// slowest shard reports).
+func shardCtx(ctx context.Context) (context.Context, context.CancelFunc) {
+	deadline, ok := ctx.Deadline()
+	if !ok {
+		return ctx, func() {}
+	}
+	remaining := time.Until(deadline)
+	slice := remaining - remaining/5
+	if slice < time.Millisecond {
+		slice = time.Millisecond
+	}
+	return context.WithDeadline(ctx, time.Now().Add(slice))
+}
+
+// outcome is what a backend stage reports to the ladder beside its hits:
+// how many of the backends it asked answered, how many failed, which, and
+// the first failure.
+type outcome struct {
+	ok, failed int
+	down       []bool // by backend index; nil while none has failed
+	err        error
+}
+
+func (o *outcome) add(e *Engine, i int, err error) {
+	if err == nil {
+		o.ok++
+		return
+	}
+	o.failed++
+	if o.down == nil {
+		o.down = make([]bool, len(e.Backends))
+	}
+	o.down[i] = true
+	if o.err == nil {
+		o.err = err
+	}
+}
+
+// onShard runs fn against shard i of a cluster under what every per-shard
+// hop gets: a child span, a deadline slice and the eil_shard_search_*
+// metrics.
+func onShard[T any](ctx context.Context, e *Engine, span string, i int, fn func(ctx context.Context, sp *trace.Span, i int) (T, error)) (T, error) {
+	sb := &e.Backends[i]
+	t := obs.StartTimer()
+	sctx, sp := trace.StartSpan(ctx, span)
+	sctx, cancel := shardCtx(sctx)
+	defer cancel()
+	out, err := fn(sctx, sp, i)
+	d := t.Elapsed()
+	e.Metrics.Counter("eil_shard_search_total", "shard", sb.Name).Inc()
+	if err != nil {
+		e.Metrics.Counter("eil_shard_search_errors_total", "shard", sb.Name).Inc()
+	}
+	e.Metrics.Histogram("eil_shard_search_seconds", nil, "shard", sb.Name).ObserveDurationWithExemplar(d, trace.ID(sctx))
+	if sp != nil {
+		sp.Set("shard", sb.Name)
+		if err != nil {
+			sp.Set("error", err.Error())
 		}
-		ctx, cancel = context.WithDeadline(ctx, time.Now().Add(slice))
+		sp.End()
 	}
-	if sb.Faults != nil {
-		ctx = fault.With(ctx, sb.Faults)
-	}
-	return ctx, cancel
+	return out, err
 }
 
 // shardOut carries one shard's scatter result.
@@ -104,53 +155,37 @@ type shardOut[T any] struct {
 	err error
 }
 
-// scatterShards fans fn out to every shard on its own goroutine — each
-// under a per-shard child span, deadline, fault injector, and
-// eil_shard_search_* metrics — and gathers results in shard order.
-func scatterShards[T any](ctx context.Context, e *Engine, span string, fn func(ctx context.Context, i int, sb *ShardBackend) (T, error)) []shardOut[T] {
-	outs := make([]shardOut[T], len(e.Shards))
+// scatterShards runs fn on every shard of a cluster that want names (nil
+// wants them all), each on its own goroutine under onShard, and gathers the
+// results in shard order; an unwanted shard's slot stays zero.
+func scatterShards[T any](ctx context.Context, e *Engine, span string, want []bool, fn func(ctx context.Context, sp *trace.Span, i int) (T, error)) []shardOut[T] {
+	outs := make([]shardOut[T], len(e.Backends))
 	var wg sync.WaitGroup
-	for i := range e.Shards {
+	for i := range e.Backends {
+		if want != nil && !want[i] {
+			continue
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sb := &e.Shards[i]
-			t := obs.StartTimer()
-			sctx, sp := trace.StartSpan(ctx, span)
-			sctx, cancel := shardCtx(sctx, sb)
-			defer cancel()
-			out, err := fn(sctx, i, sb)
-			d := t.Elapsed()
-			e.Metrics.Counter("eil_shard_search_total", "shard", sb.Name).Inc()
-			if err != nil {
-				e.Metrics.Counter("eil_shard_search_errors_total", "shard", sb.Name).Inc()
-			}
-			e.Metrics.Histogram("eil_shard_search_seconds", nil, "shard", sb.Name).ObserveDurationWithExemplar(d, trace.ID(sctx))
-			if sp != nil {
-				sp.Set("shard", sb.Name)
-				if err != nil {
-					sp.Set("error", err.Error())
-				}
-				sp.End()
-			}
-			outs[i] = shardOut[T]{out, err}
+			outs[i].out, outs[i].err = onShard(ctx, e, span, i, fn)
 		}(i)
 	}
 	wg.Wait()
 	return outs
 }
 
-// clusterEpoch joins every shard's index generation into one cache-epoch
+// ClusterEpoch joins every shard's index generation into one cache-epoch
 // string: a write on any shard yields a new epoch, so stats-scored cache
 // entries (keyed on it) can never serve scores computed against a stale
 // cluster state.
-func (e *Engine) clusterEpoch() string {
+func (e *Engine) ClusterEpoch() string {
 	var b strings.Builder
-	for i := range e.Shards {
+	for i := range e.Backends {
 		if i > 0 {
 			b.WriteByte('-')
 		}
-		b.WriteString(strconv.FormatUint(e.Shards[i].Docs().Generation(), 10))
+		b.WriteString(strconv.FormatUint(e.Backends[i].Docs().Generation(), 10))
 	}
 	return b.String()
 }
@@ -161,20 +196,22 @@ func (e *Engine) clusterEpoch() string {
 // report stats as down for the whole document stage); the merged table is
 // memoized per query and cluster epoch, but only when every shard
 // reported — a partial table must not be served to later healthy
-// searches.
+// searches. One backend's own statistics are the global ones, so no caller
+// runs this phase for a monolith.
 func (e *Engine) clusterStats(ctx context.Context, dq siapi.Query, epoch string) (*index.Stats, []error) {
 	e.statsOnce.Do(func() {
 		e.statsMemo = lru.New[string, *index.Stats](statsMemoSize)
 	})
-	errs := make([]error, len(e.Shards))
+	errs := make([]error, len(e.Backends))
 	key := siapi.Key(dq) + "|" + epoch
-	if st, ok := e.statsMemo.Get(key, 0); ok {
+	if st, ok := e.statsMemo.Get(key); ok {
 		e.Metrics.Counter("shard_stats_cache_hits_total").Inc()
 		return st, errs
 	}
 	e.Metrics.Counter("shard_stats_cache_misses_total").Inc()
-	outs := scatterShards(ctx, e, "search.siapi.stats", func(c context.Context, i int, sb *ShardBackend) (*index.Stats, error) {
-		return resilientCall(c, e, shardBreakerName(BackendSIAPI, sb.Name), func(cc context.Context) (*index.Stats, error) {
+	outs := scatterShards(ctx, e, "search.siapi.stats", nil, func(c context.Context, _ *trace.Span, i int) (*index.Stats, error) {
+		sb := &e.Backends[i]
+		return resilientCall(c, e, BackendSIAPI, sb, func(cc context.Context) (*index.Stats, error) {
 			return sb.Docs().TryCollectStatsCtx(cc, dq)
 		})
 	})
@@ -193,320 +230,143 @@ func (e *Engine) clusterStats(ctx context.Context, dq siapi.Query, epoch string)
 		}
 	}
 	if complete && merged != nil {
-		e.statsMemo.Put(key, 0, merged)
+		e.statsMemo.Put(key, merged)
 	}
 	return merged, errs
 }
 
-// searchSharded is the Figure-1 search path as a parallel scatter-gather
-// over e.Shards. It mirrors the monolithic search() stage for stage; the
-// differential suite holds the two paths to identical rankings.
-func (e *Engine) searchSharded(ctx context.Context, user access.User, q FormQuery) (Result, error) {
-	var res Result
-	n := len(e.Shards)
-	if r := e.resilience(); r.Budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.Budget)
-		defer cancel()
+// synopsisOn runs the synopsis query on one backend behind the resilience
+// wrapper — breaker admission, budget-sliced attempt deadlines, bounded
+// retry — and records on the backend's span whether the store's memo served
+// it.
+func (e *Engine) synopsisOn(ctx context.Context, sp *trace.Span, b *ShardBackend, sq synopsis.Query) ([]synopsis.Hit, error) {
+	type synOut struct {
+		hits   []synopsis.Hit
+		cached bool
 	}
-	if e.Faults != nil {
-		ctx = fault.With(ctx, e.Faults)
-	}
-	degrade := func(cause string, err error) {
-		res.Degraded = true
-		res.DegradedCauses = append(res.DegradedCauses, cause)
-		e.Metrics.Counter("search_degraded_total", "cause", cause).Inc()
-		root := trace.FromContext(ctx)
-		root.SetBool("degraded", true)
-		root.Set("degraded_"+cause, err.Error())
-	}
+	out, err := resilientCall(ctx, e, BackendSynopsis, b, func(c context.Context) (synOut, error) {
+		hits, cached, err := e.synopsisSearch(c, b.Synopses, sq)
+		return synOut{hits, cached}, err
+	})
+	sp.SetBool("cache_hit", out.cached)
+	sp.SetInt("hits", len(out.hits))
+	return out.hits, err
+}
 
-	// Steps 1-3: compose both queries (coordinator-local, not sharded).
-	compose := obs.StartTimer()
-	_, csp := trace.StartSpan(ctx, "search.compose")
-	sq, explain := e.composeSynopsisQuery(q)
-	res.Explain = append(res.Explain, explain...)
-	if q.Tower != "" && e.Tax != nil {
-		if _, _, ok := e.Tax.Resolve(q.Tower); !ok {
-			for _, s := range e.Tax.Suggest(q.Tower, 3) {
-				res.Suggestions = append(res.Suggestions, s.Surface)
-			}
-		}
-	}
-	dq := e.composeSIAPIQuery(q)
-	if !dq.Empty() {
-		res.Explain = append(res.Explain, fmt.Sprintf("SIAPI query on fields %v", dq.Fields))
-	}
-	if csp != nil {
-		csp.SetBool("has_concepts", !sq.Empty())
-		csp.SetBool("has_text", !dq.Empty())
-		csp.SetInt("suggestions", len(res.Suggestions))
-		csp.End()
-	}
-	e.observeStage(ctx, StageCompose, compose.Elapsed())
-
-	// Step 4: synopsis scatter. Hits union in shard order; a failed shard
-	// costs only its own deals unless every shard is down.
-	var synHits []synopsis.Hit
-	synDown := false
-	if !sq.Empty() {
-		t := obs.StartTimer()
-		sctx, sp := trace.StartSpan(ctx, "search.synopsis")
-		type synOut struct {
-			hits   []synopsis.Hit
-			cached bool
-		}
-		outs := scatterShards(sctx, e, "search.synopsis.shard", func(c context.Context, i int, sb *ShardBackend) (synOut, error) {
-			return resilientCall(c, e, shardBreakerName(BackendSynopsis, sb.Name), func(cc context.Context) (synOut, error) {
-				hits, cached, err := e.synopsisSearch(cc, sb.Synopses, sq)
-				return synOut{hits, cached}, err
-			})
+// synopsisStage is Figure 1 step 4: the synopsis query on every backend,
+// hits united in backend order.
+func (e *Engine) synopsisStage(ctx context.Context, sq synopsis.Query) ([]synopsis.Hit, outcome) {
+	t := obs.StartTimer()
+	sctx, sp := trace.StartSpan(ctx, "search.synopsis")
+	var hits []synopsis.Hit
+	var o outcome
+	if len(e.Backends) == 1 {
+		var err error
+		hits, err = e.synopsisOn(sctx, sp, &e.Backends[0], sq)
+		o.add(e, 0, err)
+	} else {
+		sq := sq // what the goroutines capture is this copy: the one-backend path keeps its query on the stack
+		outs := scatterShards(sctx, e, "search.synopsis.shard", nil, func(c context.Context, ssp *trace.Span, i int) ([]synopsis.Hit, error) {
+			return e.synopsisOn(c, ssp, &e.Backends[i], sq)
 		})
-		okCount, failCount := 0, 0
-		var firstErr error
-		for _, r := range outs {
-			if r.err != nil {
-				failCount++
-				if firstErr == nil {
-					firstErr = r.err
-				}
-				continue
-			}
-			okCount++
-			synHits = append(synHits, r.out.hits...)
+		for i, r := range outs {
+			o.add(e, i, r.err)
+			hits = append(hits, r.out...)
 		}
-		if sp != nil {
-			sp.SetInt("hits", len(synHits))
-			sp.SetInt("shards_failed", failCount)
-			if firstErr != nil {
-				sp.Set("error", firstErr.Error())
-			}
-			sp.End()
-		}
-		e.observeStage(ctx, StageSynopsis, t.Elapsed())
-		switch {
-		case failCount == 0:
-			res.Explain = append(res.Explain, fmt.Sprintf("synopsis query matched %d activities", len(synHits)))
-		case okCount == 0 && dq.Empty():
-			// Concept-only query with every synopsis shard down: no tier
-			// left to serve.
-			return res, &BackendError{Backend: BackendSynopsis, Err: firstErr}
-		case okCount == 0:
-			synDown = true
-			degrade(BackendSynopsis, firstErr)
-			res.Explain = append(res.Explain, "synopsis backend unavailable; degraded to unscoped full-text")
-		default:
-			// Partial harvest: the surviving shards' business context still
-			// scopes the search; the dead shards' deals are simply absent.
-			degrade(BackendSynopsis, firstErr)
-			res.Explain = append(res.Explain, fmt.Sprintf("%d of %d synopsis shards unavailable; serving partial business context", failCount, n))
-		}
+		sp.SetInt("hits", len(hits))
+		sp.SetInt("shards_failed", o.failed)
 	}
-
-	synByDeal := map[string]synopsis.Hit{}
-	maxSyn := 0.0
-	for _, h := range synHits {
-		synByDeal[h.DealID] = h
-		if h.Score > maxSyn {
-			maxSyn = h.Score
+	if sp != nil {
+		if o.err != nil {
+			sp.Set("error", o.err.Error())
 		}
+		sp.End()
 	}
+	e.observeStage(ctx, StageSynopsis, t.Elapsed())
+	return hits, o
+}
 
-	acts := map[string]*combinedAct{}
-	addSyn := func(h synopsis.Hit) {
-		c := acts[h.DealID]
-		if c == nil {
-			c = &combinedAct{}
-			acts[h.DealID] = c
-		}
-		if maxSyn > 0 {
-			c.syn = h.Score / maxSyn
-		}
-		c.tws = h.MatchedTowers
-	}
+// activitiesOn runs one backend's activity search behind the resilience
+// wrapper. Scores come back raw, so the stage can normalize once against
+// the best activity of every backend; st and epoch are the merged
+// statistics of a cluster, nil and "" for a backend that scores alone.
+func (e *Engine) activitiesOn(ctx context.Context, b *ShardBackend, dq siapi.Query, perDeal int, st *index.Stats, epoch string) ([]siapi.ActivityHit, error) {
+	return resilientCall(ctx, e, BackendSIAPI, b, func(c context.Context) ([]siapi.ActivityHit, error) {
+		return b.Docs().TrySearchActivitiesRawCtx(c, dq, perDeal, st, epoch)
+	})
+}
 
-	// shardedSIAPIStage scatters the two-phase document search: global
-	// stats, then per-shard activity search. When scoping is on, each
-	// shard's query is restricted to its own synopsis-hit deals (a deal's
-	// documents live wholly on its shard, so the union equals the
-	// monolithic scoped search). failedShards reports which shards
-	// returned nothing; merged activity hits carry raw (unnormalized)
-	// cluster-scored averages.
-	shardedSIAPIStage := func(scoping bool) (docActs []siapi.ActivityHit, failedShards []bool, okCount, failCount int, firstErr error) {
-		perDeal := q.DocsPerDeal
-		if perDeal <= 0 {
-			perDeal = 5
+// siapiStage is the document search of Figure 1 (step 8 when scope holds
+// the synopsis hits to restrict it to, steps 13-15 when scope is nil). Each
+// backend is asked only about its own deals in scope — a deal's documents
+// live wholly on the backend that owns it, so the union equals one scoped
+// search over everything — and a backend with none is not asked at all.
+func (e *Engine) siapiStage(ctx context.Context, dq siapi.Query, scope []synopsis.Hit, perDeal int) ([]siapi.ActivityHit, outcome) {
+	t := obs.StartTimer()
+	sctx, sp := trace.StartSpan(ctx, "search.siapi")
+	n := len(e.Backends)
+	var docActs []siapi.ActivityHit
+	var o outcome
+	if n == 1 {
+		for _, h := range scope {
+			dq.Deals = append(dq.Deals, h.DealID)
 		}
-		t := obs.StartTimer()
-		sctx, sp := trace.StartSpan(ctx, "search.siapi")
-		epoch := e.clusterEpoch()
+		var err error
+		docActs, err = e.activitiesOn(sctx, &e.Backends[0], dq, perDeal, nil, "")
+		o.add(e, 0, err)
+	} else {
+		dq := dq // as in synopsisStage: only the scatter pays a heap copy
+		epoch := e.ClusterEpoch()
 		st, statsErrs := e.clusterStats(sctx, dq, epoch)
-		var dealsByShard [][]string
-		relevant := make([]bool, n)
-		for i := range relevant {
-			relevant[i] = true
-		}
-		if scoping {
-			dealsByShard = make([][]string, n)
-			for _, h := range synHits {
+		var deals [][]string
+		var want []bool
+		if scope != nil {
+			deals, want = make([][]string, n), make([]bool, n)
+			for _, h := range scope {
 				i := ShardFor(h.DealID, n)
-				dealsByShard[i] = append(dealsByShard[i], h.DealID)
-			}
-			for i := range relevant {
-				relevant[i] = len(dealsByShard[i]) > 0
+				deals[i], want[i] = append(deals[i], h.DealID), true
 			}
 		}
-		outs := scatterShards(sctx, e, "search.siapi.shard", func(c context.Context, i int, sb *ShardBackend) ([]siapi.ActivityHit, error) {
-			if !relevant[i] {
-				return nil, nil
-			}
+		outs := scatterShards(sctx, e, "search.siapi.shard", want, func(c context.Context, _ *trace.Span, i int) ([]siapi.ActivityHit, error) {
 			if statsErrs[i] != nil {
 				return nil, statsErrs[i]
 			}
 			sdq := dq
-			if scoping {
-				sdq.Deals = dealsByShard[i]
+			if scope != nil {
+				sdq.Deals = deals[i]
 			}
-			return resilientCall(c, e, shardBreakerName(BackendSIAPI, sb.Name), func(cc context.Context) ([]siapi.ActivityHit, error) {
-				return sb.Docs().TrySearchActivitiesRawCtx(cc, sdq, perDeal, st, epoch)
-			})
+			return e.activitiesOn(c, &e.Backends[i], sdq, perDeal, st, epoch)
 		})
-		failedShards = make([]bool, n)
 		for i, r := range outs {
-			if !relevant[i] {
-				continue
-			}
-			if r.err != nil {
-				failCount++
-				failedShards[i] = true
-				if firstErr == nil {
-					firstErr = r.err
-				}
-				continue
-			}
-			okCount++
-			docActs = append(docActs, r.out...)
-		}
-		// Coordinator normalization: one cluster-wide best activity, the
-		// same single maxAvg the monolithic engine computes.
-		maxAvg := 0.0
-		for _, da := range docActs {
-			if da.Score > maxAvg {
-				maxAvg = da.Score
+			if want == nil || want[i] {
+				o.add(e, i, r.err)
+				docActs = append(docActs, r.out...)
 			}
 		}
-		if maxAvg > 0 {
-			for i := range docActs {
-				docActs[i].Score /= maxAvg
-			}
-		}
-		if sp != nil {
-			sp.SetBool("scoped", scoping)
-			sp.SetInt("activities", len(docActs))
-			sp.SetInt("shards_failed", failCount)
-			if firstErr != nil {
-				sp.Set("error", firstErr.Error())
-			}
-			sp.End()
-		}
-		e.observeStage(ctx, StageSIAPI, t.Elapsed())
-		return docActs, failedShards, okCount, failCount, firstErr
+		sp.SetInt("shards_failed", o.failed)
 	}
-
-	switch {
-	case len(synHits) > 0: // steps 5-11
-		if !dq.Empty() {
-			docActs, failedShards, okCount, failCount, err := shardedSIAPIStage(!e.DisableScoping)
-			if failCount > 0 {
-				degrade(BackendSIAPI, err)
-				if okCount == 0 {
-					// Every relevant document shard down with the synopsis
-					// side healthy: serve the synopsis-plus-contacts tier.
-					res.Explain = append(res.Explain, "document index unavailable; degraded to synopsis-plus-contacts")
-					for _, h := range synHits {
-						addSyn(h)
-					}
-					break
-				}
-				// Partial outage: only the dead shards' deals drop to the
-				// synopsis tier; surviving shards keep their documents.
-				res.Explain = append(res.Explain, fmt.Sprintf("%d document shards unavailable; affected activities degraded to synopsis-plus-contacts", failCount))
-				for _, h := range synHits {
-					if failedShards[ShardFor(h.DealID, n)] {
-						addSyn(h)
-					}
-				}
-			}
-			for _, da := range docActs {
-				sh, inS := synByDeal[da.DealID]
-				if !inS {
-					continue // unscoped ablation: intersect to keep semantics
-				}
-				addSyn(sh)
-				acts[da.DealID].doc = da.Score
-				acts[da.DealID].dcs = da.Docs
-			}
-			res.Explain = append(res.Explain, fmt.Sprintf("scoped SIAPI query over %d activities", len(synHits)))
-		} else {
-			// Step 11: R <- S.
-			for _, h := range synHits {
-				addSyn(h)
-			}
+	// One normalization against the best activity of every backend: the
+	// single maxAvg a monolithic index computes.
+	maxAvg := 0.0
+	for _, da := range docActs {
+		if da.Score > maxAvg {
+			maxAvg = da.Score
 		}
-	case !dq.Empty(): // steps 13-15: unscoped SIAPI fallback
-		if !sq.Empty() && !synDown {
-			res.Explain = append(res.Explain, "concept criteria matched no activities")
-			break
-		}
-		docActs, _, okCount, failCount, err := shardedSIAPIStage(false)
-		if okCount == 0 {
-			// Every serving tier is gone: surface the outage.
-			return res, &BackendError{Backend: BackendSIAPI, Err: err}
-		}
-		if failCount > 0 {
-			degrade(BackendSIAPI, err)
-			res.Explain = append(res.Explain, fmt.Sprintf("%d of %d document shards unavailable; serving partial results", failCount, n))
-		}
-		for _, da := range docActs {
-			acts[da.DealID] = &combinedAct{doc: da.Score, dcs: da.Docs}
-		}
-		res.UnscopedFallback = true
-		if synDown {
-			res.Explain = append(res.Explain, "unscoped SIAPI query (synopsis degraded)")
-		} else {
-			res.Explain = append(res.Explain, "unscoped SIAPI query (no concept criteria)")
-		}
-	default: // step 17: R <- empty set
-		return res, nil
 	}
-
-	e.finishSearch(ctx, user, q, &res, acts, degrade)
-	return res, nil
-}
-
-// exploreSharded drills into one activity's documents on its owning
-// shard, scored against cluster-global statistics so the hit scores match
-// what the monolithic engine would return.
-func (e *Engine) exploreSharded(ctx context.Context, dealID string, dq siapi.Query, limit int) ([]siapi.DocHit, error) {
-	epoch := e.clusterEpoch()
-	st, errs := e.clusterStats(ctx, dq, epoch)
-	i := ShardFor(dealID, len(e.Shards))
-	if errs[i] != nil {
-		return nil, errs[i]
+	if maxAvg > 0 {
+		for i := range docActs {
+			docActs[i].Score /= maxAvg
+		}
 	}
-	sb := &e.Shards[i]
-	sctx, sp := trace.StartSpan(ctx, "search.siapi.shard")
-	sctx, cancel := shardCtx(sctx, sb)
-	defer cancel()
-	hits, err := resilientCall(sctx, e, shardBreakerName(BackendSIAPI, sb.Name), func(c context.Context) ([]siapi.DocHit, error) {
-		return sb.Docs().TrySearchStatsCtx(c, dq, limit, st, epoch)
-	})
 	if sp != nil {
-		sp.Set("shard", sb.Name)
-		if err != nil {
-			sp.Set("error", err.Error())
+		sp.SetBool("scoped", scope != nil)
+		sp.SetInt("scope_deals", len(scope))
+		sp.SetInt("activities", len(docActs))
+		if o.err != nil {
+			sp.Set("error", o.err.Error())
 		}
 		sp.End()
 	}
-	return hits, err
+	e.observeStage(ctx, StageSIAPI, t.Elapsed())
+	return docActs, o
 }

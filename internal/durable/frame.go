@@ -2,7 +2,6 @@ package durable
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -268,6 +267,3 @@ func (fr *FrameReader) Drain() error {
 		}
 	}
 }
-
-// IsTorn reports whether err marks a torn container tail.
-func IsTorn(err error) bool { return errors.Is(err, ErrTorn) }

@@ -154,13 +154,6 @@ func (s *Supervisor) event(format string, args ...any) {
 	s.logf("failover: %s", e.What)
 }
 
-// Events returns the recent decision log, oldest first.
-func (s *Supervisor) Events() []Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Event(nil), s.events...)
-}
-
 // Status summarizes the supervisor's view.
 type Status struct {
 	Primary       string    `json:"primary,omitempty"`

@@ -1,13 +1,13 @@
-// Package lru provides a small LRU cache for query results with two ways to
-// invalidate, chosen per cache by what its entries depend on. An entry that
-// is a function of one known thing (a deal's synopsis, a memoized synopsis
-// query, an immutable document's snippet) lives under a constant epoch, and
-// the writer removes exactly what it changed with Remove or RemoveFunc; the
-// rest stays warm. An entry that depends on the whole collection (a BM25 score
-// reads N, df and average field length, which every add changes) is stored
+// Package lru provides a small LRU cache for query results in two types,
+// chosen per cache by what its entries depend on. An entry that is a function
+// of one known thing (a deal's synopsis, a memoized synopsis query, an
+// immutable document's snippet) lives in a Cache, and the writer removes
+// exactly what it changed with Remove or RemoveFunc; the rest stays warm. An
+// entry that depends on the whole collection (a BM25 score reads N, df and
+// average field length, which every add changes) lives in a Versioned cache
 // under an external generation counter: the first access at a newer epoch
-// flushes the cache, so the writer only bumps a counter, at the cost of a
-// cold cache after every write.
+// flushes it, so the writer only bumps a counter, at the cost of a cold cache
+// after every write. A Cache has no epoch to pass, so it cannot flush itself.
 package lru
 
 import "sync"
@@ -16,7 +16,6 @@ import "sync"
 type Cache[K comparable, V any] struct {
 	mu    sync.Mutex
 	cap   int
-	epoch uint64
 	items map[K]*entry[K, V]
 	// Doubly-linked use list; head is most recent, tail least.
 	head, tail *entry[K, V]
@@ -36,20 +35,21 @@ func New[K comparable, V any](capacity int) *Cache[K, V] {
 	return &Cache[K, V]{cap: capacity, items: make(map[K]*entry[K, V], capacity)}
 }
 
-// Get returns the value cached for key, if it was stored at the given
-// epoch. A newer epoch flushes the cache (every entry is stale) and
-// misses; an older epoch — a reader that observed the counter before a
-// concurrent writer bumped it — misses without disturbing newer entries.
-func (c *Cache[K, V]) Get(key K, epoch uint64) (V, bool) {
+// Get returns the value cached for key.
+func (c *Cache[K, V]) Get(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if epoch != c.epoch {
-		if epoch > c.epoch {
-			c.flush(epoch)
-		}
-		var zero V
-		return zero, false
-	}
+	return c.get(key)
+}
+
+// Put stores key→val, evicting the least recently used entry when full.
+func (c *Cache[K, V]) Put(key K, val V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.put(key, val)
+}
+
+func (c *Cache[K, V]) get(key K) (V, bool) {
 	e, ok := c.items[key]
 	if !ok {
 		var zero V
@@ -59,18 +59,7 @@ func (c *Cache[K, V]) Get(key K, epoch uint64) (V, bool) {
 	return e.val, true
 }
 
-// Put stores key→val computed at the given epoch. Values from epochs older
-// than the cache's are dropped (they may already be stale); a newer epoch
-// flushes first.
-func (c *Cache[K, V]) Put(key K, epoch uint64, val V) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if epoch != c.epoch {
-		if epoch < c.epoch {
-			return
-		}
-		c.flush(epoch)
-	}
+func (c *Cache[K, V]) put(key K, val V) {
 	if e, ok := c.items[key]; ok {
 		e.val = val
 		c.moveToFront(e)
@@ -82,6 +71,59 @@ func (c *Cache[K, V]) Put(key K, epoch uint64, val V) {
 	if len(c.items) > c.cap {
 		c.evict(c.tail)
 	}
+}
+
+// Versioned is a Cache whose every entry was computed at one epoch of an
+// external generation counter; it shares the Cache's lock and use list.
+type Versioned[K comparable, V any] struct {
+	c     *Cache[K, V]
+	epoch uint64
+}
+
+// NewVersioned returns a versioned cache holding at most capacity entries.
+func NewVersioned[K comparable, V any](capacity int) *Versioned[K, V] {
+	return &Versioned[K, V]{c: New[K, V](capacity)}
+}
+
+// Get returns the value cached for key, if it was stored at the given
+// epoch. A newer epoch flushes the cache (every entry is stale) and
+// misses; an older epoch — a reader that observed the counter before a
+// concurrent writer bumped it — misses without disturbing newer entries.
+func (v *Versioned[K, V]) Get(key K, epoch uint64) (V, bool) {
+	v.c.mu.Lock()
+	defer v.c.mu.Unlock()
+	if epoch != v.epoch {
+		if epoch > v.epoch {
+			v.flush(epoch)
+		}
+		var zero V
+		return zero, false
+	}
+	return v.c.get(key)
+}
+
+// Put stores key→val computed at the given epoch. Values from epochs older
+// than the cache's are dropped (they may already be stale); a newer epoch
+// flushes first.
+func (v *Versioned[K, V]) Put(key K, epoch uint64, val V) {
+	v.c.mu.Lock()
+	defer v.c.mu.Unlock()
+	if epoch != v.epoch {
+		if epoch < v.epoch {
+			return
+		}
+		v.flush(epoch)
+	}
+	v.c.put(key, val)
+}
+
+// Len reports the number of cached entries.
+func (v *Versioned[K, V]) Len() int { return v.c.Len() }
+
+func (v *Versioned[K, V]) flush(epoch uint64) {
+	v.epoch = epoch
+	clear(v.c.items)
+	v.c.head, v.c.tail = nil, nil
 }
 
 // Remove drops key and reports whether it was cached.
@@ -117,12 +159,6 @@ func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.items)
-}
-
-func (c *Cache[K, V]) flush(epoch uint64) {
-	c.epoch = epoch
-	clear(c.items)
-	c.head, c.tail = nil, nil
 }
 
 func (c *Cache[K, V]) pushFront(e *entry[K, V]) {

@@ -49,22 +49,6 @@ func (t Type) String() string {
 // bool, or nil for SQL NULL.
 type Value any
 
-// TypeOf reports the Type of a non-nil value and whether it is valid.
-func TypeOf(v Value) (Type, bool) {
-	switch v.(type) {
-	case string:
-		return TText, true
-	case int64:
-		return TInt, true
-	case float64:
-		return TFloat, true
-	case bool:
-		return TBool, true
-	default:
-		return 0, false
-	}
-}
-
 // Coerce converts v to column type t where a lossless-enough conversion
 // exists (int→float, numeric string forms are NOT coerced; Go ints are
 // widened to int64). It returns an error for impossible conversions.

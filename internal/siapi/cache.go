@@ -135,22 +135,22 @@ func (e *Engine) snippet(doc index.DocID, terms []string) string {
 		b.WriteString(t)
 	}
 	key := b.String()
-	if s, ok := e.snipCache.Get(key, 0); ok {
+	if s, ok := e.snipCache.Get(key); ok {
 		return s
 	}
 	s := e.ix.Snippet(doc, FieldBody, terms, snippetWidth)
-	e.snipCache.Put(key, 0, s)
+	e.snipCache.Put(key, s)
 	return s
 }
 
-func newHitCache() *lru.Cache[string, []DocHit] {
-	return lru.New[string, []DocHit](searchCacheSize)
+func newHitCache() *lru.Versioned[string, []DocHit] {
+	return lru.NewVersioned[string, []DocHit](searchCacheSize)
 }
 
 func newSnippetCache() *lru.Cache[string, string] {
 	return lru.New[string, string](snippetCacheSize)
 }
 
-func newCountCache() *lru.Cache[string, int] {
-	return lru.New[string, int](countCacheSize)
+func newCountCache() *lru.Versioned[string, int] {
+	return lru.NewVersioned[string, int](countCacheSize)
 }

@@ -17,7 +17,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/lru"
 	"repro/internal/obs"
-	"repro/internal/textproc"
 	"repro/internal/trace"
 )
 
@@ -133,8 +132,8 @@ type ActivityHit struct {
 // write invalidates them through the index generation counter.
 type Engine struct {
 	ix         *index.Index
-	hitCache   *lru.Cache[string, []DocHit]
-	countCache *lru.Cache[string, int]
+	hitCache   *lru.Versioned[string, []DocHit]
+	countCache *lru.Versioned[string, int]
 	snipCache  *lru.Cache[string, string]
 	// Cache telemetry; nil-safe no-ops until SetMetrics is called.
 	cacheHits   *obs.Counter
@@ -452,7 +451,3 @@ func (e *Engine) tryActivities(ctx context.Context, q Query, perDeal int, st *in
 	}
 	return hits, nil
 }
-
-// Analyzer returns the analyzer shared with the index; the core layer uses
-// it to pre-normalize concept values.
-func (e *Engine) Analyzer() textproc.Analyzer { return e.ix.Analyzer() }

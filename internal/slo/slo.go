@@ -143,9 +143,6 @@ func New(opts Options) *Engine {
 	return &Engine{opts: opts, windows: windows, ring: make([]sample, n), prevAlert: map[string]string{}}
 }
 
-// Windows returns the configured burn windows, ascending.
-func (e *Engine) Windows() []time.Duration { return e.windows }
-
 // objective returns the effective objective for a route.
 func (e *Engine) objective(route string) Objective {
 	if o, ok := e.opts.PerRoute[route]; ok {

@@ -19,7 +19,7 @@ type Conn struct {
 	db *relstore.DB
 	// plans caches SELECT plans by SQL text under the database's schema
 	// version: any table or index DDL empties it.
-	plans *lru.Cache[string, *selectPlan]
+	plans *lru.Versioned[string, *selectPlan]
 }
 
 // planCacheSize bounds the plan cache. A caller issues a fixed, small set of
@@ -35,7 +35,7 @@ const maxReplans = 64
 
 // Open wraps a relstore database with the SQL interface.
 func Open(db *relstore.DB) *Conn {
-	return &Conn{db: db, plans: lru.New[string, *selectPlan](planCacheSize)}
+	return &Conn{db: db, plans: lru.NewVersioned[string, *selectPlan](planCacheSize)}
 }
 
 // DB returns the underlying engine, for callers that mix SQL with direct

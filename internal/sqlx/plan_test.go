@@ -1,6 +1,7 @@
 package sqlx
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -73,8 +74,16 @@ func TestPlanCacheAcrossCreateIndex(t *testing.T) {
 
 // One Conn serves readers and writers at once; run under -race. The schema
 // changes underneath as well: a reader that loses the race with DDL plans
-// again instead of reading through stale positions.
+// again instead of reading through stale positions. The DDL loop never
+// pauses, so Query may give up with ErrSchemaChanged, as it documents — but
+// only after losing maxReplans races in a row, and each lost race needs a
+// version bump of its own between the reader's plan and its read. A reader
+// that is handed the error asks again, so no iteration goes unchecked, and
+// counts: more of them than the loop's bumps can pay for means Query gave up
+// without having lost its races.
 func TestConcurrentQueryAndExec(t *testing.T) {
+	const flips = 150                        // DROP + CREATE: two bumps each
+	const tolerated = 2 * flips / maxReplans // per reader, over the whole run
 	c := Open(relstore.NewDB())
 	mustExec(t, c, `CREATE TABLE kv (k TEXT, v INT)`)
 	mustExec(t, c, `CREATE INDEX kv_by_k ON kv (k)`)
@@ -98,7 +107,7 @@ func TestConcurrentQueryAndExec(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 150; i++ { // the same name, two column orders
+		for i := 0; i < flips; i++ { // the same name, two column orders
 			c.Exec(`DROP TABLE flip`)
 			if i%2 == 0 {
 				c.Exec(`CREATE TABLE flip (b INT, a TEXT)`)
@@ -112,8 +121,21 @@ func TestConcurrentQueryAndExec(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			gaveUp := 0
+			query := func(sqlText string, args ...relstore.Value) (*Rows, error) {
+				for {
+					rows, err := c.Query(sqlText, args...)
+					if !errors.Is(err, relstore.ErrSchemaChanged) {
+						return rows, err
+					}
+					if gaveUp++; gaveUp > tolerated {
+						t.Errorf("reader %d: ErrSchemaChanged %d times; %d flips pay for at most %d", r, gaveUp, flips, tolerated)
+						return nil, err
+					}
+				}
+			}
 			for i := 0; i < 600; i++ {
-				rows, err := c.Query(`SELECT k, v FROM kv WHERE k = ? AND v >= 0 ORDER BY v`, fmt.Sprintf("k%d", (r+i)%11))
+				rows, err := query(`SELECT k, v FROM kv WHERE k = ? AND v >= 0 ORDER BY v`, fmt.Sprintf("k%d", (r+i)%11))
 				if err != nil {
 					t.Errorf("query: %v", err)
 					return
@@ -125,7 +147,7 @@ func TestConcurrentQueryAndExec(t *testing.T) {
 				}
 				// flip may not exist at this instant; when it does, a is
 				// text whichever way round the columns currently are.
-				if rows, err := c.Query(`SELECT a FROM flip WHERE b = 1`); err == nil {
+				if rows, err := query(`SELECT a FROM flip WHERE b = 1`); err == nil {
 					for _, row := range rows.Data {
 						if row[0] != "x" {
 							t.Errorf("flip.a read as %v", row[0])

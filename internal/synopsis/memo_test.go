@@ -163,7 +163,7 @@ func runMemoHistory(t *testing.T, c chooser) {
 			}
 		}
 		for did := range stored {
-			memo, ok := s.getMemo.Get(did, 0)
+			memo, ok := s.getMemo.Get(did)
 			if !ok {
 				continue
 			}
@@ -171,7 +171,7 @@ func runMemoHistory(t *testing.T, c chooser) {
 				t.Fatalf("%s %s: Get memo for %s is stale (%v):\n memo %+v\n  now %+v", op, id, did, err, memo, now)
 			}
 		}
-		if _, ok := s.getMemo.Get(id, 0); ok {
+		if _, ok := s.getMemo.Get(id); ok {
 			t.Fatalf("%s %s: Get memo kept the written deal", op, id)
 		}
 	}

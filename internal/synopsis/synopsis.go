@@ -253,7 +253,7 @@ func (s *Store) deleteDeal(id string) error {
 // next written, so repeated lookups of a slow-changing deal cost a map probe
 // instead of six relational queries.
 func (s *Store) Get(id string) (Deal, error) {
-	if d, ok := s.getMemo.Get(id, 0); ok {
+	if d, ok := s.getMemo.Get(id); ok {
 		return cloneDeal(d), nil
 	}
 	gen := s.gen.Load()
@@ -261,7 +261,7 @@ func (s *Store) Get(id string) (Deal, error) {
 	if err != nil {
 		return Deal{}, err
 	}
-	s.memoize(gen, func() { s.getMemo.Put(id, 0, cloneDeal(d)) })
+	s.memoize(gen, func() { s.getMemo.Put(id, cloneDeal(d)) })
 	return d, nil
 }
 
@@ -432,7 +432,7 @@ func (s *Store) SearchCached(ctx context.Context, q Query) ([]Hit, bool, error) 
 // an injected fault ends with the rule that injected it.
 func (s *Store) search(ctx context.Context, q Query) ([]Hit, bool, error) {
 	key := q.key()
-	if e, ok := s.searchMemo.Get(key, 0); ok {
+	if e, ok := s.searchMemo.Get(key); ok {
 		return cloneHits(e.hits), true, nil
 	}
 	if err := fault.Inject(ctx, fault.SiteSynopsisSearch); err != nil {
@@ -444,7 +444,7 @@ func (s *Store) search(ctx context.Context, q Query) ([]Hit, bool, error) {
 		return nil, false, err
 	}
 	q.RestrictTo = slices.Clone(q.RestrictTo)
-	s.memoize(gen, func() { s.searchMemo.Put(key, 0, memoEntry{q, cloneHits(hits)}) })
+	s.memoize(gen, func() { s.searchMemo.Put(key, memoEntry{q, cloneHits(hits)}) })
 	if keep := fault.Keep(ctx, fault.SiteSynopsisSearch, len(hits)); keep < len(hits) {
 		hits = hits[:keep]
 	}

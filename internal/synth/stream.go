@@ -149,6 +149,3 @@ func (s *Stream) Raw() map[string]string { return s.c.Raw }
 
 // Emitted reports how many documents Next has returned.
 func (s *Stream) Emitted() int { return s.emitted }
-
-// PlantedDuplicates reports the re-uploaded copies written so far.
-func (s *Stream) PlantedDuplicates() int { return s.c.PlantedDuplicates }

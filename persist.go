@@ -14,7 +14,6 @@ import (
 	"repro/internal/access"
 	"repro/internal/analysis"
 	"repro/internal/annotators"
-	"repro/internal/core"
 	"repro/internal/crawler"
 	"repro/internal/directory"
 	"repro/internal/docmodel"
@@ -24,7 +23,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/relstore"
 	"repro/internal/repl"
-	"repro/internal/siapi"
 	"repro/internal/synopsis"
 	"repro/internal/taxonomy"
 )
@@ -348,31 +346,17 @@ func loadGeneration(open durable.OpenComponent, ctl *access.Controller, metrics 
 		builder.RestoreState(ps.Builder)
 	}
 	writer := &crawler.IndexWriter{Ix: ix, Metrics: metrics}
-	sia := siapi.NewEngine(ix)
-	sia.SetMetrics(metrics)
-	sys := &System{
-		Index:     ix,
-		SIAPI:     sia,
-		Synopses:  store,
-		Taxonomy:  tax,
-		Access:    ctl,
-		Directory: dir,
-		Metrics:   metrics,
-		flow:      flow,
-		builder:   builder,
-		writer:    writer,
-	}
+	sys := newSystem(&System{
+		searchFront: searchFront{Taxonomy: tax, Access: ctl, Metrics: metrics},
+		Synopses:    store,
+		Directory:   dir,
+		flow:        flow,
+		builder:     builder,
+		writer:      writer,
+	}, ix, false)
 	sys.ckptSeq = rp.Seq
 	sys.seq.Store(rp.Seq)
 	sys.upstreamGen.Store(rp.Gen)
-	sys.sia.Store(sia)
-	sys.Engine = &core.Engine{
-		Synopses: store,
-		Docs:     sia,
-		Access:   ctl,
-		Tax:      tax,
-		Metrics:  metrics,
-	}
 	return sys, nil
 }
 

@@ -118,37 +118,38 @@ func stateChecks(shards []*System, sharded bool, breakers []core.BreakerStatus, 
 	return append(checks, serving.RuntimeChecks(opts)...)
 }
 
-// Ready reports that a system always has state to answer from
+// Ready reports that a system or a cluster always has state to answer from
 // (serving.Queries); replicas and failover nodes are the shapes that may not.
-func (s *System) Ready() bool { return true }
+func (f *searchFront) Ready() bool { return true }
 
-// BreakerStates lists the search engine's circuits (serving.Telemetry).
-func (s *System) BreakerStates() []core.BreakerStatus { return s.Engine.BreakerStates() }
+// BreakerStates lists the search engine's circuits, one per hop and shard
+// (serving.Telemetry).
+func (f *searchFront) BreakerStates() []core.BreakerStatus { return f.Engine.BreakerStates() }
+
+// tune installs the search-side operator settings. Call it before the shape
+// serves traffic: searches read the engine's policy and the query log
+// unsynchronized.
+func (f *searchFront) tune(set serving.Settings) {
+	if f.Engine != nil {
+		f.Engine.Resilient, f.Engine.Faults = set.Resilience, set.Faults
+	}
+	f.QueryLog = set.QueryLog
+}
 
 // Checks names the system's readiness checks (serving.Admin).
 func (s *System) Checks(opts HealthOptions) []health.Check {
 	return stateChecks([]*System{s}, false, s.BreakerStates(), nil, opts)
 }
 
-// Tune installs the operator's settings (serving.Admin). Call it before the
-// system serves traffic: searches read the engine's policy and the query log
-// unsynchronized. Snapshot retention is read by checkpoints and by a shipper
-// that may already be serving, so it changes under upMu.
+// Tune installs the operator's settings (serving.Admin). Snapshot retention
+// is read by checkpoints and by a shipper that may already be serving, so it
+// changes under upMu.
 func (s *System) Tune(set serving.Settings) {
-	if s.Engine != nil {
-		s.Engine.Resilient, s.Engine.Faults = set.Resilience, set.Faults
-	}
-	s.QueryLog = set.QueryLog
+	s.tune(set)
 	s.upMu.Lock()
 	s.SnapshotKeep = set.SnapshotKeep
 	s.upMu.Unlock()
 }
-
-// Ready reports that a cluster always has state to answer from.
-func (c *Cluster) Ready() bool { return true }
-
-// BreakerStates lists the coordinator's per-shard circuits.
-func (c *Cluster) BreakerStates() []core.BreakerStatus { return c.Engine.BreakerStates() }
 
 // Checks names the cluster's readiness checks: index and journal per shard,
 // and breaker checks that report degraded as soon as any shard's circuit is
@@ -161,8 +162,6 @@ func (c *Cluster) Checks(opts HealthOptions) []health.Check {
 // Tune installs the operator's settings on the coordinator; SnapshotKeep
 // reaches the shards at the next Checkpoint.
 func (c *Cluster) Tune(set serving.Settings) {
-	if c.Engine != nil {
-		c.Engine.Resilient, c.Engine.Faults = set.Resilience, set.Faults
-	}
-	c.QueryLog, c.SnapshotKeep = set.QueryLog, set.SnapshotKeep
+	c.tune(set)
+	c.SnapshotKeep = set.SnapshotKeep
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/docmodel"
 	"repro/internal/index"
-	"repro/internal/siapi"
 	"repro/internal/trace"
 )
 
@@ -198,18 +197,7 @@ func (s *System) Compact() error {
 // applyCompact is the body of Compact, shared with journal replay; callers
 // hold upMu (or own the system exclusively during replay).
 func (s *System) applyCompact() {
-	fresh := s.Index.Compact()
-	engine := siapi.NewEngine(fresh)
-	engine.SetMetrics(s.Metrics)
-	// Publish to concurrent searches first (atomically), then update the
-	// construction-time fields for code that reads them sequentially.
-	s.sia.Store(engine)
-	s.Engine.SwapDocs(engine)
-	s.Index = fresh
-	s.SIAPI = engine
-	if s.writer != nil {
-		s.writer.Ix = fresh
-	}
+	s.publish(s.Index.Compact())
 }
 
 // RemoveDeal withdraws an entire business activity: its documents leave the
