@@ -37,18 +37,18 @@ func seedEvalTerm(ix *Index, field, term string) map[DocID]float64 {
 	}
 	avgLen, _ := ix.fieldStats(field)
 	df := 0
-	for _, p := range pl.entries {
-		if !ix.deleted[p.doc] {
+	for _, doc := range pl.docs {
+		if !ix.deleted[doc] {
 			df++
 		}
 	}
 	out := make(map[DocID]float64, df)
-	for _, p := range pl.entries {
-		if ix.deleted[p.doc] {
+	for i, doc := range pl.docs {
+		if ix.deleted[doc] {
 			continue
 		}
-		fl, w := seedFieldLen(ix, p.doc, field)
-		out[p.doc] = w * bm25(len(p.positions), df, ix.liveDocs, fl, avgLen)
+		fl, w := seedFieldLen(ix, doc, field)
+		out[doc] = w * bm25(len(pl.positions(i)), df, ix.liveDocs, fl, avgLen)
 	}
 	return out
 }
@@ -69,25 +69,25 @@ func seedEvalPhrase(ix *Index, field string, terms []string) map[DocID]float64 {
 	}
 	avgLen, _ := ix.fieldStats(field)
 	matches := make(map[DocID]int)
-	for _, p0 := range lists[0].entries {
-		if ix.deleted[p0.doc] {
+	for i0, doc := range lists[0].docs {
+		if ix.deleted[doc] {
 			continue
 		}
 		rest := make([][]uint32, len(terms)-1)
 		ok := true
 		for i := 1; i < len(terms); i++ {
-			p := findPosting(lists[i], p0.doc)
-			if p == nil {
+			e, found := findPosting(lists[i], doc)
+			if !found {
 				ok = false
 				break
 			}
-			rest[i-1] = p.positions
+			rest[i-1] = lists[i].positions(e)
 		}
 		if !ok {
 			continue
 		}
-		if count := countPhrase(p0.positions, rest); count > 0 {
-			matches[p0.doc] = count
+		if count := countPhrase(lists[0].positions(i0), rest); count > 0 {
+			matches[doc] = count
 		}
 	}
 	if len(matches) == 0 {

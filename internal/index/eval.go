@@ -112,13 +112,12 @@ func (ev *eval) none() node { return &termNode{ev: ev} }
 // termNode is one posting list with its BM25 inputs resolved once: the idf
 // is a function of the term alone, so it is not recomputed per posting.
 type termNode struct {
-	ev      *eval
-	entries []posting
-	live    int
-	fd      *fieldData
-	idf     float64
-	avgLen  float64
-	pos     int // probe cursor: every entry before it is below the last probed id
+	ev     *eval
+	pl     postingList
+	fd     *fieldData
+	idf    float64
+	avgLen float64
+	at     int // probe cursor: every entry before it is below the last probed id
 }
 
 func (ev *eval) term(field, term string) *termNode {
@@ -128,7 +127,7 @@ func (ev *eval) term(field, term string) *termNode {
 	if pl == nil || pl.live == 0 {
 		return t
 	}
-	t.entries, t.live = pl.entries, pl.live
+	t.pl = *pl
 	if !ev.scoring {
 		return t
 	}
@@ -144,19 +143,20 @@ func (ev *eval) term(field, term string) *termNode {
 	return t
 }
 
-func (t *termNode) est() int { return t.live }
+func (t *termNode) est() int { return t.pl.live }
 
-func (t *termNode) score(p *posting) float64 {
-	fl, w := t.fd.at(p.doc)
-	return w * bm25TF(t.idf, len(p.positions), fl, t.avgLen)
+// score is the term's score for entry i of its list.
+func (t *termNode) score(i int) float64 {
+	fl, w := t.fd.at(t.pl.docs[i])
+	return w * bm25TF(t.idf, t.pl.tf(i), fl, t.avgLen)
 }
 
 func (t *termNode) fill(a *acc) {
 	deleted := t.ev.ix.deleted
-	t.ev.postings += len(t.entries)
-	for i := range t.entries {
-		if p := &t.entries[i]; !deleted[p.doc] {
-			a.add(p.doc, t.score(p))
+	t.ev.postings += len(t.pl.docs)
+	for i, id := range t.pl.docs {
+		if !deleted[id] {
+			a.add(id, t.score(i))
 		}
 	}
 }
@@ -165,18 +165,18 @@ func (t *termNode) fill(a *acc) {
 // keeps the best scaled score any expansion gives it.
 func (t *termNode) fillMax(a *acc, scale float64) {
 	deleted := t.ev.ix.deleted
-	t.ev.postings += len(t.entries)
-	for i := range t.entries {
-		if p := &t.entries[i]; !deleted[p.doc] {
-			a.addMax(p.doc, t.score(p)*scale)
+	t.ev.postings += len(t.pl.docs)
+	for i, id := range t.pl.docs {
+		if !deleted[id] {
+			a.addMax(id, t.score(i)*scale)
 		}
 	}
 }
 
 func (t *termNode) probe(id DocID) (float64, bool) {
-	t.pos = t.ev.seek(t.entries, t.pos, id)
-	if t.pos < len(t.entries) && t.entries[t.pos].doc == id {
-		return t.score(&t.entries[t.pos]), true
+	t.at = t.ev.seek(t.pl.docs, t.at, id)
+	if t.at < len(t.pl.docs) && t.pl.docs[t.at] == id {
+		return t.score(t.at), true
 	}
 	return 0, false
 }
@@ -184,26 +184,26 @@ func (t *termNode) probe(id DocID) (float64, bool) {
 // seek returns the first index at or after from whose document is not below
 // id, galloping from the cursor: a probe that lands close costs one
 // comparison, one that lands far costs a logarithm of the distance.
-func (ev *eval) seek(e []posting, from int, id DocID) int {
-	if from >= len(e) || e[from].doc >= id {
+func (ev *eval) seek(docs []DocID, from int, id DocID) int {
+	if from >= len(docs) || docs[from] >= id {
 		ev.postings++
 		return from
 	}
-	// e[lo] is below id; hi is the first index not yet known to be.
+	// docs[lo] is below id; hi is the first index not yet known to be.
 	lo, step, cmp := from, 1, 1
 	hi := lo + step
-	for hi < len(e) && e[hi].doc < id {
+	for hi < len(docs) && docs[hi] < id {
 		lo, step = hi, step*2
 		hi = lo + step
 		cmp++
 	}
-	if hi > len(e) {
-		hi = len(e)
+	if hi > len(docs) {
+		hi = len(docs)
 	}
 	lo++
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if e[mid].doc < id {
+		if docs[mid] < id {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -258,8 +258,8 @@ func (ev *eval) phrase(field string, terms []string) node {
 
 // phraseCursor is one term of a phrase during the intersection pass.
 type phraseCursor struct {
-	entries   []posting
-	pos       int
+	pl        *postingList
+	entry     int      // forward cursor into pl's entries
 	positions []uint32 // of the document under test
 	at        int      // forward cursor into positions
 }
@@ -280,35 +280,35 @@ func (ev *eval) phraseCounts(field string, terms []string) *acc {
 		if pl == nil || pl.live == 0 {
 			return a
 		}
-		cur[i].entries = pl.entries
+		cur[i].pl = pl
 		if i == 0 || pl.live < rarest {
 			k, rarest = i, pl.live
 		}
 	}
-	ev.postings += len(cur[k].entries)
+	driver := cur[k].pl
+	ev.postings += len(driver.docs)
 scan:
-	for di := range cur[k].entries {
-		p := &cur[k].entries[di]
-		if ix.deleted[p.doc] {
+	for di, id := range driver.docs {
+		if ix.deleted[id] {
 			continue
 		}
-		cur[k].positions = p.positions
+		cur[k].positions = driver.positions(di)
 		for i := range cur {
 			if i == k {
 				continue
 			}
 			c := &cur[i]
-			c.pos = ev.seek(c.entries, c.pos, p.doc)
-			if c.pos == len(c.entries) {
+			c.entry = ev.seek(c.pl.docs, c.entry, id)
+			if c.entry == len(c.pl.docs) {
 				break scan // the list is exhausted: no later document can match
 			}
-			if c.entries[c.pos].doc != p.doc {
+			if c.pl.docs[c.entry] != id {
 				continue scan
 			}
-			c.positions = c.entries[c.pos].positions
+			c.positions = c.pl.positions(c.entry)
 		}
 		if count := countPhraseAt(cur, k); count > 0 {
-			a.add(p.doc, float64(count))
+			a.add(id, float64(count))
 		}
 	}
 	return a

@@ -56,19 +56,40 @@ var ErrNotFound = errors.New("index: document not found")
 // present and live.
 var ErrDuplicate = errors.New("index: duplicate external id")
 
-// posting records one document's occurrences of a term within one field.
-type posting struct {
-	doc       DocID
-	positions []uint32 // token positions, ascending
+// postingList is the per-(field,term) list, stored column-wise: entry i is
+// document docs[i], in ascending DocID order, whose token positions are
+// pos[ends[i-1]:ends[i]] (from 0 for the first entry). A list is three flat
+// arrays whatever its length — no heap object, and no pointer for the
+// garbage collector to follow, per posting — and the term frequency of an
+// entry is the difference of two offsets. Positions are ascending within one
+// field of a document; a document with two fields of the same name lists the
+// second field's positions after the first's, restarting from 0. live tracks
+// the number of non-tombstoned documents in docs, so document frequency never
+// requires rescanning the list.
+type postingList struct {
+	docs []DocID
+	ends []uint32
+	pos  []uint32
+	live int
 }
 
-// postingList is the per-(field,term) list, kept in ascending DocID order.
-// live tracks the number of non-tombstoned documents in entries, so document
-// frequency never requires rescanning the list.
-type postingList struct {
-	entries []posting
-	live    int
+// start is the offset in pos of entry i's first position.
+func (pl *postingList) start(i int) uint32 {
+	if i == 0 {
+		return 0
+	}
+	return pl.ends[i-1]
 }
+
+// positions returns entry i's positions, capped so an append cannot reach
+// the next entry's.
+func (pl *postingList) positions(i int) []uint32 {
+	s, e := pl.start(i), pl.ends[i]
+	return pl.pos[s:e:e]
+}
+
+// tf is the number of occurrences entry i records.
+func (pl *postingList) tf(i int) int { return int(pl.ends[i] - pl.start(i)) }
 
 type fieldTerm struct {
 	field string
@@ -246,8 +267,10 @@ func (ix *Index) Delete(extID string) error {
 			return
 		}
 		seen[key] = struct{}{}
-		if pl := ix.postings[key]; pl != nil && findPosting(pl, id) != nil {
-			pl.live--
+		if pl := ix.postings[key]; pl != nil {
+			if _, ok := findPosting(pl, id); ok {
+				pl.live--
+			}
 		}
 	}
 	for _, f := range e.fields {
@@ -257,7 +280,7 @@ func (ix *Index) Delete(extID string) error {
 			decr(fieldTerm{f.name, tok.Term})
 		}
 		// The whole-value term exists only if the field was keyword-indexed;
-		// findPosting inside decr resolves that exactly.
+		// the lookup inside decr resolves that exactly.
 		if kw := keywordTerm(f.text); kw != "" {
 			decr(fieldTerm{f.name, kw})
 		}
@@ -396,9 +419,7 @@ func (ix *Index) Compact() *Index {
 				continue
 			}
 			if pl := ix.postings[fieldTerm{doc.Fields[fi].Name, kw}]; pl != nil {
-				if findPosting(pl, DocID(i)) != nil {
-					doc.Fields[fi].Keyword = true
-				}
+				_, doc.Fields[fi].Keyword = findPosting(pl, DocID(i))
 			}
 		}
 		// Add cannot fail here: ExtIDs were unique among live docs.

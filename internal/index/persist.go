@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/durable"
@@ -70,10 +71,12 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 		}
 		snap.Docs = append(snap.Docs, sd)
 	}
+	// Format 1 is one snapEntry per entry; its positions are a sub-slice of
+	// the list's column, so the columns never reach the disk as such.
 	for key, pl := range ix.postings {
-		sp := snapPosting{Field: key.field, Term: key.term}
-		for _, p := range pl.entries {
-			sp.Entries = append(sp.Entries, snapEntry{Doc: p.doc, Positions: p.positions})
+		sp := snapPosting{Field: key.field, Term: key.term, Entries: make([]snapEntry, len(pl.docs))}
+		for i, id := range pl.docs {
+			sp.Entries[i] = snapEntry{Doc: id, Positions: pl.positions(i)}
 		}
 		snap.Postings = append(snap.Postings, sp)
 	}
@@ -87,7 +90,13 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 // Load reads an index previously written with WriteTo. It never panics on
 // corrupt input: structurally impossible snapshots (out-of-range doc IDs,
 // gob decoder blowups) come back as errors, so crash-recovery code can fall
-// back to an older generation instead of dying.
+// back to an older generation instead of dying. Neither does it accept what
+// the evaluator's forward cursors would silently rank wrong: a posting list
+// whose documents are not strictly ascending, or one holding more positions
+// than a uint32 offset addresses. An entry's positions must ascend when its
+// document has one field of the posting's name; with two or more, Add lists
+// each field's positions after the previous one's, restarting from 0, and
+// Load takes them as Add wrote them.
 func Load(r io.Reader) (ix *Index, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -133,15 +142,39 @@ func Load(r io.Reader) (ix *Index, err error) {
 		}
 	}
 	for _, sp := range snap.Postings {
-		pl := &postingList{}
+		corrupt := func(format string, args ...any) error {
+			return fmt.Errorf("index: corrupt snapshot: posting %s/%s "+format, append([]any{sp.Field, sp.Term}, args...)...)
+		}
+		total := 0
 		for _, e := range sp.Entries {
+			total += len(e.Positions)
+		}
+		if uint64(total) > math.MaxUint32 {
+			return nil, corrupt("holds %d positions, more than an offset addresses", total)
+		}
+		pl := &postingList{
+			docs: make([]DocID, len(sp.Entries)),
+			ends: make([]uint32, len(sp.Entries)),
+			pos:  make([]uint32, 0, total),
+		}
+		for i, e := range sp.Entries {
 			// A corrupt snapshot can reference documents that do not exist;
 			// reject it rather than index out of range below.
 			if int(e.Doc) < 0 || int(e.Doc) >= len(ix.docs) {
-				return nil, fmt.Errorf("index: corrupt snapshot: posting %s/%s references doc %d of %d",
-					sp.Field, sp.Term, e.Doc, len(ix.docs))
+				return nil, corrupt("references doc %d of %d", e.Doc, len(ix.docs))
 			}
-			pl.entries = append(pl.entries, posting{doc: e.Doc, positions: e.Positions})
+			if i > 0 && e.Doc <= pl.docs[i-1] {
+				return nil, corrupt("lists doc %d after doc %d", e.Doc, pl.docs[i-1])
+			}
+			if len(e.Positions) == 0 {
+				return nil, corrupt("has no positions for doc %d", e.Doc)
+			}
+			if !ascending(e.Positions) && !ix.docs[e.Doc].repeats(sp.Field) {
+				return nil, corrupt("has positions out of order for doc %d", e.Doc)
+			}
+			pl.docs[i] = e.Doc
+			pl.pos = append(pl.pos, e.Positions...)
+			pl.ends[i] = uint32(len(pl.pos))
 			if !ix.deleted[e.Doc] {
 				pl.live++
 			}
@@ -149,6 +182,27 @@ func Load(r io.Reader) (ix *Index, err error) {
 		ix.postings[fieldTerm{sp.Field, sp.Term}] = pl
 	}
 	return ix, nil
+}
+
+// ascending reports whether positions strictly ascend.
+func ascending(positions []uint32) bool {
+	for i := 1; i < len(positions); i++ {
+		if positions[i] <= positions[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// repeats reports whether the document has more than one field named name.
+func (d *docEntry) repeats(name string) bool {
+	n := 0
+	for _, f := range d.fields {
+		if f.name == name {
+			n++
+		}
+	}
+	return n > 1
 }
 
 // SaveFile writes the index to path atomically and durably (temp file +

@@ -3,6 +3,7 @@ package index
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/fault"
@@ -321,12 +322,8 @@ func (ix *Index) fieldStats(field string) (avgLen float64, docs int) {
 	return avgLen, docs
 }
 
-// findPosting binary-searches a posting list for a document.
-func findPosting(pl *postingList, id DocID) *posting {
-	e := pl.entries
-	i := sort.Search(len(e), func(i int) bool { return e[i].doc >= id })
-	if i < len(e) && e[i].doc == id {
-		return &e[i]
-	}
-	return nil
+// findPosting binary-searches a posting list for a document and returns its
+// entry index.
+func findPosting(pl *postingList, id DocID) (int, bool) {
+	return slices.BinarySearch(pl.docs, id)
 }

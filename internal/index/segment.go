@@ -80,12 +80,13 @@ func (s *segment) addPosting(field, term string, id DocID, pos uint32) {
 		pl = &postingList{}
 		s.postings[key] = pl
 	}
-	n := len(pl.entries)
-	if n > 0 && pl.entries[n-1].doc == id {
-		pl.entries[n-1].positions = append(pl.entries[n-1].positions, pos)
+	pl.pos = append(pl.pos, pos)
+	if n := len(pl.docs); n > 0 && pl.docs[n-1] == id {
+		pl.ends[n-1]++
 		return
 	}
-	pl.entries = append(pl.entries, posting{doc: id, positions: []uint32{pos}})
+	pl.docs = append(pl.docs, id)
+	pl.ends = append(pl.ends, uint32(len(pl.pos)))
 	pl.live++
 }
 
@@ -140,15 +141,26 @@ func (ix *Index) mergeSegments(segs []*segment) ([]DocID, error) {
 				}
 			}
 		}
+		// A segment is discarded after its merge, so its columns are rebased
+		// in place — DocIDs by base, offsets by the length of the positions
+		// they land behind — and then appended, or taken as they are by a
+		// term new to the index.
 		for key, pl := range seg.postings {
+			for i := range pl.docs {
+				pl.docs[i] += base
+			}
 			dst := ix.postings[key]
 			if dst == nil {
-				dst = &postingList{}
-				ix.postings[key] = dst
+				ix.postings[key] = pl
+				continue
 			}
-			for _, p := range pl.entries {
-				dst.entries = append(dst.entries, posting{doc: p.doc + base, positions: p.positions})
+			off := uint32(len(dst.pos))
+			for i := range pl.ends {
+				pl.ends[i] += off
 			}
+			dst.docs = append(dst.docs, pl.docs...)
+			dst.ends = append(dst.ends, pl.ends...)
+			dst.pos = append(dst.pos, pl.pos...)
 			dst.live += pl.live
 		}
 		for name, v := range seg.fieldTotals {

@@ -6,15 +6,18 @@
 package web
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"html/template"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/access"
@@ -343,9 +346,7 @@ func (h *handler) readyz(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Retry-After", "5")
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(rep)
+	encodeJSON(w, rep)
 }
 
 // apiRepl serves the replication status report (404 when this process is
@@ -587,9 +588,41 @@ func (h *handler) apiQueryLog(w http.ResponseWriter, r *http.Request) {
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	encodeJSON(w, v)
+}
+
+// jsonBuffer is an indenting encoder bound to its own buffer. Pooled, the
+// encoder's indent scratch and the buffer keep the size of the pages they
+// have written instead of growing from zero on every response.
+type jsonBuffer struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonBuffers = sync.Pool{New: func() any {
+	jb := &jsonBuffer{}
+	jb.enc = json.NewEncoder(&jb.buf)
+	jb.enc.SetIndent("", "  ")
+	return jb
+}}
+
+// maxPooledJSON bounds what goes back to the pool: one oversized page must
+// not keep its buffers alive for the small ones.
+const maxPooledJSON = 1 << 20
+
+// encodeJSON writes v to w indented, with a trailing newline, in one Write —
+// the bytes json.NewEncoder(w) with SetIndent("", "  ") writes. A value that
+// does not encode writes nothing.
+func encodeJSON(w io.Writer, v any) {
+	jb := jsonBuffers.Get().(*jsonBuffer)
+	if jb.enc.Encode(v) == nil {
+		w.Write(jb.buf.Bytes())
+	}
+	if jb.buf.Cap() > maxPooledJSON {
+		return
+	}
+	jb.buf.Reset()
+	jsonBuffers.Put(jb)
 }
 
 var homeTmpl = template.Must(template.New("home").Parse(`<!doctype html>
