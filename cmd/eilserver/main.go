@@ -28,7 +28,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -47,7 +46,6 @@ import (
 	"repro/internal/docparse"
 	"repro/internal/failover"
 	"repro/internal/fault"
-	"repro/internal/loadgen"
 	"repro/internal/prof"
 	"repro/internal/qlog"
 	"repro/internal/runtimetel"
@@ -56,29 +54,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/web"
 )
-
-// loadCurves reads throughput-vs-latency series from a committed eilbench
-// artifact (the load_curve block of a BENCH json) or from a bare curve
-// array.
-func loadCurves(path string) ([]loadgen.Curve, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep struct {
-		LoadCurve *struct {
-			Curves []loadgen.Curve `json:"curves"`
-		} `json:"load_curve"`
-	}
-	if err := json.Unmarshal(raw, &rep); err == nil && rep.LoadCurve != nil && len(rep.LoadCurve.Curves) > 0 {
-		return rep.LoadCurve.Curves, nil
-	}
-	var curves []loadgen.Curve
-	if err := json.Unmarshal(raw, &curves); err == nil && len(curves) > 0 {
-		return curves, nil
-	}
-	return nil, fmt.Errorf("%s carries no load curves", path)
-}
 
 // churnDocs builds one synthetic deal's documents for -demo-churn write
 // traffic: enough structure (overview, scope, team, service grid) to
@@ -148,7 +123,6 @@ func main() {
 		profDir      = flag.String("prof-dir", "", "continuous-profiling ring directory; enables scheduled pprof captures, automatic captures on SLO page events, and the /debug/prof browser")
 		profInterval = flag.Duration("prof-interval", 10*time.Minute, "scheduled profile capture cadence when -prof-dir is set (0 disables the schedule; page-event captures still fire)")
 		profCPUSecs  = flag.Int("prof-cpu-seconds", 5, "CPU profile window for scheduled and event captures")
-		curveFile    = flag.String("loadcurve-file", "", "BENCH json with a load_curve block (e.g. BENCH_pr8.json); its throughput-vs-latency curves render on /debug/dash")
 	)
 	flag.Parse()
 
@@ -346,11 +320,7 @@ func main() {
 		opts = append(opts, web.WithAccessLog(slog.New(slog.NewTextHandler(os.Stderr, nil))))
 	}
 	opts = append(opts, web.WithHealth(checks), web.WithSLO(sloEng), web.WithRuntime(collector))
-	// leaseCfg names this node to the lease protocol; Addr is the bound ship
-	// address survivors repoint at (empty until the first primary stint).
-	leaseCfg := func() failover.LeaseConfig {
-		return failover.LeaseConfig{Dir: *leaseDir, Name: node.Name(), Addr: node.ReplAddr(), TTL: *leaseTTL, RenewEvery: *leaseTTL / 3}
-	}
+	lease := failover.LeaseConfig{Dir: *leaseDir, TTL: *leaseTTL, RenewEvery: *leaseTTL / 3}
 	if replStatus != nil {
 		opts = append(opts, web.WithReplStatus(replStatus))
 	}
@@ -362,31 +332,9 @@ func main() {
 			if node.Role() == failover.RolePrimary {
 				return errors.New("already primary")
 			}
-			epoch := node.Status().Epoch + 1
-			if *leaseDir != "" {
-				cur, ok, lerr := failover.ReadLease(*leaseDir)
-				if lerr != nil {
-					return lerr
-				}
-				next := epoch
-				if ok && cur.Epoch+1 > next {
-					next = cur.Epoch + 1
-				}
-				rec, aerr := failover.Acquire(leaseCfg(), next)
-				if aerr != nil {
-					return aerr
-				}
-				epoch = rec.Epoch
-			}
-			if perr := node.Promote(epoch); perr != nil {
+			epoch, perr := claimAndPromote(node, wr, lease)
+			if perr != nil {
 				return perr
-			}
-			wr.SetPrimary(node, epoch)
-			if *leaseDir != "" {
-				// Publish the now-bound ship address for survivors to repoint at.
-				if _, rerr := failover.Renew(leaseCfg(), epoch); rerr != nil {
-					log.Printf("failover: lease renew after promote: %v", rerr)
-				}
 			}
 			log.Printf("failover: promoted to primary at epoch %d (manual)", epoch)
 			return nil
@@ -398,14 +346,6 @@ func main() {
 	}
 	if profiler != nil {
 		opts = append(opts, web.WithProfiles(profiler.Ring()))
-	}
-	if *curveFile != "" {
-		curves, cerr := loadCurves(*curveFile)
-		if cerr != nil {
-			log.Fatal(cerr)
-		}
-		opts = append(opts, web.WithLoadCurves(curves))
-		log.Printf("rendering %d load-curve series from %s on /debug/dash", len(curves), *curveFile)
 	}
 
 	srv := &http.Server{
@@ -423,11 +363,7 @@ func main() {
 	}
 
 	if node != nil && *leaseDir != "" {
-		// The lease loop is the cross-process supervisor: a primary renews
-		// lease.json every TTL/3 and demotes itself the moment a newer lease
-		// appears; a follower (or fenced ex-primary) watches for staleness,
-		// claims the next epoch through the O_EXCL claim file, and
-		// self-promotes when it wins.
+		// The lease loop (leaseTick) runs every TTL/3.
 		if err := os.MkdirAll(*leaseDir, 0o755); err != nil {
 			log.Fatal(err)
 		}
@@ -444,59 +380,7 @@ func main() {
 					return
 				case <-t.C:
 				}
-				st := node.Status()
-				switch st.Role {
-				case failover.RolePrimary:
-					ep := st.Epoch
-					if ep == 0 {
-						ep = 1 // pre-failover lineage serves under term 1 at the lease layer
-					}
-					rec, rerr := failover.Renew(leaseCfg(), ep)
-					if errors.Is(rerr, failover.ErrLeaseLost) {
-						log.Printf("failover: lease lost to %s (epoch %d); demoting", rec.Name, rec.Epoch)
-						wr.SetPrimary(nil, 0)
-						if ferr := node.Fence(rec.Epoch, rec.Addr); ferr != nil {
-							log.Printf("failover: demote: %v", ferr)
-						}
-					}
-				case failover.RoleFollower, failover.RoleFenced:
-					cur, ok, rerr := failover.ReadLease(*leaseDir)
-					if rerr != nil {
-						continue
-					}
-					if ok && !cur.Stale(*leaseTTL) {
-						// Live primary. Make sure this node follows it — a
-						// fenced ex-primary rejoins here, re-syncing its
-						// divergent suffix away.
-						if cur.Addr != "" && cur.Name != node.Name() {
-							if perr := node.Repoint(cur.Addr, cur.Epoch); perr != nil {
-								log.Printf("failover: repoint at %s: %v", cur.Addr, perr)
-							}
-						}
-						continue
-					}
-					next := uint64(1)
-					if ok {
-						next = cur.Epoch + 1
-					}
-					if next <= st.Epoch {
-						next = st.Epoch + 1
-					}
-					rec, aerr := failover.Acquire(leaseCfg(), next)
-					if aerr != nil {
-						continue // lost the claim race; keep watching
-					}
-					log.Printf("failover: lease claimed at epoch %d; promoting", rec.Epoch)
-					if perr := node.Promote(rec.Epoch); perr != nil {
-						log.Printf("failover: promotion at epoch %d failed: %v", rec.Epoch, perr)
-						continue
-					}
-					wr.SetPrimary(node, rec.Epoch)
-					// Publish the bound ship address for survivors.
-					if _, perr := failover.Renew(leaseCfg(), rec.Epoch); perr != nil {
-						log.Printf("failover: lease renew after promote: %v", perr)
-					}
-				}
+				leaseTick(node, wr, lease)
 			}
 		}()
 		log.Printf("failover: lease protocol active in %s (ttl %v)", *leaseDir, *leaseTTL)

@@ -246,6 +246,88 @@ func failoverShape(cfg shapeConfig) (*deployment, error) {
 	return &deployment{kind: "failover", be: node, writes: wr, replStatus: status, node: node, wr: wr, close: node.Close}, nil
 }
 
+// leaseAs fills the lease config's identity from the node: its name, and
+// the address it ships from, which survivors repoint at (empty until the
+// node's first primary stint).
+func leaseAs(node *eil.HANode, lease failover.LeaseConfig) failover.LeaseConfig {
+	lease.Name, lease.Addr = node.Name(), node.ReplAddr()
+	return lease
+}
+
+// claimAndPromote makes node the primary at the epoch after its own. With
+// a lease directory the epoch is also after the lease's, is claimed first,
+// and is renewed after the promotion so that the lease carries the address
+// node now ships from. The write router follows node once it is primary.
+func claimAndPromote(node *eil.HANode, wr *router.WriteRouter, lease failover.LeaseConfig) (uint64, error) {
+	epoch := node.Status().Epoch + 1
+	if lease.Dir != "" {
+		cur, _, err := failover.ReadLease(lease.Dir)
+		if err != nil {
+			return 0, err
+		}
+		rec, err := failover.Acquire(leaseAs(node, lease), max(epoch, cur.Epoch+1))
+		if err != nil {
+			return 0, err
+		}
+		epoch = rec.Epoch
+	}
+	if err := node.Promote(epoch); err != nil {
+		return 0, err
+	}
+	wr.SetPrimary(node, epoch)
+	if lease.Dir != "" {
+		if _, err := failover.Renew(leaseAs(node, lease), epoch); err != nil {
+			log.Printf("failover: lease renew after promote: %v", err)
+		}
+	}
+	return epoch, nil
+}
+
+// leaseTick runs one tick of a failover node's lease loop, the
+// cross-process supervisor: a primary renews the lease and demotes itself
+// the moment a newer one appears; a follower (or fenced ex-primary) follows
+// a live lease's holder, and claims the next epoch and promotes once the
+// lease goes stale.
+func leaseTick(node *eil.HANode, wr *router.WriteRouter, lease failover.LeaseConfig) {
+	st := node.Status()
+	switch st.Role {
+	case failover.RolePrimary:
+		ep := max(st.Epoch, 1) // pre-failover lineage serves under term 1 at the lease layer
+		rec, err := failover.Renew(leaseAs(node, lease), ep)
+		if errors.Is(err, failover.ErrLeaseLost) {
+			log.Printf("failover: lease lost to %s (epoch %d); demoting", rec.Name, rec.Epoch)
+			wr.SetPrimary(nil, 0)
+			if ferr := node.Fence(rec.Epoch, rec.Addr); ferr != nil {
+				log.Printf("failover: demote: %v", ferr)
+			}
+		}
+	case failover.RoleFollower, failover.RoleFenced:
+		cur, ok, err := failover.ReadLease(lease.Dir)
+		if err != nil {
+			return
+		}
+		if ok && !cur.Stale(lease.TTL) {
+			// Live primary. Make sure this node follows it: a fenced
+			// ex-primary rejoins here, re-syncing its divergent suffix away.
+			if cur.Addr != "" && cur.Name != node.Name() {
+				if perr := node.Repoint(cur.Addr, cur.Epoch); perr != nil {
+					log.Printf("failover: repoint at %s: %v", cur.Addr, perr)
+				}
+			}
+			return
+		}
+		epoch, err := claimAndPromote(node, wr, lease)
+		switch {
+		case errors.Is(err, failover.ErrLeaseHeld):
+			// Lost the claim race; keep watching.
+		case err != nil:
+			log.Printf("failover: claim and promote: %v", err)
+		default:
+			log.Printf("failover: lease claimed; promoted to primary at epoch %d", epoch)
+		}
+	}
+}
+
 // shardPosition is one shard's replication position in the primary's
 // /api/repl report.
 type shardPosition struct {

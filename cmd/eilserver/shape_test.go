@@ -5,6 +5,7 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/docmodel"
@@ -168,6 +169,76 @@ func TestSelectShapeFailover(t *testing.T) {
 	f.be.Tune(serving.Settings{Resilience: core.Resilience{MaxRetries: 2}})
 	if raw, err := json.Marshal(f.replStatus()); err != nil || !strings.Contains(string(raw), `"role":"follower"`) {
 		t.Errorf("failover status = %s, %v", raw, err)
+	}
+}
+
+// TestLeaseTick: the lease loop over two in-process failover nodes sharing
+// a lease directory. The primary renews; once its lease goes stale the
+// follower claims epoch 2 and promotes; the resurrected primary's next
+// renewal finds the newer lease and fences it into a follower of the winner.
+func TestLeaseTick(t *testing.T) {
+	a := shapeFor(t, shapeConfig{sysDir: t.TempDir(), demo: true, shards: 1, failover: true, replListen: "127.0.0.1:0", replName: "a", walSync: 1, writerFlags: true})
+	b := shapeFor(t, shapeConfig{sysDir: t.TempDir(), shards: 1, failover: true, replicaOf: a.node.ReplAddr(), replListen: "127.0.0.1:0", replName: "b", walSync: 1})
+	lease := failover.LeaseConfig{Dir: t.TempDir(), TTL: 300 * time.Millisecond}
+	readLease := func() failover.LeaseRecord {
+		t.Helper()
+		rec, ok, err := failover.ReadLease(lease.Dir)
+		if err != nil || !ok {
+			t.Fatalf("read lease: ok %v, %v", ok, err)
+		}
+		return rec
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(lease.TTL / 6) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting: %s", what)
+			}
+		}
+	}
+	waitFor("follower synced", b.be.Ready)
+
+	// The primary renews under term 1; a follower under a live lease stays.
+	leaseTick(a.node, a.wr, lease)
+	if rec := readLease(); rec.Epoch != 1 || rec.Name != "a" || rec.Addr != a.node.ReplAddr() {
+		t.Fatalf("primary's lease = %+v, want epoch 1 held by a at %s", rec, a.node.ReplAddr())
+	}
+	leaseTick(b.node, b.wr, lease)
+	if b.node.Role() != failover.RoleFollower || b.wr.Status().HasPrimary {
+		t.Fatalf("follower under a live lease: role %s, router %+v", b.node.Role(), b.wr.Status())
+	}
+
+	// The primary dies and stops renewing: the follower claims the next
+	// epoch once the lease is stale, promotes, and routes writes to itself.
+	a.node.Kill()
+	waitFor("follower promotes", func() bool {
+		leaseTick(b.node, b.wr, lease)
+		return b.node.Role() == failover.RolePrimary
+	})
+	if st := b.node.Status(); st.Epoch != 2 {
+		t.Fatalf("promoted at epoch %d, want 2", st.Epoch)
+	}
+	if rec := readLease(); rec.Epoch != 2 || rec.Name != "b" || rec.Addr == "" || rec.Addr != b.node.ReplAddr() {
+		t.Fatalf("claimed lease = %+v, want epoch 2 held by b at %s", rec, b.node.ReplAddr())
+	}
+	if err := b.writes.AddDocuments(churn(t, 2)); err != nil {
+		t.Fatalf("write after promotion: %v", err)
+	}
+
+	// The old primary comes back believing it still leads. Its renewal
+	// loses to epoch 2, so it stops taking writes and follows b.
+	if err := a.node.Resurrect(); err != nil {
+		t.Fatal(err)
+	}
+	if a.node.Role() != failover.RolePrimary {
+		t.Fatalf("resurrected primary came back as %s", a.node.Role())
+	}
+	leaseTick(a.node, a.wr, lease)
+	if a.node.Role() != failover.RoleFollower || a.wr.Status().HasPrimary {
+		t.Fatalf("resurrected primary after lease loss: role %s, router %+v", a.node.Role(), a.wr.Status())
+	}
+	if rec := readLease(); rec.Epoch != 2 || rec.Name != "b" {
+		t.Fatalf("fenced renewal rewrote the lease: %+v", rec)
 	}
 }
 

@@ -222,7 +222,7 @@ func (e *Engine) Search(user access.User, q FormQuery) (Result, error) {
 }
 
 // SearchCtx is Search under the caller's context: when ctx carries a trace
-// (started by the web middleware, explain mode, or eilbench), every stage
+// (started by the web middleware or explain mode), every stage
 // of the Figure 1 algorithm records a child span, and the stage histograms
 // receive trace-ID exemplars.
 func (e *Engine) SearchCtx(ctx context.Context, user access.User, q FormQuery) (Result, error) {

@@ -539,7 +539,7 @@ func writeSample(b *strings.Builder, name, base, extra string, v float64) {
 }
 
 // Snapshot is one metric's point-in-time state, JSON-friendly for the
-// /api/metrics endpoint and the eilbench baseline file.
+// /api/metrics endpoint and eilingest's -metrics-out file.
 type Snapshot struct {
 	Name   string            `json:"name"`
 	Type   string            `json:"type"` // counter | gauge | histogram

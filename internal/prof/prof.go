@@ -8,8 +8,7 @@
 // Two invariants shape the design. First, the runtime allows one CPU
 // profile per process: every CPU capture goes through a package-level
 // guard, and a capture that loses the race reports ErrCPUBusy instead of
-// poisoning an eilbench -cpuprofile run (or another capture) already in
-// flight. Second, disk is bounded: the ring prunes oldest-first past a
+// poisoning a -cpuprofile run (or another capture) already in flight. Second, disk is bounded: the ring prunes oldest-first past a
 // capture-count and byte budget, so a paging route that flaps all night
 // cannot fill the volume — the rate limit on event captures keeps the ring
 // from churning past the incident window, too.
@@ -226,8 +225,8 @@ type Options struct {
 	// schedule; on-demand and event captures still work).
 	Interval time.Duration
 	// ScheduledKinds are captured each Interval (default heap + goroutine:
-	// cheap enough to take forever; CPU is reserved for events and phases
-	// unless listed explicitly).
+	// cheap enough to take forever; CPU is reserved for events unless listed
+	// explicitly).
 	ScheduledKinds []string
 	// CPUSeconds is the CPU-profile window (default 5s).
 	CPUSeconds int
@@ -261,7 +260,7 @@ type Profiler struct {
 }
 
 // New returns a profiler with defaults filled. Call Start for the
-// background schedule, or use CaptureNow/CaptureEvent/ProfilePhase directly.
+// background schedule, or use CaptureNow/CaptureEvent directly.
 func New(opts Options) *Profiler {
 	if len(opts.ScheduledKinds) == 0 {
 		opts.ScheduledKinds = []string{KindHeap, KindGoroutine}
@@ -390,42 +389,6 @@ func (p *Profiler) CaptureEvent(reason string) {
 			p.logf("prof: event capture (%s): %v", reason, err)
 		}
 	}()
-}
-
-// ProfilePhase wraps f in a CPU profile and follows it with a heap
-// capture — how eilbench profiles each load phase. If the CPU profiler is
-// busy (say the run also passed -cpuprofile), f still runs and only the
-// heap capture is stored.
-func (p *Profiler) ProfilePhase(reason string, f func()) ([]Capture, error) {
-	var caps []Capture
-	var buf bytes.Buffer
-	cpuOK := cpuActive.CompareAndSwap(false, true)
-	if cpuOK {
-		if err := pprof.StartCPUProfile(&buf); err != nil {
-			cpuActive.Store(false)
-			cpuOK = false
-		}
-	}
-	f()
-	var firstErr error
-	if cpuOK {
-		pprof.StopCPUProfile()
-		cpuActive.Store(false)
-		if c, err := p.opts.Ring.Add(KindCPU, reason, buf.Bytes()); err == nil {
-			caps = append(caps, c)
-			p.opts.Registry.Counter("eil_prof_captures_total", "kind", KindCPU).Inc()
-		} else {
-			firstErr = err
-		}
-	} else {
-		firstErr = ErrCPUBusy
-	}
-	if hc, err := p.CaptureNow(reason, KindHeap); err == nil {
-		caps = append(caps, hc...)
-	} else if firstErr == nil {
-		firstErr = err
-	}
-	return caps, firstErr
 }
 
 // capture renders one profile kind to bytes.

@@ -7,11 +7,10 @@
 package qlog
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
-
-	"repro/internal/quantile"
 )
 
 // Kind classifies a logged query.
@@ -134,12 +133,10 @@ type Summary struct {
 	// measured latency (zero when none did).
 	AvgLatency time.Duration
 	MaxLatency time.Duration
-	// P50/P95/P99Latency are quantiles over the same entries, read from the
-	// relative-error sketch the load generator's phase reports also use
-	// (internal/quantile), so a qlog p99 and a loadgen p99 are the same
-	// estimator: guaranteed within ±0.5% of the true value, not a fixed
-	// histogram bucket's edge. The window is still the log's ring — the
-	// sketch is rebuilt from the retained entries on every Summarize.
+	// P50/P95/P99Latency are exact nearest-rank quantiles over the same
+	// entries: the smallest measured latency with at least that share of
+	// the entries at or below it. The window is the log's ring, which is
+	// already in memory, so no estimate is needed.
 	P50Latency  time.Duration
 	P95Latency  time.Duration
 	P99Latency  time.Duration
@@ -155,8 +152,7 @@ func (l *Log) Summarize(topK int) Summary {
 	var s Summary
 	counts := map[string]int{}
 	var latSum time.Duration
-	var latN int
-	sk := quantile.New(0.005, 0)
+	var lats []time.Duration
 	for _, e := range l.Entries() {
 		s.Total++
 		if e.Activities == 0 {
@@ -170,21 +166,19 @@ func (l *Log) Summarize(topK int) Summary {
 		}
 		if e.Latency > 0 {
 			latSum += e.Latency
-			latN++
-			sk.Observe(e.Latency.Seconds())
-			if e.Latency > s.MaxLatency {
-				s.MaxLatency = e.Latency
-			}
+			lats = append(lats, e.Latency)
 		}
 		for _, c := range e.Concepts {
 			counts[c]++
 		}
 	}
-	if latN > 0 {
-		s.AvgLatency = latSum / time.Duration(latN)
-		s.P50Latency = time.Duration(sk.Quantile(0.50) * float64(time.Second))
-		s.P95Latency = time.Duration(sk.Quantile(0.95) * float64(time.Second))
-		s.P99Latency = time.Duration(sk.Quantile(0.99) * float64(time.Second))
+	if n := len(lats); n > 0 {
+		slices.Sort(lats)
+		// Integer ranks: ceil(pct·n/100), so p99 of 100 entries is the 99th.
+		rank := func(pct int) time.Duration { return lats[(pct*n+99)/100-1] }
+		s.AvgLatency = latSum / time.Duration(n)
+		s.MaxLatency = lats[n-1]
+		s.P50Latency, s.P95Latency, s.P99Latency = rank(50), rank(95), rank(99)
 	}
 	for c, n := range counts {
 		s.TopConcepts = append(s.TopConcepts, ConceptCount{Concept: c, Count: n})

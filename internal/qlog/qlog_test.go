@@ -110,29 +110,33 @@ func TestSummarizeLatency(t *testing.T) {
 }
 
 func TestSummarizeLatencyQuantiles(t *testing.T) {
-	l := New(128)
-	// 1ms..100ms, one entry per millisecond. The quantiles come from the
-	// shared relative-error sketch, so assert the ±0.5% guarantee (with a
-	// hair of slack for the float round-trip), not exact ranks.
-	for i := 1; i <= 100; i++ {
-		l.Record(Entry{Kind: KindForm, Activities: 1, Latency: time.Duration(i) * time.Millisecond})
-	}
-	s := l.Summarize(5)
-	within := func(got time.Duration, want time.Duration) bool {
-		diff := (got - want).Seconds()
-		if diff < 0 {
-			diff = -diff
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	for _, tc := range []struct {
+		name          string
+		lats          []int // milliseconds, in recording order
+		p50, p95, p99 int
+	}{
+		// 100ms..1ms, one entry per millisecond: nearest rank is exact.
+		{"hundred", func() []int {
+			out := make([]int, 100)
+			for i := range out {
+				out[i] = 100 - i
+			}
+			return out
+		}(), 50, 95, 99},
+		// Ten entries: p95 and p99 both round up to the largest.
+		{"ten", []int{7, 1, 9, 3, 10, 2, 8, 4, 6, 5}, 5, 10, 10},
+		{"single", []int{42}, 42, 42, 42},
+	} {
+		l := New(128)
+		for _, v := range tc.lats {
+			l.Record(Entry{Kind: KindForm, Activities: 1, Latency: ms(v)})
 		}
-		return diff <= 0.006*want.Seconds()
-	}
-	if !within(s.P50Latency, 50*time.Millisecond) {
-		t.Fatalf("p50 = %v, want ~50ms", s.P50Latency)
-	}
-	if !within(s.P95Latency, 95*time.Millisecond) {
-		t.Fatalf("p95 = %v, want ~95ms", s.P95Latency)
-	}
-	if !within(s.P99Latency, 99*time.Millisecond) {
-		t.Fatalf("p99 = %v, want ~99ms", s.P99Latency)
+		s := l.Summarize(5)
+		if s.P50Latency != ms(tc.p50) || s.P95Latency != ms(tc.p95) || s.P99Latency != ms(tc.p99) {
+			t.Errorf("%s: p50/p95/p99 = %v/%v/%v, want %v/%v/%v", tc.name,
+				s.P50Latency, s.P95Latency, s.P99Latency, ms(tc.p50), ms(tc.p95), ms(tc.p99))
+		}
 	}
 }
 

@@ -413,40 +413,6 @@ func Info() (goVersion, revision, vcsTime string, modified bool) {
 	return goVersion, revision, vcsTime, modified
 }
 
-// ReportHeader is the build-identity block every committed benchmark
-// artifact embeds: which build produced the numbers and on what hardware
-// shape. A BENCH json without this is uninterpretable a few PRs later —
-// "was that before or after the sharding change, and on how many CPUs?"
-type ReportHeader struct {
-	GoVersion string `json:"go_version"`
-	// Module and ModuleVersion identify the main module ("(devel)" for a
-	// working-tree build).
-	Module        string `json:"module,omitempty"`
-	ModuleVersion string `json:"module_version,omitempty"`
-	// Revision/VCSTime/Dirty are the toolchain-stamped VCS identity; empty
-	// outside a checkout (e.g. go test binaries).
-	Revision string `json:"revision,omitempty"`
-	VCSTime  string `json:"vcs_time,omitempty"`
-	Dirty    bool   `json:"dirty,omitempty"`
-
-	NumCPU     int `json:"num_cpu"`
-	GOMAXPROCS int `json:"gomaxprocs"`
-}
-
-// NewReportHeader snapshots the current build and host identity.
-func NewReportHeader() ReportHeader {
-	h := ReportHeader{
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-	h.GoVersion, h.Revision, h.VCSTime, h.Dirty = Info()
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		h.Module = bi.Main.Path
-		h.ModuleVersion = bi.Main.Version
-	}
-	return h
-}
-
 // SetBuildInfo exports the build identity as the conventional constant-1
 // info gauge (eil_build_info{go_version=...,revision=...,vcs_time=...}),
 // so dashboards and scrapes can tell exactly which build is serving.

@@ -22,19 +22,6 @@ import (
 // drive one rng through the same per-deal sequence, so evaluation harnesses
 // can flip between them without changing what the engine sees.
 
-// ProductionConfig approximates the production deployment the paper
-// reports: ~1000 deals averaging ~500 documents each, ~500k documents
-// total. Generate would hold all of it; use NewStream.
-func ProductionConfig() Config {
-	c := EvalConfig()
-	c.Seed = 500000
-	c.Deals = 1000
-	// Structural docs (overview, scope deck, solutions, roster, TSA grids,
-	// asides...) add ~15-25 per deal on top of the noise.
-	c.NoiseDocsPerDeal = 480
-	return c
-}
-
 // Stream generates a corpus deal by deal. It implements
 // analysis.CollectionReader; Next is not safe for concurrent use (the
 // pipeline calls it from one goroutine).

@@ -100,28 +100,3 @@ func TestStreamRawRetention(t *testing.T) {
 		t.Errorf("raw map grew across deals: %d entries", len(sr.Raw()))
 	}
 }
-
-// ProductionConfig must be in the paper's production ballpark without
-// generating it all here: extrapolate docs/deal from a small prefix.
-func TestProductionConfigScale(t *testing.T) {
-	cfg := ProductionConfig()
-	if cfg.Deals != 1000 {
-		t.Fatalf("deals = %d, want 1000", cfg.Deals)
-	}
-	probe := cfg
-	probe.Deals = 4
-	s := NewStream(probe)
-	n := 0
-	for {
-		if _, err := s.Next(); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
-	perDeal := n / 4
-	if total := perDeal * cfg.Deals; total < 400_000 || total > 650_000 {
-		t.Errorf("extrapolated corpus = %d docs (%d/deal), want ~500k", total, perDeal)
-	}
-}

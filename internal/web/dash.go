@@ -85,30 +85,24 @@ type dashFailover struct {
 }
 
 type dashData struct {
-	Now         string
-	Verdict     string
-	Failover    *dashFailover
-	Causes      []string
-	Panels      []dashPanel
-	Breakers    []dashBreaker
-	SLO         *slo.Report
-	Exemplars   []dashExemplar
-	Samples     int
-	Span        string
-	HasTraces   bool
-	HasProf     bool
-	CurveSVG    template.HTML
-	CurveLegend []dashCurveLegend
+	Now       string
+	Verdict   string
+	Failover  *dashFailover
+	Causes    []string
+	Panels    []dashPanel
+	Breakers  []dashBreaker
+	SLO       *slo.Report
+	Exemplars []dashExemplar
+	Samples   int
+	Span      string
+	HasTraces bool
+	HasProf   bool
 }
 
 // debugDash renders the operator dashboard.
 func (h *handler) debugDash(w http.ResponseWriter, _ *http.Request) {
 	now := time.Now()
 	data := dashData{Now: now.Format(time.RFC3339), HasTraces: h.sys.RequestTracer() != nil, HasProf: h.profRing != nil}
-	if len(h.curves) > 0 {
-		data.CurveSVG = curveChart(h.curves, 560, 200)
-		data.CurveLegend = curveLegend(h.curves)
-	}
 
 	rep := h.health.Evaluate()
 	data.Verdict = string(rep.Verdict)
@@ -287,13 +281,6 @@ var dashTmpl = template.Must(template.New("dash").Funcs(template.FuncMap{
 </tr>{{end}}
 </table>
 <div class="sub">cells are availability burn / latency burn; * marks a window the history does not yet span</div>{{end}}
-
-{{if .CurveSVG}}<h2>Throughput vs latency</h2>
-<div class="panel" style="min-width:0;display:inline-block">
-{{.CurveSVG}}
-<div class="sub" style="margin:0">x: achieved QPS &middot; y: p99 &middot;
-{{range .CurveLegend}} <span style="color:{{.Color}}">&#9632;</span> {{.Label}}{{end}}</div>
-</div>{{end}}
 
 {{if .Exemplars}}<h2>Slowest traced requests</h2>
 <table><tr><th>Route</th><th>Latency</th><th>Age</th><th>Trace</th></tr>

@@ -4,20 +4,16 @@ import (
 	"fmt"
 	"html/template"
 	"io"
-	"math"
 	"net/http"
 	"strings"
 	"time"
 
-	"repro/internal/loadgen"
 	"repro/internal/prof"
 )
 
 // prof.go serves the continuous-profiling ring: /debug/prof lists stored
 // captures (HTML for a browser, JSON with ?format=json), and
-// /debug/prof/{name} streams one capture for `go tool pprof`. It also
-// renders the throughput-vs-latency curve SVG shared by /debug/dash — like
-// the rest of the ops surface, server-side HTML with inline SVG only.
+// /debug/prof/{name} streams one capture for `go tool pprof`.
 
 // debugProf lists the capture ring.
 func (h *handler) debugProf(w http.ResponseWriter, r *http.Request) {
@@ -85,91 +81,3 @@ pull one with: go tool pprof http://HOST/debug/prof/NAME</div>
  <td><a href="{{.Href}}">download</a></td></tr>{{end}}
 </table>{{else}}<p>No captures yet. The profiler stores scheduled, on-demand, and SLO-page captures here.</p>{{end}}
 </body></html>`))
-
-// curve panel ---------------------------------------------------------------
-
-var curveColors = []string{"#2563eb", "#dc2626", "#16a34a", "#d97706", "#7c3aed", "#0891b2", "#be185d", "#4d7c0f"}
-
-// curveChart renders labeled throughput-vs-latency series (x achieved QPS,
-// y p99 ms, log-scaled y when the spread warrants) as one inline SVG.
-func curveChart(curves []loadgen.Curve, w, h int) template.HTML {
-	type pt struct{ x, y float64 }
-	series := make([][]pt, 0, len(curves))
-	minX, maxX := math.Inf(1), math.Inf(-1)
-	minY, maxY := math.Inf(1), math.Inf(-1)
-	for _, c := range curves {
-		var ps []pt
-		for _, p := range c.Points {
-			if p.AchievedQPS <= 0 || p.P99Ms <= 0 {
-				continue
-			}
-			ps = append(ps, pt{p.AchievedQPS, p.P99Ms})
-			minX, maxX = math.Min(minX, p.AchievedQPS), math.Max(maxX, p.AchievedQPS)
-			minY, maxY = math.Min(minY, p.P99Ms), math.Max(maxY, p.P99Ms)
-		}
-		series = append(series, ps)
-	}
-	if math.IsInf(minX, 1) {
-		return template.HTML("<span class=\"nodata\">&mdash;</span>")
-	}
-	if maxX == minX {
-		maxX = minX + 1
-	}
-	// Latency tails span orders of magnitude across a ramp; log-scale y
-	// once the spread exceeds one decade so the knee stays visible.
-	logY := maxY/math.Max(minY, 1e-9) > 10
-	yOf := func(v float64) float64 {
-		if logY {
-			return math.Log(v)
-		}
-		return v
-	}
-	loY, hiY := yOf(minY), yOf(maxY)
-	if hiY == loY {
-		hiY = loY + 1
-	}
-	const padL, padB, padT, padR = 46, 18, 6, 6
-	plotW, plotH := float64(w-padL-padR), float64(h-padT-padB)
-	X := func(v float64) float64 { return float64(padL) + (v-minX)/(maxX-minX)*plotW }
-	Y := func(v float64) float64 { return float64(padT) + plotH - (yOf(v)-loY)/(hiY-loY)*plotH }
-
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg width="%d" height="%d" viewBox="0 0 %d %d">`, w, h, w, h)
-	// Axes.
-	fmt.Fprintf(&b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#999"/>`, padL, h-padB, w-padR, h-padB)
-	fmt.Fprintf(&b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#999"/>`, padL, padT, padL, h-padB)
-	fmt.Fprintf(&b, `<text x="%d" y="%d" font-size="9" fill="#666">%.0f qps</text>`, padL, h-4, minX)
-	fmt.Fprintf(&b, `<text x="%d" y="%d" font-size="9" fill="#666" text-anchor="end">%.0f qps</text>`, w-padR, h-4, maxX)
-	fmt.Fprintf(&b, `<text x="%d" y="%d" font-size="9" fill="#666" text-anchor="end">%.1fms</text>`, padL-3, h-padB, minY)
-	fmt.Fprintf(&b, `<text x="%d" y="%d" font-size="9" fill="#666" text-anchor="end">%.0fms</text>`, padL-3, padT+8, maxY)
-	for i, ps := range series {
-		if len(ps) == 0 {
-			continue
-		}
-		color := curveColors[i%len(curveColors)]
-		b.WriteString(`<polyline fill="none" stroke="` + color + `" stroke-width="1.5" points="`)
-		for _, p := range ps {
-			fmt.Fprintf(&b, "%.1f,%.1f ", X(p.x), Y(p.y))
-		}
-		b.WriteString(`"/>`)
-		for _, p := range ps {
-			fmt.Fprintf(&b, `<circle cx="%.1f" cy="%.1f" r="2.2" fill="%s"/>`, X(p.x), Y(p.y), color)
-		}
-	}
-	b.WriteString(`</svg>`)
-	return template.HTML(b.String())
-}
-
-// dashCurveLegend pairs each curve label with its plot color.
-type dashCurveLegend struct {
-	Label string
-	Color string
-}
-
-func curveLegend(curves []loadgen.Curve) []dashCurveLegend {
-	out := make([]dashCurveLegend, 0, len(curves))
-	for i, c := range curves {
-		out = append(out, dashCurveLegend{Label: c.Label, Color: curveColors[i%len(curveColors)]})
-	}
-	return out
-}

@@ -1,7 +1,6 @@
 package web
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -11,13 +10,13 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/loadgen"
 	"repro/internal/prof"
+	"repro/internal/runtimetel"
 	"repro/internal/slo"
 	"repro/internal/synth"
 )
 
-// The PR 8 acceptance path end to end: a load run is in progress, the SLO
+// The profile-capture path end to end: the server has taken traffic, the SLO
 // engine pages, the page event triggers an automatic profile capture, and
 // the capture is retrievable from the ring over /debug/prof.
 func TestPageEventCapturesRetrievableProfile(t *testing.T) {
@@ -54,19 +53,30 @@ func TestPageEventCapturesRetrievableProfile(t *testing.T) {
 		},
 	})
 
-	srv := httptest.NewServer(HandlerFor(sys, WithSLO(sloEng), WithProfiles(ring)))
+	collector := runtimetel.New(runtimetel.Options{})
+	srv := httptest.NewServer(HandlerFor(sys, WithSLO(sloEng), WithProfiles(ring), WithRuntime(collector)))
 	defer srv.Close()
 
-	// A short real load phase against the live server (the captures should
-	// reflect a system under load, not an idle one).
-	gen := loadgen.New(loadgen.Options{Seed: 3, Mix: loadgen.Mix{Search: 1}})
-	res := gen.Run(context.Background(), loadgen.Phase{Name: "bg", TargetQPS: 150, Duration: 300 * time.Millisecond},
-		func(ctx context.Context, req loadgen.Request) (bool, error) {
-			_, err := http.Get(srv.URL + "/api/search?tower=" + url.QueryEscape("Desktop Support"))
-			return false, err
-		})
-	if res.Completed == 0 || res.Err != nil {
-		t.Fatalf("load phase: completed=%d err=%v", res.Completed, res.Err)
+	// Real traffic against the live server before the page (the captures
+	// should reflect a system that has served, not an idle one).
+	collector.SampleNow()
+	for i := 0; i < 40; i++ {
+		resp, body := get(t, srv.URL+"/api/search?tower="+url.QueryEscape("Desktop Support"), nil)
+		if resp.StatusCode != http.StatusOK || body == "" {
+			t.Fatalf("search %d = %d, %d bytes", i, resp.StatusCode, len(body))
+		}
+	}
+	collector.SampleNow()
+
+	// The dashboard draws its sparkline panels from the two samples.
+	resp, body := get(t, srv.URL+"/debug/dash", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/debug/dash = %d", resp.StatusCode)
+	}
+	for _, want := range []string{`<div class="panel"><h3>QPS</h3>`, `<h3>Goroutines</h3>`, "<polyline"} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("/debug/dash lacks %q", want)
+		}
 	}
 
 	// Force the page: a burst of 5xx against the availability budget. The
@@ -94,7 +104,7 @@ func TestPageEventCapturesRetrievableProfile(t *testing.T) {
 
 	// The capture must be retrievable over the ops surface: listed by
 	// /debug/prof and downloadable by name.
-	resp, body := get(t, srv.URL+"/debug/prof?format=json", nil)
+	resp, body = get(t, srv.URL+"/debug/prof?format=json", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/debug/prof = %d", resp.StatusCode)
 	}
@@ -120,42 +130,5 @@ func TestPageEventCapturesRetrievableProfile(t *testing.T) {
 	resp, _ = get(t, srv.URL+"/debug/prof/..%2F..%2Fetc%2Fpasswd", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("traversal fetch = %d, want 404", resp.StatusCode)
-	}
-}
-
-// The dashboard renders the committed load-curve artifact as an inline SVG
-// panel with a legend entry per series.
-func TestDashLoadCurvePanel(t *testing.T) {
-	corpus, err := synth.Generate(synth.SmallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := eil.Ingest(corpus.Docs, eil.Options{Directory: corpus.Directory})
-	if err != nil {
-		t.Fatal(err)
-	}
-	curves := []loadgen.Curve{
-		{Label: "monolith procs=1", Points: []loadgen.CurvePoint{
-			{AchievedQPS: 100, P99Ms: 4}, {AchievedQPS: 300, P99Ms: 9}, {AchievedQPS: 500, P99Ms: 80},
-		}},
-		{Label: "shards=4 procs=4", Points: []loadgen.CurvePoint{
-			{AchievedQPS: 120, P99Ms: 3}, {AchievedQPS: 420, P99Ms: 6}, {AchievedQPS: 800, P99Ms: 40},
-		}},
-	}
-	srv := httptest.NewServer(HandlerFor(sys, WithLoadCurves(curves)))
-	defer srv.Close()
-
-	resp, body := get(t, srv.URL+"/debug/dash", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/dash = %d", resp.StatusCode)
-	}
-	if !strings.Contains(body, "Throughput vs latency") {
-		t.Fatal("dash missing curve panel heading")
-	}
-	if !strings.Contains(body, "monolith procs=1") || !strings.Contains(body, "shards=4 procs=4") {
-		t.Fatal("dash missing curve legend labels")
-	}
-	if !strings.Contains(body, "<polyline") || !strings.Contains(body, "<circle") {
-		t.Fatal("dash curve panel missing SVG geometry")
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"repro/internal/access"
 	"repro/internal/core"
 	"repro/internal/health"
-	"repro/internal/loadgen"
 	"repro/internal/obs"
 	"repro/internal/prof"
 	"repro/internal/runtimetel"
@@ -42,7 +41,6 @@ type config struct {
 	slo        *slo.Engine
 	collector  *runtimetel.Collector
 	profRing   *prof.Ring
-	curves     []loadgen.Curve
 	replFn     func() any
 	failoverFn func() FailoverInfo
 	promoteFn  func(target string) error
@@ -108,13 +106,6 @@ func WithProfiles(ring *prof.Ring) Option {
 	return func(c *config) { c.profRing = ring }
 }
 
-// WithLoadCurves adds a throughput-vs-latency curve panel to /debug/dash —
-// typically the committed eilbench -loadcurve artifact, so the dashboard
-// shows where the knee was last measured next to where the system runs now.
-func WithLoadCurves(curves []loadgen.Curve) Option {
-	return func(c *config) { c.curves = curves }
-}
-
 // Backend is the serving surface the handler needs: the read facet and the
 // telemetry it renders. Every deployment shape supplies it — a system, a
 // sharded cluster, a replica, a failover node, a router — and the HTTP layer
@@ -131,7 +122,7 @@ func HandlerFor(sys Backend, opts ...Option) http.Handler {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	h := &handler{sys: sys, health: cfg.health, slo: cfg.slo, collector: cfg.collector, profRing: cfg.profRing, curves: cfg.curves, replFn: cfg.replFn, failoverFn: cfg.failoverFn, promoteFn: cfg.promoteFn}
+	h := &handler{sys: sys, health: cfg.health, slo: cfg.slo, collector: cfg.collector, profRing: cfg.profRing, replFn: cfg.replFn, failoverFn: cfg.failoverFn, promoteFn: cfg.promoteFn}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", h.home)
 	mux.HandleFunc("/deal", h.dealPage)
@@ -181,7 +172,6 @@ type handler struct {
 	slo        *slo.Engine
 	collector  *runtimetel.Collector
 	profRing   *prof.Ring
-	curves     []loadgen.Curve
 	replFn     func() any
 	failoverFn func() FailoverInfo
 	promoteFn  func(target string) error
