@@ -156,17 +156,18 @@ type FrameReader struct {
 // *VersionError; bad magic or a checksummed-header mismatch returns a
 // *CorruptError.
 func NewFrameReader(r io.Reader, path, kind string, version uint32) (*FrameReader, error) {
-	return newFrameReader(r, path, kind, version, false)
+	return newFrameReader(r, path, kind, version, version, false)
 }
 
 // NewJournalReader is NewFrameReader for append-only journals: the stream
 // has no EOF marker, and a clean end at a frame boundary is io.EOF rather
 // than ErrTorn.
 func NewJournalReader(r io.Reader, path, kind string, version uint32) (*FrameReader, error) {
-	return newFrameReader(r, path, kind, version, true)
+	return newFrameReader(r, path, kind, version, version, true)
 }
 
-func newFrameReader(r io.Reader, path, kind string, version uint32, journal bool) (*FrameReader, error) {
+// newFrameReader accepts the versions from oldest to newest.
+func newFrameReader(r io.Reader, path, kind string, oldest, newest uint32, journal bool) (*FrameReader, error) {
 	hdr := make([]byte, len(frameMagic)+4+1)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, &CorruptError{Path: path, Detail: "short header"}
@@ -185,8 +186,8 @@ func newFrameReader(r io.Reader, path, kind string, version uint32, journal bool
 	if sum != binary.BigEndian.Uint32(rest[kindLen:]) {
 		return nil, &CorruptError{Path: path, Detail: "header checksum mismatch"}
 	}
-	if gotVersion != version {
-		return nil, &VersionError{Path: path, Got: gotVersion, Want: version}
+	if gotVersion < oldest || gotVersion > newest {
+		return nil, &VersionError{Path: path, Got: gotVersion, Want: newest}
 	}
 	if string(rest[:kindLen]) != kind {
 		return nil, &CorruptError{Path: path, Detail: fmt.Sprintf("kind %q, want %q", rest[:kindLen], kind)}

@@ -114,7 +114,7 @@ func (imp *Import) Component(name string, r io.Reader) error {
 		return err
 	}
 	defer f.Close()
-	fr, err := NewFrameReader(f, path, "component:"+name, SnapshotVersion)
+	fr, err := componentReader(f, path, name)
 	if err != nil {
 		return fmt.Errorf("durable: import component %s: %w", name, err)
 	}

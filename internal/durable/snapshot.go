@@ -12,9 +12,16 @@ import (
 	"repro/internal/obs"
 )
 
-// SnapshotVersion is the on-disk snapshot container format. Loaders reject
+// SnapshotVersion is the on-disk MANIFEST container format. Loaders reject
 // other versions with a typed *VersionError, never a decode failure.
 const SnapshotVersion = 1
+
+// ComponentVersion is the container version Commit writes components at.
+// Load and Import read every version from 1 up to it, so older generations
+// stay readable, while a build that knows only an older version refuses a
+// newer component as a *VersionError (and falls back to an older
+// generation). Version 2 marks the index's format-2 snapshot.
+const ComponentVersion = 2
 
 // manifestName is the committed-generation marker file.
 const manifestName = "MANIFEST"
@@ -75,6 +82,12 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 		keep = DefaultKeep
 	}
 	return &Store{dir: dir, fs: fs, keep: keep, metrics: opts.Metrics}, nil
+}
+
+// componentReader validates a component container's header, accepting
+// versions 1 through ComponentVersion.
+func componentReader(r io.Reader, path, name string) (*FrameReader, error) {
+	return newFrameReader(r, path, "component:"+name, 1, ComponentVersion, false)
 }
 
 // Dir returns the store's root directory.
@@ -187,7 +200,7 @@ func (st *Store) Commit(components []Component) (uint64, error) {
 		var n int64
 		err := WriteFileAtomic(st.fs, path, func(w io.Writer) error {
 			cw := &countingWriter{w: w}
-			fw, err := NewFrameWriter(cw, "component:"+comp.Name, SnapshotVersion)
+			fw, err := NewFrameWriter(cw, "component:"+comp.Name, ComponentVersion)
 			if err != nil {
 				return err
 			}
@@ -256,11 +269,23 @@ func (st *Store) prune(committed uint64) {
 // trailing frames the decoder did not consume, then Close.
 type ComponentReader struct {
 	*FrameReader
-	f File
+	f  File
+	fs FS
 }
 
 // Close releases the underlying file.
 func (cr *ComponentReader) Close() error { return cr.f.Close() }
+
+// Size is the component file's size, its payload plus the framing, so a
+// decoder that reads the whole payload can size its buffer once (0 when the
+// file cannot be statted).
+func (cr *ComponentReader) Size() int64 {
+	info, err := cr.fs.Stat(cr.f.Name())
+	if err != nil {
+		return 0
+	}
+	return info.Size()
+}
 
 // OpenComponent is the per-generation opener Load hands to its callback.
 // Opening a component that does not exist returns an error satisfying
@@ -274,12 +299,12 @@ func (st *Store) opener(gen uint64) OpenComponent {
 		if err != nil {
 			return nil, err
 		}
-		fr, err := NewFrameReader(f, path, "component:"+name, SnapshotVersion)
+		fr, err := componentReader(f, path, name)
 		if err != nil {
 			f.Close()
 			return nil, err
 		}
-		return &ComponentReader{FrameReader: fr, f: f}, nil
+		return &ComponentReader{FrameReader: fr, f: f, fs: st.fs}, nil
 	}
 }
 

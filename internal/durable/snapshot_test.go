@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -205,5 +206,97 @@ func TestStoreRecommitClearsStaleGeneration(t *testing.T) {
 	gen, got, err := loadBlobs(st, "index")
 	if err != nil || gen != 2 || got["index"] != "two" {
 		t.Fatalf("gen %d, %v, %v", gen, got, err)
+	}
+}
+
+// reframe rewrites one component of generation gen as a container at
+// version holding payload, as a build writing that version would have.
+func reframe(t *testing.T, dir string, gen uint64, name string, version uint32, payload string) {
+	t.Helper()
+	var buf bytes.Buffer
+	fw, err := NewFrameWriter(&buf, "component:"+name, version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.Write([]byte(payload)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, genDirName(gen), name+".snap"), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestComponentVersionUpgrade: components are written at ComponentVersion,
+// and a generation an older build wrote at version 1 stays readable. A
+// reader that knows only an older version refuses a newer component as
+// ErrVersion — opening it, loading it (falling back to the generation
+// before) and importing it.
+func TestComponentVersionUpgrade(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitBlobs(t, st, map[string]string{"index": "index one", "context": "context one"})
+	reframe(t, dir, 1, "index", 1, "index one")
+	reframe(t, dir, 1, "context", 1, "context one")
+	if gen, got, err := loadBlobs(st, "index", "context"); err != nil || gen != 1 || got["index"] != "index one" {
+		t.Fatalf("version 1 is unreadable: gen %d, %v, %v", gen, got, err)
+	}
+	commitBlobs(t, st, map[string]string{"index": "index two", "context": "context two"})
+	if gen, got, err := loadBlobs(st, "index", "context"); err != nil || gen != 2 || got["index"] != "index two" {
+		t.Fatalf("version %d is unreadable: gen %d, %v, %v", ComponentVersion, gen, got, err)
+	}
+
+	path := filepath.Join(dir, genDirName(2), "index.snap")
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewFrameReader(f, path, "component:index", 1)
+	f.Close()
+	if !errors.Is(err, ErrVersion) {
+		t.Fatalf("the version-1 reader opened a version-%d index: err = %v, want ErrVersion", ComponentVersion, err)
+	}
+
+	for _, c := range []struct {
+		version uint32
+		want    error
+	}{
+		{ComponentVersion, nil},
+		{ComponentVersion + 1, ErrVersion},
+	} {
+		reframe(t, dir, 2, "index", c.version, "index two")
+		wantGen, wantIndex := uint64(2), "index two"
+		if c.want != nil {
+			wantGen, wantIndex = 1, "index one"
+		}
+		if gen, got, err := loadBlobs(st, "index", "context"); err != nil || gen != wantGen || got["index"] != wantIndex {
+			t.Fatalf("index at version %d: loaded gen %d, %v, %v; want gen %d", c.version, gen, got, err, wantGen)
+		}
+
+		_, comps, err := st.ExportGeneration()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst, err := OpenStore(t.TempDir(), StoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		imp, err := dst.BeginImport(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, comp := range comps {
+			err := imp.Component(comp.Name, comp.R)
+			comp.R.Close()
+			if comp.Name == "index" && !errors.Is(err, c.want) || comp.Name != "index" && err != nil {
+				t.Fatalf("index at version %d: import %s: err = %v, want %v", c.version, comp.Name, err, c.want)
+			}
+		}
+		imp.Abort()
 	}
 }

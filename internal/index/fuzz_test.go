@@ -7,6 +7,7 @@ import (
 	"os"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 // seedSnapshot serializes a small real index — the fuzzer mutates from a
 // valid snapshot, which reaches far deeper into the decoder than random
 // bytes would.
-func seedSnapshot(t interface{ Fatal(...any) }) []byte {
+func seedSnapshot(t testing.TB) []byte {
 	ix := New(textproc.DefaultAnalyzer)
 	docs := []Document{
 		{ExtID: "deal-a/overview.txt", Meta: map[string]string{"deal": "DEAL A"}, Fields: []Field{
@@ -42,40 +43,46 @@ func seedSnapshot(t interface{ Fatal(...any) }) []byte {
 	return buf.Bytes()
 }
 
-// corruptSnapshot is a well-formed snapshot of two live documents with
-// mutate applied to its one posting list, body:"storag".
-func corruptSnapshot(t interface{ Fatal(...any) }, mutate func(*snapPosting)) []byte {
-	field := func(text string) []snapField {
-		return []snapField{{Name: "body", Text: text, Length: 2, Weight: 1}}
+// corruptSnapshot indexes two documents, applies mutate to the posting list
+// body:"storag" and writes the index in format 1 and in format 2: neither
+// writer checks what it writes.
+func corruptSnapshot(t testing.TB, mutate func(*snapPosting)) (format1, format2 []byte) {
+	t.Helper()
+	ix := New(textproc.DefaultAnalyzer)
+	for _, d := range []Document{
+		{ExtID: "a", Fields: []Field{{Name: "body", Text: "storage network"}}},
+		{ExtID: "b", Fields: []Field{{Name: "body", Text: "network storage"}}},
+	} {
+		if _, err := ix.Add(d); err != nil {
+			t.Fatal(err)
+		}
 	}
-	snap := snapshot{
-		Format:   persistFormat,
-		Analyzer: textproc.DefaultAnalyzer,
-		Docs: []snapDoc{
-			{ExtID: "a", Fields: field("storage network")},
-			{ExtID: "b", Fields: field("network storage")},
-		},
-		Postings: []snapPosting{{Field: "body", Term: "storag", Entries: []snapEntry{
-			{Doc: 0, Positions: []uint32{0}},
-			{Doc: 1, Positions: []uint32{1}},
-		}}},
-		FieldTotals: map[string]int{"body": 4},
-		FieldDocs:   map[string]int{"body": 2},
-		LiveDocs:    2,
+	key := fieldTerm{"body", "storag"}
+	sp := snapPosting{Field: key.field, Term: key.term}
+	for i, id := range ix.postings[key].docs {
+		sp.Entries = append(sp.Entries, snapEntry{Doc: id, Positions: ix.postings[key].positions(i)})
 	}
-	mutate(&snap.Postings[0])
+	mutate(&sp)
+	pl := &postingList{}
+	for _, e := range sp.Entries {
+		pl.docs = append(pl.docs, e.Doc)
+		pl.pos = append(pl.pos, e.Positions...)
+		pl.ends = append(pl.ends, uint32(len(pl.pos)))
+	}
+	ix.postings[key] = pl
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return writeFormat1(t, ix), buf.Bytes()
 }
 
 // TestLoadRejectsWhatCursorsCannotRank: the evaluator gallops over a list's
 // documents and merges positions with forward cursors, so a list whose
 // documents do not strictly ascend, or an entry whose positions within one
-// field do not, would load and rank wrong; Load refuses them. Positions of
-// a repeated field name restart from 0 in a list Add built, and load.
+// field do not, would load and rank wrong; Load refuses them, in either
+// format, with the same words. Positions of a repeated field name restart
+// from 0 in a list Add built, and load.
 func TestLoadRejectsWhatCursorsCannotRank(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -91,12 +98,15 @@ func TestLoadRejectsWhatCursorsCannotRank(t *testing.T) {
 		{"position repeated", func(p *snapPosting) { p.Entries[0].Positions = []uint32{0, 0} }, "positions out of order for doc 0"},
 		{"no positions", func(p *snapPosting) { p.Entries[0].Positions = nil }, "no positions for doc 0"},
 	} {
-		_, err := Load(bytes.NewReader(corruptSnapshot(t, c.mutate)))
-		switch {
-		case c.want == "" && err != nil:
-			t.Errorf("%s: %v", c.name, err)
-		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
-			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		format1, format2 := corruptSnapshot(t, c.mutate)
+		for i, data := range [][]byte{format1, format2} {
+			_, err := Load(bytes.NewReader(data))
+			switch {
+			case c.want == "" && err != nil:
+				t.Errorf("%s, format %d: %v", c.name, i+1, err)
+			case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+				t.Errorf("%s, format %d: err = %v, want %q", c.name, i+1, err, c.want)
+			}
 		}
 	}
 
@@ -169,8 +179,12 @@ func checkAccepted(t *testing.T, ix *Index) {
 
 // FuzzIndexLoad drives arbitrary bytes through the snapshot loader. The
 // invariant under fuzzing: Load never panics — it returns a working index
-// or an error. Corrupt postings, impossible doc IDs, and truncated gob
-// streams must all surface as errors, and what loads must search correctly.
+// or an error. Corrupt postings, impossible doc IDs, counts larger than the
+// bytes left, and truncated streams must all surface as errors, and what
+// loads must search correctly. The seeds are format 2 (what WriteTo writes)
+// and format 1 (the fixture and the test-only encoder); format-1 inputs go
+// through the gob decoder, whose claimed lengths nothing bounds.
+// testdata/fuzz/FuzzIndexLoad/v2-huge-count claims 2^40 entries.
 func FuzzIndexLoad(f *testing.F) {
 	seed := seedSnapshot(f)
 	f.Add(seed)
@@ -186,6 +200,7 @@ func FuzzIndexLoad(f *testing.F) {
 	mut := bytes.Clone(seed)                     // single corrupt byte
 	mut[len(mut)/3] ^= 0xFF
 	f.Add(mut)
+	f.Add(writeFormat1(f, buildUpgradeIndex(f)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ix, err := Load(bytes.NewReader(data))
@@ -209,18 +224,43 @@ func FuzzIndexLoad(f *testing.F) {
 
 func TestIndexLoadRejectsOtherFormats(t *testing.T) {
 	// A format bump (or an ancient snapshot) must be rejected with a clear
-	// error naming the format — never misread field-by-field.
-	for _, format := range []int{0, persistFormat + 1, persistFormat + 40} {
+	// error naming the format — never misread field-by-field. Format 2 in a
+	// gob image is as foreign as format 1 behind the format-2 magic.
+	for _, format := range []int{0, Format, Format + 40} {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(snapshot{Format: format}); err != nil {
 			t.Fatal(err)
 		}
 		_, err := Load(&buf)
-		if err == nil {
-			t.Fatalf("format %d loaded", format)
+		if err == nil || !strings.Contains(err.Error(), "unsupported snapshot format") {
+			t.Fatalf("gob format %d: err = %v, want unsupported-format", format, err)
 		}
-		if !strings.Contains(err.Error(), "unsupported snapshot format") {
+	}
+	for _, format := range []byte{0, formatGob, Format + 1, Format + 40} {
+		data := append([]byte(formatMagic), format, analyzerFlags(textproc.DefaultAnalyzer), 0, 0, 0, 0, 0)
+		_, err := Load(bytes.NewReader(data))
+		if err == nil || !strings.Contains(err.Error(), "unsupported snapshot format") {
 			t.Fatalf("format %d: err = %v, want unsupported-format", format, err)
 		}
+	}
+}
+
+// TestLoadBoundsCountsByBytesLeft: the committed corpus entry that claims
+// 2^40 entries for one list is refused by its count, before any column is
+// allocated for it.
+func TestLoadBoundsCountsByBytesLeft(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fuzz/FuzzIndexLoad/v2-huge-count")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	lit := strings.TrimSuffix(strings.TrimPrefix(lines[len(lines)-1], "[]byte("), ")")
+	data, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Load(strings.NewReader(data))
+	if err == nil || !strings.Contains(err.Error(), "claims 1099511627776 entries") {
+		t.Fatalf("err = %v, want the 2^40 entries refused by their count", err)
 	}
 }

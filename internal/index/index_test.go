@@ -377,24 +377,6 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPersistFile(t *testing.T) {
-	ix := newTestIndex(t)
-	path := t.TempDir() + "/idx.gob"
-	if err := ix.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.DocCount() != 3 {
-		t.Fatalf("DocCount = %d", loaded.DocCount())
-	}
-	if _, err := LoadFile(path + ".missing"); err == nil {
-		t.Fatal("expected error for missing file")
-	}
-}
-
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("not a gob"))); err == nil {
 		t.Fatal("expected decode error")

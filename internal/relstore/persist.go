@@ -1,15 +1,11 @@
 package relstore
 
 import (
-	"bufio"
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
-
-	"repro/internal/durable"
 )
 
 // persistFormat guards against misreading incompatible snapshots.
@@ -134,25 +130,6 @@ func Load(r io.Reader) (db *DB, err error) {
 		}
 	}
 	return db, nil
-}
-
-// SaveFile writes the database to path atomically and durably (temp file +
-// fsync + rename + directory fsync, via the shared durable helper).
-func (db *DB) SaveFile(path string) error {
-	return durable.WriteFileAtomic(nil, path, func(w io.Writer) error {
-		_, err := db.WriteTo(w)
-		return err
-	})
-}
-
-// LoadFile reads a database snapshot from path.
-func LoadFile(path string) (*DB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("relstore: load: %w", err)
-	}
-	defer f.Close()
-	return Load(bufio.NewReader(f))
 }
 
 type countWriter struct {

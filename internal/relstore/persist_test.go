@@ -41,25 +41,6 @@ func TestDBPersistRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDBPersistFile(t *testing.T) {
-	db := newDealsDB(t)
-	path := t.TempDir() + "/db.gob"
-	if err := db.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, _ := loaded.RowCount("deals")
-	if n != 3 {
-		t.Fatalf("RowCount = %d", n)
-	}
-	if _, err := LoadFile(path + ".nope"); err == nil {
-		t.Fatal("missing file loaded")
-	}
-}
-
 func TestDBLoadGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("garbage"))); err == nil {
 		t.Fatal("garbage decoded")

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -218,11 +219,11 @@ func TestSortedIndexPersistence(t *testing.T) {
 	if err := db.CreateSortedIndex("by_n", "m", "n"); err != nil {
 		t.Fatal(err)
 	}
-	path := t.TempDir() + "/db.gob"
-	if err := db.SaveFile(path); err != nil {
+	var buf bytes.Buffer
+	if _, err := db.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadFile(path)
+	loaded, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -158,7 +158,7 @@ func NewStore(db *relstore.DB) (*Store, error) {
 }
 
 // Open wraps a database that already carries the context schema (for
-// example one restored with relstore.LoadFile). It fails if the schema is
+// example one restored with relstore.Load). It fails if the schema is
 // absent.
 func Open(db *relstore.DB) (*Store, error) {
 	if _, err := db.Schema("deals"); err != nil {

@@ -31,7 +31,7 @@ import (
 // <name>.snap). Every component is a framed, CRC-checksummed container; the
 // store's MANIFEST names the last fully committed generation.
 const (
-	compIndex     = "index"     // semantic full-text index (gob)
+	compIndex     = "index"     // semantic full-text index (index.Format)
 	compContext   = "context"   // business-context database (gob)
 	compPipeline  = "pipeline"  // retained offline-pipeline state (gob)
 	compDirectory = "directory" // personnel directory (JSON lines; optional)

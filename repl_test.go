@@ -1,6 +1,7 @@
 package eil
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -486,4 +487,60 @@ func TestClusterFollowerIdentity(t *testing.T) {
 		}
 		assertSameResult(t, fmt.Sprintf("mono-vs-replica/q%d", i), mr, rr)
 	}
+}
+
+// TestFollowerBootstrapsFromFormat1Generation: a primary serving a
+// generation whose index is format 1 (an upgraded store before its first
+// checkpoint) bootstraps a follower from it, raw, and the follower answers
+// float-identically; the primary's next checkpoint reaches the follower as a
+// rotation, and the follower's own checkpoint writes format 2.
+func TestFollowerBootstrapsFromFormat1Generation(t *testing.T) {
+	dir := copyUpgradeStore(t)
+	sys, err := LoadSystem(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.EnableWAL(dir, 1); err != nil {
+		t.Fatal(err)
+	}
+	if sys.Generation() != 1 {
+		t.Fatalf("EnableWAL checkpointed (generation %d): the follower would not see format 1", sys.Generation())
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := sys.ServeReplication(lis, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		sh.Close()
+		sys.CloseWAL()
+	})
+	fdir := t.TempDir()
+	f := startReplica(t, lis.Addr().String(), fdir, "replica-v1", nil)
+	waitApplied(t, f, primarySeq(sys))
+	indexSnapshot(t, fdir, 1, 1) // the follower installed the format-1 generation as shipped
+	assertReplicaIdentity(t, "format-1 bootstrap", sys, f)
+
+	if err := sys.AddDocuments(newDealDocs(t, "DEAL AFTER UPGRADE")); err != nil {
+		t.Fatal(err)
+	}
+	gen, err := sys.Checkpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitApplied(t, f, primarySeq(sys))
+	deadline := time.Now().Add(30 * time.Second)
+	for f.System().Generation() < gen && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if fgen := f.System().Generation(); fgen < 2 {
+		t.Fatalf("the follower did not checkpoint after the rotation (generation %d)", fgen)
+	}
+	if snap := indexSnapshot(t, fdir, f.System().Generation(), durable.ComponentVersion); !bytes.HasPrefix(snap, []byte(indexFormat2Magic)) {
+		t.Fatal("the follower's checkpoint did not write format 2")
+	}
+	assertReplicaIdentity(t, "after the checkpoint", sys, f)
 }
