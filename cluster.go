@@ -9,7 +9,6 @@ package eil
 // the differential suite in shard_test.go holds it to that.
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,7 +16,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/access"
@@ -25,10 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/docmodel"
 	"repro/internal/durable"
-	"repro/internal/index"
 	"repro/internal/obs"
-	"repro/internal/siapi"
-	"repro/internal/synopsis"
 	"repro/internal/trace"
 )
 
@@ -75,46 +70,7 @@ type clusterManifest struct {
 // Cluster's coordinator engine fans searches out across them. All shards
 // share one metrics registry, tracer, access controller, and directory.
 func IngestSharded(docs []*docmodel.Document, n int, opts Options) (*Cluster, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("eil: shard count %d < 1", n)
-	}
-	if opts.Metrics == nil {
-		opts.Metrics = obs.NewRegistry()
-	}
-	parts := make([][]*docmodel.Document, n)
-	for _, d := range docs {
-		i := core.ShardForDoc(d.DealID, d.Path, n)
-		parts[i] = append(parts[i], d)
-	}
-	// Split the worker budget across the parallel shard ingests so the
-	// total annotator parallelism stays what the caller asked for.
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	perShard := workers / n
-	if perShard < 1 {
-		perShard = 1
-	}
-	shards := make([]*System, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sopts := opts
-			sopts.Workers = perShard
-			shards[i], errs[i] = Ingest(parts[i], sopts)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("eil: shard %d: %w", i, err)
-		}
-	}
-	return newCluster(shards, opts.Access, opts.Metrics, opts.Tracer, opts.DisableScoping), nil
+	return IngestShardedFrom(&analysis.SliceReader{Docs: docs}, n, opts)
 }
 
 // chanReader adapts a bounded channel to analysis.CollectionReader, so a
@@ -248,155 +204,9 @@ func newCluster(shards []*System, ctl *access.Controller, metrics *obs.Registry,
 	}
 }
 
-// keywordStats scatters stats collection for the keyword query and merges;
-// a shard that fails to report simply scores its own hits locally (the
-// keyword baseline has no degraded flag to set).
-func (c *Cluster) keywordStats(ctx context.Context, kq siapi.Query) *index.Stats {
-	outs := make([]*index.Stats, len(c.Shards))
-	var wg sync.WaitGroup
-	for i, s := range c.Shards {
-		wg.Add(1)
-		go func(i int, s *System) {
-			defer wg.Done()
-			outs[i], _ = s.siapi().TryCollectStatsCtx(ctx, kq)
-		}(i, s)
-	}
-	wg.Wait()
-	var merged *index.Stats
-	for _, st := range outs {
-		if st == nil {
-			continue
-		}
-		if merged == nil {
-			merged = st
-		} else {
-			merged.Merge(st)
-		}
-	}
-	return merged
-}
-
-// KeywordSearch is the search-box baseline over the whole cluster.
-func (c *Cluster) KeywordSearch(query string, limit int) []siapi.DocHit {
-	return c.KeywordSearchCtx(context.Background(), query, limit)
-}
-
-// KeywordSearchCtx scatters the keyword query with merged cluster-global
-// statistics, so each document's score is what the monolithic index would
-// assign, and merges the per-shard pages into one ranking (score
-// descending, ties by path).
-func (c *Cluster) KeywordSearchCtx(ctx context.Context, query string, limit int) []siapi.DocHit {
-	kq := siapi.ParseKeywords(query)
-	t := obs.StartTimer()
-	epoch := c.Engine.ClusterEpoch()
-	st := c.keywordStats(ctx, kq)
-	pages := make([][]siapi.DocHit, len(c.Shards))
-	var wg sync.WaitGroup
-	for i, s := range c.Shards {
-		wg.Add(1)
-		go func(i int, s *System) {
-			defer wg.Done()
-			pages[i], _ = s.siapi().TrySearchStatsCtx(ctx, kq, limit, st, epoch)
-		}(i, s)
-	}
-	wg.Wait()
-	var hits []siapi.DocHit
-	for _, p := range pages {
-		hits = append(hits, p...)
-	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
-		}
-		return hits[i].Path < hits[j].Path
-	})
-	if limit > 0 && len(hits) > limit {
-		hits = hits[:limit]
-	}
-	c.logKeyword(ctx, query, t.Elapsed(), func() int { return c.keywordCount(kq) })
-	return hits
-}
-
-// KeywordCount sums the per-shard match counts (partitions are disjoint).
-func (c *Cluster) KeywordCount(query string) int {
-	return c.keywordCount(siapi.ParseKeywords(query))
-}
-
-func (c *Cluster) keywordCount(kq siapi.Query) int {
-	total := 0
-	for _, s := range c.Shards {
-		total += s.siapi().Count(kq)
-	}
-	return total
-}
-
 // shardFor returns the shard system owning dealID.
 func (c *Cluster) shardFor(dealID string) *System {
 	return c.Shards[core.ShardFor(dealID, len(c.Shards))]
-}
-
-// Deal fetches one deal synopsis from its owning shard, subject to the
-// user's access level.
-func (c *Cluster) Deal(user access.User, dealID string) (synopsis.Deal, error) {
-	if c.Access != nil && !c.Access.CanSeeSynopsis(user, dealID) {
-		return synopsis.Deal{}, fmt.Errorf("%w: %s", synopsis.ErrNotFound, dealID)
-	}
-	return c.shardFor(dealID).Synopses.Get(dealID)
-}
-
-// SimilarDeals fetches the reference deal from its owning shard, scatters
-// the similarity scan to every shard, and merges the per-shard rankings —
-// similarity is pairwise against the reference, so the merged top-k equals
-// the monolithic ranking. Results are filtered to activities the user may
-// at least see synopses of.
-func (c *Cluster) SimilarDeals(user access.User, dealID string, k int) ([]synopsis.SimilarHit, error) {
-	if c.Access != nil && !c.Access.CanSeeSynopsis(user, dealID) {
-		return nil, fmt.Errorf("%w: %s", synopsis.ErrNotFound, dealID)
-	}
-	ref, err := c.shardFor(dealID).Synopses.Get(dealID)
-	if err != nil {
-		return nil, err
-	}
-	if k <= 0 {
-		k = 5
-	}
-	pages := make([][]synopsis.SimilarHit, len(c.Shards))
-	errs := make([]error, len(c.Shards))
-	var wg sync.WaitGroup
-	for i, s := range c.Shards {
-		wg.Add(1)
-		go func(i int, s *System) {
-			defer wg.Done()
-			pages[i], errs[i] = s.Synopses.SimilarTo(ref, k)
-		}(i, s)
-	}
-	wg.Wait()
-	var hits []synopsis.SimilarHit
-	for i, page := range pages {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		hits = append(hits, page...)
-	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
-		}
-		return hits[i].DealID < hits[j].DealID
-	})
-	if c.Access != nil {
-		visible := hits[:0]
-		for _, h := range hits {
-			if c.Access.CanSeeSynopsis(user, h.DealID) {
-				visible = append(visible, h)
-			}
-		}
-		hits = visible
-	}
-	if len(hits) > k {
-		hits = hits[:k]
-	}
-	return hits, nil
 }
 
 // AddDocuments splits the batch by shard and applies each sub-batch to its

@@ -92,8 +92,9 @@ type Options struct {
 // searchFront is the logged search surface a System and a Cluster share:
 // one engine over the deployment's backends (a system's own stores, or every
 // shard's), the collaborators it consults, and the query log its searches are
-// recorded in. Both shapes embed it, so Search, SearchCtx, SearchExplain,
-// Explore and the telemetry getters are written once.
+// recorded in. Both shapes embed it, so every read — Search, SearchCtx,
+// SearchExplain, Explore, KeywordSearch, KeywordCount, Deal, SimilarDeals —
+// and the telemetry getters are written once.
 type searchFront struct {
 	// Engine runs Figure 1 over the deployment's backends; ablations and
 	// resilience config tune it directly.
@@ -481,24 +482,23 @@ func formConcepts(q core.FormQuery) []string {
 // evaluates against: a free-text query over all documents, returning
 // documents, not activities, with no business context. Quoted phrases and
 // -exclusions are honored.
-func (s *System) KeywordSearch(query string, limit int) []siapi.DocHit {
-	return s.KeywordSearchCtx(context.Background(), query, limit)
+func (f *searchFront) KeywordSearch(query string, limit int) []siapi.DocHit {
+	return f.KeywordSearchCtx(context.Background(), query, limit)
 }
 
 // KeywordSearchCtx is KeywordSearch under the caller's context.
-func (s *System) KeywordSearchCtx(ctx context.Context, query string, limit int) []siapi.DocHit {
+func (f *searchFront) KeywordSearchCtx(ctx context.Context, query string, limit int) []siapi.DocHit {
 	kq := siapi.ParseKeywords(query)
-	engine := s.siapi()
 	t := obs.StartTimer()
-	hits := engine.SearchCtx(ctx, kq, limit)
-	s.logKeyword(ctx, query, t.Elapsed(), func() int { return engine.Count(kq) })
+	hits := f.Engine.KeywordSearchCtx(ctx, kq, limit)
+	f.logKeyword(ctx, query, t.Elapsed(), func() int { return f.Engine.KeywordCount(kq) })
 	return hits
 }
 
 // KeywordCount reports how many documents a search-box query returns — the
 // "N documents returned" numbers quoted throughout the paper's §4.
-func (s *System) KeywordCount(query string) int {
-	return s.siapi().Count(siapi.ParseKeywords(query))
+func (f *searchFront) KeywordCount(query string) int {
+	return f.Engine.KeywordCount(siapi.ParseKeywords(query))
 }
 
 // Explore searches within one business activity's documents (the synopsis
@@ -513,34 +513,15 @@ func (f *searchFront) ExploreCtx(ctx context.Context, user access.User, dealID s
 	return f.Engine.ExploreCtx(ctx, user, dealID, q)
 }
 
-// SimilarDeals finds activities similar to dealID (services mix, industry,
-// advisor), filtered to those the user may at least see synopses of.
-func (s *System) SimilarDeals(user access.User, dealID string, k int) ([]synopsis.SimilarHit, error) {
-	if s.Access != nil && !s.Access.CanSeeSynopsis(user, dealID) {
-		return nil, fmt.Errorf("%w: %s", synopsis.ErrNotFound, dealID)
-	}
-	hits, err := s.Synopses.Similar(dealID, k)
-	if err != nil {
-		return nil, err
-	}
-	if s.Access == nil {
-		return hits, nil
-	}
-	visible := hits[:0]
-	for _, h := range hits {
-		if s.Access.CanSeeSynopsis(user, h.DealID) {
-			visible = append(visible, h)
-		}
-	}
-	return visible, nil
+// SimilarDeals finds the k activities most similar to dealID (services
+// mix, industry, advisor) among those the user may at least see synopses of.
+func (f *searchFront) SimilarDeals(user access.User, dealID string, k int) ([]synopsis.SimilarHit, error) {
+	return f.Engine.SimilarDeals(user, dealID, k)
 }
 
 // Deal fetches one deal synopsis, subject to the user's access level: a
 // user with no access gets synopsis.ErrNotFound rather than existence
 // disclosure.
-func (s *System) Deal(user access.User, dealID string) (synopsis.Deal, error) {
-	if s.Access != nil && !s.Access.CanSeeSynopsis(user, dealID) {
-		return synopsis.Deal{}, fmt.Errorf("%w: %s", synopsis.ErrNotFound, dealID)
-	}
-	return s.Synopses.Get(dealID)
+func (f *searchFront) Deal(user access.User, dealID string) (synopsis.Deal, error) {
+	return f.Engine.Deal(user, dealID)
 }

@@ -163,7 +163,7 @@ type Engine struct {
 	// breakers holds the lazily built per-key circuit breakers; brMu
 	// guards the map, not the breakers (each has its own lock).
 	brMu     sync.Mutex
-	breakers map[string]*breaker
+	breakers map[string]*Breaker
 }
 
 // Derive returns a new Engine sharing this engine's backends and
@@ -253,18 +253,8 @@ func (e *Engine) SearchCtx(ctx context.Context, user access.User, q FormQuery) (
 func (e *Engine) search(ctx context.Context, user access.User, q FormQuery) (Result, error) {
 	var res Result
 	n := len(e.Backends)
-	// Resilience envelope: the search budget becomes a context deadline
-	// that every backend attempt slices (see resilience.go), and an
-	// engine-configured fault injector (chaos benching) rides the context
-	// to the instrumented call sites.
-	if r := e.resilience(); r.Budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.Budget)
-		defer cancel()
-	}
-	if e.Faults != nil {
-		ctx = fault.With(ctx, e.Faults)
-	}
+	ctx, cancel := e.envelope(ctx)
+	defer cancel()
 	// degrade records one backend outage survived by serving a reduced
 	// answer: result flags, per-cause counter, and root-span attributes
 	// (so ?explain=1 shows what was lost and why).
@@ -582,7 +572,7 @@ func (e *Engine) finishSearch(ctx context.Context, user access.User, q FormQuery
 			a.Docs = nil // synopsis-plus-contacts fallback
 			synopsisOnly++
 		}
-		deal, err := e.Backends[ShardFor(a.DealID, len(e.Backends))].Synopses.Get(a.DealID)
+		deal, err := e.owner(a.DealID).Synopses.Get(a.DealID)
 		if err == nil {
 			a.Synopsis = &deal
 		}
@@ -691,33 +681,112 @@ func (e *Engine) ExploreCtx(ctx context.Context, user access.User, dealID string
 	if limit <= 0 {
 		limit = 20
 	}
-	if r := e.resilience(); r.Budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.Budget)
-		defer cancel()
-	}
-	if e.Faults != nil {
-		ctx = fault.With(ctx, e.Faults)
-	}
+	ctx, cancel := e.envelope(ctx)
+	defer cancel()
 	// The activity's documents live wholly on the backend that owns it; in a
 	// cluster they are scored against the merged statistics, so the scores
 	// are the ones a monolith would give.
 	owner := ShardFor(dealID, len(e.Backends))
-	search := func(c context.Context, st *index.Stats, epoch string) ([]siapi.DocHit, error) {
-		b := &e.Backends[owner]
-		return resilientCall(c, e, BackendSIAPI, b, func(cc context.Context) ([]siapi.DocHit, error) {
-			return b.Docs().TrySearchStatsCtx(cc, dq, limit, st, epoch)
-		})
-	}
 	if len(e.Backends) == 1 {
-		return search(ctx, nil, "")
+		return e.docsOn(ctx, &e.Backends[0], dq, limit, nil, "")
 	}
 	epoch := e.ClusterEpoch()
 	st, errs := e.clusterStats(ctx, dq, epoch)
 	if errs[owner] != nil {
 		return nil, errs[owner]
 	}
-	return onShard(ctx, e, "search.siapi.shard", owner, func(c context.Context, _ *trace.Span, _ int) ([]siapi.DocHit, error) {
-		return search(c, st, epoch)
+	return onShard(ctx, e, "search.siapi.shard", owner, func(c context.Context, _ *trace.Span, i int) ([]siapi.DocHit, error) {
+		return e.docsOn(c, &e.Backends[i], dq, limit, st, epoch)
 	})
+}
+
+// envelope puts ctx under the engine's resilience envelope: the search
+// budget becomes a context deadline that every backend attempt slices (see
+// resilience.go), and an engine-configured fault injector (chaos benching)
+// rides the context to the instrumented call sites.
+func (e *Engine) envelope(ctx context.Context) (context.Context, context.CancelFunc) {
+	cancel := context.CancelFunc(func() {})
+	if r := e.resilience(); r.Budget > 0 {
+		ctx, cancel = context.WithTimeout(ctx, r.Budget)
+	}
+	if e.Faults != nil {
+		ctx = fault.With(ctx, e.Faults)
+	}
+	return ctx, cancel
+}
+
+// KeywordSearchCtx is the OmniFind-style search-box baseline the paper
+// evaluates against (§4): kq, a parsed search-box query, runs over every
+// document and returns documents, not activities, with no business context.
+// One backend answers inline; several are scattered under merged statistics,
+// so every score is the one a monolith gives, and their pages merge by score
+// (ties by path). The baseline has no degraded flag: a failed backend costs
+// only its own hits.
+func (e *Engine) KeywordSearchCtx(ctx context.Context, kq siapi.Query, limit int) []siapi.DocHit {
+	ctx, cancel := e.envelope(ctx)
+	defer cancel()
+	if len(e.Backends) == 1 {
+		hits, _ := e.docsOn(ctx, &e.Backends[0], kq, limit, nil, "")
+		return hits
+	}
+	return e.keywordScatter(ctx, kq, limit)
+}
+
+// KeywordCount reports how many documents kq matches — the "N documents
+// returned" numbers quoted throughout the paper's §4. Backends hold
+// disjoint partitions, so their counts add up to the monolith's.
+func (e *Engine) KeywordCount(kq siapi.Query) int {
+	n := 0
+	for i := range e.Backends {
+		n += e.Backends[i].Docs().Count(kq)
+	}
+	return n
+}
+
+// Deal fetches one deal synopsis from the backend that owns it, subject to
+// the user's access level: a user with no access gets synopsis.ErrNotFound
+// rather than existence disclosure.
+func (e *Engine) Deal(user access.User, dealID string) (synopsis.Deal, error) {
+	if e.Access != nil && !e.Access.CanSeeSynopsis(user, dealID) {
+		return synopsis.Deal{}, fmt.Errorf("%w: %s", synopsis.ErrNotFound, dealID)
+	}
+	return e.owner(dealID).Synopses.Get(dealID)
+}
+
+// SimilarDeals finds the k activities most similar to dealID (services mix,
+// industry, advisor) among those the user may at least see synopses of.
+// Similarity is pairwise against the reference deal, so each backend ranks
+// its own deals and the merged top k is the monolith's. Visibility is
+// applied before each backend truncates to k, so hidden deals never take a
+// visible deal's place.
+func (e *Engine) SimilarDeals(user access.User, dealID string, k int) ([]synopsis.SimilarHit, error) {
+	ref, err := e.Deal(user, dealID)
+	if err != nil {
+		return nil, err
+	}
+	var visible func(string) bool
+	if e.Access != nil {
+		visible = func(id string) bool { return e.Access.CanSeeSynopsis(user, id) }
+	}
+	if k <= 0 {
+		k = 5
+	}
+	var hits []synopsis.SimilarHit
+	for i := range e.Backends {
+		page, err := e.Backends[i].Synopses.SimilarTo(ref, k, visible)
+		if err != nil {
+			return nil, err
+		}
+		hits = append(hits, page...)
+	}
+	sort.Slice(hits, func(i, j int) bool {
+		if hits[i].Score != hits[j].Score {
+			return hits[i].Score > hits[j].Score
+		}
+		return hits[i].DealID < hits[j].DealID
+	})
+	if len(hits) > k {
+		hits = hits[:k]
+	}
+	return hits, nil
 }

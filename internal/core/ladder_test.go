@@ -198,12 +198,76 @@ func TestLadderPartialOutage(t *testing.T) {
 	}
 }
 
+// TestLadderKeyword: the search-box baseline over the same shapes. A shard
+// whose document index is down costs only its own hits, its circuit counts
+// the failure, and the statistics merged without it are not memoized, so the
+// first search after it heals scores against every shard again.
+func TestLadderKeyword(t *testing.T) {
+	ctx := context.Background()
+	kq := siapi.ParseKeywords("replication")
+	paths := func(hits []siapi.DocHit) []string {
+		var out []string
+		for _, h := range hits {
+			out = append(out, h.Path)
+		}
+		sort.Strings(out)
+		return out
+	}
+	all := []string{"DEAL A/sol.deck", "DEAL B/notes.txt", "DEAL C/plan.doc"}
+	var mono []siapi.DocHit
+	for _, shape := range ladderShapes {
+		e := ladderEngine(t, shape.backends)
+		hits := e.KeywordSearchCtx(ctx, kq, 0)
+		if got := paths(hits); !reflect.DeepEqual(got, all) {
+			t.Errorf("%s: hits %v, want %v", shape.name, got, all)
+		}
+		if n := e.KeywordCount(kq); n != len(all) {
+			t.Errorf("%s: count %d, want %d", shape.name, n, len(all))
+		}
+		if mono == nil {
+			mono = hits
+		} else if len(hits) == len(mono) {
+			for i := range hits {
+				if hits[i].Path != mono[i].Path || hits[i].Score != mono[i].Score {
+					t.Errorf("%s: hit %d = (%s, %v), monolith (%s, %v)", shape.name, i, hits[i].Path, hits[i].Score, mono[i].Path, mono[i].Score)
+				}
+			}
+		}
+	}
+
+	e := ladderEngine(t, ladderShapes[2].backends)
+	e.Backends[1].Faults = injector(fault.SiteSIAPISearch)
+	misses := func() int64 { return e.Metrics.Counter("shard_stats_cache_misses_total").Value() }
+	for i := 1; i <= 2; i++ {
+		if got, want := paths(e.KeywordSearchCtx(ctx, kq, 0)), all[:2]; !reflect.DeepEqual(got, want) {
+			t.Errorf("shard-1 down, search %d: hits %v, want the healthy shards' %v", i, got, want)
+		}
+		if n := misses(); n != int64(i) {
+			t.Errorf("shard-1 down, search %d: %d stats misses — the partial statistics were memoized", i, n)
+		}
+	}
+	if n := e.Metrics.Counter("search_backend_errors_total", "backend", "siapi#shard-1").Value(); n == 0 {
+		t.Error("search_backend_errors_total{backend=siapi#shard-1} did not move")
+	}
+	e.Backends[1].Faults = nil
+	for i := 0; i < 2; i++ {
+		if got := paths(e.KeywordSearchCtx(ctx, kq, 0)); !reflect.DeepEqual(got, all) {
+			t.Errorf("shard-1 healed: hits %v, want %v", got, all)
+		}
+	}
+	if n, hits := misses(), e.Metrics.Counter("shard_stats_cache_hits_total").Value(); n != 3 || hits != 1 {
+		t.Errorf("after healing: %d stats misses and %d hits, want 3 and 1", n, hits)
+	}
+}
+
 // TestOneBackendHotPath guards the path a monolith's reads take, by count:
 // a memoized search allocates no more than it did when the monolithic ladder
 // was its own function (69, 48 and 60 allocations per search for these three
-// queries at 504e819, measured with this fixture), and a search over one
-// backend — named or not — never enters the scatter: no goroutine, no
-// per-shard span or metric.
+// queries at 504e819, measured with this fixture), a memoized keyword search
+// plus its count allocates no more than System.KeywordSearchCtx and
+// KeywordCount did before the keyword path moved into the engine (16 at
+// c005d47, with this fixture), and a read over one backend — named or not —
+// never enters the scatter: no goroutine, no per-shard span or metric.
 func TestOneBackendHotPath(t *testing.T) {
 	ctx, user := context.Background(), anyUser()
 	ceilings := []struct {
@@ -227,8 +291,20 @@ func TestOneBackendHotPath(t *testing.T) {
 			t.Errorf("%+v: %v allocations per memoized search, ceiling %v", c.q, got, c.max)
 		}
 	}
+	const keyword, keywordCeiling = "storage replication", 16
+	keywordRead := func(e *Engine) {
+		if len(e.KeywordSearchCtx(ctx, siapi.ParseKeywords(keyword), 10)) == 0 || e.KeywordCount(siapi.ParseKeywords(keyword)) == 0 {
+			t.Fatalf("%q: no hits", keyword)
+		}
+	}
+	e := newEngine(t)
+	e.Metrics = obs.NewRegistry()
+	keywordRead(e) // fill the caches
+	if got := testing.AllocsPerRun(200, func() { keywordRead(e) }); got > keywordCeiling && !raceEnabled {
+		t.Errorf("%q: %v allocations per memoized keyword search plus count, ceiling %v", keyword, got, keywordCeiling)
+	}
 
-	e := ladderEngine(t, []string{"shard-0"})
+	e = ladderEngine(t, []string{"shard-0"})
 	before := runtime.NumGoroutine()
 	for i := 0; i < 1000; i++ {
 		for _, c := range ceilings {
@@ -236,9 +312,10 @@ func TestOneBackendHotPath(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		keywordRead(e)
 	}
 	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("goroutines: %d before, %d after 3,000 one-backend searches", before, after)
+		t.Errorf("goroutines: %d before, %d after 4,000 one-backend reads", before, after)
 	}
 	if n := e.Metrics.Counter("eil_shard_search_total", "shard", "shard-0").Value(); n != 0 {
 		t.Errorf("a one-backend engine scattered %d times", n)

@@ -97,17 +97,19 @@ func IsUnavailable(err error) bool {
 	return errors.As(err, &be)
 }
 
-// Breaker states.
+// Breaker states, as Breaker.State reports them.
 const (
-	breakerClosed   = "closed"
-	breakerOpen     = "open"
-	breakerHalfOpen = "half-open"
+	BreakerClosed   = "closed"
+	BreakerOpen     = "open"
+	BreakerHalfOpen = "half-open"
 )
 
-// breaker is a small per-backend circuit breaker: it opens after N
-// consecutive failures, rejects while open, and after a cooldown admits a
-// single half-open probe whose outcome closes or re-opens it.
-type breaker struct {
+// Breaker is a small circuit breaker: it opens after threshold consecutive
+// failures, rejects while open, and after the cooldown admits a single
+// half-open probe whose outcome closes or re-opens it. The engine keeps one
+// per backend hop, the read router one per node. A negative threshold never
+// opens.
+type Breaker struct {
 	mu        sync.Mutex
 	failures  int
 	state     string
@@ -117,24 +119,25 @@ type breaker struct {
 	probing   bool
 }
 
-func newBreaker(r Resilience) *breaker {
-	return &breaker{state: breakerClosed, threshold: r.BreakerFailures, cooldown: r.BreakerCooldown}
+// NewBreaker returns a closed breaker.
+func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
+	return &Breaker{state: BreakerClosed, threshold: threshold, cooldown: cooldown}
 }
 
-// allow reports whether a call may proceed; in half-open state only one
-// in-flight probe is admitted.
-func (b *breaker) allow() bool {
-	if b == nil || b.threshold < 0 {
+// Allow reports whether a call may proceed; in half-open state only one
+// in-flight probe is admitted. Every admitted call must Record its outcome.
+func (b *Breaker) Allow() bool {
+	if b.threshold < 0 {
 		return true
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
-	case breakerClosed:
+	case BreakerClosed:
 		return true
-	case breakerOpen:
+	case BreakerOpen:
 		if time.Since(b.openedAt) >= b.cooldown {
-			b.state = breakerHalfOpen
+			b.state = BreakerHalfOpen
 			b.probing = true
 			return true
 		}
@@ -148,37 +151,47 @@ func (b *breaker) allow() bool {
 	}
 }
 
-// record feeds a call outcome back: success closes, failure counts toward
-// (or re-triggers) opening.
-func (b *breaker) record(err error) {
-	if b == nil || b.threshold < 0 {
-		return
+// Record feeds an admitted call's outcome back — success closes, failure
+// counts toward (or, from half-open, re-triggers) opening — and reports the
+// transition it caused: BreakerOpen or BreakerClosed, "" when the state did
+// not change. A failure that lands while the breaker is already open
+// changes nothing, so the calls in flight when it opens report one opening
+// between them.
+func (b *Breaker) Record(err error) string {
+	if b.threshold < 0 {
+		return ""
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.probing = false
 	if err == nil {
 		b.failures = 0
-		b.state = breakerClosed
-		return
+		if b.state == BreakerClosed {
+			return ""
+		}
+		b.state = BreakerClosed
+		return BreakerClosed
+	}
+	if b.state == BreakerOpen {
+		return ""
 	}
 	b.failures++
-	if b.state == breakerHalfOpen || b.failures >= b.threshold {
-		b.state = breakerOpen
+	if b.state == BreakerHalfOpen || b.failures >= b.threshold {
+		b.state = BreakerOpen
 		b.openedAt = time.Now()
 		b.failures = 0
+		return BreakerOpen
 	}
+	return ""
 }
 
-// State reports the breaker state for telemetry and tests.
-func (b *breaker) State() string {
-	if b == nil {
-		return breakerClosed
-	}
+// State reports the breaker state for telemetry and routing; an open
+// breaker whose cooldown has run out reads half-open.
+func (b *Breaker) State() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == breakerOpen && time.Since(b.openedAt) >= b.cooldown {
-		return breakerHalfOpen
+	if b.state == BreakerOpen && time.Since(b.openedAt) >= b.cooldown {
+		return BreakerHalfOpen
 	}
 	return b.state
 }
@@ -195,15 +208,16 @@ func (e *Engine) resilience() Resilience { return e.Resilient.withDefaults() }
 
 // breakerFor lazily creates the breaker stored under a hopKey: one per
 // backend hop, and per shard in a cluster.
-func (e *Engine) breakerFor(backend string) *breaker {
+func (e *Engine) breakerFor(backend string) *Breaker {
 	e.brMu.Lock()
 	defer e.brMu.Unlock()
 	if e.breakers == nil {
-		e.breakers = map[string]*breaker{}
+		e.breakers = map[string]*Breaker{}
 	}
 	b, ok := e.breakers[backend]
 	if !ok {
-		b = newBreaker(e.resilience())
+		r := e.resilience()
+		b = NewBreaker(r.BreakerFailures, r.BreakerCooldown)
 		e.breakers[backend] = b
 	}
 	return b
@@ -257,8 +271,13 @@ func resilientCall[T any](ctx context.Context, e *Engine, hop string, b *ShardBa
 	}
 	r := e.resilience()
 	backend := hopKey(hop, b.Name)
+	if err := ctx.Err(); err != nil {
+		// Budget already spent: fail without claiming a half-open probe
+		// that no attempt would report back on.
+		return zero, &BackendError{Backend: hop, Shard: b.Name, Err: err}
+	}
 	br := e.breakerFor(backend)
-	if !br.allow() {
+	if !br.Allow() {
 		e.Metrics.Counter("search_breaker_rejected_total", "backend", backend).Inc()
 		return zero, &BackendError{Backend: hop, Shard: b.Name, Err: ErrCircuitOpen}
 	}
@@ -266,15 +285,10 @@ func resilientCall[T any](ctx context.Context, e *Engine, hop string, b *ShardBa
 	var lastErr error
 	backoff := r.RetryBase
 	for attempt := 0; attempt < attempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			// Budget exhausted: report what we have without burning more.
-			if lastErr == nil {
-				lastErr = err
-			}
-			break
-		}
 		out, err := runAttempt(ctx, attempts-attempt, fn)
-		br.record(err)
+		if br.Record(err) == BreakerOpen {
+			e.Metrics.Counter("search_breaker_opened_total", "backend", backend).Inc()
+		}
 		if err == nil {
 			if attempt > 0 {
 				e.Metrics.Counter("search_retry_success_total", "backend", backend).Inc()
@@ -296,12 +310,9 @@ func resilientCall[T any](ctx context.Context, e *Engine, hop string, b *ShardBa
 			break
 		}
 		e.Metrics.Counter("search_retries_total", "backend", backend).Inc()
-		if !br.allow() {
+		if !br.Allow() {
 			break
 		}
-	}
-	if e.breakerFor(backend).State() == breakerOpen {
-		e.Metrics.Counter("search_breaker_opened_total", "backend", backend).Inc()
 	}
 	return zero, &BackendError{Backend: hop, Shard: b.Name, Err: lastErr}
 }

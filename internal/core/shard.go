@@ -20,6 +20,7 @@ package core
 import (
 	"context"
 	"hash/fnv"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -68,6 +69,11 @@ func ShardFor(dealID string, n int) int {
 	h := fnv.New32a()
 	h.Write([]byte(dealID))
 	return int(h.Sum32() % uint32(n))
+}
+
+// owner returns the backend that owns dealID.
+func (e *Engine) owner(dealID string) *ShardBackend {
+	return &e.Backends[ShardFor(dealID, len(e.Backends))]
 }
 
 // ShardForDoc routes a document: by its deal when it has one, by its path
@@ -294,6 +300,43 @@ func (e *Engine) activitiesOn(ctx context.Context, b *ShardBackend, dq siapi.Que
 	return resilientCall(ctx, e, BackendSIAPI, b, func(c context.Context) ([]siapi.ActivityHit, error) {
 		return b.Docs().TrySearchActivitiesRawCtx(c, dq, perDeal, st, epoch)
 	})
+}
+
+// docsOn runs one backend's document search (keyword search, explore)
+// behind the resilience wrapper; st and epoch are as for activitiesOn.
+func (e *Engine) docsOn(ctx context.Context, b *ShardBackend, dq siapi.Query, limit int, st *index.Stats, epoch string) ([]siapi.DocHit, error) {
+	return resilientCall(ctx, e, BackendSIAPI, b, func(c context.Context) ([]siapi.DocHit, error) {
+		return b.Docs().TrySearchStatsCtx(c, dq, limit, st, epoch)
+	})
+}
+
+// keywordScatter is the keyword search over several backends: the merged
+// statistics (memoized like the form search's), then every backend whose
+// statistics arrived asked for its top limit, and the pages merged by score
+// descending, ties by path.
+func (e *Engine) keywordScatter(ctx context.Context, kq siapi.Query, limit int) []siapi.DocHit {
+	epoch := e.ClusterEpoch()
+	st, statsErrs := e.clusterStats(ctx, kq, epoch)
+	outs := scatterShards(ctx, e, "search.keyword.shard", nil, func(c context.Context, _ *trace.Span, i int) ([]siapi.DocHit, error) {
+		if statsErrs[i] != nil {
+			return nil, statsErrs[i]
+		}
+		return e.docsOn(c, &e.Backends[i], kq, limit, st, epoch)
+	})
+	var hits []siapi.DocHit
+	for _, r := range outs {
+		hits = append(hits, r.out...)
+	}
+	sort.Slice(hits, func(i, j int) bool {
+		if hits[i].Score != hits[j].Score {
+			return hits[i].Score > hits[j].Score
+		}
+		return hits[i].Path < hits[j].Path
+	})
+	if limit > 0 && len(hits) > limit {
+		hits = hits[:limit]
+	}
+	return hits
 }
 
 // siapiStage is the document search of Figure 1 (step 8 when scope holds

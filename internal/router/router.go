@@ -76,15 +76,13 @@ type Options struct {
 var ErrNoNodes = errors.New("router: no node admitted the read")
 
 // nodeState is the router's per-node book-keeping: admission count,
-// consecutive-failure breaker, and drain flag.
+// circuit breaker (the search engine's, see core.Breaker), and drain flag.
 type nodeState struct {
-	node      Node
-	primary   bool
-	inflight  atomic.Int64
-	fails     atomic.Int64
-	openUntil atomic.Int64 // unixnano; breaker open while now < openUntil, half-open after (until a probe closes it)
-	probing   atomic.Bool  // a half-open probe request is in flight
-	draining  atomic.Bool
+	node     Node
+	primary  bool
+	inflight atomic.Int64
+	breaker  *core.Breaker
+	draining atomic.Bool
 }
 
 // NodeStatus is one node's routing view, for status surfaces.
@@ -122,11 +120,11 @@ func New(primaryBackend Backend, primary Node, replicas []Node, opts Options) *R
 	}
 	r := &Router{
 		Backend: primaryBackend,
-		primary: &nodeState{node: primary, primary: true},
+		primary: &nodeState{node: primary, primary: true, breaker: core.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown)},
 		opts:    opts,
 	}
 	for _, n := range replicas {
-		r.replicas = append(r.replicas, &nodeState{node: n})
+		r.replicas = append(r.replicas, &nodeState{node: n, breaker: core.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown)})
 	}
 	return r
 }
@@ -166,18 +164,17 @@ func (r *Router) DrainWait(ctx context.Context, name string) error {
 
 // Status reports every node's routing view, primary first.
 func (r *Router) Status() []NodeStatus {
-	now := time.Now().UnixNano()
 	all := append([]*nodeState{r.primary}, r.replicas...)
 	out := make([]NodeStatus, 0, len(all))
 	for _, ns := range all {
-		open := ns.openUntil.Load()
+		breaker := ns.breaker.State()
 		st := NodeStatus{
 			Name:        ns.node.Name(),
 			Primary:     ns.primary,
 			Ready:       ns.node.Ready(),
 			InFlight:    ns.inflight.Load(),
-			BreakerOpen: now < open,
-			HalfOpen:    open != 0 && now >= open,
+			BreakerOpen: breaker == core.BreakerOpen,
+			HalfOpen:    breaker == core.BreakerHalfOpen,
 			Draining:    ns.draining.Load(),
 		}
 		if lag, ok := ns.node.Lag(); ok {
@@ -189,11 +186,11 @@ func (r *Router) Status() []NodeStatus {
 }
 
 // eligible reports whether a replica may take a routed read right now.
-func (r *Router) eligible(ns *nodeState, now int64) (ok bool, skip string) {
+func (r *Router) eligible(ns *nodeState) (ok bool, skip string) {
 	if ns.draining.Load() {
 		return false, "draining"
 	}
-	if now < ns.openUntil.Load() {
+	if ns.breaker.State() == core.BreakerOpen {
 		return false, "breaker"
 	}
 	if !ns.node.Ready() {
@@ -212,7 +209,6 @@ func (r *Router) eligible(ns *nodeState, now int64) (ok bool, skip string) {
 // primary, when it takes rotation reads) starting at the round-robin
 // offset, with the primary appended as the unconditional failover tail.
 func (r *Router) candidates() []*nodeState {
-	now := time.Now().UnixNano()
 	rotation := make([]*nodeState, 0, len(r.replicas)+2)
 	pool := r.replicas
 	if r.opts.PrimaryReads {
@@ -222,7 +218,7 @@ func (r *Router) candidates() []*nodeState {
 		start := int(r.rr.Add(1)-1) % n
 		for i := 0; i < n; i++ {
 			ns := pool[(start+i)%n]
-			if ok, skip := r.eligible(ns, now); ok {
+			if ok, skip := r.eligible(ns); ok {
 				rotation = append(rotation, ns)
 			} else if r.opts.Metrics != nil && skip == "stale" {
 				r.opts.Metrics.Counter("eil_repl_router_stale_skips_total", "node", ns.node.Name()).Inc()
@@ -251,74 +247,39 @@ func isDataError(err error) bool {
 	return errors.Is(err, synopsis.ErrNotFound)
 }
 
-func (ns *nodeState) admit(max int) bool {
-	if max <= 0 {
+// admit claims a slot under the node's in-flight cap, then its breaker's
+// admission: a half-open breaker serves exactly one probe request, and every
+// other read skips the node until the probe's verdict is in. The cap comes
+// first, so a read it turns away never holds the probe.
+func (r *Router) admit(ns *nodeState) bool {
+	if max := int64(r.opts.MaxInFlight); max > 0 {
+		for {
+			cur := ns.inflight.Load()
+			if cur >= max {
+				return false
+			}
+			if ns.inflight.CompareAndSwap(cur, cur+1) {
+				break
+			}
+		}
+	} else {
 		ns.inflight.Add(1)
-		return true
 	}
-	for {
-		cur := ns.inflight.Load()
-		if cur >= int64(max) {
-			return false
-		}
-		if ns.inflight.CompareAndSwap(cur, cur+1) {
-			return true
-		}
+	if !ns.breaker.Allow() {
+		ns.inflight.Add(-1)
+		return false
 	}
+	return true
 }
 
-// admitProbe combines the in-flight cap with the breaker's half-open
-// gate. A node whose cooldown expired is not restored to full rotation:
-// it serves exactly one probe request (claimed by CAS), and every other
-// read skips it until the probe's verdict is in — success fully closes
-// the breaker, failure re-opens it for another cooldown without needing
-// to re-accumulate the failure threshold.
-func (r *Router) admitProbe(ns *nodeState) (ok, probe bool) {
-	if open := ns.openUntil.Load(); open != 0 {
-		if time.Now().UnixNano() < open {
-			return false, false
-		}
-		if !ns.probing.CompareAndSwap(false, true) {
-			return false, false // another request holds the probe
-		}
-		probe = true
-	}
-	if !ns.admit(r.opts.MaxInFlight) {
-		if probe {
-			ns.probing.Store(false)
-		}
-		return false, false
-	}
-	return true, probe
-}
-
-func (r *Router) success(ns *nodeState, probe bool) {
-	ns.fails.Store(0)
-	if probe {
-		ns.openUntil.Store(0)
-		ns.probing.Store(false)
-		if r.opts.Metrics != nil {
-			r.opts.Metrics.Counter("eil_repl_router_breaker_closes_total", "node", ns.node.Name()).Inc()
-		}
-	}
-}
-
-func (r *Router) failure(ns *nodeState, probe bool) {
-	if probe {
-		ns.openUntil.Store(time.Now().Add(r.opts.BreakerCooldown).UnixNano())
-		ns.fails.Store(0)
-		ns.probing.Store(false)
-		if r.opts.Metrics != nil {
-			r.opts.Metrics.Counter("eil_repl_router_breaker_opens_total", "node", ns.node.Name()).Inc()
-		}
-		return
-	}
-	if ns.fails.Add(1) >= int64(r.opts.BreakerThreshold) {
-		ns.openUntil.Store(time.Now().Add(r.opts.BreakerCooldown).UnixNano())
-		ns.fails.Store(0)
-		if r.opts.Metrics != nil {
-			r.opts.Metrics.Counter("eil_repl_router_breaker_opens_total", "node", ns.node.Name()).Inc()
-		}
+// record feeds one admitted read's outcome to the node's breaker (nil for a
+// node that answered) and counts the open or close it caused.
+func (r *Router) record(ns *nodeState, err error) {
+	switch ns.breaker.Record(err) {
+	case core.BreakerOpen:
+		r.opts.Metrics.Counter("eil_repl_router_breaker_opens_total", "node", ns.node.Name()).Inc()
+	case core.BreakerClosed:
+		r.opts.Metrics.Counter("eil_repl_router_breaker_closes_total", "node", ns.node.Name()).Inc()
 	}
 }
 
@@ -329,8 +290,7 @@ func (r *Router) do(ctx context.Context, op string, call func(Node) error) error
 	var lastErr error
 	tried := 0
 	for _, ns := range r.candidates() {
-		admitted, probe := r.admitProbe(ns)
-		if !admitted {
+		if !r.admit(ns) {
 			continue
 		}
 		if tried > 0 && r.opts.Metrics != nil {
@@ -342,14 +302,14 @@ func (r *Router) do(ctx context.Context, op string, call func(Node) error) error
 			return call(ns.node)
 		}()
 		if err == nil || isDataError(err) {
-			r.success(ns, probe)
+			r.record(ns, nil)
 			if r.opts.Metrics != nil {
 				r.opts.Metrics.Counter("eil_repl_router_reads_total", "node", ns.node.Name(), "op", op).Inc()
 			}
 			return err
 		}
 		lastErr = err
-		r.failure(ns, probe)
+		r.record(ns, err)
 		if ctx != nil && ctx.Err() != nil {
 			return err
 		}
@@ -364,8 +324,7 @@ func (r *Router) do(ctx context.Context, op string, call func(Node) error) error
 // report errors (failover is impossible without an error signal).
 func (r *Router) pick(op string) (*nodeState, func()) {
 	for _, ns := range r.candidates() {
-		admitted, probe := r.admitProbe(ns)
-		if !admitted {
+		if !r.admit(ns) {
 			continue
 		}
 		if r.opts.Metrics != nil {
@@ -373,10 +332,10 @@ func (r *Router) pick(op string) (*nodeState, func()) {
 		}
 		return ns, func() {
 			ns.inflight.Add(-1)
-			// Error-less reads have no failure signal: a probe that ran to
-			// completion counts as the node answering, which closes the
-			// breaker.
-			r.success(ns, probe)
+			// Error-less reads have no failure signal: a read that ran to
+			// completion counts as the node answering, which closes a
+			// half-open breaker.
+			r.record(ns, nil)
 		}
 	}
 	return nil, nil

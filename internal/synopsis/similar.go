@@ -17,24 +17,16 @@ type SimilarHit struct {
 	SharedTowers []string
 }
 
-// Similar finds up to k deals most similar to dealID. Similarity follows
-// how the sales community thinks about "a similar situation" (§2): the
-// same services mix first (cosine over tower significance), same industry
-// and sourcing advisor as tie-strengtheners. Deals with no tower overlap
-// are omitted.
-func (s *Store) Similar(dealID string, k int) ([]SimilarHit, error) {
-	ref, err := s.Get(dealID)
-	if err != nil {
-		return nil, err
-	}
-	return s.SimilarTo(ref, k)
-}
-
-// SimilarTo ranks this store's deals by similarity to a reference deal that
-// need not live in the store — the sharded cluster fetches the reference
-// from its owning shard, scatters SimilarTo to every shard, and merges the
-// per-shard rankings.
-func (s *Store) SimilarTo(ref Deal, k int) ([]SimilarHit, error) {
+// SimilarTo finds up to k of this store's deals most similar to a
+// reference deal that need not live in the store — a cluster fetches the
+// reference from its owning shard and asks every shard. Similarity follows
+// how the sales community thinks about "a similar situation" (§2): the same
+// services mix first (cosine over tower significance), same industry and
+// sourcing advisor as tie-strengtheners. Deals with no tower overlap are
+// omitted, and so are deals visible rejects (nil admits every deal) — before
+// the ranking is cut to k, so a hidden deal never takes a visible one's
+// place.
+func (s *Store) SimilarTo(ref Deal, k int, visible func(dealID string) bool) ([]SimilarHit, error) {
 	if k <= 0 {
 		k = 5
 	}
@@ -48,7 +40,7 @@ func (s *Store) SimilarTo(ref Deal, k int) ([]SimilarHit, error) {
 	}
 	var hits []SimilarHit
 	for _, id := range ids {
-		if id == ref.Overview.DealID {
+		if id == ref.Overview.DealID || (visible != nil && !visible(id)) {
 			continue
 		}
 		other, err := s.Get(id)

@@ -295,7 +295,11 @@ func TestSimilarDeals(t *testing.T) {
 	put("STRANGER", "Retail", "TPI",
 		TowerScope{Tower: "Human Resources Services", Significance: 1.0})
 
-	hits, err := s.Similar("REF", 5)
+	ref, err := s.Get("REF")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits, err := s.SimilarTo(ref, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,23 +316,26 @@ func TestSimilarDeals(t *testing.T) {
 		t.Fatalf("shared towers = %v", hits[0].SharedTowers)
 	}
 	// k cap.
-	hits, _ = s.Similar("REF", 1)
+	hits, _ = s.SimilarTo(ref, 1, nil)
 	if len(hits) != 1 {
 		t.Fatalf("k ignored: %+v", hits)
+	}
+	// Visibility applies before the k cap: with TWIN hidden, the top 1 is
+	// COUSIN, not an empty list.
+	hits, _ = s.SimilarTo(ref, 1, func(id string) bool { return id != "TWIN" })
+	if len(hits) != 1 || hits[0].DealID != "COUSIN" {
+		t.Fatalf("hidden TWIN: hits = %+v, want [COUSIN]", hits)
 	}
 }
 
 func TestSimilarErrors(t *testing.T) {
 	s := newStore(t)
-	if _, err := s.Similar("GHOST", 3); err == nil {
-		t.Fatal("missing deal accepted")
-	}
 	d := sampleDeal("EMPTY")
 	d.Towers = nil
 	if err := s.Put(d); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Similar("EMPTY", 3); err == nil {
+	if _, err := s.SimilarTo(d, 3, nil); err == nil {
 		t.Fatal("towerless reference accepted")
 	}
 }

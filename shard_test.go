@@ -2,6 +2,7 @@ package eil
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/access"
 	"repro/internal/core"
 	"repro/internal/docmodel"
 	"repro/internal/docparse"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/health"
 	"repro/internal/qlog"
 	"repro/internal/serving"
+	"repro/internal/synopsis"
 	"repro/internal/synth"
 	"repro/internal/trace"
 )
@@ -186,6 +189,16 @@ func TestShardedSearchMatchesMonolithManyShards(t *testing.T) {
 	}
 }
 
+// keywordQueries are the search-box identity inputs: plain terms, a phrase,
+// an exclusion, a prefix and a query that matches little.
+var keywordQueries = []string{
+	"storage replication",
+	`"cross tower TSA"`,
+	"storage -tape",
+	"stor*",
+	"network router",
+}
+
 // TestShardedKeywordSearchMatchesMonolith checks the baseline keyword path:
 // same hit set, same scores. Cross-shard merge breaks score ties by path
 // while the monolith breaks them by internal doc id, so both sides are
@@ -193,13 +206,7 @@ func TestShardedSearchMatchesMonolithManyShards(t *testing.T) {
 // avoids truncation at an ambiguous tie boundary.
 func TestShardedKeywordSearchMatchesMonolith(t *testing.T) {
 	_, mono, cluster := clusterFixture(t, 3)
-	for _, q := range []string{
-		"storage replication",
-		`"cross tower TSA"`,
-		"storage -tape",
-		"stor*",
-		"network router",
-	} {
+	for _, q := range keywordQueries {
 		mhs := mono.KeywordSearch(q, 0)
 		shs := cluster.KeywordSearch(q, 0)
 		sort.Slice(mhs, func(i, j int) bool {
@@ -255,31 +262,87 @@ func TestShardedExploreMatchesMonolith(t *testing.T) {
 }
 
 // TestShardedSimilarDealsMatchesMonolith: tower-significance vectors are
-// per-deal, so the scatter-merge must reproduce the monolithic ranking.
+// per-deal, so the scatter-merge must reproduce the monolithic ranking — for
+// an admin, and for a restricted user whose top k holds a deal they may not
+// see, where every shape must return the k most similar deals they may see.
 func TestShardedSimilarDealsMatchesMonolith(t *testing.T) {
 	corpus, mono, cluster := clusterFixture(t, 3)
-	checked := 0
-	for dealID := range corpus.Truth {
-		mh, merr := mono.SimilarDeals(admin(), dealID, 5)
-		sh, serr := cluster.SimilarDeals(admin(), dealID, 5)
-		if (merr == nil) != (serr == nil) {
-			t.Fatalf("%s: error mismatch: mono=%v sharded=%v", dealID, merr, serr)
-		}
-		if merr != nil {
-			continue
-		}
-		if len(mh) != len(sh) {
-			t.Fatalf("%s: similar count: mono=%d sharded=%d", dealID, len(mh), len(sh))
-		}
-		for i := range mh {
-			if mh[i].DealID != sh[i].DealID || mh[i].Score != sh[i].Score {
-				t.Errorf("%s: similar %d: mono=(%s,%v) sharded=(%s,%v)", dealID, i, mh[i].DealID, mh[i].Score, sh[i].DealID, sh[i].Score)
+	same := func(label string, user access.User, k int, shapes map[string]serving.Queries) {
+		t.Helper()
+		checked := 0
+		for _, dealID := range corpus.DealIDs {
+			mh, merr := shapes["monolith"].SimilarDeals(user, dealID, k)
+			for name, shape := range shapes {
+				sh, serr := shape.SimilarDeals(user, dealID, k)
+				if (merr == nil) != (serr == nil) {
+					t.Fatalf("%s %s: error mismatch: mono=%v %s=%v", label, dealID, merr, name, serr)
+				}
+				if len(mh) != len(sh) {
+					t.Fatalf("%s %s: similar count: mono=%d %s=%d", label, dealID, len(mh), name, len(sh))
+				}
+				for i := range mh {
+					if mh[i].DealID != sh[i].DealID || mh[i].Score != sh[i].Score {
+						t.Errorf("%s %s: similar %d: mono=(%s,%v) %s=(%s,%v)", label, dealID, i, mh[i].DealID, mh[i].Score, name, sh[i].DealID, sh[i].Score)
+					}
+				}
+			}
+			if merr == nil {
+				checked++
 			}
 		}
-		checked++
+		if checked == 0 {
+			t.Fatalf("%s: no deals produced a similarity ranking", label)
+		}
+		for name, shape := range shapes {
+			if _, err := shape.SimilarDeals(user, "DEAL UNKNOWN", k); !errors.Is(err, synopsis.ErrNotFound) {
+				t.Errorf("%s: %s: similar to an unknown deal: err = %v, want ErrNotFound", label, name, err)
+			}
+		}
 	}
-	if checked == 0 {
-		t.Fatal("no deals produced a similarity ranking")
+	same("admin", admin(), 5, map[string]serving.Queries{"monolith": mono, "3 shards": cluster})
+
+	// The restricted input: a delivery user, who sees nothing until granted,
+	// holds synopsis grants on every deal but one — the reference deal's
+	// top-ranked neighbour — and asks for k = 2.
+	const k = 2
+	var ref string
+	var denied string
+	for _, id := range corpus.DealIDs {
+		if hits, err := mono.SimilarDeals(admin(), id, k+1); err == nil && len(hits) == k+1 {
+			ref, denied = id, hits[0].DealID
+			break
+		}
+	}
+	if ref == "" {
+		t.Fatalf("no deal has %d similar deals", k+1)
+	}
+	ctl := access.NewController()
+	user := access.User{ID: "delivery-user", Roles: []access.Role{access.RoleDelivery}}
+	for _, id := range corpus.DealIDs {
+		if id != denied {
+			ctl.Grant(user.ID, id, access.LevelSynopsis)
+		}
+	}
+	opts := Options{Directory: corpus.Directory, Workers: 1, Access: ctl}
+	shapes := map[string]serving.Queries{}
+	var err error
+	if shapes["monolith"], err = Ingest(corpus.Docs, opts); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 3} {
+		if shapes[fmt.Sprintf("%d shards", n)], err = IngestSharded(corpus.Docs, n, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same("restricted", user, k, shapes)
+	hits, err := shapes["monolith"].SimilarDeals(user, ref, k)
+	if err != nil || len(hits) != k {
+		t.Fatalf("restricted %s: %d hits (%v), want the %d most similar visible deals", ref, len(hits), err, k)
+	}
+	for _, h := range hits {
+		if h.DealID == denied {
+			t.Errorf("restricted %s: the denied neighbour %s was returned", ref, denied)
+		}
 	}
 }
 
@@ -718,8 +781,9 @@ func shardSpans(ex *core.Explanation, span, attr string) (counts map[string]int,
 }
 
 // TestOneShardClusterMatchesMonolith: a cluster of one shard is the engine
-// over a list of one backend, so it answers float-exactly like the monolith
-// and takes the monolith's path — no statistics phase, no per-shard spans,
+// over a list of one backend, so it answers float-exactly like the monolith —
+// form and keyword searches alike, in the same order — and takes the
+// monolith's path — no statistics phase, no per-shard spans,
 // no scatter — with only its breaker keys naming the shard.
 func TestOneShardClusterMatchesMonolith(t *testing.T) {
 	_, mono, cluster := clusterFixture(t, 1)
@@ -730,6 +794,20 @@ func TestOneShardClusterMatchesMonolith(t *testing.T) {
 			t.Fatalf("%+v: mono=%v one-shard=%v", q, merr, serr)
 		}
 		assertSameResult(t, fmt.Sprintf("%+v", q), mres, sres)
+	}
+	for _, q := range keywordQueries {
+		mhs, shs := mono.KeywordSearch(q, 0), cluster.KeywordSearch(q, 0)
+		if len(mhs) != len(shs) {
+			t.Fatalf("%q: hit count: mono=%d one-shard=%d", q, len(mhs), len(shs))
+		}
+		for i := range mhs {
+			if mhs[i].Path != shs[i].Path || mhs[i].Score != shs[i].Score || mhs[i].Snippet != shs[i].Snippet {
+				t.Errorf("%q: hit %d: mono=(%s,%v) one-shard=(%s,%v)", q, i, mhs[i].Path, mhs[i].Score, shs[i].Path, shs[i].Score)
+			}
+		}
+		if mc, sc := mono.KeywordCount(q), cluster.KeywordCount(q); mc != sc {
+			t.Errorf("%q: count: mono=%d one-shard=%d", q, mc, sc)
+		}
 	}
 	q := core.FormQuery{Tower: "Storage Management Services", AllWords: []string{"replication"}}
 	stages := func(b serving.Reader) []string {
