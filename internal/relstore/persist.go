@@ -16,22 +16,19 @@ type dbSnapshot struct {
 	Tables []tableSnapshot
 }
 
+// tableSnapshot is one table. Snapshots written before sorted indexes were
+// removed also carry a SortedIndexes field; gob skips it, and the rows load
+// the same without that access path.
 type tableSnapshot struct {
-	Schema        Schema
-	Rows          []Row
-	Indexes       []indexSnapshot
-	SortedIndexes []sortedIndexSnapshot
+	Schema  Schema
+	Rows    []Row
+	Indexes []indexSnapshot
 }
 
 type indexSnapshot struct {
 	Name    string
 	Columns []string
 	Unique  bool
-}
-
-type sortedIndexSnapshot struct {
-	Name   string
-	Column string
 }
 
 func init() {
@@ -68,18 +65,6 @@ func (db *DB) WriteTo(w io.Writer) (int64, error) {
 				cols[i] = t.schema.Columns[ci].Name
 			}
 			ts.Indexes = append(ts.Indexes, indexSnapshot{Name: ix.name, Columns: cols, Unique: ix.unique})
-		}
-		var sortedNames []string
-		for n := range t.sorted {
-			sortedNames = append(sortedNames, n)
-		}
-		sort.Strings(sortedNames)
-		for _, n := range sortedNames {
-			six := t.sorted[n]
-			ts.SortedIndexes = append(ts.SortedIndexes, sortedIndexSnapshot{
-				Name:   six.name,
-				Column: t.schema.Columns[six.column].Name,
-			})
 		}
 		snap.Tables = append(snap.Tables, ts)
 	}
@@ -118,12 +103,6 @@ func Load(r io.Reader) (db *DB, err error) {
 		}
 		for _, ix := range ts.Indexes {
 			if err := db.CreateIndex(ix.Name, ts.Schema.Table, ix.Columns, ix.Unique); err != nil &&
-				!strings.Contains(err.Error(), "already exists") {
-				return nil, err
-			}
-		}
-		for _, six := range ts.SortedIndexes {
-			if err := db.CreateSortedIndex(six.Name, ts.Schema.Table, six.Column); err != nil &&
 				!strings.Contains(err.Error(), "already exists") {
 				return nil, err
 			}

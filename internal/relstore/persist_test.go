@@ -2,6 +2,8 @@ package relstore
 
 import (
 	"bytes"
+	"encoding/gob"
+	"reflect"
 	"testing"
 )
 
@@ -30,9 +32,8 @@ func TestDBPersistRoundTrip(t *testing.T) {
 		t.Fatal("PK lost through persistence")
 	}
 	// Secondary index survives (functionally).
-	rows, err := loaded.LookupEqual("deals", []string{"industry"}, []Value{"Insurance"})
-	if err != nil || len(rows) != 1 {
-		t.Fatalf("indexed lookup after load: %v, %v", rows, err)
+	if rows := lookup(t, loaded, "deals", []string{"industry"}, "Insurance"); len(rows) != 1 {
+		t.Fatalf("indexed lookup after load: %v", rows)
 	}
 	// Schema types preserved.
 	s, err := loaded.Schema("deals")
@@ -63,9 +64,44 @@ func TestDBPersistNullValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got Row
-	loaded.Scan("t", nil, func(r Row) bool { got = r; return false })
-	if got[0] != nil || got[1] != nil {
+	if got := where(t, loaded, "t", nil)[0]; got[0] != nil || got[1] != nil {
 		t.Fatalf("NULLs mangled: %v", got)
+	}
+}
+
+// Snapshots written while the engine had sorted indexes list them per table.
+// Loading one keeps every row and every hash index; a sorted index was only
+// an access path, so it is dropped.
+func TestSortedIndexPersistence(t *testing.T) {
+	type sortedIndexSnapshot struct{ Name, Column string }
+	type oldTable struct {
+		Schema        Schema
+		Rows          []Row
+		Indexes       []indexSnapshot
+		SortedIndexes []sortedIndexSnapshot
+	}
+	db := newDealsDB(t)
+	rows := where(t, db, "deals", nil)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(struct {
+		Format int
+		Tables []oldTable
+	}{persistFormat, []oldTable{{
+		Schema:        dealsSchema(),
+		Rows:          rows,
+		Indexes:       []indexSnapshot{{Name: "by_industry", Columns: []string{"industry"}}},
+		SortedIndexes: []sortedIndexSnapshot{{Name: "by_tcv", Column: "tcv"}},
+	}}}); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := where(t, loaded, "deals", nil); !reflect.DeepEqual(got, rows) {
+		t.Fatalf("rows after load: %v, want %v", got, rows)
+	}
+	if ix := loaded.tables["deals"].findIndex([]int{2}); ix == nil || ix.name != "by_industry" {
+		t.Fatalf("industry pinned after load: served by %v, want by_industry", ix)
 	}
 }

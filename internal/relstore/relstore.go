@@ -66,9 +66,8 @@ type table struct {
 	schema  Schema
 	rows    []Row // nil entries are deleted slots
 	live    int
-	pkIdx   *hashIndex              // over PrimaryKey columns, unique
-	indexes []*hashIndex            // secondary hash indexes, ordered by lower-cased name
-	sorted  map[string]*sortedIndex // ordered indexes for range scans
+	pkIdx   *hashIndex   // over PrimaryKey columns, unique
+	indexes []*hashIndex // secondary hash indexes, ordered by lower-cased name
 }
 
 // hashIndex maps a composite key rendering to the row slots holding it.
@@ -194,19 +193,6 @@ func (db *DB) CreateTable(s Schema) error {
 	return nil
 }
 
-// DropTable removes a table and its indexes.
-func (db *DB) DropTable(name string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	key := strings.ToLower(name)
-	if _, ok := db.tables[key]; !ok {
-		return fmt.Errorf("%w: %s", ErrNoTable, name)
-	}
-	delete(db.tables, key)
-	db.version.Add(1)
-	return nil
-}
-
 // Schema returns a copy of the named table's schema.
 func (db *DB) Schema(name string) (Schema, error) {
 	db.mu.RLock()
@@ -219,18 +205,6 @@ func (db *DB) Schema(name string) (Schema, error) {
 	s.Columns = append([]Column(nil), t.schema.Columns...)
 	s.PrimaryKey = append([]string(nil), t.schema.PrimaryKey...)
 	return s, nil
-}
-
-// TableNames lists tables in sorted order.
-func (db *DB) TableNames() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.tables))
-	for _, t := range db.tables {
-		names = append(names, t.schema.Table)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // CreateIndex builds a secondary hash index over the given columns.
@@ -339,7 +313,6 @@ func (t *table) insertLocked(row Row) error {
 	for _, ix := range t.indexes {
 		ix.insert(ix.keyFor(row), slot)
 	}
-	t.sortedInsert(slot, row)
 	return nil
 }
 
@@ -348,103 +321,20 @@ func (t *table) insertLocked(row Row) error {
 // call back into the database.
 type Pred func(Row) bool
 
-// Range bounds one column: Lo <= value <= Hi, a nil bound being open and the
-// flags making each bound inclusive. NULLs are never in range.
-type Range struct {
-	Col          int
-	Lo, Hi       Value
-	LoInc, HiInc bool
-}
-
-// Sel names the rows of one table an operation applies to, by column
-// position. Every part must hold: the EqCols equal EqVals (under Equal),
-// Range contains its column, Pred accepts the row. An error from Pred ends
-// the operation at that row and is returned; Pred is bound by the rules of
-// the Pred type. A hash index covering a subset of EqCols, or else a sorted
-// index on the Range column, narrows the rows visited; otherwise the table
-// is scanned. Rows are visited in slot (insertion) order whether or not a
-// hash index serves the lookup, and in (value, slot) order when a sorted
-// index does.
+// Sel names the rows of one table a Select returns, by column position. Both
+// parts must hold: the EqCols equal EqVals (under Equal), and Pred accepts the
+// row. An error from Pred ends the selection at that row and is returned; Pred
+// is bound by the rules of the Pred type. A hash index covering a subset of
+// EqCols narrows the rows visited; otherwise the table is scanned. Rows are
+// visited in slot (insertion) order either way.
 type Sel struct {
 	// Version is the SchemaVersion the positions were resolved at; the
-	// operation fails with ErrSchemaChanged once it is stale. Zero skips
+	// selection fails with ErrSchemaChanged once it is stale. Zero skips
 	// the check, for callers that resolved nothing by position.
 	Version uint64
 	EqCols  []int
 	EqVals  []Value
-	Range   *Range
 	Pred    func(Row) (bool, error)
-}
-
-// each calls visit for every live row sel selects, until visit returns false
-// or sel.Pred fails.
-func (t *table) each(sel *Sel, visit func(r Row) bool) error {
-	var err error
-	match := func(r Row) bool {
-		if r == nil || !rowMatches(r, sel.EqCols, sel.EqVals) ||
-			(sel.Range != nil && !sel.Range.contains(r[sel.Range.Col])) {
-			return false
-		}
-		if sel.Pred == nil {
-			return true
-		}
-		var ok bool
-		ok, err = sel.Pred(r)
-		return ok && err == nil
-	}
-	var slots []int
-	if ix := t.findIndex(sel.EqCols); ix != nil {
-		slots = ix.buckets[ix.keyForPins(sel.EqCols, sel.EqVals)]
-	} else if ix := t.rangeIndex(sel); ix != nil {
-		rg := sel.Range
-		ix.scanRange(rg.Lo, rg.Hi, rg.LoInc, rg.HiInc, func(slot int) bool {
-			slots = append(slots, slot)
-			return true
-		})
-	} else {
-		for _, r := range t.rows {
-			if (match(r) && !visit(r)) || err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, slot := range slots {
-		if r := t.rows[slot]; (match(r) && !visit(r)) || err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// rangeIndex returns the sorted index that serves sel's range, if any. Pins
-// take precedence: a selection with both is not ranged.
-func (t *table) rangeIndex(sel *Sel) *sortedIndex {
-	if len(sel.EqCols) > 0 || sel.Range == nil {
-		return nil
-	}
-	return t.findSorted(sel.Range.Col)
-}
-
-// contains reports whether v lies within the bounds; NULL and values that do
-// not compare with a bound are outside.
-func (rg *Range) contains(v Value) bool {
-	if v == nil {
-		return false
-	}
-	if rg.Lo != nil {
-		c, err := Compare(v, rg.Lo)
-		if err != nil || c < 0 || (!rg.LoInc && c == 0) {
-			return false
-		}
-	}
-	if rg.Hi != nil {
-		c, err := Compare(v, rg.Hi)
-		if err != nil || c > 0 || (!rg.HiInc && c == 0) {
-			return false
-		}
-	}
-	return true
 }
 
 // Select returns copies of the rows sel selects. Only selected rows are
@@ -456,55 +346,33 @@ func (db *DB) Select(tableName string, sel Sel) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return t.selectRows(&sel)
-}
-
-func (t *table) selectRows(sel *Sel) ([]Row, error) {
 	var out []Row
-	err := t.each(sel, func(r Row) bool {
+	keep := func(r Row) error {
+		if r == nil || !rowMatches(r, sel.EqCols, sel.EqVals) {
+			return nil
+		}
+		if sel.Pred != nil {
+			if ok, err := sel.Pred(r); !ok || err != nil {
+				return err
+			}
+		}
 		out = append(out, r.clone())
-		return true
-	})
-	if err != nil {
-		return nil, err
+		return nil
+	}
+	if ix := t.findIndex(sel.EqCols); ix != nil {
+		for _, slot := range ix.buckets[ix.keyForPins(sel.EqCols, sel.EqVals)] {
+			if err := keep(t.rows[slot]); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
+	}
+	for _, r := range t.rows {
+		if err := keep(r); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
-}
-
-// Scan calls fn for every live row matching pred (nil pred = all rows). fn
-// receives a copy; returning false stops the scan early.
-func (db *DB) Scan(tableName string, pred Pred, fn func(Row) bool) error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, err := db.table(tableName, 0)
-	if err != nil {
-		return err
-	}
-	var sel Sel
-	if pred != nil {
-		sel.Pred = func(r Row) (bool, error) { return pred(r), nil }
-	}
-	return t.each(&sel, func(r Row) bool { return fn(r.clone()) })
-}
-
-// LookupEqual finds rows where the named columns equal the given values,
-// using an index when one covers a subset of those columns, otherwise
-// scanning. Results are copies, in slot order either way.
-func (db *DB) LookupEqual(tableName string, columns []string, values []Value) ([]Row, error) {
-	if len(columns) != len(values) {
-		return nil, fmt.Errorf("%w: %d columns, %d values", ErrArity, len(columns), len(values))
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, err := db.table(tableName, 0)
-	if err != nil {
-		return nil, err
-	}
-	cols, err := t.positions(columns)
-	if err != nil {
-		return nil, err
-	}
-	return t.selectRows(&Sel{EqCols: cols, EqVals: values})
 }
 
 func rowMatches(r Row, cols []int, values []Value) bool {
@@ -543,84 +411,6 @@ func (t *table) findIndex(cols []int) *hashIndex {
 	return best
 }
 
-// Update applies set (column name -> new value) to all rows matching pred
-// and returns the number updated.
-func (db *DB) Update(tableName string, pred Pred, set map[string]Value) (int, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t, err := db.table(tableName, 0)
-	if err != nil {
-		return 0, err
-	}
-	setCols := make(map[int]Value, len(set))
-	for name, v := range set {
-		ci := t.schema.ColumnIndex(name)
-		if ci < 0 {
-			return 0, fmt.Errorf("%w: %s.%s", ErrNoColumn, tableName, name)
-		}
-		cv, err := Coerce(v, t.schema.Columns[ci].Type)
-		if err != nil {
-			return 0, fmt.Errorf("%s.%s: %w", tableName, name, err)
-		}
-		if cv == nil && t.schema.Columns[ci].NotNull {
-			return 0, fmt.Errorf("%w: %s.%s", ErrNotNull, tableName, name)
-		}
-		setCols[ci] = cv
-	}
-	n := 0
-	for slot, r := range t.rows {
-		if r == nil || (pred != nil && !pred(r)) {
-			continue
-		}
-		updated := r.clone()
-		for ci, v := range setCols {
-			updated[ci] = v
-		}
-		// Re-check uniqueness excluding this slot.
-		if t.pkIdx != nil {
-			k := t.pkIdx.keyFor(updated)
-			for _, s := range t.pkIdx.buckets[k] {
-				if s != slot {
-					return n, fmt.Errorf("%w: %s primary key", ErrDuplicateKey, tableName)
-				}
-			}
-		}
-		for _, ix := range t.indexes {
-			if !ix.unique {
-				continue
-			}
-			k := ix.keyFor(updated)
-			for _, s := range ix.buckets[k] {
-				if s != slot {
-					return n, fmt.Errorf("%w: %s index %s", ErrDuplicateKey, tableName, ix.name)
-				}
-			}
-		}
-		t.reindex(slot, r, updated)
-		t.sortedUpdate(slot, r, updated)
-		t.rows[slot] = updated
-		n++
-	}
-	return n, nil
-}
-
-func (t *table) reindex(slot int, old, new Row) {
-	if t.pkIdx != nil {
-		ok, nk := t.pkIdx.keyFor(old), t.pkIdx.keyFor(new)
-		if ok != nk {
-			t.pkIdx.remove(ok, slot)
-			t.pkIdx.insert(nk, slot)
-		}
-	}
-	for _, ix := range t.indexes {
-		ok, nk := ix.keyFor(old), ix.keyFor(new)
-		if ok != nk {
-			ix.remove(ok, slot)
-			ix.insert(nk, slot)
-		}
-	}
-}
-
 // Delete removes all rows matching pred and returns the count.
 func (db *DB) Delete(tableName string, pred Pred) (int, error) {
 	db.mu.Lock()
@@ -640,7 +430,6 @@ func (db *DB) Delete(tableName string, pred Pred) (int, error) {
 		for _, ix := range t.indexes {
 			ix.remove(ix.keyFor(r), slot)
 		}
-		t.sortedRemove(slot, r)
 		t.rows[slot] = nil
 		t.live--
 		n++
@@ -653,9 +442,9 @@ func (db *DB) Delete(tableName string, pred Pred) (int, error) {
 
 // compact drops the deleted slots, keeping the live rows in order, and
 // renumbers the slots every index holds. Renumbering is monotonic, so hash
-// buckets stay in slot order and sorted entries in (value, slot) order.
-// Delete compacts once dead slots outnumber live ones, which bounds a
-// table's slots at twice its rows and costs a delete O(1) amortized.
+// buckets stay in slot order. Delete compacts once dead slots outnumber live
+// ones, which bounds a table's slots at twice its rows and costs a delete
+// O(1) amortized.
 func (t *table) compact() {
 	moved := make([]int, len(t.rows))
 	live := t.rows[:0]
@@ -681,11 +470,6 @@ func (t *table) compact() {
 	}
 	for _, ix := range t.indexes {
 		renumber(ix)
-	}
-	for _, ix := range t.sorted {
-		for i := range ix.entries {
-			ix.entries[i].slot = moved[ix.entries[i].slot]
-		}
 	}
 }
 

@@ -62,34 +62,47 @@ func TestCreateTableValidation(t *testing.T) {
 	}
 }
 
+// lookup selects the rows of table whose named columns equal vals.
+func lookup(t testing.TB, db *DB, table string, cols []string, vals ...Value) []Row {
+	t.Helper()
+	schema, err := db.Schema(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := make([]int, len(cols))
+	for i, c := range cols {
+		pos[i] = schema.ColumnIndex(c)
+	}
+	rows, err := db.Select(table, Sel{EqCols: pos, EqVals: vals})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// where selects the rows of table that pred accepts, by a scan.
+func where(t *testing.T, db *DB, table string, pred Pred) []Row {
+	t.Helper()
+	sel := Sel{}
+	if pred != nil {
+		sel.Pred = func(r Row) (bool, error) { return pred(r), nil }
+	}
+	rows, err := db.Select(table, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 func TestInsertAndScan(t *testing.T) {
 	db := newDealsDB(t)
 	n, err := db.RowCount("deals")
 	if err != nil || n != 3 {
 		t.Fatalf("RowCount = %d, %v", n, err)
 	}
-	var insurance []string
-	err = db.Scan("deals", func(r Row) bool { return r[2] == "Insurance" }, func(r Row) bool {
-		insurance = append(insurance, r[0].(string))
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	insurance := where(t, db, "deals", func(r Row) bool { return r[2] == "Insurance" })
 	if len(insurance) != 2 {
 		t.Fatalf("insurance deals = %v", insurance)
-	}
-}
-
-func TestScanEarlyStop(t *testing.T) {
-	db := newDealsDB(t)
-	count := 0
-	db.Scan("deals", nil, func(Row) bool {
-		count++
-		return false
-	})
-	if count != 1 {
-		t.Fatalf("early stop ignored: %d", count)
 	}
 }
 
@@ -126,9 +139,9 @@ func TestTypeCoercion(t *testing.T) {
 	if err == nil {
 		t.Fatal("fractional float accepted into INT column")
 	}
-	rows, err := db.LookupEqual("deals", []string{"id"}, []Value{"DEAL D"})
-	if err != nil || len(rows) != 1 {
-		t.Fatalf("lookup: %v %v", rows, err)
+	rows := lookup(t, db, "deals", []string{"id"}, "DEAL D")
+	if len(rows) != 1 {
+		t.Fatalf("lookup: %v", rows)
 	}
 	if _, ok := rows[0][3].(float64); !ok {
 		t.Fatalf("tcv not coerced to float: %T", rows[0][3])
@@ -140,10 +153,10 @@ func TestTypeCoercion(t *testing.T) {
 
 func TestLookupEqualViaPK(t *testing.T) {
 	db := newDealsDB(t)
-	rows, err := db.LookupEqual("deals", []string{"id"}, []Value{"DEAL B"})
-	if err != nil {
-		t.Fatal(err)
+	if ix := db.tables["deals"].findIndex([]int{0}); ix != db.tables["deals"].pkIdx {
+		t.Fatalf("id pinned: served by %v, want the primary key", ix)
 	}
+	rows := lookup(t, db, "deals", []string{"id"}, "DEAL B")
 	if len(rows) != 1 || rows[0][1] != "Borealis" {
 		t.Fatalf("rows = %v", rows)
 	}
@@ -151,10 +164,10 @@ func TestLookupEqualViaPK(t *testing.T) {
 
 func TestLookupEqualScanFallback(t *testing.T) {
 	db := newDealsDB(t)
-	rows, err := db.LookupEqual("deals", []string{"industry"}, []Value{"Insurance"})
-	if err != nil {
-		t.Fatal(err)
+	if ix := db.tables["deals"].findIndex([]int{2}); ix != nil {
+		t.Fatalf("industry pinned: served by %s, want a scan", ix.name)
 	}
+	rows := lookup(t, db, "deals", []string{"industry"}, "Insurance")
 	if len(rows) != 2 {
 		t.Fatalf("rows = %v", rows)
 	}
@@ -168,15 +181,15 @@ func TestSecondaryIndex(t *testing.T) {
 	if err := db.CreateIndex("by_industry", "deals", []string{"industry"}, false); !errors.Is(err, ErrIndexExists) {
 		t.Fatalf("err = %v", err)
 	}
-	rows, err := db.LookupEqual("deals", []string{"industry"}, []Value{"Insurance"})
-	if err != nil || len(rows) != 2 {
-		t.Fatalf("indexed lookup: %v %v", rows, err)
+	rows := lookup(t, db, "deals", []string{"industry"}, "Insurance")
+	if len(rows) != 2 {
+		t.Fatalf("indexed lookup: %v", rows)
 	}
 	// New inserts must be visible through the index.
 	if err := db.Insert("deals", Row{"DEAL D", "Delta", "Insurance", 10.0, int64(12), false}); err != nil {
 		t.Fatal(err)
 	}
-	rows, _ = db.LookupEqual("deals", []string{"industry"}, []Value{"Insurance"})
+	rows = lookup(t, db, "deals", []string{"industry"}, "Insurance")
 	if len(rows) != 3 {
 		t.Fatalf("index stale after insert: %v", rows)
 	}
@@ -196,52 +209,6 @@ func TestUniqueSecondaryIndex(t *testing.T) {
 func TestUniqueIndexBuildFailsOnDuplicates(t *testing.T) {
 	db := newDealsDB(t)
 	err := db.CreateIndex("by_industry", "deals", []string{"industry"}, true)
-	if !errors.Is(err, ErrDuplicateKey) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestUpdate(t *testing.T) {
-	db := newDealsDB(t)
-	n, err := db.Update("deals",
-		func(r Row) bool { return r[2] == "Insurance" },
-		map[string]Value{"tcv": 99.0})
-	if err != nil || n != 2 {
-		t.Fatalf("Update = %d, %v", n, err)
-	}
-	rows, _ := db.LookupEqual("deals", []string{"industry"}, []Value{"Insurance"})
-	for _, r := range rows {
-		if r[3] != 99.0 {
-			t.Fatalf("tcv not updated: %v", r)
-		}
-	}
-}
-
-func TestUpdateReindexes(t *testing.T) {
-	db := newDealsDB(t)
-	if err := db.CreateIndex("by_industry", "deals", []string{"industry"}, false); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Update("deals",
-		func(r Row) bool { return r[0] == "DEAL B" },
-		map[string]Value{"industry": "Retail"}); err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := db.LookupEqual("deals", []string{"industry"}, []Value{"Retail"})
-	if len(rows) != 1 || rows[0][0] != "DEAL B" {
-		t.Fatalf("index stale after update: %v", rows)
-	}
-	rows, _ = db.LookupEqual("deals", []string{"industry"}, []Value{"Insurance"})
-	if len(rows) != 1 {
-		t.Fatalf("old index entry not removed: %v", rows)
-	}
-}
-
-func TestUpdatePKConflict(t *testing.T) {
-	db := newDealsDB(t)
-	_, err := db.Update("deals",
-		func(r Row) bool { return r[0] == "DEAL B" },
-		map[string]Value{"id": "DEAL A"})
 	if !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("err = %v", err)
 	}
@@ -268,13 +235,10 @@ func TestNoSuchTable(t *testing.T) {
 	if err := db.Insert("ghost", Row{}); !errors.Is(err, ErrNoTable) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := db.Scan("ghost", nil, func(Row) bool { return true }); !errors.Is(err, ErrNoTable) {
+	if _, err := db.Select("ghost", Sel{}); !errors.Is(err, ErrNoTable) {
 		t.Fatalf("err = %v", err)
 	}
 	if _, err := db.Delete("ghost", nil); !errors.Is(err, ErrNoTable) {
-		t.Fatalf("err = %v", err)
-	}
-	if err := db.DropTable("ghost"); !errors.Is(err, ErrNoTable) {
 		t.Fatalf("err = %v", err)
 	}
 	if _, err := db.Schema("ghost"); !errors.Is(err, ErrNoTable) {
@@ -282,25 +246,14 @@ func TestNoSuchTable(t *testing.T) {
 	}
 }
 
-func TestDropTable(t *testing.T) {
-	db := newDealsDB(t)
-	if err := db.DropTable("deals"); err != nil {
-		t.Fatal(err)
-	}
-	if names := db.TableNames(); len(names) != 0 {
-		t.Fatalf("tables = %v", names)
-	}
-}
-
 func TestScanReturnsCopies(t *testing.T) {
 	db := newDealsDB(t)
-	db.Scan("deals", nil, func(r Row) bool {
+	for _, r := range where(t, db, "deals", nil) {
 		r[1] = "MUTATED"
-		return true
-	})
-	rows, _ := db.LookupEqual("deals", []string{"id"}, []Value{"DEAL A"})
+	}
+	rows := lookup(t, db, "deals", []string{"id"}, "DEAL A")
 	if rows[0][1] == "MUTATED" {
-		t.Fatal("scan exposed internal row storage")
+		t.Fatal("select exposed internal row storage")
 	}
 }
 
@@ -389,16 +342,15 @@ func TestInsertLookupRoundTripProperty(t *testing.T) {
 			return false
 		}
 		seen[key] = v
-		rows, err := db.LookupEqual("kv", []string{"k"}, []Value{key})
-		return err == nil && len(rows) == 1 && rows[0][1] == v
+		rows := lookup(t, db, "kv", []string{"k"}, key)
+		return len(rows) == 1 && rows[0][1] == v
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Error(err)
 	}
 	// And every previously inserted key still resolves.
 	for k, v := range seen {
-		rows, err := db.LookupEqual("kv", []string{"k"}, []Value{k})
-		if err != nil || len(rows) != 1 || rows[0][1] != v {
+		if rows := lookup(t, db, "kv", []string{"k"}, k); len(rows) != 1 || rows[0][1] != v {
 			t.Fatalf("lost row %q", k)
 		}
 	}
@@ -422,6 +374,6 @@ func BenchmarkLookupPK(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		db.LookupEqual("deals", []string{"id"}, []Value{fmt.Sprintf("DEAL %d", i%10000)})
+		lookup(b, db, "deals", []string{"id"}, fmt.Sprintf("DEAL %d", i%10000))
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // towersDB is a deal_towers-shaped table: no primary key, a hash index on
-// each of two columns and a sorted index on a third.
+// each of two columns.
 func towersDB(t *testing.T) *DB {
 	t.Helper()
 	db := NewDB()
@@ -26,9 +26,6 @@ func towersDB(t *testing.T) *DB {
 		if err := db.CreateIndex(ix.name, "towers", []string{ix.col}, false); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := db.CreateSortedIndex("by_sig", "towers", "sig"); err != nil {
-		t.Fatal(err)
 	}
 	return db
 }
@@ -48,11 +45,7 @@ func putDeal(t *testing.T, db *DB, deal string, r *rand.Rand) {
 
 func scanWhere(t *testing.T, db *DB, pred Pred) []Row {
 	t.Helper()
-	var out []Row
-	if err := db.Scan("towers", pred, func(r Row) bool { out = append(out, r); return true }); err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return where(t, db, "towers", pred)
 }
 
 func reload(t *testing.T, db *DB) *DB {
@@ -76,11 +69,18 @@ func TestIndexHitsInSlotOrder(t *testing.T) {
 	db := towersDB(t)
 	for i := 0; i < 400; i++ {
 		putDeal(t, db, fmt.Sprintf("D%d", r.Intn(12)), r)
-		if i%5 == 0 { // move rows between by_tower buckets
+		if i%5 == 0 { // move rows between by_tower buckets: delete, re-insert
 			from, to := fmt.Sprintf("T%d", r.Intn(4)), fmt.Sprintf("T%d", r.Intn(4))
-			if _, err := db.Update("towers", func(row Row) bool { return row[1] == from && row[3] == 2.0 },
-				map[string]Value{"tower": to}); err != nil {
+			moving := func(row Row) bool { return row[1] == from && row[3] == 2.0 }
+			moved := scanWhere(t, db, moving)
+			if _, err := db.Delete("towers", moving); err != nil {
 				t.Fatal(err)
+			}
+			for _, row := range moved {
+				row[1] = to
+				if err := db.Insert("towers", row); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		if i%40 != 0 {
@@ -89,15 +89,9 @@ func TestIndexHitsInSlotOrder(t *testing.T) {
 		twin := reload(t, db)
 		for k := 0; k < 4; k++ {
 			tower := fmt.Sprintf("T%d", k)
-			viaIndex, err := db.LookupEqual("towers", []string{"tower"}, []Value{tower})
-			if err != nil {
-				t.Fatal(err)
-			}
+			viaIndex := lookup(t, db, "towers", []string{"tower"}, tower)
 			viaScan := scanWhere(t, db, func(row Row) bool { return row[1] == tower })
-			viaTwin, err := twin.LookupEqual("towers", []string{"tower"}, []Value{tower})
-			if err != nil {
-				t.Fatal(err)
-			}
+			viaTwin := lookup(t, twin, "towers", []string{"tower"}, tower)
 			if !reflect.DeepEqual(viaIndex, viaScan) {
 				t.Fatalf("step %d tower %s: index order %v, scan order %v", i, tower, viaIndex, viaScan)
 			}
@@ -131,23 +125,11 @@ func TestLookupUsesCoveringSubsetIndex(t *testing.T) {
 	if ix := tb.findIndex([]int{tower, sub}); ix.name != "a_tower_sub" {
 		t.Fatalf("tower+sub served by %s, want a_tower_sub", ix.name)
 	}
-	got, err := db.LookupEqual("towers", []string{"sub", "tower"}, []Value{"S1", "T2"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := lookup(t, db, "towers", []string{"sub", "tower"}, "S1", "T2")
 	want := scanWhere(t, db, func(row Row) bool { return row[1] == "T2" && row[2] == "S1" })
 	if len(want) == 0 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("lookup %v, scan %v", got, want)
 	}
-}
-
-func rangeRows(t *testing.T, db *DB, lo, hi float64) []Row {
-	t.Helper()
-	var out []Row
-	if err := db.ScanRange("towers", "sig", lo, hi, true, false, func(r Row) bool { out = append(out, r); return true }); err != nil {
-		t.Fatal(err)
-	}
-	return out
 }
 
 // Compaction renumbers slots; nothing a caller can observe may move.
@@ -162,9 +144,8 @@ func TestCompactionPreservesOrderAndIndexes(t *testing.T) {
 		t.Fatal("no dead slots to compact; the fixture is too tame")
 	}
 	scan := scanWhere(t, db, nil)
-	byDeal, _ := db.LookupEqual("towers", []string{"deal"}, []Value{"D7"})
-	byTower, _ := db.LookupEqual("towers", []string{"tower"}, []Value{"T1"})
-	ranged := rangeRows(t, db, 1, 4)
+	byDeal := lookup(t, db, "towers", []string{"deal"}, "D7")
+	byTower := lookup(t, db, "towers", []string{"tower"}, "T1")
 
 	db.mu.Lock()
 	tb.compact()
@@ -176,18 +157,15 @@ func TestCompactionPreservesOrderAndIndexes(t *testing.T) {
 	if got := scanWhere(t, db, nil); !reflect.DeepEqual(got, scan) {
 		t.Fatalf("scan order changed:\n%v\n%v", got, scan)
 	}
-	if got, _ := db.LookupEqual("towers", []string{"deal"}, []Value{"D7"}); !reflect.DeepEqual(got, byDeal) {
+	if got := lookup(t, db, "towers", []string{"deal"}, "D7"); !reflect.DeepEqual(got, byDeal) {
 		t.Fatalf("by_deal lookup changed: %v, was %v", got, byDeal)
 	}
-	if got, _ := db.LookupEqual("towers", []string{"tower"}, []Value{"T1"}); !reflect.DeepEqual(got, byTower) {
+	if got := lookup(t, db, "towers", []string{"tower"}, "T1"); !reflect.DeepEqual(got, byTower) {
 		t.Fatalf("by_tower lookup changed: %v, was %v", got, byTower)
-	}
-	if got := rangeRows(t, db, 1, 4); len(ranged) == 0 || !reflect.DeepEqual(got, ranged) {
-		t.Fatalf("sorted range changed: %v, was %v", got, ranged)
 	}
 	// The indexes keep working for writes after the renumbering.
 	putDeal(t, db, "D7", r)
-	got, _ := db.LookupEqual("towers", []string{"deal"}, []Value{"D7"})
+	got := lookup(t, db, "towers", []string{"deal"}, "D7")
 	if want := scanWhere(t, db, func(row Row) bool { return row[0] == "D7" }); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after a put: lookup %v, scan %v", got, want)
 	}
@@ -214,7 +192,7 @@ func TestDeletedSlotsAreReclaimed(t *testing.T) {
 	}
 	for k := 0; k < 50; k++ {
 		deal := fmt.Sprintf("D%d", k)
-		got, _ := db.LookupEqual("towers", []string{"deal"}, []Value{deal})
+		got := lookup(t, db, "towers", []string{"deal"}, deal)
 		if want := scanWhere(t, db, func(row Row) bool { return row[0] == deal }); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: lookup %v, scan %v", deal, got, want)
 		}
@@ -232,9 +210,8 @@ func TestSelectStopsWhenPredFails(t *testing.T) {
 	}
 	boom := errors.New("boom")
 	for name, sel := range map[string]Sel{
-		"scan":         {},
-		"hash index":   {EqCols: []int{0}, EqVals: []Value{"D"}},
-		"sorted index": {Range: &Range{Col: 3, Lo: 0.0, LoInc: true}},
+		"scan":       {},
+		"hash index": {EqCols: []int{0}, EqVals: []Value{"D"}},
 	} {
 		seen := 0
 		sel.Pred = func(Row) (bool, error) {

@@ -5,70 +5,31 @@ import "repro/internal/relstore"
 // Stmt is any parsed SQL statement.
 type Stmt interface{ isStmt() }
 
-// SelectStmt is a SELECT query.
+// SelectStmt is SELECT col, ... FROM t [WHERE terms] [ORDER BY col [ASC|DESC], ...].
 type SelectStmt struct {
-	Distinct bool
-	Items    []SelectItem // nil means '*'
-	From     TableRef
-	Joins    []JoinClause
-	Where    Expr
-	GroupBy  []Expr
-	Having   Expr
-	OrderBy  []OrderItem
-	Limit    int // -1 when absent
-	Offset   int // 0 when absent
-}
-
-// SelectItem is one output expression with an optional alias.
-type SelectItem struct {
-	Expr  Expr
-	Alias string
-	Star  bool // bare '*' in a select list mixed with other items
-}
-
-// TableRef names a table with an optional alias.
-type TableRef struct {
-	Table string
-	Alias string
-}
-
-// JoinClause is one JOIN ... ON ....
-type JoinClause struct {
-	Left  bool // LEFT JOIN when true, INNER otherwise
-	Table TableRef
-	On    Expr
-}
-
-// OrderItem is one ORDER BY key.
-type OrderItem struct {
-	Expr Expr
-	Desc bool
-}
-
-// InsertStmt is INSERT INTO ... VALUES ....
-type InsertStmt struct {
+	Columns []string
 	Table   string
-	Columns []string // nil means schema order
-	Rows    [][]Expr
+	Where   []Term
+	OrderBy []OrderItem
 }
 
-// UpdateStmt is UPDATE ... SET ... [WHERE ...].
-type UpdateStmt struct {
-	Table string
-	Set   []SetClause
-	Where Expr
-}
-
-// SetClause is one column assignment.
-type SetClause struct {
+// OrderItem is one ORDER BY key: a column of the table.
+type OrderItem struct {
 	Column string
-	Value  Expr
+	Desc   bool
 }
 
-// DeleteStmt is DELETE FROM ... [WHERE ...].
+// InsertStmt is INSERT INTO t VALUES (v, ...), one value per column in
+// schema order.
+type InsertStmt struct {
+	Table  string
+	Values []Operand
+}
+
+// DeleteStmt is DELETE FROM t WHERE terms.
 type DeleteStmt struct {
 	Table string
-	Where Expr
+	Where []Term
 }
 
 // CreateTableStmt is CREATE TABLE.
@@ -76,122 +37,31 @@ type CreateTableStmt struct {
 	Schema relstore.Schema
 }
 
-// CreateIndexStmt is CREATE [UNIQUE|SORTED] INDEX. Sorted indexes are
-// single-column and serve range predicates.
+// CreateIndexStmt is CREATE INDEX name ON t (col, ...), a hash index.
 type CreateIndexStmt struct {
 	Name    string
 	Table   string
 	Columns []string
-	Unique  bool
-	Sorted  bool
-}
-
-// DropTableStmt is DROP TABLE.
-type DropTableStmt struct {
-	Table string
 }
 
 func (*SelectStmt) isStmt()      {}
 func (*InsertStmt) isStmt()      {}
-func (*UpdateStmt) isStmt()      {}
 func (*DeleteStmt) isStmt()      {}
 func (*CreateTableStmt) isStmt() {}
 func (*CreateIndexStmt) isStmt() {}
-func (*DropTableStmt) isStmt()   {}
 
-// Expr is any expression node.
-type Expr interface{ isExpr() }
-
-// Literal is a constant value.
-type Literal struct{ Value relstore.Value }
-
-// Param is a '?' placeholder, bound positionally at execution.
-type Param struct{ Index int }
-
-// ColumnRef references a column, optionally qualified by table or alias.
-type ColumnRef struct {
-	Table  string // "" when unqualified
+// Term is one conjunct of a WHERE: `col = v` or `col LIKE v`, the column
+// optionally wrapped in LOWER(...).
+type Term struct {
 	Column string
+	Lower  bool
+	Like   bool // LIKE; = otherwise
+	Value  Operand
 }
 
-// Binary applies an infix operator. Op is the uppercase surface form:
-// =, <>, <, <=, >, >=, +, -, *, /, %, ||, AND, OR, LIKE.
-type Binary struct {
-	Op          string
-	Left, Right Expr
-}
-
-// Unary applies NOT or numeric negation (Op "NOT" or "-").
-type Unary struct {
-	Op   string
-	Expr Expr
-}
-
-// InList is expr [NOT] IN (items...).
-type InList struct {
-	Expr   Expr
-	Items  []Expr
-	Negate bool
-}
-
-// IsNull is expr IS [NOT] NULL.
-type IsNull struct {
-	Expr   Expr
-	Negate bool
-}
-
-// FuncCall is a scalar or aggregate function application. Name is uppercase.
-// Star marks COUNT(*).
-type FuncCall struct {
-	Name string
-	Args []Expr
-	Star bool
-}
-
-func (*Literal) isExpr()   {}
-func (*Param) isExpr()     {}
-func (*ColumnRef) isExpr() {}
-func (*Binary) isExpr()    {}
-func (*Unary) isExpr()     {}
-func (*InList) isExpr()    {}
-func (*IsNull) isExpr()    {}
-func (*FuncCall) isExpr()  {}
-
-// aggregateFuncs are the functions computed over groups.
-var aggregateFuncs = map[string]bool{
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-}
-
-// hasAggregate reports whether the expression tree contains an aggregate
-// function call.
-func hasAggregate(e Expr) bool {
-	switch t := e.(type) {
-	case nil:
-		return false
-	case *FuncCall:
-		if aggregateFuncs[t.Name] {
-			return true
-		}
-		for _, a := range t.Args {
-			if hasAggregate(a) {
-				return true
-			}
-		}
-	case *Binary:
-		return hasAggregate(t.Left) || hasAggregate(t.Right)
-	case *Unary:
-		return hasAggregate(t.Expr)
-	case *InList:
-		if hasAggregate(t.Expr) {
-			return true
-		}
-		for _, it := range t.Items {
-			if hasAggregate(it) {
-				return true
-			}
-		}
-	case *IsNull:
-		return hasAggregate(t.Expr)
-	}
-	return false
+// Operand is a value in a statement: the parameter at index Param when
+// Param >= 0, else the text literal Text.
+type Operand struct {
+	Text  string
+	Param int
 }

@@ -10,102 +10,16 @@ import (
 
 // Errors surfaced by the evaluator.
 var (
-	ErrAmbiguousColumn = errors.New("sqlx: ambiguous column")
-	ErrUnknownColumn   = errors.New("sqlx: unknown column")
-	ErrBadParam        = errors.New("sqlx: parameter index out of range")
+	ErrUnknownColumn = errors.New("sqlx: unknown column")
+	ErrBadParam      = errors.New("sqlx: parameter index out of range")
 )
 
-// This file is the interpreter: it walks the AST against an env that binds
-// every column of the current row by name. INSERT, UPDATE and DELETE run on
-// it (exec.go). SELECT used to as well; it now runs on plans compiled from
-// the same AST (plan.go, compile.go), which compute the same values through
-// the operator helpers below, and the interpreter's SELECT executor survives
-// as the reference those plans are tested against (oracle_test.go).
-
-// env is the name-resolution environment for one (possibly joined) row.
-type env struct {
-	vals      map[string]relstore.Value
-	ambiguous map[string]bool
-	params    []relstore.Value
-}
-
-func newEnv(params []relstore.Value) *env {
-	return &env{
-		vals:      make(map[string]relstore.Value),
-		ambiguous: make(map[string]bool),
-		params:    params,
-	}
-}
-
-// bind adds one table's row under its alias (or table name). A nil row binds
-// all columns to NULL (the LEFT JOIN pad).
-func (e *env) bind(alias string, schema relstore.Schema, row relstore.Row) {
-	alias = strings.ToLower(alias)
-	for i, col := range schema.Columns {
-		var v relstore.Value
-		if row != nil {
-			v = row[i]
-		}
-		qualified := alias + "." + strings.ToLower(col.Name)
-		e.vals[qualified] = v
-		bare := strings.ToLower(col.Name)
-		if _, dup := e.vals[bare]; dup {
-			e.ambiguous[bare] = true
-		} else {
-			e.vals[bare] = v
-		}
-	}
-}
-
-func (e *env) column(table, column string) (relstore.Value, error) {
-	key := strings.ToLower(column)
-	if table != "" {
-		key = strings.ToLower(table) + "." + key
-	} else if e.ambiguous[key] {
-		return nil, fmt.Errorf("%w: %s", ErrAmbiguousColumn, column)
-	}
-	v, ok := e.vals[key]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownColumn, column)
-	}
-	return v, nil
-}
-
-// evalExpr evaluates a scalar expression against one row environment.
-// Simplification vs full SQL: NULL propagates through operators, and a NULL
-// predicate result is treated as false (two-valued logic at the filter).
-func evalExpr(x Expr, e *env) (relstore.Value, error) {
-	switch t := x.(type) {
-	case *Literal:
-		return t.Value, nil
-	case *Param:
-		if t.Index >= len(e.params) {
-			return nil, fmt.Errorf("%w: ? #%d with %d args", ErrBadParam, t.Index+1, len(e.params))
-		}
-		return normalizeParam(e.params[t.Index]), nil
-	case *ColumnRef:
-		return e.column(t.Table, t.Column)
-	case *Unary:
-		return evalUnary(t, e)
-	case *Binary:
-		return evalBinary(t, e)
-	case *InList:
-		return evalIn(t, e)
-	case *IsNull:
-		v, err := evalExpr(t.Expr, e)
-		if err != nil {
-			return nil, err
-		}
-		return (v == nil) != t.Negate, nil
-	case *FuncCall:
-		if aggregateFuncs[t.Name] {
-			return nil, fmt.Errorf("sqlx: aggregate %s outside aggregate context", t.Name)
-		}
-		return evalScalarFunc(t, e)
-	default:
-		return nil, fmt.Errorf("sqlx: cannot evaluate %T", x)
-	}
-}
+// A WHERE is evaluated two ways over the same operator semantics (Term.test
+// and the LIKE matcher below). SELECT runs on plans (plan.go) that resolved
+// every column to its slot when the statement was planned. DELETE runs on
+// the interpreter here, which binds every column of the current row by name
+// into an env; it is also the reference the plans are tested against
+// (oracle_test.go).
 
 // normalizeParam widens Go-native parameter types to engine types.
 func normalizeParam(v relstore.Value) relstore.Value {
@@ -121,287 +35,144 @@ func normalizeParam(v relstore.Value) relstore.Value {
 	}
 }
 
-func evalUnary(t *Unary, e *env) (relstore.Value, error) {
-	v, err := evalExpr(t.Expr, e)
-	if err != nil {
-		return nil, err
-	}
-	return applyUnary(t.Op, v)
-}
-
-// applyUnary applies NOT or numeric negation to a value.
-func applyUnary(op string, v relstore.Value) (relstore.Value, error) {
-	switch op {
-	case "NOT":
-		if v == nil {
-			return false, nil
-		}
-		b, ok := v.(bool)
-		if !ok {
-			return nil, fmt.Errorf("sqlx: NOT applied to %T", v)
-		}
-		return !b, nil
-	case "-":
-		switch n := v.(type) {
-		case nil:
-			return nil, nil
-		case int64:
-			return -n, nil
-		case float64:
-			return -n, nil
-		}
-		return nil, fmt.Errorf("sqlx: unary minus applied to %T", v)
-	}
-	return nil, fmt.Errorf("sqlx: unknown unary op %q", op)
-}
-
-func evalBinary(t *Binary, e *env) (relstore.Value, error) {
-	// AND/OR get short-circuit evaluation.
-	switch t.Op {
-	case "AND":
-		lv, err := truthy(t.Left, e)
-		if err != nil {
-			return nil, err
-		}
-		if !lv {
-			return false, nil
-		}
-		return boolOf(t.Right, e)
-	case "OR":
-		lv, err := truthy(t.Left, e)
-		if err != nil {
-			return nil, err
-		}
-		if lv {
-			return true, nil
-		}
-		return boolOf(t.Right, e)
-	}
-	lv, err := evalExpr(t.Left, e)
-	if err != nil {
-		return nil, err
-	}
-	rv, err := evalExpr(t.Right, e)
-	if err != nil {
-		return nil, err
-	}
-	return applyBinary(t.Op, lv, rv)
-}
-
-// applyBinary applies a binary operator other than AND and OR (which
-// short-circuit, so their callers handle them) to two values.
-func applyBinary(op string, lv, rv relstore.Value) (relstore.Value, error) {
-	switch op {
-	case "=", "<>", "<", "<=", ">", ">=":
-		if lv == nil || rv == nil {
-			return false, nil // NULL never compares equal (or ordered)
-		}
-		c, err := relstore.Compare(lv, rv)
-		if err != nil {
-			return nil, err
-		}
-		switch op {
-		case "=":
-			return c == 0, nil
-		case "<>":
-			return c != 0, nil
-		case "<":
-			return c < 0, nil
-		case "<=":
-			return c <= 0, nil
-		case ">":
-			return c > 0, nil
+// bindArgs returns the values of ops for one execution: literals as written,
+// parameters from args.
+func bindArgs(ops []Operand, args []relstore.Value) ([]relstore.Value, error) {
+	vals := make([]relstore.Value, len(ops))
+	for i, o := range ops {
+		switch {
+		case o.Param < 0:
+			vals[i] = o.Text
+		case o.Param < len(args):
+			vals[i] = normalizeParam(args[o.Param])
 		default:
-			return c >= 0, nil
+			return nil, fmt.Errorf("%w: ? #%d with %d args", ErrBadParam, o.Param+1, len(args))
 		}
-	case "LIKE":
-		s, pat, ok, err := likeOperands(lv, rv)
+	}
+	return vals, nil
+}
+
+// bindWhere binds the operand of every term.
+func bindWhere(where []Term, args []relstore.Value) ([]relstore.Value, error) {
+	ops := make([]Operand, len(where))
+	for i, t := range where {
+		ops[i] = t.Value
+	}
+	return bindArgs(ops, args)
+}
+
+// resolve returns the slot of each named column, or ErrUnknownColumn.
+func resolve(schema relstore.Schema, names ...string) ([]int, error) {
+	slots := make([]int, len(names))
+	for i, name := range names {
+		if slots[i] = schema.ColumnIndex(name); slots[i] < 0 {
+			return nil, fmt.Errorf("%w: %s", ErrUnknownColumn, name)
+		}
+	}
+	return slots, nil
+}
+
+// whereColumns lists the columns a WHERE reads, in term order.
+func whereColumns(where []Term) []string {
+	names := make([]string, len(where))
+	for i, t := range where {
+		names[i] = t.Column
+	}
+	return names
+}
+
+// test applies the term to a row's column value v and the term's bound
+// value arg. m, when not nil, is arg prepared as a LIKE pattern. NULL never
+// compares equal, nor matches a pattern.
+func (t *Term) test(v, arg relstore.Value, m *likeMatcher) (bool, error) {
+	if t.Lower && v != nil {
+		s, ok := v.(string)
 		if !ok {
+			return false, fmt.Errorf("sqlx: LOWER requires text, got %T", v)
+		}
+		v = strings.ToLower(s)
+	}
+	if v == nil || arg == nil {
+		return false, nil
+	}
+	if !t.Like {
+		c, err := relstore.Compare(v, arg)
+		return err == nil && c == 0, err
+	}
+	s, ok1 := v.(string)
+	pat, ok2 := arg.(string)
+	if !ok1 || !ok2 {
+		return false, fmt.Errorf("sqlx: LIKE requires text operands, got %T and %T", v, arg)
+	}
+	if m == nil {
+		return MatchLike(s, pat), nil
+	}
+	return m.match(s), nil
+}
+
+// env is the interpreter's name-resolution environment for one row. It is
+// the env of the interpreter that once also ran joins: every column is bound
+// under its bare and its table-qualified name, and a bare name two tables
+// share is ambiguous. Only bare names can be written now. The binding is kept
+// as it was so that a DELETE costs per row what it did, because the
+// benchmark's writer phases run for a fixed time and cannot take a faster
+// writer (DESIGN §8); compiling DML (ROADMAP item 5) removes it.
+type env struct {
+	vals      map[string]relstore.Value
+	ambiguous map[string]bool
+}
+
+func newEnv() *env {
+	return &env{
+		vals:      make(map[string]relstore.Value),
+		ambiguous: make(map[string]bool),
+	}
+}
+
+// bind adds one table's row under its alias (or table name).
+func (e *env) bind(alias string, schema relstore.Schema, row relstore.Row) {
+	alias = strings.ToLower(alias)
+	for i, col := range schema.Columns {
+		qualified := alias + "." + strings.ToLower(col.Name)
+		e.vals[qualified] = row[i]
+		bare := strings.ToLower(col.Name)
+		if _, dup := e.vals[bare]; dup {
+			e.ambiguous[bare] = true
+		} else {
+			e.vals[bare] = row[i]
+		}
+	}
+}
+
+func (e *env) column(column string) (relstore.Value, error) {
+	key := strings.ToLower(column)
+	if e.ambiguous[key] {
+		return nil, fmt.Errorf("sqlx: ambiguous column: %s", column)
+	}
+	v, ok := e.vals[key]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownColumn, column)
+	}
+	return v, nil
+}
+
+// holds evaluates a WHERE whose operands bound to vals against a row env,
+// term by term until one fails.
+func (e *env) holds(where []Term, vals []relstore.Value) (bool, error) {
+	for i := range where {
+		v, err := e.column(where[i].Column)
+		if err != nil {
 			return false, err
 		}
-		return MatchLike(s, pat), nil
-	case "||":
-		if lv == nil || rv == nil {
-			return nil, nil
-		}
-		return relstore.FormatValue(lv) + relstore.FormatValue(rv), nil
-	case "+", "-", "*", "/", "%":
-		return arith(op, lv, rv)
-	}
-	return nil, fmt.Errorf("sqlx: unknown binary op %q", op)
-}
-
-// likeOperands checks LIKE's operands: ok is false, with a nil error, when
-// either is NULL.
-func likeOperands(lv, rv relstore.Value) (s, pat string, ok bool, err error) {
-	if lv == nil || rv == nil {
-		return "", "", false, nil
-	}
-	s, ok1 := lv.(string)
-	pat, ok2 := rv.(string)
-	if !ok1 || !ok2 {
-		return "", "", false, fmt.Errorf("sqlx: LIKE requires text operands, got %T and %T", lv, rv)
-	}
-	return s, pat, true, nil
-}
-
-func arith(op string, lv, rv relstore.Value) (relstore.Value, error) {
-	if lv == nil || rv == nil {
-		return nil, nil
-	}
-	li, lIsInt := lv.(int64)
-	ri, rIsInt := rv.(int64)
-	if lIsInt && rIsInt {
-		switch op {
-		case "+":
-			return li + ri, nil
-		case "-":
-			return li - ri, nil
-		case "*":
-			return li * ri, nil
-		case "/":
-			if ri == 0 {
-				return nil, errors.New("sqlx: division by zero")
-			}
-			return li / ri, nil
-		case "%":
-			if ri == 0 {
-				return nil, errors.New("sqlx: modulo by zero")
-			}
-			return li % ri, nil
+		if ok, err := where[i].test(v, vals[i], nil); !ok || err != nil {
+			return false, err
 		}
 	}
-	lf, err := asFloat(lv)
-	if err != nil {
-		return nil, err
-	}
-	rf, err := asFloat(rv)
-	if err != nil {
-		return nil, err
-	}
-	switch op {
-	case "+":
-		return lf + rf, nil
-	case "-":
-		return lf - rf, nil
-	case "*":
-		return lf * rf, nil
-	case "/":
-		if rf == 0 {
-			return nil, errors.New("sqlx: division by zero")
-		}
-		return lf / rf, nil
-	case "%":
-		return nil, errors.New("sqlx: %% requires integer operands")
-	}
-	return nil, fmt.Errorf("sqlx: unknown arithmetic op %q", op)
-}
-
-func asFloat(v relstore.Value) (float64, error) {
-	switch n := v.(type) {
-	case int64:
-		return float64(n), nil
-	case float64:
-		return n, nil
-	}
-	return 0, fmt.Errorf("sqlx: %T is not numeric", v)
-}
-
-func evalIn(t *InList, e *env) (relstore.Value, error) {
-	v, err := evalExpr(t.Expr, e)
-	if err != nil {
-		return nil, err
-	}
-	if v == nil {
-		return false, nil
-	}
-	found := false
-	for _, item := range t.Items {
-		iv, err := evalExpr(item, e)
-		if err != nil {
-			return nil, err
-		}
-		if relstore.Equal(v, iv) {
-			found = true
-			break
-		}
-	}
-	return found != t.Negate, nil
-}
-
-func evalScalarFunc(t *FuncCall, e *env) (relstore.Value, error) {
-	args := make([]relstore.Value, len(t.Args))
-	for i, a := range t.Args {
-		v, err := evalExpr(a, e)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = v
-	}
-	switch t.Name {
-	case "UPPER", "LOWER", "LENGTH":
-		if len(args) != 1 {
-			return nil, fmt.Errorf("sqlx: %s takes one argument", t.Name)
-		}
-		if args[0] == nil {
-			return nil, nil
-		}
-		s, ok := args[0].(string)
-		if !ok {
-			return nil, fmt.Errorf("sqlx: %s requires text, got %T", t.Name, args[0])
-		}
-		switch t.Name {
-		case "UPPER":
-			return strings.ToUpper(s), nil
-		case "LOWER":
-			return strings.ToLower(s), nil
-		default:
-			return int64(len(s)), nil
-		}
-	case "COALESCE":
-		for _, a := range args {
-			if a != nil {
-				return a, nil
-			}
-		}
-		return nil, nil
-	}
-	return nil, fmt.Errorf("sqlx: unknown function %q", t.Name)
-}
-
-// truthy evaluates a predicate expression to a boolean, mapping NULL to
-// false.
-func truthy(x Expr, e *env) (bool, error) {
-	v, err := evalExpr(x, e)
-	if err != nil {
-		return false, err
-	}
-	return asBool(v)
-}
-
-// asBool reads a predicate's value: NULL counts as false.
-func asBool(v relstore.Value) (bool, error) {
-	switch b := v.(type) {
-	case nil:
-		return false, nil
-	case bool:
-		return b, nil
-	default:
-		return false, fmt.Errorf("sqlx: predicate evaluated to %T, want bool", v)
-	}
-}
-
-func boolOf(x Expr, e *env) (relstore.Value, error) {
-	b, err := truthy(x, e)
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
+	return true, nil
 }
 
 // likeMatcher is a LIKE pattern prepared for repeated matching.
 type likeMatcher struct {
-	ready   bool
 	pattern string // lower-cased
 	// needle is what lies between the two % of a %needle% pattern with no
 	// other wildcard; such a pattern is a substring test.
@@ -411,7 +182,7 @@ type likeMatcher struct {
 
 func newLikeMatcher(pattern string) likeMatcher {
 	p := strings.ToLower(pattern)
-	m := likeMatcher{ready: true, pattern: p}
+	m := likeMatcher{pattern: p}
 	if n := len(p); n >= 2 && p[0] == '%' && p[n-1] == '%' && !strings.ContainsAny(p[1:n-1], "%_") {
 		m.contains, m.needle = true, p[1:n-1]
 	}

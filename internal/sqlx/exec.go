@@ -3,8 +3,6 @@ package sqlx
 import (
 	"errors"
 	"fmt"
-	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/lru"
@@ -14,11 +12,12 @@ import (
 // Conn executes SQL text against a relstore database. It is safe for
 // concurrent use. A SELECT is parsed and planned once per SQL text and schema
 // version (plan.go) and then only bound to its arguments; every other
-// statement is parsed and interpreted on each call (eval.go).
+// statement is parsed and run on each call, a DELETE on the interpreter
+// (eval.go).
 type Conn struct {
 	db *relstore.DB
 	// plans caches SELECT plans by SQL text under the database's schema
-	// version: any table or index DDL empties it.
+	// version: any CREATE TABLE or CREATE INDEX empties it.
 	plans *lru.Versioned[string, *selectPlan]
 }
 
@@ -62,7 +61,7 @@ func (r *Rows) Col(name string) int {
 }
 
 // Exec runs a statement that does not return rows and reports the number of
-// affected rows (rows inserted, updated, or deleted; 0 for DDL).
+// affected rows (rows inserted or deleted; 0 for DDL).
 func (c *Conn) Exec(sqlText string, args ...relstore.Value) (int, error) {
 	stmt, err := Parse(sqlText)
 	if err != nil {
@@ -72,25 +71,20 @@ func (c *Conn) Exec(sqlText string, args ...relstore.Value) (int, error) {
 	case *CreateTableStmt:
 		return 0, c.db.CreateTable(s.Schema)
 	case *CreateIndexStmt:
-		if s.Sorted {
-			if len(s.Columns) != 1 {
-				return 0, fmt.Errorf("sqlx: SORTED INDEX takes exactly one column")
-			}
-			return 0, c.db.CreateSortedIndex(s.Name, s.Table, s.Columns[0])
-		}
-		return 0, c.db.CreateIndex(s.Name, s.Table, s.Columns, s.Unique)
-	case *DropTableStmt:
-		return 0, c.db.DropTable(s.Table)
+		return 0, c.db.CreateIndex(s.Name, s.Table, s.Columns, false)
 	case *InsertStmt:
-		return c.execInsert(s, args)
-	case *UpdateStmt:
-		return c.execUpdate(s, args)
+		row, err := bindArgs(s.Values, args)
+		if err != nil {
+			return 0, err
+		}
+		if err := c.db.Insert(s.Table, row); err != nil {
+			return 0, err
+		}
+		return 1, nil
 	case *DeleteStmt:
 		return c.execDelete(s, args)
-	case *SelectStmt:
-		return 0, fmt.Errorf("sqlx: use Query for SELECT")
 	default:
-		return 0, fmt.Errorf("sqlx: unsupported statement %T", stmt)
+		return 0, fmt.Errorf("sqlx: use Query for SELECT")
 	}
 }
 
@@ -152,441 +146,24 @@ func (c *Conn) QueryOne(sqlText string, args ...relstore.Value) ([]relstore.Valu
 	return rows.Data[0], nil
 }
 
-func (c *Conn) execInsert(s *InsertStmt, args []relstore.Value) (int, error) {
-	schema, err := c.db.Schema(s.Table)
-	if err != nil {
-		return 0, err
-	}
-	colIdx := make([]int, 0, len(s.Columns))
-	if s.Columns == nil {
-		for i := range schema.Columns {
-			colIdx = append(colIdx, i)
-		}
-	} else {
-		for _, name := range s.Columns {
-			ci := schema.ColumnIndex(name)
-			if ci < 0 {
-				return 0, fmt.Errorf("%w: %s.%s", ErrUnknownColumn, s.Table, name)
-			}
-			colIdx = append(colIdx, ci)
-		}
-	}
-	e := newEnv(args)
-	n := 0
-	for _, exprRow := range s.Rows {
-		if len(exprRow) != len(colIdx) {
-			return n, fmt.Errorf("sqlx: INSERT expects %d values, got %d", len(colIdx), len(exprRow))
-		}
-		row := make(relstore.Row, len(schema.Columns))
-		for i, x := range exprRow {
-			v, err := evalExpr(x, e)
-			if err != nil {
-				return n, err
-			}
-			row[colIdx[i]] = v
-		}
-		if err := c.db.Insert(s.Table, row); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
-}
-
-// rowPred compiles a WHERE expression into a relstore predicate over a
-// single table.
-func (c *Conn) rowPred(table string, where Expr, args []relstore.Value) (relstore.Pred, error) {
-	if where == nil {
-		return nil, nil
-	}
-	schema, err := c.db.Schema(table)
-	if err != nil {
-		return nil, err
-	}
-	// Probe the expression once against a NULL row to surface static errors
-	// (unknown columns, bad params) before mutating anything; the arithmetic
-	// errors a real row could still raise exclude that row.
-	probe := newEnv(args)
-	probe.bind(schema.Table, schema, nil)
-	if _, err := truthy(where, probe); err != nil {
-		return nil, err
-	}
-	pred := func(r relstore.Row) bool {
-		e := newEnv(args)
-		e.bind(schema.Table, schema, r)
-		ok, err := truthy(where, e)
-		return err == nil && ok
-	}
-	return pred, nil
-}
-
-func (c *Conn) execUpdate(s *UpdateStmt, args []relstore.Value) (int, error) {
-	pred, err := c.rowPred(s.Table, s.Where, args)
-	if err != nil {
-		return 0, err
-	}
-	schema, err := c.db.Schema(s.Table)
-	if err != nil {
-		return 0, err
-	}
-	// SET expressions may reference the old row, so Update runs per row via
-	// scan+delete+insert when expressions are row-dependent; for the common
-	// constant case we use the engine's bulk Update.
-	constant := true
-	for _, set := range s.Set {
-		if !isConstExpr(set.Value) {
-			constant = false
-			break
-		}
-	}
-	if constant {
-		setVals := make(map[string]relstore.Value, len(s.Set))
-		e := newEnv(args)
-		for _, set := range s.Set {
-			v, err := evalExpr(set.Value, e)
-			if err != nil {
-				return 0, err
-			}
-			setVals[set.Column] = v
-		}
-		return c.db.Update(s.Table, pred, setVals)
-	}
-	// Row-dependent SET: collect matching rows first, then apply one by one
-	// keyed on full row identity.
-	var matches []relstore.Row
-	if err := c.db.Scan(s.Table, pred, func(r relstore.Row) bool {
-		matches = append(matches, r)
-		return true
-	}); err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, old := range matches {
-		e := newEnv(args)
-		e.bind(schema.Table, schema, old)
-		setVals := make(map[string]relstore.Value, len(s.Set))
-		for _, set := range s.Set {
-			v, err := evalExpr(set.Value, e)
-			if err != nil {
-				return n, err
-			}
-			setVals[set.Column] = v
-		}
-		oldCopy := old
-		updated, err := c.db.Update(s.Table, func(r relstore.Row) bool { return sameRow(r, oldCopy) }, setVals)
-		if err != nil {
-			return n, err
-		}
-		n += updated
-	}
-	return n, nil
-}
-
-func sameRow(a, b relstore.Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] == nil && b[i] == nil {
-			continue
-		}
-		if !relstore.Equal(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func isConstExpr(x Expr) bool {
-	switch t := x.(type) {
-	case *Literal, *Param:
-		return true
-	case *Unary:
-		return isConstExpr(t.Expr)
-	case *Binary:
-		return isConstExpr(t.Left) && isConstExpr(t.Right)
-	case *FuncCall:
-		if aggregateFuncs[t.Name] {
-			return false
-		}
-		for _, a := range t.Args {
-			if !isConstExpr(a) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
-}
-
+// execDelete runs a DELETE on the interpreter. A row whose WHERE fails to
+// evaluate (a type error) is kept.
 func (c *Conn) execDelete(s *DeleteStmt, args []relstore.Value) (int, error) {
-	pred, err := c.rowPred(s.Table, s.Where, args)
+	schema, err := c.db.Schema(s.Table)
 	if err != nil {
 		return 0, err
 	}
-	return c.db.Delete(s.Table, pred)
-}
-
-// run executes the SELECT. Rows in flight are tuples of one stored row per
-// source, kept flat in one slice (stride = number of sources), so a
-// single-table query handles the engine's row slice as it is.
-func (p *selectPlan) run(db *relstore.DB, args []relstore.Value) (*Rows, error) {
-	fr := p.newFrame(args)
-	stride := len(p.srcs)
-
-	// Base table: the WHERE of a single-table query runs inside the engine's
-	// scan, on the stored rows, so only the rows it keeps are copied out.
-	var pred func(relstore.Row) (bool, error)
-	if stride == 1 && p.where != nil {
-		fr.rows = fr.one[:]
-		pred = func(r relstore.Row) (bool, error) {
-			fr.rows[0] = r
-			return holds(p.where, fr)
-		}
+	if _, err := resolve(schema, whereColumns(s.Where)...); err != nil {
+		return 0, err
 	}
-	tuples, err := db.Select(p.base.table, p.base.bind(args, p.version, pred))
+	vals, err := bindWhere(s.Where, args)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-
-	// Joins: nested loops over a full scan of each joined table.
-	for k, j := range p.joins {
-		joined, err := db.Select(j.table, relstore.Sel{Version: p.version})
-		if err != nil {
-			return nil, err
-		}
-		width := k + 1
-		fr.rows = make([]relstore.Row, width+1)
-		var next []relstore.Row
-		for i := 0; i < len(tuples); i += width {
-			copy(fr.rows, tuples[i:i+width])
-			matched := false
-			for _, jr := range joined {
-				fr.rows[width] = jr
-				ok, err := holds(j.on, fr)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					matched = true
-					next = append(next, fr.rows...)
-				}
-			}
-			if !matched && j.left {
-				fr.rows[width] = nil
-				next = append(next, fr.rows...)
-			}
-		}
-		tuples = next
-	}
-	if stride > 1 && p.where != nil {
-		kept := tuples[:0]
-		for i := 0; i < len(tuples); i += stride {
-			fr.rows = tuples[i : i+stride]
-			ok, err := holds(p.where, fr)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				kept = append(kept, fr.rows...)
-			}
-		}
-		tuples = kept
-	}
-
-	var out [][]relstore.Value
-	if p.aggregated {
-		out, err = p.projectGroups(fr, tuples)
-	} else {
-		out, err = p.projectRows(fr, tuples)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if p.distinct {
-		out = dedupRows(out)
-	}
-	if len(p.order) > 0 {
-		if err := p.orderRows(fr, out, tuples); err != nil {
-			return nil, err
-		}
-	}
-	if p.offset > 0 {
-		if p.offset >= len(out) {
-			out = nil
-		} else {
-			out = out[p.offset:]
-		}
-	}
-	if p.limit >= 0 && len(out) > p.limit {
-		out = out[:p.limit]
-	}
-	// The names are copied: the plan is shared, the result is the caller's.
-	return &Rows{Columns: slices.Clone(p.names), Data: out}, nil
-}
-
-func (p *selectPlan) projectRows(fr *frame, tuples []relstore.Row) ([][]relstore.Value, error) {
-	stride, width := len(p.srcs), len(p.items)
-	n := len(tuples) / stride
-	out := make([][]relstore.Value, 0, n)
-	cells := make([]relstore.Value, n*width) // one allocation backs every output row
-	for i := 0; i < len(tuples); i += stride {
-		fr.rows = tuples[i : i+stride]
-		row := cells[:width:width]
-		cells = cells[width:]
-		for k, it := range p.items {
-			v, err := it(fr)
-			if err != nil {
-				return nil, err
-			}
-			row[k] = v
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-// group is the tuples sharing one GROUP BY key, as offsets into the flat
-// tuple slice.
-type group struct {
-	fr      *frame
-	tuples  []relstore.Row
-	stride  int
-	members []int
-}
-
-// row points the frame at the group's i-th tuple.
-func (g *group) row(i int) *frame {
-	at := g.members[i]
-	g.fr.rows = g.tuples[at : at+g.stride]
-	return g.fr
-}
-
-func (p *selectPlan) projectGroups(fr *frame, tuples []relstore.Row) ([][]relstore.Value, error) {
-	stride := len(p.srcs)
-	var order []string
-	groups := map[string][]int{}
-	for i := 0; i < len(tuples); i += stride {
-		fr.rows = tuples[i : i+stride]
-		var kb strings.Builder
-		for _, gx := range p.groupBy {
-			v, err := gx(fr)
-			if err != nil {
-				return nil, err
-			}
-			kb.WriteString(relstore.FormatValue(v))
-			kb.WriteByte('\x1f')
-		}
-		k := kb.String()
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], i)
-	}
-	// A global aggregate (no GROUP BY) over zero rows still yields one row.
-	if len(p.groupBy) == 0 && len(order) == 0 {
-		order = append(order, "")
-	}
-	var out [][]relstore.Value
-	for _, k := range order {
-		g := &group{fr: fr, tuples: tuples, stride: stride, members: groups[k]}
-		if p.having != nil {
-			v, err := p.having(g)
-			if err != nil {
-				return nil, err
-			}
-			if b, ok := v.(bool); !ok || !b {
-				continue
-			}
-		}
-		row := make([]relstore.Value, len(p.groupItems))
-		for i, it := range p.groupItems {
-			v, err := it(g)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = v
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-func dedupRows(rows [][]relstore.Value) [][]relstore.Value {
-	seen := map[string]bool{}
-	out := rows[:0]
-	for _, r := range rows {
-		var kb strings.Builder
-		for _, v := range r {
-			kb.WriteString(relstore.FormatValue(v))
-			kb.WriteByte('\x1f')
-		}
-		k := kb.String()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, r)
-	}
-	return out
-}
-
-// orderRows sorts the projected rows in place. A key is an output column,
-// or (non-aggregated, non-DISTINCT queries only, whose tuples are still
-// parallel to the output rows) an expression over the row's tuple.
-func (p *selectPlan) orderRows(fr *frame, out [][]relstore.Value, tuples []relstore.Row) error {
-	stride, nk := len(p.srcs), len(p.order)
-	keys := make([]relstore.Value, len(out)*nk)
-	for i := range out {
-		for k, ob := range p.order {
-			switch {
-			case ob.outCol >= 0:
-				keys[i*nk+k] = out[i][ob.outCol]
-			case ob.expr == nil:
-				return fmt.Errorf("sqlx: ORDER BY here must reference output columns")
-			default:
-				fr.rows = tuples[i*stride : (i+1)*stride]
-				v, err := ob.expr(fr)
-				if err != nil {
-					return err
-				}
-				keys[i*nk+k] = v
-			}
-		}
-	}
-	perm := make([]int, len(out))
-	for i := range perm {
-		perm[i] = i
-	}
-	var sortErr error
-	sort.SliceStable(perm, func(a, b int) bool {
-		ka, kb := keys[perm[a]*nk:], keys[perm[b]*nk:]
-		for k, ob := range p.order {
-			c, err := relstore.Compare(ka[k], kb[k])
-			if err != nil {
-				if sortErr == nil {
-					sortErr = err
-				}
-				return false
-			}
-			if c == 0 {
-				continue
-			}
-			if ob.desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
+	return c.db.Delete(s.Table, func(r relstore.Row) bool {
+		e := newEnv()
+		e.bind(schema.Table, schema, r)
+		ok, err := e.holds(s.Where, vals)
+		return ok && err == nil
 	})
-	if sortErr != nil {
-		return sortErr
-	}
-	sorted := make([][]relstore.Value, len(out))
-	for i, from := range perm {
-		sorted[i] = out[from]
-	}
-	copy(out, sorted)
-	return nil
 }

@@ -11,15 +11,15 @@ import (
 // here would poison plans).
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
-		"SELECT * FROM deals",
+		"SELECT id FROM deals",
 		"SELECT id FROM deals WHERE industry = 'Insurance'",
 		"SELECT id FROM deals WHERE industry = ? AND months = ?;",
-		"SELECT id FROM deals WHERE tcv >= 75 AND NOT international",
-		"CREATE TABLE deals (id TEXT PRIMARY KEY, tcv FLOAT)",
-		"CREATE UNIQUE SORTED INDEX x ON deals (tcv)",
-		"INSERT INTO deals (id, customer) VALUES ('DEAL Q', 'O''Neil & Co')",
-		"DELETE FROM people WHERE role = 'CSE'",
-		"DROP TABLE people",
+		"SELECT deal_id FROM contacts WHERE LOWER(role) LIKE '%tsa%' ORDER BY deal_id, name DESC",
+		"CREATE TABLE deals (id TEXT PRIMARY KEY, tcv FLOAT NOT NULL, PRIMARY KEY (tcv))",
+		"CREATE INDEX x ON deals (tcv, months)",
+		"INSERT INTO deals VALUES ('DEAL Q', 'O''Neil & Co', ?)",
+		"DELETE FROM people WHERE role = 'CSE' -- and nothing else",
+		"SELECT * FROM deals d JOIN people p ON d.id = p.deal_id", // outside the grammar
 		"SELECT FROM",
 		"",
 	} {

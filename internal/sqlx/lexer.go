@@ -1,22 +1,17 @@
 // Package sqlx implements the SQL text interface over the relstore engine —
 // the piece of the DB2 substitute that lets EIL's query analyzer issue
-// directed synopsis queries as SQL strings. It supports the subset EIL
-// needs, which is also a useful embedded-SQL core:
+// directed synopsis queries as SQL strings. It accepts exactly the SQL that
+// EIL issues (the statement census in package synopsis lists it):
 //
 //	CREATE TABLE t (col TYPE [NOT NULL] [PRIMARY KEY], ..., PRIMARY KEY (a, b))
-//	CREATE [UNIQUE] INDEX name ON t (col, ...)
-//	DROP TABLE t
-//	INSERT INTO t [(cols)] VALUES (...), (...)
-//	SELECT exprs FROM t [[LEFT] JOIN u ON expr]... [WHERE expr]
-//	    [GROUP BY exprs [HAVING expr]] [ORDER BY expr [ASC|DESC], ...]
-//	    [LIMIT n [OFFSET m]]
-//	UPDATE t SET col = expr, ... [WHERE expr]
-//	DELETE FROM t [WHERE expr]
+//	CREATE INDEX name ON t (col, ...)
+//	INSERT INTO t VALUES (v, ...)
+//	DELETE FROM t WHERE terms
+//	SELECT col, ... FROM t [WHERE terms] [ORDER BY col [ASC|DESC], ...]
 //
-// Expressions cover comparison operators, AND/OR/NOT, LIKE, IN, IS [NOT]
-// NULL, arithmetic, string concatenation (||), scalar functions (UPPER,
-// LOWER, LENGTH, COALESCE), aggregates (COUNT/SUM/AVG/MIN/MAX), and `?`
-// parameter placeholders.
+// TYPE is TEXT, INT, FLOAT or BOOL. terms are `term AND term ...`, each
+// `col = v`, `col LIKE v`, or either with LOWER(col) on the left; a value v
+// is a `?` placeholder or a 'text' literal. Anything else is a parse error.
 package sqlx
 
 import (
@@ -31,9 +26,8 @@ const (
 	tkIdent
 	tkKeyword
 	tkString
-	tkNumber
 	tkParam  // ?
-	tkSymbol // operators and punctuation
+	tkSymbol // punctuation and =
 )
 
 type token struct {
@@ -46,179 +40,91 @@ var keywords = map[string]bool{}
 
 func init() {
 	for _, k := range []string{
-		"SELECT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER", "ASC",
-		"DESC", "LIMIT", "OFFSET", "INSERT", "INTO", "VALUES", "UPDATE",
-		"SET", "DELETE", "CREATE", "TABLE", "INDEX", "UNIQUE", "DROP",
-		"PRIMARY", "KEY", "NOT", "NULL", "AND", "OR", "LIKE", "IN", "IS", "SORTED", "BETWEEN",
-		"JOIN", "LEFT", "INNER", "ON", "AS", "TRUE", "FALSE", "TEXT", "INT",
-		"INTEGER", "FLOAT", "REAL", "BOOL", "BOOLEAN", "DISTINCT",
+		"SELECT", "FROM", "WHERE", "AND", "LIKE", "ORDER", "BY", "ASC", "DESC",
+		"INSERT", "INTO", "VALUES", "DELETE", "CREATE", "TABLE", "INDEX", "ON",
+		"PRIMARY", "KEY", "NOT", "NULL", "TEXT", "INT", "INTEGER", "FLOAT",
+		"REAL", "BOOL", "BOOLEAN",
 	} {
 		keywords[k] = true
 	}
 }
 
-type lexer struct {
-	src  string
-	pos  int
-	toks []token
+func lexErr(pos int, format string, args ...any) error {
+	return fmt.Errorf("sqlx: parse error at offset %d: %s", pos, fmt.Sprintf(format, args...))
 }
 
 // lex tokenizes the whole statement up front; parse errors then carry
 // byte offsets into the original text.
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	var toks []token
+	pos := 0
 	for {
-		l.skipSpace()
-		if l.pos >= len(l.src) {
-			l.toks = append(l.toks, token{kind: tkEOF, pos: l.pos})
-			return l.toks, nil
+		pos = skipSpace(src, pos)
+		if pos >= len(src) {
+			return append(toks, token{kind: tkEOF, pos: pos}), nil
 		}
-		start := l.pos
-		c := l.src[l.pos]
+		start, c := pos, src[pos]
 		switch {
-		case c == '\'':
-			s, err := l.lexString()
-			if err != nil {
-				return nil, err
+		case c == '\'' || c == '"': // a text literal, or a quoted identifier
+			var b strings.Builder
+			for pos++; pos < len(src); pos++ {
+				if src[pos] == c {
+					if c == '\'' && pos+1 < len(src) && src[pos+1] == '\'' { // escaped quote
+						pos++
+					} else {
+						break
+					}
+				}
+				b.WriteByte(src[pos])
 			}
-			l.toks = append(l.toks, token{kind: tkString, text: s, pos: start})
-		case c >= '0' && c <= '9' || c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]):
-			l.toks = append(l.toks, token{kind: tkNumber, text: l.lexNumber(), pos: start})
+			if pos >= len(src) {
+				return nil, lexErr(start, "unterminated %c", c)
+			}
+			pos++
+			kind := tkString
+			if c == '"' {
+				kind = tkIdent
+			}
+			toks = append(toks, token{kind: kind, text: b.String(), pos: start})
 		case isIdentStart(c):
-			word := l.lexIdent()
-			up := strings.ToUpper(word)
-			if keywords[up] {
-				l.toks = append(l.toks, token{kind: tkKeyword, text: up, pos: start})
+			for pos < len(src) && (isIdentStart(src[pos]) || '0' <= src[pos] && src[pos] <= '9') {
+				pos++
+			}
+			word := src[start:pos]
+			if up := strings.ToUpper(word); keywords[up] {
+				toks = append(toks, token{kind: tkKeyword, text: up, pos: start})
 			} else {
-				l.toks = append(l.toks, token{kind: tkIdent, text: word, pos: start})
+				toks = append(toks, token{kind: tkIdent, text: word, pos: start})
 			}
-		case c == '"':
-			// Quoted identifier.
-			word, err := l.lexQuotedIdent()
-			if err != nil {
-				return nil, err
-			}
-			l.toks = append(l.toks, token{kind: tkIdent, text: word, pos: start})
 		case c == '?':
-			l.pos++
-			l.toks = append(l.toks, token{kind: tkParam, text: "?", pos: start})
+			pos++
+			toks = append(toks, token{kind: tkParam, text: "?", pos: start})
+		case strings.IndexByte("(),=;", c) >= 0:
+			pos++
+			toks = append(toks, token{kind: tkSymbol, text: string(c), pos: start})
 		default:
-			sym, err := l.lexSymbol()
-			if err != nil {
-				return nil, err
-			}
-			l.toks = append(l.toks, token{kind: tkSymbol, text: sym, pos: start})
+			return nil, lexErr(start, "unexpected character %q", c)
 		}
 	}
 }
 
-func (l *lexer) skipSpace() {
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
-			l.pos++
-			continue
-		}
-		// -- line comments
-		if c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '-' {
-			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-				l.pos++
+// skipSpace skips white space and -- line comments.
+func skipSpace(src string, pos int) int {
+	for pos < len(src) {
+		switch c := src[pos]; {
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+			pos++
+		case strings.HasPrefix(src[pos:], "--"):
+			for pos < len(src) && src[pos] != '\n' {
+				pos++
 			}
-			continue
+		default:
+			return pos
 		}
-		return
 	}
+	return pos
 }
-
-func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 func isIdentStart(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_'
-}
-
-func isIdentByte(c byte) bool { return isIdentStart(c) || isDigit(c) }
-
-func (l *lexer) lexString() (string, error) {
-	start := l.pos
-	l.pos++ // opening quote
-	var b strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-				b.WriteByte('\'') // escaped quote
-				l.pos += 2
-				continue
-			}
-			l.pos++
-			return b.String(), nil
-		}
-		b.WriteByte(c)
-		l.pos++
-	}
-	return "", fmt.Errorf("sqlx: unterminated string literal at offset %d", start)
-}
-
-func (l *lexer) lexQuotedIdent() (string, error) {
-	start := l.pos
-	l.pos++ // opening quote
-	var b strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '"' {
-			l.pos++
-			return b.String(), nil
-		}
-		b.WriteByte(c)
-		l.pos++
-	}
-	return "", fmt.Errorf("sqlx: unterminated quoted identifier at offset %d", start)
-}
-
-func (l *lexer) lexNumber() string {
-	start := l.pos
-	seenDot := false
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if isDigit(c) {
-			l.pos++
-			continue
-		}
-		if c == '.' && !seenDot {
-			seenDot = true
-			l.pos++
-			continue
-		}
-		break
-	}
-	return l.src[start:l.pos]
-}
-
-func (l *lexer) lexIdent() string {
-	start := l.pos
-	for l.pos < len(l.src) && isIdentByte(l.src[l.pos]) {
-		l.pos++
-	}
-	return l.src[start:l.pos]
-}
-
-var twoByteSymbols = map[string]bool{
-	"<=": true, ">=": true, "<>": true, "!=": true, "||": true,
-}
-
-func (l *lexer) lexSymbol() (string, error) {
-	if l.pos+1 < len(l.src) {
-		two := l.src[l.pos : l.pos+2]
-		if twoByteSymbols[two] {
-			l.pos += 2
-			return two, nil
-		}
-	}
-	c := l.src[l.pos]
-	switch c {
-	case '(', ')', ',', '=', '<', '>', '+', '-', '*', '/', '%', '.', ';':
-		l.pos++
-		return string(c), nil
-	}
-	return "", fmt.Errorf("sqlx: unexpected character %q at offset %d", c, l.pos)
 }

@@ -1,8 +1,6 @@
 package sqlx
 
 import (
-	"fmt"
-	"strconv"
 	"strings"
 
 	"repro/internal/relstore"
@@ -14,7 +12,7 @@ func Parse(src string) (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{src: src, toks: toks}
+	p := &parser{toks: toks}
 	stmt, err := p.parseStmt()
 	if err != nil {
 		return nil, err
@@ -27,7 +25,6 @@ func Parse(src string) (Stmt, error) {
 }
 
 type parser struct {
-	src    string
 	toks   []token
 	i      int
 	params int
@@ -59,151 +56,95 @@ func (p *parser) accept(kind tokenKind, text string) bool {
 	return false
 }
 
-func (p *parser) expect(kind tokenKind, text string) (token, error) {
-	if !p.at(kind, text) {
-		got := p.peek()
-		want := text
-		if want == "" {
-			want = fmt.Sprintf("token kind %d", kind)
-		}
-		return token{}, p.errf("expected %s, found %q", want, got.text)
+// expect consumes the keyword or symbol text, or fails.
+func (p *parser) expect(kind tokenKind, text string) error {
+	if !p.accept(kind, text) {
+		return p.errf("expected %s, found %q", text, p.peek().text)
 	}
-	return p.next(), nil
+	return nil
 }
 
 func (p *parser) errf(format string, args ...any) error {
-	return fmt.Errorf("sqlx: parse error at offset %d: %s", p.peek().pos, fmt.Sprintf(format, args...))
+	return lexErr(p.peek().pos, format, args...)
 }
 
 func (p *parser) parseStmt() (Stmt, error) {
 	switch {
-	case p.at(tkKeyword, "SELECT"):
+	case p.accept(tkKeyword, "SELECT"):
 		return p.parseSelect()
-	case p.at(tkKeyword, "INSERT"):
+	case p.accept(tkKeyword, "INSERT"):
 		return p.parseInsert()
-	case p.at(tkKeyword, "UPDATE"):
-		return p.parseUpdate()
-	case p.at(tkKeyword, "DELETE"):
+	case p.accept(tkKeyword, "DELETE"):
 		return p.parseDelete()
-	case p.at(tkKeyword, "CREATE"):
+	case p.accept(tkKeyword, "CREATE"):
 		return p.parseCreate()
-	case p.at(tkKeyword, "DROP"):
-		return p.parseDrop()
 	default:
 		return nil, p.errf("expected a statement, found %q", p.peek().text)
 	}
 }
 
-func (p *parser) parseIdent() (string, error) {
+func (p *parser) ident() (string, error) {
 	if p.at(tkIdent, "") {
 		return p.next().text, nil
 	}
 	return "", p.errf("expected identifier, found %q", p.peek().text)
 }
 
-func (p *parser) parseSelect() (*SelectStmt, error) {
-	if _, err := p.expect(tkKeyword, "SELECT"); err != nil {
-		return nil, err
-	}
-	s := &SelectStmt{Limit: -1}
-	s.Distinct = p.accept(tkKeyword, "DISTINCT")
-	if p.accept(tkSymbol, "*") {
-		s.Items = nil // plain star
-	} else {
-		for {
-			item := SelectItem{}
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			item.Expr = e
-			if p.accept(tkKeyword, "AS") {
-				alias, err := p.parseIdent()
-				if err != nil {
-					return nil, err
-				}
-				item.Alias = alias
-			} else if p.at(tkIdent, "") {
-				item.Alias = p.next().text
-			}
-			s.Items = append(s.Items, item)
-			if !p.accept(tkSymbol, ",") {
-				break
-			}
+// idents parses `name, name, ...`.
+func (p *parser) idents() ([]string, error) {
+	var names []string
+	for {
+		name, err := p.ident()
+		if err != nil {
+			return nil, err
+		}
+		names = append(names, name)
+		if !p.accept(tkSymbol, ",") {
+			return names, nil
 		}
 	}
-	if _, err := p.expect(tkKeyword, "FROM"); err != nil {
+}
+
+// parenIdents parses `(name, name, ...)`.
+func (p *parser) parenIdents() ([]string, error) {
+	if err := p.expect(tkSymbol, "("); err != nil {
 		return nil, err
 	}
-	ref, err := p.parseTableRef()
+	names, err := p.idents()
 	if err != nil {
 		return nil, err
 	}
-	s.From = ref
-	for {
-		left := false
-		if p.at(tkKeyword, "LEFT") {
-			p.next()
-			left = true
-		} else if p.at(tkKeyword, "INNER") {
-			p.next()
-		} else if !p.at(tkKeyword, "JOIN") {
-			break
-		}
-		if _, err := p.expect(tkKeyword, "JOIN"); err != nil {
-			return nil, err
-		}
-		jref, err := p.parseTableRef()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tkKeyword, "ON"); err != nil {
-			return nil, err
-		}
-		on, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		s.Joins = append(s.Joins, JoinClause{Left: left, Table: jref, On: on})
+	return names, p.expect(tkSymbol, ")")
+}
+
+func (p *parser) parseSelect() (*SelectStmt, error) {
+	s := &SelectStmt{}
+	var err error
+	if s.Columns, err = p.idents(); err != nil {
+		return nil, err
+	}
+	if err := p.expect(tkKeyword, "FROM"); err != nil {
+		return nil, err
+	}
+	if s.Table, err = p.ident(); err != nil {
+		return nil, err
 	}
 	if p.accept(tkKeyword, "WHERE") {
-		if s.Where, err = p.parseExpr(); err != nil {
+		if s.Where, err = p.parseWhere(); err != nil {
 			return nil, err
-		}
-	}
-	if p.accept(tkKeyword, "GROUP") {
-		if _, err := p.expect(tkKeyword, "BY"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			s.GroupBy = append(s.GroupBy, e)
-			if !p.accept(tkSymbol, ",") {
-				break
-			}
-		}
-		if p.accept(tkKeyword, "HAVING") {
-			if s.Having, err = p.parseExpr(); err != nil {
-				return nil, err
-			}
 		}
 	}
 	if p.accept(tkKeyword, "ORDER") {
-		if _, err := p.expect(tkKeyword, "BY"); err != nil {
+		if err := p.expect(tkKeyword, "BY"); err != nil {
 			return nil, err
 		}
 		for {
-			e, err := p.parseExpr()
+			col, err := p.ident()
 			if err != nil {
 				return nil, err
 			}
-			item := OrderItem{Expr: e}
-			if p.accept(tkKeyword, "DESC") {
-				item.Desc = true
-			} else {
+			item := OrderItem{Column: col, Desc: p.accept(tkKeyword, "DESC")}
+			if !item.Desc {
 				p.accept(tkKeyword, "ASC")
 			}
 			s.OrderBy = append(s.OrderBy, item)
@@ -212,216 +153,154 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 			}
 		}
 	}
-	if p.accept(tkKeyword, "LIMIT") {
-		n, err := p.parseInt()
-		if err != nil {
-			return nil, err
-		}
-		s.Limit = n
-		if p.accept(tkKeyword, "OFFSET") {
-			m, err := p.parseInt()
-			if err != nil {
-				return nil, err
-			}
-			s.Offset = m
-		}
-	}
 	return s, nil
 }
 
-func (p *parser) parseInt() (int, error) {
-	t, err := p.expect(tkNumber, "")
-	if err != nil {
-		return 0, err
+// parseWhere parses `term AND term ...`.
+func (p *parser) parseWhere() ([]Term, error) {
+	var terms []Term
+	for {
+		var t Term
+		name, err := p.ident()
+		if err != nil {
+			return nil, err
+		}
+		if p.accept(tkSymbol, "(") {
+			if !strings.EqualFold(name, "LOWER") {
+				return nil, p.errf("unknown function %q", name)
+			}
+			if t.Column, err = p.ident(); err != nil {
+				return nil, err
+			}
+			if err := p.expect(tkSymbol, ")"); err != nil {
+				return nil, err
+			}
+			t.Lower = true
+		} else {
+			t.Column = name
+		}
+		switch {
+		case p.accept(tkSymbol, "="):
+		case p.accept(tkKeyword, "LIKE"):
+			t.Like = true
+		default:
+			return nil, p.errf("expected = or LIKE, found %q", p.peek().text)
+		}
+		if t.Value, err = p.operand(); err != nil {
+			return nil, err
+		}
+		terms = append(terms, t)
+		if !p.accept(tkKeyword, "AND") {
+			return terms, nil
+		}
 	}
-	n, err := strconv.Atoi(t.text)
-	if err != nil {
-		return 0, p.errf("invalid integer %q", t.text)
-	}
-	return n, nil
 }
 
-func (p *parser) parseTableRef() (TableRef, error) {
-	name, err := p.parseIdent()
-	if err != nil {
-		return TableRef{}, err
+// operand parses a value: `?` or a text literal.
+func (p *parser) operand() (Operand, error) {
+	switch t := p.peek(); t.kind {
+	case tkParam:
+		p.next()
+		p.params++
+		return Operand{Param: p.params - 1}, nil
+	case tkString:
+		p.next()
+		return Operand{Text: t.text, Param: -1}, nil
+	default:
+		return Operand{}, p.errf("expected ? or a text literal, found %q", t.text)
 	}
-	ref := TableRef{Table: name}
-	if p.accept(tkKeyword, "AS") {
-		if ref.Alias, err = p.parseIdent(); err != nil {
-			return TableRef{}, err
-		}
-	} else if p.at(tkIdent, "") {
-		ref.Alias = p.next().text
-	}
-	return ref, nil
 }
 
 func (p *parser) parseInsert() (*InsertStmt, error) {
-	if _, err := p.expect(tkKeyword, "INSERT"); err != nil {
+	if err := p.expect(tkKeyword, "INTO"); err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(tkKeyword, "INTO"); err != nil {
-		return nil, err
-	}
-	table, err := p.parseIdent()
+	table, err := p.ident()
 	if err != nil {
 		return nil, err
 	}
 	s := &InsertStmt{Table: table}
-	if p.accept(tkSymbol, "(") {
-		for {
-			col, err := p.parseIdent()
-			if err != nil {
-				return nil, err
-			}
-			s.Columns = append(s.Columns, col)
-			if !p.accept(tkSymbol, ",") {
-				break
-			}
-		}
-		if _, err := p.expect(tkSymbol, ")"); err != nil {
-			return nil, err
-		}
+	if err := p.expect(tkKeyword, "VALUES"); err != nil {
+		return nil, err
 	}
-	if _, err := p.expect(tkKeyword, "VALUES"); err != nil {
+	if err := p.expect(tkSymbol, "("); err != nil {
 		return nil, err
 	}
 	for {
-		if _, err := p.expect(tkSymbol, "("); err != nil {
+		v, err := p.operand()
+		if err != nil {
 			return nil, err
 		}
-		var row []Expr
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, e)
-			if !p.accept(tkSymbol, ",") {
-				break
-			}
-		}
-		if _, err := p.expect(tkSymbol, ")"); err != nil {
-			return nil, err
-		}
-		s.Rows = append(s.Rows, row)
+		s.Values = append(s.Values, v)
 		if !p.accept(tkSymbol, ",") {
 			break
 		}
 	}
-	return s, nil
-}
-
-func (p *parser) parseUpdate() (*UpdateStmt, error) {
-	if _, err := p.expect(tkKeyword, "UPDATE"); err != nil {
-		return nil, err
-	}
-	table, err := p.parseIdent()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tkKeyword, "SET"); err != nil {
-		return nil, err
-	}
-	s := &UpdateStmt{Table: table}
-	for {
-		col, err := p.parseIdent()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tkSymbol, "="); err != nil {
-			return nil, err
-		}
-		val, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		s.Set = append(s.Set, SetClause{Column: col, Value: val})
-		if !p.accept(tkSymbol, ",") {
-			break
-		}
-	}
-	if p.accept(tkKeyword, "WHERE") {
-		if s.Where, err = p.parseExpr(); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
+	return s, p.expect(tkSymbol, ")")
 }
 
 func (p *parser) parseDelete() (*DeleteStmt, error) {
-	if _, err := p.expect(tkKeyword, "DELETE"); err != nil {
+	if err := p.expect(tkKeyword, "FROM"); err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(tkKeyword, "FROM"); err != nil {
-		return nil, err
-	}
-	table, err := p.parseIdent()
+	table, err := p.ident()
 	if err != nil {
 		return nil, err
 	}
-	s := &DeleteStmt{Table: table}
-	if p.accept(tkKeyword, "WHERE") {
-		if s.Where, err = p.parseExpr(); err != nil {
-			return nil, err
-		}
+	if err := p.expect(tkKeyword, "WHERE"); err != nil {
+		return nil, err
 	}
-	return s, nil
+	where, err := p.parseWhere()
+	if err != nil {
+		return nil, err
+	}
+	return &DeleteStmt{Table: table, Where: where}, nil
 }
 
 func (p *parser) parseCreate() (Stmt, error) {
-	if _, err := p.expect(tkKeyword, "CREATE"); err != nil {
-		return nil, err
-	}
-	unique := p.accept(tkKeyword, "UNIQUE")
-	sorted := p.accept(tkKeyword, "SORTED")
-	if unique && sorted {
-		return nil, p.errf("an index cannot be both UNIQUE and SORTED")
-	}
 	switch {
 	case p.accept(tkKeyword, "TABLE"):
-		if unique || sorted {
-			return nil, p.errf("UNIQUE/SORTED are not valid on CREATE TABLE")
-		}
 		return p.parseCreateTable()
 	case p.accept(tkKeyword, "INDEX"):
-		return p.parseCreateIndex(unique, sorted)
+		s := &CreateIndexStmt{}
+		var err error
+		if s.Name, err = p.ident(); err != nil {
+			return nil, err
+		}
+		if err := p.expect(tkKeyword, "ON"); err != nil {
+			return nil, err
+		}
+		if s.Table, err = p.ident(); err != nil {
+			return nil, err
+		}
+		if s.Columns, err = p.parenIdents(); err != nil {
+			return nil, err
+		}
+		return s, nil
 	default:
-		return nil, p.errf("expected TABLE or INDEX after CREATE")
+		return nil, p.errf("expected TABLE or INDEX after CREATE, found %q", p.peek().text)
 	}
 }
 
 func (p *parser) parseCreateTable() (*CreateTableStmt, error) {
-	name, err := p.parseIdent()
+	name, err := p.ident()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(tkSymbol, "("); err != nil {
+	if err := p.expect(tkSymbol, "("); err != nil {
 		return nil, err
 	}
 	schema := relstore.Schema{Table: name}
 	for {
 		if p.accept(tkKeyword, "PRIMARY") {
-			if _, err := p.expect(tkKeyword, "KEY"); err != nil {
+			if err := p.expect(tkKeyword, "KEY"); err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(tkSymbol, "("); err != nil {
+			cols, err := p.parenIdents()
+			if err != nil {
 				return nil, err
 			}
-			for {
-				col, err := p.parseIdent()
-				if err != nil {
-					return nil, err
-				}
-				schema.PrimaryKey = append(schema.PrimaryKey, col)
-				if !p.accept(tkSymbol, ",") {
-					break
-				}
-			}
-			if _, err := p.expect(tkSymbol, ")"); err != nil {
-				return nil, err
-			}
+			schema.PrimaryKey = append(schema.PrimaryKey, cols...)
 		} else {
 			col, err := p.parseColumnDef(&schema)
 			if err != nil {
@@ -433,44 +312,39 @@ func (p *parser) parseCreateTable() (*CreateTableStmt, error) {
 			break
 		}
 	}
-	if _, err := p.expect(tkSymbol, ")"); err != nil {
+	if err := p.expect(tkSymbol, ")"); err != nil {
 		return nil, err
 	}
 	return &CreateTableStmt{Schema: schema}, nil
 }
 
+var columnTypes = map[string]relstore.Type{
+	"TEXT": relstore.TText,
+	"INT":  relstore.TInt, "INTEGER": relstore.TInt,
+	"FLOAT": relstore.TFloat, "REAL": relstore.TFloat,
+	"BOOL": relstore.TBool, "BOOLEAN": relstore.TBool,
+}
+
 func (p *parser) parseColumnDef(schema *relstore.Schema) (relstore.Column, error) {
-	name, err := p.parseIdent()
+	name, err := p.ident()
 	if err != nil {
 		return relstore.Column{}, err
 	}
-	t := p.next()
-	if t.kind != tkKeyword {
-		return relstore.Column{}, p.errf("expected column type, found %q", t.text)
+	typ, ok := columnTypes[p.peek().text]
+	if !ok || !p.at(tkKeyword, "") {
+		return relstore.Column{}, p.errf("expected column type, found %q", p.peek().text)
 	}
-	var typ relstore.Type
-	switch t.text {
-	case "TEXT":
-		typ = relstore.TText
-	case "INT", "INTEGER":
-		typ = relstore.TInt
-	case "FLOAT", "REAL":
-		typ = relstore.TFloat
-	case "BOOL", "BOOLEAN":
-		typ = relstore.TBool
-	default:
-		return relstore.Column{}, p.errf("unknown column type %q", t.text)
-	}
+	p.next()
 	col := relstore.Column{Name: name, Type: typ}
 	for {
 		switch {
 		case p.accept(tkKeyword, "NOT"):
-			if _, err := p.expect(tkKeyword, "NULL"); err != nil {
+			if err := p.expect(tkKeyword, "NULL"); err != nil {
 				return relstore.Column{}, err
 			}
 			col.NotNull = true
 		case p.accept(tkKeyword, "PRIMARY"):
-			if _, err := p.expect(tkKeyword, "KEY"); err != nil {
+			if err := p.expect(tkKeyword, "KEY"); err != nil {
 				return relstore.Column{}, err
 			}
 			schema.PrimaryKey = append(schema.PrimaryKey, name)
@@ -478,348 +352,4 @@ func (p *parser) parseColumnDef(schema *relstore.Schema) (relstore.Column, error
 			return col, nil
 		}
 	}
-}
-
-func (p *parser) parseCreateIndex(unique, sorted bool) (*CreateIndexStmt, error) {
-	name, err := p.parseIdent()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tkKeyword, "ON"); err != nil {
-		return nil, err
-	}
-	table, err := p.parseIdent()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tkSymbol, "("); err != nil {
-		return nil, err
-	}
-	s := &CreateIndexStmt{Name: name, Table: table, Unique: unique, Sorted: sorted}
-	for {
-		col, err := p.parseIdent()
-		if err != nil {
-			return nil, err
-		}
-		s.Columns = append(s.Columns, col)
-		if !p.accept(tkSymbol, ",") {
-			break
-		}
-	}
-	if _, err := p.expect(tkSymbol, ")"); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-func (p *parser) parseDrop() (*DropTableStmt, error) {
-	if _, err := p.expect(tkKeyword, "DROP"); err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tkKeyword, "TABLE"); err != nil {
-		return nil, err
-	}
-	name, err := p.parseIdent()
-	if err != nil {
-		return nil, err
-	}
-	return &DropTableStmt{Table: name}, nil
-}
-
-// --- expressions, precedence climbing ---
-
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
-
-func (p *parser) parseOr() (Expr, error) {
-	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.accept(tkKeyword, "OR") {
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		left = &Binary{Op: "OR", Left: left, Right: right}
-	}
-	return left, nil
-}
-
-func (p *parser) parseAnd() (Expr, error) {
-	left, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	for p.accept(tkKeyword, "AND") {
-		right, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		left = &Binary{Op: "AND", Left: left, Right: right}
-	}
-	return left, nil
-}
-
-func (p *parser) parseNot() (Expr, error) {
-	if p.accept(tkKeyword, "NOT") {
-		e, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: "NOT", Expr: e}, nil
-	}
-	return p.parseComparison()
-}
-
-var comparisonOps = map[string]bool{"=": true, "<>": true, "!=": true, "<": true, "<=": true, ">": true, ">=": true}
-
-func (p *parser) parseComparison() (Expr, error) {
-	left, err := p.parseAdditive()
-	if err != nil {
-		return nil, err
-	}
-	// IS [NOT] NULL
-	if p.accept(tkKeyword, "IS") {
-		negate := p.accept(tkKeyword, "NOT")
-		if _, err := p.expect(tkKeyword, "NULL"); err != nil {
-			return nil, err
-		}
-		return &IsNull{Expr: left, Negate: negate}, nil
-	}
-	// [NOT] LIKE / IN / BETWEEN
-	negate := false
-	if p.at(tkKeyword, "NOT") && (p.toks[p.i+1].text == "LIKE" || p.toks[p.i+1].text == "IN" || p.toks[p.i+1].text == "BETWEEN") {
-		p.next()
-		negate = true
-	}
-	if p.accept(tkKeyword, "BETWEEN") {
-		lo, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tkKeyword, "AND"); err != nil {
-			return nil, err
-		}
-		hi, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		// Desugar: left BETWEEN lo AND hi == left >= lo AND left <= hi.
-		var e Expr = &Binary{Op: "AND",
-			Left:  &Binary{Op: ">=", Left: left, Right: lo},
-			Right: &Binary{Op: "<=", Left: left, Right: hi},
-		}
-		if negate {
-			// Under SQL's three-valued logic NULL is neither inside nor
-			// outside a range; the evaluator is two-valued, so guard the
-			// negation with an explicit NULL check.
-			e = &Binary{Op: "AND",
-				Left:  &IsNull{Expr: left, Negate: true},
-				Right: &Unary{Op: "NOT", Expr: e},
-			}
-		}
-		return e, nil
-	}
-	if p.accept(tkKeyword, "LIKE") {
-		right, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		var e Expr = &Binary{Op: "LIKE", Left: left, Right: right}
-		if negate {
-			e = &Unary{Op: "NOT", Expr: e}
-		}
-		return e, nil
-	}
-	if p.accept(tkKeyword, "IN") {
-		if _, err := p.expect(tkSymbol, "("); err != nil {
-			return nil, err
-		}
-		in := &InList{Expr: left, Negate: negate}
-		for {
-			item, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			in.Items = append(in.Items, item)
-			if !p.accept(tkSymbol, ",") {
-				break
-			}
-		}
-		if _, err := p.expect(tkSymbol, ")"); err != nil {
-			return nil, err
-		}
-		return in, nil
-	}
-	if negate {
-		return nil, p.errf("dangling NOT")
-	}
-	if p.at(tkSymbol, "") && comparisonOps[p.peek().text] {
-		op := p.next().text
-		if op == "!=" {
-			op = "<>"
-		}
-		right, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		return &Binary{Op: op, Left: left, Right: right}, nil
-	}
-	return left, nil
-}
-
-func (p *parser) parseAdditive() (Expr, error) {
-	left, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(tkSymbol, "+") || p.at(tkSymbol, "-") || p.at(tkSymbol, "||") {
-		op := p.next().text
-		right, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		left = &Binary{Op: op, Left: left, Right: right}
-	}
-	return left, nil
-}
-
-func (p *parser) parseMultiplicative() (Expr, error) {
-	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(tkSymbol, "*") || p.at(tkSymbol, "/") || p.at(tkSymbol, "%") {
-		op := p.next().text
-		right, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		left = &Binary{Op: op, Left: left, Right: right}
-	}
-	return left, nil
-}
-
-func (p *parser) parseUnary() (Expr, error) {
-	if p.accept(tkSymbol, "-") {
-		e, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: "-", Expr: e}, nil
-	}
-	return p.parsePrimary()
-}
-
-func (p *parser) parsePrimary() (Expr, error) {
-	t := p.peek()
-	switch t.kind {
-	case tkNumber:
-		p.next()
-		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, p.errf("invalid number %q", t.text)
-			}
-			return &Literal{Value: f}, nil
-		}
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return nil, p.errf("invalid integer %q", t.text)
-		}
-		return &Literal{Value: n}, nil
-	case tkString:
-		p.next()
-		return &Literal{Value: t.text}, nil
-	case tkParam:
-		p.next()
-		e := &Param{Index: p.params}
-		p.params++
-		return e, nil
-	case tkKeyword:
-		switch t.text {
-		case "NULL":
-			p.next()
-			return &Literal{Value: nil}, nil
-		case "TRUE":
-			p.next()
-			return &Literal{Value: true}, nil
-		case "FALSE":
-			p.next()
-			return &Literal{Value: false}, nil
-		case "NOT":
-			return p.parseNot()
-		}
-		return nil, p.errf("unexpected keyword %q in expression", t.text)
-	case tkIdent:
-		p.next()
-		// Function call?
-		if p.at(tkSymbol, "(") {
-			return p.parseFuncCall(t.text)
-		}
-		// Qualified column?
-		if p.accept(tkSymbol, ".") {
-			col, err := p.parseIdent()
-			if err != nil {
-				return nil, err
-			}
-			return &ColumnRef{Table: t.text, Column: col}, nil
-		}
-		return &ColumnRef{Column: t.text}, nil
-	case tkSymbol:
-		if t.text == "(" {
-			p.next()
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tkSymbol, ")"); err != nil {
-				return nil, err
-			}
-			return e, nil
-		}
-	}
-	return nil, p.errf("unexpected token %q in expression", t.text)
-}
-
-var scalarFuncs = map[string]bool{
-	"UPPER": true, "LOWER": true, "LENGTH": true, "COALESCE": true,
-}
-
-func (p *parser) parseFuncCall(name string) (Expr, error) {
-	up := strings.ToUpper(name)
-	if !aggregateFuncs[up] && !scalarFuncs[up] {
-		return nil, p.errf("unknown function %q", name)
-	}
-	if _, err := p.expect(tkSymbol, "("); err != nil {
-		return nil, err
-	}
-	fc := &FuncCall{Name: up}
-	if p.accept(tkSymbol, "*") {
-		if up != "COUNT" {
-			return nil, p.errf("* argument is only valid in COUNT")
-		}
-		fc.Star = true
-		if _, err := p.expect(tkSymbol, ")"); err != nil {
-			return nil, err
-		}
-		return fc, nil
-	}
-	if p.accept(tkSymbol, ")") {
-		return nil, p.errf("%s requires arguments", up)
-	}
-	for {
-		a, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		fc.Args = append(fc.Args, a)
-		if !p.accept(tkSymbol, ",") {
-			break
-		}
-	}
-	if _, err := p.expect(tkSymbol, ")"); err != nil {
-		return nil, err
-	}
-	return fc, nil
 }

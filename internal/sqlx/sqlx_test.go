@@ -27,21 +27,46 @@ func openTestDB(t *testing.T) *Conn {
 		role TEXT,
 		email TEXT
 	)`)
-	stmts := []string{
-		`INSERT INTO deals VALUES ('DEAL A', 'Acme Bank', 'Banking', 120.5, 60, TRUE)`,
-		`INSERT INTO deals VALUES ('DEAL B', 'Borealis', 'Insurance', 75.0, 36, FALSE)`,
-		`INSERT INTO deals VALUES ('DEAL C', 'Cygnus', 'Insurance', 55.0, 60, TRUE)`,
-		`INSERT INTO deals (id, customer) VALUES ('DEAL D', 'Delta')`,
-		`INSERT INTO people VALUES
-			('DEAL A', 'Sam White', 'CSE', 'sam.white@abc.com'),
-			('DEAL A', 'Jo Park', 'TSA', 'jo.park@ibm.com'),
-			('DEAL B', 'Lee Chan', 'CSE', 'lee.chan@ibm.com'),
-			('DEAL C', 'Ana Ruiz', 'PE', NULL)`,
+	for _, r := range [][]relstore.Value{
+		{"DEAL A", "Acme Bank", "Banking", 120.5, 60, true},
+		{"DEAL B", "Borealis", "Insurance", 75.0, 36, false},
+		{"DEAL C", "Cygnus", "Insurance", 55.0, 60, true},
+		{"DEAL D", "Delta", nil, nil, nil, nil},
+	} {
+		mustExec(t, c, `INSERT INTO deals VALUES (?, ?, ?, ?, ?, ?)`, r...)
 	}
-	for _, s := range stmts {
-		mustExec(t, c, s)
+	for _, r := range [][]relstore.Value{
+		{"DEAL A", "Sam White", "CSE", "sam.white@abc.com"},
+		{"DEAL A", "Jo Park", "TSA", "jo.park@ibm.com"},
+		{"DEAL B", "Lee Chan", "CSE", "lee.chan@ibm.com"},
+		{"DEAL C", "Ana Ruiz", "PE", nil},
+	} {
+		mustExec(t, c, `INSERT INTO people VALUES (?, ?, ?, ?)`, r...)
 	}
 	return c
+}
+
+// refused checks that src lies outside the grammar: Parse fails with a parse
+// error, and Query and Exec fail with it before they read or write a row.
+// The tests that call it once exercised a construct sqlx implemented; the
+// construct is gone, and each now pins that it is refused.
+func refused(t *testing.T, srcs ...string) {
+	t.Helper()
+	c := openTestDB(t)
+	for _, src := range srcs {
+		if _, err := Parse(src); err == nil || !strings.HasPrefix(err.Error(), "sqlx: parse error") {
+			t.Errorf("Parse(%q) = %v, want a parse error", src, err)
+		}
+		if rows, err := c.Query(src, "DEAL A"); err == nil || rows != nil {
+			t.Errorf("Query(%q) = %v, %v", src, rows, err)
+		}
+		if n, err := c.Exec(src, "DEAL A"); err == nil || n != 0 {
+			t.Errorf("Exec(%q) = %d, %v", src, n, err)
+		}
+	}
+	if n, _ := c.db.RowCount("people"); n != 4 {
+		t.Errorf("people holds %d rows after refused statements, want 4", n)
+	}
 }
 
 func mustExec(t *testing.T, c *Conn, sql string, args ...relstore.Value) int {
@@ -63,14 +88,7 @@ func mustQuery(t *testing.T, c *Conn, sql string, args ...relstore.Value) *Rows 
 }
 
 func TestSelectStar(t *testing.T) {
-	c := openTestDB(t)
-	rows := mustQuery(t, c, `SELECT * FROM deals`)
-	if rows.Len() != 4 {
-		t.Fatalf("rows = %d", rows.Len())
-	}
-	if len(rows.Columns) != 6 || rows.Columns[0] != "id" {
-		t.Fatalf("columns = %v", rows.Columns)
-	}
+	refused(t, `SELECT * FROM deals`, `SELECT id, * FROM deals`)
 }
 
 func TestSelectWhereEquality(t *testing.T) {
@@ -96,37 +114,43 @@ func TestSelectMissingParam(t *testing.T) {
 	}
 }
 
+// = is the one comparison: it compares across int and float, and NULL
+// equals nothing.
 func TestSelectComparisons(t *testing.T) {
 	c := openTestDB(t)
-	cases := map[string]int{
-		`SELECT id FROM deals WHERE tcv > 60`:                          2,
-		`SELECT id FROM deals WHERE tcv >= 75`:                         2,
-		`SELECT id FROM deals WHERE tcv < 60`:                          1,
-		`SELECT id FROM deals WHERE tcv <= 55`:                         1,
-		`SELECT id FROM deals WHERE tcv <> 55`:                         2, // NULL row excluded
-		`SELECT id FROM deals WHERE months = 60`:                       2,
-		`SELECT id FROM deals WHERE international = TRUE`:              2,
-		`SELECT id FROM deals WHERE NOT international`:                 1,
-		`SELECT id FROM deals WHERE tcv IS NULL`:                       1,
-		`SELECT id FROM deals WHERE tcv IS NOT NULL`:                   3,
-		`SELECT id FROM deals WHERE industry IN ('Banking', 'Retail')`: 1,
-		`SELECT id FROM deals WHERE industry NOT IN ('Banking')`:       2, // NULL industry excluded
-	}
-	for sql, want := range cases {
-		if got := mustQuery(t, c, sql).Len(); got != want {
-			t.Errorf("%s: got %d rows, want %d", sql, got, want)
+	for _, tc := range []struct {
+		sql  string
+		arg  relstore.Value
+		want int
+	}{
+		{`SELECT id FROM deals WHERE tcv = ?`, 75, 1},
+		{`SELECT id FROM deals WHERE months = ?`, 60.0, 2},
+		{`SELECT id FROM deals WHERE international = ?`, true, 2},
+		{`SELECT id FROM deals WHERE international = ?`, false, 1},
+		{`SELECT id FROM deals WHERE industry = ?`, nil, 0},
+	} {
+		if got := mustQuery(t, c, tc.sql, tc.arg).Len(); got != tc.want {
+			t.Errorf("%s [%v]: got %d rows, want %d", tc.sql, tc.arg, got, tc.want)
 		}
 	}
+	refused(t,
+		`SELECT id FROM deals WHERE tcv > ?`, `SELECT id FROM deals WHERE tcv >= ?`,
+		`SELECT id FROM deals WHERE tcv < ?`, `SELECT id FROM deals WHERE tcv <= ?`,
+		`SELECT id FROM deals WHERE tcv <> ?`, `SELECT id FROM deals WHERE tcv != ?`,
+		`SELECT id FROM deals WHERE months = 60`, `SELECT id FROM deals WHERE international = TRUE`,
+		`SELECT id FROM deals WHERE NOT international = ?`, `SELECT id FROM deals WHERE tcv IS NULL`,
+		`SELECT id FROM deals WHERE industry IN ('Banking', 'Retail')`,
+		`SELECT id FROM deals WHERE id = ? OR industry = ?`)
 }
 
 func TestSelectLike(t *testing.T) {
 	c := openTestDB(t)
 	cases := map[string]int{
-		`SELECT id FROM deals WHERE customer LIKE 'A%'`:     1,
-		`SELECT id FROM deals WHERE customer LIKE '%a%'`:    3, // Acme Bank, Borealis, Delta (case-insensitive)
-		`SELECT id FROM deals WHERE customer LIKE '_cme%'`:  1,
-		`SELECT id FROM deals WHERE customer NOT LIKE '%s'`: 2, // Acme Bank, Delta
-		`SELECT id FROM deals WHERE customer LIKE 'acme %'`: 1, // case-insensitive
+		`SELECT id FROM deals WHERE customer LIKE 'A%'`:                      1,
+		`SELECT id FROM deals WHERE customer LIKE '%a%'`:                     3, // Acme Bank, Borealis, Delta (case-insensitive)
+		`SELECT id FROM deals WHERE customer LIKE '_cme%'`:                   1,
+		`SELECT id FROM deals WHERE customer LIKE 'acme %'`:                  1, // case-insensitive
+		`SELECT id FROM deals WHERE id LIKE 'DEAL _' AND customer LIKE '%s'`: 2,
 	}
 	for sql, want := range cases {
 		if got := mustQuery(t, c, sql).Len(); got != want {
@@ -163,8 +187,8 @@ func TestMatchLike(t *testing.T) {
 
 func TestOrderBy(t *testing.T) {
 	c := openTestDB(t)
-	rows := mustQuery(t, c, `SELECT id, tcv FROM deals WHERE tcv IS NOT NULL ORDER BY tcv DESC`)
-	want := []string{"DEAL A", "DEAL B", "DEAL C"}
+	rows := mustQuery(t, c, `SELECT id, tcv FROM deals ORDER BY tcv DESC`)
+	want := []string{"DEAL A", "DEAL B", "DEAL C", "DEAL D"} // NULL sorts first
 	for i, w := range want {
 		if rows.Data[i][0] != w {
 			t.Fatalf("order wrong: %v", rows.Data)
@@ -178,8 +202,8 @@ func TestOrderBy(t *testing.T) {
 
 func TestOrderByMultipleKeys(t *testing.T) {
 	c := openTestDB(t)
-	rows := mustQuery(t, c, `SELECT id FROM deals WHERE months IS NOT NULL ORDER BY months DESC, id DESC`)
-	want := []string{"DEAL C", "DEAL A", "DEAL B"}
+	rows := mustQuery(t, c, `SELECT id FROM deals ORDER BY months DESC, id DESC`)
+	want := []string{"DEAL C", "DEAL A", "DEAL B", "DEAL D"}
 	for i, w := range want {
 		if rows.Data[i][0] != w {
 			t.Fatalf("order = %v", rows.Data)
@@ -188,115 +212,38 @@ func TestOrderByMultipleKeys(t *testing.T) {
 }
 
 func TestLimitOffset(t *testing.T) {
-	c := openTestDB(t)
-	rows := mustQuery(t, c, `SELECT id FROM deals ORDER BY id LIMIT 2`)
-	if rows.Len() != 2 || rows.Data[0][0] != "DEAL A" {
-		t.Fatalf("rows = %v", rows.Data)
-	}
-	rows = mustQuery(t, c, `SELECT id FROM deals ORDER BY id LIMIT 2 OFFSET 3`)
-	if rows.Len() != 1 || rows.Data[0][0] != "DEAL D" {
-		t.Fatalf("rows = %v", rows.Data)
-	}
-	rows = mustQuery(t, c, `SELECT id FROM deals ORDER BY id LIMIT 10 OFFSET 99`)
-	if rows.Len() != 0 {
-		t.Fatalf("rows = %v", rows.Data)
-	}
+	refused(t, `SELECT id FROM deals ORDER BY id LIMIT 2`, `SELECT id FROM deals ORDER BY id LIMIT 2 OFFSET 3`)
 }
 
 func TestAggregates(t *testing.T) {
-	c := openTestDB(t)
-	row, err := c.QueryOne(`SELECT COUNT(*), COUNT(tcv), SUM(months), MIN(tcv), MAX(tcv), AVG(tcv) FROM deals`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row[0] != int64(4) || row[1] != int64(3) {
-		t.Fatalf("counts = %v", row)
-	}
-	if row[2] != int64(156) {
-		t.Fatalf("sum = %v", row[2])
-	}
-	if row[3] != 55.0 || row[4] != 120.5 {
-		t.Fatalf("min/max = %v %v", row[3], row[4])
-	}
-	avg := row[5].(float64)
-	if avg < 83.4 || avg > 83.6 {
-		t.Fatalf("avg = %v", avg)
-	}
+	refused(t, `SELECT COUNT(tcv) FROM deals`, `SELECT SUM(months) FROM deals`,
+		`SELECT MIN(tcv) FROM deals`, `SELECT MAX(tcv) FROM deals`, `SELECT AVG(tcv) FROM deals`)
 }
 
 func TestAggregateEmptyTable(t *testing.T) {
-	c := openTestDB(t)
-	mustExec(t, c, `DELETE FROM people`)
-	row, err := c.QueryOne(`SELECT COUNT(*), SUM(1), MIN(name) FROM people`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row[0] != int64(0) || row[1] != nil || row[2] != nil {
-		t.Fatalf("row = %v", row)
-	}
+	refused(t, `SELECT COUNT(*) FROM people`)
 }
 
 func TestGroupBy(t *testing.T) {
-	c := openTestDB(t)
-	rows := mustQuery(t, c, `SELECT industry, COUNT(*) AS cnt FROM deals WHERE industry IS NOT NULL GROUP BY industry ORDER BY cnt DESC, industry`)
-	if rows.Len() != 2 {
-		t.Fatalf("rows = %v", rows.Data)
-	}
-	if rows.Data[0][0] != "Insurance" || rows.Data[0][1] != int64(2) {
-		t.Fatalf("rows = %v", rows.Data)
-	}
-	if rows.Data[1][0] != "Banking" || rows.Data[1][1] != int64(1) {
-		t.Fatalf("rows = %v", rows.Data)
-	}
+	refused(t, `SELECT industry FROM deals GROUP BY industry ORDER BY industry`)
 }
 
 func TestGroupByHaving(t *testing.T) {
-	c := openTestDB(t)
-	rows := mustQuery(t, c, `SELECT industry, COUNT(*) AS cnt FROM deals GROUP BY industry HAVING COUNT(*) > 1`)
-	if rows.Len() != 1 || rows.Data[0][0] != "Insurance" {
-		t.Fatalf("rows = %v", rows.Data)
-	}
+	refused(t, `SELECT industry FROM deals GROUP BY industry HAVING COUNT(*) > 1`)
 }
 
 func TestJoinInner(t *testing.T) {
-	c := openTestDB(t)
-	rows := mustQuery(t, c, `
-		SELECT d.id, p.name FROM deals d
-		JOIN people p ON d.id = p.deal_id
-		WHERE p.role = 'CSE'
-		ORDER BY d.id`)
-	if rows.Len() != 2 {
-		t.Fatalf("rows = %v", rows.Data)
-	}
-	if rows.Data[0][1] != "Sam White" || rows.Data[1][1] != "Lee Chan" {
-		t.Fatalf("rows = %v", rows.Data)
-	}
+	refused(t, `SELECT id, name FROM deals JOIN people ON id = deal_id`,
+		`SELECT id, name FROM deals INNER JOIN people ON id = deal_id`)
 }
 
 func TestJoinLeft(t *testing.T) {
-	c := openTestDB(t)
-	rows := mustQuery(t, c, `
-		SELECT d.id, p.name FROM deals d
-		LEFT JOIN people p ON d.id = p.deal_id
-		ORDER BY d.id`)
-	// DEAL A has 2 people, B 1, C 1, D none (padded) -> 5 rows.
-	if rows.Len() != 5 {
-		t.Fatalf("rows = %v", rows.Data)
-	}
-	last := rows.Data[4]
-	if last[0] != "DEAL D" || last[1] != nil {
-		t.Fatalf("left pad wrong: %v", last)
-	}
+	refused(t, `SELECT id, name FROM deals LEFT JOIN people ON id = deal_id`)
 }
 
 func TestJoinAmbiguousColumn(t *testing.T) {
-	c := openTestDB(t)
-	mustExec(t, c, `CREATE TABLE other (id TEXT, note TEXT)`)
-	mustExec(t, c, `INSERT INTO other VALUES ('DEAL A', 'x')`)
-	_, err := c.Query(`SELECT id FROM deals d JOIN other o ON d.id = o.id`)
-	if !errors.Is(err, ErrAmbiguousColumn) {
-		t.Fatalf("err = %v", err)
-	}
+	refused(t, `SELECT d.id FROM deals d`, `SELECT id FROM deals AS d`, `SELECT id AS x FROM deals`,
+		`SELECT id x FROM deals`, `SELECT id FROM deals WHERE deals.id = ?`)
 }
 
 func TestUnknownColumn(t *testing.T) {
@@ -307,72 +254,44 @@ func TestUnknownColumn(t *testing.T) {
 }
 
 func TestDistinct(t *testing.T) {
-	c := openTestDB(t)
-	rows := mustQuery(t, c, `SELECT DISTINCT role FROM people WHERE role IS NOT NULL ORDER BY role`)
-	if rows.Len() != 3 { // CSE, PE, TSA
-		t.Fatalf("rows = %v", rows.Data)
-	}
+	refused(t, `SELECT DISTINCT role FROM people`)
 }
 
+// LOWER is the one function, and only on the column a term tests.
 func TestScalarFuncs(t *testing.T) {
 	c := openTestDB(t)
-	row, err := c.QueryOne(`SELECT UPPER(customer), LOWER(customer), LENGTH(customer), COALESCE(industry, 'n/a') FROM deals WHERE id = 'DEAL D'`)
-	if err != nil {
-		t.Fatal(err)
+	if rows := mustQuery(t, c, `SELECT id FROM deals WHERE LOWER(customer) = ?`, "delta"); rows.Len() != 1 || rows.Data[0][0] != "DEAL D" {
+		t.Fatalf("rows = %v", rows.Data)
 	}
-	if row[0] != "DELTA" || row[1] != "delta" || row[2] != int64(5) || row[3] != "n/a" {
-		t.Fatalf("row = %v", row)
+	if _, err := c.Query(`SELECT id FROM deals WHERE LOWER(months) = ?`, "x"); err == nil {
+		t.Fatal("LOWER of an INT column accepted")
 	}
+	refused(t, `SELECT UPPER(customer) FROM deals`, `SELECT LOWER(customer) FROM deals`,
+		`SELECT id FROM deals WHERE LENGTH(customer) = ?`, `SELECT id FROM deals WHERE COALESCE(industry, customer) = ?`,
+		`SELECT id FROM deals WHERE customer = LOWER(?)`)
 }
 
 func TestArithmeticAndConcat(t *testing.T) {
-	c := openTestDB(t)
-	row, err := c.QueryOne(`SELECT months / 12, months % 12, tcv * 2, id || '-' || customer FROM deals WHERE id = 'DEAL A'`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row[0] != int64(5) || row[1] != int64(0) || row[2] != 241.0 || row[3] != "DEAL A-Acme Bank" {
-		t.Fatalf("row = %v", row)
-	}
+	refused(t, `SELECT months / 12 FROM deals`, `SELECT id FROM deals WHERE months % 12 = ?`,
+		`SELECT id FROM deals WHERE tcv * 2 = ?`, `SELECT id FROM deals WHERE tcv + 1 = ?`,
+		`SELECT id FROM deals WHERE tcv - 1 = ?`, `SELECT id FROM deals WHERE id = ? || customer`,
+		`SELECT id FROM deals WHERE months = -?`)
 }
 
 func TestDivisionByZero(t *testing.T) {
-	c := openTestDB(t)
-	if _, err := c.Query(`SELECT months / 0 FROM deals`); err == nil {
-		t.Fatal("expected division-by-zero error")
-	}
+	refused(t, `SELECT months / 0 FROM deals`)
 }
 
 func TestUpdateConstant(t *testing.T) {
-	c := openTestDB(t)
-	n := mustExec(t, c, `UPDATE deals SET industry = 'Finance' WHERE industry = 'Banking'`)
-	if n != 1 {
-		t.Fatalf("updated %d", n)
-	}
-	rows := mustQuery(t, c, `SELECT id FROM deals WHERE industry = 'Finance'`)
-	if rows.Len() != 1 || rows.Data[0][0] != "DEAL A" {
-		t.Fatalf("rows = %v", rows.Data)
-	}
+	refused(t, `UPDATE deals SET industry = 'Finance' WHERE industry = 'Banking'`)
 }
 
 func TestUpdateRowDependent(t *testing.T) {
-	c := openTestDB(t)
-	n := mustExec(t, c, `UPDATE deals SET months = months + 12 WHERE months IS NOT NULL`)
-	if n != 3 {
-		t.Fatalf("updated %d", n)
-	}
-	row, err := c.QueryOne(`SELECT months FROM deals WHERE id = 'DEAL A'`)
-	if err != nil || row[0] != int64(72) {
-		t.Fatalf("months = %v, %v", row, err)
-	}
+	refused(t, `UPDATE deals SET months = months + 12`)
 }
 
 func TestUpdateWithParams(t *testing.T) {
-	c := openTestDB(t)
-	n := mustExec(t, c, `UPDATE deals SET customer = ? WHERE id = ?`, "Acme Global", "DEAL A")
-	if n != 1 {
-		t.Fatalf("updated %d", n)
-	}
+	refused(t, `UPDATE deals SET customer = ? WHERE id = ?`)
 }
 
 func TestDeleteWhere(t *testing.T) {
@@ -381,34 +300,30 @@ func TestDeleteWhere(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("deleted %d", n)
 	}
-	rows := mustQuery(t, c, `SELECT COUNT(*) FROM people`)
-	if rows.Data[0][0] != int64(2) {
+	if n := mustExec(t, c, `DELETE FROM people WHERE deal_id = ? AND name LIKE ?`, "DEAL A", "jo%"); n != 1 {
+		t.Fatalf("deleted %d", n)
+	}
+	if rows := mustQuery(t, c, `SELECT name FROM people`); rows.Len() != 1 {
 		t.Fatalf("remaining = %v", rows.Data)
 	}
+	refused(t, `DELETE FROM people`)
 }
 
 func TestInsertWithColumnsAndMulti(t *testing.T) {
-	c := openTestDB(t)
-	n := mustExec(t, c, `INSERT INTO people (deal_id, name) VALUES ('DEAL D', 'New One'), ('DEAL D', 'New Two')`)
-	if n != 2 {
-		t.Fatalf("inserted %d", n)
-	}
-	rows := mustQuery(t, c, `SELECT name, role FROM people WHERE deal_id = 'DEAL D' ORDER BY name`)
-	if rows.Len() != 2 || rows.Data[0][1] != nil {
-		t.Fatalf("rows = %v", rows.Data)
-	}
+	refused(t, `INSERT INTO people (deal_id, name) VALUES (?, ?)`,
+		`INSERT INTO people VALUES (?, ?, ?, ?), (?, ?, ?, ?)`)
 }
 
 func TestInsertArityMismatch(t *testing.T) {
 	c := openTestDB(t)
-	if _, err := c.Exec(`INSERT INTO people (deal_id) VALUES ('x', 'y')`); err == nil {
+	if _, err := c.Exec(`INSERT INTO people VALUES ('x', 'y')`); !errors.Is(err, relstore.ErrArity) {
 		t.Fatal("expected arity error")
 	}
 }
 
 func TestInsertDuplicatePK(t *testing.T) {
 	c := openTestDB(t)
-	_, err := c.Exec(`INSERT INTO deals (id, customer) VALUES ('DEAL A', 'dup')`)
+	_, err := c.Exec(`INSERT INTO deals VALUES (?, ?, ?, ?, ?, ?)`, "DEAL A", "dup", nil, nil, nil, nil)
 	if !errors.Is(err, relstore.ErrDuplicateKey) {
 		t.Fatalf("err = %v", err)
 	}
@@ -429,20 +344,11 @@ func TestCreateIndexAndIndexedSelect(t *testing.T) {
 }
 
 func TestCreateUniqueIndexViolation(t *testing.T) {
-	c := openTestDB(t)
-	mustExec(t, c, `CREATE UNIQUE INDEX by_email ON people (email)`)
-	_, err := c.Exec(`INSERT INTO people VALUES ('DEAL B', 'Other', 'PE', 'sam.white@abc.com')`)
-	if !errors.Is(err, relstore.ErrDuplicateKey) {
-		t.Fatalf("err = %v", err)
-	}
+	refused(t, `CREATE UNIQUE INDEX by_email ON people (email)`)
 }
 
 func TestDropTable(t *testing.T) {
-	c := openTestDB(t)
-	mustExec(t, c, `DROP TABLE people`)
-	if _, err := c.Query(`SELECT * FROM people`); !errors.Is(err, relstore.ErrNoTable) {
-		t.Fatalf("err = %v", err)
-	}
+	refused(t, `DROP TABLE people`)
 }
 
 func TestParseErrors(t *testing.T) {
@@ -454,17 +360,20 @@ func TestParseErrors(t *testing.T) {
 		`SELECT id deals`,
 		`SELECT id FROM deals WHERE`,
 		`SELECT id FROM deals ORDER`,
-		`INSERT deals VALUES (1)`,
+		`INSERT deals VALUES (?)`,
+		`INSERT INTO deals VALUES ()`,
 		`CREATE TABLE t`,
 		`CREATE TABLE t (a NOPE)`,
-		`SELECT id FROM deals LIMIT x`,
-		`SELECT UNKNOWNFUNC(id) FROM deals`,
+		`CREATE INDEX ON t (a)`,
+		`SELECT id FROM deals WHERE UNKNOWNFUNC(id) = ?`,
+		`SELECT id FROM deals WHERE id = id`,
+		`SELECT id FROM deals WHERE id LIKE`,
 		`SELECT id FROM deals; SELECT id FROM deals`,
-		`SELECT 'unterminated FROM deals`,
-		`SELECT id FROM deals WHERE id NOT 5`,
-		`SELECT COUNT() FROM deals`,
-		`SELECT SUM(*) FROM deals`,
-		`CREATE UNIQUE TABLE t (a INT)`,
+		`SELECT id FROM deals WHERE id = 'unterminated`,
+		`SELECT "unterminated FROM deals`,
+		`SELECT id FROM deals WHERE id NOT ?`,
+		`SELECT id FROM deals ORDER BY`,
+		`DELETE FROM deals WHERE`,
 	}
 	for _, sql := range bad {
 		if _, err := c.Query(sql); err == nil {
@@ -477,10 +386,10 @@ func TestParseErrors(t *testing.T) {
 
 func TestExecRejectsSelect(t *testing.T) {
 	c := openTestDB(t)
-	if _, err := c.Exec(`SELECT * FROM deals`); err == nil {
+	if _, err := c.Exec(`SELECT id FROM deals`); err == nil {
 		t.Fatal("Exec accepted SELECT")
 	}
-	if _, err := c.Query(`DELETE FROM deals`); err == nil {
+	if _, err := c.Query(`DELETE FROM deals WHERE id = ?`, "DEAL A"); err == nil {
 		t.Fatal("Query accepted DELETE")
 	}
 }
@@ -518,9 +427,9 @@ func TestQuotedIdentifier(t *testing.T) {
 
 func TestStringEscapes(t *testing.T) {
 	c := openTestDB(t)
-	mustExec(t, c, `INSERT INTO deals (id, customer) VALUES ('DEAL Q', 'O''Neil & Co')`)
-	row, err := c.QueryOne(`SELECT customer FROM deals WHERE id = 'DEAL Q'`)
-	if err != nil || row[0] != "O'Neil & Co" {
+	mustExec(t, c, `INSERT INTO deals VALUES ('DEAL Q', 'O''Neil & Co', ?, ?, ?, ?)`, nil, nil, nil, nil)
+	row, err := c.QueryOne(`SELECT customer FROM deals WHERE customer = 'O''Neil & Co'`)
+	if err != nil || row == nil || row[0] != "O'Neil & Co" {
 		t.Fatalf("row = %v, %v", row, err)
 	}
 }
@@ -574,7 +483,7 @@ func TestInsertParamRoundTripProperty(t *testing.T) {
 	}
 }
 
-// Property: COUNT(*) equals the number of inserted live rows.
+// Property: a SELECT returns as many rows as were inserted.
 func TestCountMatchesInsertsProperty(t *testing.T) {
 	c := Open(relstore.NewDB())
 	mustExec(t, c, `CREATE TABLE t (n INT)`)
@@ -587,8 +496,8 @@ func TestCountMatchesInsertsProperty(t *testing.T) {
 			}
 		}
 		total += add
-		row, err := c.QueryOne(`SELECT COUNT(*) FROM t`)
-		return err == nil && row[0] == int64(total)
+		rows, err := c.Query(`SELECT n FROM t`)
+		return err == nil && rows.Len() == total
 	}, &quick.Config{MaxCount: 60})
 	if err != nil {
 		t.Error(err)
@@ -617,98 +526,26 @@ func BenchmarkSelectScan(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Query(`SELECT id FROM deals WHERE tcv > 2500 LIMIT 10`)
+		c.Query(`SELECT id FROM deals WHERE id LIKE '%99%'`)
 	}
 }
 
 func TestSortedIndexSQL(t *testing.T) {
-	c := openTestDB(t)
-	mustExec(t, c, `CREATE SORTED INDEX deals_by_tcv ON deals (tcv)`)
-	rows := mustQuery(t, c, `SELECT id FROM deals WHERE tcv >= 60 AND tcv < 121`)
-	if rows.Len() != 2 { // DEAL A (120.5), DEAL B (75.0)
-		t.Fatalf("rows = %v", rows.Data)
-	}
-	// Range + residual predicate.
-	rows = mustQuery(t, c, `SELECT id FROM deals WHERE tcv > 50 AND industry = 'Insurance' AND months = 36`)
-	if rows.Len() != 1 || rows.Data[0][0] != "DEAL B" {
-		t.Fatalf("rows = %v", rows.Data)
-	}
-	// Flipped operand order must work too.
-	rows = mustQuery(t, c, `SELECT id FROM deals WHERE 100 < tcv`)
-	if rows.Len() != 1 || rows.Data[0][0] != "DEAL A" {
-		t.Fatalf("rows = %v", rows.Data)
-	}
+	refused(t, `CREATE SORTED INDEX deals_by_tcv ON deals (tcv)`)
 }
 
 func TestSortedIndexSQLValidation(t *testing.T) {
-	c := openTestDB(t)
-	if _, err := c.Exec(`CREATE UNIQUE SORTED INDEX x ON deals (tcv)`); err == nil {
-		t.Fatal("UNIQUE SORTED accepted")
-	}
-	if _, err := c.Exec(`CREATE SORTED INDEX x ON deals (tcv, months)`); err == nil {
-		t.Fatal("multi-column sorted index accepted")
-	}
-	if _, err := c.Exec(`CREATE SORTED TABLE t (a INT)`); err == nil {
-		t.Fatal("SORTED TABLE accepted")
-	}
+	refused(t, `CREATE UNIQUE SORTED INDEX x ON deals (tcv)`, `CREATE SORTED TABLE t (a INT)`)
 }
 
 func TestRangePlannerEquivalence(t *testing.T) {
-	// The same range query with and without a sorted index returns the
-	// same rows (planner correctness).
-	build := func(withIndex bool) *Conn {
-		c := Open(relstore.NewDB())
-		mustExec(t, c, `CREATE TABLE nums (id INT PRIMARY KEY, v FLOAT)`)
-		if withIndex {
-			mustExec(t, c, `CREATE SORTED INDEX nums_by_v ON nums (v)`)
-		}
-		for i := 0; i < 100; i++ {
-			mustExec(t, c, `INSERT INTO nums VALUES (?, ?)`, i, float64((i*37)%100))
-		}
-		return c
-	}
-	a := build(false)
-	b := build(true)
-	q := `SELECT id FROM nums WHERE v >= 20 AND v < 60 ORDER BY id`
-	ra := mustQuery(t, a, q)
-	rb := mustQuery(t, b, q)
-	if ra.Len() != rb.Len() || ra.Len() == 0 {
-		t.Fatalf("row counts differ: %d vs %d", ra.Len(), rb.Len())
-	}
-	for i := range ra.Data {
-		if ra.Data[i][0] != rb.Data[i][0] {
-			t.Fatalf("row %d differs: %v vs %v", i, ra.Data[i], rb.Data[i])
-		}
-	}
+	refused(t, `SELECT id FROM deals WHERE tcv >= ? AND tcv < ? ORDER BY id`)
 }
 
 func TestRangeNotExtractedThroughOr(t *testing.T) {
-	c := openTestDB(t)
-	mustExec(t, c, `CREATE SORTED INDEX deals_by_tcv ON deals (tcv)`)
-	// A disjunctive WHERE must not be narrowed by the range planner.
-	rows := mustQuery(t, c, `SELECT id FROM deals WHERE tcv > 100 OR industry = 'Insurance'`)
-	if rows.Len() != 3 { // DEAL A by tcv; B, C by industry
-		t.Fatalf("rows = %v", rows.Data)
-	}
+	refused(t, `SELECT id FROM deals WHERE tcv > ? OR industry = 'Insurance'`)
 }
 
 func TestBetween(t *testing.T) {
-	c := openTestDB(t)
-	rows := mustQuery(t, c, `SELECT id FROM deals WHERE tcv BETWEEN 55 AND 76 ORDER BY id`)
-	if rows.Len() != 2 || rows.Data[0][0] != "DEAL B" || rows.Data[1][0] != "DEAL C" {
-		t.Fatalf("rows = %v", rows.Data)
-	}
-	rows = mustQuery(t, c, `SELECT id FROM deals WHERE tcv NOT BETWEEN 55 AND 76`)
-	if rows.Len() != 1 || rows.Data[0][0] != "DEAL A" { // NULL tcv excluded
-		t.Fatalf("rows = %v", rows.Data)
-	}
-	// BETWEEN desugars to >=/<= so the range planner kicks in.
-	mustExec(t, c, `CREATE SORTED INDEX deals_by_tcv ON deals (tcv)`)
-	rows = mustQuery(t, c, `SELECT id FROM deals WHERE tcv BETWEEN 55 AND 76 ORDER BY id`)
-	if rows.Len() != 2 {
-		t.Fatalf("indexed rows = %v", rows.Data)
-	}
-	if _, err := c.Query(`SELECT id FROM deals WHERE tcv BETWEEN 55`); err == nil {
-		t.Fatal("half a BETWEEN accepted")
-	}
+	refused(t, `SELECT id FROM deals WHERE tcv BETWEEN ? AND ?`, `SELECT id FROM deals WHERE tcv NOT BETWEEN ? AND ?`)
 }

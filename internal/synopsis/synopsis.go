@@ -146,6 +146,20 @@ var schemaStmts = []string{
 	`CREATE INDEX tech_by_deal ON tech_solutions (deal_id)`,
 }
 
+// The statements Put issues, one INSERT per table. These constants, Get's
+// and Search's, clearDeal and schemaStmts are every statement the store
+// issues; sqlx plans a SELECT once per text, so a fixed repertoire stays
+// planned. census_test.go lists them all: it is the specification of the SQL
+// sqlx accepts.
+const (
+	insertDeal     = `INSERT INTO deals VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)`
+	insertTower    = `INSERT INTO deal_towers VALUES (?, ?, ?, ?)`
+	insertContact  = `INSERT INTO contacts VALUES (?, ?, ?, ?, ?, ?, ?, ?)`
+	insertStrategy = `INSERT INTO win_strategies VALUES (?, ?)`
+	insertRef      = `INSERT INTO client_refs VALUES (?, ?)`
+	insertSolution = `INSERT INTO tech_solutions VALUES (?, ?, ?)`
+)
+
 // NewStore creates the context tables in db and returns the store.
 func NewStore(db *relstore.DB) (*Store, error) {
 	conn := sqlx.Open(db)
@@ -186,37 +200,36 @@ func (s *Store) Put(d Deal) error {
 		return err
 	}
 	o := d.Overview
-	_, err := s.conn.Exec(
-		`INSERT INTO deals VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)`,
+	_, err := s.conn.Exec(insertDeal,
 		o.DealID, o.Customer, o.Industry, o.Consultant, o.Geography, o.Country,
 		o.TermStart, int64(o.TermMonths), o.TCVBand, o.International, o.Repository)
 	if err != nil {
 		return fmt.Errorf("synopsis: put deal: %w", err)
 	}
 	for _, tw := range d.Towers {
-		if _, err := s.conn.Exec(`INSERT INTO deal_towers VALUES (?, ?, ?, ?)`,
+		if _, err := s.conn.Exec(insertTower,
 			id, tw.Tower, tw.SubTower, tw.Significance); err != nil {
 			return fmt.Errorf("synopsis: put tower: %w", err)
 		}
 	}
 	for _, p := range d.People {
-		if _, err := s.conn.Exec(`INSERT INTO contacts VALUES (?, ?, ?, ?, ?, ?, ?, ?)`,
+		if _, err := s.conn.Exec(insertContact,
 			id, p.Name, p.Email, p.Phone, p.Org, p.Role, p.Category, p.Validated); err != nil {
 			return fmt.Errorf("synopsis: put contact: %w", err)
 		}
 	}
 	for _, w := range d.WinStrategies {
-		if _, err := s.conn.Exec(`INSERT INTO win_strategies VALUES (?, ?)`, id, w); err != nil {
+		if _, err := s.conn.Exec(insertStrategy, id, w); err != nil {
 			return fmt.Errorf("synopsis: put strategy: %w", err)
 		}
 	}
 	for _, r := range d.ClientRefs {
-		if _, err := s.conn.Exec(`INSERT INTO client_refs VALUES (?, ?)`, id, r); err != nil {
+		if _, err := s.conn.Exec(insertRef, id, r); err != nil {
 			return fmt.Errorf("synopsis: put reference: %w", err)
 		}
 	}
 	for tower, text := range d.TechSolutions {
-		if _, err := s.conn.Exec(`INSERT INTO tech_solutions VALUES (?, ?, ?)`, id, tower, text); err != nil {
+		if _, err := s.conn.Exec(insertSolution, id, tower, text); err != nil {
 			return fmt.Errorf("synopsis: put solution: %w", err)
 		}
 	}
@@ -280,9 +293,22 @@ func cloneDeal(d Deal) Deal {
 	return out
 }
 
+// The statements Get issues, one per table, and DealIDs'.
+const (
+	getDeal = `SELECT id, customer, industry, consultant, geography, country,
+		term_start, term_months, tcv_band, international, repository FROM deals WHERE id = ?`
+	getTowers = `SELECT tower, subtower, significance FROM deal_towers
+		WHERE deal_id = ? ORDER BY significance DESC, tower`
+	getPeople = `SELECT name, email, phone, org, role, category, validated
+		FROM contacts WHERE deal_id = ? ORDER BY category, name`
+	getStrategies = `SELECT strategy FROM win_strategies WHERE deal_id = ? ORDER BY strategy`
+	getRefs       = `SELECT reference FROM client_refs WHERE deal_id = ? ORDER BY reference`
+	getSolutions  = `SELECT tower, overview FROM tech_solutions WHERE deal_id = ?`
+	listDeals     = `SELECT id FROM deals ORDER BY id`
+)
+
 func (s *Store) getUncached(id string) (Deal, error) {
-	row, err := s.conn.QueryOne(`SELECT id, customer, industry, consultant, geography, country,
-		term_start, term_months, tcv_band, international, repository FROM deals WHERE id = ?`, id)
+	row, err := s.conn.QueryOne(getDeal, id)
 	if err != nil {
 		return Deal{}, err
 	}
@@ -306,16 +332,14 @@ func (s *Store) getUncached(id string) (Deal, error) {
 		s.midGet()
 	}
 
-	towers, err := s.conn.Query(`SELECT tower, subtower, significance FROM deal_towers
-		WHERE deal_id = ? ORDER BY significance DESC, tower`, id)
+	towers, err := s.conn.Query(getTowers, id)
 	if err != nil {
 		return Deal{}, err
 	}
 	for _, r := range towers.Data {
 		d.Towers = append(d.Towers, TowerScope{Tower: text(r[0]), SubTower: text(r[1]), Significance: float(r[2])})
 	}
-	people, err := s.conn.Query(`SELECT name, email, phone, org, role, category, validated
-		FROM contacts WHERE deal_id = ? ORDER BY category, name`, id)
+	people, err := s.conn.Query(getPeople, id)
 	if err != nil {
 		return Deal{}, err
 	}
@@ -325,21 +349,21 @@ func (s *Store) getUncached(id string) (Deal, error) {
 			Role: text(r[4]), Category: text(r[5]), Validated: boolean(r[6]),
 		})
 	}
-	wins, err := s.conn.Query(`SELECT strategy FROM win_strategies WHERE deal_id = ? ORDER BY strategy`, id)
+	wins, err := s.conn.Query(getStrategies, id)
 	if err != nil {
 		return Deal{}, err
 	}
 	for _, r := range wins.Data {
 		d.WinStrategies = append(d.WinStrategies, text(r[0]))
 	}
-	refs, err := s.conn.Query(`SELECT reference FROM client_refs WHERE deal_id = ? ORDER BY reference`, id)
+	refs, err := s.conn.Query(getRefs, id)
 	if err != nil {
 		return Deal{}, err
 	}
 	for _, r := range refs.Data {
 		d.ClientRefs = append(d.ClientRefs, text(r[0]))
 	}
-	sols, err := s.conn.Query(`SELECT tower, overview FROM tech_solutions WHERE deal_id = ?`, id)
+	sols, err := s.conn.Query(getSolutions, id)
 	if err != nil {
 		return Deal{}, err
 	}
@@ -351,7 +375,7 @@ func (s *Store) getUncached(id string) (Deal, error) {
 
 // DealIDs lists all stored deals, sorted.
 func (s *Store) DealIDs() ([]string, error) {
-	rows, err := s.conn.Query(`SELECT id FROM deals ORDER BY id`)
+	rows, err := s.conn.Query(listDeals)
 	if err != nil {
 		return nil, err
 	}
@@ -451,9 +475,7 @@ func (s *Store) search(ctx context.Context, q Query) ([]Hit, bool, error) {
 	return hits, false, nil
 }
 
-// The directed queries Search issues, one per set criterion. They are
-// constants because sqlx plans a SELECT once per text: with these, Get's six
-// and DealIDs', the store's whole read repertoire stays planned.
+// The directed queries Search issues, one per set criterion.
 const (
 	searchTowerSub = `SELECT deal_id, tower, significance FROM deal_towers
 		WHERE tower = ? AND subtower = ? ORDER BY significance DESC`
