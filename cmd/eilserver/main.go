@@ -113,7 +113,7 @@ func main() {
 		replListen = flag.String("repl-listen", "", "ship the write-ahead journal to read replicas connecting on this address (requires -wal)")
 		replicaOf  = flag.String("replica-of", "", "run as a read replica: bootstrap from the primary's -repl-listen address and keep replaying its journal into -sys")
 		replName   = flag.String("repl-name", "", "follower identity reported to the primary (default follower-<pid>)")
-		maxLag     = flag.Uint64("max-lag", 4096, "follower staleness bound in journal records: beyond it /readyz fails and routers drain this replica (0 = unbounded)")
+		maxLag     = flag.Uint64("max-lag", 4096, "follower staleness bound in journal records: beyond it /readyz fails, so a balancer polling it drains this replica (0 = unbounded)")
 		churn      = flag.Duration("demo-churn", 0, "with -demo: apply a synthetic document batch every interval (write traffic for replication demos; 0 disables)")
 
 		failoverOn = flag.Bool("failover", false, "manage this node's primary/follower role through the fencing-epoch protocol: promotions bump a durable epoch, stale primaries are fenced (single-system only; requires -repl-listen for the address this node ships from while primary)")
@@ -168,6 +168,7 @@ func main() {
 		replListen:  *replListen,
 		walSync:     *walSync,
 		maxLag:      *maxLag,
+		lease:       failover.LeaseConfig{Dir: *leaseDir, TTL: *leaseTTL},
 		wal:         *walOn,
 		writerFlags: *demo || *snapInterval > 0 || *faultSpec != "" || *budget > 0,
 		ctl:         ctl,
@@ -176,7 +177,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	be, node, wr := d.be, d.node, d.wr
+	be, node := d.be, d.node
 	if *replicaOf != "" && node == nil {
 		log.Printf("replicating from %s into %s (staleness bound %d records); serving begins at first sync",
 			*replicaOf, *sysDir, *maxLag)
@@ -320,7 +321,6 @@ func main() {
 		opts = append(opts, web.WithAccessLog(slog.New(slog.NewTextHandler(os.Stderr, nil))))
 	}
 	opts = append(opts, web.WithHealth(checks), web.WithSLO(sloEng), web.WithRuntime(collector))
-	lease := failover.LeaseConfig{Dir: *leaseDir, TTL: *leaseTTL, RenewEvery: *leaseTTL / 3}
 	if replStatus != nil {
 		opts = append(opts, web.WithReplStatus(replStatus))
 	}
@@ -329,10 +329,7 @@ func main() {
 			if target != "" && target != node.Name() {
 				return fmt.Errorf("this node is %q: POST /api/promote to the node being promoted", node.Name())
 			}
-			if node.Role() == failover.RolePrimary {
-				return errors.New("already primary")
-			}
-			epoch, perr := claimAndPromote(node, wr, lease)
+			epoch, perr := d.elect.Claim()
 			if perr != nil {
 				return perr
 			}
@@ -363,27 +360,10 @@ func main() {
 	}
 
 	if node != nil && *leaseDir != "" {
-		// The lease loop (leaseTick) runs every TTL/3.
 		if err := os.MkdirAll(*leaseDir, 0o755); err != nil {
 			log.Fatal(err)
 		}
-		go func() {
-			renew := *leaseTTL / 3
-			if renew <= 0 {
-				renew = time.Second
-			}
-			t := time.NewTicker(renew)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-				}
-				leaseTick(node, wr, lease)
-			}
-		}()
-		log.Printf("failover: lease protocol active in %s (ttl %v)", *leaseDir, *leaseTTL)
+		go d.elect.Run(ctx)
 	}
 
 	if *churn > 0 && d.writes != nil {

@@ -32,6 +32,9 @@ type shapeConfig struct {
 	replListen string
 	walSync    int
 	maxLag     uint64
+	// lease is -lease-dir and -lease-ttl: where a failover node's elector
+	// claims and renews (an empty Dir leaves only manual promotion).
+	lease failover.LeaseConfig
 	// wal is -wal. writerFlags is set when any other flag that only a writer
 	// can honour was given (-demo, -snapshot-interval, -fault-spec,
 	// -search-budget); a process that starts as a replica refuses them.
@@ -58,10 +61,12 @@ type deployment struct {
 	ship    func(net.Listener, *fault.Injector) (*repl.Shipper, error)
 	// replStatus is the /api/repl payload of a replica or failover node.
 	replStatus func() any
-	// node and wr are set on a failover node: the lease loop and
-	// POST /api/promote drive them.
-	node *eil.HANode
-	wr   *router.WriteRouter
+	// node, wr and elect are set on a failover node: the elector's loop and
+	// POST /api/promote (elect.Claim) drive the node's role and the write
+	// router.
+	node  *eil.HANode
+	wr    *router.WriteRouter
+	elect *failover.Elector
 	// close stops what the shape started beyond the backend's own journal
 	// (replication streams, the failover node).
 	close func() error
@@ -171,8 +176,8 @@ func docCount(shards []*eil.System) int {
 }
 
 // failoverShape starts a failover-managed node: an HANode owns the role
-// (primary, follower, fenced) and every transition; the lease loop (or a
-// manual POST /api/promote) drives promotions.
+// (primary, follower, fenced) and every transition; its elector's lease
+// loop (or a manual POST /api/promote) drives promotions.
 func failoverShape(cfg shapeConfig) (*deployment, error) {
 	if cfg.shards > 1 || eil.IsCluster(cfg.sysDir) {
 		return nil, errors.New("-failover supports single-system deployments (drop -shards)")
@@ -236,6 +241,13 @@ func failoverShape(cfg shapeConfig) (*deployment, error) {
 	if node.Role() == failover.RolePrimary {
 		wr.SetPrimary(node, node.Status().Epoch)
 	}
+	elect := &failover.Elector{Node: node, Lease: cfg.lease, Logf: log.Printf, Route: func(promoted bool, epoch uint64) {
+		if promoted {
+			wr.SetPrimary(node, epoch)
+		} else {
+			wr.SetPrimary(nil, 0)
+		}
+	}}
 	status := func() any {
 		return struct {
 			failover.NodeStatus
@@ -243,89 +255,7 @@ func failoverShape(cfg shapeConfig) (*deployment, error) {
 			Followers []repl.FollowerStatus `json:"followers,omitempty"`
 		}{node.Status(), wr.Status(), node.ShipperStatus()}
 	}
-	return &deployment{kind: "failover", be: node, writes: wr, replStatus: status, node: node, wr: wr, close: node.Close}, nil
-}
-
-// leaseAs fills the lease config's identity from the node: its name, and
-// the address it ships from, which survivors repoint at (empty until the
-// node's first primary stint).
-func leaseAs(node *eil.HANode, lease failover.LeaseConfig) failover.LeaseConfig {
-	lease.Name, lease.Addr = node.Name(), node.ReplAddr()
-	return lease
-}
-
-// claimAndPromote makes node the primary at the epoch after its own. With
-// a lease directory the epoch is also after the lease's, is claimed first,
-// and is renewed after the promotion so that the lease carries the address
-// node now ships from. The write router follows node once it is primary.
-func claimAndPromote(node *eil.HANode, wr *router.WriteRouter, lease failover.LeaseConfig) (uint64, error) {
-	epoch := node.Status().Epoch + 1
-	if lease.Dir != "" {
-		cur, _, err := failover.ReadLease(lease.Dir)
-		if err != nil {
-			return 0, err
-		}
-		rec, err := failover.Acquire(leaseAs(node, lease), max(epoch, cur.Epoch+1))
-		if err != nil {
-			return 0, err
-		}
-		epoch = rec.Epoch
-	}
-	if err := node.Promote(epoch); err != nil {
-		return 0, err
-	}
-	wr.SetPrimary(node, epoch)
-	if lease.Dir != "" {
-		if _, err := failover.Renew(leaseAs(node, lease), epoch); err != nil {
-			log.Printf("failover: lease renew after promote: %v", err)
-		}
-	}
-	return epoch, nil
-}
-
-// leaseTick runs one tick of a failover node's lease loop, the
-// cross-process supervisor: a primary renews the lease and demotes itself
-// the moment a newer one appears; a follower (or fenced ex-primary) follows
-// a live lease's holder, and claims the next epoch and promotes once the
-// lease goes stale.
-func leaseTick(node *eil.HANode, wr *router.WriteRouter, lease failover.LeaseConfig) {
-	st := node.Status()
-	switch st.Role {
-	case failover.RolePrimary:
-		ep := max(st.Epoch, 1) // pre-failover lineage serves under term 1 at the lease layer
-		rec, err := failover.Renew(leaseAs(node, lease), ep)
-		if errors.Is(err, failover.ErrLeaseLost) {
-			log.Printf("failover: lease lost to %s (epoch %d); demoting", rec.Name, rec.Epoch)
-			wr.SetPrimary(nil, 0)
-			if ferr := node.Fence(rec.Epoch, rec.Addr); ferr != nil {
-				log.Printf("failover: demote: %v", ferr)
-			}
-		}
-	case failover.RoleFollower, failover.RoleFenced:
-		cur, ok, err := failover.ReadLease(lease.Dir)
-		if err != nil {
-			return
-		}
-		if ok && !cur.Stale(lease.TTL) {
-			// Live primary. Make sure this node follows it: a fenced
-			// ex-primary rejoins here, re-syncing its divergent suffix away.
-			if cur.Addr != "" && cur.Name != node.Name() {
-				if perr := node.Repoint(cur.Addr, cur.Epoch); perr != nil {
-					log.Printf("failover: repoint at %s: %v", cur.Addr, perr)
-				}
-			}
-			return
-		}
-		epoch, err := claimAndPromote(node, wr, lease)
-		switch {
-		case errors.Is(err, failover.ErrLeaseHeld):
-			// Lost the claim race; keep watching.
-		case err != nil:
-			log.Printf("failover: claim and promote: %v", err)
-		default:
-			log.Printf("failover: lease claimed; promoted to primary at epoch %d", epoch)
-		}
-	}
+	return &deployment{kind: "failover", be: node, writes: wr, replStatus: status, node: node, wr: wr, elect: elect, close: node.Close}, nil
 }
 
 // shardPosition is one shard's replication position in the primary's

@@ -172,14 +172,15 @@ func TestSelectShapeFailover(t *testing.T) {
 	}
 }
 
-// TestLeaseTick: the lease loop over two in-process failover nodes sharing
-// a lease directory. The primary renews; once its lease goes stale the
-// follower claims epoch 2 and promotes; the resurrected primary's next
-// renewal finds the newer lease and fences it into a follower of the winner.
+// TestLeaseTick: the elector eilserver runs, ticked over two in-process
+// failover nodes sharing a lease directory. The primary renews; once its
+// lease goes stale the follower claims epoch 2 and promotes; the resurrected
+// primary's next renewal finds the newer lease and fences it into a
+// follower of the winner.
 func TestLeaseTick(t *testing.T) {
-	a := shapeFor(t, shapeConfig{sysDir: t.TempDir(), demo: true, shards: 1, failover: true, replListen: "127.0.0.1:0", replName: "a", walSync: 1, writerFlags: true})
-	b := shapeFor(t, shapeConfig{sysDir: t.TempDir(), shards: 1, failover: true, replicaOf: a.node.ReplAddr(), replListen: "127.0.0.1:0", replName: "b", walSync: 1})
 	lease := failover.LeaseConfig{Dir: t.TempDir(), TTL: 300 * time.Millisecond}
+	a := shapeFor(t, shapeConfig{sysDir: t.TempDir(), demo: true, shards: 1, failover: true, replListen: "127.0.0.1:0", replName: "a", walSync: 1, lease: lease, writerFlags: true})
+	b := shapeFor(t, shapeConfig{sysDir: t.TempDir(), shards: 1, failover: true, replicaOf: a.node.ReplAddr(), replListen: "127.0.0.1:0", replName: "b", walSync: 1, lease: lease})
 	readLease := func() failover.LeaseRecord {
 		t.Helper()
 		rec, ok, err := failover.ReadLease(lease.Dir)
@@ -199,11 +200,11 @@ func TestLeaseTick(t *testing.T) {
 	waitFor("follower synced", b.be.Ready)
 
 	// The primary renews under term 1; a follower under a live lease stays.
-	leaseTick(a.node, a.wr, lease)
+	a.elect.Tick()
 	if rec := readLease(); rec.Epoch != 1 || rec.Name != "a" || rec.Addr != a.node.ReplAddr() {
 		t.Fatalf("primary's lease = %+v, want epoch 1 held by a at %s", rec, a.node.ReplAddr())
 	}
-	leaseTick(b.node, b.wr, lease)
+	b.elect.Tick()
 	if b.node.Role() != failover.RoleFollower || b.wr.Status().HasPrimary {
 		t.Fatalf("follower under a live lease: role %s, router %+v", b.node.Role(), b.wr.Status())
 	}
@@ -212,7 +213,7 @@ func TestLeaseTick(t *testing.T) {
 	// epoch once the lease is stale, promotes, and routes writes to itself.
 	a.node.Kill()
 	waitFor("follower promotes", func() bool {
-		leaseTick(b.node, b.wr, lease)
+		b.elect.Tick()
 		return b.node.Role() == failover.RolePrimary
 	})
 	if st := b.node.Status(); st.Epoch != 2 {
@@ -233,7 +234,7 @@ func TestLeaseTick(t *testing.T) {
 	if a.node.Role() != failover.RolePrimary {
 		t.Fatalf("resurrected primary came back as %s", a.node.Role())
 	}
-	leaseTick(a.node, a.wr, lease)
+	a.elect.Tick()
 	if a.node.Role() != failover.RoleFollower || a.wr.Status().HasPrimary {
 		t.Fatalf("resurrected primary after lease loss: role %s, router %+v", a.node.Role(), a.wr.Status())
 	}

@@ -159,8 +159,8 @@ type System struct {
 
 	// Replication state. seq is the global record counter — how many
 	// journal records this state's history folds in since its lineage
-	// began — and is the position coordinate followers, the router, and
-	// lag math all use. ckptSeq is seq at the last committed checkpoint
+	// began — and is the position coordinate followers and lag math
+	// use. ckptSeq is seq at the last committed checkpoint
 	// (what the replpos component records). upstreamGen, on a follower,
 	// names the primary generation the state derives from (0 on a
 	// primary). replLog is the primary's in-memory ship buffer, live
@@ -174,7 +174,7 @@ type System struct {
 	// Fencing state. fenceEpoch is the failover term this state last
 	// committed under (0 = never promoted). fencedBy, when nonzero, names
 	// the newer epoch that fenced this node: every mutation is refused
-	// with failover.FencedError until an operator (or the supervisor)
+	// with failover.FencedError until an operator (or the elector)
 	// re-syncs it as a follower. prevEpoch/sealSeq record the previous
 	// term and where its history was sealed at promotion — the shipper
 	// uses them to decide whether a stale peer's position is a safe

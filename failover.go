@@ -1,7 +1,7 @@
 package eil
 
 // Fenced primary failover: the host-side glue between a System/Follower
-// pair and the internal/failover supervisor. A System carries a fencing
+// pair and the internal/failover elector. A System carries a fencing
 // epoch — a monotone term persisted in the durable EPOCH record beside
 // its journal — and every mutation passes the write guard, so a node a
 // newer epoch has fenced refuses writes instead of forking history.
@@ -10,7 +10,7 @@ package eil
 // follower's mirrored ship log so laggard survivors tail-resume. Fence
 // is the other side: seal the journal, persist the fencing mark, stop
 // accepting writes. HANode wraps one node in either role and implements
-// failover.Node for the supervisor plus the whole serving surface: reads
+// failover.Node for its elector plus the whole serving surface: reads
 // and telemetry follow whichever role object is current, writes are
 // refused with a FencedError unless the node is the live primary.
 
@@ -133,9 +133,9 @@ func (s *System) Fence(newer uint64) error {
 	return nil
 }
 
-// HANodeOptions configures one failover-supervised host.
+// HANodeOptions configures one failover-managed host.
 type HANodeOptions struct {
-	// Name identifies the node to the supervisor and in lease records.
+	// Name identifies the node in lease records and to its peers.
 	Name string
 	// Dir is the node's state directory (snapshots, journal, EPOCH).
 	Dir string
@@ -156,10 +156,10 @@ type HANodeOptions struct {
 	Faults *fault.Injector
 }
 
-// HANode is one supervised member: a System serving as primary (or
-// sitting fenced) or a Follower replicating from the current primary. It
-// implements failover.Node for the supervisor and serving.Backend for the
-// HTTP layer and the write router; the supervisor drives every role
+// HANode is one member of a replication group: a System serving as primary
+// (or sitting fenced) or a Follower replicating from the current primary.
+// It implements failover.Node for its elector and serving.Backend for the
+// HTTP layer and the write router; the elector drives every role
 // transition. The embedded Switch resolves the role object through an
 // atomic pointer, so a request never takes the node's lock and the
 // readiness checks are always the current role's.
@@ -328,7 +328,7 @@ func (h *HANode) startFollowerLocked(addr string) error {
 
 // onFenced is the shipper's callback: a peer's hello proved a newer
 // epoch exists, so this node is the stale side of a partition. Writes
-// stop immediately; the supervisor's Fence call (or a Repoint) finishes
+// stop immediately; the elector's Fence call (or a Repoint) finishes
 // the demotion. The shipper is closed asynchronously — it is the caller.
 func (h *HANode) onFenced(newer uint64) {
 	h.mu.Lock()
@@ -351,14 +351,6 @@ func (h *HANode) onFenced(newer uint64) {
 
 // Name identifies the node (failover.Node).
 func (h *HANode) Name() string { return h.opts.Name }
-
-// Alive reports whether the node is serving (failover.Node). Kill — the
-// in-process stand-in for a crashed process — clears it.
-func (h *HANode) Alive() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.alive
-}
 
 // Role reports the node's current failover role.
 func (h *HANode) Role() string {
@@ -441,7 +433,7 @@ func (h *HANode) Promote(epoch uint64) error {
 		return fmt.Errorf("eil: ha %s: %w", h.opts.Name, err)
 	}
 	if err := sys.PromoteToPrimary(h.opts.Dir, epoch, shipLog); err != nil {
-		h.role = failover.RoleFenced // stream detached, state not promoted: needs supervisor help
+		h.role = failover.RoleFenced // stream detached, state not promoted: the elector claims again once its lease goes stale
 		return err
 	}
 	if err := sys.EnableWAL(h.opts.Dir, h.opts.SyncEvery); err != nil {
@@ -522,8 +514,8 @@ func (h *HANode) Repoint(addr string, epoch uint64) error {
 }
 
 // Kill simulates a crash for in-process chaos tests: the node stops
-// serving instantly — no checkpoint, no handshake — and reports dead
-// until Resurrect. Durable state is exactly what a kill -9 would leave.
+// serving instantly — no checkpoint, no handshake — and refuses writes and
+// promotion until Resurrect. Durable state is exactly what a kill -9 would leave.
 func (h *HANode) Kill() {
 	h.mu.Lock()
 	h.alive = false

@@ -1,12 +1,14 @@
 package eil
 
 // Failover chaos suite: the differential proof behind the fencing
-// protocol. A three-node group takes mixed write traffic while the
-// primary is killed mid-stream; the supervisor promotes a survivor, the
-// write router queues through the window, the resurrected ex-primary is
-// fenced (zero accepted stale writes) and rejoins as a follower, and the
-// final corpus is float-exact identical to a never-failed twin that
-// applied the same operation ledger in the same effective order.
+// protocol. Every node runs as eilserver runs it, with its own write router
+// and the lease loop of failover.Elector over a shared lease directory. A
+// three-node group takes mixed write traffic while the primary is killed
+// mid-stream; a follower claims the stale lease and promotes, its write
+// router queues through the window, the resurrected ex-primary is fenced
+// (zero accepted stale writes) and rejoins as a follower, and the final
+// corpus is float-exact identical to a never-failed twin that applied the
+// same operation ledger in the same effective order.
 
 import (
 	"context"
@@ -95,24 +97,84 @@ func startHAGroup(t *testing.T, sysA *System) (a, b, c *HANode) {
 	return a, b, c
 }
 
+// haMember is one node run as eilserver runs it: the node, its own write
+// router, and its elector over the group's lease directory.
+type haMember struct {
+	*HANode
+	wr    *router.WriteRouter
+	elect *failover.Elector
+	stop  func() // stops the elector's loop; nil while none runs
+}
+
+func newHAMember(t *testing.T, h *HANode, lease failover.LeaseConfig) *haMember {
+	t.Helper()
+	wr := router.NewWriteRouter(router.WriteOptions{QueueWait: 30 * time.Second, IsFenced: failover.IsFenced})
+	if h.Role() == failover.RolePrimary {
+		wr.SetPrimary(h, h.Status().Epoch)
+	}
+	m := &haMember{HANode: h, wr: wr}
+	m.elect = &failover.Elector{Node: h, Lease: lease, Logf: t.Logf, Route: func(promoted bool, epoch uint64) {
+		if promoted {
+			wr.SetPrimary(h, epoch)
+		} else {
+			wr.SetPrimary(nil, 0)
+		}
+	}}
+	t.Cleanup(m.halt)
+	return m
+}
+
+// start runs the member's lease loop, as its process does.
+func (m *haMember) start() {
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		m.elect.Run(ctx)
+	}()
+	m.stop = func() { cancel(); <-done }
+}
+
+// halt stops the member's lease loop.
+func (m *haMember) halt() {
+	if m.stop != nil {
+		m.stop()
+		m.stop = nil
+	}
+}
+
+// kill crashes the member: the node and its lease loop die together.
+func (m *haMember) kill() {
+	m.halt()
+	m.Kill()
+}
+
+// streaming reports whether the member's follower is mid-session with its
+// primary, and so may still apply records.
+func (m *haMember) streaming() bool {
+	f := m.Follower()
+	return f != nil && f.Status().Client.State == "streaming"
+}
+
+// waitLeaseHolder waits until the lease names holder.
+func waitLeaseHolder(t *testing.T, lease failover.LeaseConfig, holder string) {
+	t.Helper()
+	waitCond(t, 10*time.Second, func() bool {
+		rec, ok, err := failover.ReadLease(lease.Dir)
+		return err == nil && ok && rec.Name == holder
+	}, holder+" never held the lease")
+}
+
 func TestFailoverChaosKillPromoteFenceRejoin(t *testing.T) {
 	corpus, sysA := testSystem(t, Options{Workers: 1})
-	a, b, c := startHAGroup(t, sysA)
+	na, nb, nc := startHAGroup(t, sysA)
+	lease := failover.LeaseConfig{Dir: t.TempDir(), TTL: time.Second}
+	a, b, c := newHAMember(t, na, lease), newHAMember(t, nb, lease), newHAMember(t, nc, lease)
+	a.start()
+	waitLeaseHolder(t, lease, "a")
 
-	wr := router.NewWriteRouter(router.WriteOptions{QueueWait: 30 * time.Second, IsFenced: failover.IsFenced})
-	wr.SetPrimary(a, 0)
-	sup := failover.NewSupervisor([]failover.Node{a, b, c}, failover.Options{
-		Heartbeat:     20 * time.Millisecond,
-		MissThreshold: 2,
-		Logf:          t.Logf,
-		OnWindow:      func() { wr.SetPrimary(nil, 0) },
-		OnPromote:     func(w failover.Node, epoch uint64) { wr.SetPrimary(w.(*HANode), epoch) },
-	})
-	sup.Start()
-	t.Cleanup(sup.Close)
-	waitCond(t, 10*time.Second, func() bool { return sup.Status().Primary == "a" },
-		"supervisor never adopted the initial primary")
-
+	// The writer sends every mutation to the current primary's router.
+	wr := a.wr
 	var ledger []chaosOp
 	mustOp := func(o chaosOp) {
 		t.Helper()
@@ -136,8 +198,8 @@ func TestFailoverChaosKillPromoteFenceRejoin(t *testing.T) {
 	// acknowledged operations may die unshipped with the primary.
 	mustOp(chaosOp{kind: "add", deal: "CHAOS DEAL 0"})
 	ledger[0].seq = primarySeq(sysA)
-	waitNodeApplied(t, b, ledger[0].seq)
-	waitNodeApplied(t, c, ledger[0].seq)
+	waitNodeApplied(t, b.HANode, ledger[0].seq)
+	waitNodeApplied(t, c.HANode, ledger[0].seq)
 	for i := 1; i < 6; i++ {
 		mustOp(chaosOp{kind: "add", deal: fmt.Sprintf("CHAOS DEAL %d", i)})
 		ledger[len(ledger)-1].seq = primarySeq(sysA)
@@ -145,31 +207,36 @@ func TestFailoverChaosKillPromoteFenceRejoin(t *testing.T) {
 	mustOp(chaosOp{kind: "remove", deal: "CHAOS DEAL 1"})
 	ledger[len(ledger)-1].seq = primarySeq(sysA)
 
-	// kill -9 the primary between two acknowledged writes, then keep the
-	// traffic coming: the next mutation finds the primary dead, re-queues,
-	// and waits out the promotion window.
-	queued := newDealDocs(t, "CHAOS QUEUED")
-	a.Kill()
-	qdone := make(chan error, 1)
-	go func() { qdone <- wr.AddDocuments(queued) }()
+	// kill -9 the primary between two acknowledged writes. The followers'
+	// positions freeze once their streams from the dead primary drop.
+	a.kill()
+	waitCond(t, 10*time.Second, func() bool { return !b.streaming() && !c.streaming() },
+		"followers still streaming from a dead primary")
 
-	waitCond(t, 15*time.Second, func() bool {
-		st := sup.Status()
-		return st.Primary != "" && st.Primary != "a" && !st.Promoting
-	}, "no promotion after primary kill")
+	// The first claimant after the TTL wins the lease. The more advanced
+	// follower ticks first, so the other one can tail-resume from it.
+	_, sb := b.Follower().Position()
+	_, sc := c.Follower().Position()
+	prim, survivor := b, c
+	if sc > sb {
+		prim, survivor = c, b
+	}
+	// Keep the traffic coming: the next mutation waits in the winner's
+	// router until the promotion lands.
+	queued := newDealDocs(t, "CHAOS QUEUED")
+	qdone := make(chan error, 1)
+	go func(wr *router.WriteRouter) { qdone <- wr.AddDocuments(queued) }(prim.wr)
+	waitCond(t, 10*time.Second, func() bool { return prim.wr.Status().Waiters == 1 },
+		"the write never queued in the promotion window")
+	prim.start()
+	waitCond(t, 15*time.Second, func() bool { return prim.Role() == failover.RolePrimary },
+		"no promotion after primary kill")
 	if err := <-qdone; err != nil {
 		t.Fatalf("write queued across the promotion window failed: %v", err)
 	}
+	wr = prim.wr
+	survivor.start()
 
-	st := sup.Status()
-	prim := map[string]*HANode{"b": b, "c": c}[st.Primary]
-	if prim == nil {
-		t.Fatalf("unexpected winner %q", st.Primary)
-	}
-	survivor := b
-	if prim == b {
-		survivor = c
-	}
 	psys := prim.System()
 	if psys == nil {
 		t.Fatal("winner has no primary-role state")
@@ -205,11 +272,12 @@ func TestFailoverChaosKillPromoteFenceRejoin(t *testing.T) {
 	mustOp(chaosOp{kind: "compact"})
 
 	// Resurrect the old primary: it reboots believing its stale EPOCH
-	// record, ships again, and the supervisor fences it back down to a
-	// follower of the winner.
+	// record and ships again, and its lease loop's first renewal finds the
+	// newer lease and fences it back down to a follower of the winner.
 	if err := a.Resurrect(); err != nil {
 		t.Fatal(err)
 	}
+	a.start()
 	waitCond(t, 15*time.Second, func() bool { return a.Role() == failover.RoleFollower },
 		"resurrected stale primary was never fenced and repointed")
 	// Zero accepted stale writes: the fenced ex-primary refuses directly.
@@ -219,8 +287,8 @@ func TestFailoverChaosKillPromoteFenceRejoin(t *testing.T) {
 
 	// Everyone converges on the winner's head.
 	barrier := primarySeq(psys)
-	waitNodeApplied(t, a, barrier)
-	waitNodeApplied(t, survivor, barrier)
+	waitNodeApplied(t, a.HANode, barrier)
+	waitNodeApplied(t, survivor.HANode, barrier)
 
 	// The surviving follower repointed without re-bootstrapping.
 	if f := survivor.Follower(); f == nil {
@@ -262,35 +330,28 @@ func TestFailoverPoisonedPrimaryManualPromote(t *testing.T) {
 	ffs := &failCreateFS{FS: durable.OS}
 	sysA.WALFS = ffs
 	dirA := t.TempDir()
-	a, err := NewPrimaryHANode(sysA, HANodeOptions{Name: "a", Dir: dirA, ListenAddr: "127.0.0.1:0", SyncEvery: 1, Logf: t.Logf})
+	na, err := NewPrimaryHANode(sysA, HANodeOptions{Name: "a", Dir: dirA, ListenAddr: "127.0.0.1:0", SyncEvery: 1, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = a.Close() })
-	b, err := NewFollowerHANode(a.ReplAddr(), HANodeOptions{Name: "b", Dir: t.TempDir(), ListenAddr: "127.0.0.1:0", SyncEvery: 1, Logf: t.Logf})
+	t.Cleanup(func() { _ = na.Close() })
+	nb, err := NewFollowerHANode(na.ReplAddr(), HANodeOptions{Name: "b", Dir: t.TempDir(), ListenAddr: "127.0.0.1:0", SyncEvery: 1, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = b.Close() })
+	t.Cleanup(func() { _ = nb.Close() })
 
-	wr := router.NewWriteRouter(router.WriteOptions{QueueWait: 30 * time.Second, IsFenced: failover.IsFenced})
-	wr.SetPrimary(a, 0)
-	sup := failover.NewSupervisor([]failover.Node{a, b}, failover.Options{
-		Heartbeat:     20 * time.Millisecond,
-		MissThreshold: 1 << 20, // the primary never dies here; only manual promotion moves the lease
-		Logf:          t.Logf,
-		OnWindow:      func() { wr.SetPrimary(nil, 0) },
-		OnPromote:     func(w failover.Node, epoch uint64) { wr.SetPrimary(w.(*HANode), epoch) },
-	})
-	sup.Start()
-	t.Cleanup(sup.Close)
-	waitCond(t, 10*time.Second, func() bool { return sup.Status().Primary == "a" },
-		"supervisor never adopted the initial primary")
+	// The primary never dies here; only the operator's claim moves the lease.
+	lease := failover.LeaseConfig{Dir: t.TempDir(), TTL: time.Second}
+	a, b := newHAMember(t, na, lease), newHAMember(t, nb, lease)
+	a.start()
+	waitLeaseHolder(t, lease, "a")
+	b.start()
 
-	if err := wr.AddDocuments(newDealDocs(t, "BEFORE POISON")); err != nil {
+	if err := a.wr.AddDocuments(newDealDocs(t, "BEFORE POISON")); err != nil {
 		t.Fatal(err)
 	}
-	waitNodeApplied(t, b, primarySeq(sysA))
+	waitNodeApplied(t, b.HANode, primarySeq(sysA))
 
 	// A failed rotation poisons the journal: the snapshot committed but
 	// the surviving journal extends a superseded generation.
@@ -301,7 +362,7 @@ func TestFailoverPoisonedPrimaryManualPromote(t *testing.T) {
 	// The poisoned primary refuses writes — and the refusal is a journal
 	// error, not a fencing one, so the router surfaces it instead of
 	// spinning on a re-queue.
-	err = wr.AddDocuments(newDealDocs(t, "POISONED WRITE"))
+	err = a.wr.AddDocuments(newDealDocs(t, "POISONED WRITE"))
 	if err == nil {
 		t.Fatal("write accepted into a poisoned journal")
 	}
@@ -309,12 +370,13 @@ func TestFailoverPoisonedPrimaryManualPromote(t *testing.T) {
 		t.Fatalf("poisoned journal misreported as a fencing refusal: %v", err)
 	}
 
-	// The operator moves the write lease to the healthy replica.
-	if err := sup.Promote("b"); err != nil {
+	// The operator moves the write lease to the healthy replica (POST
+	// /api/promote on b); a's lease loop demotes it at its next renewal.
+	if _, err := b.elect.Claim(); err != nil {
 		t.Fatal(err)
 	}
 	ffs.armed.Store(false)
-	if err := wr.AddDocuments(newDealDocs(t, "AFTER PROMOTE")); err != nil {
+	if err := b.wr.AddDocuments(newDealDocs(t, "AFTER PROMOTE")); err != nil {
 		t.Fatalf("post-promotion write: %v", err)
 	}
 
@@ -324,7 +386,7 @@ func TestFailoverPoisonedPrimaryManualPromote(t *testing.T) {
 	if bsys == nil {
 		t.Fatal("promoted node has no primary-role state")
 	}
-	waitNodeApplied(t, a, primarySeq(bsys))
+	waitNodeApplied(t, a.HANode, primarySeq(bsys))
 
 	if _, err := bsys.Synopses.Get("BEFORE POISON"); err != nil {
 		t.Fatalf("acknowledged deal lost across promotion: %v", err)

@@ -107,8 +107,7 @@ const (
 // Breaker is a small circuit breaker: it opens after threshold consecutive
 // failures, rejects while open, and after the cooldown admits a single
 // half-open probe whose outcome closes or re-opens it. The engine keeps one
-// per backend hop, the read router one per node. A negative threshold never
-// opens.
+// per backend hop. A negative threshold never opens.
 type Breaker struct {
 	mu        sync.Mutex
 	failures  int

@@ -2,46 +2,60 @@ package failover
 
 import (
 	"errors"
-	"strings"
+	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
-// fakeNode is an in-memory Node for deterministic supervisor tests: tests
-// drive s.poll() directly instead of racing the heartbeat ticker.
+// fakeNode is an in-memory Node for deterministic elector tests: tests call
+// Tick and Claim directly instead of racing the loop's ticker, and make a
+// lease stale with forceStale instead of waiting out its TTL.
 type fakeNode struct {
-	mu          sync.Mutex
-	name        string
-	addr        string
-	alive       bool
+	mu         sync.Mutex
+	name       string
+	addr       string
+	promoteErr error
+	// beforeClaim, when set, runs once inside the node's first claim,
+	// between its read of the stale lease and its claim file.
+	beforeClaim func()
+	nodeState
+}
+
+// nodeState is what a test inspects of a fakeNode.
+type nodeState struct {
 	role        string
 	epoch       uint64
-	seq         uint64
 	primaryAddr string
-	promoteErr  error
+	promotes    int
 	fences      []uint64
 	repoints    []string
+	routes      []string // what the elector told the write router
 }
 
 func (n *fakeNode) Name() string { return n.name }
 
-func (n *fakeNode) Alive() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.alive
-}
-
 func (n *fakeNode) Status() NodeStatus {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return NodeStatus{Role: n.role, Epoch: n.epoch, Seq: n.seq}
+	return NodeStatus{Role: n.role, Epoch: n.epoch}
 }
 
-func (n *fakeNode) ReplAddr() string { return n.addr }
+func (n *fakeNode) ReplAddr() string {
+	n.mu.Lock()
+	hook := n.beforeClaim
+	n.beforeClaim = nil
+	n.mu.Unlock()
+	if hook != nil {
+		hook()
+	}
+	return n.addr
+}
 
 func (n *fakeNode) Promote(epoch uint64) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.promotes++
 	if n.promoteErr != nil {
 		return n.promoteErr
 	}
@@ -67,183 +81,221 @@ func (n *fakeNode) Repoint(addr string, epoch uint64) error {
 	return nil
 }
 
-func newGroup() (a, b, c *fakeNode, sup *Supervisor) {
-	a = &fakeNode{name: "a", addr: "addr-a", alive: true, role: RolePrimary, seq: 10}
-	b = &fakeNode{name: "b", addr: "addr-b", alive: true, role: RoleFollower, seq: 10}
-	c = &fakeNode{name: "c", addr: "addr-c", alive: true, role: RoleFollower, seq: 8}
-	sup = NewSupervisor([]Node{a, b, c}, Options{MissThreshold: 2})
-	return a, b, c, sup
+func (n *fakeNode) snapshot() nodeState {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	st := n.nodeState
+	st.fences = append([]uint64(nil), n.fences...)
+	st.repoints = append([]string(nil), n.repoints...)
+	st.routes = append([]string(nil), n.routes...)
+	return st
 }
 
-func pollUntilFailover(sup *Supervisor) {
-	for i := 0; i < sup.opts.MissThreshold+1; i++ {
-		sup.poll()
-	}
-}
-
-func TestSupervisorElectsHighestPosition(t *testing.T) {
-	a, b, c, sup := newGroup()
-	var windows int
-	var promoted Node
-	var promotedEpoch uint64
-	sup.opts.OnWindow = func() { windows++ }
-	sup.opts.OnPromote = func(w Node, e uint64) { promoted, promotedEpoch = w, e }
-
-	sup.poll()
-	if got := sup.Status().Primary; got != "a" {
-		t.Fatalf("adopted primary = %q, want a", got)
-	}
-
-	a.mu.Lock()
-	a.alive = false
-	a.mu.Unlock()
-	pollUntilFailover(sup)
-
-	st := sup.Status()
-	if st.Primary != "b" {
-		t.Fatalf("winner = %q, want b (highest seq)", st.Primary)
-	}
-	if st.Epoch != 1 || promotedEpoch != 1 {
-		t.Fatalf("epoch = %d (hook %d), want 1", st.Epoch, promotedEpoch)
-	}
-	if promoted != Node(b) || b.Status().Role != RolePrimary {
-		t.Fatalf("OnPromote got %v, role %s", promoted, b.Status().Role)
-	}
-	if windows != 1 {
-		t.Fatalf("OnWindow fired %d times, want 1", windows)
-	}
-	c.mu.Lock()
-	repoints := append([]string(nil), c.repoints...)
-	c.mu.Unlock()
-	if len(repoints) != 1 || repoints[0] != "addr-b" {
-		t.Fatalf("survivor repoints = %v, want [addr-b]", repoints)
+// member is a node with its elector over a shared lease directory. The TTL
+// is an hour, so a lease goes stale only when a test says so.
+func member(dir, name, role string) (*fakeNode, *Elector) {
+	n := &fakeNode{name: name, addr: "addr-" + name, nodeState: nodeState{role: role}}
+	return n, &Elector{
+		Node:  n,
+		Lease: LeaseConfig{Dir: dir, TTL: time.Hour},
+		Route: func(promoted bool, epoch uint64) {
+			n.mu.Lock()
+			defer n.mu.Unlock()
+			if promoted {
+				n.routes = append(n.routes, fmt.Sprintf("primary@%d", epoch))
+			} else {
+				n.routes = append(n.routes, "none")
+			}
+		},
 	}
 }
 
-func TestSupervisorElectionPrefersNewerEpoch(t *testing.T) {
-	a, b, c, sup := newGroup()
-	// c is behind in seq but holds a newer epoch: its history belongs to
-	// the newest lineage and must win over a longer stale one.
-	c.mu.Lock()
-	c.epoch, c.seq = 3, 2
-	c.mu.Unlock()
-	sup.poll()
-	a.mu.Lock()
-	a.alive = false
-	a.mu.Unlock()
-	pollUntilFailover(sup)
-
-	st := sup.Status()
-	if st.Primary != "c" {
-		t.Fatalf("winner = %q, want c (newest epoch)", st.Primary)
+func mustLease(t *testing.T, dir string) LeaseRecord {
+	t.Helper()
+	rec, ok, err := ReadLease(dir)
+	if err != nil || !ok {
+		t.Fatalf("read lease: ok %v, %v", ok, err)
 	}
-	if st.Epoch != 4 {
-		t.Fatalf("epoch = %d, want 4 (witnessed 3 + 1)", st.Epoch)
-	}
-	_ = b
+	return rec
 }
 
-func TestSupervisorFencesResurrectedStalePrimary(t *testing.T) {
-	a, b, _, sup := newGroup()
-	sup.poll()
-	a.mu.Lock()
-	a.alive = false
-	a.mu.Unlock()
-	pollUntilFailover(sup)
-	if sup.Status().Primary != "b" {
-		t.Fatalf("setup: winner = %q", sup.Status().Primary)
+// TestElectorClaimsStaleLease: the primary's tick renews the lease; once
+// it goes stale a follower claims the lease's epoch + 1, promotes, and
+// routes writes to itself.
+func TestElectorClaimsStaleLease(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Acquire(LeaseConfig{Dir: dir, Name: "a", Addr: "addr-a", TTL: time.Hour}, 3); err != nil {
+		t.Fatal(err)
+	}
+	a, ea := member(dir, "a", RolePrimary)
+	a.epoch = 3
+	b, eb := member(dir, "b", RoleFollower)
+
+	ea.Tick()
+	eb.Tick()
+	if rec := mustLease(t, dir); rec.Epoch != 3 || rec.Name != "a" {
+		t.Fatalf("renewed lease = %+v, want a at epoch 3", rec)
+	}
+	if got := b.snapshot(); got.role != RoleFollower || got.promotes != 0 || len(got.routes) != 0 {
+		t.Fatalf("follower under a live lease: %+v", got)
 	}
 
-	// The dead primary comes back still believing it rules epoch 0.
-	a.mu.Lock()
-	a.alive = true
-	a.role = RolePrimary
-	a.mu.Unlock()
-	sup.poll()
+	forceStale(t, dir)
+	eb.Tick()
+	got := b.snapshot()
+	if got.role != RolePrimary || got.epoch != 4 || fmt.Sprint(got.routes) != "[primary@4]" {
+		t.Fatalf("claimant after the TTL: role %s epoch %d routes %v, want primary at 4", got.role, got.epoch, got.routes)
+	}
+	if rec := mustLease(t, dir); rec.Epoch != 4 || rec.Name != "b" || rec.Addr != "addr-b" {
+		t.Fatalf("claimed lease = %+v, want b at epoch 4", rec)
+	}
+}
 
-	a.mu.Lock()
-	fences, primaryAddr, role := append([]uint64(nil), a.fences...), a.primaryAddr, a.role
-	a.mu.Unlock()
-	if len(fences) != 1 || fences[0] != 1 {
-		t.Fatalf("fences = %v, want [1]", fences)
+// TestElectorOneOfTwoClaimants: two followers read the same stale lease.
+// The second one's claim runs only after the first has claimed and
+// promoted, so it finds a live lease at the epoch it wanted and loses;
+// at its next tick it follows the winner.
+func TestElectorOneOfTwoClaimants(t *testing.T) {
+	dir := t.TempDir()
+	_, ea := member(dir, "a", RolePrimary)
+	b, eb := member(dir, "b", RoleFollower)
+	c, ec := member(dir, "c", RoleFollower)
+	ea.Tick()
+	forceStale(t, dir)
+
+	c.beforeClaim = eb.Tick
+	ec.Tick()
+	gb, gc := b.snapshot(), c.snapshot()
+	if gb.role != RolePrimary || gb.epoch != 2 {
+		t.Fatalf("first claimant: role %s epoch %d, want primary at 2", gb.role, gb.epoch)
 	}
-	if role != RoleFollower || primaryAddr != "addr-b" {
-		t.Fatalf("fenced node role=%s primary=%s, want follower of addr-b", role, primaryAddr)
+	if gc.role != RoleFollower || gc.promotes != 0 || len(gc.routes) != 0 {
+		t.Fatalf("second claimant promoted over a live lease: %+v", gc)
 	}
-	if b.Status().Role != RolePrimary {
+	if rec := mustLease(t, dir); rec.Epoch != 2 || rec.Name != "b" {
+		t.Fatalf("lease = %+v, want b at epoch 2", rec)
+	}
+
+	ec.Tick()
+	if gc := c.snapshot(); gc.role != RoleFollower || fmt.Sprint(gc.repoints) != "[addr-b]" {
+		t.Fatalf("loser after its next tick: role %s repoints %v, want a follower of addr-b", gc.role, gc.repoints)
+	}
+}
+
+// TestElectorFencesResurrectedPrimary: a primary that comes back after a
+// follower claimed the lease finds its renewal lost, stops routing writes
+// to itself, and is fenced at the newer epoch into a follower of the
+// holder.
+func TestElectorFencesResurrectedPrimary(t *testing.T) {
+	dir := t.TempDir()
+	a, ea := member(dir, "a", RolePrimary)
+	b, eb := member(dir, "b", RoleFollower)
+	ea.Tick()
+	forceStale(t, dir)
+	eb.Tick()
+	if b.snapshot().role != RolePrimary {
+		t.Fatal("setup: follower did not promote")
+	}
+
+	// a still believes it rules epoch 0.
+	ea.Tick()
+	got := a.snapshot()
+	if fmt.Sprint(got.fences) != "[2]" || got.role != RoleFollower || got.primaryAddr != "addr-b" {
+		t.Fatalf("resurrected primary: fences %v role %s primary %s, want fenced at 2 following addr-b", got.fences, got.role, got.primaryAddr)
+	}
+	if fmt.Sprint(got.routes) != "[none]" {
+		t.Fatalf("resurrected primary's routes = %v, want [none]", got.routes)
+	}
+	if rec := mustLease(t, dir); rec.Epoch != 2 || rec.Name != "b" {
+		t.Fatalf("lost renewal rewrote the lease: %+v", rec)
+	}
+	if b.snapshot().role != RolePrimary {
 		t.Fatal("winner lost the primary role")
 	}
 }
 
-func TestSupervisorManualPromote(t *testing.T) {
-	a, _, _, sup := newGroup()
-	sup.poll()
+// TestElectorManualClaimPreemptsLivePrimary: the operator's claim takes a
+// live lease at the next epoch, and the old primary demotes at its next
+// tick. A claim on the primary itself is refused and leaves the lease alone.
+func TestElectorManualClaimPreemptsLivePrimary(t *testing.T) {
+	dir := t.TempDir()
+	a, ea := member(dir, "a", RolePrimary)
+	c, ec := member(dir, "c", RoleFollower)
+	ea.Tick()
 
-	if err := sup.Promote("nope"); err == nil || !strings.Contains(err.Error(), "unknown node") {
-		t.Fatalf("promote unknown = %v", err)
+	if _, err := ea.Claim(); err == nil {
+		t.Fatal("claim on the primary succeeded")
 	}
-	if err := sup.Promote("a"); err == nil || !strings.Contains(err.Error(), "already the primary") {
-		t.Fatalf("promote current primary = %v", err)
+	if rec := mustLease(t, dir); rec.Epoch != 1 || rec.Name != "a" {
+		t.Fatalf("refused claim rewrote the lease: %+v", rec)
 	}
 
-	// Manual promotion overrides the election: c wins despite the lower
-	// seq, and the still-alive old primary is fenced.
-	if err := sup.Promote("c"); err != nil {
-		t.Fatal(err)
+	epoch, err := ec.Claim()
+	if err != nil || epoch != 2 {
+		t.Fatalf("manual claim = %d, %v; want epoch 2", epoch, err)
 	}
-	st := sup.Status()
-	if st.Primary != "c" || st.Epoch != 1 {
-		t.Fatalf("status = %+v, want primary c at epoch 1", st)
+	if got := c.snapshot(); got.role != RolePrimary || fmt.Sprint(got.routes) != "[primary@2]" {
+		t.Fatalf("claimant: %+v", got)
 	}
-	a.mu.Lock()
-	fences, primaryAddr := append([]uint64(nil), a.fences...), a.primaryAddr
-	a.mu.Unlock()
-	if len(fences) != 1 || fences[0] != 1 || primaryAddr != "addr-c" {
-		t.Fatalf("old primary fences=%v primary=%s, want [1] addr-c", fences, primaryAddr)
+	ea.Tick()
+	if got := a.snapshot(); fmt.Sprint(got.fences) != "[2]" || got.primaryAddr != "addr-c" {
+		t.Fatalf("old primary fences=%v primary=%s, want [2] addr-c", got.fences, got.primaryAddr)
 	}
 }
 
-func TestSupervisorRetriesAfterFailedPromotion(t *testing.T) {
-	a, b, c, sup := newGroup()
-	sup.poll()
-	b.mu.Lock()
+// TestElectorRetriesFailedPromotion: a claimant whose promotion fails
+// holds a lease nobody renews. It does not claim again while that lease is
+// live, and claims the next epoch once it goes stale.
+func TestElectorRetriesFailedPromotion(t *testing.T) {
+	dir := t.TempDir()
+	_, ea := member(dir, "a", RolePrimary)
+	b, eb := member(dir, "b", RoleFollower)
+	ea.Tick()
+	forceStale(t, dir)
+
 	b.promoteErr = errors.New("injected: promote refused")
-	b.mu.Unlock()
-	a.mu.Lock()
-	a.alive = false
-	a.mu.Unlock()
-
-	pollUntilFailover(sup)
-	if got := sup.Status().Primary; got != "a" {
-		t.Fatalf("primary after failed promotion = %q, want still a", got)
+	eb.Tick()
+	if got := b.snapshot(); got.role != RoleFollower || got.promotes != 1 || len(got.routes) != 0 {
+		t.Fatalf("after a failed promotion: %+v", got)
 	}
-
-	// The winner keeps failing until it recovers; each round re-runs the
-	// election rather than wedging.
+	if rec := mustLease(t, dir); rec.Epoch != 2 || rec.Name != "b" {
+		t.Fatalf("failed claimant's lease = %+v, want b at epoch 2", rec)
+	}
 	b.mu.Lock()
 	b.promoteErr = nil
 	b.mu.Unlock()
-	pollUntilFailover(sup)
-	if got := sup.Status().Primary; got != "b" {
-		t.Fatalf("primary after recovery = %q, want b", got)
+	eb.Tick()
+	if got := b.snapshot(); got.promotes != 1 {
+		t.Fatalf("claimed again over its own live lease (%d promotions)", got.promotes)
 	}
-	_ = c
+
+	forceStale(t, dir)
+	eb.Tick()
+	got := b.snapshot()
+	if got.role != RolePrimary || got.epoch != 3 || fmt.Sprint(got.routes) != "[primary@3]" {
+		t.Fatalf("retry after the TTL: role %s epoch %d routes %v, want primary at 3", got.role, got.epoch, got.routes)
+	}
+	if rec := mustLease(t, dir); rec.Epoch != 3 || rec.Name != "b" {
+		t.Fatalf("lease after retry = %+v, want b at epoch 3", rec)
+	}
 }
 
-func TestSupervisorNoCandidateAborts(t *testing.T) {
-	a, b, c, sup := newGroup()
-	sup.poll()
-	for _, n := range []*fakeNode{a, b, c} {
-		n.mu.Lock()
-		n.alive = false
-		n.mu.Unlock()
+// TestElectorZeroTTLMeansDefault: a lease config without a TTL means the
+// documented 3s everywhere. A lease the primary has just renewed is live,
+// so the follower's tick must leave it alone; reading the zero TTL raw
+// made every lease stale and promoted both nodes.
+func TestElectorZeroTTLMeansDefault(t *testing.T) {
+	dir := t.TempDir()
+	a, ea := member(dir, "a", RolePrimary)
+	b, eb := member(dir, "b", RoleFollower)
+	ea.Lease.TTL, eb.Lease.TTL = 0, 0
+	ea.Tick()
+	eb.Tick()
+	if ga, gb := a.snapshot(), b.snapshot(); ga.role != RolePrimary || gb.role != RoleFollower || gb.promotes != 0 {
+		t.Fatalf("zero TTL: a %s, b %s after %d promotions; want one primary", ga.role, gb.role, gb.promotes)
 	}
-	pollUntilFailover(sup)
-	if got := sup.Status().Primary; got != "a" {
-		t.Fatalf("primary = %q; an empty election must not install anyone", got)
-	}
-	if err := sup.Promote(""); err == nil {
-		t.Fatal("manual promotion with no alive candidate succeeded")
+	if rec := mustLease(t, dir); rec.Epoch != 1 || rec.Name != "a" {
+		t.Fatalf("lease = %+v, want a at epoch 1", rec)
 	}
 }
 

@@ -1,11 +1,9 @@
 package failover
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -14,14 +12,13 @@ import (
 	"repro/internal/durable"
 )
 
-// Cross-process coordination: when the supervisor cannot hold direct node
-// handles (separate eilserver processes), the same protocol runs through a
-// lease file on shared storage. The primary renews lease.json (atomic
-// rename, so readers never see a torn record); a follower that sees the
-// lease go stale claims the next epoch through an O_EXCL claim file — the
-// filesystem arbitrates concurrent claimants — then self-promotes. A
-// primary whose renewal discovers a newer lease has been fenced and must
-// demote itself.
+// Coordination between the members of a group (separate eilserver
+// processes) runs through a lease file on shared storage. The primary
+// renews lease.json (atomic rename, so readers never see a torn record); a
+// follower that sees the lease go stale claims the next epoch through an
+// O_EXCL claim file — the filesystem arbitrates concurrent claimants — then
+// self-promotes. A primary whose renewal discovers a newer lease has been
+// fenced and must demote itself. Elector is the loop that does all three.
 
 // LeaseName is the lease record file inside the lease directory.
 const LeaseName = "lease.json"
@@ -40,11 +37,9 @@ type LeaseConfig struct {
 	Name string
 	Addr string
 	// TTL is how stale a lease must be before a claimant may take it
-	// (0 = 3s). It bounds unavailability after a primary dies.
+	// (0 = 3s). It bounds unavailability after a primary dies; the elector
+	// ticks every third of it.
 	TTL time.Duration
-	// RenewEvery is the holder's renewal (and watchers' poll) interval
-	// (0 = TTL/3).
-	RenewEvery time.Duration
 }
 
 func (c LeaseConfig) ttl() time.Duration {
@@ -52,13 +47,6 @@ func (c LeaseConfig) ttl() time.Duration {
 		return 3 * time.Second
 	}
 	return c.TTL
-}
-
-func (c LeaseConfig) renewEvery() time.Duration {
-	if c.RenewEvery > 0 {
-		return c.RenewEvery
-	}
-	return c.ttl() / 3
 }
 
 // ErrLeaseLost means a renewal discovered a newer lease: this node was
@@ -89,15 +77,34 @@ func (r LeaseRecord) Stale(ttl time.Duration) bool {
 	return time.Since(r.RenewedAt) > ttl
 }
 
+// writeLease replaces the lease record atomically. Each writer stages its
+// record in a temporary file of its own: a holder's renewal and a
+// claimant's acquisition can run at once in two processes, and with one
+// shared staging name either may rename the other's file away and fail.
 func writeLease(dir string, rec LeaseRecord) error {
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	return durable.WriteFileAtomic(nil, filepath.Join(dir, LeaseName), func(w io.Writer) error {
-		_, err := w.Write(b)
+	f, err := os.CreateTemp(dir, LeaseName+".*.tmp")
+	if err != nil {
 		return err
-	})
+	}
+	_, err = f.Write(b)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), filepath.Join(dir, LeaseName))
+	}
+	if err != nil {
+		_ = os.Remove(f.Name())
+		return err
+	}
+	return durable.SyncDir(nil, dir)
 }
 
 // Acquire claims the lease at epoch. It refuses when another node holds a
@@ -124,6 +131,13 @@ func Acquire(cfg LeaseConfig, epoch uint64) (LeaseRecord, error) {
 	f, err := os.OpenFile(claim, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		if errors.Is(err, fs.ErrExist) {
+			// A claimant writes the lease right after its claim file. A claim
+			// older than the TTL with the lease still below its epoch means
+			// that write never happened (the claimant died, or the write
+			// failed): the epoch is burned, and the next one is free.
+			if fi, serr := os.Stat(claim); serr == nil && time.Since(fi.ModTime()) > cfg.ttl() && (!ok || cur.Epoch < epoch) {
+				return Acquire(cfg, epoch+1)
+			}
 			return LeaseRecord{}, fmt.Errorf("%w: epoch %d already claimed", ErrLeaseHeld, epoch)
 		}
 		return LeaseRecord{}, err
@@ -155,55 +169,4 @@ func Renew(cfg LeaseConfig, epoch uint64) (LeaseRecord, error) {
 		return LeaseRecord{}, err
 	}
 	return rec, nil
-}
-
-// Hold renews the lease until ctx cancels or a newer lease fences this
-// holder. On fencing it returns the usurper's record with ErrLeaseLost —
-// the caller must demote itself before serving another write.
-func Hold(ctx context.Context, cfg LeaseConfig, epoch uint64) (LeaseRecord, error) {
-	t := time.NewTicker(cfg.renewEvery())
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return LeaseRecord{}, ctx.Err()
-		case <-t.C:
-		}
-		rec, err := Renew(cfg, epoch)
-		if errors.Is(err, ErrLeaseLost) {
-			return rec, err
-		}
-		// Transient read/write failures keep the lease and retry.
-	}
-}
-
-// WatchClaim polls the lease until it goes stale, then claims the next
-// epoch. A lost claim race just resumes watching; it returns only when it
-// wins the lease or ctx cancels.
-func WatchClaim(ctx context.Context, cfg LeaseConfig) (LeaseRecord, error) {
-	t := time.NewTicker(cfg.renewEvery())
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return LeaseRecord{}, ctx.Err()
-		case <-t.C:
-		}
-		cur, ok, err := ReadLease(cfg.Dir)
-		if err != nil {
-			continue
-		}
-		if ok && !cur.Stale(cfg.ttl()) {
-			continue
-		}
-		next := uint64(1)
-		if ok {
-			next = cur.Epoch + 1
-		}
-		rec, err := Acquire(cfg, next)
-		if err != nil {
-			continue // lost the race; keep watching
-		}
-		return rec, nil
-	}
 }

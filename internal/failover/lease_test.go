@@ -1,10 +1,10 @@
 package failover
 
 import (
-	"context"
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 )
@@ -98,48 +98,62 @@ func TestLeaseClaimFileArbitratesRaces(t *testing.T) {
 	}
 }
 
-func TestLeaseHoldReturnsOnUsurp(t *testing.T) {
+// TestLeaseBurnedClaimIsSkipped: a claimant that made its claim file but
+// never wrote the lease burns that epoch. While its claim is younger than
+// the TTL it may still be writing, so the epoch stays held; after that the
+// next claimant takes the epoch after it, instead of losing the claim race
+// to a dead node at every tick.
+func TestLeaseBurnedClaimIsSkipped(t *testing.T) {
 	dir := t.TempDir()
-	cfg := leaseCfg(dir, "a")
-	cfg.RenewEvery = 5 * time.Millisecond
-	if _, err := Acquire(cfg, 1); err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	got := make(chan error, 1)
-	go func() {
-		_, err := Hold(ctx, cfg, 1)
-		got <- err
-	}()
-
-	// A newer primary overwrites the lease; the holder must notice.
-	if err := writeLease(dir, LeaseRecord{Epoch: 2, Name: "b", Addr: "addr-b", RenewedAt: time.Now().Add(time.Hour)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-got; !errors.Is(err, ErrLeaseLost) {
-		t.Fatalf("Hold returned %v, want ErrLeaseLost", err)
-	}
-}
-
-func TestWatchClaimTakesStaleLease(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := Acquire(leaseCfg(dir, "a"), 3); err != nil {
+	if _, err := Acquire(leaseCfg(dir, "a"), 1); err != nil {
 		t.Fatal(err)
 	}
 	forceStale(t, dir)
-
-	cfg := leaseCfg(dir, "b")
-	cfg.RenewEvery = 5 * time.Millisecond
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	rec, err := WatchClaim(ctx, cfg)
-	if err != nil {
+	claim := filepath.Join(dir, "claim-0000000000000002")
+	if err := os.WriteFile(claim, []byte("dead\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Epoch != 4 || rec.Name != "b" {
-		t.Fatalf("claimed lease = %+v, want b at epoch 4", rec)
+	if _, err := Acquire(leaseCfg(dir, "b"), 2); !errors.Is(err, ErrLeaseHeld) {
+		t.Fatalf("claim over a fresh rival claim = %v, want ErrLeaseHeld", err)
+	}
+	old := time.Now().Add(-2 * time.Hour)
+	if err := os.Chtimes(claim, old, old); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Acquire(leaseCfg(dir, "b"), 2)
+	if err != nil || rec.Epoch != 3 || rec.Name != "b" {
+		t.Fatalf("claim over a burned epoch = %+v, %v; want b at epoch 3", rec, err)
+	}
+}
+
+// TestLeaseConcurrentWriters: a renewal and an acquisition in two
+// processes write the lease at the same time; both must land whole.
+func TestLeaseConcurrentWriters(t *testing.T) {
+	dir := t.TempDir()
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for _, name := range []string{"a", "b"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if err := writeLease(dir, LeaseRecord{Epoch: 1, Name: name, RenewedAt: time.Now()}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Errorf("concurrent lease write: %v", err)
+	}
+	if rec, ok, err := ReadLease(dir); err != nil || !ok || rec.Epoch != 1 {
+		t.Fatalf("lease after concurrent writes = %+v, ok %v, %v", rec, ok, err)
+	}
+	if m, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(m) != 0 {
+		t.Fatalf("staging files left behind: %v", m)
 	}
 }
 

@@ -1,3 +1,7 @@
+// Package router holds the write router: the one place a failover node's
+// mutations find the current primary, queue through a promotion window,
+// and fail crisply past it. Reads need no router; every node answers them,
+// and a balancer in front of the group polls each node's /readyz.
 package router
 
 import (
@@ -52,10 +56,9 @@ type WriteOptions struct {
 	Metrics *obs.Registry
 }
 
-// WriteRouter serializes "who is the primary" for mutations. Reads route
-// around a dead node instantly; writes cannot — they either follow the
-// current primary, wait briefly while a promotion is in flight, or fail
-// crisply with a retry hint. SetPrimary(nil) opens the promotion window;
+// WriteRouter serializes "who is the primary" for mutations: they either
+// follow the current primary, wait briefly while a promotion is in flight,
+// or fail crisply with a retry hint. SetPrimary(nil) opens the promotion window;
 // SetPrimary(p, epoch) closes it and wakes every queued mutation.
 type WriteRouter struct {
 	opts WriteOptions

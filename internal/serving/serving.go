@@ -1,9 +1,9 @@
 // Package serving declares EIL's serving surface once. The paper's Figure 1
 // is one search procedure behind one front end, whatever the deployment:
-// a monolithic system, a sharded cluster, a read replica of either, a
-// failover node that changes role, a router over several of those. Each is a
-// Backend; the HTTP layer, the routers and the server command are written
-// against the facets below and nothing else.
+// a monolithic system, a sharded cluster, a read replica of either, or a
+// failover node that changes role. Each is a Backend; the HTTP layer, the
+// write router and the server command are written against the facets below
+// and nothing else.
 //
 // The package is a leaf: it imports neither the root package, internal/web
 // nor internal/router, so all three can share these declarations.
@@ -37,25 +37,19 @@ var ErrNotSynced error = &core.BackendError{
 	Err:     errors.New("eil: replica has not completed initial sync"),
 }
 
-// Queries are the reads a router may send to any node. The two keyword
-// methods cannot report an error, so a caller that must tell "no matches"
-// from "no state" asks Ready first.
-type Queries interface {
+// Reader is the read facet. The two keyword methods cannot report an
+// error, so a caller that must tell "no matches" from "no state" asks Ready
+// first.
+type Reader interface {
 	// Ready reports whether there is state to answer from.
 	Ready() bool
 	SearchCtx(ctx context.Context, user access.User, q core.FormQuery) (core.Result, error)
+	SearchExplain(ctx context.Context, user access.User, q core.FormQuery) (core.Result, *core.Explanation, error)
 	KeywordSearchCtx(ctx context.Context, query string, limit int) []siapi.DocHit
 	KeywordCount(query string) int
 	ExploreCtx(ctx context.Context, user access.User, dealID string, q core.FormQuery) ([]siapi.DocHit, error)
 	SimilarDeals(user access.User, dealID string, k int) ([]synopsis.SimilarHit, error)
 	Deal(user access.User, dealID string) (synopsis.Deal, error)
-}
-
-// Reader is the read facet: Queries plus explain mode, which a router keeps
-// on the primary.
-type Reader interface {
-	Queries
-	SearchExplain(ctx context.Context, user access.User, q core.FormQuery) (core.Result, *core.Explanation, error)
 }
 
 // Writer is the write facet: the three journaled mutations.
@@ -91,8 +85,7 @@ type Admin interface {
 	Save(dir string) error
 }
 
-// Frontend is what the HTTP handler and the read router's pass-through
-// surface need.
+// Frontend is what the HTTP handler needs.
 type Frontend interface {
 	Reader
 	Telemetry

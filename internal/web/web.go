@@ -47,8 +47,9 @@ type config struct {
 }
 
 // WithReplStatus mounts /api/repl serving whatever the callback reports —
-// a primary's shipper/router view or a follower's client position. The
-// callback runs per request, so the payload is always current.
+// a primary's shipper view, a follower's client position, or a failover
+// node's role and write router. The callback runs per request, so the
+// payload is always current.
 func WithReplStatus(fn func() any) Option {
 	return func(c *config) { c.replFn = fn }
 }
@@ -65,8 +66,8 @@ type FailoverInfo struct {
 // WithFailover surfaces failover state. info feeds /debug/dash and folds
 // into /readyz: a fenced or mid-promotion node answers 503, because it must
 // not take traffic until its role settles. promote (optional) mounts
-// POST /api/promote — the manual promotion trigger; an empty target lets
-// the supervisor elect, a named target forces that node.
+// POST /api/promote — the manual promotion trigger, sent to the node being
+// promoted (an empty target, or that node's name).
 func WithFailover(info func() FailoverInfo, promote func(target string) error) Option {
 	return func(c *config) { c.failoverFn, c.promoteFn = info, promote }
 }
@@ -108,9 +109,9 @@ func WithProfiles(ring *prof.Ring) Option {
 
 // Backend is the serving surface the handler needs: the read facet and the
 // telemetry it renders. Every deployment shape supplies it — a system, a
-// sharded cluster, a replica, a failover node, a router — and the HTTP layer
-// is identical over all of them, down to the metric names and
-// degraded-cause labels.
+// sharded cluster, a replica, a failover node — and the HTTP layer is
+// identical over all of them, down to the metric names and degraded-cause
+// labels.
 type Backend = serving.Frontend
 
 // HandlerFor serves the EIL UI and API over a Backend. Every route is
@@ -349,10 +350,10 @@ func (h *handler) apiRepl(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, h.replFn())
 }
 
-// apiPromote triggers a manual promotion via the supervisor. POST-only —
-// it is a mutation with cluster-wide effect — and idempotent at the
-// supervisor (promoting the current primary is a no-op error). 409 carries
-// the supervisor's refusal (no such node, node dead, election in flight).
+// apiPromote triggers a manual promotion of this node. POST-only — it is a
+// mutation with cluster-wide effect — and promoting the current primary is
+// a no-op error. 409 carries the refusal (another node named, already
+// primary, the lease claim or the promotion failed).
 func (h *handler) apiPromote(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)

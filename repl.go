@@ -391,7 +391,7 @@ func (f *Follower) current() (serving.Backend, error) {
 	return nil, ErrNotSynced
 }
 
-// Name identifies the follower (router.Node).
+// Name identifies the follower to its primary.
 func (f *Follower) Name() string { return f.opts.Name }
 
 // Lag reports how many WAL records this replica trails the primary by;
@@ -710,7 +710,6 @@ type ClusterFollower struct {
 
 	followers []*Follower
 	ctl       *access.Controller
-	name      string
 
 	mu           sync.Mutex
 	cached       *Cluster
@@ -743,7 +742,7 @@ func StartClusterFollower(shards int, opts FollowerOptions) (*ClusterFollower, e
 	if err != nil {
 		return nil, fmt.Errorf("eil: cluster follower: %w", err)
 	}
-	cf := &ClusterFollower{ctl: opts.Access, name: opts.Name}
+	cf := &ClusterFollower{ctl: opts.Access}
 	cf.Switch = serving.NewSwitch(metrics, opts.Tracer, cf.current)
 	for i := 0; i < shards; i++ {
 		so := opts
@@ -810,25 +809,6 @@ func (cf *ClusterFollower) current() (serving.Backend, error) {
 	cf.cached.Tune(cf.settings)
 	cf.cachedEpochs = epochs
 	return cf.cached, nil
-}
-
-// Name identifies the follower (router.Node).
-func (cf *ClusterFollower) Name() string { return cf.name }
-
-// Lag reports the worst shard's lag (router.Node); ok only once every
-// shard has heard its primary's head.
-func (cf *ClusterFollower) Lag() (uint64, bool) {
-	var worst uint64
-	for _, sub := range cf.followers {
-		lag, ok := sub.Lag()
-		if !ok {
-			return 0, false
-		}
-		if lag > worst {
-			worst = lag
-		}
-	}
-	return worst, true
 }
 
 // WaitSynced blocks until every shard is within maxLag of its primary.

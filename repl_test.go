@@ -14,7 +14,6 @@ import (
 	"repro/internal/durable"
 	"repro/internal/fault"
 	"repro/internal/repl"
-	"repro/internal/router"
 	"repro/internal/synth"
 )
 
@@ -305,51 +304,6 @@ func TestGenerationHandoffMidStream(t *testing.T) {
 		t.Fatalf("restart across generations re-bootstrapped: %+v", st.Client)
 	}
 	assertReplicaIdentity(t, "post-handoff-restart", sys, f2)
-}
-
-// TestRouterServesThroughFollowerChurn drives reads through the router
-// while a follower is killed and restarted: every read must succeed.
-func TestRouterServesThroughFollowerChurn(t *testing.T) {
-	_, sys, addr := replPrimary(t, nil)
-	dir := t.TempDir()
-	f1 := startReplica(t, addr, t.TempDir(), "replica-1", nil)
-	f2 := startReplica(t, addr, dir, "replica-2", nil)
-	waitApplied(t, f1, primarySeq(sys))
-	waitApplied(t, f2, primarySeq(sys))
-
-	rt := router.New(sys, router.PrimaryNode("primary", sys), []router.Node{f1, f2}, router.Options{})
-	q := differentialQueries()[0]
-	var served atomic.Int64
-	read := func() {
-		if _, err := rt.SearchCtx(context.Background(), admin(), q); err != nil {
-			t.Errorf("routed read failed: %v", err)
-			return
-		}
-		served.Add(1)
-	}
-	for i := 0; i < 50; i++ {
-		read()
-	}
-	// Drain, kill, and keep reading: the survivors absorb everything.
-	if err := rt.DrainWait(context.Background(), "replica-2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := f2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		read()
-	}
-	// Restart over the same directory and rejoin the rotation.
-	f3 := startReplica(t, addr, dir, "replica-2", nil)
-	waitApplied(t, f3, primarySeq(sys))
-	rt.SetDraining("replica-2", false)
-	for i := 0; i < 50; i++ {
-		read()
-	}
-	if served.Load() != 150 {
-		t.Fatalf("served %d of 150 reads", served.Load())
-	}
 }
 
 // failCreateFS delegates to the real filesystem but fails Create while

@@ -22,7 +22,6 @@ import (
 	"repro/internal/health"
 	"repro/internal/qlog"
 	"repro/internal/repl"
-	"repro/internal/router"
 	"repro/internal/runtimetel"
 	"repro/internal/serving"
 	"repro/internal/web"
@@ -167,7 +166,6 @@ func TestServingConformance(t *testing.T) {
 	conform("cluster-3", cluster3)
 	conform("follower", f)
 	conform("cluster-follower-2", cf)
-	conform("router", router.New(mono, router.PrimaryNode("primary", mono), []router.Node{f}, router.Options{}))
 	conform("ha-primary", a)
 	conform("ha-follower", b)
 	// Only the shipped journal may change a replica's state.

@@ -267,7 +267,7 @@ func TestShardedExploreMatchesMonolith(t *testing.T) {
 // see, where every shape must return the k most similar deals they may see.
 func TestShardedSimilarDealsMatchesMonolith(t *testing.T) {
 	corpus, mono, cluster := clusterFixture(t, 3)
-	same := func(label string, user access.User, k int, shapes map[string]serving.Queries) {
+	same := func(label string, user access.User, k int, shapes map[string]serving.Reader) {
 		t.Helper()
 		checked := 0
 		for _, dealID := range corpus.DealIDs {
@@ -299,7 +299,7 @@ func TestShardedSimilarDealsMatchesMonolith(t *testing.T) {
 			}
 		}
 	}
-	same("admin", admin(), 5, map[string]serving.Queries{"monolith": mono, "3 shards": cluster})
+	same("admin", admin(), 5, map[string]serving.Reader{"monolith": mono, "3 shards": cluster})
 
 	// The restricted input: a delivery user, who sees nothing until granted,
 	// holds synopsis grants on every deal but one — the reference deal's
@@ -324,7 +324,7 @@ func TestShardedSimilarDealsMatchesMonolith(t *testing.T) {
 		}
 	}
 	opts := Options{Directory: corpus.Directory, Workers: 1, Access: ctl}
-	shapes := map[string]serving.Queries{}
+	shapes := map[string]serving.Reader{}
 	var err error
 	if shapes["monolith"], err = Ingest(corpus.Docs, opts); err != nil {
 		t.Fatal(err)

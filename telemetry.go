@@ -119,7 +119,7 @@ func stateChecks(shards []*System, sharded bool, breakers []core.BreakerStatus, 
 }
 
 // Ready reports that a system or a cluster always has state to answer from
-// (serving.Queries); replicas and failover nodes are the shapes that may not.
+// (serving.Reader); replicas and failover nodes are the shapes that may not.
 func (f *searchFront) Ready() bool { return true }
 
 // BreakerStates lists the search engine's circuits, one per hop and shard
