@@ -14,7 +14,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/repl"
-	"repro/internal/router"
 	"repro/internal/serving"
 	"repro/internal/synth"
 	"repro/internal/trace"
@@ -50,8 +49,8 @@ type shapeConfig struct {
 type deployment struct {
 	kind string // system | cluster | follower | cluster-follower | failover
 	be   serving.Backend
-	// writes is where -demo-churn mutations go: the backend itself, or the
-	// write router on a failover node; nil on a replica.
+	// writes is where -demo-churn mutations go: the backend itself (a
+	// failover node waits out its own promotion window); nil on a replica.
 	writes serving.Writer
 	// shards is a primary's shard list (length 1 for a monolith) — the
 	// positions /api/repl reports; ship starts its replication listener.
@@ -61,11 +60,9 @@ type deployment struct {
 	ship    func(net.Listener, *fault.Injector) (*repl.Shipper, error)
 	// replStatus is the /api/repl payload of a replica or failover node.
 	replStatus func() any
-	// node, wr and elect are set on a failover node: the elector's loop and
-	// POST /api/promote (elect.Claim) drive the node's role and the write
-	// router.
+	// node and elect are set on a failover node: the elector's loop and
+	// POST /api/promote (elect.Claim) drive the node's role.
 	node  *eil.HANode
-	wr    *router.WriteRouter
 	elect *failover.Elector
 	// close stops what the shape started beyond the backend's own journal
 	// (replication streams, the failover node).
@@ -234,28 +231,25 @@ func failoverShape(cfg shapeConfig) (*deployment, error) {
 			log.Printf("failover node %q: primary at epoch %d, shipping on %s", name, seed.FenceEpoch(), node.ReplAddr())
 		}
 	}
-	// Mutations (the churn loop, and anything the host adds) go through
-	// the write router: they follow the current primary, queue briefly
-	// through a promotion window, and fail crisply past it.
-	wr := router.NewWriteRouter(router.WriteOptions{IsFenced: failover.IsFenced, Metrics: node.Registry()})
-	if node.Role() == failover.RolePrimary {
-		wr.SetPrimary(node, node.Status().Epoch)
-	}
-	elect := &failover.Elector{Node: node, Lease: cfg.lease, Logf: log.Printf, Route: func(promoted bool, epoch uint64) {
-		if promoted {
-			wr.SetPrimary(node, epoch)
-		} else {
-			wr.SetPrimary(nil, 0)
-		}
-	}}
+	elect := &failover.Elector{Node: node, Lease: cfg.lease, Logf: log.Printf}
 	status := func() any {
+		st := node.Status()
 		return struct {
 			failover.NodeStatus
-			Writes    router.WriteStatus    `json:"writes"`
+			Writes    writeStatus           `json:"writes"`
 			Followers []repl.FollowerStatus `json:"followers,omitempty"`
-		}{node.Status(), wr.Status(), node.ShipperStatus()}
+		}{st, writeStatus{st.Role == failover.RolePrimary, st.Epoch, node.Waiters()}, node.ShipperStatus()}
 	}
-	return &deployment{kind: "failover", be: node, writes: wr, replStatus: status, node: node, wr: wr, elect: elect, close: node.Close}, nil
+	return &deployment{kind: "failover", be: node, writes: node, replStatus: status, node: node, elect: elect, close: node.Close}, nil
+}
+
+// writeStatus is a failover node's write side in its /api/repl report:
+// whether it is the write primary, its epoch, and how many writes wait out
+// its promotion window.
+type writeStatus struct {
+	HasPrimary bool   `json:"has_primary"`
+	Epoch      uint64 `json:"epoch"`
+	Waiters    int    `json:"waiters"`
 }
 
 // shardPosition is one shard's replication position in the primary's

@@ -148,38 +148,90 @@ func TestSelectShapeReplicas(t *testing.T) {
 	}
 }
 
+// replReport is what a failover node's /api/repl carries.
+type replReport struct {
+	Role   string `json:"role"`
+	Epoch  uint64 `json:"epoch"`
+	Seq    uint64 `json:"seq"`
+	Writes struct {
+		HasPrimary bool   `json:"has_primary"`
+		Epoch      uint64 `json:"epoch"`
+		Waiters    int    `json:"waiters"`
+	} `json:"writes"`
+}
+
+// replOf decodes d's /api/repl payload, requiring every key of replReport.
+func replOf(t *testing.T, d *deployment) replReport {
+	t.Helper()
+	raw, err := json.Marshal(d.replStatus())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top map[string]any
+	if err := json.Unmarshal(raw, &top); err != nil {
+		t.Fatal(err)
+	}
+	w, _ := top["writes"].(map[string]any)
+	for _, k := range []string{"role", "epoch", "seq", "writes"} {
+		if _, ok := top[k]; !ok {
+			t.Fatalf("/api/repl lacks %q: %s", k, raw)
+		}
+	}
+	for _, k := range []string{"has_primary", "epoch", "waiters"} {
+		if _, ok := w[k]; !ok {
+			t.Fatalf("/api/repl writes lack %q: %s", k, raw)
+		}
+	}
+	var rep replReport
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 // TestSelectShapeFailover: a failover node is one backend in either role,
-// with mutations behind the write router.
+// and takes its own mutations.
 func TestSelectShapeFailover(t *testing.T) {
 	p := shapeFor(t, shapeConfig{sysDir: t.TempDir(), demo: true, shards: 1, failover: true, replListen: "127.0.0.1:0", replName: "a", walSync: 1, writerFlags: true})
-	if p.kind != "failover" || p.node == nil || p.node.Role() != failover.RolePrimary || p.writes != serving.Writer(p.wr) {
+	if p.kind != "failover" || p.node == nil || p.node.Role() != failover.RolePrimary || p.writes != serving.Writer(p.node) {
 		t.Fatalf("failover primary: %+v", p)
 	}
 	if err := p.writes.AddDocuments(churn(t, 1)); err != nil {
-		t.Fatalf("write through the router: %v", err)
+		t.Fatalf("write on the primary: %v", err)
 	}
-	if st := p.wr.Status(); !st.HasPrimary {
-		t.Errorf("write router has no primary: %+v", st)
+	if rep := replOf(t, p); rep.Role != failover.RolePrimary || rep.Seq == 0 || !rep.Writes.HasPrimary || rep.Writes.Epoch != rep.Epoch || rep.Writes.Waiters != 0 {
+		t.Errorf("failover primary's /api/repl: %+v", rep)
 	}
 
 	f := shapeFor(t, shapeConfig{sysDir: t.TempDir(), shards: 1, failover: true, replicaOf: deadAddr(t), replListen: "127.0.0.1:0", replName: "b", walSync: 1})
-	if f.node.Role() != failover.RoleFollower || f.be.Ready() || f.wr.Status().HasPrimary {
-		t.Fatalf("failover follower: role %s, ready %v, router %+v", f.node.Role(), f.be.Ready(), f.wr.Status())
+	if f.node.Role() != failover.RoleFollower || f.be.Ready() {
+		t.Fatalf("failover follower: role %s, ready %v", f.node.Role(), f.be.Ready())
 	}
 	f.be.Tune(serving.Settings{Resilience: core.Resilience{MaxRetries: 2}})
-	if raw, err := json.Marshal(f.replStatus()); err != nil || !strings.Contains(string(raw), `"role":"follower"`) {
-		t.Errorf("failover status = %s, %v", raw, err)
+	done := make(chan error, 1)
+	go func() { done <- f.writes.RemoveDeal("CHURN DEAL 1") }()
+	for deadline := time.Now().Add(10 * time.Second); f.node.Waiters() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a follower's write never waited out its promotion window")
+		}
+	}
+	if rep := replOf(t, f); rep.Role != failover.RoleFollower || rep.Writes.HasPrimary || rep.Writes.Waiters != 1 {
+		t.Errorf("failover follower's /api/repl: %+v", rep)
+	}
+	if err := <-done; !failover.IsFenced(err) {
+		t.Errorf("write on a follower nobody promotes: %v, want a fencing refusal", err)
 	}
 }
 
 // TestLeaseTick: the elector eilserver runs, ticked over two in-process
 // failover nodes sharing a lease directory. The primary renews; once its
-// lease goes stale the follower claims epoch 2 and promotes; the resurrected
-// primary's next renewal finds the newer lease and fences it into a
-// follower of the winner.
+// lease goes stale the follower claims epoch 2 and promotes; the primary,
+// restarted over its directory, finds the newer lease at its next renewal
+// and is fenced into a follower of the winner.
 func TestLeaseTick(t *testing.T) {
 	lease := failover.LeaseConfig{Dir: t.TempDir(), TTL: 300 * time.Millisecond}
-	a := shapeFor(t, shapeConfig{sysDir: t.TempDir(), demo: true, shards: 1, failover: true, replListen: "127.0.0.1:0", replName: "a", walSync: 1, lease: lease, writerFlags: true})
+	aCfg := shapeConfig{sysDir: t.TempDir(), demo: true, shards: 1, failover: true, replListen: "127.0.0.1:0", replName: "a", walSync: 1, lease: lease, writerFlags: true}
+	a := shapeFor(t, aCfg)
 	b := shapeFor(t, shapeConfig{sysDir: t.TempDir(), shards: 1, failover: true, replicaOf: a.node.ReplAddr(), replListen: "127.0.0.1:0", replName: "b", walSync: 1, lease: lease})
 	readLease := func() failover.LeaseRecord {
 		t.Helper()
@@ -205,13 +257,15 @@ func TestLeaseTick(t *testing.T) {
 		t.Fatalf("primary's lease = %+v, want epoch 1 held by a at %s", rec, a.node.ReplAddr())
 	}
 	b.elect.Tick()
-	if b.node.Role() != failover.RoleFollower || b.wr.Status().HasPrimary {
-		t.Fatalf("follower under a live lease: role %s, router %+v", b.node.Role(), b.wr.Status())
+	if b.node.Role() != failover.RoleFollower {
+		t.Fatalf("follower under a live lease: role %s", b.node.Role())
 	}
 
 	// The primary dies and stops renewing: the follower claims the next
-	// epoch once the lease is stale, promotes, and routes writes to itself.
-	a.node.Kill()
+	// epoch once the lease is stale, promotes, and takes writes.
+	if err := a.close(); err != nil {
+		t.Fatal(err)
+	}
 	waitFor("follower promotes", func() bool {
 		b.elect.Tick()
 		return b.node.Role() == failover.RolePrimary
@@ -226,17 +280,17 @@ func TestLeaseTick(t *testing.T) {
 		t.Fatalf("write after promotion: %v", err)
 	}
 
-	// The old primary comes back believing it still leads. Its renewal
-	// loses to epoch 2, so it stops taking writes and follows b.
-	if err := a.node.Resurrect(); err != nil {
-		t.Fatal(err)
-	}
+	// The old primary restarts over its directory, as eilserver does,
+	// believing it still leads. Its renewal loses to epoch 2, so it stops
+	// taking writes and follows b.
+	aCfg.demo, aCfg.writerFlags = false, false
+	a = shapeFor(t, aCfg)
 	if a.node.Role() != failover.RolePrimary {
-		t.Fatalf("resurrected primary came back as %s", a.node.Role())
+		t.Fatalf("restarted primary came back as %s", a.node.Role())
 	}
 	a.elect.Tick()
-	if a.node.Role() != failover.RoleFollower || a.wr.Status().HasPrimary {
-		t.Fatalf("resurrected primary after lease loss: role %s, router %+v", a.node.Role(), a.wr.Status())
+	if a.node.Role() != failover.RoleFollower {
+		t.Fatalf("restarted primary after lease loss: role %s", a.node.Role())
 	}
 	if rec := readLease(); rec.Epoch != 2 || rec.Name != "b" {
 		t.Fatalf("fenced renewal rewrote the lease: %+v", rec)

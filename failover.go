@@ -11,8 +11,9 @@ package eil
 // is the other side: seal the journal, persist the fencing mark, stop
 // accepting writes. HANode wraps one node in either role and implements
 // failover.Node for its elector plus the whole serving surface: reads
-// and telemetry follow whichever role object is current, writes are
-// refused with a FencedError unless the node is the live primary.
+// and telemetry follow whichever role object is current; writes land on
+// the live primary, wait out a follower's promotion window, and are
+// refused with a FencedError past it.
 
 import (
 	"errors"
@@ -156,32 +157,43 @@ type HANodeOptions struct {
 	Faults *fault.Injector
 }
 
+// Writes that reach a follower wait out its promotion window: they land if
+// the node is promoted within promotionWindow, and at most
+// maxWindowWaiters of them wait at once.
+const (
+	promotionWindow  = 3 * time.Second
+	maxWindowWaiters = 256
+)
+
 // HANode is one member of a replication group: a System serving as primary
 // (or sitting fenced) or a Follower replicating from the current primary.
 // It implements failover.Node for its elector and serving.Backend for the
-// HTTP layer and the write router; the elector drives every role
-// transition. The embedded Switch resolves the role object through an
-// atomic pointer, so a request never takes the node's lock and the
-// readiness checks are always the current role's.
+// HTTP layer; the elector drives every role transition. The embedded
+// Switch resolves the role object through an atomic pointer, so a read
+// never takes the node's lock and the readiness checks are always the
+// current role's.
 type HANode struct {
 	serving.Switch
 
 	opts HANodeOptions
 
 	// serve is the role object requests resolve to: the System or Follower
-	// last installed under mu. Kill and Close leave it in place, so reads in
-	// the shutdown window answer from the last state; writes go through
-	// writeSys, which a dead node refuses.
+	// last installed under mu. Close leaves it in place, so reads in the
+	// shutdown window answer from the last state; writes go through
+	// writeSys, which a closed node refuses.
 	serve atomic.Pointer[serving.Backend]
 
-	mu          sync.Mutex
-	settings    *serving.Settings // nil until Tune; applied to every new role object
-	alive       bool
+	mu       sync.Mutex
+	settings *serving.Settings // nil until Tune; applied to every new role object
+	// changed is closed and replaced at every role change and at Close,
+	// waking the writes that wait out the promotion window; waiters counts
+	// them.
+	changed     chan struct{}
+	waiters     int
 	role        string
 	sys         *System   // primary / fenced role
 	fol         *Follower // follower role
 	shipper     *repl.Shipper
-	lis         net.Listener
 	addr        string // last bound replication address
 	primaryAddr string // upstream, while follower
 	promotedAt  time.Time
@@ -192,9 +204,21 @@ func newHANode(opts HANodeOptions, tracer *trace.Tracer) *HANode {
 	if metrics == nil {
 		metrics = obs.NewRegistry()
 	}
-	h := &HANode{opts: opts}
+	h := &HANode{opts: opts, changed: make(chan struct{})}
 	h.Switch = serving.NewSwitch(metrics, tracer, h.current)
 	return h
+}
+
+// setRoleLocked moves the node to role and wakes the writes waiting out the
+// promotion window. Caller holds h.mu.
+func (h *HANode) setRoleLocked(role string) {
+	h.role = role
+	h.wakeLocked()
+}
+
+func (h *HANode) wakeLocked() {
+	close(h.changed)
+	h.changed = make(chan struct{})
 }
 
 // current resolves the Switch: the role object requests are served from.
@@ -230,8 +254,11 @@ func (h *HANode) Tune(set serving.Settings) {
 // skips: a follower persists at the stream's rotation points, and a fenced
 // node's journal is sealed.
 func (h *HANode) Save(dir string) error {
-	sys, err := h.writeSys()
-	if err != nil {
+	h.mu.Lock()
+	sys := h.sys
+	primary := h.role == failover.RolePrimary
+	h.mu.Unlock()
+	if !primary || sys == nil {
 		return nil
 	}
 	return sys.Save(dir)
@@ -258,7 +285,6 @@ func NewPrimaryHANode(sys *System, opts HANodeOptions) (*HANode, error) {
 	defer h.mu.Unlock()
 	h.sys = sys
 	h.adoptLocked(sys)
-	h.alive = true
 	if sys.FencedBy() != 0 {
 		h.role = failover.RoleFenced
 		return h, nil
@@ -278,7 +304,6 @@ func NewFollowerHANode(primaryAddr string, opts HANodeOptions) (*HANode, error) 
 	if err := h.startFollowerLocked(primaryAddr); err != nil {
 		return nil, err
 	}
-	h.alive = true
 	return h, nil
 }
 
@@ -294,7 +319,7 @@ func (h *HANode) startShipperLocked() error {
 		_ = lis.Close()
 		return err
 	}
-	h.lis, h.addr, h.shipper = lis, lis.Addr().String(), sh
+	h.addr, h.shipper = lis.Addr().String(), sh
 	return nil
 }
 
@@ -322,7 +347,7 @@ func (h *HANode) startFollowerLocked(addr string) error {
 	h.fol = fol
 	h.adoptLocked(fol)
 	h.primaryAddr = addr
-	h.role = failover.RoleFollower
+	h.setRoleLocked(failover.RoleFollower)
 	return nil
 }
 
@@ -337,8 +362,8 @@ func (h *HANode) onFenced(newer uint64) {
 		return
 	}
 	sys, sh := h.sys, h.shipper
-	h.role = failover.RoleFenced
-	h.shipper, h.lis = nil, nil
+	h.setRoleLocked(failover.RoleFenced)
+	h.shipper = nil
 	h.mu.Unlock()
 	h.logf("eil: ha %s: fenced by epoch %d, demoting", h.opts.Name, newer)
 	if sys != nil {
@@ -413,31 +438,30 @@ func (h *HANode) ReplAddr() string {
 
 // Promote makes this follower the primary under epoch (failover.Node):
 // detach from the dead primary's stream, seal-and-bump via
-// PromoteToPrimary, enable the journal, and start shipping.
+// PromoteToPrimary, enable the journal, and start shipping. A promotion
+// that fails before the state is installed leaves the node a follower that
+// holds its detached state, so its elector claims again once the lease
+// goes stale; a later Repoint restarts its stream.
 func (h *HANode) Promote(epoch uint64) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if !h.alive {
-		return fmt.Errorf("eil: ha %s: cannot promote a dead node", h.opts.Name)
-	}
 	if h.role == failover.RolePrimary {
 		return fmt.Errorf("eil: ha %s: already primary", h.opts.Name)
 	}
 	if h.fol == nil {
 		return fmt.Errorf("eil: ha %s: no follower state to promote", h.opts.Name)
 	}
-	h.role = failover.RolePromoting
+	// The stream is detached from here on: the upstream is forgotten, so a
+	// Repoint at any address restarts it.
+	h.primaryAddr = ""
 	sys, shipLog, err := h.fol.Detach()
 	if err != nil {
-		h.role = failover.RoleFollower
 		return fmt.Errorf("eil: ha %s: %w", h.opts.Name, err)
 	}
 	if err := sys.PromoteToPrimary(h.opts.Dir, epoch, shipLog); err != nil {
-		h.role = failover.RoleFenced // stream detached, state not promoted: the elector claims again once its lease goes stale
 		return err
 	}
 	if err := sys.EnableWAL(h.opts.Dir, h.opts.SyncEvery); err != nil {
-		h.role = failover.RoleFenced
 		return err
 	}
 	h.sys, h.fol = sys, nil
@@ -447,10 +471,10 @@ func (h *HANode) Promote(epoch uint64) error {
 	var promoted serving.Backend = sys
 	h.serve.Store(&promoted)
 	if err := h.startShipperLocked(); err != nil {
-		h.role = failover.RoleFenced
+		h.setRoleLocked(failover.RoleFenced) // no follower state left to promote
 		return err
 	}
-	h.role = failover.RolePrimary
+	h.setRoleLocked(failover.RolePrimary)
 	h.promotedAt = time.Now()
 	h.logf("eil: ha %s: promoted to primary at epoch %d (%s)", h.opts.Name, epoch, h.addr)
 	return nil
@@ -470,8 +494,8 @@ func (h *HANode) Fence(epoch uint64, primaryAddr string) error {
 		return nil
 	}
 	sys, sh := h.sys, h.shipper
-	h.role = failover.RoleFenced
-	h.shipper, h.lis = nil, nil
+	h.setRoleLocked(failover.RoleFenced)
+	h.shipper = nil
 	h.mu.Unlock()
 	if sh != nil {
 		_ = sh.Close()
@@ -513,78 +537,15 @@ func (h *HANode) Repoint(addr string, epoch uint64) error {
 	return nil
 }
 
-// Kill simulates a crash for in-process chaos tests: the node stops
-// serving instantly — no checkpoint, no handshake — and refuses writes and
-// promotion until Resurrect. Durable state is exactly what a kill -9 would leave.
-func (h *HANode) Kill() {
-	h.mu.Lock()
-	h.alive = false
-	sys, fol, sh := h.sys, h.fol, h.shipper
-	h.sys, h.fol, h.shipper, h.lis = nil, nil, nil, nil
-	h.mu.Unlock()
-	if sh != nil {
-		_ = sh.Close()
-	}
-	if fol != nil {
-		// Stop the stream without the graceful checkpoint Close would take.
-		fol.cancel()
-		<-fol.done
-	}
-	if sys != nil {
-		// Release the journal handle. Acknowledged records are already on
-		// disk per the sync policy; this closes the fd, it does not save
-		// anything a crash would lose.
-		_ = sys.CloseWAL()
-	}
-}
-
-// Resurrect brings a killed node back in its pre-crash role, reloading
-// everything from disk — the in-memory state died with the "process".
-func (h *HANode) Resurrect() error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.alive {
-		return nil
-	}
-	switch h.role {
-	case failover.RoleFollower:
-		if err := h.startFollowerLocked(h.primaryAddr); err != nil {
-			return err
-		}
-	default:
-		// An ex-primary reboots from its snapshot + journal, believing
-		// whatever its EPOCH record says: unfenced, it ships again (and
-		// gets fenced at its first stale hello); fenced, it waits for a
-		// repoint.
-		sys, err := loadSystemWith(h.opts.Dir, h.opts.Access, h.Registry())
-		if err != nil {
-			return fmt.Errorf("eil: ha %s: resurrect: %w", h.opts.Name, err)
-		}
-		if err := sys.EnableWAL(h.opts.Dir, h.opts.SyncEvery); err != nil && sys.FencedBy() == 0 {
-			return fmt.Errorf("eil: ha %s: resurrect: %w", h.opts.Name, err)
-		}
-		sys.Tracer = h.RequestTracer()
-		h.sys = sys
-		h.adoptLocked(sys)
-		if sys.FencedBy() != 0 {
-			h.role = failover.RoleFenced
-		} else {
-			h.role = failover.RolePrimary
-			if err := h.startShipperLocked(); err != nil {
-				return err
-			}
-		}
-	}
-	h.alive = true
-	return nil
-}
-
-// Close shuts the node down gracefully (tests' cleanup path).
+// Close shuts the node down: it stops shipping or following, releases the
+// journal, and refuses every write from then on, the ones waiting out the
+// promotion window included. A restart is a new node over the same
+// directory: LoadSystem and NewPrimaryHANode, or NewFollowerHANode.
 func (h *HANode) Close() error {
 	h.mu.Lock()
-	h.alive = false
 	sys, fol, sh := h.sys, h.fol, h.shipper
-	h.sys, h.fol, h.shipper, h.lis = nil, nil, nil, nil
+	h.sys, h.fol, h.shipper = nil, nil, nil
+	h.wakeLocked()
 	h.mu.Unlock()
 	if sh != nil {
 		_ = sh.Close()
@@ -601,47 +562,90 @@ func (h *HANode) Close() error {
 	return first
 }
 
-// writeSys returns the primary-role state, or a FencedError that makes
-// the write router forget this node and re-queue the mutation.
-func (h *HANode) writeSys() (*System, error) {
+// writeSys returns the primary-role state for one mutation. A write that
+// reaches a follower waits out the node's promotion window: it proceeds if
+// the node is promoted in time, and is refused with a FencedError once the
+// window passes, when maxWindowWaiters writes already wait, or as soon as
+// the node is fenced or closed. failover.IsFenced is the one test for "not
+// the write primary".
+func (h *HANode) writeSys(op string) (*System, error) {
+	var deadline time.Time
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if !h.alive || h.role != failover.RolePrimary || h.sys == nil {
-		var mine uint64
-		if h.sys != nil {
-			mine = h.sys.FenceEpoch()
+	for {
+		var reason string
+		switch {
+		case h.role == failover.RolePrimary && h.sys != nil:
+			return h.sys, nil
+		case h.fol == nil:
+			reason = "fenced" // fenced or closed: no promotion is coming
+		case !deadline.IsZero():
+			if !time.Now().Before(deadline) {
+				reason = "no_primary"
+			}
+		case h.waiters >= maxWindowWaiters:
+			reason = "queue_full"
+		default:
+			deadline = time.Now().Add(promotionWindow)
+			h.Registry().Counter("eil_write_router_queued_total", "op", op).Inc()
 		}
-		return nil, &failover.FencedError{Mine: mine}
+		if reason != "" {
+			h.Registry().Counter("eil_write_router_refused_total", "op", op, "reason", reason).Inc()
+			var mine uint64
+			if h.sys != nil {
+				mine = h.sys.FenceEpoch()
+			} else if h.fol != nil {
+				mine = h.fol.FenceEpoch()
+			}
+			return nil, &failover.FencedError{Mine: mine}
+		}
+		changed := h.changed
+		h.waiters++
+		h.mu.Unlock()
+		t := time.NewTimer(time.Until(deadline))
+		select {
+		case <-changed:
+		case <-t.C:
+		}
+		t.Stop()
+		h.mu.Lock()
+		h.waiters--
 	}
-	return h.sys, nil
 }
 
-// AddDocuments routes an ingest batch to the primary-role state
+// Waiters reports how many writes are waiting out the promotion window.
+func (h *HANode) Waiters() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.waiters
+}
+
+// write runs one mutation on the primary-role state and counts it.
+func (h *HANode) write(op string, fn func(*System) error) error {
+	sys, err := h.writeSys(op)
+	if err != nil {
+		return err
+	}
+	if err := fn(sys); err != nil {
+		return err
+	}
+	h.Registry().Counter("eil_write_router_writes_total", "op", op).Inc()
+	return nil
+}
+
+// AddDocuments applies an ingest batch on the primary-role state
 // (serving.Writer).
 func (h *HANode) AddDocuments(docs []*docmodel.Document) error {
-	sys, err := h.writeSys()
-	if err != nil {
-		return err
-	}
-	return sys.AddDocuments(docs)
+	return h.write("add", func(s *System) error { return s.AddDocuments(docs) })
 }
 
-// RemoveDeal routes a removal to the primary-role state
+// RemoveDeal applies a removal on the primary-role state
 // (serving.Writer).
 func (h *HANode) RemoveDeal(dealID string) error {
-	sys, err := h.writeSys()
-	if err != nil {
-		return err
-	}
-	return sys.RemoveDeal(dealID)
+	return h.write("remove", func(s *System) error { return s.RemoveDeal(dealID) })
 }
 
-// Compact routes a compaction to the primary-role state
-// (serving.Writer).
+// Compact compacts the primary-role state (serving.Writer).
 func (h *HANode) Compact() error {
-	sys, err := h.writeSys()
-	if err != nil {
-		return err
-	}
-	return sys.Compact()
+	return h.write("compact", (*System).Compact)
 }

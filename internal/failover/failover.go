@@ -16,9 +16,10 @@ import (
 	"time"
 )
 
-// ErrFenced marks a mutation or ship stream refused because the node's
-// epoch is stale: a newer primary exists. Callers must stop writing here
-// and re-resolve the primary.
+// ErrFenced marks a mutation or ship stream refused because the node is
+// not the write primary: a newer epoch fenced it, or it is a follower that
+// no promotion reached within its promotion window. Callers must stop
+// writing here and re-resolve the primary.
 var ErrFenced = errors.New("failover: fenced: stale epoch")
 
 // FencedError carries the epochs behind an ErrFenced refusal.
@@ -28,6 +29,9 @@ type FencedError struct {
 }
 
 func (e *FencedError) Error() string {
+	if e.Current == 0 {
+		return fmt.Sprintf("failover: fenced: not the write primary (epoch %d)", e.Mine)
+	}
 	return fmt.Sprintf("failover: fenced: epoch %d superseded by %d", e.Mine, e.Current)
 }
 
@@ -38,10 +42,9 @@ func IsFenced(err error) bool { return errors.Is(err, ErrFenced) }
 
 // Roles a node reports.
 const (
-	RolePrimary   = "primary"
-	RoleFollower  = "follower"
-	RoleFenced    = "fenced"
-	RolePromoting = "promoting"
+	RolePrimary  = "primary"
+	RoleFollower = "follower"
+	RoleFenced   = "fenced"
 )
 
 // NodeStatus is one node's failover view.
@@ -74,19 +77,18 @@ type Node interface {
 
 // Elector is one node's lease loop, the only way a primary is chosen. A
 // primary renews the lease and demotes itself the moment a newer one
-// appears; a follower (or fenced ex-primary) follows a live lease's holder,
-// and claims the next epoch and promotes once the lease goes stale. The
-// first claimant after the TTL wins: the claim file arbitrates between
-// followers that saw the same stale lease. A claimant whose promotion fails
-// holds a lease nobody renews, so it claims again once that goes stale.
+// appears; a follower follows a live lease's holder, and claims the next
+// epoch and promotes once the lease goes stale. A fenced ex-primary follows
+// a live holder too, but never claims: it holds no follower state to
+// promote. The first claimant after the TTL wins: the claim file arbitrates
+// between followers that saw the same stale lease. A claimant whose
+// promotion fails holds a lease nobody renews, so it claims again once that
+// goes stale.
 type Elector struct {
 	Node Node
 	// Lease names the lease directory and TTL; Name and Addr are taken from
 	// Node at every claim and renewal.
 	Lease LeaseConfig
-	// Route points the node's write router at the node once it is the
-	// primary at epoch (promoted true), and at nothing when it demotes.
-	Route func(promoted bool, epoch uint64)
 	// Logf receives the loop's decisions; nil discards.
 	Logf func(format string, args ...any)
 
@@ -94,6 +96,11 @@ type Elector struct {
 	// claim racing a tick's claim would promote the node at one epoch and
 	// then lose the lease to its own claim of the next.
 	mu sync.Mutex
+	// absentSince is when this elector first found no lease at all (zero
+	// while one exists). A primary writes its first lease at its first
+	// tick, so an absent lease counts as stale only after one TTL of this
+	// elector's own watching.
+	absentSince time.Time
 }
 
 func (e *Elector) logf(format string, args ...any) {
@@ -111,12 +118,13 @@ func (e *Elector) lease() LeaseConfig {
 	return l
 }
 
-// Run ticks every third of the lease TTL until ctx is done.
+// Run ticks at once, then every third of the lease TTL until ctx is done.
 func (e *Elector) Run(ctx context.Context) {
 	ttl := e.Lease.ttl()
 	e.logf("failover: lease protocol active in %s (ttl %v)", e.Lease.Dir, ttl)
 	t := time.NewTicker(ttl / 3)
 	defer t.Stop()
+	e.Tick()
 	for {
 		select {
 		case <-ctx.Done():
@@ -138,7 +146,6 @@ func (e *Elector) Tick() {
 		rec, err := Renew(e.lease(), ep)
 		if errors.Is(err, ErrLeaseLost) {
 			e.logf("failover: lease lost to %s (epoch %d); demoting", rec.Name, rec.Epoch)
-			e.Route(false, 0)
 			if ferr := e.Node.Fence(rec.Epoch, rec.Addr); ferr != nil {
 				e.logf("failover: demote: %v", ferr)
 			}
@@ -148,7 +155,13 @@ func (e *Elector) Tick() {
 		if err != nil {
 			return
 		}
-		if ok && !cur.Stale(e.Lease.ttl()) {
+		ttl := e.Lease.ttl()
+		if ok {
+			e.absentSince = time.Time{}
+		} else if e.absentSince.IsZero() {
+			e.absentSince = time.Now()
+		}
+		if ok && !cur.Stale(ttl) {
 			// Live primary. Make sure this node follows it: a fenced
 			// ex-primary rejoins here, re-syncing its divergent suffix away.
 			if cur.Addr != "" && cur.Name != e.Node.Name() {
@@ -156,6 +169,9 @@ func (e *Elector) Tick() {
 					e.logf("failover: repoint at %s: %v", cur.Addr, perr)
 				}
 			}
+			return
+		}
+		if st.Role == RoleFenced || !ok && time.Since(e.absentSince) <= ttl {
 			return
 		}
 		// Claim exactly the epoch after the stale one: a rival that claimed
@@ -175,13 +191,15 @@ func (e *Elector) Tick() {
 // Claim makes the node the primary at the epoch after both its own and the
 // lease's, preempting a live holder, which demotes at its next tick: the
 // operator's manual promotion. Without a lease directory the epoch is the
-// node's own plus one.
+// node's own plus one. Only a follower may claim: a primary already is one,
+// and a fenced node's claim would depose the holder for a promotion that
+// cannot happen.
 func (e *Elector) Claim() (uint64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := e.Node.Status()
-	if st.Role == RolePrimary {
-		return 0, errors.New("failover: already primary")
+	if st.Role != RoleFollower {
+		return 0, fmt.Errorf("failover: a %s node cannot be promoted", st.Role)
 	}
 	epoch := st.Epoch + 1
 	if e.Lease.Dir != "" {
@@ -194,9 +212,9 @@ func (e *Elector) Claim() (uint64, error) {
 	return e.promote(epoch)
 }
 
-// promote claims the lease at epoch (when there is a lease directory),
-// promotes the node and routes writes to it, then renews the lease so that
-// it carries the address the node now ships from.
+// promote claims the lease at epoch (when there is a lease directory) and
+// promotes the node, then renews the lease so that it carries the address
+// the node now ships from.
 func (e *Elector) promote(epoch uint64) (uint64, error) {
 	if e.Lease.Dir != "" {
 		rec, err := Acquire(e.lease(), epoch)
@@ -208,7 +226,6 @@ func (e *Elector) promote(epoch uint64) (uint64, error) {
 	if err := e.Node.Promote(epoch); err != nil {
 		return 0, err
 	}
-	e.Route(true, epoch)
 	if e.Lease.Dir != "" {
 		if _, err := Renew(e.lease(), epoch); err != nil {
 			e.logf("failover: lease renew after promote: %v", err)

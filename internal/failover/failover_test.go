@@ -1,6 +1,7 @@
 package failover
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -30,7 +31,6 @@ type nodeState struct {
 	promotes    int
 	fences      []uint64
 	repoints    []string
-	routes      []string // what the elector told the write router
 }
 
 func (n *fakeNode) Name() string { return n.name }
@@ -56,6 +56,9 @@ func (n *fakeNode) Promote(epoch uint64) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.promotes++
+	if n.role == RoleFenced {
+		return errors.New("no follower state to promote")
+	}
 	if n.promoteErr != nil {
 		return n.promoteErr
 	}
@@ -68,7 +71,12 @@ func (n *fakeNode) Fence(epoch uint64, primaryAddr string) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.fences = append(n.fences, epoch)
-	n.role = RoleFollower
+	// As HANode does: without the new primary's address the node stays
+	// fenced until a Repoint names it.
+	n.role = RoleFenced
+	if primaryAddr != "" {
+		n.role = RoleFollower
+	}
 	n.primaryAddr = primaryAddr
 	return nil
 }
@@ -77,6 +85,7 @@ func (n *fakeNode) Repoint(addr string, epoch uint64) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.repoints = append(n.repoints, addr)
+	n.role = RoleFollower
 	n.primaryAddr = addr
 	return nil
 }
@@ -87,7 +96,6 @@ func (n *fakeNode) snapshot() nodeState {
 	st := n.nodeState
 	st.fences = append([]uint64(nil), n.fences...)
 	st.repoints = append([]string(nil), n.repoints...)
-	st.routes = append([]string(nil), n.routes...)
 	return st
 }
 
@@ -95,19 +103,7 @@ func (n *fakeNode) snapshot() nodeState {
 // is an hour, so a lease goes stale only when a test says so.
 func member(dir, name, role string) (*fakeNode, *Elector) {
 	n := &fakeNode{name: name, addr: "addr-" + name, nodeState: nodeState{role: role}}
-	return n, &Elector{
-		Node:  n,
-		Lease: LeaseConfig{Dir: dir, TTL: time.Hour},
-		Route: func(promoted bool, epoch uint64) {
-			n.mu.Lock()
-			defer n.mu.Unlock()
-			if promoted {
-				n.routes = append(n.routes, fmt.Sprintf("primary@%d", epoch))
-			} else {
-				n.routes = append(n.routes, "none")
-			}
-		},
-	}
+	return n, &Elector{Node: n, Lease: LeaseConfig{Dir: dir, TTL: time.Hour}}
 }
 
 func mustLease(t *testing.T, dir string) LeaseRecord {
@@ -120,8 +116,7 @@ func mustLease(t *testing.T, dir string) LeaseRecord {
 }
 
 // TestElectorClaimsStaleLease: the primary's tick renews the lease; once
-// it goes stale a follower claims the lease's epoch + 1, promotes, and
-// routes writes to itself.
+// it goes stale a follower claims the lease's epoch + 1 and promotes.
 func TestElectorClaimsStaleLease(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := Acquire(LeaseConfig{Dir: dir, Name: "a", Addr: "addr-a", TTL: time.Hour}, 3); err != nil {
@@ -136,15 +131,15 @@ func TestElectorClaimsStaleLease(t *testing.T) {
 	if rec := mustLease(t, dir); rec.Epoch != 3 || rec.Name != "a" {
 		t.Fatalf("renewed lease = %+v, want a at epoch 3", rec)
 	}
-	if got := b.snapshot(); got.role != RoleFollower || got.promotes != 0 || len(got.routes) != 0 {
+	if got := b.snapshot(); got.role != RoleFollower || got.promotes != 0 {
 		t.Fatalf("follower under a live lease: %+v", got)
 	}
 
 	forceStale(t, dir)
 	eb.Tick()
 	got := b.snapshot()
-	if got.role != RolePrimary || got.epoch != 4 || fmt.Sprint(got.routes) != "[primary@4]" {
-		t.Fatalf("claimant after the TTL: role %s epoch %d routes %v, want primary at 4", got.role, got.epoch, got.routes)
+	if got.role != RolePrimary || got.epoch != 4 || got.promotes != 1 {
+		t.Fatalf("claimant after the TTL: role %s epoch %d after %d promotions, want primary at 4", got.role, got.epoch, got.promotes)
 	}
 	if rec := mustLease(t, dir); rec.Epoch != 4 || rec.Name != "b" || rec.Addr != "addr-b" {
 		t.Fatalf("claimed lease = %+v, want b at epoch 4", rec)
@@ -169,7 +164,7 @@ func TestElectorOneOfTwoClaimants(t *testing.T) {
 	if gb.role != RolePrimary || gb.epoch != 2 {
 		t.Fatalf("first claimant: role %s epoch %d, want primary at 2", gb.role, gb.epoch)
 	}
-	if gc.role != RoleFollower || gc.promotes != 0 || len(gc.routes) != 0 {
+	if gc.role != RoleFollower || gc.promotes != 0 {
 		t.Fatalf("second claimant promoted over a live lease: %+v", gc)
 	}
 	if rec := mustLease(t, dir); rec.Epoch != 2 || rec.Name != "b" {
@@ -183,9 +178,8 @@ func TestElectorOneOfTwoClaimants(t *testing.T) {
 }
 
 // TestElectorFencesResurrectedPrimary: a primary that comes back after a
-// follower claimed the lease finds its renewal lost, stops routing writes
-// to itself, and is fenced at the newer epoch into a follower of the
-// holder.
+// follower claimed the lease finds its renewal lost and is fenced at the
+// newer epoch into a follower of the holder.
 func TestElectorFencesResurrectedPrimary(t *testing.T) {
 	dir := t.TempDir()
 	a, ea := member(dir, "a", RolePrimary)
@@ -202,9 +196,6 @@ func TestElectorFencesResurrectedPrimary(t *testing.T) {
 	got := a.snapshot()
 	if fmt.Sprint(got.fences) != "[2]" || got.role != RoleFollower || got.primaryAddr != "addr-b" {
 		t.Fatalf("resurrected primary: fences %v role %s primary %s, want fenced at 2 following addr-b", got.fences, got.role, got.primaryAddr)
-	}
-	if fmt.Sprint(got.routes) != "[none]" {
-		t.Fatalf("resurrected primary's routes = %v, want [none]", got.routes)
 	}
 	if rec := mustLease(t, dir); rec.Epoch != 2 || rec.Name != "b" {
 		t.Fatalf("lost renewal rewrote the lease: %+v", rec)
@@ -234,7 +225,7 @@ func TestElectorManualClaimPreemptsLivePrimary(t *testing.T) {
 	if err != nil || epoch != 2 {
 		t.Fatalf("manual claim = %d, %v; want epoch 2", epoch, err)
 	}
-	if got := c.snapshot(); got.role != RolePrimary || fmt.Sprint(got.routes) != "[primary@2]" {
+	if got := c.snapshot(); got.role != RolePrimary || got.epoch != 2 {
 		t.Fatalf("claimant: %+v", got)
 	}
 	ea.Tick()
@@ -255,7 +246,7 @@ func TestElectorRetriesFailedPromotion(t *testing.T) {
 
 	b.promoteErr = errors.New("injected: promote refused")
 	eb.Tick()
-	if got := b.snapshot(); got.role != RoleFollower || got.promotes != 1 || len(got.routes) != 0 {
+	if got := b.snapshot(); got.role != RoleFollower || got.promotes != 1 {
 		t.Fatalf("after a failed promotion: %+v", got)
 	}
 	if rec := mustLease(t, dir); rec.Epoch != 2 || rec.Name != "b" {
@@ -272,8 +263,8 @@ func TestElectorRetriesFailedPromotion(t *testing.T) {
 	forceStale(t, dir)
 	eb.Tick()
 	got := b.snapshot()
-	if got.role != RolePrimary || got.epoch != 3 || fmt.Sprint(got.routes) != "[primary@3]" {
-		t.Fatalf("retry after the TTL: role %s epoch %d routes %v, want primary at 3", got.role, got.epoch, got.routes)
+	if got.role != RolePrimary || got.epoch != 3 || got.promotes != 2 {
+		t.Fatalf("retry after the TTL: role %s epoch %d after %d promotions, want primary at 3", got.role, got.epoch, got.promotes)
 	}
 	if rec := mustLease(t, dir); rec.Epoch != 3 || rec.Name != "b" {
 		t.Fatalf("lease after retry = %+v, want b at epoch 3", rec)
@@ -296,6 +287,75 @@ func TestElectorZeroTTLMeansDefault(t *testing.T) {
 	}
 	if rec := mustLease(t, dir); rec.Epoch != 1 || rec.Name != "a" {
 		t.Fatalf("lease = %+v, want a at epoch 1", rec)
+	}
+}
+
+// TestElectorWaitsOutAbsentLease: the primary's and the follower's loops
+// start together, the follower's first. A lease nobody has written yet is
+// not stale until the follower has watched it absent for a whole TTL, and
+// the primary writes it at its loop's first tick, so the primary keeps
+// epoch 1. (When an absent lease counted as stale, the follower's first
+// tick claimed epoch 1 and deposed the healthy primary.)
+func TestElectorWaitsOutAbsentLease(t *testing.T) {
+	dir := t.TempDir()
+	a, ea := member(dir, "a", RolePrimary)
+	b, eb := member(dir, "b", RoleFollower)
+	ttl := 300 * time.Millisecond
+	ea.Lease.TTL, eb.Lease.TTL = ttl, ttl
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer cancel()
+	for _, e := range []*Elector{eb, ea} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e.Run(ctx)
+		}()
+		time.Sleep(ttl / 10)
+	}
+	time.Sleep(3 * ttl)
+	ga, gb := a.snapshot(), b.snapshot()
+	if ga.role != RolePrimary || len(ga.fences) != 0 || gb.role != RoleFollower || gb.promotes != 0 {
+		t.Fatalf("a %s (fences %v), b %s after %d promotions; want a still primary", ga.role, ga.fences, gb.role, gb.promotes)
+	}
+	if rec := mustLease(t, dir); rec.Epoch != 1 || rec.Name != "a" {
+		t.Fatalf("lease = %+v, want a at epoch 1", rec)
+	}
+}
+
+// TestElectorFencedNodeNeverClaims: an ex-primary fenced without the new
+// primary's address holds no follower state to promote. A manual claim on
+// it is refused; it must leave a stale lease to the follower, which claims
+// the first epoch after it, and follow the winner once the winner's lease
+// is live.
+func TestElectorFencedNodeNeverClaims(t *testing.T) {
+	dir := t.TempDir()
+	a, ea := member(dir, "a", RolePrimary)
+	b, eb := member(dir, "b", RoleFollower)
+	ea.Tick()
+	if err := a.Fence(5, ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ea.Claim(); err == nil {
+		t.Fatal("manual claim on a fenced node succeeded")
+	}
+	if rec := mustLease(t, dir); rec.Epoch != 1 || rec.Name != "a" {
+		t.Fatalf("refused claim rewrote the lease: %+v", rec)
+	}
+	forceStale(t, dir)
+
+	ea.Tick()
+	eb.Tick()
+	if ga := a.snapshot(); ga.role != RoleFenced || ga.promotes != 0 {
+		t.Fatalf("fenced node: role %s after %d promotions, want fenced and no claim", ga.role, ga.promotes)
+	}
+	if gb := b.snapshot(); gb.role != RolePrimary || gb.epoch != 2 {
+		t.Fatalf("follower: role %s epoch %d, want primary at 2", gb.role, gb.epoch)
+	}
+	ea.Tick()
+	if ga := a.snapshot(); ga.role != RoleFollower || fmt.Sprint(ga.repoints) != "[addr-b]" {
+		t.Fatalf("fenced node under the winner's lease: role %s repoints %v, want a follower of addr-b", ga.role, ga.repoints)
 	}
 }
 

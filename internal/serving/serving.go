@@ -1,12 +1,12 @@
 // Package serving declares EIL's serving surface once. The paper's Figure 1
 // is one search procedure behind one front end, whatever the deployment:
 // a monolithic system, a sharded cluster, a read replica of either, or a
-// failover node that changes role. Each is a Backend; the HTTP layer, the
-// write router and the server command are written against the facets below
-// and nothing else.
+// failover node that changes role. Each is a Backend; the HTTP layer and
+// the server command are written against the facets below and nothing
+// else.
 //
-// The package is a leaf: it imports neither the root package, internal/web
-// nor internal/router, so all three can share these declarations.
+// The package is a leaf: it imports neither the root package nor
+// internal/web, so both can share these declarations.
 package serving
 
 import (

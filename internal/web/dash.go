@@ -237,7 +237,7 @@ var dashTmpl = template.Must(template.New("dash").Funcs(template.FuncMap{
  .verdict.ready{background:#16a34a} .verdict.degraded{background:#d97706} .verdict.unready{background:#dc2626}
  .role{display:inline-block;padding:.2em .7em;border-radius:.3em;font-weight:bold;color:#fff;margin-left:.4em}
  .role.primary{background:#2563eb} .role.follower{background:#64748b}
- .role.fenced{background:#dc2626} .role.promoting{background:#d97706}
+ .role.fenced{background:#dc2626}
  .causes{color:#b45309;margin:.4em 0}
  .panels{display:flex;flex-wrap:wrap;gap:.8em;margin:1em 0}
  .panel{background:#fff;border:1px solid #ddd;border-radius:.4em;padding:.6em .8em;min-width:15em}

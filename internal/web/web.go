@@ -48,7 +48,7 @@ type config struct {
 
 // WithReplStatus mounts /api/repl serving whatever the callback reports —
 // a primary's shipper view, a follower's client position, or a failover
-// node's role and write router. The callback runs per request, so the
+// node's role and writes. The callback runs per request, so the
 // payload is always current.
 func WithReplStatus(fn func() any) Option {
 	return func(c *config) { c.replFn = fn }
@@ -58,14 +58,14 @@ func WithReplStatus(fn func() any) Option {
 // role, the fencing epoch it serves under, and when it was last promoted
 // (zero if never).
 type FailoverInfo struct {
-	Role       string    `json:"role"` // primary | follower | fenced | promoting
+	Role       string    `json:"role"` // primary | follower | fenced
 	Epoch      uint64    `json:"epoch"`
 	PromotedAt time.Time `json:"promoted_at"`
 }
 
 // WithFailover surfaces failover state. info feeds /debug/dash and folds
-// into /readyz: a fenced or mid-promotion node answers 503, because it must
-// not take traffic until its role settles. promote (optional) mounts
+// into /readyz: a fenced node answers 503, because it must not take traffic
+// until it rejoins as a follower. promote (optional) mounts
 // POST /api/promote — the manual promotion trigger, sent to the node being
 // promoted (an empty target, or that node's name).
 func WithFailover(info func() FailoverInfo, promote func(target string) error) Option {
@@ -322,12 +322,12 @@ func (h *handler) apiMetrics(w http.ResponseWriter, _ *http.Request) {
 // this instance out" is one curl away. A nil health registry evaluates to
 // ready, keeping the endpoint meaningful before any checks are wired.
 // Failover folds in on top of the component checks: a fenced node's writes
-// are refused and its replica set has moved on, and a mid-promotion node is
-// reshaping its WAL — neither should take traffic, whatever the disks say.
+// are refused and its replica set has moved on, so it should not take
+// traffic, whatever the disks say.
 func (h *handler) readyz(w http.ResponseWriter, _ *http.Request) {
 	rep := h.health.Evaluate()
 	if h.failoverFn != nil {
-		if fo := h.failoverFn(); fo.Role == "fenced" || fo.Role == "promoting" {
+		if fo := h.failoverFn(); fo.Role == "fenced" {
 			rep.Verdict = health.VerdictUnready
 			rep.Causes = append(rep.Causes, "failover: node is "+fo.Role)
 		}

@@ -24,9 +24,8 @@ import (
 )
 
 // ErrNotSynced is returned by a follower's serving surface before its first
-// snapshot installs. Routers and readiness checks keep traffic away from
-// a follower in this state; seeing the error means a caller bypassed
-// them.
+// snapshot installs. Readiness checks keep traffic away from a follower
+// in this state; seeing the error means a caller bypassed them.
 var ErrNotSynced = serving.ErrNotSynced
 
 // ---------------------------------------------------------------------------

@@ -81,8 +81,7 @@ func checkNames(rep health.Report) map[string]health.CheckResult {
 }
 
 // TestServingConformance: System, Cluster n=3, Follower, ClusterFollower
-// n=2, Router over primary + follower, and a failover node before and after
-// Promote, each behind web.HandlerFor, answer the read routes with
+// n=2, and a failover node before and after Promote, each behind web.HandlerFor, answer the read routes with
 // byte-identical bodies once every shape has applied the same history.
 func TestServingConformance(t *testing.T) {
 	corpus, mono, cluster3 := clusterFixture(t, 3)
@@ -177,7 +176,7 @@ func TestServingConformance(t *testing.T) {
 			t.Errorf("%s accepted a journal", name)
 		}
 	}
-	a.Kill()
+	_ = a.Close()
 	if err := b.Promote(1); err != nil {
 		t.Fatal(err)
 	}
@@ -254,8 +253,10 @@ func TestSettingsFollowTheState(t *testing.T) {
 
 // TestHealthFollowsTheRole: one readiness registry, built once over a
 // failover node, lists the current role's checks — replication while it
-// follows, journal and breakers once promoted, replication again (and no
-// journal) on the fenced ex-primary that rejoined.
+// follows, journal and breakers once promoted. The ex-primary restarts as a
+// new node with a registry of its own, as a restarted process builds one:
+// it lists the journal while it still believes it is primary, and
+// replication again (and no journal) once it is fenced and rejoins.
 func TestHealthFollowsTheRole(t *testing.T) {
 	_, sysA := testSystem(t, Options{Workers: 1})
 	a, b, _ := startHAGroup(t, sysA)
@@ -283,7 +284,7 @@ func TestHealthFollowsTheRole(t *testing.T) {
 	has("b following", regB, []string{"repl", "index"}, []string{"wal"})
 	has("a primary", regA, []string{"wal", "index", "breaker:synopsis", "breaker:siapi"}, []string{"repl"})
 
-	a.Kill()
+	_ = a.Close()
 	if err := b.Promote(1); err != nil {
 		t.Fatal(err)
 	}
@@ -292,9 +293,12 @@ func TestHealthFollowsTheRole(t *testing.T) {
 		t.Errorf("promoted state runs with %d retries, want the 3 installed while it followed", got)
 	}
 
-	if err := a.Resurrect(); err != nil {
-		t.Fatal(err)
-	}
+	// a restarts over its directory, as eilserver does, with the settings
+	// re-applied and a readiness registry of its own.
+	a = restartPrimary(t, a)
+	a.Tune(serving.Settings{Resilience: core.Resilience{MaxRetries: 3}})
+	regA = serving.NewHealth(a, HealthOptions{})
+	has("a restarted", regA, []string{"wal", "index"}, []string{"repl"})
 	if err := a.Fence(1, b.ReplAddr()); err != nil {
 		t.Fatal(err)
 	}
