@@ -8,9 +8,9 @@
 // /debug/traces and /debug/trace/{id} (an inbound X-Trace-ID is adopted and
 // echoed; ?explain=1 on /api/search returns the span tree and score
 // decomposition); -pprof mounts net/http/pprof under /debug/pprof/;
-// -access-log emits one structured log line per request. SIGINT/SIGTERM
-// drain in-flight requests before exit so metrics and query-log state are
-// not torn down mid-request.
+// -access-log emits one structured log line per request. The trace ring is
+// also the query log, summarized at /api/qlog; SIGINT/SIGTERM drain in-flight
+// requests before exit so metrics and traces are not torn down mid-request.
 //
 // Durability: -wal journals every incremental update (AddDocuments,
 // RemoveDeal, Compact) into the system directory before acknowledging it;
@@ -47,7 +47,6 @@ import (
 	"repro/internal/failover"
 	"repro/internal/fault"
 	"repro/internal/prof"
-	"repro/internal/qlog"
 	"repro/internal/runtimetel"
 	"repro/internal/serving"
 	"repro/internal/slo"
@@ -77,6 +76,75 @@ func churnDocs(dealID string, round int) ([]*docmodel.Document, error) {
 	return docs, nil
 }
 
+// churnAdmin probes the serving state for churn deals; an admin sees every
+// deal whatever -access-control says.
+var churnAdmin = access.User{ID: "demo-churn", Roles: []access.Role{access.RoleAdmin}}
+
+// churnWindow is how many churn deals are live at once: each add removes the
+// deal this many numbers older.
+const churnWindow = 10
+
+// churner is the -demo-churn write traffic: a rotating window of synthetic
+// deals, so replication demos have a continuous journal stream of both
+// AddDocuments and RemoveDeal.
+type churner struct {
+	be   serving.Backend
+	last int // the highest churn deal this churner added or found held
+}
+
+func churnID(n int) string { return fmt.Sprintf("CHURN DEAL %d", n) }
+
+// holds reports whether the serving state holds churn deal n.
+func (c *churner) holds(n int) bool {
+	_, err := c.be.Deal(churnAdmin, churnID(n))
+	return err == nil
+}
+
+// step adds the next churn deal and removes the one churnWindow numbers
+// older. The number continues past the highest churn deal the state holds —
+// held deals lie at most churnWindow apart, so the scan stops after that many
+// misses in a row — so a node promoted over a state another process churned
+// does not re-add its deals. A refused add still removes: the window moves.
+func (c *churner) step() {
+	for k, miss := c.last+1, 0; miss <= churnWindow; k++ {
+		if c.holds(k) {
+			c.last, miss = k, 0
+		} else {
+			miss++
+		}
+	}
+	n := c.last + 1
+	docs, err := churnDocs(churnID(n), n)
+	if err == nil {
+		err = c.be.AddDocuments(docs)
+	}
+	if err != nil {
+		log.Printf("churn: add %s: %v", churnID(n), err)
+	} else {
+		c.last = n
+	}
+	if old := n - churnWindow; old > 0 {
+		if err := c.be.RemoveDeal(churnID(old)); err != nil {
+			log.Printf("churn: remove %s: %v", churnID(old), err)
+		}
+	}
+}
+
+// runChurn steps a churner over be every interval until ctx is done.
+func runChurn(ctx context.Context, be serving.Backend, every time.Duration) {
+	c := &churner{be: be}
+	tick := time.NewTicker(every)
+	defer tick.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-tick.C:
+			c.step()
+		}
+	}
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("eilserver: ")
@@ -86,13 +154,12 @@ func main() {
 		demo      = flag.Bool("demo", false, "ignore -sys; generate and ingest a demo corpus")
 		shards    = flag.Int("shards", 1, "partition the demo corpus into N scatter-gather shards (persisted directories carry their own shard count)")
 		secure    = flag.Bool("access-control", false, "enforce role-based access (default: everyone sees everything)")
-		logCap    = flag.Int("querylog", 1024, "query-log capacity (0 disables; summary at /api/qlog)")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		accessLog = flag.Bool("access-log", false, "log every request (structured, to stderr)")
 		drain     = flag.Duration("shutdown-timeout", 10*time.Second, "graceful-shutdown drain window")
 
 		traceSample = flag.Int("trace-sample", 1, "trace 1 in N requests (1 = every request, 0 disables tracing)")
-		traceRing   = flag.Int("trace-ring", trace.DefRingSize, "recent completed traces retained for /debug/traces")
+		traceRing   = flag.Int("trace-ring", trace.DefRingSize, "recent completed traces retained for /debug/traces and the query log at /api/qlog")
 		traceSlow   = flag.Int("trace-slow", trace.DefSlowPerRoute, "slowest traces retained per route")
 
 		snapInterval = flag.Duration("snapshot-interval", 0, "checkpoint the system to -sys every interval (0 disables background snapshots)")
@@ -190,9 +257,6 @@ func main() {
 	// state is replaced — a replica installing a snapshot, a failover node
 	// changing role — carries them to the new state.
 	set := serving.Settings{SnapshotKeep: *snapKeep}
-	if *logCap > 0 {
-		set.QueryLog = qlog.New(*logCap)
-	}
 	if *budget > 0 || *retries != 1 {
 		set.Resilience = core.Resilience{Budget: *budget, MaxRetries: *retries}
 		log.Printf("search budget %v, %d retries per backend call", *budget, *retries)
@@ -367,38 +431,7 @@ func main() {
 	}
 
 	if *churn > 0 && d.writes != nil {
-		// Synthetic write traffic: add a rotating window of churn deals,
-		// removing the oldest once ten are live, so replication demos have a
-		// continuous journal stream of both AddDocuments and RemoveDeal.
-		go func() {
-			tick := time.NewTicker(*churn)
-			defer tick.Stop()
-			round := 0
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-					round++
-					dealID := fmt.Sprintf("CHURN DEAL %d", round)
-					docs, derr := churnDocs(dealID, round)
-					if derr != nil {
-						log.Printf("churn: %v", derr)
-						continue
-					}
-					if aerr := d.writes.AddDocuments(docs); aerr != nil {
-						log.Printf("churn: add %s: %v", dealID, aerr)
-						continue
-					}
-					if round > 10 {
-						old := fmt.Sprintf("CHURN DEAL %d", round-10)
-						if rerr := d.writes.RemoveDeal(old); rerr != nil {
-							log.Printf("churn: remove %s: %v", old, rerr)
-						}
-					}
-				}
-			}
-		}()
+		go runChurn(ctx, be, *churn)
 		log.Printf("churning one synthetic deal every %v", *churn)
 	}
 

@@ -2,11 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
+	"repro"
 	"repro/internal/core"
 	"repro/internal/docmodel"
 	"repro/internal/failover"
@@ -314,5 +316,51 @@ func TestSelectShapeRefusals(t *testing.T) {
 		if d, err := selectShape(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("selectShape(%+v) = %v, %v; want an error naming %q", tc.cfg, d, err, tc.want)
 		}
+	}
+}
+
+// refuseAdds is a backend that refuses every add, as a fenced node does.
+type refuseAdds struct{ serving.Backend }
+
+func (refuseAdds) AddDocuments([]*docmodel.Document) error { return errors.New("refused") }
+
+// TestChurnContinuesPastHeldDeals: over a state that already holds CHURN
+// DEAL 1..6 — churned by another process before this one was promoted — the
+// next add is CHURN DEAL 7, not a refused re-add of 1, and the window's
+// removals follow; a churner that starts below a window whose oldest deals
+// are gone continues above it; a refused add does not skip its removal.
+func TestChurnContinuesPastHeldDeals(t *testing.T) {
+	var docs []*docmodel.Document
+	for n := 1; n <= 6; n++ {
+		deal, err := churnDocs(churnID(n), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, deal...)
+	}
+	sys, err := eil.Ingest(docs, eil.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &churner{be: sys}
+	c.step()
+	if c.last != 7 || !c.holds(7) {
+		t.Fatalf("first add: last %d, holds 7 %v; want CHURN DEAL 7", c.last, c.holds(7))
+	}
+	for i := 0; i < 4; i++ {
+		c.step()
+	}
+	if c.last != 11 || c.holds(1) || !c.holds(2) || !c.holds(11) {
+		t.Fatalf("after 8..11: last %d, holds 1 %v, 2 %v, 11 %v; want 11 added and 1 removed", c.last, c.holds(1), c.holds(2), c.holds(11))
+	}
+	fresh := &churner{be: sys}
+	fresh.step()
+	if fresh.last != 12 || fresh.holds(1) || fresh.holds(2) {
+		t.Fatalf("fresh churner over 2..11: last %d, holds 1 %v, 2 %v; want 12 added and 2 removed", fresh.last, fresh.holds(1), fresh.holds(2))
+	}
+	refused := &churner{be: refuseAdds{sys}, last: fresh.last}
+	refused.step()
+	if refused.last != 12 || refused.holds(13) || refused.holds(3) {
+		t.Fatalf("refused add: last %d, holds 13 %v, 3 %v; want 13 not added and 3 removed", refused.last, refused.holds(13), refused.holds(3))
 	}
 }

@@ -35,9 +35,9 @@ import (
 	"repro/internal/durable"
 	"repro/internal/index"
 	"repro/internal/obs"
-	"repro/internal/qlog"
 	"repro/internal/relstore"
 	"repro/internal/repl"
+	"repro/internal/serving"
 	"repro/internal/siapi"
 	"repro/internal/synopsis"
 	"repro/internal/taxonomy"
@@ -89,29 +89,27 @@ type Options struct {
 	Tracer *trace.Tracer
 }
 
-// searchFront is the logged search surface a System and a Cluster share:
-// one engine over the deployment's backends (a system's own stores, or every
-// shard's), the collaborators it consults, and the query log its searches are
-// recorded in. Both shapes embed it, so every read — Search, SearchCtx,
-// SearchExplain, Explore, KeywordSearch, KeywordCount, Deal, SimilarDeals —
-// and the telemetry getters are written once.
+// searchFront is the search surface a System and a Cluster share: one engine
+// over the deployment's backends (a system's own stores, or every shard's) and
+// the collaborators it consults. Both shapes embed it, so every read —
+// Search, SearchCtx, SearchExplain, Explore, KeywordSearch, KeywordCount,
+// Deal, SimilarDeals — and the telemetry getters are written once.
 type searchFront struct {
 	// Engine runs Figure 1 over the deployment's backends; ablations and
 	// resilience config tune it directly.
 	Engine   *core.Engine
 	Taxonomy *taxonomy.Taxonomy
 	Access   *access.Controller
-	// QueryLog, when set, records every search and its outcome (the
-	// telemetry behind the paper's "additional evaluation" improvement
-	// loop).
-	QueryLog *qlog.Log
 	// Metrics holds the counters, gauges, and latency histograms: ingest_*
 	// from the offline pipeline, search_* from the online path, and (when
 	// served through internal/web) http_* from the HTTP layer. Every shard of
 	// a cluster records into the same registry under a "shard" label.
 	Metrics *obs.Registry
 	// Tracer retains recent and slowest request/document traces; nil when
-	// tracing is off. internal/web serves it at /debug/traces.
+	// tracing is off. internal/web serves it at /debug/traces, and its ring
+	// is the query log: a traced search's root span carries the query's
+	// facts (serving.LogQuery), the telemetry behind the paper's
+	// "additional evaluation" improvement loop.
 	Tracer *trace.Tracer
 }
 
@@ -234,9 +232,6 @@ func (f *searchFront) Registry() *obs.Registry { return f.Metrics }
 
 // RequestTracer returns the request tracer, nil when tracing is off.
 func (f *searchFront) RequestTracer() *trace.Tracer { return f.Tracer }
-
-// Log returns the query log, nil when logging is off.
-func (f *searchFront) Log() *qlog.Log { return f.QueryLog }
 
 // Ingest runs the offline pipeline (Data Acquisition already done by the
 // caller: docs are parsed) over the documents: document-level annotators in
@@ -398,54 +393,35 @@ func (f *searchFront) Search(user access.User, q core.FormQuery) (core.Result, e
 // SearchCtx is Search under the caller's context: when ctx carries a trace
 // (the web middleware starts one per request), every search stage records a
 // span — one child per shard under each scatter stage of a cluster — and the
-// query-log entry carries the trace ID.
+// request's root span carries the query's facts, its query-log entry.
 func (f *searchFront) SearchCtx(ctx context.Context, user access.User, q core.FormQuery) (core.Result, error) {
-	t := obs.StartTimer()
 	res, err := f.Engine.SearchCtx(ctx, user, q)
-	f.logForm(ctx, user, q, res, err, t.Elapsed())
+	if root := trace.FromContext(ctx); root != nil && err == nil {
+		serving.LogQuery(root, formEntry(user, q, res))
+	}
 	return res, err
 }
 
 // SearchExplain runs the search in explain mode, returning the result plus
 // the span tree and per-activity score decomposition.
 func (f *searchFront) SearchExplain(ctx context.Context, user access.User, q core.FormQuery) (core.Result, *core.Explanation, error) {
-	t := obs.StartTimer()
 	res, ex, err := f.Engine.SearchExplain(ctx, user, q)
-	f.logForm(ctx, user, q, res, err, t.Elapsed())
+	if root := trace.FromContext(ctx); root != nil && err == nil {
+		serving.LogQuery(root, formEntry(user, q, res))
+	}
 	return res, ex, err
 }
 
-// logForm records one form query in the query log (nil-log safe).
-func (f *searchFront) logForm(ctx context.Context, user access.User, q core.FormQuery, res core.Result, err error, latency time.Duration) {
-	if err != nil || f.QueryLog == nil {
-		return
-	}
-	f.QueryLog.Record(qlog.Entry{
+// formEntry is a form query's query-log facts.
+func formEntry(user access.User, q core.FormQuery, res core.Result) serving.QueryEntry {
+	return serving.QueryEntry{
 		User:       user.ID,
-		Kind:       qlog.KindForm,
+		Kind:       serving.KindForm,
 		Summary:    formSummary(q),
 		Concepts:   formConcepts(q),
 		Activities: len(res.Activities),
 		Fallback:   res.UnscopedFallback,
-		Latency:    latency,
-		TraceID:    trace.ID(ctx),
-	})
-}
-
-// logKeyword records one search-box query (nil-log safe). count is the true
-// match count, not the length of the returned page: that is truncated by
-// limit, which would distort zero-result and volume analytics.
-func (f *searchFront) logKeyword(ctx context.Context, query string, latency time.Duration, count func() int) {
-	if f.QueryLog == nil {
-		return
 	}
-	f.QueryLog.Record(qlog.Entry{
-		Kind:       qlog.KindKeyword,
-		Summary:    query,
-		Activities: count(),
-		Latency:    latency,
-		TraceID:    trace.ID(ctx),
-	})
 }
 
 // formSummary renders a form query for the log.
@@ -486,12 +462,15 @@ func (f *searchFront) KeywordSearch(query string, limit int) []siapi.DocHit {
 	return f.KeywordSearchCtx(context.Background(), query, limit)
 }
 
-// KeywordSearchCtx is KeywordSearch under the caller's context.
+// KeywordSearchCtx is KeywordSearch under the caller's context. A traced
+// query's log entry counts the true matches, not the returned page: that is
+// truncated by limit, which would distort zero-result and volume analytics.
 func (f *searchFront) KeywordSearchCtx(ctx context.Context, query string, limit int) []siapi.DocHit {
 	kq := siapi.ParseKeywords(query)
-	t := obs.StartTimer()
 	hits := f.Engine.KeywordSearchCtx(ctx, kq, limit)
-	f.logKeyword(ctx, query, t.Elapsed(), func() int { return f.Engine.KeywordCount(kq) })
+	if root := trace.FromContext(ctx); root != nil {
+		serving.LogQuery(root, serving.QueryEntry{Kind: serving.KindKeyword, Summary: query, Activities: f.Engine.KeywordCount(kq)})
+	}
 	return hits
 }
 

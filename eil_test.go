@@ -1,14 +1,16 @@
 package eil
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/access"
 	"repro/internal/core"
 	"repro/internal/crawler"
-	"repro/internal/qlog"
+	"repro/internal/serving"
 	"repro/internal/synth"
+	"repro/internal/trace"
 )
 
 func testSystem(t *testing.T, opts Options) (*synth.Corpus, *System) {
@@ -178,29 +180,50 @@ func TestWorkersOption(t *testing.T) {
 	}
 }
 
+// TestQueryLogRecords: a traced search sets its query-log facts on its root
+// span; an untraced one costs nothing and is not logged.
 func TestQueryLogRecords(t *testing.T) {
 	_, sys := testSystem(t, Options{})
-	sys.QueryLog = qlog.New(32)
-	if _, err := sys.Search(admin(), core.FormQuery{Tower: "End User Services"}); err != nil {
+	tracer := trace.New(trace.Options{})
+	traced := func(search func(ctx context.Context) error) {
+		t.Helper()
+		ctx, tr := tracer.Start(context.Background(), "test", trace.StartOptions{})
+		if err := search(ctx); err != nil {
+			t.Fatal(err)
+		}
+		tr.Finish()
+	}
+	traced(func(ctx context.Context) error {
+		_, err := sys.SearchCtx(ctx, admin(), core.FormQuery{Tower: "End User Services"})
+		return err
+	})
+	traced(func(ctx context.Context) error {
+		_, err := sys.SearchCtx(ctx, admin(), core.FormQuery{AllWords: []string{"replication"}})
+		return err
+	})
+	traced(func(ctx context.Context) error {
+		sys.KeywordSearchCtx(ctx, "cross tower", 5)
+		return nil
+	})
+	if _, err := sys.Search(admin(), core.FormQuery{Tower: "Network Services"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Search(admin(), core.FormQuery{AllWords: []string{"replication"}}); err != nil {
-		t.Fatal(err)
-	}
-	sys.KeywordSearch("cross tower", 5)
-	s := sys.QueryLog.Summarize(5)
+	entries := serving.LoggedQueries(tracer.Recent(0))
+	s := serving.SummarizeQueries(entries, 5)
 	if s.Total != 3 || s.Keyword != 1 {
 		t.Fatalf("summary = %+v", s)
 	}
 	if s.Fallbacks != 1 {
 		t.Fatalf("fallback count = %d", s.Fallbacks)
 	}
-	if len(s.TopConcepts) == 0 || s.TopConcepts[0].Concept != "End User Services" {
+	if len(s.TopConcepts) != 1 || s.TopConcepts[0].Concept != "End User Services" {
 		t.Fatalf("top concepts = %+v", s.TopConcepts)
 	}
-	entries := sys.QueryLog.Entries()
-	if entries[0].Summary != "tower=End User Services" {
-		t.Fatalf("summary rendering = %q", entries[0].Summary)
+	if e := entries[0]; e.Summary != "tower=End User Services" || e.User != admin().ID || e.Kind != serving.KindForm {
+		t.Fatalf("first entry = %+v", e)
+	}
+	if e := entries[2]; e.Kind != serving.KindKeyword || e.Activities != sys.KeywordCount("cross tower") || e.Activities <= 5 {
+		t.Fatalf("keyword entry = %+v, want the true match count %d", e, sys.KeywordCount("cross tower"))
 	}
 }
 

@@ -385,11 +385,37 @@ func (h *Histogram) Quantile(q float64) float64 {
 			if inBucket == 0 {
 				return hi
 			}
-			frac := (rank - float64(cum-inBucket)) / float64(inBucket)
-			return lo + (hi-lo)*frac
+			return lo + (hi-lo)*(rank-float64(cum-inBucket))/float64(inBucket)
 		}
 	}
 	return h.bounds[len(h.bounds)-1]
+}
+
+// CountLE estimates how many observations were at or under v from the
+// cumulative bucket counts, interpolating inside the owning bucket.
+// Observations in the +Inf bucket count as above any finite v.
+func (h *Histogram) CountLE(v float64) float64 {
+	if h == nil || len(h.bounds) == 0 {
+		return 0
+	}
+	cum := h.CumulativeCounts()
+	i := sort.SearchFloat64s(h.bounds, v)
+	if i >= len(h.bounds) {
+		return float64(cum[len(h.bounds)-1])
+	}
+	if h.bounds[i] == v {
+		return float64(cum[i])
+	}
+	lo, loCum := 0.0, 0.0
+	if i > 0 {
+		lo, loCum = h.bounds[i-1], float64(cum[i-1])
+	}
+	hi := h.bounds[i]
+	inBucket := float64(cum[i]) - loCum
+	if inBucket <= 0 || hi <= lo {
+		return loCum
+	}
+	return loCum + inBucket*(v-lo)/(hi-lo)
 }
 
 // Timer measures one span of wall time.

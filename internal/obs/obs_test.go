@@ -101,6 +101,58 @@ func TestHistogramQuantile(t *testing.T) {
 	if got := h.Quantile(1); got != 4 {
 		t.Fatalf("p100 = %v, want 4", got)
 	}
+
+	// Interpolation inside the owning bucket, and a rank that ends exactly
+	// on a bound.
+	h = r.Histogram("q2", []float64{0.1, 0.2})
+	for i := 0; i < 50; i++ {
+		h.Observe(0.05)
+		h.Observe(0.15)
+	}
+	if got := h.Quantile(0.5); got != 0.1 {
+		t.Errorf("p50 = %v, want 0.1", got)
+	}
+	// rank 75 is halfway through the second bucket's 50 observations.
+	if got := h.Quantile(0.75); got < 0.1499 || got > 0.1501 {
+		t.Errorf("p75 = %v, want ~0.15", got)
+	}
+}
+
+func TestHistogramCountLE(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("le", []float64{0.1, 0.25, 0.5})
+	// 10 <=0.1, 20 in (0.1,0.25], 10 in (0.25,0.5], and one in +Inf, which
+	// counts as above every finite threshold.
+	for i := 0; i < 10; i++ {
+		h.Observe(0.05)
+		h.Observe(0.2)
+		h.Observe(0.2)
+		h.Observe(0.4)
+	}
+	h.Observe(7)
+	cases := []struct {
+		threshold float64
+		want      float64
+	}{
+		{0.1, 10},   // exact bound
+		{0.25, 30},  // exact bound
+		{0.175, 20}, // midpoint of (0.1, 0.25] -> half its 20
+		{0.05, 5},   // halfway into the first bucket
+		{1.0, 40},   // past the last bound: everything finite
+		{0.375, 35}, // midpoint of (0.25, 0.5]
+	}
+	for _, c := range cases {
+		if got := h.CountLE(c.threshold); got != c.want {
+			t.Errorf("CountLE(%v) = %v, want %v", c.threshold, got, c.want)
+		}
+	}
+	if got := r.Histogram("none", []float64{}).CountLE(0.5); got != 0 {
+		t.Errorf("CountLE with no buckets = %v, want 0", got)
+	}
+	var nilHist *Histogram
+	if got := nilHist.CountLE(0.5); got != 0 {
+		t.Errorf("nil CountLE = %v, want 0", got)
+	}
 }
 
 func TestWritePrometheusGolden(t *testing.T) {

@@ -21,7 +21,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/health"
 	"repro/internal/obs"
-	"repro/internal/qlog"
 	"repro/internal/runtimetel"
 	"repro/internal/siapi"
 	"repro/internal/slo"
@@ -62,9 +61,9 @@ type Writer interface {
 // Telemetry is the part of the admin facet the HTTP layer reads.
 type Telemetry interface {
 	Registry() *obs.Registry
+	// RequestTracer is the tracer whose ring of retained traces is also the
+	// query log; nil when tracing is off.
 	RequestTracer() *trace.Tracer
-	// Log is the query log, nil when logging is off.
-	Log() *qlog.Log
 	// BreakerStates lists the circuits searches currently run through.
 	BreakerStates() []core.BreakerStatus
 }
@@ -122,9 +121,6 @@ type Settings struct {
 	Resilience core.Resilience
 	// Faults, when set, injects backend faults into every search.
 	Faults *fault.Injector
-	// QueryLog, when set, records every search. One log is shared by every
-	// state the backend ever holds.
-	QueryLog *qlog.Log
 	// SnapshotKeep is how many snapshot generations a save retains (0 = the
 	// store's default).
 	SnapshotKeep int

@@ -8,7 +8,6 @@ import (
 	"repro/internal/docmodel"
 	"repro/internal/health"
 	"repro/internal/obs"
-	"repro/internal/qlog"
 	"repro/internal/siapi"
 	"repro/internal/synopsis"
 	"repro/internal/trace"
@@ -129,14 +128,6 @@ func (s *Switch) Compact() error {
 func (s *Switch) Registry() *obs.Registry { return s.metrics }
 
 func (s *Switch) RequestTracer() *trace.Tracer { return s.tracer }
-
-func (s *Switch) Log() *qlog.Log {
-	b, err := s.cur()
-	if err != nil {
-		return nil
-	}
-	return b.Log()
-}
 
 func (s *Switch) BreakerStates() []core.BreakerStatus {
 	b, err := s.cur()

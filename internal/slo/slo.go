@@ -19,7 +19,6 @@ package slo
 import (
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -42,7 +41,7 @@ const (
 	SLOLatency      = "latency"
 )
 
-// DefWindows are the default burn-rate windows, ascending.
+// DefWindows are the burn-rate windows, ascending.
 var DefWindows = []time.Duration{5 * time.Minute, time.Hour, 6 * time.Hour}
 
 // Multi-window alert thresholds (Google SRE workbook, 99.9%/30d scaling):
@@ -57,19 +56,12 @@ const (
 type Options struct {
 	// Registry is the metrics source (http_*) and gauge sink (eil_slo_*).
 	Registry *obs.Registry
-	// Default is the objective applied to every observed route without a
-	// PerRoute override. Zero fields get 0.999 availability / 250ms p99.
+	// Default is the objective applied to every observed route. Zero fields
+	// get 0.999 availability / 250ms p99.
 	Default Objective
-	// PerRoute overrides objectives for specific routes.
-	PerRoute map[string]Objective
-	// Windows are the burn-rate windows, ascending (nil = DefWindows).
-	Windows []time.Duration
 	// Interval is the expected Tick cadence, used only to size the sample
 	// ring so it covers the longest window (0 = 10s).
 	Interval time.Duration
-	// SkipRoute drops routes from evaluation; nil skips the scrape/probe
-	// endpoints (/metrics, /healthz, /readyz, /debug/*, unmatched).
-	SkipRoute func(route string) bool
 	// OnAlert, if set, is called whenever a route's alert level changes
 	// (edge-triggered: once per ok→ticket→page transition in either
 	// direction, not once per Tick spent in that state). It runs on the
@@ -79,18 +71,24 @@ type Options struct {
 	OnAlert func(route, alert string)
 }
 
-// DefaultSkipRoute is the default route filter: probe and scrape traffic
-// has no user-facing objective.
-func DefaultSkipRoute(route string) bool {
+// OperatorRoute reports whether route is operator traffic — scrape, probe,
+// debug, replication and promotion requests, and paths no route matches —
+// rather than the user traffic objectives are about. The engine skips these
+// routes, and the web middleware neither traces them nor counts them in its
+// overall histogram, so polling does not flush searches out of the trace
+// ring (the query log).
+func OperatorRoute(route string) bool {
 	return route == "/metrics" || route == "/healthz" || route == "/readyz" ||
-		route == "/api/slo" || route == "unmatched" || strings.HasPrefix(route, "/debug/")
+		route == "/api/slo" || route == "/api/repl" || route == "/api/promote" ||
+		route == "unmatched" || strings.HasPrefix(route, "/debug/")
 }
 
 // routeCounts is one route's cumulative tally at one instant.
 type routeCounts struct {
-	total  float64 // requests
-	errors float64 // 5xx requests
-	slow   float64 // requests over the latency objective
+	total  float64        // requests
+	errors float64        // 5xx requests
+	slow   float64        // requests over the latency objective
+	hist   *obs.Histogram // the route's http_request_seconds; nil when absent
 }
 
 // sample is one Tick's reading across routes.
@@ -102,8 +100,7 @@ type sample struct {
 // Engine evaluates objectives over a ring of samples. Drive it with Tick
 // (the runtimetel collector's AppSampler is the usual driver) or Run.
 type Engine struct {
-	opts    Options
-	windows []time.Duration
+	opts Options
 
 	mu        sync.Mutex
 	ring      []sample
@@ -122,57 +119,30 @@ func New(opts Options) *Engine {
 	if opts.Default.LatencyP99 <= 0 {
 		opts.Default.LatencyP99 = 250 * time.Millisecond
 	}
-	if opts.SkipRoute == nil {
-		opts.SkipRoute = DefaultSkipRoute
-	}
-	windows := opts.Windows
-	if len(windows) == 0 {
-		windows = DefWindows
-	}
-	sort.Slice(windows, func(i, j int) bool { return windows[i] < windows[j] })
 	interval := opts.Interval
 	if interval <= 0 {
 		interval = 10 * time.Second
 	}
 	// Ring covers the longest window plus slack, bounded so a misconfigured
 	// 1ms interval cannot allocate unbounded history.
-	n := int(windows[len(windows)-1]/interval) + 8
+	n := int(DefWindows[len(DefWindows)-1]/interval) + 8
 	if n > 8192 {
 		n = 8192
 	}
-	return &Engine{opts: opts, windows: windows, ring: make([]sample, n), prevAlert: map[string]string{}}
-}
-
-// objective returns the effective objective for a route.
-func (e *Engine) objective(route string) Objective {
-	if o, ok := e.opts.PerRoute[route]; ok {
-		if o.Availability <= 0 || o.Availability >= 1 {
-			o.Availability = e.opts.Default.Availability
-		}
-		if o.LatencyP99 <= 0 {
-			o.LatencyP99 = e.opts.Default.LatencyP99
-		}
-		return o
-	}
-	return e.opts.Default
+	return &Engine{opts: opts, ring: make([]sample, n), prevAlert: map[string]string{}}
 }
 
 // collect reads the registry's cumulative per-route figures.
 func (e *Engine) collect() map[string]routeCounts {
 	routes := map[string]routeCounts{}
-	type histInfo struct {
-		bounds []float64
-		cum    []float64
-		count  float64
-	}
-	hists := map[string]histInfo{}
+	hists := map[string]*obs.Histogram{}
 	for _, s := range e.opts.Registry.Snapshots() {
+		route := s.Labels["route"]
+		if route == "" || OperatorRoute(route) {
+			continue
+		}
 		switch s.Name {
 		case "http_requests_total":
-			route := s.Labels["route"]
-			if route == "" || e.opts.SkipRoute(route) {
-				continue
-			}
 			rc := routes[route]
 			rc.total += s.Value
 			if s.Labels["code"] == "5xx" {
@@ -180,105 +150,20 @@ func (e *Engine) collect() map[string]routeCounts {
 			}
 			routes[route] = rc
 		case "http_request_seconds":
-			route := s.Labels["route"]
-			if route == "" || e.opts.SkipRoute(route) {
-				continue
-			}
-			hists[route] = parseHist(s)
+			hists[route] = e.opts.Registry.Histogram(s.Name, nil, "route", route)
 		}
 	}
 	for route, rc := range routes {
-		if h, ok := hists[route]; ok && h.count > 0 {
-			o := e.objective(route)
-			good := countLE(h.bounds, h.cum, o.LatencyP99.Seconds())
-			rc.slow = h.count - good
+		rc.hist = hists[route]
+		if count := float64(rc.hist.Count()); count > 0 {
+			rc.slow = count - rc.hist.CountLE(e.opts.Default.LatencyP99.Seconds())
 			if rc.slow < 0 {
 				rc.slow = 0
 			}
-			routes[route] = rc
 		}
+		routes[route] = rc
 	}
 	return routes
-}
-
-// parseHist converts a histogram snapshot's stringified bucket map back
-// into sorted bounds and cumulative counts.
-func parseHist(s obs.Snapshot) (h struct {
-	bounds []float64
-	cum    []float64
-	count  float64
-}) {
-	h.count = float64(s.Count)
-	type bb struct {
-		bound float64
-		cum   float64
-	}
-	var bs []bb
-	for k, v := range s.Buckets {
-		if k == "+Inf" {
-			continue
-		}
-		f, err := strconv.ParseFloat(k, 64)
-		if err != nil {
-			continue
-		}
-		bs = append(bs, bb{f, float64(v)})
-	}
-	sort.Slice(bs, func(i, j int) bool { return bs[i].bound < bs[j].bound })
-	for _, b := range bs {
-		h.bounds = append(h.bounds, b.bound)
-		h.cum = append(h.cum, b.cum)
-	}
-	return h
-}
-
-// countLE estimates how many observations were <= threshold from cumulative
-// bucket counts, interpolating inside the owning bucket. Observations in
-// the +Inf bucket count as above any finite threshold.
-func countLE(bounds, cum []float64, threshold float64) float64 {
-	if len(bounds) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(bounds, threshold)
-	if i >= len(bounds) {
-		return cum[len(cum)-1]
-	}
-	if bounds[i] == threshold {
-		return cum[i]
-	}
-	lo, loCum := 0.0, 0.0
-	if i > 0 {
-		lo, loCum = bounds[i-1], cum[i-1]
-	}
-	hi := bounds[i]
-	inBucket := cum[i] - loCum
-	if inBucket <= 0 || hi <= lo {
-		return loCum
-	}
-	return loCum + inBucket*(threshold-lo)/(hi-lo)
-}
-
-// quantileFromCum estimates a quantile from cumulative bucket counts, the
-// way obs.Histogram.Quantile does (values past the last bound clamp to it).
-func quantileFromCum(bounds, cum []float64, total, q float64) float64 {
-	if total == 0 || len(bounds) == 0 {
-		return 0
-	}
-	rank := q * total
-	for i := range bounds {
-		if cum[i] >= rank {
-			lo, loCum := 0.0, 0.0
-			if i > 0 {
-				lo, loCum = bounds[i-1], cum[i-1]
-			}
-			in := cum[i] - loCum
-			if in <= 0 {
-				return bounds[i]
-			}
-			return lo + (bounds[i]-lo)*(rank-loCum)/in
-		}
-	}
-	return bounds[len(bounds)-1]
 }
 
 // Tick takes one sample at now, recomputes burn rates, publishes the
@@ -415,7 +300,7 @@ func (e *Engine) PeakBurn() float64 {
 
 func (e *Engine) reportLocked(now time.Time) Report {
 	rep := Report{CheckedAt: now}
-	for _, w := range e.windows {
+	for _, w := range DefWindows {
 		rep.Windows = append(rep.Windows, w.String())
 	}
 	samples := e.samplesLocked()
@@ -431,22 +316,8 @@ func (e *Engine) reportLocked(now time.Time) Report {
 	}
 	sort.Strings(routes)
 
-	// Cumulative latency views for observed p99.
-	hists := map[string]struct {
-		bounds []float64
-		cum    []float64
-		count  float64
-	}{}
-	for _, s := range e.opts.Registry.Snapshots() {
-		if s.Name == "http_request_seconds" {
-			if route := s.Labels["route"]; route != "" && !e.opts.SkipRoute(route) {
-				hists[route] = parseHist(s)
-			}
-		}
-	}
-
+	o := e.opts.Default
 	for _, route := range routes {
-		o := e.objective(route)
 		rc := cur.routes[route]
 		rr := RouteReport{
 			Route:                      route,
@@ -460,14 +331,12 @@ func (e *Engine) reportLocked(now time.Time) Report {
 		} else {
 			rr.ObservedAvailability = 1
 		}
-		if h, ok := hists[route]; ok {
-			rr.ObservedP99Seconds = quantileFromCum(h.bounds, h.cum, h.count, 0.99)
-		}
+		rr.ObservedP99Seconds = rc.hist.Quantile(0.99)
 		rr.Compliant = rr.ObservedAvailability >= o.Availability &&
 			(rr.ObservedP99Seconds == 0 || rr.ObservedP99Seconds <= o.LatencyP99.Seconds())
 
 		availBudget := 1 - o.Availability
-		for _, w := range e.windows {
+		for _, w := range DefWindows {
 			base := baseSample(samples, now.Add(-w))
 			wb := WindowBurn{Window: w.String()}
 			span := cur.t.Sub(base.t)

@@ -7,42 +7,36 @@ import (
 	"repro/internal/obs"
 )
 
-func TestCountLE(t *testing.T) {
-	bounds := []float64{0.1, 0.25, 0.5}
-	cum := []float64{10, 30, 40} // 10 <=0.1, 20 in (0.1,0.25], 10 in (0.25,0.5]
-	cases := []struct {
-		threshold float64
-		want      float64
-	}{
-		{0.1, 10},   // exact bound
-		{0.25, 30},  // exact bound
-		{0.175, 20}, // midpoint of (0.1, 0.25] -> half its 20
-		{0.05, 5},   // halfway into the first bucket
-		{1.0, 40},   // past the last bound: everything finite
-		{0.375, 35}, // midpoint of (0.25, 0.5]
-	}
-	for _, c := range cases {
-		if got := countLE(bounds, cum, c.threshold); got != c.want {
-			t.Errorf("countLE(%v) = %v, want %v", c.threshold, got, c.want)
-		}
-	}
-	if got := countLE(nil, nil, 0.5); got != 0 {
-		t.Errorf("countLE with no buckets = %v, want 0", got)
-	}
-}
-
+// The route histogram collect reads quantiles from its cumulative buckets,
+// interpolating inside the owning bucket; the report's observed p99 is one.
 func TestQuantileFromCum(t *testing.T) {
-	bounds := []float64{0.1, 0.2}
-	cum := []float64{50, 100}
-	if got := quantileFromCum(bounds, cum, 100, 0.5); got != 0.1 {
+	reg := obs.NewRegistry()
+	eng := New(Options{Registry: reg, Interval: time.Minute})
+	reg.Counter("http_requests_total", "route", "/api/search", "code", "2xx").Add(100)
+	h := reg.Histogram("http_request_seconds", []float64{0.1, 0.2}, "route", "/api/search")
+	if got := eng.collect()["/api/search"].hist.Quantile(0.99); got != 0 {
+		t.Errorf("empty histogram quantile = %v, want 0", got)
+	}
+	for i := 0; i < 50; i++ {
+		h.Observe(0.05)
+		h.Observe(0.15)
+	}
+	hist := eng.collect()["/api/search"].hist
+	if got := hist.Quantile(0.5); got != 0.1 {
 		t.Errorf("p50 = %v, want 0.1", got)
 	}
 	// rank 75 is halfway through the second bucket's 50 observations.
-	if got := quantileFromCum(bounds, cum, 100, 0.75); got < 0.1499 || got > 0.1501 {
+	if got := hist.Quantile(0.75); got < 0.1499 || got > 0.1501 {
 		t.Errorf("p75 = %v, want ~0.15", got)
 	}
-	if got := quantileFromCum(bounds, cum, 0, 0.99); got != 0 {
-		t.Errorf("empty histogram quantile = %v, want 0", got)
+	eng.Tick(time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC))
+	rep, _ := eng.LastReport()
+	if len(rep.Routes) != 1 {
+		t.Fatalf("routes = %+v, want one", rep.Routes)
+	}
+	// rank 99 is 49/50 of the way through (0.1, 0.2].
+	if got := rep.Routes[0].ObservedP99Seconds; got < 0.1979 || got > 0.1981 {
+		t.Errorf("observed p99 = %v, want ~0.198", got)
 	}
 }
 
@@ -70,14 +64,14 @@ func TestAlertFor(t *testing.T) {
 }
 
 func TestDefaultSkipRoute(t *testing.T) {
-	for _, r := range []string{"/metrics", "/healthz", "/readyz", "/api/slo", "unmatched", "/debug/dash", "/debug/traces"} {
-		if !DefaultSkipRoute(r) {
-			t.Errorf("DefaultSkipRoute(%q) = false, want true", r)
+	for _, r := range []string{"/metrics", "/healthz", "/readyz", "/api/slo", "unmatched", "/debug/dash", "/debug/traces", "/api/repl", "/api/promote"} {
+		if !OperatorRoute(r) {
+			t.Errorf("OperatorRoute(%q) = false, want true", r)
 		}
 	}
 	for _, r := range []string{"/api/search", "/", "/api/qlog"} {
-		if DefaultSkipRoute(r) {
-			t.Errorf("DefaultSkipRoute(%q) = true, want false", r)
+		if OperatorRoute(r) {
+			t.Errorf("OperatorRoute(%q) = true, want false", r)
 		}
 	}
 }

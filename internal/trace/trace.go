@@ -27,8 +27,8 @@ import (
 
 // Defaults for Options fields left zero.
 const (
-	DefRingSize     = 256 // completed traces retained in the ring
-	DefSlowPerRoute = 8   // worst traces kept per route
+	DefRingSize     = 1024 // completed traces retained in the ring (the query log's window)
+	DefSlowPerRoute = 8    // worst traces kept per route
 )
 
 // Options configures a Tracer.
@@ -113,9 +113,10 @@ func (t *Tracer) Start(ctx context.Context, route string, opts StartOptions) (co
 	return context.WithValue(ctx, ctxKey{}, root), tr
 }
 
-// Finish ends tr's root span (if still open), freezes the trace duration,
-// and hands the trace to the ring and the slow keeper. Safe to call once
-// per trace; later calls are no-ops.
+// Finish ends tr's root span (if still open: a Duration the caller set on
+// the root is kept), freezes the trace duration, and hands the trace to the
+// ring and the slow keeper. Safe to call once per trace; later calls are
+// no-ops.
 func (tr *Trace) Finish() {
 	if tr == nil || !tr.done.CompareAndSwap(false, true) {
 		return

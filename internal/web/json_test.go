@@ -15,7 +15,6 @@ import (
 	"repro"
 	"repro/internal/access"
 	"repro/internal/core"
-	"repro/internal/qlog"
 	"repro/internal/serving"
 	"repro/internal/synth"
 	"repro/internal/trace"
@@ -36,14 +35,16 @@ func jsonPages(t testing.TB) map[string]any {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.QueryLog = qlog.New(64)
 	ctx := context.Background()
 	user := access.User{ID: "u", Roles: []access.Role{access.RoleSales}}
 	q := core.FormQuery{Tower: "Storage Management Services", ExactPhrase: "data replication", Limit: 20}
-	res, err := sys.SearchCtx(ctx, user, q)
+	traced, tr := sys.Tracer.Start(ctx, "/api/search", trace.StartOptions{})
+	res, err := sys.SearchCtx(traced, user, q)
+	tr.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
+	logged := serving.LoggedQueries(sys.Tracer.Recent(0))
 	exRes, ex, err := sys.SearchExplain(ctx, user, q)
 	if err != nil {
 		t.Fatal(err)
@@ -72,8 +73,8 @@ func jsonPages(t testing.TB) map[string]any {
 		"similar":  similar,
 		"metrics":  sys.Registry().Snapshots(),
 		"readyz":   serving.NewHealth(sys, eil.HealthOptions{}).Evaluate(),
-		"slowest":  sys.Log().Slowest(5),
-		"summary":  sys.Log().Summarize(10),
+		"slowest":  serving.SlowestQueries(logged, 5),
+		"summary":  serving.SummarizeQueries(logged, 10),
 		"promoted": map[string]any{"promoted": true, "target": "b"},
 		"failover": FailoverInfo{Role: "primary", Epoch: 3, PromotedAt: time.Unix(1700000000, 5).UTC()},
 		"escapes":  []string{"<a href=\"x\">&amp;</a>", "tab\tnewline\n", " ", "é"},

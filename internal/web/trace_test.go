@@ -2,15 +2,20 @@ package web
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
 	"testing"
+	"time"
 
 	"repro"
-	"repro/internal/qlog"
+	"repro/internal/obs"
+	"repro/internal/serving"
 	"repro/internal/siapi"
+	"repro/internal/slo"
 	"repro/internal/synth"
 	"repro/internal/trace"
 )
@@ -184,7 +189,7 @@ func TestUntracedRoutes(t *testing.T) {
 		}
 	}
 	for _, tr := range sys.Tracer.Recent(0) {
-		if untraced(tr.Route) {
+		if slo.OperatorRoute(tr.Route) {
 			t.Fatalf("retained trace for untraced route %q", tr.Route)
 		}
 	}
@@ -220,8 +225,7 @@ func (nonFlusher) Write(b []byte) (int, error) { return len(b), nil }
 func (nonFlusher) WriteHeader(int)             {}
 
 func TestQueryLogSlowWithTraceID(t *testing.T) {
-	srv, sys := tracedServer(t)
-	sys.QueryLog = qlog.New(32)
+	srv, _ := tracedServer(t)
 	u := srv.URL + "/api/search?" + url.Values{"tower": {"EUS"}}.Encode()
 	resp, _ := get(t, u, nil)
 	id := resp.Header.Get("X-Trace-ID")
@@ -236,6 +240,83 @@ func TestQueryLogSlowWithTraceID(t *testing.T) {
 	}
 	if len(entries) != 1 || entries[0].TraceID != id || entries[0].Latency <= 0 {
 		t.Fatalf("slow entries = %+v, want one with trace %q", entries, id)
+	}
+}
+
+// TestOneReadingPerRequest: the middleware reads the clock once per request,
+// and the route histogram, its exemplar and the root span all carry that
+// reading, so the query log (the trace ring) reports what the deleted
+// separate log reported, with the histogram's latencies.
+func TestOneReadingPerRequest(t *testing.T) {
+	srv, sys := tracedServer(t)
+	search := sys.Registry().Histogram("http_request_seconds", nil, "route", "/api/search")
+
+	resp, _ := get(t, srv.URL+"/api/search?"+url.Values{"tower": {"EUS"}}.Encode(), nil)
+	id := resp.Header.Get("X-Trace-ID")
+	tr := sys.Tracer.Find(id)
+	if tr == nil {
+		t.Fatalf("trace %q not retained", id)
+	}
+	var ex *obs.Exemplar
+	for _, e := range search.Exemplars() {
+		if e != nil && e.TraceID == id {
+			ex = e
+		}
+	}
+	if ex == nil || ex.Value != tr.Duration.Seconds() {
+		t.Fatalf("exemplar %+v, want value %v (the trace's duration)", ex, tr.Duration.Seconds())
+	}
+
+	// The rest of the mix; the parent's separate log reported the figures
+	// below for this sequence (the search above included).
+	searchIDs := map[string]bool{id: true}
+	for _, p := range []string{
+		"/",
+		"/?" + url.Values{"tower": {"EUS"}}.Encode(),
+		"/api/search?" + url.Values{"exact": {"data replication"}}.Encode(),
+		"/api/search?" + url.Values{"all": {"replication"}}.Encode(),
+		"/api/keyword?" + url.Values{"q": {"cross tower"}}.Encode(),
+		"/api/keyword?" + url.Values{"q": {"zzqxv"}}.Encode(),
+		"/api/search?" + url.Values{"tower": {"EUS"}, "exact": {"zzqxv"}}.Encode(),
+		"/api/search?" + url.Values{"tower": {"Storage Management Services"}, "explain": {"1"}}.Encode(),
+		"/metrics",
+	} {
+		resp, _ := get(t, srv.URL+p, nil)
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s: status %d", p, resp.StatusCode)
+		}
+		if strings.HasPrefix(p, "/api/search") {
+			searchIDs[resp.Header.Get("X-Trace-ID")] = true
+		}
+	}
+	_, body := get(t, srv.URL+"/api/qlog", nil)
+	var s serving.QuerySummary
+	if err := json.Unmarshal([]byte(body), &s); err != nil {
+		t.Fatalf("bad JSON: %v", err)
+	}
+	want := []serving.ConceptCount{{Concept: "EUS", Count: 3}, {Concept: "Storage Management Services", Count: 1}}
+	if s.Total != 8 || s.Zero != 2 || s.Fallbacks != 2 || s.Keyword != 2 || fmt.Sprint(s.TopConcepts) != fmt.Sprint(want) {
+		t.Fatalf("summary = %+v, want 8 total, 2 zero, 2 fallbacks, 2 keyword, concepts %v", s, want)
+	}
+
+	_, body = get(t, srv.URL+"/api/qlog?slow=100", nil)
+	var entries []serving.QueryEntry
+	if err := json.Unmarshal([]byte(body), &entries); err != nil {
+		t.Fatalf("bad JSON: %v", err)
+	}
+	var sum time.Duration
+	n := 0
+	for _, e := range entries {
+		if searchIDs[e.TraceID] {
+			sum += e.Latency
+			n++
+		}
+	}
+	if n != len(searchIDs) || int64(n) != search.Count() {
+		t.Fatalf("%d /api/search entries, %d requests, %d observations", n, len(searchIDs), search.Count())
+	}
+	if diff := math.Abs(sum.Seconds() - search.Sum()); diff > float64(n)*1e-9 {
+		t.Fatalf("logged /api/search latencies sum to %v, histogram to %vs (diff %v)", sum, search.Sum(), diff)
 	}
 }
 

@@ -216,15 +216,6 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// untraced lists routes whose requests never start a trace: scrape, probe,
-// and debug traffic would otherwise flush real requests out of the trace
-// ring.
-func untraced(route string) bool {
-	return route == "/metrics" || route == "/healthz" || route == "/readyz" ||
-		route == "/api/slo" || route == "/api/repl" || route == "/api/promote" ||
-		strings.HasPrefix(route, "/debug/")
-}
-
 func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Label by registered pattern, not raw path, to bound cardinality.
 	_, route := m.mux.Handler(r)
@@ -240,7 +231,7 @@ func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// span tree would be useless. The assigned ID is echoed in the response
 	// so callers can pull the trace from /debug/trace/{id}.
 	var tr *trace.Trace
-	if m.tracer != nil && !untraced(route) {
+	if m.tracer != nil && !slo.OperatorRoute(route) {
 		inbound := r.Header.Get("X-Trace-ID")
 		ctx, started := m.tracer.Start(r.Context(), route, trace.StartOptions{
 			ID:    inbound,
@@ -256,6 +247,9 @@ func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	// d is the request's one clock reading: the route histogram, its
+	// exemplar, the access log and the root span (and so the query log) all
+	// carry it.
 	sw := &statusWriter{ResponseWriter: w}
 	t := obs.StartTimer()
 	m.next.ServeHTTP(sw, r)
@@ -266,12 +260,14 @@ func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var traceID string
 	if tr != nil {
 		traceID = tr.ID
-		trace.FromContext(r.Context()).SetInt("status", sw.status)
+		root := trace.FromContext(r.Context())
+		root.SetInt("status", sw.status)
+		root.Duration = d // Finish keeps a duration already set
 		tr.Finish()
 	}
 	m.reg.Counter("http_requests_total", "route", route, "code", statusClass(sw.status)).Inc()
 	m.reg.Histogram("http_request_seconds", nil, "route", route).ObserveDurationWithExemplar(d, traceID)
-	if !untraced(route) {
+	if !slo.OperatorRoute(route) {
 		// Aggregate histogram behind the dashboard's QPS/p99 panel: user
 		// traffic only, so scrape and probe polling does not dilute it.
 		m.reg.Histogram("http_requests_overall_seconds", nil).ObserveDuration(d)
@@ -560,21 +556,24 @@ func (h *handler) apiSimilar(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, hits)
 }
 
-// apiQueryLog summarizes the query log (404 when logging is off).
+// apiQueryLog summarizes the searches among the retained traces: the query
+// log is a view of the trace ring (404 when tracing is off).
 func (h *handler) apiQueryLog(w http.ResponseWriter, r *http.Request) {
-	if h.sys.Log() == nil {
-		http.Error(w, "query logging disabled", http.StatusNotFound)
+	tracer := h.sys.RequestTracer()
+	if tracer == nil {
+		http.Error(w, "query log needs tracing", http.StatusNotFound)
 		return
 	}
+	entries := serving.LoggedQueries(tracer.Recent(0))
 	if n, err := strconv.Atoi(r.FormValue("slow")); err == nil && n > 0 {
-		writeJSON(w, h.sys.Log().Slowest(n))
+		writeJSON(w, serving.SlowestQueries(entries, n))
 		return
 	}
 	topK := 10
 	if n, err := strconv.Atoi(r.FormValue("top")); err == nil && n > 0 {
 		topK = n
 	}
-	writeJSON(w, h.sys.Log().Summarize(topK))
+	writeJSON(w, serving.SummarizeQueries(entries, topK))
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

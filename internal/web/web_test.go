@@ -2,6 +2,7 @@ package web
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -10,7 +11,6 @@ import (
 
 	"repro"
 	"repro/internal/access"
-	"repro/internal/qlog"
 	"repro/internal/synth"
 )
 
@@ -243,13 +243,13 @@ func TestResultsLinkToDealPage(t *testing.T) {
 }
 
 func TestAPIQueryLog(t *testing.T) {
-	srv, sys := testServerWithSystem(t)
-	// Logging off by default in the handler's system.
-	resp, _ := get(t, srv.URL+"/api/qlog", nil)
+	// The query log is the trace ring: without a tracer there is none.
+	untracedSrv, _ := testServerWithSystem(t)
+	resp, _ := get(t, untracedSrv.URL+"/api/qlog", nil)
 	if resp.StatusCode != 404 {
-		t.Fatalf("status without log = %d", resp.StatusCode)
+		t.Fatalf("status without tracing = %d", resp.StatusCode)
 	}
-	sys.QueryLog = qlog.New(32)
+	srv, _ := tracedServer(t)
 	get(t, srv.URL+"/?"+url.Values{"tower": {"EUS"}}.Encode(), nil)
 	get(t, srv.URL+"/api/search?"+url.Values{"exact": {"data replication"}}.Encode(), nil)
 	resp, body := get(t, srv.URL+"/api/qlog", nil)
@@ -330,5 +330,56 @@ func TestAPIExploreAndSimilar(t *testing.T) {
 	}
 	if resp, _ := get(t, srv.URL+"/api/similar", nil); resp.StatusCode != 400 {
 		t.Fatalf("missing id status %d", resp.StatusCode)
+	}
+}
+
+// TestOperatorRoutes: /api/promote and /api/repl answer what their options
+// wire, and are absent (404) without them.
+func TestOperatorRoutes(t *testing.T) {
+	corpus, err := synth.Generate(synth.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := eil.Ingest(corpus.Docs, eil.Options{Directory: corpus.Directory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := func() FailoverInfo { return FailoverInfo{Role: "follower", Epoch: 2} }
+	var promoted string
+	promote := func(target string) error {
+		if target == "a" {
+			return errors.New(`this node is "b": POST /api/promote to the node being promoted`)
+		}
+		promoted = target
+		return nil
+	}
+	repl := WithReplStatus(func() any { return map[string]any{"role": "follower", "seq": 42} })
+	for _, tc := range []struct {
+		name, method, path string
+		opts               []Option
+		status             int
+		header, body       string // a header that must be set ("Key: value"), a body substring
+	}{
+		{"promote needs POST", "GET", "/api/promote", []Option{WithFailover(info, promote)}, 405, "Allow: POST", "requires POST"},
+		{"promote refused", "POST", "/api/promote?target=a", []Option{WithFailover(info, promote)}, 409, "", `this node is "b"`},
+		{"promote", "POST", "/api/promote?target=b", []Option{WithFailover(info, promote)}, 200, "", "\"promoted\": true,\n  \"target\": \"b\""},
+		{"promote without failover", "POST", "/api/promote?target=b", nil, 404, "", ""},
+		{"repl without status", "GET", "/api/repl", nil, 404, "", "replication disabled"},
+		{"repl", "GET", "/api/repl", []Option{repl}, 200, "Content-Type: application/json", `"seq": 42`},
+	} {
+		rec := httptest.NewRecorder()
+		HandlerFor(sys, tc.opts...).ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, nil))
+		if rec.Code != tc.status {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, rec.Code, tc.status, rec.Body)
+		}
+		if k, v, ok := strings.Cut(tc.header, ": "); ok && rec.Header().Get(k) != v {
+			t.Errorf("%s: %s = %q, want %q", tc.name, k, rec.Header().Get(k), v)
+		}
+		if !strings.Contains(rec.Body.String(), tc.body) {
+			t.Errorf("%s: body %q lacks %q", tc.name, rec.Body, tc.body)
+		}
+	}
+	if promoted != "b" {
+		t.Errorf("promote called with %q, want b", promoted)
 	}
 }

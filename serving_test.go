@@ -20,7 +20,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/health"
-	"repro/internal/qlog"
 	"repro/internal/repl"
 	"repro/internal/runtimetel"
 	"repro/internal/serving"
@@ -217,7 +216,6 @@ func TestSettingsFollowTheState(t *testing.T) {
 	set := serving.Settings{
 		Resilience:   core.Resilience{MaxRetries: 2},
 		Faults:       fault.New(2),
-		QueryLog:     qlog.New(8),
 		SnapshotKeep: 5,
 	}
 	f := startReplica(t, addr, t.TempDir(), "replica", nil)
@@ -225,12 +223,9 @@ func TestSettingsFollowTheState(t *testing.T) {
 	inForce := func(when string) {
 		t.Helper()
 		st := f.System()
-		if st.Engine.Resilient.MaxRetries != 2 || st.Engine.Faults != set.Faults || st.QueryLog != set.QueryLog || st.SnapshotKeep != 5 {
-			t.Fatalf("%s: settings not in force: retries %d, faults %v, querylog %v, keep %d",
-				when, st.Engine.Resilient.MaxRetries, st.Engine.Faults != nil, st.QueryLog != nil, st.SnapshotKeep)
-		}
-		if f.Log() != set.QueryLog {
-			t.Fatalf("%s: follower does not serve the query log", when)
+		if st.Engine.Resilient.MaxRetries != 2 || st.Engine.Faults != set.Faults || st.SnapshotKeep != 5 {
+			t.Fatalf("%s: settings not in force: retries %d, faults %v, keep %d",
+				when, st.Engine.Resilient.MaxRetries, st.Engine.Faults != nil, st.SnapshotKeep)
 		}
 	}
 	waitApplied(t, f, primarySeq(sys))

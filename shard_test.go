@@ -16,7 +16,6 @@ import (
 	"repro/internal/docparse"
 	"repro/internal/fault"
 	"repro/internal/health"
-	"repro/internal/qlog"
 	"repro/internal/serving"
 	"repro/internal/synopsis"
 	"repro/internal/synth"
@@ -835,10 +834,9 @@ func TestOneShardClusterMatchesMonolith(t *testing.T) {
 // TestClusterSearchExplain: explain mode on a cluster shows one
 // search.siapi.shard span per shard holding a deal in scope, every per-shard
 // synopsis span says whether the shard's memo served it, and the search is
-// logged once.
+// logged once, on its root span.
 func TestClusterSearchExplain(t *testing.T) {
 	_, mono, cluster := clusterFixture(t, 3)
-	cluster.QueryLog = qlog.New(8)
 	q := core.FormQuery{Tower: "Storage Management Services", AllWords: []string{"replication"}}
 	mres, err := mono.Search(admin(), q)
 	if err != nil || len(mres.Activities) == 0 {
@@ -883,11 +881,12 @@ func TestClusterSearchExplain(t *testing.T) {
 		if _, n := shardSpans(ex, "search.synopsis.shard", "hits"); len(n) != 3 || n[ShardName(0)] == "" {
 			t.Errorf("pass %d: per-shard synopsis spans lack hits: %v", pass, n)
 		}
-		if got := cluster.QueryLog.Len(); got != pass+1 {
-			t.Errorf("pass %d: %d query-log entries", pass, got)
+		entries := serving.LoggedQueries(tracer.Recent(0))
+		if len(entries) != pass+1 {
+			t.Fatalf("pass %d: %d query-log entries", pass, len(entries))
 		}
-	}
-	if e := cluster.QueryLog.Entries()[0]; e.Kind != qlog.KindForm || e.Activities != len(mres.Activities) || e.TraceID == "" {
-		t.Errorf("logged entry = %+v", e)
+		if e := entries[pass]; e.Kind != serving.KindForm || e.Activities != len(mres.Activities) || e.TraceID != tr.ID {
+			t.Errorf("pass %d: logged entry = %+v", pass, e)
+		}
 	}
 }

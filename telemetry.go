@@ -127,13 +127,11 @@ func (f *searchFront) Ready() bool { return true }
 func (f *searchFront) BreakerStates() []core.BreakerStatus { return f.Engine.BreakerStates() }
 
 // tune installs the search-side operator settings. Call it before the shape
-// serves traffic: searches read the engine's policy and the query log
-// unsynchronized.
+// serves traffic: searches read the engine's policy unsynchronized.
 func (f *searchFront) tune(set serving.Settings) {
 	if f.Engine != nil {
 		f.Engine.Resilient, f.Engine.Faults = set.Resilience, set.Faults
 	}
-	f.QueryLog = set.QueryLog
 }
 
 // Checks names the system's readiness checks (serving.Admin).
