@@ -88,8 +88,11 @@ const churnWindow = 10
 // deals, so replication demos have a continuous journal stream of both
 // AddDocuments and RemoveDeal.
 type churner struct {
-	be   serving.Backend
-	last int // the highest churn deal this churner added or found held
+	be serving.Backend
+	// primary reports whether this process may write now; a failover
+	// follower's writes could only be refused, after its promotion window.
+	primary func() bool
+	last    int // the highest churn deal this churner added or found held
 }
 
 func churnID(n int) string { return fmt.Sprintf("CHURN DEAL %d", n) }
@@ -101,11 +104,15 @@ func (c *churner) holds(n int) bool {
 }
 
 // step adds the next churn deal and removes the one churnWindow numbers
-// older. The number continues past the highest churn deal the state holds —
+// older, if the state holds it; it does nothing while the process is not the
+// primary. The number continues past the highest churn deal the state holds —
 // held deals lie at most churnWindow apart, so the scan stops after that many
 // misses in a row — so a node promoted over a state another process churned
 // does not re-add its deals. A refused add still removes: the window moves.
 func (c *churner) step() {
+	if !c.primary() {
+		return
+	}
 	for k, miss := c.last+1, 0; miss <= churnWindow; k++ {
 		if c.holds(k) {
 			c.last, miss = k, 0
@@ -123,7 +130,7 @@ func (c *churner) step() {
 	} else {
 		c.last = n
 	}
-	if old := n - churnWindow; old > 0 {
+	if old := n - churnWindow; old > 0 && c.holds(old) {
 		if err := c.be.RemoveDeal(churnID(old)); err != nil {
 			log.Printf("churn: remove %s: %v", churnID(old), err)
 		}
@@ -131,8 +138,8 @@ func (c *churner) step() {
 }
 
 // runChurn steps a churner over be every interval until ctx is done.
-func runChurn(ctx context.Context, be serving.Backend, every time.Duration) {
-	c := &churner{be: be}
+func runChurn(ctx context.Context, be serving.Backend, primary func() bool, every time.Duration) {
+	c := &churner{be: be, primary: primary}
 	tick := time.NewTicker(every)
 	defer tick.Stop()
 	for {
@@ -431,7 +438,7 @@ func main() {
 	}
 
 	if *churn > 0 && d.writes != nil {
-		go runChurn(ctx, be, *churn)
+		go runChurn(ctx, be, d.primary, *churn)
 		log.Printf("churning one synthetic deal every %v", *churn)
 	}
 

@@ -69,6 +69,12 @@ type deployment struct {
 	close func() error
 }
 
+// primary reports whether this process may write now: a failover node only
+// while it holds the primary role, every other writer always.
+func (d *deployment) primary() bool {
+	return d.node == nil || d.node.Role() == failover.RolePrimary
+}
+
 // selectShape builds the deployment the flags describe. It is the only
 // place that branches on shape.
 func selectShape(cfg shapeConfig) (*deployment, error) {

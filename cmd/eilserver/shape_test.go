@@ -67,7 +67,7 @@ func TestSelectShapePrimaries(t *testing.T) {
 		if d.kind != tc.kind || len(d.shards) != tc.shards || d.sharded != (tc.shards > 1) {
 			t.Fatalf("%s: kind %q, %d shards, sharded %v", tc.name, d.kind, len(d.shards), d.sharded)
 		}
-		if d.writes == nil || d.ship == nil || d.replStatus != nil || d.node != nil || !d.be.Ready() {
+		if d.writes == nil || d.ship == nil || d.replStatus != nil || d.node != nil || !d.be.Ready() || !d.primary() {
 			t.Fatalf("%s: a primary takes writes, can ship, and has no upstream: %+v", tc.name, d)
 		}
 		if err := d.writes.AddDocuments(churn(t, 1)); err != nil {
@@ -195,7 +195,7 @@ func replOf(t *testing.T, d *deployment) replReport {
 // and takes its own mutations.
 func TestSelectShapeFailover(t *testing.T) {
 	p := shapeFor(t, shapeConfig{sysDir: t.TempDir(), demo: true, shards: 1, failover: true, replListen: "127.0.0.1:0", replName: "a", walSync: 1, writerFlags: true})
-	if p.kind != "failover" || p.node == nil || p.node.Role() != failover.RolePrimary || p.writes != serving.Writer(p.node) {
+	if p.kind != "failover" || p.node == nil || p.node.Role() != failover.RolePrimary || p.writes != serving.Writer(p.node) || !p.primary() {
 		t.Fatalf("failover primary: %+v", p)
 	}
 	if err := p.writes.AddDocuments(churn(t, 1)); err != nil {
@@ -206,8 +206,8 @@ func TestSelectShapeFailover(t *testing.T) {
 	}
 
 	f := shapeFor(t, shapeConfig{sysDir: t.TempDir(), shards: 1, failover: true, replicaOf: deadAddr(t), replListen: "127.0.0.1:0", replName: "b", walSync: 1})
-	if f.node.Role() != failover.RoleFollower || f.be.Ready() {
-		t.Fatalf("failover follower: role %s, ready %v", f.node.Role(), f.be.Ready())
+	if f.node.Role() != failover.RoleFollower || f.be.Ready() || f.primary() {
+		t.Fatalf("failover follower: role %s, ready %v, primary %v", f.node.Role(), f.be.Ready(), f.primary())
 	}
 	f.be.Tune(serving.Settings{Resilience: core.Resilience{MaxRetries: 2}})
 	done := make(chan error, 1)
@@ -319,6 +319,9 @@ func TestSelectShapeRefusals(t *testing.T) {
 	}
 }
 
+// always is the primary predicate of every shape but a failover node.
+func always() bool { return true }
+
 // refuseAdds is a backend that refuses every add, as a fenced node does.
 type refuseAdds struct{ serving.Backend }
 
@@ -342,7 +345,7 @@ func TestChurnContinuesPastHeldDeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &churner{be: sys}
+	c := &churner{be: sys, primary: always}
 	c.step()
 	if c.last != 7 || !c.holds(7) {
 		t.Fatalf("first add: last %d, holds 7 %v; want CHURN DEAL 7", c.last, c.holds(7))
@@ -353,14 +356,68 @@ func TestChurnContinuesPastHeldDeals(t *testing.T) {
 	if c.last != 11 || c.holds(1) || !c.holds(2) || !c.holds(11) {
 		t.Fatalf("after 8..11: last %d, holds 1 %v, 2 %v, 11 %v; want 11 added and 1 removed", c.last, c.holds(1), c.holds(2), c.holds(11))
 	}
-	fresh := &churner{be: sys}
+	fresh := &churner{be: sys, primary: always}
 	fresh.step()
 	if fresh.last != 12 || fresh.holds(1) || fresh.holds(2) {
 		t.Fatalf("fresh churner over 2..11: last %d, holds 1 %v, 2 %v; want 12 added and 2 removed", fresh.last, fresh.holds(1), fresh.holds(2))
 	}
-	refused := &churner{be: refuseAdds{sys}, last: fresh.last}
+	refused := &churner{be: refuseAdds{sys}, primary: always, last: fresh.last}
 	refused.step()
 	if refused.last != 12 || refused.holds(13) || refused.holds(3) {
 		t.Fatalf("refused add: last %d, holds 13 %v, 3 %v; want 13 not added and 3 removed", refused.last, refused.holds(13), refused.holds(3))
+	}
+}
+
+// countWrites counts the writes that reach a backend.
+type countWrites struct {
+	serving.Backend
+	adds, removes int
+}
+
+func (c *countWrites) AddDocuments(docs []*docmodel.Document) error {
+	c.adds++
+	return c.Backend.AddDocuments(docs)
+}
+
+func (c *countWrites) RemoveDeal(id string) error {
+	c.removes++
+	return c.Backend.RemoveDeal(id)
+}
+
+// TestChurnWritesOnlyAsPrimary: a churner whose process is not the primary
+// issues no write at all, and one that is removes only a deal the state
+// holds, so neither waits out a promotion window nor meets a refusal of its
+// own making.
+func TestChurnWritesOnlyAsPrimary(t *testing.T) {
+	docs, err := churnDocs(churnID(1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := eil.Ingest(docs, eil.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := &countWrites{Backend: sys}
+	primary := false
+	c := &churner{be: be, primary: func() bool { return primary }}
+	c.step()
+	if be.adds != 0 || be.removes != 0 || c.last != 0 || c.holds(2) {
+		t.Fatalf("not primary: %d adds, %d removes, last %d", be.adds, be.removes, c.last)
+	}
+	primary = true
+	for i := 0; i < churnWindow; i++ {
+		c.step()
+	}
+	// Adds 2..11; the step that adds 11 removes 1, and none before it had a
+	// held deal churnWindow numbers older to remove.
+	if be.adds != churnWindow || be.removes != 1 || c.last != churnWindow+1 || c.holds(1) {
+		t.Fatalf("primary: %d adds, %d removes, last %d, holds 1 %v", be.adds, be.removes, c.last, c.holds(1))
+	}
+	if err := sys.RemoveDeal(churnID(2)); err != nil {
+		t.Fatal(err)
+	}
+	c.step()
+	if be.adds != churnWindow+1 || be.removes != 1 || !c.holds(churnWindow+2) {
+		t.Fatalf("removing an absent deal: %d adds, %d removes", be.adds, be.removes)
 	}
 }

@@ -235,8 +235,8 @@ func (f *searchFront) RequestTracer() *trace.Tracer { return f.Tracer }
 
 // Ingest runs the offline pipeline (Data Acquisition already done by the
 // caller: docs are parsed) over the documents: document-level annotators in
-// parallel, then the collection processing engines, populating the semantic
-// index and the synopsis store.
+// parallel, feeding the collection processing engines in document order,
+// which populate the semantic index and the synopsis store.
 func Ingest(docs []*docmodel.Document, opts Options) (*System, error) {
 	return IngestFrom(&analysis.SliceReader{Docs: docs}, opts)
 }

@@ -1,14 +1,18 @@
 package eil
 
 import (
+	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/access"
 	"repro/internal/core"
 	"repro/internal/crawler"
+	"repro/internal/relstore"
 	"repro/internal/serving"
+	"repro/internal/synopsis"
 	"repro/internal/synth"
 	"repro/internal/trace"
 )
@@ -260,5 +264,63 @@ func TestDedupOption(t *testing.T) {
 		if strings.Contains(path, "copy-of-") && !dropped[path] {
 			t.Fatalf("planted copy survived: %s", path)
 		}
+	}
+}
+
+// TestBulkLoadMatchesPutPerDeal: the store a bulk ingest loads in one pass
+// holds what a Put per deal, in the builder's order, would have stored —
+// every synopsis, the deal list, and the bytes the checkpoint's context
+// component writes.
+func TestBulkLoadMatchesPutPerDeal(t *testing.T) {
+	cfg := synth.SmallConfig()
+	cfg.Deals, cfg.NoiseDocsPerDeal = 24, 10
+	corpus, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := Ingest(corpus.Docs, Options{Directory: corpus.Directory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	put, err := synopsis.NewStore(relstore.NewDB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range sys.builder.DealIDs() {
+		deal, err := sys.builder.Finalize(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := put.Put(deal); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loadedIDs, err := sys.Synopses.DealIDs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	putIDs, err := put.DealIDs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(loadedIDs) < 20 || !reflect.DeepEqual(loadedIDs, putIDs) {
+		t.Fatalf("deal ids: loaded %v, put %v", loadedIDs, putIDs)
+	}
+	for _, id := range loadedIDs {
+		a, errA := sys.Synopses.Get(id)
+		b, errB := put.Get(id)
+		if errA != nil || errB != nil || !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: loaded %+v (%v), put %+v (%v)", id, a, errA, b, errB)
+		}
+	}
+	var loadedSnap, putSnap bytes.Buffer
+	if _, err := sys.Synopses.DB().WriteTo(&loadedSnap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := put.DB().WriteTo(&putSnap); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(loadedSnap.Bytes(), putSnap.Bytes()) {
+		t.Fatalf("context component differs: loaded %d bytes, put %d", loadedSnap.Len(), putSnap.Len())
 	}
 }

@@ -3,9 +3,13 @@ package analysis
 import (
 	"errors"
 	"fmt"
+	"io"
+	"math/rand"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/docmodel"
 	"repro/internal/obs"
@@ -382,5 +386,142 @@ func TestPipelineTracingRecordsFailure(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("failed document's trace has no error attribute")
+	}
+}
+
+// countingReader hands out n documents and counts them; the count is read
+// by consumers on another goroutine.
+type countingReader struct {
+	n, fail int // fail > 0: Next returns errRead instead of document fail
+	out     atomic.Int64
+}
+
+var errRead = errors.New("disk on fire")
+
+func (r *countingReader) Next() (*docmodel.Document, error) {
+	i := int(r.out.Load())
+	if r.fail > 0 && i == r.fail {
+		return nil, errRead
+	}
+	if i >= r.n {
+		return nil, io.EOF
+	}
+	r.out.Add(1)
+	return doc(fmt.Sprintf("doc%05d", i), "body"), nil
+}
+
+// lookaheadConsumer records, at every Consume, how many documents the
+// reader has handed out that the consumers have not yet seen.
+type lookaheadConsumer struct {
+	collectingConsumer
+	r        *countingReader
+	maxAhead int64
+	failAt   int // > 0: Consume fails on this document
+}
+
+func (c *lookaheadConsumer) Consume(cas *CAS) error {
+	if ahead := c.r.out.Load() - int64(len(c.paths)); ahead > c.maxAhead {
+		c.maxAhead = ahead
+	}
+	runtime.Gosched() // let a reader that is not held back run ahead
+
+	if c.failAt > 0 && len(c.paths) == c.failAt {
+		return errors.New("consumer full")
+	}
+	return c.collectingConsumer.Consume(cas)
+}
+
+// TestPipelineBoundedLookahead: the reader never runs more than the window
+// ahead of the consumers, however fast it is and however slow they are.
+func TestPipelineBoundedLookahead(t *testing.T) {
+	const workers = 4
+	r := &countingReader{n: 10000}
+	cons := &lookaheadConsumer{collectingConsumer: collectingConsumer{name: "c"}, r: r}
+	p := &Pipeline{Reader: r, Annotator: AnnotatorFunc{ID: "a", Fn: func(*CAS) error { return nil }},
+		Consumers: []Consumer{cons}, Workers: workers}
+	stats, err := p.Run()
+	if err != nil || stats.Docs != 10000 || len(cons.paths) != 10000 {
+		t.Fatalf("stats = %+v, consumed %d, err = %v", stats, len(cons.paths), err)
+	}
+	if limit := int64(window*workers + workers); cons.maxAhead > limit {
+		t.Fatalf("reader ran %d documents ahead of the consumers, limit %d", cons.maxAhead, limit)
+	}
+}
+
+// TestPipelineOrderUnderJitter: annotators that finish out of order still
+// reach the consumers in reader order.
+func TestPipelineOrderUnderJitter(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	delays := map[string]time.Duration{}
+	var docs []*docmodel.Document
+	for i := 0; i < 400; i++ {
+		d := doc(fmt.Sprintf("doc%03d", i), "body")
+		delays[d.Path] = time.Duration(rng.Intn(300)) * time.Microsecond
+		docs = append(docs, d)
+	}
+	ann := AnnotatorFunc{ID: "jitter", Fn: func(cas *CAS) error {
+		time.Sleep(delays[cas.Doc.Path])
+		return nil
+	}}
+	cons := &collectingConsumer{name: "c"}
+	p := &Pipeline{Reader: &SliceReader{Docs: docs}, Annotator: ann, Consumers: []Consumer{cons}, Workers: 8}
+	if _, err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, path := range cons.paths {
+		if path != docs[i].Path {
+			t.Fatalf("consumer %d saw %s, want %s", i, path, docs[i].Path)
+		}
+	}
+	if len(cons.paths) != len(docs) {
+		t.Fatalf("consumed %d of %d", len(cons.paths), len(docs))
+	}
+}
+
+// TestPipelineAbortStopsEverything: a reader error mid-stream, a MaxErrors
+// abort and a consumer error each end the run with its error, without
+// calling End, and leave no pipeline goroutine behind.
+func TestPipelineAbortStopsEverything(t *testing.T) {
+	failFrom := func(n int) Annotator {
+		return AnnotatorFunc{ID: "a", Fn: func(cas *CAS) error {
+			if cas.Doc.Path >= fmt.Sprintf("doc%05d", n) {
+				return errors.New("unparseable")
+			}
+			return nil
+		}}
+	}
+	for _, tc := range []struct {
+		name      string
+		readFail  int
+		annotator Annotator
+		maxErrors int
+		consFail  int
+		want      error
+	}{
+		{name: "reader", readFail: 500, annotator: failFrom(10000), want: errRead},
+		{name: "max-errors", annotator: failFrom(300), maxErrors: 5, want: errTooManyFailures},
+		{name: "consumer", annotator: failFrom(10000), consFail: 200},
+	} {
+		base := runtime.NumGoroutine()
+		r := &countingReader{n: 10000, fail: tc.readFail}
+		cons := &lookaheadConsumer{collectingConsumer: collectingConsumer{name: "c"}, r: r, failAt: tc.consFail}
+		p := &Pipeline{Reader: r, Annotator: tc.annotator, Consumers: []Consumer{cons}, Workers: 4, MaxErrors: tc.maxErrors}
+		_, err := p.Run()
+		if err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
+			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		if cons.ended {
+			t.Fatalf("%s: End called after an abort", tc.name)
+		}
+		if got := r.out.Load(); got >= 10000 {
+			t.Fatalf("%s: reader handed out all %d documents after an abort", tc.name, got)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines after Run, %d before", tc.name, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }

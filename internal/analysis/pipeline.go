@@ -259,9 +259,29 @@ func processSteps(ctx context.Context, a Annotator, cas *CAS) error {
 // errTooManyFailures aborts a run that exceeds MaxErrors.
 var errTooManyFailures = errors.New("analysis: too many document failures")
 
-// Run drives the pipeline to completion. Document-level analysis runs on
-// Workers goroutines; consumers then see the analyzed CASes serially, in
-// reader order, so collection-level processing is deterministic.
+// window is how many documents per annotator worker the reader may get ahead
+// of the consumers: enough to keep every worker busy while the consumer loop
+// is inside a slow call (an index batch flush), and a few hundred documents
+// per CPU at most in memory.
+const window = 64
+
+// inflight is one document between the reader and the consumer loop.
+type inflight struct {
+	cas *CAS // nil on the item that ends a failed read
+	// err is the annotator flow's error, or the reader's when cas is nil.
+	err  error
+	done chan struct{} // closed once cas and err are final
+}
+
+// Run drives the pipeline to completion, streaming. A reader goroutine pulls
+// documents at most window×Workers ahead of the consumers; Workers goroutines
+// run the annotator; the calling goroutine hands each analyzed CAS to the
+// consumers in reader order, so collection-level processing is
+// deterministic, and then calls every consumer's End. A run aborts on a
+// reader error, on more than MaxErrors failed documents, or on a consumer
+// error: Run then stops the reader, waits for its goroutines and returns the
+// error. Consumers see nothing after the document that aborted the run, and
+// End is not called.
 func (p *Pipeline) Run() (stats Stats, err error) {
 	if p.Reader == nil {
 		return stats, errors.New("analysis: pipeline has no reader")
@@ -286,21 +306,6 @@ func (p *Pipeline) Run() (stats Stats, err error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	// Read everything first: the corpus is in-memory by design, and a
-	// materialized list gives a stable order for the consumer phase.
-	var docs []*docmodel.Document
-	for {
-		d, err := p.Reader.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return stats, fmt.Errorf("analysis: reader: %w", err)
-		}
-		docs = append(docs, d)
-	}
-	stats.Docs = len(docs)
-
 	var annotator Annotator
 	var clocks []*stageClock
 	if p.Annotator != nil {
@@ -315,54 +320,80 @@ func (p *Pipeline) Run() (stats Stats, err error) {
 	}
 	defer finish(clocks, cpeClocks)
 
-	cases := make([]*CAS, len(docs))
-	errs := make([]error, len(docs))
-	if annotator != nil {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for i, d := range docs {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, d *docmodel.Document) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				cas := NewCAS(d)
-				if err := p.processDoc(annotator, cas); err != nil {
-					errs[i] = fmt.Errorf("doc %s: %w", d.Path, err)
-					return
-				}
-				cases[i] = cas
-			}(i, d)
-		}
-		wg.Wait()
-	} else {
-		for i, d := range docs {
-			cases[i] = NewCAS(d)
+	// The reader takes a slot before each Next and the consumer loop gives
+	// it back once the consumers are done with that document, so no more
+	// than len(slots) documents are ever read but not consumed. queue and
+	// work hold at most that many items, so sends to them never block.
+	slots := make(chan struct{}, window*workers)
+	queue := make(chan *inflight, window*workers)
+	work := make(chan *inflight, window*workers)
+	stop := make(chan struct{})
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
 		}
 	}
+	var wg sync.WaitGroup
+	read := 0 // written by the reader, read after wg.Wait
+	defer func() {
+		close(stop)
+		wg.Wait()
+		stats.Docs = read
+	}()
 
-	for i := range docs {
-		if errs[i] != nil {
-			stats.Failed++
-			stats.Errors = append(stats.Errors, errs[i])
-			if p.MaxErrors > 0 && stats.Failed > p.MaxErrors {
-				return stats, fmt.Errorf("%w: %d", errTooManyFailures, stats.Failed)
+	wg.Add(1 + workers)
+	go func() {
+		defer wg.Done()
+		defer close(work)
+		defer close(queue)
+		for {
+			select {
+			case slots <- struct{}{}:
+			case <-stop:
+				return
 			}
-			continue
-		}
-		stats.Annotations += len(cases[i].All())
-		for ci, c := range p.Consumers {
-			start := time.Now()
-			err := c.Consume(cases[i])
-			d := time.Since(start)
-			cpeClocks[ci].nanos.Add(d.Nanoseconds())
-			cpeClocks[ci].docs.Add(1)
-			cpeClocks[ci].hist.ObserveDuration(d)
+			if stopped() {
+				return
+			}
+			d, err := p.Reader.Next()
+			if err == io.EOF {
+				return
+			}
 			if err != nil {
-				cpeClocks[ci].failed.Add(1)
-				return stats, fmt.Errorf("analysis: consumer %s: %w", c.Name(), err)
+				it := &inflight{err: fmt.Errorf("analysis: reader: %w", err), done: make(chan struct{})}
+				close(it.done)
+				queue <- it
+				return
 			}
+			read++
+			it := &inflight{cas: NewCAS(d), done: make(chan struct{})}
+			queue <- it
+			work <- it
 		}
+	}()
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for it := range work {
+				if annotator != nil && !stopped() {
+					if err := p.processDoc(annotator, it.cas); err != nil {
+						it.err = fmt.Errorf("doc %s: %w", it.cas.Doc.Path, err)
+					}
+				}
+				close(it.done)
+			}
+		}()
+	}
+
+	for it := range queue {
+		<-it.done
+		if err := p.consume(it, &stats, cpeClocks); err != nil {
+			return stats, err
+		}
+		<-slots
 	}
 	for ci, c := range p.Consumers {
 		start := time.Now()
@@ -374,4 +405,34 @@ func (p *Pipeline) Run() (stats Stats, err error) {
 		}
 	}
 	return stats, nil
+}
+
+// consume accounts one analyzed document and hands it to every consumer. An
+// error aborts the run.
+func (p *Pipeline) consume(it *inflight, stats *Stats, cpeClocks []*stageClock) error {
+	if it.cas == nil {
+		return it.err
+	}
+	if it.err != nil {
+		stats.Failed++
+		stats.Errors = append(stats.Errors, it.err)
+		if p.MaxErrors > 0 && stats.Failed > p.MaxErrors {
+			return fmt.Errorf("%w: %d", errTooManyFailures, stats.Failed)
+		}
+		return nil
+	}
+	stats.Annotations += len(it.cas.All())
+	for ci, c := range p.Consumers {
+		start := time.Now()
+		err := c.Consume(it.cas)
+		d := time.Since(start)
+		cpeClocks[ci].nanos.Add(d.Nanoseconds())
+		cpeClocks[ci].docs.Add(1)
+		cpeClocks[ci].hist.ObserveDuration(d)
+		if err != nil {
+			cpeClocks[ci].failed.Add(1)
+			return fmt.Errorf("analysis: consumer %s: %w", c.Name(), err)
+		}
+	}
+	return nil
 }

@@ -203,17 +203,19 @@ func (b *Builder) consumePerson(acc *dealAcc, a analysis.Annotation) {
 	}
 }
 
-// End implements analysis.Consumer: finalize every deal and populate the
-// store.
+// End implements analysis.Consumer: finalize every deal and load them into
+// the store, which must be empty (synopsis.Store.Load).
 func (b *Builder) End() error {
+	deals := make([]synopsis.Deal, 0, len(b.order))
 	for _, dealID := range b.order {
 		deal, err := b.finalize(dealID, b.deals[dealID])
 		if err != nil {
 			return err
 		}
-		if err := b.Store.Put(deal); err != nil {
-			return fmt.Errorf("annotators: store %s: %w", dealID, err)
-		}
+		deals = append(deals, deal)
+	}
+	if err := b.Store.Load(deals); err != nil {
+		return fmt.Errorf("annotators: store: %w", err)
 	}
 	return nil
 }
@@ -230,6 +232,12 @@ func (b *Builder) Finalize(dealID string) (synopsis.Deal, error) {
 
 // DealIDs lists accumulated deals in first-seen order.
 func (b *Builder) DealIDs() []string { return b.order }
+
+// Has reports whether the builder holds accumulated state for the deal.
+func (b *Builder) Has(dealID string) bool {
+	_, ok := b.deals[dealID]
+	return ok
+}
 
 // PutDeal finalizes one deal and writes it to the store — the incremental
 // path used when new documents arrive for an already-ingested activity.

@@ -146,7 +146,7 @@ var schemaStmts = []string{
 	`CREATE INDEX tech_by_deal ON tech_solutions (deal_id)`,
 }
 
-// The statements Put issues, one INSERT per table. These constants, Get's
+// The statements insert issues, one INSERT per table. These constants, Get's
 // and Search's, clearDeal and schemaStmts are every statement the store
 // issues; sqlx plans a SELECT once per text, so a fixed repertoire stays
 // planned. census_test.go lists them all: it is the specification of the SQL
@@ -199,7 +199,42 @@ func (s *Store) Put(d Deal) error {
 	if err := s.deleteDeal(id); err != nil {
 		return err
 	}
-	o := d.Overview
+	return s.insert(d)
+}
+
+// ErrNotEmpty is Load's refusal of a store that already holds a deal.
+var ErrNotEmpty = errors.New("synopsis: load into a store that holds deals")
+
+// Load fills an empty store with the deals in order: what a Put of each
+// would leave, without Put's DELETE of rows that cannot exist yet, so a bulk
+// ingest costs time linear in the deals. A store holding any deal is refused
+// with ErrNotEmpty; use Put to replace deals.
+func (s *Store) Load(deals []Deal) error {
+	n, err := s.DB().RowCount("deals")
+	if err != nil {
+		return fmt.Errorf("synopsis: load: %w", err)
+	}
+	if n > 0 {
+		return fmt.Errorf("%w (%d)", ErrNotEmpty, n)
+	}
+	for _, d := range deals {
+		if d.Overview.DealID == "" {
+			return errors.New("synopsis: empty deal id")
+		}
+	}
+	for _, d := range deals {
+		err := s.insert(d)
+		s.invalidate(d.Overview.DealID, &d)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// insert writes one deal's rows, which must not exist yet.
+func (s *Store) insert(d Deal) error {
+	id, o := d.Overview.DealID, d.Overview
 	_, err := s.conn.Exec(insertDeal,
 		o.DealID, o.Customer, o.Industry, o.Consultant, o.Geography, o.Country,
 		o.TermStart, int64(o.TermMonths), o.TCVBand, o.International, o.Repository)
@@ -228,8 +263,14 @@ func (s *Store) Put(d Deal) error {
 			return fmt.Errorf("synopsis: put reference: %w", err)
 		}
 	}
-	for tower, text := range d.TechSolutions {
-		if _, err := s.conn.Exec(insertSolution, id, tower, text); err != nil {
+	// In tower order, so equal deals leave byte-identical snapshots.
+	towers := make([]string, 0, len(d.TechSolutions))
+	for tower := range d.TechSolutions {
+		towers = append(towers, tower)
+	}
+	sort.Strings(towers)
+	for _, tower := range towers {
+		if _, err := s.conn.Exec(insertSolution, id, tower, d.TechSolutions[tower]); err != nil {
 			return fmt.Errorf("synopsis: put solution: %w", err)
 		}
 	}

@@ -93,6 +93,32 @@ func TestPutEmptyID(t *testing.T) {
 	}
 }
 
+// TestLoadRefusesHeldStore: Load fills an empty store, refuses one that holds
+// a deal (its rows would be duplicated, not replaced), and removes the memo
+// entries the loaded deals join, as Put does.
+func TestLoadRefusesHeldStore(t *testing.T) {
+	s := newStore(t)
+	q := Query{Tower: "End User Services"}
+	if hits, err := s.Search(q); err != nil || len(hits) != 0 {
+		t.Fatalf("empty store: %v, %v", hits, err)
+	}
+	if err := s.Load([]Deal{sampleDeal("DEAL A"), sampleDeal("DEAL B")}); err != nil {
+		t.Fatal(err)
+	}
+	if hits, err := s.Search(q); err != nil || len(hits) != 2 {
+		t.Fatalf("after Load the memoized empty answer survived: %v, %v", hits, err)
+	}
+	if err := s.Load([]Deal{sampleDeal("DEAL C")}); !errors.Is(err, ErrNotEmpty) {
+		t.Fatalf("Load into a held store: %v, want ErrNotEmpty", err)
+	}
+	if err := newStore(t).Load([]Deal{sampleDeal("DEAL A"), {}}); err == nil {
+		t.Fatal("empty deal id loaded")
+	}
+	if ids, err := s.DealIDs(); err != nil || len(ids) != 2 {
+		t.Fatalf("deals = %v, %v", ids, err)
+	}
+}
+
 func TestGetMissing(t *testing.T) {
 	s := newStore(t)
 	if _, err := s.Get("NOPE"); !errors.Is(err, ErrNotFound) {

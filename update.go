@@ -9,6 +9,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/docmodel"
 	"repro/internal/index"
+	"repro/internal/synopsis"
 	"repro/internal/trace"
 )
 
@@ -34,6 +35,15 @@ func (e *PartialBatchError) Error() string {
 
 // Unwrap exposes the underlying failure to errors.Is/As.
 func (e *PartialBatchError) Unwrap() error { return e.Err }
+
+// DealNotFoundError is RemoveDeal's refusal of a deal the state does not
+// hold: no indexed document, no synopsis and no accumulated analysis state.
+// Nothing is journaled for it.
+type DealNotFoundError struct{ DealID string }
+
+func (e *DealNotFoundError) Error() string {
+	return fmt.Sprintf("eil: remove %q: no such deal", e.DealID)
+}
 
 // AddDocuments incrementally ingests new documents into a live system: each
 // document is analyzed, indexed, and folded into its business activity's
@@ -202,8 +212,9 @@ func (s *System) applyCompact() {
 
 // RemoveDeal withdraws an entire business activity: its documents leave the
 // index, its synopsis is deleted, and its accumulated analysis state is
-// dropped, so a later AddDocuments for the same ID starts clean. With a
-// journal attached, the removal is recorded before RemoveDeal returns.
+// dropped, so a later AddDocuments for the same ID starts clean. A deal the
+// state does not hold is refused with a *DealNotFoundError. With a journal
+// attached, the removal is recorded before RemoveDeal returns.
 func (s *System) RemoveDeal(dealID string) error {
 	if dealID == "" {
 		return errors.New("eil: empty deal id")
@@ -213,14 +224,38 @@ func (s *System) RemoveDeal(dealID string) error {
 	if err := s.writeGuardLocked(); err != nil {
 		return err
 	}
+	held, err := s.holdsLocked(dealID)
+	if err != nil {
+		return err
+	}
+	if !held {
+		return &DealNotFoundError{DealID: dealID}
+	}
 	if err := s.applyRemoveDeal(dealID); err != nil {
 		return err
 	}
 	return s.journalLocked(walOpRemoveDeal, []byte(dealID))
 }
 
+// holdsLocked reports whether the state holds anything of the deal, cheapest
+// check first: analysis state, then a synopsis, then an indexed document.
+// Callers hold upMu.
+func (s *System) holdsLocked(dealID string) (bool, error) {
+	if s.builder != nil && s.builder.Has(dealID) {
+		return true, nil
+	}
+	if _, err := s.Synopses.Get(dealID); err == nil {
+		return true, nil
+	} else if !errors.Is(err, synopsis.ErrNotFound) {
+		return false, fmt.Errorf("eil: remove %s: %w", dealID, err)
+	}
+	return len(s.Index.ExtIDsByMeta("deal", dealID)) > 0, nil
+}
+
 // applyRemoveDeal is the body of RemoveDeal, shared with journal replay;
-// callers hold upMu (or own the system exclusively during replay).
+// callers hold upMu (or own the system exclusively during replay). Replay
+// accepts a removal of an absent deal, which journals written before
+// RemoveDeal refused one may hold, as a no-op.
 func (s *System) applyRemoveDeal(dealID string) error {
 	for _, path := range s.Index.ExtIDsByMeta("deal", dealID) {
 		if err := s.Index.Delete(path); err != nil {

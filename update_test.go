@@ -167,6 +167,80 @@ func TestRemoveDealValidation(t *testing.T) {
 	}
 }
 
+// TestRemoveAbsentDeal: removing a deal the state does not hold is refused
+// with *DealNotFoundError on a journaling system, a cluster and a failover
+// primary alike, and nothing is journaled for it.
+func TestRemoveAbsentDeal(t *testing.T) {
+	corpus, sys := testSystem(t, Options{Workers: 1})
+	absent := func(shape, id string, err error) {
+		t.Helper()
+		var nf *DealNotFoundError
+		if !errors.As(err, &nf) || nf.DealID != id {
+			t.Fatalf("%s: RemoveDeal of an absent deal = %v, want *DealNotFoundError", shape, err)
+		}
+	}
+	h, err := NewPrimaryHANode(sys, HANodeOptions{Name: "p", Dir: t.TempDir(), ListenAddr: "127.0.0.1:0", SyncEvery: 1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = h.Close() })
+	_, before := sys.ReplPosition()
+	absent("system", "NO SUCH DEAL", sys.RemoveDeal("NO SUCH DEAL"))
+	absent("failover primary", "NO SUCH DEAL", h.RemoveDeal("NO SUCH DEAL"))
+	if _, after := sys.ReplPosition(); after != before {
+		t.Fatalf("refused removals moved the journal from seq %d to %d", before, after)
+	}
+	if err := h.RemoveDeal(corpus.DealIDs[0]); err != nil {
+		t.Fatal(err)
+	}
+	absent("system after removal", corpus.DealIDs[0], sys.RemoveDeal(corpus.DealIDs[0]))
+
+	cluster, err := IngestSharded(corpus.Docs, 2, Options{Directory: corpus.Directory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	absent("cluster", "NO SUCH DEAL", cluster.RemoveDeal("NO SUCH DEAL"))
+	if err := cluster.RemoveDeal(corpus.DealIDs[0]); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReplayAbsentRemoval: a journal written before RemoveDeal refused
+// absent deals may hold a removal of one; recovery replays it as a no-op.
+func TestReplayAbsentRemoval(t *testing.T) {
+	corpus, live := testSystem(t, Options{})
+	dir := t.TempDir()
+	if err := live.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := LoadSystem(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.EnableWAL(dir, 1); err != nil {
+		t.Fatal(err)
+	}
+	sys.upMu.Lock()
+	err = sys.journalLocked(walOpRemoveDeal, []byte("NO SUCH DEAL"))
+	sys.upMu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RemoveDeal(corpus.DealIDs[0]); err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := LoadSystem(dir, nil)
+	if err != nil {
+		t.Fatalf("replaying an absent deal's removal: %v", err)
+	}
+	if got, want := recovered.Index.DocCount(), sys.Index.DocCount(); got != want {
+		t.Fatalf("recovered %d documents, want %d", got, want)
+	}
+	if _, err := recovered.Synopses.Get(corpus.DealIDs[0]); err == nil {
+		t.Fatal("the journaled removal after the absent one was not replayed")
+	}
+}
+
 func TestRestoredSystemUpdatable(t *testing.T) {
 	// Systems restored from disk accept updates exactly like live ones:
 	// LoadSystem rebuilds the pipeline state from the persisted snapshot.
