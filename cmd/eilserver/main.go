@@ -46,7 +46,6 @@ import (
 	"repro/internal/docparse"
 	"repro/internal/failover"
 	"repro/internal/fault"
-	"repro/internal/prof"
 	"repro/internal/runtimetel"
 	"repro/internal/serving"
 	"repro/internal/slo"
@@ -179,7 +178,7 @@ func main() {
 		faultSpec = flag.String("fault-spec", "", "inject backend faults, e.g. 'synopsis.search:error:p=0.01;siapi.search:slow:25ms' (chaos testing)")
 		faultSeed = flag.Uint64("fault-seed", 1, "seed for fault-injection randomness")
 
-		telInterval = flag.Duration("runtimetel-interval", 10*time.Second, "runtime telemetry sampling interval (0 disables the collector and /debug/dash history)")
+		telInterval = flag.Duration("runtimetel-interval", 10*time.Second, "runtime telemetry sampling interval: paces the SLO engine and the /debug/dash history (must be > 0)")
 		sloAvail    = flag.Float64("slo-availability", 0.999, "per-route availability objective (fraction of non-5xx responses)")
 		sloP99      = flag.Duration("slo-latency-p99", 250*time.Millisecond, "per-route p99 latency objective")
 		maxGoros    = flag.Int("max-goroutines", 0, "goroutine watermark for the readiness check (0 = default 10000)")
@@ -193,10 +192,6 @@ func main() {
 		failoverOn = flag.Bool("failover", false, "manage this node's primary/follower role through the fencing-epoch protocol: promotions bump a durable epoch, stale primaries are fenced (single-system only; requires -repl-listen for the address this node ships from while primary)")
 		leaseDir   = flag.String("lease-dir", "", "shared lease directory for automatic failover: the primary renews lease.json here, a follower that sees it go stale claims the next epoch and self-promotes (requires -failover)")
 		leaseTTL   = flag.Duration("lease-ttl", 3*time.Second, "lease staleness bound: a dead primary is replaced within roughly this window")
-
-		profDir      = flag.String("prof-dir", "", "continuous-profiling ring directory; enables scheduled pprof captures, automatic captures on SLO page events, and the /debug/prof browser")
-		profInterval = flag.Duration("prof-interval", 10*time.Minute, "scheduled profile capture cadence when -prof-dir is set (0 disables the schedule; page-event captures still fire)")
-		profCPUSecs  = flag.Int("prof-cpu-seconds", 5, "CPU profile window for scheduled and event captures")
 	)
 	flag.Parse()
 
@@ -216,6 +211,9 @@ func main() {
 
 	if *leaseDir != "" && !*failoverOn {
 		log.Fatal("-lease-dir requires -failover")
+	}
+	if *telInterval <= 0 {
+		log.Fatalf("-runtimetel-interval must be > 0 (got %v): the collector paces the SLO engine", *telInterval)
 	}
 
 	var ctl *access.Controller
@@ -325,59 +323,23 @@ func main() {
 
 	// The judgment layer: SLO burn rates over the HTTP metrics, component
 	// checks behind /readyz, and the runtime collector whose sample ring
-	// backs /debug/dash. The collector's tick drives the SLO engine; with
-	// the collector disabled the engine gets its own ticker below.
+	// backs /debug/dash. The collector's tick drives the SLO engine, so one
+	// goroutine paces all of it.
 	runtimetel.SetBuildInfo(be.Registry())
-
-	// Continuous profiling: a bounded on-disk ring of pprof captures, filled
-	// on a schedule and — via the SLO engine's page transitions below —
-	// automatically at the moment an error/latency budget starts burning
-	// fast, so the "what was it doing during the incident" evidence exists
-	// even when nobody was watching.
-	var profiler *prof.Profiler
-	if *profDir != "" {
-		ring, rerr := prof.OpenRing(*profDir, 0, 0)
-		if rerr != nil {
-			log.Fatal(rerr)
-		}
-		profiler = prof.New(prof.Options{
-			Ring:       ring,
-			Interval:   *profInterval,
-			CPUSeconds: *profCPUSecs,
-			Registry:   be.Registry(),
-			Logf:       log.Printf,
-		})
-		profiler.Start()
-		defer profiler.Stop()
-		log.Printf("continuous profiling to %s (schedule %v, browser at /debug/prof)", *profDir, *profInterval)
-	}
-
-	sloOpts := slo.Options{
+	sloEng := slo.New(slo.Options{
 		Registry: be.Registry(),
 		Default:  slo.Objective{Availability: *sloAvail, LatencyP99: *sloP99},
 		Interval: *telInterval,
-	}
-	if profiler != nil {
-		sloOpts.OnAlert = func(route, alert string) {
-			if alert == "page" {
-				profiler.CaptureEvent("page-" + route)
-			}
-		}
-	}
-	sloEng := slo.New(sloOpts)
-	var collector *runtimetel.Collector
-	if *telInterval > 0 {
-		collector = runtimetel.New(runtimetel.Options{
-			Interval:   *telInterval,
-			Registry:   be.Registry(),
-			AppSampler: serving.AppSampler(be, sloEng),
-		})
-		collector.Start()
-		defer collector.Stop()
-		log.Printf("runtime telemetry every %v (dashboard at /debug/dash)", *telInterval)
-	}
+	})
+	collector := runtimetel.New(runtimetel.Options{
+		Interval:   *telInterval,
+		Registry:   be.Registry(),
+		AppSampler: serving.AppSampler(be, sloEng),
+	})
+	collector.Start()
+	defer collector.Stop()
+	log.Printf("runtime telemetry every %v (dashboard at /debug/dash)", *telInterval)
 	checks := serving.NewHealth(be, serving.HealthOptions{
-		Collector:        collector,
 		SnapshotInterval: *snapInterval,
 		MaxGoroutines:    *maxGoros,
 	})
@@ -412,9 +374,6 @@ func main() {
 			return web.FailoverInfo{Role: st.Role, Epoch: st.Epoch, PromotedAt: st.PromotedAt}
 		}, promote))
 	}
-	if profiler != nil {
-		opts = append(opts, web.WithProfiles(profiler.Ring()))
-	}
 
 	srv := &http.Server{
 		Addr:              *addr,
@@ -424,11 +383,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if collector == nil {
-		// No collector to pace the SLO engine: give it its own ticker.
-		go sloEng.Run(ctx.Done(), 10*time.Second)
-	}
 
 	if node != nil && *leaseDir != "" {
 		if err := os.MkdirAll(*leaseDir, 0o755); err != nil {

@@ -13,8 +13,9 @@
 //     reduced answers — the resilience envelope's tiers keep working)
 //   - everything ok             -> "ready"
 //
-// Checks are plain closures so every subsystem registers its own probe
-// without this package importing any of them.
+// Checks are plain closures, named by sources evaluated on every poll, so
+// every subsystem supplies its own probes without this package importing any
+// of them.
 package health
 
 import (
@@ -113,11 +114,10 @@ type Report struct {
 // Ready reports whether the verdict admits traffic.
 func (r Report) Ready() bool { return r.Verdict == VerdictReady }
 
-// Registry holds registered checks. A nil *Registry evaluates to a ready
-// report with no checks, so wiring is optional everywhere.
+// Registry holds check sources. A nil *Registry evaluates to a ready report
+// with no checks, so wiring is optional everywhere.
 type Registry struct {
 	mu      sync.RWMutex
-	checks  []Check
 	sources []func() []Check
 	metrics *obs.Registry
 }
@@ -129,23 +129,12 @@ func NewRegistry(metrics *obs.Registry) *Registry {
 	return &Registry{metrics: metrics}
 }
 
-// Register adds a named check. Critical checks gate readiness hard: their
-// failure makes the verdict "unready". Registration order is evaluation and
-// report order.
-func (r *Registry) Register(name string, critical bool, fn CheckFunc) {
-	if r == nil || fn == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.checks = append(r.checks, Check{Name: name, Critical: critical, Fn: fn})
-}
-
 // RegisterSource adds a function that names the checks which apply at the
 // moment of each evaluation. A deployment whose state changes shape — a
 // replica that has not synced yet, a failover node that changes role — is
 // judged by what it is now, not by what it was when the registry was built.
-// Sourced checks run after the registered ones, in the order returned.
+// Sources run in registration order, and each one's checks in the order
+// returned; that is also the report's order.
 func (r *Registry) RegisterSource(src func() []Check) {
 	if r == nil || src == nil {
 		return
@@ -173,9 +162,9 @@ func (r *Registry) Evaluate() Report {
 		return rep
 	}
 	r.mu.RLock()
-	checks := append([]Check(nil), r.checks...)
 	sources := append([]func() []Check(nil), r.sources...)
 	r.mu.RUnlock()
+	var checks []Check
 	for _, src := range sources {
 		checks = append(checks, src()...)
 	}

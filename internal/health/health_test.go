@@ -13,7 +13,12 @@ func TestNilRegistryIsReady(t *testing.T) {
 	if !rep.Ready() || rep.Verdict != VerdictReady {
 		t.Fatalf("nil registry verdict = %q, want ready", rep.Verdict)
 	}
-	r.Register("ignored", true, func() Result { return Failedf("boom") }) // must not panic
+	r.RegisterSource(fixed(Check{Name: "ignored", Critical: true, Fn: func() Result { return Failedf("boom") }})) // must not panic
+}
+
+// fixed is a source that always names the same checks.
+func fixed(checks ...Check) func() []Check {
+	return func() []Check { return checks }
 }
 
 func TestRollupVerdicts(t *testing.T) {
@@ -31,10 +36,12 @@ func TestRollupVerdicts(t *testing.T) {
 	}
 	for _, c := range cases {
 		r := NewRegistry(nil)
+		var checks []Check
 		for i, res := range c.results {
 			res := res
-			r.Register(string(rune('a'+i)), c.critical[i], func() Result { return res })
+			checks = append(checks, Check{Name: string(rune('a' + i)), Critical: c.critical[i], Fn: func() Result { return res }})
 		}
+		r.RegisterSource(fixed(checks...))
 		rep := r.Evaluate()
 		if rep.Verdict != c.want {
 			t.Errorf("%s: verdict = %q, want %q", c.name, rep.Verdict, c.want)
@@ -44,8 +51,10 @@ func TestRollupVerdicts(t *testing.T) {
 
 func TestCausesNameFailingChecks(t *testing.T) {
 	r := NewRegistry(nil)
-	r.Register("good", false, func() Result { return OKf("fine") })
-	r.Register("bad", true, func() Result { return Failedf("disk gone") })
+	r.RegisterSource(fixed(
+		Check{Name: "good", Fn: func() Result { return OKf("fine") }},
+		Check{Name: "bad", Critical: true, Fn: func() Result { return Failedf("disk gone") }},
+	))
 	rep := r.Evaluate()
 	if len(rep.Causes) != 1 || !strings.HasPrefix(rep.Causes[0], "bad:") {
 		t.Fatalf("causes = %v, want exactly [bad: disk gone]", rep.Causes)
@@ -57,7 +66,7 @@ func TestCausesNameFailingChecks(t *testing.T) {
 
 func TestPanickingCheckBecomesFailed(t *testing.T) {
 	r := NewRegistry(nil)
-	r.Register("explosive", true, func() Result { panic("kaboom") })
+	r.RegisterSource(fixed(Check{Name: "explosive", Critical: true, Fn: func() Result { panic("kaboom") }}))
 	rep := r.Evaluate()
 	if rep.Verdict != VerdictUnready {
 		t.Fatalf("verdict = %q, want unready (critical check panicked)", rep.Verdict)
@@ -70,7 +79,7 @@ func TestPanickingCheckBecomesFailed(t *testing.T) {
 func TestEvaluatePublishesGauges(t *testing.T) {
 	reg := obs.NewRegistry()
 	r := NewRegistry(reg)
-	r.Register("wobbly", false, func() Result { return Degradedf("meh") })
+	r.RegisterSource(fixed(Check{Name: "wobbly", Fn: func() Result { return Degradedf("meh") }}))
 	r.Evaluate()
 	if v := reg.Gauge("eil_health_check", "check", "wobbly").Value(); v != 1 {
 		t.Fatalf("eil_health_check{wobbly} = %v, want 1 (degraded)", v)

@@ -1,19 +1,19 @@
 // Package runtimetel is EIL's runtime telemetry collector: a ticker-driven
 // sampler that reads the Go runtime's own metrics (GC pause distribution,
 // heap live and goal, goroutine count, scheduler latency, process CPU) into
-// obs gauges and histograms, and keeps a bounded in-memory ring of
-// timestamped samples so the /debug/dash surface can draw history without
-// any external time-series store.
+// obs gauges, and keeps a bounded in-memory ring of timestamped samples so
+// the /debug/dash surface can draw history without any external time-series
+// store.
 //
 // The paper's EIL ran as a long-lived service for a community of practice;
 // "is the process healthy right now" questions (is the heap growing toward
 // its goal, are GC pauses eating the latency budget, is the scheduler
-// backed up) are answered here, feeding both the health watermark checks
-// (internal/health) and the operator dashboard.
+// backed up) are answered here, on /metrics and the operator dashboard.
 //
 // An optional AppSampler hook folds application-level figures (QPS, request
 // p99, SLO burn rate, breaker states) into each sample, so one ring carries
-// the whole one-screen story.
+// the whole one-screen story; in eilserver it also ticks the SLO engine, so
+// the collector's goroutine is the one pacer of the telemetry layer.
 package runtimetel
 
 import (
@@ -29,7 +29,7 @@ import (
 // Defaults.
 const (
 	DefInterval = 10 * time.Second
-	DefRingSize = 720 // 2h of history at the default interval
+	DefRingSize = 720 // samples retained: 2h of history at the default interval
 )
 
 // Sample is one timestamped reading of the runtime and (optionally) the
@@ -66,10 +66,8 @@ type Sample struct {
 type Options struct {
 	// Interval is the sampling cadence (0 = DefInterval).
 	Interval time.Duration
-	// RingSize bounds the retained history (0 = DefRingSize).
-	RingSize int
-	// Registry receives runtime_* gauges/histograms and process_* gauges on
-	// every sample; nil disables metric export (the ring still fills).
+	// Registry receives runtime_* and process_* gauges on every sample; nil
+	// disables metric export (the ring still fills).
 	Registry *obs.Registry
 	// AppSampler, when set, runs once per tick after the runtime fields are
 	// filled, to fold application-level samples into cur.App. prev is nil on
@@ -108,9 +106,6 @@ type Collector struct {
 	// reusable runtime/metrics read batch; index maps name -> batch slot.
 	batch []metrics.Sample
 	index map[string]int
-	// prevGC retains the last GC pause histogram so bucket deltas can be
-	// re-observed into the obs histogram.
-	prevGC *metrics.Float64Histogram
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -123,12 +118,9 @@ func New(opts Options) *Collector {
 	if opts.Interval <= 0 {
 		opts.Interval = DefInterval
 	}
-	if opts.RingSize <= 0 {
-		opts.RingSize = DefRingSize
-	}
 	c := &Collector{
 		opts:  opts,
-		ring:  make([]Sample, opts.RingSize),
+		ring:  make([]Sample, DefRingSize),
 		index: map[string]int{},
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
@@ -147,9 +139,6 @@ func New(opts Options) *Collector {
 	}
 	return c
 }
-
-// Interval reports the sampling cadence.
-func (c *Collector) Interval() time.Duration { return c.opts.Interval }
 
 // Start launches the sampling goroutine (idempotent). One sample is taken
 // immediately so the ring is never empty while running.
@@ -255,53 +244,6 @@ func histQuantile(h *metrics.Float64Histogram, q float64) float64 {
 	return h.Buckets[len(h.Buckets)-1]
 }
 
-// observeHistDelta replays the bucket-count growth between two readings of
-// a cumulative runtime histogram into an obs histogram, observing each new
-// event at its bucket midpoint. Per-bucket replay is capped so a huge burst
-// cannot stall the sampler; the cap loses resolution, not totals, for the
-// gauges (which come from the cumulative distribution anyway).
-func observeHistDelta(dst *obs.Histogram, prev, cur *metrics.Float64Histogram) {
-	if dst == nil || cur == nil {
-		return
-	}
-	const maxPerBucket = 1024
-	for i, n := range cur.Counts {
-		var before uint64
-		if prev != nil && len(prev.Counts) == len(cur.Counts) {
-			before = prev.Counts[i]
-		}
-		if n <= before {
-			continue
-		}
-		delta := n - before
-		if delta > maxPerBucket {
-			delta = maxPerBucket
-		}
-		lo, hi := cur.Buckets[i], cur.Buckets[i+1]
-		if lo < -1e308 {
-			lo = hi
-		}
-		if hi > 1e308 {
-			hi = lo
-		}
-		mid := (lo + hi) / 2
-		for k := uint64(0); k < delta; k++ {
-			dst.Observe(mid)
-		}
-	}
-}
-
-// cloneHist deep-copies a runtime histogram's counts (bucket bounds are
-// immutable and shared).
-func cloneHist(h *metrics.Float64Histogram) *metrics.Float64Histogram {
-	if h == nil {
-		return nil
-	}
-	out := &metrics.Float64Histogram{Buckets: h.Buckets}
-	out.Counts = append([]uint64(nil), h.Counts...)
-	return out
-}
-
 // SampleNow takes one sample synchronously: reads the runtime, updates the
 // registry, runs the AppSampler, and appends to the ring. It returns the
 // sample taken.
@@ -347,9 +289,7 @@ func (c *Collector) SampleNow() Sample {
 		reg.Gauge("runtime_sched_latency_p99_seconds").Set(cur.SchedLatencyP99)
 		reg.Gauge("process_cpu_seconds_total").Set(cur.CPUSeconds)
 		reg.Gauge("process_cpu_utilization").Set(cur.CPUFrac)
-		observeHistDelta(reg.Histogram("runtime_gc_pause_seconds", nil), c.prevGC, gcHist)
 	}
-	c.prevGC = cloneHist(gcHist)
 
 	if c.opts.AppSampler != nil {
 		c.opts.AppSampler(c.prev, &cur)
@@ -364,16 +304,6 @@ func (c *Collector) SampleNow() Sample {
 	snap := cur
 	c.prev = &snap
 	return cur
-}
-
-// Latest returns the most recent sample (ok=false before the first one).
-func (c *Collector) Latest() (Sample, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.prev == nil {
-		return Sample{}, false
-	}
-	return *c.prev, true
 }
 
 // History returns the retained samples, oldest first.

@@ -10,7 +10,7 @@ import (
 
 func TestSampleNowFillsRuntimeFields(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := New(Options{Registry: reg, RingSize: 4})
+	c := New(Options{Registry: reg})
 	runtime.GC() // at least one pause in the cumulative distribution
 	s := c.SampleNow()
 
@@ -35,29 +35,28 @@ func TestSampleNowFillsRuntimeFields(t *testing.T) {
 }
 
 func TestRingBoundsHistory(t *testing.T) {
-	c := New(Options{RingSize: 3})
-	for i := 0; i < 5; i++ {
-		c.SampleNow()
+	c := New(Options{})
+	var last Sample
+	for i := 0; i < DefRingSize+3; i++ {
+		last = c.SampleNow()
 	}
 	h := c.History()
-	if len(h) != 3 {
-		t.Fatalf("history length = %d, want ring size 3", len(h))
+	if len(h) != DefRingSize {
+		t.Fatalf("history length = %d, want ring size %d", len(h), DefRingSize)
 	}
 	for i := 1; i < len(h); i++ {
 		if h[i].Time.Before(h[i-1].Time) {
 			t.Fatal("history not oldest-first")
 		}
 	}
-	latest, ok := c.Latest()
-	if !ok || !latest.Time.Equal(h[len(h)-1].Time) {
-		t.Fatal("Latest disagrees with the newest history entry")
+	if !h[len(h)-1].Time.Equal(last.Time) {
+		t.Fatal("newest history entry is not the last sample taken")
 	}
 }
 
 func TestAppSamplerFoldsInto(t *testing.T) {
 	var prevSeen bool
 	c := New(Options{
-		RingSize: 4,
 		AppSampler: func(prev, cur *Sample) {
 			prevSeen = prev != nil
 			if cur.App == nil {
@@ -80,11 +79,11 @@ func TestAppSamplerFoldsInto(t *testing.T) {
 }
 
 func TestStartStop(t *testing.T) {
-	c := New(Options{Interval: time.Millisecond, RingSize: 8})
+	c := New(Options{Interval: time.Millisecond})
 	c.Start()
 	deadline := time.After(time.Second)
 	for {
-		if _, ok := c.Latest(); ok {
+		if len(c.History()) > 0 {
 			break
 		}
 		select {

@@ -100,18 +100,12 @@ type Backend interface {
 
 // HealthOptions tunes the component checks.
 type HealthOptions struct {
-	// Collector, when set, supplies the runtime watermark readings
-	// (goroutines, heap); without one the goroutine check falls back to
-	// runtime.NumGoroutine and the heap check is skipped.
-	Collector *runtimetel.Collector
 	// SnapshotInterval is the expected checkpoint cadence; the freshness
 	// check degrades when the last checkpoint is older than three times it.
 	// Zero disables the freshness check (manual-save deployments).
 	SnapshotInterval time.Duration
 	// MaxGoroutines is the goroutine watermark (0 = 10000).
 	MaxGoroutines int
-	// MaxHeapBytes is the heap-live watermark (0 disables the heap check).
-	MaxHeapBytes uint64
 }
 
 // Settings are the operator's choices that belong to the serving state
@@ -135,36 +129,19 @@ func NewHealth(a Admin, opts HealthOptions) *health.Registry {
 	return reg
 }
 
-// RuntimeChecks are the process-level watermarks every shape reports.
+// RuntimeChecks are the process-level watermarks every shape reports: the
+// goroutine count, read when the check runs.
 func RuntimeChecks(opts HealthOptions) []health.Check {
 	if opts.MaxGoroutines <= 0 {
 		opts.MaxGoroutines = 10000
 	}
-	checks := []health.Check{{Name: "goroutines", Fn: func() health.Result {
+	return []health.Check{{Name: "goroutines", Fn: func() health.Result {
 		n := runtime.NumGoroutine()
-		if opts.Collector != nil {
-			if smp, ok := opts.Collector.Latest(); ok {
-				n = smp.Goroutines
-			}
-		}
 		if n > opts.MaxGoroutines {
 			return health.Degradedf("%d goroutines (watermark %d); likely a leak", n, opts.MaxGoroutines)
 		}
 		return health.OKf("%d goroutines", n)
 	}}}
-	if opts.MaxHeapBytes > 0 && opts.Collector != nil {
-		checks = append(checks, health.Check{Name: "heap", Fn: func() health.Result {
-			smp, ok := opts.Collector.Latest()
-			if !ok {
-				return health.OKf("no sample yet")
-			}
-			if smp.HeapLiveBytes > opts.MaxHeapBytes {
-				return health.Degradedf("heap live %d bytes over watermark %d", smp.HeapLiveBytes, opts.MaxHeapBytes)
-			}
-			return health.OKf("heap live %d bytes", smp.HeapLiveBytes)
-		}})
-	}
-	return checks
 }
 
 // AppSampler returns a runtimetel AppSampler that folds the application's

@@ -62,13 +62,6 @@ type Options struct {
 	// Interval is the expected Tick cadence, used only to size the sample
 	// ring so it covers the longest window (0 = 10s).
 	Interval time.Duration
-	// OnAlert, if set, is called whenever a route's alert level changes
-	// (edge-triggered: once per ok→ticket→page transition in either
-	// direction, not once per Tick spent in that state). It runs on the
-	// Tick goroutine without the engine lock held, so it may call Report
-	// or kick off work like a pprof capture — but should not block long,
-	// or it delays the sampling cadence.
-	OnAlert func(route, alert string)
 }
 
 // OperatorRoute reports whether route is operator traffic — scrape, probe,
@@ -97,18 +90,17 @@ type sample struct {
 	routes map[string]routeCounts
 }
 
-// Engine evaluates objectives over a ring of samples. Drive it with Tick
-// (the runtimetel collector's AppSampler is the usual driver) or Run.
+// Engine evaluates objectives over a ring of samples. Drive it with Tick;
+// in eilserver the runtimetel collector's AppSampler is the one driver.
 type Engine struct {
 	opts Options
 
-	mu        sync.Mutex
-	ring      []sample
-	next      int
-	full      bool
-	lastRep   Report
-	hasRep    bool
-	prevAlert map[string]string // route -> last reported alert level
+	mu      sync.Mutex
+	ring    []sample
+	next    int
+	full    bool
+	lastRep Report
+	hasRep  bool
 }
 
 // New returns an engine with defaults filled.
@@ -129,7 +121,7 @@ func New(opts Options) *Engine {
 	if n > 8192 {
 		n = 8192
 	}
-	return &Engine{opts: opts, ring: make([]sample, n), prevAlert: map[string]string{}}
+	return &Engine{opts: opts, ring: make([]sample, n)}
 }
 
 // collect reads the registry's cumulative per-route figures.
@@ -170,6 +162,7 @@ func (e *Engine) collect() map[string]routeCounts {
 // eil_slo_* gauges, and caches the report. Call it on a fixed cadence.
 func (e *Engine) Tick(now time.Time) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.ring[e.next] = sample{t: now, routes: e.collect()}
 	e.next++
 	if e.next == len(e.ring) {
@@ -179,46 +172,6 @@ func (e *Engine) Tick(now time.Time) {
 	e.lastRep = e.reportLocked(now)
 	e.hasRep = true
 	e.publishLocked(e.lastRep)
-
-	// Collect alert transitions under the lock, fire the callback outside
-	// it so a handler may re-enter the engine (Report, PeakBurn).
-	type transition struct{ route, alert string }
-	var fired []transition
-	if e.opts.OnAlert != nil {
-		for _, rr := range e.lastRep.Routes {
-			prev, seen := e.prevAlert[rr.Route]
-			if !seen {
-				prev = "ok"
-			}
-			if rr.Alert != prev {
-				fired = append(fired, transition{rr.Route, rr.Alert})
-			}
-			e.prevAlert[rr.Route] = rr.Alert
-		}
-	}
-	e.mu.Unlock()
-	for _, tr := range fired {
-		e.opts.OnAlert(tr.route, tr.alert)
-	}
-}
-
-// Run ticks the engine every interval until ctx is done — for deployments
-// without a runtimetel collector driving it.
-func (e *Engine) Run(stop <-chan struct{}, interval time.Duration) {
-	if interval <= 0 {
-		interval = 10 * time.Second
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	e.Tick(time.Now())
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-			e.Tick(time.Now())
-		}
-	}
 }
 
 // samplesLocked returns retained samples oldest first.
@@ -281,9 +234,10 @@ func (e *Engine) LastReport() (Report, bool) {
 	return e.lastRep, e.hasRep
 }
 
-// PeakBurn reports the worst availability burn rate across routes at the
-// shortest window, per the last Tick — the single "how much trouble are we
-// in" number the dashboard sparkline and telemetry samples carry.
+// PeakBurn reports the worst burn rate across routes at the shortest
+// window, per the last Tick — availability or latency, whichever is higher,
+// as alertFor weighs them. It is the single "how much trouble are we in"
+// number the dashboard sparkline and telemetry samples carry.
 func (e *Engine) PeakBurn() float64 {
 	rep, ok := e.LastReport()
 	if !ok {
@@ -291,8 +245,8 @@ func (e *Engine) PeakBurn() float64 {
 	}
 	peak := 0.0
 	for _, rr := range rep.Routes {
-		if len(rr.Windows) > 0 && rr.Windows[0].AvailabilityBurn > peak {
-			peak = rr.Windows[0].AvailabilityBurn
+		if len(rr.Windows) > 0 {
+			peak = math.Max(peak, math.Max(rr.Windows[0].AvailabilityBurn, rr.Windows[0].LatencyBurn))
 		}
 	}
 	return peak

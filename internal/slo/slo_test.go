@@ -1,6 +1,7 @@
 package slo
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -201,50 +202,71 @@ func TestSkipRouteFiltersScrapes(t *testing.T) {
 	}
 }
 
-// OnAlert must fire once per level transition, not once per Tick spent in
-// a bad state, and must fire the de-escalation too.
-func TestOnAlertEdgeTriggered(t *testing.T) {
+// The alert ladder across ticks: a total outage pages on the first tick
+// that sees it and holds the page while the short window burns; after
+// recovery the short window clears but the long windows remember, so the
+// level steps down to ticket rather than straight to ok.
+func TestAlertLadderAcrossTicks(t *testing.T) {
 	reg := obs.NewRegistry()
-	type event struct{ route, alert string }
-	var events []event
-	var eng *Engine
-	eng = New(Options{
+	eng := New(Options{
 		Registry: reg,
 		Default:  Objective{Availability: 0.999, LatencyP99: 250 * time.Millisecond},
 		Interval: time.Minute,
-		OnAlert: func(route, alert string) {
-			// Re-entering the engine from the callback must not deadlock.
-			_ = eng.PeakBurn()
-			events = append(events, event{route, alert})
-		},
 	})
-
 	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	record(reg, "/api/search", "2xx", 10*time.Millisecond)
-	eng.Tick(t0)
-	if len(events) != 0 {
-		t.Fatalf("events after healthy tick = %v, want none", events)
+	var ladder []string
+	tick := func(at time.Duration) {
+		eng.Tick(t0.Add(at))
+		rep, ok := eng.LastReport()
+		if !ok || len(rep.Routes) != 1 {
+			t.Fatalf("report after tick at +%v = %+v, want one route", at, rep.Routes)
+		}
+		ladder = append(ladder, rep.Routes[0].Alert)
 	}
 
-	// A total outage: ok -> page on the next tick, then silence while the
-	// state holds.
+	record(reg, "/api/search", "2xx", 10*time.Millisecond)
+	tick(0)
 	for i := 0; i < 10; i++ {
 		record(reg, "/api/search", "5xx", 5*time.Millisecond)
 	}
-	eng.Tick(t0.Add(time.Minute))
-	eng.Tick(t0.Add(2 * time.Minute))
-	if len(events) != 1 || events[0] != (event{"/api/search", "page"}) {
-		t.Fatalf("events during outage = %v, want single page", events)
-	}
-
-	// Recovery: short window clears but long windows remember, so the level
-	// steps page -> ticket — one more event.
+	tick(time.Minute)
+	tick(2 * time.Minute)
 	for i := 0; i < 10; i++ {
 		record(reg, "/api/search", "2xx", 5*time.Millisecond)
 	}
-	eng.Tick(t0.Add(3 * time.Minute))
-	eng.Tick(t0.Add(9 * time.Minute))
-	if len(events) != 2 || events[1] != (event{"/api/search", "ticket"}) {
-		t.Fatalf("events after recovery = %v, want page then ticket", events)
+	tick(3 * time.Minute)
+	tick(9 * time.Minute)
+
+	want := []string{"ok", "page", "page", "page", "ticket"}
+	if strings.Join(ladder, ",") != strings.Join(want, ",") {
+		t.Fatalf("alert ladder = %v, want %v", ladder, want)
+	}
+}
+
+// PeakBurn weighs latency burn as alertFor does: a route that pages on
+// slow answers alone must not read as a zero burn on the dashboard.
+func TestPeakBurnCountsLatency(t *testing.T) {
+	reg := obs.NewRegistry()
+	eng := New(Options{
+		Registry: reg,
+		Default:  Objective{Availability: 0.999, LatencyP99: 250 * time.Millisecond},
+		Interval: time.Minute,
+	})
+	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	eng.Tick(t0)
+	for i := 0; i < 20; i++ {
+		record(reg, "/api/search", "2xx", 2*time.Second)
+	}
+	eng.Tick(t0.Add(time.Minute))
+	rep, _ := eng.LastReport()
+	if len(rep.Routes) != 1 || rep.Routes[0].Alert != "page" {
+		t.Fatalf("routes = %+v, want one route paging", rep.Routes)
+	}
+	lat := rep.Routes[0].Windows[0].LatencyBurn
+	if lat < 99 || lat > 101 {
+		t.Fatalf("latency burn = %v, want ~100 (every request slow)", lat)
+	}
+	if got := eng.PeakBurn(); got != lat {
+		t.Fatalf("PeakBurn = %v, want the latency burn %v", got, lat)
 	}
 }

@@ -96,13 +96,12 @@ type dashData struct {
 	Samples   int
 	Span      string
 	HasTraces bool
-	HasProf   bool
 }
 
 // debugDash renders the operator dashboard.
 func (h *handler) debugDash(w http.ResponseWriter, _ *http.Request) {
 	now := time.Now()
-	data := dashData{Now: now.Format(time.RFC3339), HasTraces: h.sys.RequestTracer() != nil, HasProf: h.profRing != nil}
+	data := dashData{Now: now.Format(time.RFC3339), HasTraces: h.sys.RequestTracer() != nil}
 
 	rep := h.health.Evaluate()
 	data.Verdict = string(rep.Verdict)
@@ -253,7 +252,7 @@ var dashTmpl = template.Must(template.New("dash").Funcs(template.FuncMap{
 </style></head><body>
 <h1>EIL ops dashboard</h1>
 <div class="sub">{{.Now}} &middot; {{.Samples}} samples{{if .Span}} over {{.Span}}{{end}} &middot; auto-refresh 10s &middot;
- <a href="/metrics">metrics</a> &middot; <a href="/readyz">readyz</a> &middot; <a href="/api/slo">slo</a>{{if .HasTraces}} &middot; <a href="/debug/traces">traces</a>{{end}}{{if .HasProf}} &middot; <a href="/debug/prof">profiles</a>{{end}}</div>
+ <a href="/metrics">metrics</a> &middot; <a href="/readyz">readyz</a> &middot; <a href="/api/slo">slo</a>{{if .HasTraces}} &middot; <a href="/debug/traces">traces</a>{{end}}</div>
 
 <div><span class="verdict {{.Verdict}}">{{.Verdict}}</span>{{with .Failover}}<span class="role {{.Role}}">{{.Role}}</span> <span class="sub">epoch {{.Epoch}}{{if .Promoted}} &middot; promoted {{.Promoted}}{{end}}</span>{{end}}</div>
 {{range .Causes}}<div class="causes">&#9888; {{.}}</div>{{end}}

@@ -24,7 +24,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/health"
 	"repro/internal/obs"
-	"repro/internal/prof"
 	"repro/internal/runtimetel"
 	"repro/internal/serving"
 	"repro/internal/slo"
@@ -40,7 +39,6 @@ type config struct {
 	health     *health.Registry
 	slo        *slo.Engine
 	collector  *runtimetel.Collector
-	profRing   *prof.Ring
 	replFn     func() any
 	failoverFn func() FailoverInfo
 	promoteFn  func(target string) error
@@ -101,12 +99,6 @@ func WithRuntime(c *runtimetel.Collector) Option {
 	return func(cfg *config) { cfg.collector = c }
 }
 
-// WithProfiles mounts the continuous-profiling ring at /debug/prof (listing)
-// and /debug/prof/{name} (capture download for `go tool pprof`).
-func WithProfiles(ring *prof.Ring) Option {
-	return func(c *config) { c.profRing = ring }
-}
-
 // Backend is the serving surface the handler needs: the read facet and the
 // telemetry it renders. Every deployment shape supplies it — a system, a
 // sharded cluster, a replica, a failover node — and the HTTP layer is
@@ -123,7 +115,7 @@ func HandlerFor(sys Backend, opts ...Option) http.Handler {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	h := &handler{sys: sys, health: cfg.health, slo: cfg.slo, collector: cfg.collector, profRing: cfg.profRing, replFn: cfg.replFn, failoverFn: cfg.failoverFn, promoteFn: cfg.promoteFn}
+	h := &handler{sys: sys, health: cfg.health, slo: cfg.slo, collector: cfg.collector, replFn: cfg.replFn, failoverFn: cfg.failoverFn, promoteFn: cfg.promoteFn}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", h.home)
 	mux.HandleFunc("/deal", h.dealPage)
@@ -153,10 +145,6 @@ func HandlerFor(sys Backend, opts ...Option) http.Handler {
 		mux.HandleFunc("/debug/traces", h.debugTraces)
 		mux.HandleFunc("/debug/trace/", h.debugTrace)
 	}
-	if cfg.profRing != nil {
-		mux.HandleFunc("/debug/prof", h.debugProf)
-		mux.HandleFunc("/debug/prof/", h.debugProfGet)
-	}
 	if cfg.pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -172,7 +160,6 @@ type handler struct {
 	health     *health.Registry
 	slo        *slo.Engine
 	collector  *runtimetel.Collector
-	profRing   *prof.Ring
 	replFn     func() any
 	failoverFn func() FailoverInfo
 	promoteFn  func(target string) error

@@ -21,7 +21,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/health"
 	"repro/internal/repl"
-	"repro/internal/runtimetel"
 	"repro/internal/serving"
 	"repro/internal/web"
 )
@@ -304,7 +303,7 @@ func TestHealthFollowsTheRole(t *testing.T) {
 	}
 }
 
-// TestFollowerHonoursHealthOptions: the watermarks and the snapshot
+// TestFollowerHonoursHealthOptions: the goroutine watermark and the snapshot
 // freshness bound reach a replica's checks.
 func TestFollowerHonoursHealthOptions(t *testing.T) {
 	_, sys, addr := replPrimary(t, nil)
@@ -312,16 +311,12 @@ func TestFollowerHonoursHealthOptions(t *testing.T) {
 	waitApplied(t, f, primarySeq(sys))
 	waitCond(t, 30*time.Second, f.Ready, "follower never synced")
 
-	collector := runtimetel.New(runtimetel.Options{})
-	collector.SampleNow()
 	rep := serving.NewHealth(f, HealthOptions{
-		Collector:        collector,
 		MaxGoroutines:    1,
-		MaxHeapBytes:     1,
 		SnapshotInterval: time.Nanosecond,
 	}).Evaluate()
 	got := checkNames(rep)
-	for _, name := range []string{"goroutines", "heap", "snapshots"} {
+	for _, name := range []string{"goroutines", "snapshots"} {
 		if c, ok := got[name]; !ok || c.Status != health.StatusDegraded {
 			t.Errorf("check %q = %+v, want degraded under a bound of one", name, c)
 		}
