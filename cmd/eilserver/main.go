@@ -329,7 +329,6 @@ func main() {
 	sloEng := slo.New(slo.Options{
 		Registry: be.Registry(),
 		Default:  slo.Objective{Availability: *sloAvail, LatencyP99: *sloP99},
-		Interval: *telInterval,
 	})
 	collector := runtimetel.New(runtimetel.Options{
 		Interval:   *telInterval,

@@ -75,10 +75,15 @@ func TestCLIWorkflow(t *testing.T) {
 	if err != nil || len(gens) == 0 {
 		t.Fatalf("no snapshot generations in %s (%v)", sysDir, err)
 	}
-	for _, f := range []string{"index.snap", "context.snap", "pipeline.snap"} {
+	for _, f := range []string{"index.snap", "pipeline.snap"} {
 		if _, err := os.Stat(filepath.Join(gens[len(gens)-1], f)); err != nil {
 			t.Fatalf("snapshot component %s missing: %v", f, err)
 		}
+	}
+	// The synopsis database is rebuilt from the pipeline state on load, so
+	// no generation stores it.
+	if _, err := os.Stat(filepath.Join(gens[len(gens)-1], "context.snap")); !os.IsNotExist(err) {
+		t.Fatalf("context.snap written (stat err %v)", err)
 	}
 
 	// Concept + people search through the CLI.

@@ -12,10 +12,16 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/annotators"
 	"repro/internal/core"
+	"repro/internal/docmodel"
 	"repro/internal/durable"
+	"repro/internal/relstore"
+	"repro/internal/synopsis"
 	"repro/internal/synth"
 )
 
@@ -314,7 +320,6 @@ func TestPipelineFormatBumpRejected(t *testing.T) {
 	}
 	if _, err := st.Commit([]durable.Component{
 		{Name: "index", Write: func(w io.Writer) error { _, err := sys.Index.WriteTo(w); return err }},
-		{Name: "context", Write: func(w io.Writer) error { _, err := sys.Synopses.DB().WriteTo(w); return err }},
 		{Name: "pipeline", Write: func(w io.Writer) error {
 			return gob.NewEncoder(w).Encode(pipelineSnapshot{Format: pipelineFormat + 1})
 		}},
@@ -332,4 +337,183 @@ func TestPipelineFormatBumpRejected(t *testing.T) {
 	if err == nil {
 		t.Fatal("future pipeline format loaded")
 	}
+}
+
+// A pipeline state the synopsis rebuild refuses (here a deal with no ID)
+// fails its generation as corrupt, so recovery falls back to the previous
+// one.
+func TestSynopsisRebuildFailureFallsBack(t *testing.T) {
+	_, sys := testSystem(t, Options{})
+	dir := t.TempDir()
+	if err := sys.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	st, err := durable.OpenStore(dir, durable.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := sys.builder.State()
+	bad.Deals = append(bad.Deals, annotators.DealState{})
+	if _, err := st.Commit([]durable.Component{
+		{Name: "index", Write: func(w io.Writer) error { _, err := sys.Index.WriteTo(w); return err }},
+		{Name: "pipeline", Write: func(w io.Writer) error {
+			return gob.NewEncoder(w).Encode(pipelineSnapshot{Format: pipelineFormat, Flow: "eil-flow", Builder: bad})
+		}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSystem(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen := loaded.Generation(); gen != 1 {
+		t.Fatalf("loaded generation %d, want the fallback to 1", gen)
+	}
+	if got := loaded.Metrics.Counter("durable_snapshot_fallbacks_total").Value(); got != 1 {
+		t.Fatalf("fallbacks = %v, want 1", got)
+	}
+}
+
+// TestRecoveryRebuildsReorderedSynopses: LoadSystem rebuilds the synopsis
+// database from the pipeline state, in the builder's deal order, while the
+// live store's rows moved: every AddDocuments to an existing deal re-Puts
+// it at the end of each table. The recovered system must still hold the
+// same deals and answer Get and a generated set of synopsis searches
+// identically. The ingest sets a directory and a non-default scope
+// threshold, both of which the rebuild must reapply.
+func TestRecoveryRebuildsReorderedSynopses(t *testing.T) {
+	cfg := synth.SmallConfig()
+	cfg.Deals, cfg.NoiseDocsPerDeal = 12, 10
+	corpus, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hold back one in eight of each deal's documents, to be added later.
+	var initial, held []*docmodel.Document
+	seen := map[string]int{}
+	for _, d := range corpus.Docs {
+		if seen[d.DealID]++; d.DealID != "" && seen[d.DealID]%8 == 0 {
+			held = append(held, d)
+		} else {
+			initial = append(initial, d)
+		}
+	}
+	// Added back in reverse deal order, so each re-Put moves a deal's rows
+	// behind those of deals the builder saw after it.
+	slices.Reverse(held)
+	live, err := Ingest(initial, Options{Directory: corpus.Directory, MinScopeWeight: 3.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := live.Synopses.DealIDs()
+	if err != nil || len(ids) != cfg.Deals {
+		t.Fatalf("deal ids %v, %v", ids, err)
+	}
+	// Removed before the checkpoint and re-created in the tail from its
+	// held-back documents; removed in the tail after all of its came back.
+	removedFirst, removedLast := held[len(held)-1].DealID, held[0].DealID
+
+	// Queries over every value any deal's synopsis holds, removed deals'
+	// included, collected before anything moves.
+	queries := map[string]synopsis.Query{}
+	add := func(q synopsis.Query) { queries[fmt.Sprintf("%+v", q)] = q }
+	for _, id := range ids {
+		d, err := live.Synopses.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := d.Overview
+		add(synopsis.Query{Industry: o.Industry})
+		add(synopsis.Query{Geography: o.Geography, Country: o.Country})
+		for _, tw := range d.Towers {
+			add(synopsis.Query{Tower: tw.Tower})
+			add(synopsis.Query{Tower: tw.Tower, SubTower: tw.SubTower})
+			add(synopsis.Query{SubTower: tw.SubTower})
+		}
+		for _, p := range d.People {
+			add(synopsis.Query{PersonName: p.Name})
+			add(synopsis.Query{PersonOrg: p.Org})
+		}
+	}
+
+	dir := t.TempDir()
+	if err := live.EnableWAL(dir, 1); err != nil {
+		t.Fatal(err)
+	}
+	addHeld := func(docs []*docmodel.Document) {
+		for len(docs) > 0 {
+			n := min(5, len(docs))
+			if err := live.AddDocuments(docs[:n]); err != nil {
+				t.Fatal(err)
+			}
+			docs = docs[n:]
+		}
+	}
+	half := len(held) / 2
+	addHeld(held[:half])
+	if err := live.RemoveDeal(removedFirst); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := live.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	// The journaled tail: the rest of the held-back documents (re-creating
+	// the removed deal from them), another removal and a new deal.
+	addHeld(held[half:])
+	if err := live.RemoveDeal(removedLast); err != nil {
+		t.Fatal(err)
+	}
+	if err := live.AddDocuments(newDealDocs(t, "DEAL TAIL")); err != nil {
+		t.Fatal(err)
+	}
+
+	recovered, err := LoadSystem(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantIDs, err := live.Synopses.DealIDs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotIDs, err := recovered.Synopses.DealIDs()
+	if err != nil || !reflect.DeepEqual(gotIDs, wantIDs) {
+		t.Fatalf("deal ids: recovered %v (%v), live %v", gotIDs, err, wantIDs)
+	}
+	for _, id := range wantIDs {
+		want, errW := live.Synopses.Get(id)
+		got, errG := recovered.Synopses.Get(id)
+		if errW != nil || errG != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: recovered %+v (%v), live %+v (%v)", id, got, errG, want, errW)
+		}
+	}
+	if !slices.Contains(gotIDs, removedFirst) || slices.Contains(gotIDs, removedLast) {
+		t.Fatalf("deal ids %v: want %s re-created and %s removed", gotIDs, removedFirst, removedLast)
+	}
+	// The point of the history: the live tables' rows are no longer in the
+	// builder's order, which is the order the rebuild inserts them in.
+	order := func(sys *System) []relstore.Row {
+		rows, err := sys.Synopses.Conn().DB().Select("deals", relstore.Sel{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	if reflect.DeepEqual(order(live), order(recovered)) {
+		t.Fatal("live rows never moved; the history is too tame")
+	}
+	withHits := 0
+	for _, q := range queries {
+		want, errW := live.Synopses.Search(q)
+		got, errG := recovered.Synopses.Search(q)
+		if errW != nil || errG != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("search %+v: recovered %+v (%v), live %+v (%v)", q, got, errG, want, errW)
+		}
+		if len(want) > 0 {
+			withHits++
+		}
+	}
+	if withHits < len(queries)/2 {
+		t.Fatalf("only %d of %d searches returned hits; the query set is too sparse", withHits, len(queries))
+	}
+	t.Logf("%d deals, %d searches (%d with hits) identical after recovery", len(wantIDs), len(queries), withHits)
 }

@@ -1,7 +1,6 @@
 package eil
 
 import (
-	"bytes"
 	"context"
 	"reflect"
 	"strings"
@@ -269,8 +268,7 @@ func TestDedupOption(t *testing.T) {
 
 // TestBulkLoadMatchesPutPerDeal: the store a bulk ingest loads in one pass
 // holds what a Put per deal, in the builder's order, would have stored —
-// every synopsis, the deal list, and the bytes the checkpoint's context
-// component writes.
+// every synopsis, the deal list, and every table's rows in slot order.
 func TestBulkLoadMatchesPutPerDeal(t *testing.T) {
 	cfg := synth.SmallConfig()
 	cfg.Deals, cfg.NoiseDocsPerDeal = 24, 10
@@ -313,14 +311,16 @@ func TestBulkLoadMatchesPutPerDeal(t *testing.T) {
 			t.Fatalf("%s: loaded %+v (%v), put %+v (%v)", id, a, errA, b, errB)
 		}
 	}
-	var loadedSnap, putSnap bytes.Buffer
-	if _, err := sys.Synopses.DB().WriteTo(&loadedSnap); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := put.DB().WriteTo(&putSnap); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(loadedSnap.Bytes(), putSnap.Bytes()) {
-		t.Fatalf("context component differs: loaded %d bytes, put %d", loadedSnap.Len(), putSnap.Len())
+	// Every table's rows, in slot order: what a scan or an index lookup of
+	// either store visits.
+	for _, table := range []string{"deals", "deal_towers", "contacts", "win_strategies", "client_refs", "tech_solutions"} {
+		loadedRows, errA := sys.Synopses.Conn().DB().Select(table, relstore.Sel{})
+		putRows, errB := put.Conn().DB().Select(table, relstore.Sel{})
+		if errA != nil || errB != nil {
+			t.Fatalf("%s: %v, %v", table, errA, errB)
+		}
+		if len(loadedRows) == 0 || !reflect.DeepEqual(loadedRows, putRows) {
+			t.Fatalf("%s rows differ: loaded %d, put %d", table, len(loadedRows), len(putRows))
+		}
 	}
 }

@@ -3,9 +3,11 @@ package annotators
 import "sort"
 
 // Builder accumulation state as exported, gob-friendly snapshot types. The
-// durability layer persists this alongside the index and synopsis store so a
-// restored system can keep accumulating documents into existing deals — the
-// CPE's roll-up state survives a restart instead of resetting to empty.
+// durability layer persists this alongside the index, and it is what a
+// restored system's synopsis store is rebuilt from (RestoreState, then End):
+// the store itself is not persisted. So the CPE's roll-up state survives a
+// restart, and the restored system keeps accumulating documents into
+// existing deals instead of resetting them.
 
 // ScopeState is a persisted scopeAgg: summed mention weight and the set of
 // contributing documents.

@@ -54,7 +54,7 @@ type StoreOptions struct {
 //	MANIFEST            committed-generation marker (framed, checksummed)
 //	gen-00000007/       one directory per generation
 //	  index.snap        framed, CRC-checksummed component containers
-//	  context.snap
+//	  pipeline.snap
 //	  ...
 //	wal.log             journal of operations since the committed generation
 //

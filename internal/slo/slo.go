@@ -59,10 +59,16 @@ type Options struct {
 	// Default is the objective applied to every observed route. Zero fields
 	// get 0.999 availability / 250ms p99.
 	Default Objective
-	// Interval is the expected Tick cadence, used only to size the sample
-	// ring so it covers the longest window (0 = 10s).
-	Interval time.Duration
 }
+
+// ringSize is the sample ring's length, whatever the Tick cadence. A tick
+// takes a new slot only once retainEvery (9.4 s) has passed since the
+// newest slot was taken, and otherwise overwrites that slot, so the ring
+// ends at the current tick and reaches back across the longest window, with
+// 8 slots to spare. At eilserver's default 10 s tick every tick keeps a slot.
+const ringSize = 2304
+
+var retainEvery = DefWindows[len(DefWindows)-1] / (ringSize - 8)
 
 // OperatorRoute reports whether route is operator traffic — scrape, probe,
 // debug, replication and promotion requests, and paths no route matches —
@@ -99,6 +105,7 @@ type Engine struct {
 	ring    []sample
 	next    int
 	full    bool
+	kept    time.Time // when the newest slot was taken
 	lastRep Report
 	hasRep  bool
 }
@@ -111,17 +118,7 @@ func New(opts Options) *Engine {
 	if opts.Default.LatencyP99 <= 0 {
 		opts.Default.LatencyP99 = 250 * time.Millisecond
 	}
-	interval := opts.Interval
-	if interval <= 0 {
-		interval = 10 * time.Second
-	}
-	// Ring covers the longest window plus slack, bounded so a misconfigured
-	// 1ms interval cannot allocate unbounded history.
-	n := int(DefWindows[len(DefWindows)-1]/interval) + 8
-	if n > 8192 {
-		n = 8192
-	}
-	return &Engine{opts: opts, ring: make([]sample, n)}
+	return &Engine{opts: opts, ring: make([]sample, ringSize)}
 }
 
 // collect reads the registry's cumulative per-route figures.
@@ -163,11 +160,17 @@ func (e *Engine) collect() map[string]routeCounts {
 func (e *Engine) Tick(now time.Time) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.ring[e.next] = sample{t: now, routes: e.collect()}
-	e.next++
-	if e.next == len(e.ring) {
-		e.next = 0
-		e.full = true
+	s := sample{t: now, routes: e.collect()}
+	if empty := e.next == 0 && !e.full; empty || now.Sub(e.kept) >= retainEvery {
+		e.ring[e.next] = s
+		e.kept = now
+		e.next++
+		if e.next == len(e.ring) {
+			e.next = 0
+			e.full = true
+		}
+	} else {
+		e.ring[(e.next+len(e.ring)-1)%len(e.ring)] = s
 	}
 	e.lastRep = e.reportLocked(now)
 	e.hasRep = true

@@ -12,7 +12,7 @@ import (
 // interpolating inside the owning bucket; the report's observed p99 is one.
 func TestQuantileFromCum(t *testing.T) {
 	reg := obs.NewRegistry()
-	eng := New(Options{Registry: reg, Interval: time.Minute})
+	eng := New(Options{Registry: reg})
 	reg.Counter("http_requests_total", "route", "/api/search", "code", "2xx").Add(100)
 	h := reg.Histogram("http_request_seconds", []float64{0.1, 0.2}, "route", "/api/search")
 	if got := eng.collect()["/api/search"].hist.Quantile(0.99); got != 0 {
@@ -88,7 +88,6 @@ func TestWindowDeltasRiseAndDecay(t *testing.T) {
 	eng := New(Options{
 		Registry: reg,
 		Default:  Objective{Availability: 0.999, LatencyP99: 250 * time.Millisecond},
-		Interval: time.Minute,
 	})
 
 	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
@@ -148,7 +147,6 @@ func TestLatencyBurn(t *testing.T) {
 	eng := New(Options{
 		Registry: reg,
 		Default:  Objective{Availability: 0.999, LatencyP99: 50 * time.Millisecond},
-		Interval: time.Minute,
 	})
 	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	eng.Tick(t0)
@@ -174,7 +172,7 @@ func TestLatencyBurn(t *testing.T) {
 
 func TestPartialWindowFlag(t *testing.T) {
 	reg := obs.NewRegistry()
-	eng := New(Options{Registry: reg, Interval: time.Minute})
+	eng := New(Options{Registry: reg})
 	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	record(reg, "/api/search", "2xx", time.Millisecond)
 	eng.Tick(t0)
@@ -187,9 +185,35 @@ func TestPartialWindowFlag(t *testing.T) {
 	}
 }
 
+// The ring reaches back across the longest window whatever the Tick
+// cadence: seven hours of 1 s ticks with one request a minute leave the 6h
+// window complete, with 360 requests in it.
+func TestRingCoversLongestWindowAtOneSecondTicks(t *testing.T) {
+	reg := obs.NewRegistry()
+	eng := New(Options{Registry: reg})
+	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	for at := time.Second; at <= 7*time.Hour; at += time.Second {
+		if at%time.Minute == 30*time.Second {
+			record(reg, "/api/search", "2xx", time.Millisecond)
+		}
+		eng.Tick(t0.Add(at))
+	}
+	rep, _ := eng.LastReport()
+	if len(rep.Routes) != 1 {
+		t.Fatalf("routes = %+v, want one", rep.Routes)
+	}
+	long := rep.Routes[0].Windows[len(DefWindows)-1]
+	if long.Partial || long.Requests != 360 {
+		t.Fatalf("6h window = %+v, want complete with 360 requests", long)
+	}
+	if short := rep.Routes[0].Windows[0]; short.Partial || short.Requests != 5 {
+		t.Fatalf("5m window = %+v, want complete with 5 requests", short)
+	}
+}
+
 func TestSkipRouteFiltersScrapes(t *testing.T) {
 	reg := obs.NewRegistry()
-	eng := New(Options{Registry: reg, Interval: time.Minute})
+	eng := New(Options{Registry: reg})
 	record(reg, "/metrics", "2xx", time.Millisecond)
 	record(reg, "/debug/traces", "2xx", time.Millisecond)
 	eng.Tick(time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC))
@@ -211,7 +235,6 @@ func TestAlertLadderAcrossTicks(t *testing.T) {
 	eng := New(Options{
 		Registry: reg,
 		Default:  Objective{Availability: 0.999, LatencyP99: 250 * time.Millisecond},
-		Interval: time.Minute,
 	})
 	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	var ladder []string
@@ -250,7 +273,6 @@ func TestPeakBurnCountsLatency(t *testing.T) {
 	eng := New(Options{
 		Registry: reg,
 		Default:  Objective{Availability: 0.999, LatencyP99: 250 * time.Millisecond},
-		Interval: time.Minute,
 	})
 	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	eng.Tick(t0)

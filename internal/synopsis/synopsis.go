@@ -94,14 +94,6 @@ type Store struct {
 // form query (the form vocabulary is small; a few hundred cover it).
 const getMemoSize, searchMemoSize = 512, 256
 
-func storeOn(conn *sqlx.Conn) *Store {
-	return &Store{
-		conn:       conn,
-		getMemo:    lru.New[string, Deal](getMemoSize),
-		searchMemo: lru.New[string, memoEntry](searchMemoSize),
-	}
-}
-
 // schemaStmts creates the context tables; names mirror the paper's "set of
 // tables in DB2 database as part of the corresponding business context".
 var schemaStmts = []string{
@@ -168,21 +160,12 @@ func NewStore(db *relstore.DB) (*Store, error) {
 			return nil, fmt.Errorf("synopsis: schema: %w", err)
 		}
 	}
-	return storeOn(conn), nil
+	return &Store{
+		conn:       conn,
+		getMemo:    lru.New[string, Deal](getMemoSize),
+		searchMemo: lru.New[string, memoEntry](searchMemoSize),
+	}, nil
 }
-
-// Open wraps a database that already carries the context schema (for
-// example one restored with relstore.Load). It fails if the schema is
-// absent.
-func Open(db *relstore.DB) (*Store, error) {
-	if _, err := db.Schema("deals"); err != nil {
-		return nil, fmt.Errorf("synopsis: open: %w", err)
-	}
-	return storeOn(sqlx.Open(db)), nil
-}
-
-// DB exposes the underlying engine, for persistence.
-func (s *Store) DB() *relstore.DB { return s.conn.DB() }
 
 // Conn exposes the SQL connection for directed queries by the core search
 // layer.
@@ -210,7 +193,7 @@ var ErrNotEmpty = errors.New("synopsis: load into a store that holds deals")
 // ingest costs time linear in the deals. A store holding any deal is refused
 // with ErrNotEmpty; use Put to replace deals.
 func (s *Store) Load(deals []Deal) error {
-	n, err := s.DB().RowCount("deals")
+	n, err := s.conn.DB().RowCount("deals")
 	if err != nil {
 		return fmt.Errorf("synopsis: load: %w", err)
 	}

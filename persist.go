@@ -29,10 +29,12 @@ import (
 
 // Snapshot component names inside a generation directory (<dir>/gen-NNNNNNNN/
 // <name>.snap). Every component is a framed, CRC-checksummed container; the
-// store's MANIFEST names the last fully committed generation.
+// store's MANIFEST names the last fully committed generation. The synopsis
+// database is derived state and is not among them: LoadSystem rebuilds it
+// from the pipeline component (a context.snap in an older generation is
+// ignored).
 const (
 	compIndex     = "index"     // semantic full-text index (index.Format)
-	compContext   = "context"   // business-context database (gob)
 	compPipeline  = "pipeline"  // retained offline-pipeline state (gob)
 	compDirectory = "directory" // personnel directory (JSON lines; optional)
 	compReplPos   = "replpos"   // replication position (gob; optional for pre-repl snapshots)
@@ -70,7 +72,8 @@ const pipelineFormat = 1
 // pipelineSnapshot is the persisted offline-pipeline state: which annotator
 // flow ingested the corpus (so a restored system re-analyzes incremental
 // documents the same way) and the CPE builder's accumulated per-deal state
-// (so AddDocuments keeps growing existing deals instead of resetting them).
+// (so AddDocuments keeps growing existing deals instead of resetting them,
+// and so LoadSystem can rebuild every deal synopsis from it).
 type pipelineSnapshot struct {
 	Format  int
 	Flow    string
@@ -107,10 +110,6 @@ func (s *System) checkpointLocked(dir string) (uint64, error) {
 	comps := []durable.Component{
 		{Name: compIndex, Write: func(w io.Writer) error {
 			_, err := s.Index.WriteTo(w)
-			return err
-		}},
-		{Name: compContext, Write: func(w io.Writer) error {
-			_, err := s.Synopses.DB().WriteTo(w)
 			return err
 		}},
 		{Name: compPipeline, Write: s.writePipeline},
@@ -291,18 +290,6 @@ func loadGeneration(open durable.OpenComponent, ctl *access.Controller, metrics 
 	}); err != nil {
 		return nil, err
 	}
-	var db *relstore.DB
-	if err := decodeComponent(open, compContext, func(r io.Reader) error {
-		var err error
-		db, err = relstore.Load(r)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	store, err := synopsis.Open(db)
-	if err != nil {
-		return nil, &durable.CorruptError{Path: compContext, Detail: err.Error()}
-	}
 	var ps pipelineSnapshot
 	if err := decodeComponent(open, compPipeline, func(r io.Reader) error {
 		return gob.NewDecoder(r).Decode(&ps)
@@ -313,7 +300,7 @@ func loadGeneration(open durable.OpenComponent, ctl *access.Controller, metrics 
 		return nil, &durable.VersionError{Path: compPipeline, Got: uint32(ps.Format), Want: pipelineFormat}
 	}
 	var dir *directory.Directory
-	err = decodeComponent(open, compDirectory, func(r io.Reader) error {
+	err := decodeComponent(open, compDirectory, func(r io.Reader) error {
 		var derr error
 		dir, derr = directory.Load(r)
 		return derr
@@ -341,9 +328,17 @@ func loadGeneration(open durable.OpenComponent, ctl *access.Controller, metrics 
 	if err != nil {
 		return nil, err
 	}
+	// Rebuild the synopsis store as bulk ingest fills it; finalize reads dir.
+	store, err := synopsis.NewStore(relstore.NewDB())
+	if err != nil {
+		return nil, err
+	}
 	builder := annotators.NewBuilder(store, dir)
 	if ps.Builder != nil {
 		builder.RestoreState(ps.Builder)
+	}
+	if err := builder.End(); err != nil {
+		return nil, &durable.CorruptError{Path: compPipeline, Detail: err.Error()}
 	}
 	writer := &crawler.IndexWriter{Ix: ix, Metrics: metrics}
 	sys := newSystem(&System{

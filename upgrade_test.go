@@ -170,5 +170,33 @@ func TestLoadSystemUpgradesFormat1Store(t *testing.T) {
 	assertUpgradeIdentity(t, "format-2 checkpoint", live, again)
 }
 
+// TestLoadSystemIgnoresContextComponent: stores written before the
+// synopsis database was rebuilt on load carry it as context.snap. It is
+// never opened, so even a corrupt one does not force a fallback (the
+// fixture has no older generation to fall back to), and the next
+// checkpoint does not write one.
+func TestLoadSystemIgnoresContextComponent(t *testing.T) {
+	dir := copyUpgradeStore(t)
+	ctx := filepath.Join(dir, "gen-00000001", "context.snap")
+	if _, err := os.Stat(ctx); err != nil {
+		t.Fatalf("the fixture has no context component: %v", err)
+	}
+	if err := os.WriteFile(ctx, []byte("not a container"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := LoadSystem(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertUpgradeIdentity(t, "store with a corrupt context component", buildUpgradeSystem(t, ""), recovered)
+	gen, err := recovered.Checkpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("gen-%08d", gen), "context.snap")); !os.IsNotExist(err) {
+		t.Fatalf("checkpoint wrote a context component (stat err %v)", err)
+	}
+}
+
 // indexFormat2Magic opens a format-2 index snapshot.
 const indexFormat2Magic = "\x89EILIX\n"
