@@ -26,6 +26,7 @@ import (
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/docmodel"
 	"repro/internal/eval"
 	"repro/internal/index"
 	"repro/internal/siapi"
@@ -204,6 +205,55 @@ func BenchmarkIngestScale(b *testing.B) {
 				len(corpus.DealIDs), sys.Index.DocCount(), sys.Index.TermCount())
 		}
 		b.ReportMetric(float64(sys.Index.DocCount()), "docs/ingest")
+	}
+}
+
+// BenchmarkLoadSystemTail measures a restart: LoadSystem of a checkpoint
+// plus a journal tail of 32 AddDocuments batches, which grow existing deals
+// with one in eight of their documents, held back from the ingest.
+func BenchmarkLoadSystemTail(b *testing.B) {
+	for _, cfg := range []synth.Config{
+		{Seed: 42, Deals: 23, NoiseDocsPerDeal: 100},
+		{Seed: 42, Deals: 200, NoiseDocsPerDeal: 10},
+	} {
+		b.Run(fmt.Sprintf("deals=%d", cfg.Deals), func(b *testing.B) {
+			corpus, err := synth.Generate(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var initial, held []*docmodel.Document
+			for i, d := range corpus.Docs {
+				if d.DealID != "" && i%8 == 7 {
+					held = append(held, d)
+				} else {
+					initial = append(initial, d)
+				}
+			}
+			sys, err := eil.Ingest(initial, eil.Options{Directory: corpus.Directory})
+			if err != nil {
+				b.Fatal(err)
+			}
+			dir := b.TempDir()
+			if err := sys.EnableWAL(dir, 1); err != nil {
+				b.Fatal(err)
+			}
+			const batches = 32
+			for i := 0; i < batches; i++ {
+				if err := sys.AddDocuments(held[i*len(held)/batches : (i+1)*len(held)/batches]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := sys.CloseWAL(); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eil.LoadSystem(dir, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(held)), "tail_docs")
+		})
 	}
 }
 

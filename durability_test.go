@@ -343,6 +343,24 @@ func TestPipelineFormatBumpRejected(t *testing.T) {
 // fails its generation as corrupt, so recovery falls back to the previous
 // one.
 func TestSynopsisRebuildFailureFallsBack(t *testing.T) {
+	rebuildFailureFallsBack(t, func(st *annotators.BuilderState) {
+		st.Deals = append(st.Deals, annotators.DealState{})
+	})
+}
+
+// The duplicate-ID twin: End would refuse a deal listed twice (the deals
+// table's primary key), so RestoreState does, and the generation falls back
+// before the journal tail replays on top of it.
+func TestDuplicateDealStateFallsBack(t *testing.T) {
+	rebuildFailureFallsBack(t, func(st *annotators.BuilderState) {
+		st.Deals = append(st.Deals, st.Deals[len(st.Deals)-1])
+	})
+}
+
+// rebuildFailureFallsBack commits a second generation whose pipeline state
+// corrupt spoils and requires LoadSystem to fall back to the first.
+func rebuildFailureFallsBack(t *testing.T, corrupt func(*annotators.BuilderState)) {
+	t.Helper()
 	_, sys := testSystem(t, Options{})
 	dir := t.TempDir()
 	if err := sys.Save(dir); err != nil {
@@ -353,7 +371,7 @@ func TestSynopsisRebuildFailureFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := sys.builder.State()
-	bad.Deals = append(bad.Deals, annotators.DealState{})
+	corrupt(bad)
 	if _, err := st.Commit([]durable.Component{
 		{Name: "index", Write: func(w io.Writer) error { _, err := sys.Index.WriteTo(w); return err }},
 		{Name: "pipeline", Write: func(w io.Writer) error {

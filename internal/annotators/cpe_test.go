@@ -292,3 +292,30 @@ func TestFinalizeUnknownDeal(t *testing.T) {
 		t.Fatal("unknown deal finalized")
 	}
 }
+
+// RestoreState refuses a state End could not load — a deal with no ID, a
+// deal listed twice — and keeps what the builder held.
+func TestRestoreStateRefusesUnloadable(t *testing.T) {
+	store, err := synopsis.NewStore(relstore.NewDB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBuilder(store, nil)
+	runBuilder(t, b, append(buildDealDocs(t, "DEAL B"), buildDealDocs(t, "DEAL A")...))
+	good := b.State()
+	for name, bad := range map[string][]DealState{
+		"empty id":  {good.Deals[0], {}},
+		"duplicate": {good.Deals[0], good.Deals[1], good.Deals[0]},
+	} {
+		r := NewBuilder(nil, nil)
+		if err := r.RestoreState(good); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.RestoreState(&BuilderState{MinScopeWeight: 9, Deals: bad}); err == nil {
+			t.Errorf("%s: restored", name)
+		}
+		if ids := r.DealIDs(); len(ids) != 2 || ids[0] != "DEAL B" || r.MinScopeWeight != good.MinScopeWeight {
+			t.Errorf("%s: the refusal changed the builder: %v, threshold %v", name, ids, r.MinScopeWeight)
+		}
+	}
+}

@@ -1,13 +1,18 @@
 package annotators
 
-import "sort"
+import (
+	"errors"
+	"fmt"
+	"sort"
+)
 
 // Builder accumulation state as exported, gob-friendly snapshot types. The
 // durability layer persists this alongside the index, and it is what a
-// restored system's synopsis store is rebuilt from (RestoreState, then End):
-// the store itself is not persisted. So the CPE's roll-up state survives a
-// restart, and the restored system keeps accumulating documents into
-// existing deals instead of resetting them.
+// restored system's synopsis store is rebuilt from (RestoreState, then the
+// journal tail's documents and removals, then End): the store itself is not
+// persisted. So the CPE's roll-up state survives a restart, and the restored
+// system keeps accumulating documents into existing deals instead of
+// resetting them.
 
 // ScopeState is a persisted scopeAgg: summed mention weight and the set of
 // contributing documents.
@@ -121,8 +126,20 @@ func (b *Builder) State() *BuilderState {
 // RestoreState replaces the builder's accumulation state with a snapshot
 // previously taken by State. Configuration knobs (MinScopeWeight,
 // DropInactive) are restored too, so a reloaded system finalizes deals the
-// same way the original did.
-func (b *Builder) RestoreState(st *BuilderState) {
+// same way the original did. A snapshot End could not load — a deal with an
+// empty ID, or an ID listed twice — is refused and leaves the builder as it
+// was.
+func (b *Builder) RestoreState(st *BuilderState) error {
+	seen := make(map[string]bool, len(st.Deals))
+	for _, d := range st.Deals {
+		if d.ID == "" {
+			return errors.New("annotators: restore: deal with empty id")
+		}
+		if seen[d.ID] {
+			return fmt.Errorf("annotators: restore: deal %s listed twice", d.ID)
+		}
+		seen[d.ID] = true
+	}
 	b.MinScopeWeight = st.MinScopeWeight
 	b.DropInactive = st.DropInactive
 	b.deals = make(map[string]*dealAcc, len(st.Deals))
@@ -158,6 +175,7 @@ func (b *Builder) RestoreState(st *BuilderState) {
 		b.deals[d.ID] = acc
 		b.order = append(b.order, d.ID)
 	}
+	return nil
 }
 
 func sortedKeys(set map[string]bool) []string {

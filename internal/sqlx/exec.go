@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/lru"
 	"repro/internal/relstore"
@@ -11,9 +12,9 @@ import (
 
 // Conn executes SQL text against a relstore database. It is safe for
 // concurrent use. A SELECT is parsed and planned once per SQL text and schema
-// version (plan.go) and then only bound to its arguments; every other
-// statement is parsed and run on each call, a DELETE on the interpreter
-// (eval.go).
+// version (plan.go) and then only bound to its arguments; an INSERT is parsed
+// once by Prepare; every other statement is parsed and run on each call, a
+// DELETE on the interpreter (eval.go).
 type Conn struct {
 	db *relstore.DB
 	// plans caches SELECT plans by SQL text under the database's schema
@@ -73,19 +74,79 @@ func (c *Conn) Exec(sqlText string, args ...relstore.Value) (int, error) {
 	case *CreateIndexStmt:
 		return 0, c.db.CreateIndex(s.Name, s.Table, s.Columns, false)
 	case *InsertStmt:
-		row, err := bindArgs(s.Values, args)
-		if err != nil {
-			return 0, err
-		}
-		if err := c.db.Insert(s.Table, row); err != nil {
-			return 0, err
-		}
-		return 1, nil
+		return c.insert(s, args)
 	case *DeleteStmt:
 		return c.execDelete(s, args)
 	default:
 		return 0, fmt.Errorf("sqlx: use Query for SELECT")
 	}
+}
+
+func (c *Conn) insert(s *InsertStmt, args []relstore.Value) (int, error) {
+	row, err := bindArgs(s.Values, args)
+	if err != nil {
+		return 0, err
+	}
+	if err := c.db.Insert(s.Table, row); err != nil {
+		return 0, err
+	}
+	return 1, nil
+}
+
+// Insert is an INSERT prepared by Conn.Prepare: parsed once, and checked
+// against the schema (its table exists and it gives one value per column)
+// at the schema version it was last checked at. Exec checks again only when
+// the version moved. It is safe for concurrent use.
+type Insert struct {
+	conn    *Conn
+	stmt    *InsertStmt
+	checked atomic.Uint64 // schema version of the last check; 0 = never
+}
+
+// Prepare parses an INSERT once, for a caller that issues the same text for
+// many rows. Other statements are refused: a SELECT's plan is cached by Query
+// and a DELETE runs on the interpreter.
+func (c *Conn) Prepare(sqlText string) (*Insert, error) {
+	stmt, err := Parse(sqlText)
+	if err != nil {
+		return nil, err
+	}
+	ins, ok := stmt.(*InsertStmt)
+	if !ok {
+		return nil, fmt.Errorf("sqlx: Prepare requires INSERT, got %T", stmt)
+	}
+	p := &Insert{conn: c, stmt: ins}
+	if err := p.check(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// check resolves the statement against the current schema unless it already
+// did at this version.
+func (p *Insert) check() error {
+	version := p.conn.db.SchemaVersion()
+	if p.checked.Load() == version {
+		return nil
+	}
+	schema, err := p.conn.db.Schema(p.stmt.Table)
+	if err != nil {
+		return err
+	}
+	if len(p.stmt.Values) != len(schema.Columns) {
+		return fmt.Errorf("%w: table %s has %d columns, got %d",
+			relstore.ErrArity, schema.Table, len(schema.Columns), len(p.stmt.Values))
+	}
+	p.checked.Store(version)
+	return nil
+}
+
+// Exec inserts one row bound from args and reports 1.
+func (p *Insert) Exec(args ...relstore.Value) (int, error) {
+	if err := p.check(); err != nil {
+		return 0, err
+	}
+	return p.conn.insert(p.stmt, args)
 }
 
 // Query runs a SELECT and returns the result set.

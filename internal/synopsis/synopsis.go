@@ -74,6 +74,10 @@ var ErrNotFound = errors.New("synopsis: deal not found")
 // Store persists synopses. Create with NewStore.
 type Store struct {
 	conn *sqlx.Conn
+	// ins holds insert's six statements, prepared once, by text.
+	ins map[string]*sqlx.Insert
+	// puts, deletes and loads count Put, Delete and Load calls (Writes).
+	puts, deletes, loads atomic.Uint64
 	// gen counts mutations (Put, Delete) and memoMu orders a reader's
 	// insert-if-unchanged against a writer's bump-and-remove (memo.go). gen
 	// is not a cache key: a write removes the entries it changed, no more.
@@ -140,9 +144,9 @@ var schemaStmts = []string{
 
 // The statements insert issues, one INSERT per table. These constants, Get's
 // and Search's, clearDeal and schemaStmts are every statement the store
-// issues; sqlx plans a SELECT once per text, so a fixed repertoire stays
-// planned. census_test.go lists them all: it is the specification of the SQL
-// sqlx accepts.
+// issues; sqlx plans a SELECT once per text and the store prepares each INSERT
+// once, so a fixed repertoire stays parsed. census_test.go lists them all: it
+// is the specification of the SQL sqlx accepts.
 const (
 	insertDeal     = `INSERT INTO deals VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)`
 	insertTower    = `INSERT INTO deal_towers VALUES (?, ?, ?, ?)`
@@ -160,11 +164,20 @@ func NewStore(db *relstore.DB) (*Store, error) {
 			return nil, fmt.Errorf("synopsis: schema: %w", err)
 		}
 	}
-	return &Store{
+	s := &Store{
 		conn:       conn,
+		ins:        map[string]*sqlx.Insert{},
 		getMemo:    lru.New[string, Deal](getMemoSize),
 		searchMemo: lru.New[string, memoEntry](searchMemoSize),
-	}, nil
+	}
+	for _, text := range []string{insertDeal, insertTower, insertContact, insertStrategy, insertRef, insertSolution} {
+		ins, err := conn.Prepare(text)
+		if err != nil {
+			return nil, fmt.Errorf("synopsis: prepare: %w", err)
+		}
+		s.ins[text] = ins
+	}
+	return s, nil
 }
 
 // Conn exposes the SQL connection for directed queries by the core search
@@ -177,6 +190,7 @@ func (s *Store) Put(d Deal) error {
 	if id == "" {
 		return errors.New("synopsis: empty deal id")
 	}
+	s.puts.Add(1)
 	defer s.invalidate(id, &d)
 	// Replace wholesale: the offline analysis regenerates synopses.
 	if err := s.deleteDeal(id); err != nil {
@@ -193,6 +207,7 @@ var ErrNotEmpty = errors.New("synopsis: load into a store that holds deals")
 // ingest costs time linear in the deals. A store holding any deal is refused
 // with ErrNotEmpty; use Put to replace deals.
 func (s *Store) Load(deals []Deal) error {
+	s.loads.Add(1)
 	n, err := s.conn.DB().RowCount("deals")
 	if err != nil {
 		return fmt.Errorf("synopsis: load: %w", err)
@@ -218,31 +233,31 @@ func (s *Store) Load(deals []Deal) error {
 // insert writes one deal's rows, which must not exist yet.
 func (s *Store) insert(d Deal) error {
 	id, o := d.Overview.DealID, d.Overview
-	_, err := s.conn.Exec(insertDeal,
+	_, err := s.ins[insertDeal].Exec(
 		o.DealID, o.Customer, o.Industry, o.Consultant, o.Geography, o.Country,
 		o.TermStart, int64(o.TermMonths), o.TCVBand, o.International, o.Repository)
 	if err != nil {
 		return fmt.Errorf("synopsis: put deal: %w", err)
 	}
 	for _, tw := range d.Towers {
-		if _, err := s.conn.Exec(insertTower,
+		if _, err := s.ins[insertTower].Exec(
 			id, tw.Tower, tw.SubTower, tw.Significance); err != nil {
 			return fmt.Errorf("synopsis: put tower: %w", err)
 		}
 	}
 	for _, p := range d.People {
-		if _, err := s.conn.Exec(insertContact,
+		if _, err := s.ins[insertContact].Exec(
 			id, p.Name, p.Email, p.Phone, p.Org, p.Role, p.Category, p.Validated); err != nil {
 			return fmt.Errorf("synopsis: put contact: %w", err)
 		}
 	}
 	for _, w := range d.WinStrategies {
-		if _, err := s.conn.Exec(insertStrategy, id, w); err != nil {
+		if _, err := s.ins[insertStrategy].Exec(id, w); err != nil {
 			return fmt.Errorf("synopsis: put strategy: %w", err)
 		}
 	}
 	for _, r := range d.ClientRefs {
-		if _, err := s.conn.Exec(insertRef, id, r); err != nil {
+		if _, err := s.ins[insertRef].Exec(id, r); err != nil {
 			return fmt.Errorf("synopsis: put reference: %w", err)
 		}
 	}
@@ -253,15 +268,25 @@ func (s *Store) insert(d Deal) error {
 	}
 	sort.Strings(towers)
 	for _, tower := range towers {
-		if _, err := s.conn.Exec(insertSolution, id, tower, d.TechSolutions[tower]); err != nil {
+		if _, err := s.ins[insertSolution].Exec(id, tower, d.TechSolutions[tower]); err != nil {
 			return fmt.Errorf("synopsis: put solution: %w", err)
 		}
 	}
 	return nil
 }
 
+// Writes counts the store's write calls since it was created: each Put,
+// Delete and Load counts once, however many rows it touches.
+type Writes struct{ Puts, Deletes, Loads uint64 }
+
+// Writes reports the write calls made so far.
+func (s *Store) Writes() Writes {
+	return Writes{Puts: s.puts.Load(), Deletes: s.deletes.Load(), Loads: s.loads.Load()}
+}
+
 // Delete removes a deal's synopsis entirely (idempotent).
 func (s *Store) Delete(id string) error {
+	s.deletes.Add(1)
 	defer s.invalidate(id, nil)
 	return s.deleteDeal(id)
 }

@@ -275,6 +275,13 @@ func loadSystemWith(dir string, ctl *access.Controller, metrics *obs.Registry) (
 	default:
 		return nil, fmt.Errorf("eil: load %s: %w", dir, rerr)
 	}
+
+	// The synopsis database is derived state, built once from the analysis
+	// state the generation and the tail left, the way bulk ingest fills it:
+	// End finalizes every deal and loads them into the empty store.
+	if err := sys.builder.End(); err != nil {
+		return nil, fmt.Errorf("eil: load %s: %w", dir, &durable.CorruptError{Path: compPipeline, Detail: err.Error()})
+	}
 	return sys, nil
 }
 
@@ -328,17 +335,17 @@ func loadGeneration(open durable.OpenComponent, ctl *access.Controller, metrics 
 	if err != nil {
 		return nil, err
 	}
-	// Rebuild the synopsis store as bulk ingest fills it; finalize reads dir.
+	// The synopsis store stays empty until loadSystemWith has replayed the
+	// journal tail; a state End would refuse fails this generation here.
 	store, err := synopsis.NewStore(relstore.NewDB())
 	if err != nil {
 		return nil, err
 	}
 	builder := annotators.NewBuilder(store, dir)
 	if ps.Builder != nil {
-		builder.RestoreState(ps.Builder)
-	}
-	if err := builder.End(); err != nil {
-		return nil, &durable.CorruptError{Path: compPipeline, Detail: err.Error()}
+		if err := builder.RestoreState(ps.Builder); err != nil {
+			return nil, &durable.CorruptError{Path: compPipeline, Detail: err.Error()}
+		}
 	}
 	writer := &crawler.IndexWriter{Ix: ix, Metrics: metrics}
 	sys := newSystem(&System{
@@ -524,13 +531,15 @@ func encodeDocs(docs []*docmodel.Document) ([]byte, error) {
 }
 
 // replay applies the journal's recovered records in append order, through
-// the same code paths live operations use (minus re-journaling). Any
-// record that fails to apply aborts the load with a typed error — the
+// the same code paths live operations use, minus re-journaling and minus
+// the synopsis writes: the records change the index and the analysis state
+// only, and the caller builds the synopsis database once after the last.
+// Any record that fails to apply aborts the load with a typed error — the
 // caller discards the partially replayed system, so partial state never
 // escapes.
 func (s *System) replay(records []durable.Record) error {
 	for i, rec := range records {
-		if err := s.applyRecord(rec.Kind, rec.Payload); err != nil {
+		if _, err := s.applyRecord(rec.Kind, rec.Payload); err != nil {
 			return fmt.Errorf("eil: replay record %d: %w", i, err)
 		}
 	}
@@ -540,25 +549,30 @@ func (s *System) replay(records []durable.Record) error {
 // applyRecord routes one journal record through the shared apply paths —
 // the single entry point crash recovery (replay) and live replication
 // (ApplyReplicated) both go through, so a follower's state evolves by
-// exactly the transitions a recovering primary would make.
-func (s *System) applyRecord(kind uint8, payload []byte) error {
+// exactly the transitions a recovering primary would make. It returns the
+// deals whose synopses the record changed; only a caller that serves reads
+// between records publishes them.
+func (s *System) applyRecord(kind uint8, payload []byte) ([]string, error) {
 	switch kind {
 	case walOpAddDocuments:
 		var docs []*docmodel.Document
 		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&docs); err != nil {
-			return &durable.CorruptError{Path: durable.WALName, Detail: err.Error()}
+			return nil, &durable.CorruptError{Path: durable.WALName, Detail: err.Error()}
 		}
-		if err := s.applyAddDocuments(docs); err != nil {
-			return fmt.Errorf("add: %w", err)
+		touched, err := s.applyAddDocuments(docs)
+		if err != nil {
+			return nil, fmt.Errorf("add: %w", err)
 		}
+		return touched, nil
 	case walOpRemoveDeal:
-		if err := s.applyRemoveDeal(string(payload)); err != nil {
-			return fmt.Errorf("remove: %w", err)
+		dealID := string(payload)
+		if err := s.applyRemoveDeal(dealID); err != nil {
+			return nil, fmt.Errorf("remove: %w", err)
 		}
+		return []string{dealID}, nil
 	case walOpCompact:
 		s.applyCompact()
-	default:
-		return &durable.CorruptError{Path: durable.WALName, Detail: fmt.Sprintf("unknown op %d", kind)}
+		return nil, nil
 	}
-	return nil
+	return nil, &durable.CorruptError{Path: durable.WALName, Detail: fmt.Sprintf("unknown op %d", kind)}
 }

@@ -201,8 +201,12 @@ func (s *System) ApplyReplicated(seq uint64, kind uint8, payload []byte) error {
 	if seq != cur+1 {
 		return fmt.Errorf("eil: replication gap: record %d after position %d", seq, cur)
 	}
-	if err := s.applyRecord(kind, payload); err != nil {
+	touched, err := s.applyRecord(kind, payload)
+	if err != nil {
 		return err
+	}
+	if failed, err := s.publishDeals(touched); err != nil {
+		return fmt.Errorf("eil: replicated synopsis %s: %w", failed, err)
 	}
 	s.seq.Store(seq)
 	return nil

@@ -89,7 +89,13 @@ func (s *System) AddDocuments(docs []*docmodel.Document) error {
 		}
 		seen[doc.Path] = true
 	}
-	if err := s.applyStagedLocked(docs, cases); err != nil {
+	affected, err := s.applyStagedLocked(docs, cases)
+	if err == nil {
+		if failed, perr := s.publishDeals(affected); perr != nil {
+			err = &PartialBatchError{Applied: docPaths(docs), Failed: failed, Err: fmt.Errorf("synopsis rebuild: %w", perr)}
+		}
+	}
+	if err != nil {
 		var pbe *PartialBatchError
 		if errors.As(err, &pbe) && len(pbe.Applied) > 0 {
 			// Journal the prefix that did take effect, so a restart
@@ -107,45 +113,56 @@ func (s *System) AddDocuments(docs []*docmodel.Document) error {
 	return s.journalLocked(walOpAddDocuments, payload)
 }
 
+func docPaths(docs []*docmodel.Document) []string {
+	paths := make([]string, len(docs))
+	for i, doc := range docs {
+		paths[i] = doc.Path
+	}
+	return paths
+}
+
 // applyAddDocuments is the replay-path AddDocuments: same staging and
 // application, no journaling (the record being replayed already exists).
-// The caller owns the system exclusively (LoadSystem).
-func (s *System) applyAddDocuments(docs []*docmodel.Document) error {
+// It returns the deals the batch touched, for the caller to publish.
+func (s *System) applyAddDocuments(docs []*docmodel.Document) ([]string, error) {
 	cases := make([]*analysis.CAS, len(docs))
 	for i, doc := range docs {
 		cas := analysis.NewCAS(doc)
 		if err := s.flow.Process(cas); err != nil {
-			return fmt.Errorf("analyze %s: %w", doc.Path, err)
+			return nil, fmt.Errorf("analyze %s: %w", doc.Path, err)
 		}
 		cases[i] = cas
 	}
 	return s.applyStagedLocked(docs, cases)
 }
 
-// applyStagedLocked folds a fully staged batch into the live system: index
-// first (as one batch — the flush either merges everything or nothing),
-// then the per-deal accumulation state, then the affected synopses.
-// Callers hold upMu (or own the system exclusively during replay).
-func (s *System) applyStagedLocked(docs []*docmodel.Document, cases []*analysis.CAS) error {
+// applyStagedLocked folds a fully staged batch into the index (as one batch
+// — the flush either merges everything or nothing), then into the per-deal
+// accumulation state, and returns the deals it touched in first-seen order.
+// It writes no synopsis: a caller that serves reads between operations
+// publishes the touched deals (publishDeals); replay leaves them to the one
+// build after the last record. Callers hold upMu (or own the system
+// exclusively during replay).
+func (s *System) applyStagedLocked(docs []*docmodel.Document, cases []*analysis.CAS) ([]string, error) {
 	for i, cas := range cases {
 		if err := s.writer.Consume(cas); err != nil {
 			// Consume only buffers; drop the buffered prefix so nothing of
 			// this batch reaches the index.
 			_ = s.writer.Flush()
-			return fmt.Errorf("eil: update %s: %w (batch not applied)", docs[i].Path, err)
+			return nil, fmt.Errorf("eil: update %s: %w (batch not applied)", docs[i].Path, err)
 		}
 	}
 	// The IndexWriter batches; push the buffered batch into the index
-	// before synopsis rebuilds (they query it) and before callers search.
+	// before callers search.
 	if err := s.writer.Flush(); err != nil {
-		return fmt.Errorf("eil: update flush: %w (batch not applied)", err)
+		return nil, fmt.Errorf("eil: update flush: %w (batch not applied)", err)
 	}
 	var affected []string
 	affectedSet := map[string]bool{}
 	applied := make([]string, 0, len(docs))
 	for i, cas := range cases {
 		if err := s.builder.Consume(cas); err != nil {
-			return &PartialBatchError{Applied: applied, Failed: docs[i].Path, Err: err}
+			return nil, &PartialBatchError{Applied: applied, Failed: docs[i].Path, Err: err}
 		}
 		applied = append(applied, docs[i].Path)
 		if id := docs[i].DealID; id != "" && !affectedSet[id] {
@@ -153,17 +170,37 @@ func (s *System) applyStagedLocked(docs []*docmodel.Document, cases []*analysis.
 			affected = append(affected, id)
 		}
 	}
-	if len(affected) == 0 {
-		return nil
+	return affected, nil
+}
+
+// publishDeals writes the synopses of the deals an applied operation
+// touched, so that reads between operations see them: a deal the analysis
+// state holds is finalized and Put, one it no longer holds is deleted. On a
+// failure it names the deal it stopped at.
+func (s *System) publishDeals(dealIDs []string) (failed string, err error) {
+	if len(dealIDs) == 0 {
+		return "", nil
 	}
-	return s.synopsisWrite("update.synopses", len(affected), func() error {
-		for _, dealID := range affected {
-			if err := s.builder.PutDeal(dealID); err != nil {
-				return &PartialBatchError{Applied: applied, Failed: dealID, Err: fmt.Errorf("synopsis rebuild: %w", err)}
+	route := "update.synopses"
+	if len(dealIDs) == 1 && !s.builder.Has(dealIDs[0]) {
+		route = "update.remove"
+	}
+	err = s.synopsisWrite(route, len(dealIDs), func() error {
+		for _, id := range dealIDs {
+			var err error
+			if s.builder.Has(id) {
+				err = s.builder.PutDeal(id)
+			} else {
+				err = s.Synopses.Delete(id)
+			}
+			if err != nil {
+				failed = id
+				return err
 			}
 		}
 		return nil
 	})
+	return failed, err
 }
 
 // synopsisWrite runs one write to the synopsis store (a batch's rebuilds of
@@ -234,6 +271,9 @@ func (s *System) RemoveDeal(dealID string) error {
 	if err := s.applyRemoveDeal(dealID); err != nil {
 		return err
 	}
+	if _, err := s.publishDeals([]string{dealID}); err != nil {
+		return fmt.Errorf("eil: remove synopsis %s: %w", dealID, err)
+	}
 	return s.journalLocked(walOpRemoveDeal, []byte(dealID))
 }
 
@@ -252,9 +292,11 @@ func (s *System) holdsLocked(dealID string) (bool, error) {
 	return len(s.Index.ExtIDsByMeta("deal", dealID)) > 0, nil
 }
 
-// applyRemoveDeal is the body of RemoveDeal, shared with journal replay;
-// callers hold upMu (or own the system exclusively during replay). Replay
-// accepts a removal of an absent deal, which journals written before
+// applyRemoveDeal is the body of RemoveDeal, shared with journal replay: it
+// takes the deal out of the index and the analysis state and leaves its
+// synopsis to the caller (publishDeals, or replay's one build after the last
+// record). Callers hold upMu (or own the system exclusively during replay).
+// Replay accepts a removal of an absent deal, which journals written before
 // RemoveDeal refused one may hold, as a no-op.
 func (s *System) applyRemoveDeal(dealID string) error {
 	for _, path := range s.Index.ExtIDsByMeta("deal", dealID) {
@@ -262,11 +304,6 @@ func (s *System) applyRemoveDeal(dealID string) error {
 			return fmt.Errorf("eil: remove %s: %w", path, err)
 		}
 	}
-	if err := s.synopsisWrite("update.remove", 1, func() error { return s.Synopses.Delete(dealID) }); err != nil {
-		return fmt.Errorf("eil: remove synopsis %s: %w", dealID, err)
-	}
-	if s.builder != nil {
-		s.builder.DropDeal(dealID)
-	}
+	s.builder.DropDeal(dealID)
 	return nil
 }
