@@ -36,8 +36,6 @@ type Cluster struct {
 	// never change after construction; mutating methods route by the same
 	// hash the searches use.
 	Shards []*System
-	// SnapshotKeep is propagated to every shard's snapshot store.
-	SnapshotKeep int
 }
 
 // ShardName is shard i as operators read it: breaker keys, metric labels,
@@ -253,16 +251,17 @@ func (c *Cluster) Compact() error {
 	return nil
 }
 
-// writeManifest persists the cluster manifest naming the shard count.
-func (c *Cluster) writeManifest(dir string) error {
+// writeClusterManifest persists the cluster manifest naming the shard
+// count: a cluster's saves and a cluster replica's start write it alike.
+func writeClusterManifest(dir string, shards int) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("eil: save cluster: %w", err)
+		return fmt.Errorf("eil: cluster manifest: %w", err)
 	}
 	err := durable.WriteFileAtomic(nil, filepath.Join(dir, clusterManifestName), func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(clusterManifest{Format: clusterManifestFormat, Shards: len(c.Shards)})
+		return json.NewEncoder(w).Encode(clusterManifest{Format: clusterManifestFormat, Shards: shards})
 	})
 	if err != nil {
-		return fmt.Errorf("eil: save cluster: %w", err)
+		return fmt.Errorf("eil: cluster manifest: %w", err)
 	}
 	return nil
 }
@@ -279,12 +278,11 @@ func (c *Cluster) Save(dir string) error {
 // already committed (their stores are self-consistent — LoadCluster loads
 // each shard's last committed generation).
 func (c *Cluster) Checkpoint(dir string) ([]uint64, error) {
-	if err := c.writeManifest(dir); err != nil {
+	if err := writeClusterManifest(dir, len(c.Shards)); err != nil {
 		return nil, err
 	}
 	gens := make([]uint64, len(c.Shards))
 	for i, s := range c.Shards {
-		s.SnapshotKeep = c.SnapshotKeep
 		gen, err := s.Checkpoint(shardDir(dir, i))
 		if err != nil {
 			return nil, fmt.Errorf("eil: shard %d: %w", i, err)
@@ -297,7 +295,7 @@ func (c *Cluster) Checkpoint(dir string) ([]uint64, error) {
 // EnableWAL attaches a write-ahead journal to every shard, rooted in its
 // snapshot subdirectory, so cluster updates are crash-durable per shard.
 func (c *Cluster) EnableWAL(dir string, syncEvery int) error {
-	if err := c.writeManifest(dir); err != nil {
+	if err := writeClusterManifest(dir, len(c.Shards)); err != nil {
 		return err
 	}
 	for i, s := range c.Shards {

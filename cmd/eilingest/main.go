@@ -22,6 +22,7 @@ import (
 	"repro/internal/directory"
 	"repro/internal/obs"
 	"repro/internal/runtimetel"
+	"repro/internal/serving"
 	"repro/internal/taxonomy"
 	"repro/internal/trace"
 )
@@ -151,7 +152,7 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		cluster.SnapshotKeep = *snapKeep
+		cluster.Tune(serving.Settings{SnapshotKeep: *snapKeep})
 		gens, err := cluster.Checkpoint(*out)
 		if err != nil {
 			log.Fatal(err)

@@ -161,9 +161,12 @@ type System struct {
 	// use. ckptSeq is seq at the last committed checkpoint
 	// (what the replpos component records). upstreamGen, on a follower,
 	// names the primary generation the state derives from (0 on a
-	// primary). replLog is the primary's in-memory ship buffer, live
-	// once ServeReplication has been called; journalLocked tees every
-	// record into it.
+	// primary). replLog is the state's in-memory ship history in either
+	// role: on a primary it is live once a shipper serves it, and
+	// journalLocked tees every record into it; on a follower's state it
+	// starts at the adopted position and applyReplicated extends it, so a
+	// promoted state ships from it unchanged. Once set, it is never
+	// replaced.
 	seq         atomic.Uint64
 	ckptSeq     uint64
 	upstreamGen atomic.Uint64
@@ -184,7 +187,7 @@ type System struct {
 
 	// replica is set while a Follower owns this state: its history is the
 	// primary's, so the write guard refuses every local mutation and
-	// EnableWAL refuses a journal. Promotion (Follower.Detach) clears it.
+	// EnableWAL refuses a journal. Promotion (promoteToPrimary) clears it.
 	replica atomic.Bool
 }
 

@@ -5,11 +5,12 @@ package eil
 // epoch — a monotone term persisted in the durable EPOCH record beside
 // its journal — and every mutation passes the write guard, so a node a
 // newer epoch has fenced refuses writes instead of forking history.
-// PromoteToPrimary turns a detached follower into the next primary:
-// checkpoint at the promotion point, bump the epoch durably, adopt the
-// follower's mirrored ship log so laggard survivors tail-resume. Fence
-// is the other side: seal the journal, persist the fencing mark, stop
-// accepting writes. HANode wraps one node in either role and implements
+// promoteToPrimary turns a detached follower's state into the next
+// primary: checkpoint at the promotion point, bump the epoch durably, and
+// keep shipping from the state's own ship log so laggard survivors
+// tail-resume. fence is the other side: seal the journal, persist the
+// fencing mark, stop accepting writes. Both are steps of HANode, which
+// wraps one node in either role and implements
 // failover.Node for its elector plus the whole serving surface: reads
 // and telemetry follow whichever role object is current; writes land on
 // the live primary, wait out a follower's promotion window, and are
@@ -42,24 +43,25 @@ func (s *System) FenceEpoch() uint64 { return s.fenceEpoch.Load() }
 // fenced). While nonzero every mutation is refused with FencedError.
 func (s *System) FencedBy() uint64 { return s.fencedBy.Load() }
 
-// EpochInfo reports the fencing coordinates the shipper hands to
-// repl.EpochSource: the current term plus the (previous term, sealed
-// sequence) pair of the promotion that started it.
+// EpochInfo reports the fencing coordinates the shipper reads through
+// repl.Source: the current term plus the (previous term, sealed sequence)
+// pair of the promotion that started it.
 func (s *System) EpochInfo() repl.EpochInfo {
 	s.upMu.Lock()
 	defer s.upMu.Unlock()
 	return repl.EpochInfo{Epoch: s.fenceEpoch.Load(), PrevEpoch: s.prevEpoch, SealedSeq: s.sealSeq}
 }
 
-// PromoteToPrimary turns this (detached-follower) state into the primary
+// promoteToPrimary turns this (detached-follower) state into the primary
 // for epoch. The current position is checkpointed first — the promotion
 // point must be durable before the new term is — then the EPOCH record
-// commits the bump with the seal coordinates, and shipLog (the
-// follower's mirrored apply history, from Follower.Detach) becomes the
-// ship buffer so survivors behind the seal tail-resume instead of
-// re-bootstrapping. The caller completes the takeover with EnableWAL and
-// serveReplication.
-func (s *System) PromoteToPrimary(dir string, epoch uint64, shipLog *repl.Log) error {
+// commits the bump with the seal coordinates, then the in-memory state
+// takes the new term and stops being a replica, and the state's ship log,
+// which holds the history it applied as a follower, announces the
+// promotion checkpoint so survivors behind the seal tail-resume instead of
+// re-bootstrapping. The caller completes the takeover with EnableWAL and a
+// shipper.
+func (s *System) promoteToPrimary(dir string, epoch uint64) error {
 	s.upMu.Lock()
 	defer s.upMu.Unlock()
 	if s.wal != nil {
@@ -87,24 +89,20 @@ func (s *System) PromoteToPrimary(dir string, epoch uint64, shipLog *repl.Log) e
 	s.prevEpoch, s.sealSeq = cur, seal
 	s.fenceEpoch.Store(epoch)
 	s.fencedBy.Store(0)
-	if shipLog != nil {
-		s.replLog = shipLog
-	}
-	if s.replLog != nil {
-		// Announce the promotion checkpoint to tail-resuming survivors:
-		// everything through the seal is folded into gen, their cue to
-		// checkpoint locally at the new lineage's first generation.
-		s.replLog.Append(repl.Entry{Seq: seal, Rotate: true, Gen: gen})
-	}
+	s.replica.Store(false)
+	// Announce the promotion checkpoint to tail-resuming survivors:
+	// everything through the seal is folded into gen, their cue to
+	// checkpoint locally at the new lineage's first generation.
+	s.replLog.Append(repl.Entry{Seq: seal, Rotate: true, Gen: gen})
 	return nil
 }
 
-// Fence marks this node as superseded by the newer epoch: the journal is
+// fence marks this node as superseded by the newer epoch: the journal is
 // sealed at its current position (permanently — a seal survives rotation
 // attempts), the fencing mark is persisted so a reboot comes back up
 // refusing writes, and every subsequent mutation fails with FencedError
 // until the node re-syncs as a follower of the new primary.
-func (s *System) Fence(newer uint64) error {
+func (s *System) fence(newer uint64) error {
 	s.upMu.Lock()
 	defer s.upMu.Unlock()
 	cur := s.fenceEpoch.Load()
@@ -128,9 +126,7 @@ func (s *System) Fence(newer uint64) error {
 			return fmt.Errorf("eil: fence: persist: %w", err)
 		}
 	}
-	if s.Metrics != nil {
-		s.Metrics.Counter("eil_failover_node_fenced_total").Inc()
-	}
+	s.Metrics.Counter("eil_failover_node_fenced_total").Inc()
 	return nil
 }
 
@@ -314,7 +310,7 @@ func (h *HANode) startShipperLocked() error {
 	if err != nil {
 		return fmt.Errorf("eil: ha %s: %w", h.opts.Name, err)
 	}
-	sh, err := h.sys.serveReplication(lis, h.opts.Faults, h.onFenced)
+	sh, err := shipShards(map[string]*System{"": h.sys}, lis, h.sys.Metrics, h.opts.Faults, h.onFenced)
 	if err != nil {
 		_ = lis.Close()
 		return err
@@ -367,7 +363,7 @@ func (h *HANode) onFenced(newer uint64) {
 	h.mu.Unlock()
 	h.logf("eil: ha %s: fenced by epoch %d, demoting", h.opts.Name, newer)
 	if sys != nil {
-		_ = sys.Fence(newer)
+		_ = sys.fence(newer)
 	}
 	if sh != nil {
 		go sh.Close()
@@ -438,7 +434,7 @@ func (h *HANode) ReplAddr() string {
 
 // Promote makes this follower the primary under epoch (failover.Node):
 // detach from the dead primary's stream, seal-and-bump via
-// PromoteToPrimary, enable the journal, and start shipping. A promotion
+// promoteToPrimary, enable the journal, and start shipping. A promotion
 // that fails before the state is installed leaves the node a follower that
 // holds its detached state, so its elector claims again once the lease
 // goes stale; a later Repoint restarts its stream.
@@ -454,11 +450,11 @@ func (h *HANode) Promote(epoch uint64) error {
 	// The stream is detached from here on: the upstream is forgotten, so a
 	// Repoint at any address restarts it.
 	h.primaryAddr = ""
-	sys, shipLog, err := h.fol.Detach()
+	sys, err := h.fol.detach()
 	if err != nil {
 		return fmt.Errorf("eil: ha %s: %w", h.opts.Name, err)
 	}
-	if err := sys.PromoteToPrimary(h.opts.Dir, epoch, shipLog); err != nil {
+	if err := sys.promoteToPrimary(h.opts.Dir, epoch); err != nil {
 		return err
 	}
 	if err := sys.EnableWAL(h.opts.Dir, h.opts.SyncEvery); err != nil {
@@ -501,7 +497,7 @@ func (h *HANode) Fence(epoch uint64, primaryAddr string) error {
 		_ = sh.Close()
 	}
 	if sys != nil {
-		if err := sys.Fence(epoch); err != nil && sys.FencedBy() < epoch {
+		if err := sys.fence(epoch); err != nil && sys.FencedBy() < epoch {
 			return err
 		}
 	}

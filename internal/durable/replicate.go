@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -69,10 +68,9 @@ func (st *Store) BeginImport(gen uint64) (*Import, error) {
 	if gen == 0 {
 		return nil, fmt.Errorf("durable: import: generation 0")
 	}
-	dir := filepath.Join(st.dir, genDirName(gen))
-	_ = st.fs.RemoveAll(dir)
-	if err := st.fs.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("durable: import gen %d: %w", gen, err)
+	dir, err := st.freshGenDir(gen)
+	if err != nil {
+		return nil, fmt.Errorf("durable: import: %w", err)
 	}
 	return &Import{st: st, gen: gen, dir: dir}, nil
 }
@@ -134,24 +132,7 @@ func (imp *Import) Commit() error {
 		return fmt.Errorf("durable: import gen %d already finished", imp.gen)
 	}
 	imp.done = true
-	if err := SyncDir(imp.st.fs, imp.dir); err != nil {
-		return err
-	}
-	payload, err := json.Marshal(manifest{Format: SnapshotVersion, Generation: imp.gen, Components: imp.names})
-	if err != nil {
-		return err
-	}
-	err = WriteFileAtomic(imp.st.fs, filepath.Join(imp.st.dir, manifestName), func(w io.Writer) error {
-		fw, err := NewFrameWriter(w, "manifest", SnapshotVersion)
-		if err != nil {
-			return err
-		}
-		if err := fw.WriteFrame(payload); err != nil {
-			return err
-		}
-		return fw.Close()
-	})
-	if err != nil {
+	if err := imp.st.publish(imp.gen, imp.dir, imp.names); err != nil {
 		return err
 	}
 	imp.st.prune(imp.gen)

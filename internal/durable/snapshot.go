@@ -185,13 +185,9 @@ func (st *Store) Commit(components []Component) (uint64, error) {
 		gen = gens[len(gens)-1] + 1
 	}
 
-	genDir := filepath.Join(st.dir, genDirName(gen))
-	// A crash during an earlier commit of this same generation number can
-	// leave a half-written directory behind; clear it so stale component
-	// files from the dead attempt cannot survive into this one.
-	_ = st.fs.RemoveAll(genDir)
-	if err := st.fs.MkdirAll(genDir, 0o755); err != nil {
-		return 0, fmt.Errorf("durable: commit gen %d: %w", gen, err)
+	genDir, err := st.freshGenDir(gen)
+	if err != nil {
+		return 0, fmt.Errorf("durable: commit: %w", err)
 	}
 	var totalBytes int64
 	var names []string
@@ -220,16 +216,43 @@ func (st *Store) Commit(components []Component) (uint64, error) {
 		totalBytes += n
 		names = append(names, comp.Name)
 	}
-	if err := SyncDir(st.fs, genDir); err != nil {
+	if err := st.publish(gen, genDir, names); err != nil {
 		return 0, err
 	}
+	st.prune(gen)
 
-	// Commit point: republish the manifest.
+	st.metrics.Histogram("durable_snapshot_save_seconds", nil).ObserveDuration(t.Elapsed())
+	st.metrics.Histogram("durable_snapshot_bytes", obs.DefSizeBuckets).Observe(float64(totalBytes))
+	st.metrics.Gauge("durable_snapshot_generation").Set(float64(gen))
+	return gen, nil
+}
+
+// freshGenDir creates generation gen's directory empty. A crash during an
+// earlier attempt at the same generation number can leave a half-written
+// directory behind; it is cleared first so stale component files from the
+// dead attempt cannot survive into this one.
+func (st *Store) freshGenDir(gen uint64) (string, error) {
+	dir := filepath.Join(st.dir, genDirName(gen))
+	_ = st.fs.RemoveAll(dir)
+	if err := st.fs.MkdirAll(dir, 0o755); err != nil {
+		return "", fmt.Errorf("gen %d: %w", gen, err)
+	}
+	return dir, nil
+}
+
+// publish makes generation gen, whose component files are written in
+// genDir, the committed one: the directory is fsynced, and only then does
+// the framed MANIFEST naming the components swing over atomically. That
+// swing is the commit point.
+func (st *Store) publish(gen uint64, genDir string, names []string) error {
+	if err := SyncDir(st.fs, genDir); err != nil {
+		return err
+	}
 	payload, err := json.Marshal(manifest{Format: SnapshotVersion, Generation: gen, Components: names})
 	if err != nil {
-		return 0, err
+		return err
 	}
-	err = WriteFileAtomic(st.fs, filepath.Join(st.dir, manifestName), func(w io.Writer) error {
+	return WriteFileAtomic(st.fs, filepath.Join(st.dir, manifestName), func(w io.Writer) error {
 		fw, err := NewFrameWriter(w, "manifest", SnapshotVersion)
 		if err != nil {
 			return err
@@ -239,15 +262,6 @@ func (st *Store) Commit(components []Component) (uint64, error) {
 		}
 		return fw.Close()
 	})
-	if err != nil {
-		return 0, err
-	}
-	st.prune(gen)
-
-	st.metrics.Histogram("durable_snapshot_save_seconds", nil).ObserveDuration(t.Elapsed())
-	st.metrics.Histogram("durable_snapshot_bytes", obs.DefSizeBuckets).Observe(float64(totalBytes))
-	st.metrics.Gauge("durable_snapshot_generation").Set(float64(gen))
-	return gen, nil
 }
 
 // prune removes generations outside the retention window. Failures are

@@ -32,15 +32,11 @@ type Sink interface {
 	// Advance reports the primary's head position (heartbeat); purely
 	// informational, for lag measurement.
 	Advance(gen, seq uint64)
-}
-
-// EpochSink is optionally implemented by Sinks that participate in fenced
-// failover: Epoch is the term the local state was last written under
-// (sent in the hello), and AdoptEpoch durably records a newer term learned
-// from the primary's positions, so a restart hellos with the right one. A
-// Sink without it replicates at epoch 0.
-type EpochSink interface {
+	// Epoch is the failover term the local state was last written under,
+	// sent in the hello.
 	Epoch() uint64
+	// AdoptEpoch durably records a newer term learned from the primary's
+	// positions, so a restart hellos with the right one.
 	AdoptEpoch(epoch uint64) error
 }
 
@@ -97,10 +93,6 @@ type Client struct {
 	Logf    func(format string, args ...any)
 	// Faults, when set, wraps the dialed connection in the injection seam.
 	Faults *fault.Injector
-	// AckEvery paces position reports back to the primary (0 = 200ms).
-	AckEvery time.Duration
-	// Backoff caps the reconnect delay (0 = 2s).
-	Backoff time.Duration
 
 	forceResync atomic.Bool
 	state       atomic.Value // string
@@ -111,6 +103,13 @@ type Client struct {
 	fencedBy    atomic.Uint64
 	connectedAt atomic.Int64 // unixnano, 0 = not connected
 }
+
+// ackEvery paces position reports back to the primary; maxBackoff caps the
+// reconnect delay.
+const (
+	ackEvery   = 200 * time.Millisecond
+	maxBackoff = 2 * time.Second
+)
 
 func (c *Client) logf(format string, args ...any) {
 	if c.Logf != nil {
@@ -144,10 +143,6 @@ func (c *Client) Status() ClientStatus {
 
 // Run drives the reconnect loop until ctx cancels.
 func (c *Client) Run(ctx context.Context) error {
-	maxBackoff := c.Backoff
-	if maxBackoff <= 0 {
-		maxBackoff = 2 * time.Second
-	}
 	backoff := 50 * time.Millisecond
 	for {
 		c.setState("connecting")
@@ -157,9 +152,7 @@ func (c *Client) Run(ctx context.Context) error {
 		}
 		if err != nil {
 			c.lastErr.Store(err.Error())
-			if c.Metrics != nil {
-				c.Metrics.Counter("eil_repl_client_disconnects_total").Inc()
-			}
+			c.Metrics.Counter("eil_repl_client_disconnects_total").Inc()
 			if errors.Is(err, ErrBadFrame) {
 				// The stream itself is untrustworthy: distrust local
 				// incremental state and bootstrap fresh next attempt.
@@ -214,21 +207,17 @@ func (c *Client) session(ctx context.Context) (progressed bool, err error) {
 	if forced {
 		have = false
 	}
-	var myEpoch uint64
-	es, hasEpoch := c.Sink.(EpochSink)
-	if hasEpoch {
-		myEpoch = es.Epoch()
-	}
+	myEpoch := c.Sink.Epoch()
 	// adopt durably records a newer term learned from the primary. It only
 	// runs on positions the primary sent us while our state is a verified
 	// prefix of its stream (tail grant, post-install, rotate, heartbeat) —
 	// never on a fence verdict, where our local history may have diverged
 	// and stamping it with the new epoch would forge a resumable position.
 	adopt := func(epoch uint64) error {
-		if !hasEpoch || epoch <= myEpoch {
+		if epoch <= myEpoch {
 			return nil
 		}
-		if err := es.AdoptEpoch(epoch); err != nil {
+		if err := c.Sink.AdoptEpoch(epoch); err != nil {
 			return fmt.Errorf("adopt epoch %d: %w", epoch, err)
 		}
 		c.logf("repl: adopted epoch %d (was %d)", epoch, myEpoch)
@@ -255,10 +244,6 @@ func (c *Client) session(ctx context.Context) (progressed bool, err error) {
 	defer c.connectedAt.Store(0)
 	c.reconnects.Add(1)
 
-	ackEvery := c.AckEvery
-	if ackEvery <= 0 {
-		ackEvery = 200 * time.Millisecond
-	}
 	var lastAck time.Time
 	ack := func(force bool) error {
 		if !force && time.Since(lastAck) < ackEvery {
@@ -309,9 +294,7 @@ func (c *Client) session(ctx context.Context) (progressed bool, err error) {
 			c.forceResync.Store(false)
 			if forced || hadState {
 				c.resyncs.Add(1)
-				if c.Metrics != nil {
-					c.Metrics.Counter("eil_repl_client_resyncs_total").Inc()
-				}
+				c.Metrics.Counter("eil_repl_client_resyncs_total").Inc()
 			}
 			c.setState("streaming")
 			c.logf("repl: installed snapshot gen %d seq %d", begin.Gen, begin.Seq)
@@ -330,9 +313,7 @@ func (c *Client) session(ctx context.Context) (progressed bool, err error) {
 			seq = rec.Seq
 			progressed = true
 			c.applied.Add(1)
-			if c.Metrics != nil {
-				c.Metrics.Counter("eil_repl_client_applied_total").Inc()
-			}
+			c.Metrics.Counter("eil_repl_client_applied_total").Inc()
 			if err := ack(false); err != nil {
 				return progressed, err
 			}
@@ -389,9 +370,7 @@ func (c *Client) session(ctx context.Context) (progressed bool, err error) {
 				// itself is adopted only after the install commits.
 				c.forceResync.Store(true)
 			}
-			if c.Metrics != nil {
-				c.Metrics.Counter("eil_repl_client_fences_total").Inc()
-			}
+			c.Metrics.Counter("eil_repl_client_fences_total").Inc()
 			return progressed, &FenceError{Epoch: f.Epoch, Resync: f.Resync, Msg: f.Msg}
 
 		default:

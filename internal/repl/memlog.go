@@ -39,22 +39,22 @@ type Log struct {
 	changed    chan struct{}
 }
 
-// NewLog starts a ship log whose history begins at (gen, seq) — the
-// primary's position when shipping was enabled. Zero limits choose
-// defaults (8192 entries, 64 MB of payload).
-func NewLog(gen, seq uint64, maxEntries int, maxBytes int64) *Log {
-	if maxEntries <= 0 {
-		maxEntries = 8192
-	}
-	if maxBytes <= 0 {
-		maxBytes = 64 << 20
-	}
+// A ship log holds at most logMaxEntries entries and logMaxBytes of
+// payload; past either it evicts from the tail.
+const (
+	logMaxEntries = 8192
+	logMaxBytes   = 64 << 20
+)
+
+// NewLog starts a ship log whose history begins at (gen, seq): the
+// position of the state whose records it will hold.
+func NewLog(gen, seq uint64) *Log {
 	return &Log{
 		floorSeq:   seq,
 		headSeq:    seq,
 		gen:        gen,
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
+		maxEntries: logMaxEntries,
+		maxBytes:   logMaxBytes,
 		changed:    make(chan struct{}),
 	}
 }

@@ -5,7 +5,7 @@ import (
 )
 
 func TestLogCursorAndFrom(t *testing.T) {
-	l := NewLog(1, 10, 0, 0) // history begins after seq 10
+	l := NewLog(1, 10) // history begins after seq 10
 	for s := uint64(11); s <= 20; s++ {
 		l.Append(Entry{Seq: s, Kind: 1})
 	}
@@ -36,7 +36,7 @@ func TestLogRotateEntrySharesSeq(t *testing.T) {
 	// A rotation folds existing records into a snapshot without consuming a
 	// sequence number; a cursor that already passed seq must still see the
 	// rotate entry (it sorts after the record with the same seq).
-	l := NewLog(1, 0, 0, 0)
+	l := NewLog(1, 0)
 	l.Append(Entry{Seq: 1, Kind: 1})
 	l.Append(Entry{Seq: 2, Kind: 1})
 	l.Append(Entry{Seq: 2, Rotate: true, Gen: 2})
@@ -65,7 +65,8 @@ func TestLogRotateEntrySharesSeq(t *testing.T) {
 }
 
 func TestLogEvictionAndCovers(t *testing.T) {
-	l := NewLog(1, 0, 4, 0) // hold at most 4 entries
+	l := NewLog(1, 0)
+	l.maxEntries = 4
 	for s := uint64(1); s <= 10; s++ {
 		l.Append(Entry{Seq: s, Kind: 1})
 	}
@@ -87,7 +88,7 @@ func TestLogEvictionAndCovers(t *testing.T) {
 }
 
 func TestLogWaitChSignalsAppend(t *testing.T) {
-	l := NewLog(1, 0, 0, 0)
+	l := NewLog(1, 0)
 	ch := l.WaitCh()
 	select {
 	case <-ch:

@@ -25,7 +25,8 @@ const (
 )
 
 // Source is what a Shipper serves from: the host maps a shard name to its
-// ship log and can cut a transferable snapshot on demand.
+// ship log and its fencing state, and can cut a transferable snapshot on
+// demand.
 type Source interface {
 	// TailLog returns the ship log for a shard ("" for an unsharded
 	// primary). The log must already be live-tapped by the journal path.
@@ -34,6 +35,9 @@ type Source interface {
 	// checkpointing first if the ship log no longer covers the last
 	// checkpoint. The caller owns closing the component readers.
 	Snapshot(shard string) (*Snapshot, error)
+	// EpochInfo reports the shard's fencing state, which decides whether a
+	// peer is fenced, told to re-sync, or may tail.
+	EpochInfo(shard string) EpochInfo
 }
 
 // EpochInfo is a source's fencing state for one shard: the term it is
@@ -44,13 +48,6 @@ type EpochInfo struct {
 	Epoch     uint64
 	PrevEpoch uint64
 	SealedSeq uint64
-}
-
-// EpochSource is optionally implemented by Sources that participate in
-// fenced failover. A Source without it ships at epoch 0 (pre-failover
-// behavior, no fencing).
-type EpochSource interface {
-	EpochInfo(shard string) EpochInfo
 }
 
 // Snapshot is an open, transferable snapshot generation: its position and
@@ -98,9 +95,6 @@ type Shipper struct {
 	Source  Source
 	Metrics *obs.Registry
 	Logf    func(format string, args ...any)
-	// Heartbeat paces idle MsgPos frames so followers can measure lag even
-	// with no write traffic (0 = 500ms).
-	Heartbeat time.Duration
 	// Faults, when set, wraps every accepted connection in the injection
 	// seam (sites repl.send / repl.recv / repl.corrupt).
 	Faults *fault.Injector
@@ -138,24 +132,9 @@ func (sh *Shipper) logf(format string, args ...any) {
 	}
 }
 
-func (sh *Shipper) counter(name string, kv ...string) *obs.Counter {
-	if sh.Metrics == nil {
-		return nil
-	}
-	return sh.Metrics.Counter(name, kv...)
-}
-
-func inc(c *obs.Counter) {
-	if c != nil {
-		c.Inc()
-	}
-}
-
-func add(c *obs.Counter, n int64) {
-	if c != nil {
-		c.Add(n)
-	}
-}
+// heartbeat paces idle MsgPos frames so followers can measure lag even
+// with no write traffic.
+const heartbeat = 500 * time.Millisecond
 
 // Serve accepts follower connections on lis until Close. It blocks; run
 // it on its own goroutine. Accept errors after Close return nil.
@@ -273,10 +252,8 @@ func (sh *Shipper) serveConn(rawConn net.Conn, st *connState) {
 		conn = &faultConn{Conn: rawConn, ctx: fault.With(context.Background(), sh.Faults)}
 	}
 
-	if sh.Metrics != nil {
-		sh.Metrics.Gauge("eil_repl_connected_followers").Add(1)
-		defer sh.Metrics.Gauge("eil_repl_connected_followers").Add(-1)
-	}
+	sh.Metrics.Gauge("eil_repl_connected_followers").Add(1)
+	defer sh.Metrics.Gauge("eil_repl_connected_followers").Add(-1)
 
 	_ = rawConn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	var magic [8]byte
@@ -308,17 +285,14 @@ func (sh *Shipper) serveConn(rawConn net.Conn, st *connState) {
 	}
 
 	// Fencing: compare the peer's epoch against ours before any state moves.
-	var ep EpochInfo
-	if es, ok := sh.Source.(EpochSource); ok {
-		ep = es.EpochInfo(hello.Shard)
-	}
+	ep := sh.Source.EpochInfo(hello.Shard)
 	if hello.Epoch > ep.Epoch {
 		// The peer lived through a promotion we missed: we are the stale
 		// side of the partition. Tell the peer, tell the host, and stop
 		// shipping — every byte we would send extends a dead lineage.
 		sh.logf("repl: fenced by %s (%s): peer epoch %d > ours %d", hello.Name, st.addr, hello.Epoch, ep.Epoch)
 		_ = writeJSON(conn, MsgFence, Fence{Epoch: hello.Epoch, Msg: "shipper epoch stale"})
-		inc(sh.counter("eil_repl_fences_total", "dir", "self"))
+		sh.Metrics.Counter("eil_repl_fences_total", "dir", "self").Inc()
 		if sh.OnFenced != nil {
 			sh.OnFenced(hello.Epoch)
 		}
@@ -334,7 +308,7 @@ func (sh *Shipper) serveConn(rawConn net.Conn, st *connState) {
 			sh.logf("repl: fencing %s (%s): epoch %d seq %d diverges from sealed (%d, %d)",
 				hello.Name, st.addr, hello.Epoch, hello.Seq, ep.PrevEpoch, ep.SealedSeq)
 			_ = writeJSON(conn, MsgFence, Fence{Epoch: ep.Epoch, Resync: true, Msg: "stale epoch with divergent history; re-sync"})
-			inc(sh.counter("eil_repl_fences_total", "dir", "peer"))
+			sh.Metrics.Counter("eil_repl_fences_total", "dir", "peer").Inc()
 			return
 		}
 	}
@@ -387,7 +361,7 @@ func (sh *Shipper) serveConn(rawConn net.Conn, st *connState) {
 		st.snapshotted = true
 		st.ackGen, st.ackSeq = snap.Gen, snap.Seq
 		st.mu.Unlock()
-		inc(sh.counter("eil_repl_snapshots_shipped_total"))
+		sh.Metrics.Counter("eil_repl_snapshots_shipped_total").Inc()
 		sh.logf("repl: follower %s (%s) bootstrapped from gen %d seq %d", hello.Name, st.addr, snap.Gen, snap.Seq)
 	}
 
@@ -412,13 +386,11 @@ func (sh *Shipper) serveConn(rawConn net.Conn, st *connState) {
 			st.ackGen, st.ackSeq = pos.Gen, pos.Seq
 			head := st.headSeq
 			st.mu.Unlock()
-			if sh.Metrics != nil {
-				lag := float64(0)
-				if head > pos.Seq {
-					lag = float64(head - pos.Seq)
-				}
-				sh.Metrics.Gauge("eil_repl_follower_lag_records", "follower", hello.Name).Set(lag)
+			lag := float64(0)
+			if head > pos.Seq {
+				lag = float64(head - pos.Seq)
 			}
+			sh.Metrics.Gauge("eil_repl_follower_lag_records", "follower", hello.Name).Set(lag)
 		}
 	}()
 
@@ -435,6 +407,7 @@ func (sh *Shipper) sendSnapshot(conn net.Conn, snap *Snapshot, epoch uint64) err
 	if err := writeJSON(conn, MsgSnapBegin, begin); err != nil {
 		return err
 	}
+	bytes := sh.Metrics.Counter("eil_repl_bytes_shipped_total")
 	buf := make([]byte, SnapChunk)
 	for _, c := range snap.Components {
 		sum := uint32(0)
@@ -453,7 +426,7 @@ func (sh *Shipper) sendSnapshot(conn net.Conn, snap *Snapshot, epoch uint64) err
 				return err
 			}
 			sent += int64(n)
-			add(sh.counter("eil_repl_bytes_shipped_total"), int64(n))
+			bytes.Add(int64(n))
 		}
 		if err := writeJSON(conn, MsgSnapSum, SnapSum{Name: c.Name, CRC: sum}); err != nil {
 			return err
@@ -466,19 +439,15 @@ func (sh *Shipper) sendSnapshot(conn net.Conn, snap *Snapshot, epoch uint64) err
 // the shipper closes, or the cursor is evicted (follower too slow — it is
 // told to re-sync).
 func (sh *Shipper) tail(conn net.Conn, rawConn net.Conn, log *Log, st *connState, cursor uint64, epoch uint64) {
-	hb := sh.Heartbeat
-	if hb <= 0 {
-		hb = 500 * time.Millisecond
-	}
-	timer := time.NewTimer(hb)
+	timer := time.NewTimer(heartbeat)
 	defer timer.Stop()
-	recs := sh.counter("eil_repl_records_shipped_total")
-	bytes := sh.counter("eil_repl_bytes_shipped_total")
+	recs := sh.Metrics.Counter("eil_repl_records_shipped_total")
+	bytes := sh.Metrics.Counter("eil_repl_bytes_shipped_total")
 	for {
 		ch := log.WaitCh()
 		batch, next, ok := log.From(cursor)
 		if !ok {
-			inc(sh.counter("eil_repl_evictions_total"))
+			sh.Metrics.Counter("eil_repl_evictions_total").Inc()
 			_ = writeJSON(conn, MsgError, ErrorMsg{Msg: "position evicted from ship log; re-sync", Resync: true})
 			return
 		}
@@ -495,7 +464,7 @@ func (sh *Shipper) tail(conn net.Conn, rawConn net.Conn, log *Log, st *connState
 				if err := writeJSON(conn, MsgPos, Pos{Gen: gen, Seq: seq, Epoch: epoch}); err != nil {
 					return
 				}
-				timer.Reset(hb)
+				timer.Reset(heartbeat)
 				continue
 			case <-sh.ctx.Done():
 				return
@@ -509,11 +478,11 @@ func (sh *Shipper) tail(conn net.Conn, rawConn net.Conn, log *Log, st *connState
 			} else {
 				payload := EncodeRecord(Record{Seq: e.Seq, Kind: e.Kind, Payload: e.Payload})
 				err = writeFrame(conn, MsgRecord, payload)
-				inc(recs)
-				add(bytes, int64(len(payload)))
+				recs.Inc()
+				bytes.Add(int64(len(payload)))
 			}
 			if err != nil {
-				inc(sh.counter("eil_repl_ship_errors_total"))
+				sh.Metrics.Counter("eil_repl_ship_errors_total").Inc()
 				return
 			}
 			st.mu.Lock()

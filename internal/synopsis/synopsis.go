@@ -184,7 +184,8 @@ func NewStore(db *relstore.DB) (*Store, error) {
 // layer.
 func (s *Store) Conn() *sqlx.Conn { return s.conn }
 
-// Put upserts a complete deal synopsis.
+// Put upserts a complete deal synopsis. A Put that fails leaves the deal
+// absent, never partly written.
 func (s *Store) Put(d Deal) error {
 	id := d.Overview.DealID
 	if id == "" {
@@ -196,7 +197,11 @@ func (s *Store) Put(d Deal) error {
 	if err := s.deleteDeal(id); err != nil {
 		return err
 	}
-	return s.insert(d)
+	if err := s.insert(d); err != nil {
+		// Take out the rows insert did write.
+		return errors.Join(err, s.deleteDeal(id))
+	}
+	return nil
 }
 
 // ErrNotEmpty is Load's refusal of a store that already holds a deal.

@@ -86,6 +86,37 @@ func TestPutReplaces(t *testing.T) {
 	}
 }
 
+func TestPutRefusedLeavesNoPartialDeal(t *testing.T) {
+	// A unique index on contact names refuses the second deal's first
+	// contact after its deal and tower rows were inserted; the refused Put
+	// must leave that deal absent, not torn.
+	s := newStore(t)
+	if err := s.Put(sampleDeal("DEAL X1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Conn().DB().CreateIndex("contacts_unique_name", "contacts", []string{"name"}, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(sampleDeal("DEAL X2")); !errors.Is(err, relstore.ErrDuplicateKey) {
+		t.Fatalf("Put(DEAL X2) = %v, want a duplicate-key refusal", err)
+	}
+	if d, err := s.Get("DEAL X2"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get(DEAL X2) = %+v, %v; want ErrNotFound", d, err)
+	}
+	for _, table := range []string{"deal_towers", "contacts", "win_strategies", "client_refs", "tech_solutions"} {
+		rows, err := s.Conn().Query("SELECT deal_id FROM "+table+" WHERE deal_id = ?", "DEAL X2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows.Len() != 0 {
+			t.Fatalf("%s holds %d rows of the refused deal", table, rows.Len())
+		}
+	}
+	if ids, err := s.DealIDs(); err != nil || len(ids) != 1 || ids[0] != "DEAL X1" {
+		t.Fatalf("DealIDs = %v, %v; want [DEAL X1]", ids, err)
+	}
+}
+
 func TestPutEmptyID(t *testing.T) {
 	s := newStore(t)
 	if err := s.Put(Deal{}); err == nil {

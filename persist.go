@@ -548,7 +548,7 @@ func (s *System) replay(records []durable.Record) error {
 
 // applyRecord routes one journal record through the shared apply paths —
 // the single entry point crash recovery (replay) and live replication
-// (ApplyReplicated) both go through, so a follower's state evolves by
+// (applyReplicated) both go through, so a follower's state evolves by
 // exactly the transitions a recovering primary would make. It returns the
 // deals whose synopses the record changed; only a caller that serves reads
 // between records publishes them.

@@ -2,13 +2,13 @@ package eil
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,7 +42,7 @@ func (s *System) initReplLogLocked() error {
 	if s.wal == nil {
 		return errors.New("eil: replication requires EnableWAL first")
 	}
-	shipLog := repl.NewLog(s.gen, s.ckptSeq, 0, 0)
+	shipLog := repl.NewLog(s.gen, s.ckptSeq)
 	rep, err := durable.ReplayWAL(s.walDir, durable.WALOptions{FS: s.WALFS})
 	if err == nil && rep.Base == s.gen {
 		seq := s.ckptSeq
@@ -96,8 +96,8 @@ func (s *System) replSnapshot() (*repl.Snapshot, error) {
 	return snap, nil
 }
 
-// systemSource maps wire-protocol shard names to their systems for the
-// shipper ("" for an unsharded primary).
+// systemSource is the shipper's repl.Source: it maps wire-protocol shard
+// names to their systems ("" for an unsharded primary).
 type systemSource struct {
 	shards map[string]*System
 }
@@ -123,9 +123,9 @@ func (src *systemSource) Snapshot(shard string) (*repl.Snapshot, error) {
 	return sys.replSnapshot()
 }
 
-// EpochInfo exposes each shard's fencing term to the shipper
-// (repl.EpochSource), so stale peers are fenced and laggard survivors of
-// a promotion are told whether their position is a safe prefix.
+// EpochInfo exposes each shard's fencing term to the shipper, so stale
+// peers are fenced and laggard survivors of a promotion are told whether
+// their position is a safe prefix.
 func (src *systemSource) EpochInfo(shard string) repl.EpochInfo {
 	sys, ok := src.shards[shard]
 	if !ok {
@@ -140,28 +140,7 @@ func (src *systemSource) EpochInfo(shard string) repl.EpochInfo {
 // into every accepted connection. The returned Shipper reports
 // connected-follower status; Close it to stop serving.
 func (s *System) ServeReplication(lis net.Listener, faults *fault.Injector) (*repl.Shipper, error) {
-	return s.serveReplication(lis, faults, nil)
-}
-
-// serveReplication is ServeReplication with the shipper's fencing
-// callback installed before the accept loop starts, so no connection can
-// race the handler into place. onFenced fires when a peer's hello proves
-// a newer epoch exists (see repl.Shipper.OnFenced).
-func (s *System) serveReplication(lis net.Listener, faults *fault.Injector, onFenced func(newerEpoch uint64)) (*repl.Shipper, error) {
-	s.upMu.Lock()
-	err := s.initReplLogLocked()
-	s.upMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	sh := &repl.Shipper{
-		Source:   &systemSource{shards: map[string]*System{"": s}},
-		Metrics:  s.Metrics,
-		Faults:   faults,
-		OnFenced: onFenced,
-	}
-	go sh.Serve(lis)
-	return sh, nil
+	return shipShards(map[string]*System{"": s}, lis, s.Metrics, faults, nil)
 }
 
 // ServeReplication starts shipping every shard's WAL on one listener:
@@ -170,28 +149,44 @@ func (s *System) serveReplication(lis net.Listener, faults *fault.Injector, onFe
 func (c *Cluster) ServeReplication(lis net.Listener, faults *fault.Injector) (*repl.Shipper, error) {
 	shards := make(map[string]*System, len(c.Shards))
 	for i, s := range c.Shards {
+		shards[ShardKey(i)] = s
+	}
+	return shipShards(shards, lis, c.Metrics, faults, nil)
+}
+
+// shipShards starts one shipper over shards (wire-protocol shard name to
+// system) on lis. Every shard's ship log is live, and onFenced installed,
+// before the accept loop starts, so no connection can race either into
+// place. onFenced fires when a peer's hello proves a newer epoch exists
+// (see repl.Shipper.OnFenced).
+func shipShards(shards map[string]*System, lis net.Listener, metrics *obs.Registry, faults *fault.Injector, onFenced func(newerEpoch uint64)) (*repl.Shipper, error) {
+	for name, s := range shards {
 		s.upMu.Lock()
 		err := s.initReplLogLocked()
 		s.upMu.Unlock()
 		if err != nil {
-			return nil, fmt.Errorf("eil: shard %d: %w", i, err)
+			if name != "" {
+				err = fmt.Errorf("eil: %s: %w", name, err)
+			}
+			return nil, err
 		}
-		shards[ShardKey(i)] = s
 	}
 	sh := &repl.Shipper{
-		Source:  &systemSource{shards: shards},
-		Metrics: c.Metrics,
-		Faults:  faults,
+		Source:   &systemSource{shards: shards},
+		Metrics:  metrics,
+		Faults:   faults,
+		OnFenced: onFenced,
 	}
 	go sh.Serve(lis)
 	return sh, nil
 }
 
-// ApplyReplicated applies one shipped journal record. The sequence must
-// be exactly the successor of the local position: any gap means frames
-// were skipped somewhere (the generation-handoff hazard), and the error
-// forces a reconnect rather than letting state silently diverge.
-func (s *System) ApplyReplicated(seq uint64, kind uint8, payload []byte) error {
+// applyReplicated applies one shipped journal record and appends it to the
+// state's ship log, so a promotion ships the history it applied. The
+// sequence must be exactly the successor of the local position: any gap
+// means frames were skipped somewhere (the generation-handoff hazard), and
+// the error forces a reconnect rather than letting state silently diverge.
+func (s *System) applyReplicated(seq uint64, kind uint8, payload []byte) error {
 	s.upMu.Lock()
 	defer s.upMu.Unlock()
 	if s.wal != nil {
@@ -209,6 +204,7 @@ func (s *System) ApplyReplicated(seq uint64, kind uint8, payload []byte) error {
 		return fmt.Errorf("eil: replicated synopsis %s: %w", failed, err)
 	}
 	s.seq.Store(seq)
+	s.replLog.Append(repl.Entry{Seq: seq, Kind: kind, Payload: payload})
 	return nil
 }
 
@@ -264,21 +260,16 @@ type Follower struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 
+	// sys is the installed state; an install stores a new pointer, which is
+	// how a ClusterFollower sees that a shard's state was replaced.
 	sys     atomic.Pointer[System]
 	headGen atomic.Uint64
 	headSeq atomic.Uint64
 	sawHead atomic.Bool
-	epoch   atomic.Uint64 // bumped on snapshot swap (cluster cache key)
 
 	// fenceEpoch is the failover term the replica's state was last
-	// written under (durable in the EPOCH record beside its snapshots;
-	// distinct from the swap counter above). shipLog mirrors every
-	// applied record so that, if this replica is promoted, laggard
-	// survivors can tail-resume from it instead of re-bootstrapping; it
-	// is touched only by the client goroutine and, after Detach, by the
-	// promotion path.
+	// written under (durable in the EPOCH record beside its snapshots).
 	fenceEpoch atomic.Uint64
-	shipLog    *repl.Log
 
 	ckptMu   sync.Mutex       // serializes local checkpoints, installs and Tune with Close
 	settings serving.Settings // re-applied to every installed state; guarded by ckptMu
@@ -289,28 +280,19 @@ type Follower struct {
 // state lands (a resumed local snapshot or the bootstrap transfer). Use
 // WaitSynced to block for serving readiness.
 func StartFollower(opts FollowerOptions) (*Follower, error) {
-	if opts.Dir == "" || opts.Addr == "" {
-		return nil, errors.New("eil: follower requires Dir and Addr")
-	}
-	if opts.Name == "" {
-		opts.Name = fmt.Sprintf("follower-%d", os.Getpid())
-	}
-	metrics := opts.Metrics
-	if metrics == nil {
-		metrics = obs.NewRegistry()
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
 	}
 	f := &Follower{opts: opts, done: make(chan struct{})}
-	f.Switch = serving.NewSwitch(metrics, opts.Tracer, f.current)
+	f.Switch = serving.NewSwitch(opts.Metrics, opts.Tracer, f.current)
 
 	// Resume from local state when a prior run left a committed
 	// generation: the replica re-serves immediately and tail-resumes from
 	// its checkpointed position instead of re-copying the whole snapshot.
-	if sys, err := loadSystemWith(opts.Dir, opts.Access, metrics); err == nil {
-		sys.Tracer = opts.Tracer
-		sys.replica.Store(true)
-		f.sys.Store(sys)
+	if sys, err := loadSystemWith(opts.Dir, opts.Access, opts.Metrics); err == nil {
+		f.adopt(sys)
 		gen, seq := sys.ReplPosition()
-		f.shipLog = repl.NewLog(gen, seq, 0, 0)
 		f.logf("eil: follower resuming local state at gen %d seq %d", gen, seq)
 	} else if !errors.Is(err, durable.ErrNoSnapshot) {
 		// Unloadable local state is not fatal — the bootstrap transfer
@@ -331,7 +313,7 @@ func StartFollower(opts FollowerOptions) (*Follower, error) {
 		Name:    opts.Name,
 		Shard:   opts.Shard,
 		Sink:    &followerSink{f: f},
-		Metrics: metrics,
+		Metrics: opts.Metrics,
 		Logf:    opts.Logf,
 		Faults:  opts.Faults,
 	}
@@ -342,6 +324,36 @@ func StartFollower(opts FollowerOptions) (*Follower, error) {
 		_ = f.client.Run(ctx)
 	}()
 	return f, nil
+}
+
+// withDefaults checks what a follower cannot start without and fills in
+// its name and metrics registry.
+func (opts FollowerOptions) withDefaults() (FollowerOptions, error) {
+	if opts.Dir == "" || opts.Addr == "" {
+		return opts, errors.New("eil: follower requires Dir and Addr")
+	}
+	if opts.Name == "" {
+		opts.Name = fmt.Sprintf("follower-%d", os.Getpid())
+	}
+	if opts.Metrics == nil {
+		opts.Metrics = obs.NewRegistry()
+	}
+	return opts, nil
+}
+
+// adopt makes sys the state the replica serves and applies the stream to:
+// read-only, traced like the replica's reads, carrying the operator's
+// settings, and holding a ship log that starts at its position. The stream
+// extends that log (applyReplicated, Rotate), and a promotion ships from it
+// unchanged. Caller holds ckptMu, or is StartFollower before the stream
+// starts.
+func (f *Follower) adopt(sys *System) {
+	gen, seq := sys.ReplPosition()
+	sys.Tracer = f.opts.Tracer
+	sys.replica.Store(true)
+	sys.replLog = repl.NewLog(gen, seq)
+	sys.Tune(f.settings)
+	f.sys.Store(sys)
 }
 
 func (f *Follower) logf(format string, args ...any) {
@@ -370,20 +382,17 @@ func (f *Follower) Close() error {
 // consistent view.
 func (f *Follower) System() *System { return f.sys.Load() }
 
-// Detach stops replicating permanently and returns the final local state
-// together with the mirrored ship log, without checkpointing — the
-// promotion path takes both over and checkpoints under the new epoch
-// itself. The Follower must not be reused after Detach (Close remains
-// safe to call).
-func (f *Follower) Detach() (*System, *repl.Log, error) {
+// detach stops replicating permanently and returns the final local state,
+// whose ship log holds the history it applied, without checkpointing: the
+// promotion takes it over and checkpoints under the new epoch itself. The
+// Follower must not be reused after detach (Close remains safe to call).
+func (f *Follower) detach() (*System, error) {
 	f.cancel()
 	<-f.done
-	sys := f.sys.Load()
-	if sys == nil {
-		return nil, nil, ErrNotSynced
+	if sys := f.sys.Load(); sys != nil {
+		return sys, nil
 	}
-	sys.replica.Store(false)
-	return sys, f.shipLog, nil
+	return nil, ErrNotSynced
 }
 
 // current resolves the Switch: the state the stream last installed.
@@ -418,10 +427,6 @@ func (f *Follower) Position() (gen, seq uint64) {
 	}
 	return 0, 0
 }
-
-// Epoch increments every time the replica's state swaps wholesale
-// (snapshot install); composite views cache against it.
-func (f *Follower) Epoch() uint64 { return f.epoch.Load() }
 
 // WaitSynced blocks until the replica is serving and within maxLag
 // records of the primary's head, or ctx expires.
@@ -512,13 +517,8 @@ func (sk *followerSink) Apply(rec repl.Record) error {
 	if sys == nil {
 		return errors.New("eil: record before snapshot")
 	}
-	if err := sys.ApplyReplicated(rec.Seq, rec.Kind, rec.Payload); err != nil {
+	if err := sys.applyReplicated(rec.Seq, rec.Kind, rec.Payload); err != nil {
 		return err
-	}
-	// Mirror the applied record into the local ship buffer: if this
-	// replica is promoted, survivors behind it tail-resume from here.
-	if sk.f.shipLog != nil {
-		sk.f.shipLog.Append(repl.Entry{Seq: rec.Seq, Kind: rec.Kind, Payload: rec.Payload})
 	}
 	// A shipped record is also evidence of the primary's head.
 	if rec.Seq > sk.f.headSeq.Load() {
@@ -528,10 +528,10 @@ func (sk *followerSink) Apply(rec repl.Record) error {
 	return nil
 }
 
-// Epoch reports the replica's adopted failover term (repl.EpochSink).
+// Epoch reports the replica's adopted failover term (repl.Sink).
 func (sk *followerSink) Epoch() uint64 { return sk.f.fenceEpoch.Load() }
 
-// AdoptEpoch durably records a newer failover term (repl.EpochSink). The
+// AdoptEpoch durably records a newer failover term (repl.Sink). The
 // client only calls it on positions the primary sent while our state is
 // a verified prefix of its stream, so stamping the local history with
 // the new term is sound; any standing fence mark is resolved by the same
@@ -566,9 +566,7 @@ func (sk *followerSink) Rotate(gen, seq uint64) error {
 		return fmt.Errorf("eil: rotate at seq %d but replica at %d: frames skipped", seq, cur)
 	}
 	sys.upstreamGen.Store(gen)
-	if f.shipLog != nil {
-		f.shipLog.Append(repl.Entry{Seq: seq, Rotate: true, Gen: gen})
-	}
+	sys.replLog.Append(repl.Entry{Seq: seq, Rotate: true, Gen: gen})
 	if gen > f.headGen.Load() {
 		f.headGen.Store(gen)
 	}
@@ -640,13 +638,7 @@ func (fi *followerInstall) Commit() error {
 	sys.upstreamGen.Store(fi.gen)
 	sys.seq.Store(fi.seq)
 	sys.ckptSeq = fi.seq
-	sys.Tracer = fi.f.opts.Tracer
-	sys.replica.Store(true)
-	sys.Tune(fi.f.settings)
-	fi.f.sys.Store(sys)
-	// The mirrored ship history predates the install; restart it at the
-	// installed position.
-	fi.f.shipLog = repl.NewLog(fi.gen, fi.seq, 0, 0)
+	fi.f.adopt(sys)
 	fi.f.sawHead.Store(true)
 	if fi.seq > fi.f.headSeq.Load() {
 		fi.f.headSeq.Store(fi.seq)
@@ -654,7 +646,6 @@ func (fi *followerInstall) Commit() error {
 	if fi.gen > fi.f.headGen.Load() {
 		fi.f.headGen.Store(fi.gen)
 	}
-	fi.f.epoch.Add(1)
 	return nil
 }
 
@@ -714,10 +705,9 @@ type ClusterFollower struct {
 	followers []*Follower
 	ctl       *access.Controller
 
-	mu           sync.Mutex
-	cached       *Cluster
-	cachedEpochs []uint64
-	settings     serving.Settings // re-applied to every rebuilt view
+	mu       sync.Mutex
+	cached   *Cluster
+	settings serving.Settings // re-applied to every rebuilt view
 }
 
 // StartClusterFollower starts one follower per shard under opts.Dir
@@ -726,33 +716,20 @@ func StartClusterFollower(shards int, opts FollowerOptions) (*ClusterFollower, e
 	if shards < 1 {
 		return nil, fmt.Errorf("eil: shard count %d < 1", shards)
 	}
-	if opts.Dir == "" || opts.Addr == "" {
-		return nil, errors.New("eil: follower requires Dir and Addr")
-	}
-	if opts.Name == "" {
-		opts.Name = fmt.Sprintf("follower-%d", os.Getpid())
-	}
-	metrics := opts.Metrics
-	if metrics == nil {
-		metrics = obs.NewRegistry()
-	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("eil: cluster follower: %w", err)
-	}
-	err := durable.WriteFileAtomic(nil, filepath.Join(opts.Dir, clusterManifestName), func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(clusterManifest{Format: clusterManifestFormat, Shards: shards})
-	})
+	opts, err := opts.withDefaults()
 	if err != nil {
-		return nil, fmt.Errorf("eil: cluster follower: %w", err)
+		return nil, err
+	}
+	if err := writeClusterManifest(opts.Dir, shards); err != nil {
+		return nil, err
 	}
 	cf := &ClusterFollower{ctl: opts.Access}
-	cf.Switch = serving.NewSwitch(metrics, opts.Tracer, cf.current)
+	cf.Switch = serving.NewSwitch(opts.Metrics, opts.Tracer, cf.current)
 	for i := 0; i < shards; i++ {
 		so := opts
 		so.Dir = shardDir(opts.Dir, i)
 		so.Shard = ShardKey(i)
 		so.Name = fmt.Sprintf("%s/%s", opts.Name, ShardKey(i))
-		so.Metrics = metrics
 		sub, err := StartFollower(so)
 		if err != nil {
 			for _, started := range cf.followers {
@@ -779,38 +756,29 @@ func (cf *ClusterFollower) Close() error {
 	return first
 }
 
-// current resolves the Switch: the scatter-gather view over the current
-// shard states, rebuilt only when some shard's state has swapped since the
-// last call.
-func (cf *ClusterFollower) current() (serving.Backend, error) {
-	epochs := make([]uint64, len(cf.followers))
-	for i, sub := range cf.followers {
-		if sub.sys.Load() == nil {
-			return nil, ErrNotSynced
-		}
-		epochs[i] = sub.Epoch()
-	}
-	cf.mu.Lock()
-	defer cf.mu.Unlock()
-	if cf.cached != nil {
-		same := true
-		for i := range epochs {
-			if epochs[i] != cf.cachedEpochs[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return cf.cached, nil
-		}
-	}
+// shards lists every shard follower's current state (nil before its first).
+func (cf *ClusterFollower) shards() []*System {
 	shards := make([]*System, len(cf.followers))
 	for i, sub := range cf.followers {
 		shards[i] = sub.sys.Load()
 	}
-	cf.cached = newCluster(shards, cf.ctl, cf.Registry(), cf.RequestTracer(), false)
-	cf.cached.Tune(cf.settings)
-	cf.cachedEpochs = epochs
+	return shards
+}
+
+// current resolves the Switch: the scatter-gather view over the current
+// shard states, rebuilt only when some shard's state has been replaced
+// since the last call.
+func (cf *ClusterFollower) current() (serving.Backend, error) {
+	shards := cf.shards()
+	if slices.Contains(shards, nil) {
+		return nil, ErrNotSynced
+	}
+	cf.mu.Lock()
+	defer cf.mu.Unlock()
+	if cf.cached == nil || !slices.Equal(cf.cached.Shards, shards) {
+		cf.cached = newCluster(shards, cf.ctl, cf.Registry(), cf.RequestTracer(), false)
+		cf.cached.Tune(cf.settings)
+	}
 	return cf.cached, nil
 }
 
@@ -836,11 +804,7 @@ func (cf *ClusterFollower) Status() []FollowerReport {
 // Checks names the cluster replica's readiness checks: replication and
 // index per shard, then the scatter-gather view's (serving.Admin).
 func (cf *ClusterFollower) Checks(opts HealthOptions) []health.Check {
-	shards := make([]*System, len(cf.followers))
-	for i, sub := range cf.followers {
-		shards[i] = sub.sys.Load()
-	}
-	return stateChecks(shards, true, cf.BreakerStates(), cf.followers, opts)
+	return stateChecks(cf.shards(), true, cf.BreakerStates(), cf.followers, opts)
 }
 
 // Tune installs the operator's settings on the scatter-gather view, now and

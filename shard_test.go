@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -585,6 +587,59 @@ func TestClusterSaveLoadRoundTrip(t *testing.T) {
 	}
 	if oc, lc := cluster.KeywordCount("storage"), loaded.KeywordCount("storage"); oc != lc {
 		t.Fatalf("keyword count after reload: %d vs %d", oc, lc)
+	}
+}
+
+// TestClusterRetentionUnderConcurrentTune: snapshot retention belongs to
+// each shard and changes under its update lock, so an operator's Tune
+// racing the cluster's checkpoints (eilserver's -snapshot-interval loop)
+// is no data race under -race, and every shard keeps the retention
+// Cluster.Tune set.
+func TestClusterRetentionUnderConcurrentTune(t *testing.T) {
+	corpus, err := synth.Generate(synth.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster, err := IngestSharded(corpus.Docs, 2, Options{Directory: corpus.Directory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 3; i++ {
+			if _, err := cluster.Checkpoint(dir); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 3; i++ {
+		cluster.Shards[0].Tune(serving.Settings{SnapshotKeep: 5})
+	}
+	<-done
+
+	cluster.Tune(serving.Settings{SnapshotKeep: 3})
+	for i := 0; i < 4; i++ {
+		if _, err := cluster.Checkpoint(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range cluster.Shards {
+		entries, err := os.ReadDir(shardDir(dir, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gens := 0
+		for _, e := range entries {
+			if strings.HasPrefix(e.Name(), "gen-") {
+				gens++
+			}
+		}
+		if gens != 3 {
+			t.Errorf("shard %d keeps %d generations, want 3", i, gens)
+		}
 	}
 }
 

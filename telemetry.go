@@ -144,8 +144,12 @@ func (s *System) Checks(opts HealthOptions) []health.Check {
 // changes under upMu.
 func (s *System) Tune(set serving.Settings) {
 	s.tune(set)
+	s.keepSnapshots(set.SnapshotKeep)
+}
+
+func (s *System) keepSnapshots(n int) {
 	s.upMu.Lock()
-	s.SnapshotKeep = set.SnapshotKeep
+	s.SnapshotKeep = n
 	s.upMu.Unlock()
 }
 
@@ -157,9 +161,12 @@ func (c *Cluster) Checks(opts HealthOptions) []health.Check {
 	return stateChecks(c.Shards, true, c.BreakerStates(), nil, opts)
 }
 
-// Tune installs the operator's settings on the coordinator; SnapshotKeep
-// reaches the shards at the next Checkpoint.
+// Tune installs the operator's settings on the coordinator, and snapshot
+// retention on every shard, each under its update lock as System.Tune sets
+// it.
 func (c *Cluster) Tune(set serving.Settings) {
 	c.tune(set)
-	c.SnapshotKeep = set.SnapshotKeep
+	for _, s := range c.Shards {
+		s.keepSnapshots(set.SnapshotKeep)
+	}
 }

@@ -17,14 +17,16 @@ import (
 // atomically: the apply phase failed after some documents were already
 // folded into the live system. Applied names exactly the document paths
 // that took effect (and that the journal records, so a restart converges on
-// the same state); Failed is the document the batch stopped at.
+// the same state). Failed names where the batch stopped: the document the
+// analysis state refused, or, when every document was applied and the
+// synopsis publish failed, the deal whose synopsis write failed.
 //
 // Staging makes this rare: analysis and validation failures — the common
 // ways a batch dies — abort before anything is applied and return ordinary
 // errors, not a PartialBatchError.
 type PartialBatchError struct {
 	Applied []string // paths applied before the failure, in batch order
-	Failed  string   // path of the document whose application failed
+	Failed  string   // document path or deal ID the batch stopped at
 	Err     error    // the underlying failure
 }
 
@@ -79,11 +81,15 @@ func (s *System) AddDocuments(docs []*docmodel.Document) error {
 	if err := s.writeGuardLocked(); err != nil {
 		return err
 	}
-	// Validate: a duplicate path (already indexed, or repeated within the
-	// batch) fails the whole batch before anything is applied, instead of
-	// surfacing from the index merge after earlier documents landed.
+	// Validate: an empty path, or a duplicate one (already indexed, or
+	// repeated within the batch), fails the whole batch before anything is
+	// applied, instead of surfacing from an index flush after earlier
+	// flushes of the batch landed.
 	seen := make(map[string]bool, len(docs))
-	for _, doc := range docs {
+	for i, doc := range docs {
+		if doc.Path == "" {
+			return fmt.Errorf("eil: update: document %d has an empty path (batch not applied)", i)
+		}
 		if _, dup := s.Index.Lookup(doc.Path); dup || seen[doc.Path] {
 			return fmt.Errorf("eil: update %s: %w (batch not applied)", doc.Path, index.ErrDuplicate)
 		}
@@ -146,9 +152,11 @@ func (s *System) applyAddDocuments(docs []*docmodel.Document) ([]string, error) 
 func (s *System) applyStagedLocked(docs []*docmodel.Document, cases []*analysis.CAS) ([]string, error) {
 	for i, cas := range cases {
 		if err := s.writer.Consume(cas); err != nil {
-			// Consume only buffers; drop the buffered prefix so nothing of
-			// this batch reaches the index.
-			_ = s.writer.Flush()
+			// Consume flushes every full index batch (256 documents), and
+			// only a failed flush fails it: that flush's documents are
+			// discarded, but earlier flushes of this batch stay indexed.
+			// AddDocuments refuses every path the index would refuse
+			// before it gets here.
 			return nil, fmt.Errorf("eil: update %s: %w (batch not applied)", docs[i].Path, err)
 		}
 	}

@@ -299,6 +299,41 @@ func TestAddDocumentsInBatchDuplicateAborts(t *testing.T) {
 	}
 }
 
+func TestAddDocumentsEmptyPathAborts(t *testing.T) {
+	// The index writer flushes every 256 documents, so a batch longer than
+	// that whose bad document comes late must be refused by validation, not
+	// by a flush after earlier flushes of it were indexed.
+	_, sys := testSystem(t, Options{})
+	before := sys.Index.DocCount()
+	var docs []*docmodel.Document
+	for i := 0; i < 300; i++ {
+		doc, err := docparse.Parse(fmt.Sprintf("DEAL LONG/note-%03d.txt", i), fmt.Sprintf("Note %d\nNetwork Services follow-up.\n", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc.DealID = "DEAL LONG"
+		docs = append(docs, doc)
+	}
+	good := docs[290].Path
+	docs[290].Path = ""
+	if err := sys.AddDocuments(docs); err == nil {
+		t.Fatal("batch with an empty path accepted")
+	}
+	if got := sys.Index.DocCount(); got != before {
+		t.Fatalf("DocCount = %d after refused batch, want %d", got, before)
+	}
+	if sys.builder.Has("DEAL LONG") {
+		t.Fatal("analysis state holds the refused batch's deal")
+	}
+	docs[290].Path = good
+	if err := sys.AddDocuments(docs); err != nil {
+		t.Fatalf("corrected batch: %v", err)
+	}
+	if got := sys.Index.DocCount(); got != before+len(docs) {
+		t.Fatalf("DocCount = %d after corrected batch, want %d", got, before+len(docs))
+	}
+}
+
 func TestPartialBatchError(t *testing.T) {
 	underlying := errors.New("disk on fire")
 	err := error(&PartialBatchError{
