@@ -21,7 +21,6 @@ import (
 	"repro/internal/crawler"
 	"repro/internal/directory"
 	"repro/internal/obs"
-	"repro/internal/runtimetel"
 	"repro/internal/serving"
 	"repro/internal/taxonomy"
 	"repro/internal/trace"
@@ -52,7 +51,7 @@ func main() {
 	// Identify the build in the run log: ingest artifacts outlive the
 	// binary that wrote them, so "which revision produced this system
 	// directory" should be answerable from the log alone.
-	goVer, rev, _, modified := runtimetel.Info()
+	goVer, rev, _, modified := obs.Info()
 	if rev == "" {
 		rev = "unknown"
 	} else if modified {

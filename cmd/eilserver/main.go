@@ -46,7 +46,7 @@ import (
 	"repro/internal/docparse"
 	"repro/internal/failover"
 	"repro/internal/fault"
-	"repro/internal/runtimetel"
+	"repro/internal/obs"
 	"repro/internal/serving"
 	"repro/internal/slo"
 	"repro/internal/trace"
@@ -178,10 +178,9 @@ func main() {
 		faultSpec = flag.String("fault-spec", "", "inject backend faults, e.g. 'synopsis.search:error:p=0.01;siapi.search:slow:25ms' (chaos testing)")
 		faultSeed = flag.Uint64("fault-seed", 1, "seed for fault-injection randomness")
 
-		telInterval = flag.Duration("runtimetel-interval", 10*time.Second, "runtime telemetry sampling interval: paces the SLO engine and the /debug/dash history (must be > 0)")
-		sloAvail    = flag.Float64("slo-availability", 0.999, "per-route availability objective (fraction of non-5xx responses)")
-		sloP99      = flag.Duration("slo-latency-p99", 250*time.Millisecond, "per-route p99 latency objective")
-		maxGoros    = flag.Int("max-goroutines", 0, "goroutine watermark for the readiness check (0 = default 10000)")
+		sloAvail = flag.Float64("slo-availability", 0.999, "per-route availability objective (fraction of non-5xx responses)")
+		sloP99   = flag.Duration("slo-latency-p99", 250*time.Millisecond, "per-route p99 latency objective")
+		maxGoros = flag.Int("max-goroutines", 0, "goroutine watermark for the readiness check (0 = default 10000)")
 
 		replListen = flag.String("repl-listen", "", "ship the write-ahead journal to read replicas connecting on this address (requires -wal)")
 		replicaOf  = flag.String("replica-of", "", "run as a read replica: bootstrap from the primary's -repl-listen address and keep replaying its journal into -sys")
@@ -198,7 +197,7 @@ func main() {
 	// Log the build identity and the effective configuration up front: the
 	// first question about any misbehaving instance is "what exactly is
 	// running, with which flags".
-	goVer, rev, vcsTime, modified := runtimetel.Info()
+	goVer, rev, vcsTime, modified := obs.Info()
 	if rev == "" {
 		rev = "unknown"
 	} else if modified {
@@ -211,9 +210,6 @@ func main() {
 
 	if *leaseDir != "" && !*failoverOn {
 		log.Fatal("-lease-dir requires -failover")
-	}
-	if *telInterval <= 0 {
-		log.Fatalf("-runtimetel-interval must be > 0 (got %v): the collector paces the SLO engine", *telInterval)
 	}
 
 	var ctl *access.Controller
@@ -321,28 +317,21 @@ func main() {
 		log.Printf("shipping journal to followers on %s (status at /api/repl)", lis.Addr())
 	}
 
-	// The judgment layer: SLO burn rates over the HTTP metrics, component
-	// checks behind /readyz, and the runtime collector whose sample ring
-	// backs /debug/dash. The collector's tick drives the SLO engine, so one
-	// goroutine paces all of it.
-	runtimetel.SetBuildInfo(be.Registry())
+	// The judgment layer: component checks behind /readyz, and the one
+	// telemetry history, whose ten-second tick samples the runtime and the
+	// HTTP metrics behind /metrics, /api/slo and /debug/dash.
+	obs.SetBuildInfo(be.Registry())
 	sloEng := slo.New(slo.Options{
 		Registry: be.Registry(),
 		Default:  slo.Objective{Availability: *sloAvail, LatencyP99: *sloP99},
 	})
-	collector := runtimetel.New(runtimetel.Options{
-		Interval:   *telInterval,
-		Registry:   be.Registry(),
-		AppSampler: serving.AppSampler(be, sloEng),
-	})
-	collector.Start()
-	defer collector.Stop()
-	log.Printf("runtime telemetry every %v (dashboard at /debug/dash)", *telInterval)
+	sloEng.Start()
+	defer sloEng.Stop()
 	checks := serving.NewHealth(be, serving.HealthOptions{
 		SnapshotInterval: *snapInterval,
 		MaxGoroutines:    *maxGoros,
 	})
-	log.Printf("SLO objectives: availability %.4f, p99 %v (report at /api/slo, readiness at /readyz)", *sloAvail, *sloP99)
+	log.Printf("SLO objectives: availability %.4f, p99 %v (report at /api/slo, dashboard at /debug/dash, readiness at /readyz)", *sloAvail, *sloP99)
 
 	var opts []web.Option
 	if *pprofOn {
@@ -352,7 +341,7 @@ func main() {
 	if *accessLog {
 		opts = append(opts, web.WithAccessLog(slog.New(slog.NewTextHandler(os.Stderr, nil))))
 	}
-	opts = append(opts, web.WithHealth(checks), web.WithSLO(sloEng), web.WithRuntime(collector))
+	opts = append(opts, web.WithHealth(checks), web.WithSLO(sloEng))
 	if replStatus != nil {
 		opts = append(opts, web.WithReplStatus(replStatus))
 	}

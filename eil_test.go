@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/access"
 	"repro/internal/core"
@@ -321,6 +322,60 @@ func TestBulkLoadMatchesPutPerDeal(t *testing.T) {
 		}
 		if len(loadedRows) == 0 || !reflect.DeepEqual(loadedRows, putRows) {
 			t.Fatalf("%s rows differ: loaded %d, put %d", table, len(loadedRows), len(putRows))
+		}
+	}
+}
+
+// Limit counts the activities a user may see: access control drops the
+// invisible ones before the page is cut. A delivery user granted only the
+// last of the EUS activities gets that one activity whatever the limit, on
+// a monolith, a three-shard cluster and a synced follower alike.
+func TestLimitCountsVisibleActivities(t *testing.T) {
+	corpus, err := synth.Generate(synth.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := access.NewController()
+	opts := Options{Directory: corpus.Directory, Workers: 1, Access: ctl}
+	shapes := map[string]serving.Reader{}
+	if shapes["monolith"], err = Ingest(corpus.Docs, opts); err != nil {
+		t.Fatal(err)
+	}
+	if shapes["3 shards"], err = IngestSharded(corpus.Docs, 3, opts); err != nil {
+		t.Fatal(err)
+	}
+	_, _, addr := replPrimary(t, nil)
+	f, err := StartFollower(FollowerOptions{Dir: t.TempDir(), Addr: addr, Name: "limit", Access: ctl, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	wctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := f.WaitSynced(wctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	shapes["follower"] = f
+
+	ctx := context.Background()
+	q := core.FormQuery{Tower: "EUS"}
+	all, err := shapes["monolith"].SearchCtx(ctx, admin(), q)
+	if err != nil || len(all.Activities) != 3 {
+		t.Fatalf("admin EUS search = %d activities (%v), want 3", len(all.Activities), err)
+	}
+	granted := all.Activities[2].DealID
+	user := access.User{ID: "delivery-user", Roles: []access.Role{access.RoleDelivery}}
+	ctl.Grant(user.ID, granted, access.LevelFull)
+	for name, shape := range shapes {
+		for _, limit := range []int{0, 1, 2} {
+			q.Limit = limit
+			res, err := shape.SearchCtx(ctx, user, q)
+			if err != nil {
+				t.Fatalf("%s, limit %d: %v", name, limit, err)
+			}
+			if len(res.Activities) != 1 || res.Activities[0].DealID != granted {
+				t.Errorf("%s, limit %d: %d activities, want only the granted %s", name, limit, len(res.Activities), granted)
+			}
 		}
 	}
 }

@@ -508,7 +508,9 @@ func (e *Engine) synopsisSearch(ctx context.Context, store *synopsis.Store, sq s
 
 // finishSearch runs the last two Figure-1 stages: rank combination with
 // bounded top-k selection (step 18) and per-activity access filtering (step
-// 19).
+// 19). Under access control the cut to q.Limit waits until step 19 has
+// dropped what the user may not see, so a page holds Limit visible
+// activities whenever that many exist.
 func (e *Engine) finishSearch(ctx context.Context, user access.User, q FormQuery, res *Result, acts map[string]*combinedAct, degrade func(cause string, err error)) {
 	// Step 18: rank by the combined score.
 	merge := obs.StartTimer()
@@ -525,8 +527,11 @@ func (e *Engine) finishSearch(ctx context.Context, user access.User, q FormQuery
 			Docs:          c.dcs,
 		})
 	}
-	ranked := len(all)
-	res.Activities = topKActivities(all, q.Limit)
+	ranked, limit := len(all), q.Limit
+	if e.Access != nil {
+		limit = 0
+	}
+	res.Activities = topKActivities(all, limit)
 	if msp != nil {
 		msp.SetInt("combined", ranked)
 		msp.SetBool("limit_truncated", ranked > len(res.Activities))
@@ -560,6 +565,9 @@ func (e *Engine) finishSearch(ctx context.Context, user access.User, q FormQuery
 	out := res.Activities[:0]
 	synopsisOnly := 0
 	for i, a := range res.Activities {
+		if q.Limit > 0 && len(out) == q.Limit {
+			break
+		}
 		level := access.LevelFull
 		if levels != nil {
 			level = levels[i]

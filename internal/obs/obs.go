@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -628,4 +630,42 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshots())
+}
+
+// Info reports the build's identity: Go version plus the VCS revision,
+// commit time, and dirty flag embedded by the toolchain (empty when built
+// outside a VCS checkout, e.g. go test binaries).
+func Info() (goVersion, revision, vcsTime string, modified bool) {
+	goVersion = runtime.Version()
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return goVersion, "", "", false
+	}
+	for _, s := range bi.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			revision = s.Value
+		case "vcs.time":
+			vcsTime = s.Value
+		case "vcs.modified":
+			modified = s.Value == "true"
+		}
+	}
+	return goVersion, revision, vcsTime, modified
+}
+
+// SetBuildInfo exports the build identity as the conventional constant-1
+// info gauge (eil_build_info{go_version=...,revision=...,vcs_time=...}),
+// so dashboards and scrapes can tell exactly which build is serving.
+func SetBuildInfo(reg *Registry) {
+	goVer, rev, at, modified := Info()
+	if rev == "" {
+		rev = "unknown"
+	}
+	reg.Gauge("eil_build_info",
+		"go_version", goVer,
+		"revision", rev,
+		"vcs_time", at,
+		"modified", strconv.FormatBool(modified),
+	).Set(1)
 }

@@ -373,3 +373,26 @@ func TestExemplarConcurrent(t *testing.T) {
 		t.Fatal("no exemplar retained")
 	}
 }
+
+func TestSetBuildInfo(t *testing.T) {
+	reg := NewRegistry()
+	SetBuildInfo(reg)
+	found := false
+	for _, s := range reg.Snapshots() {
+		if s.Name == "eil_build_info" {
+			found = true
+			if s.Value != 1 {
+				t.Fatalf("eil_build_info = %v, want constant 1", s.Value)
+			}
+			if s.Labels["go_version"] == "" {
+				t.Fatal("eil_build_info lacks go_version label")
+			}
+			if s.Labels["revision"] == "" {
+				t.Fatal("eil_build_info lacks revision label (should be 'unknown' outside VCS)")
+			}
+		}
+	}
+	if !found {
+		t.Fatal("eil_build_info gauge not exported")
+	}
+}

@@ -21,9 +21,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/health"
 	"repro/internal/obs"
-	"repro/internal/runtimetel"
 	"repro/internal/siapi"
-	"repro/internal/slo"
 	"repro/internal/synopsis"
 	"repro/internal/trace"
 )
@@ -142,43 +140,4 @@ func RuntimeChecks(opts HealthOptions) []health.Check {
 		}
 		return health.OKf("%d goroutines", n)
 	}}}
-}
-
-// AppSampler returns a runtimetel AppSampler that folds the application's
-// one-screen numbers into every runtime sample: aggregate QPS and p99 from
-// the HTTP middleware's overall histogram, the SLO engine's peak burn rate,
-// and how many circuit breakers are currently not closed. It also drives
-// the SLO engine's tick, so one goroutine (the collector's) paces the whole
-// judgment layer.
-func AppSampler(t Telemetry, sloEng *slo.Engine) func(prev, cur *runtimetel.Sample) {
-	return func(prev, cur *runtimetel.Sample) {
-		if sloEng != nil {
-			sloEng.Tick(cur.Time)
-		}
-		app := map[string]float64{}
-		if reg := t.Registry(); reg != nil {
-			h := reg.Histogram("http_requests_overall_seconds", nil)
-			count := float64(h.Count())
-			app["http_requests_total"] = count
-			app["http_p99_seconds"] = h.Quantile(0.99)
-			if prev != nil && prev.App != nil {
-				if dt := cur.Time.Sub(prev.Time).Seconds(); dt > 0 {
-					if d := count - prev.App["http_requests_total"]; d >= 0 {
-						app["qps"] = d / dt
-					}
-				}
-			}
-		}
-		if sloEng != nil {
-			app["slo_burn"] = sloEng.PeakBurn()
-		}
-		open := 0.0
-		for _, b := range t.BreakerStates() {
-			if b.State != "closed" {
-				open++
-			}
-		}
-		app["breakers_open"] = open
-		cur.App = app
-	}
 }

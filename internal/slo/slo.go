@@ -1,23 +1,26 @@
-// Package slo evaluates service-level objectives over the HTTP metrics the
-// web middleware already records: per-route availability (non-5xx fraction)
-// and latency (fraction of requests under the p99 target) as multi-window
+// Package slo is EIL's telemetry history: one sampler that, every ten
+// seconds, reads the Go runtime's own metrics (GC pauses, heap live and
+// goal, goroutines, scheduler latency, process CPU) and the HTTP
+// middleware's per-route counts into one bounded ring of typed samples, and
+// judges service-level objectives over that ring.
+//
+// The objectives are per-route availability (non-5xx fraction) and latency
+// (fraction of requests under the p99 target), evaluated as multi-window
 // burn rates, the Google-SRE shape ("how fast is this route spending its
-// error budget over the last 5m / 1h / 6h").
+// error budget over the last 5m / 1h / 6h"): burn = (bad fraction in
+// window) / (budget fraction). A burn rate of 1 means the route spends its
+// budget exactly as fast as the objective allows; 14.4 (the classic page
+// threshold for a 99.9% / 30d objective) means the whole month's budget
+// would be gone in two days.
 //
-// The engine is a sampler, not a store: on every Tick it snapshots the
-// cumulative http_requests_total / http_request_seconds figures per route
-// into a bounded ring, and burn rates are window deltas over that ring —
-// burn = (bad fraction in window) / (budget fraction). A burn rate of 1
-// means the route spends its budget exactly as fast as the objective
-// allows; 14.4 (the classic page threshold for a 99.9% / 30d objective)
-// means the whole month's budget would be gone in two days.
-//
-// Results surface three ways: eil_slo_* gauges on /metrics, the /api/slo
-// JSON report, and burn sparklines on /debug/dash.
+// Each tick is recorded once and read three ways: the runtime_*, process_*
+// and eil_slo_* gauges on /metrics, the /api/slo report, and the
+// sparklines on /debug/dash.
 package slo
 
 import (
 	"math"
+	"runtime/metrics"
 	"sort"
 	"strings"
 	"sync"
@@ -54,21 +57,20 @@ const (
 
 // Options configures an Engine.
 type Options struct {
-	// Registry is the metrics source (http_*) and gauge sink (eil_slo_*).
+	// Registry is the metrics source (http_*) and gauge sink (runtime_*,
+	// process_*, eil_slo_*). It must not be nil.
 	Registry *obs.Registry
 	// Default is the objective applied to every observed route. Zero fields
 	// get 0.999 availability / 250ms p99.
 	Default Objective
 }
 
-// ringSize is the sample ring's length, whatever the Tick cadence. A tick
-// takes a new slot only once retainEvery (9.4 s) has passed since the
-// newest slot was taken, and otherwise overwrites that slot, so the ring
-// ends at the current tick and reaches back across the longest window, with
-// 8 slots to spare. At eilserver's default 10 s tick every tick keeps a slot.
-const ringSize = 2304
-
-var retainEvery = DefWindows[len(DefWindows)-1] / (ringSize - 8)
+// interval is the sampling cadence, and ringSize samples at it span 6.4 h:
+// the ring reaches back across the longest window with 24 minutes to spare.
+const (
+	interval = 10 * time.Second
+	ringSize = 2304
+)
 
 // OperatorRoute reports whether route is operator traffic — scrape, probe,
 // debug, replication and promotion requests, and paths no route matches —
@@ -90,27 +92,78 @@ type routeCounts struct {
 	hist   *obs.Histogram // the route's http_request_seconds; nil when absent
 }
 
-// sample is one Tick's reading across routes.
-type sample struct {
-	t      time.Time
-	routes map[string]routeCounts
+// Sample is one tick's reading of the runtime and the application.
+// Cumulative fields (GCCycles, CPUSeconds) grow monotonically; CPUFrac and
+// QPS are rates over the interval ending at this sample, 0 on the first.
+type Sample struct {
+	Time time.Time
+
+	Goroutines    int
+	HeapLiveBytes uint64
+	HeapGoalBytes uint64
+	GCCycles      uint64
+	// GCPauseP99 and SchedLatencyP99 are quantiles of the runtime's
+	// cumulative GC pause and runnable-to-running latency distributions.
+	GCPauseP99      float64
+	SchedLatencyP99 float64
+	// CPUSeconds is the process's cumulative non-idle CPU estimate; CPUFrac
+	// is its utilization over the interval (0..GOMAXPROCS).
+	CPUSeconds float64
+	CPUFrac    float64
+
+	// QPS and HTTPP99 come from the middleware's overall request histogram;
+	// PeakBurn is the worst 5m burn across routes in this tick's report.
+	QPS      float64
+	HTTPP99  float64
+	PeakBurn float64
+
+	requests float64 // the overall histogram's cumulative count
+	routes   map[string]routeCounts
 }
 
-// Engine evaluates objectives over a ring of samples. Drive it with Tick;
-// in eilserver the runtimetel collector's AppSampler is the one driver.
+// runtimeMetrics are the runtime/metrics names a tick reads, in batch
+// order; the rt* constants index them.
+var runtimeMetrics = []string{
+	"/sched/goroutines:goroutines",
+	"/memory/classes/heap/objects:bytes",
+	"/gc/heap/goal:bytes",
+	"/gc/cycles/total:gc-cycles",
+	"/sched/pauses/total/gc:seconds",
+	"/sched/latencies:seconds",
+	"/cpu/classes/total:cpu-seconds",
+	"/cpu/classes/idle:cpu-seconds",
+}
+
+const (
+	rtGoroutines = iota
+	rtHeapLive
+	rtHeapGoal
+	rtGCCycles
+	rtGCPauses
+	rtSchedLat
+	rtCPUTotal
+	rtCPUIdle
+)
+
+// Engine is the process's one telemetry history. Start launches the
+// sampling goroutine, which ticks at once and then every ten seconds; Stop
+// halts it. Tick may also be called directly (tests) without Start.
 type Engine struct {
 	opts Options
 
-	mu      sync.Mutex
-	ring    []sample
-	next    int
-	full    bool
-	kept    time.Time // when the newest slot was taken
-	lastRep Report
-	hasRep  bool
+	mu    sync.Mutex
+	ring  []Sample
+	n     int // samples taken; the newest is ring[(n-1)%ringSize]
+	rep   Report
+	batch []metrics.Sample
+
+	startOnce sync.Once
+	stopOnce  sync.Once
+	stop      chan struct{}
+	done      chan struct{}
 }
 
-// New returns an engine with defaults filled.
+// New returns an engine with defaults filled; call Start to begin sampling.
 func New(opts Options) *Engine {
 	if opts.Default.Availability <= 0 || opts.Default.Availability >= 1 {
 		opts.Default.Availability = 0.999
@@ -118,7 +171,46 @@ func New(opts Options) *Engine {
 	if opts.Default.LatencyP99 <= 0 {
 		opts.Default.LatencyP99 = 250 * time.Millisecond
 	}
-	return &Engine{opts: opts, ring: make([]sample, ringSize)}
+	e := &Engine{
+		opts:  opts,
+		ring:  make([]Sample, ringSize),
+		batch: make([]metrics.Sample, len(runtimeMetrics)),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
+	}
+	for i, name := range runtimeMetrics {
+		e.batch[i].Name = name
+	}
+	e.rep = e.reportLocked(time.Time{})
+	return e
+}
+
+// Start launches the sampling goroutine (idempotent). It takes one sample
+// immediately, so the history is never empty while running.
+func (e *Engine) Start() {
+	e.startOnce.Do(func() {
+		go func() {
+			defer close(e.done)
+			tick := time.NewTicker(interval)
+			defer tick.Stop()
+			for now := time.Now(); ; {
+				e.Tick(now)
+				select {
+				case <-e.stop:
+					return
+				case now = <-tick.C:
+				}
+			}
+		}()
+	})
+}
+
+// Stop halts the sampling goroutine and waits for it to exit (idempotent;
+// a never-started engine stops trivially).
+func (e *Engine) Stop() {
+	e.stopOnce.Do(func() { close(e.stop) })
+	e.startOnce.Do(func() { close(e.done) })
+	<-e.done
 }
 
 // collect reads the registry's cumulative per-route figures.
@@ -155,37 +247,104 @@ func (e *Engine) collect() map[string]routeCounts {
 	return routes
 }
 
-// Tick takes one sample at now, recomputes burn rates, publishes the
-// eil_slo_* gauges, and caches the report. Call it on a fixed cadence.
+// value reads one batch slot as a float64, whatever its integer or float
+// kind (0 when this toolchain lacks the metric).
+func value(v metrics.Value) float64 {
+	switch v.Kind() {
+	case metrics.KindUint64:
+		return float64(v.Uint64())
+	case metrics.KindFloat64:
+		return v.Float64()
+	}
+	return 0
+}
+
+// histQuantile estimates the q-quantile of a runtime histogram by taking
+// the upper bound of the owning bucket (runtime buckets are fine-grained
+// enough that interpolation adds nothing). Infinite bounds clamp to the
+// nearest finite one.
+func histQuantile(v metrics.Value, q float64) float64 {
+	if v.Kind() != metrics.KindFloat64Histogram {
+		return 0
+	}
+	h := v.Float64Histogram()
+	var total uint64
+	for _, n := range h.Counts {
+		total += n
+	}
+	if total == 0 {
+		return 0
+	}
+	rank := q * float64(total)
+	var cum uint64
+	for i, n := range h.Counts {
+		cum += n
+		if float64(cum) >= rank {
+			// Bucket i spans Buckets[i]..Buckets[i+1].
+			if hi := h.Buckets[i+1]; !math.IsInf(hi, 0) {
+				return hi
+			}
+			return h.Buckets[i]
+		}
+	}
+	return h.Buckets[len(h.Buckets)-1]
+}
+
+// Tick takes one sample at now: it reads the runtime, the per-route counts
+// and the overall request histogram, appends the sample to the ring,
+// evaluates the burn rates, and publishes the gauges. Start calls it on the
+// ten-second cadence.
 func (e *Engine) Tick(now time.Time) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	s := sample{t: now, routes: e.collect()}
-	if empty := e.next == 0 && !e.full; empty || now.Sub(e.kept) >= retainEvery {
-		e.ring[e.next] = s
-		e.kept = now
-		e.next++
-		if e.next == len(e.ring) {
-			e.next = 0
-			e.full = true
-		}
-	} else {
-		e.ring[(e.next+len(e.ring)-1)%len(e.ring)] = s
+	metrics.Read(e.batch)
+	rt := func(i int) float64 { return value(e.batch[i].Value) }
+	overall := e.opts.Registry.Histogram("http_requests_overall_seconds", nil)
+	cur := Sample{
+		Time:            now,
+		Goroutines:      int(rt(rtGoroutines)),
+		HeapLiveBytes:   uint64(rt(rtHeapLive)),
+		HeapGoalBytes:   uint64(rt(rtHeapGoal)),
+		GCCycles:        uint64(rt(rtGCCycles)),
+		GCPauseP99:      histQuantile(e.batch[rtGCPauses].Value, 0.99),
+		SchedLatencyP99: histQuantile(e.batch[rtSchedLat].Value, 0.99),
+		CPUSeconds:      rt(rtCPUTotal) - rt(rtCPUIdle),
+		HTTPP99:         overall.Quantile(0.99),
+		requests:        float64(overall.Count()),
+		routes:          e.collect(),
 	}
-	e.lastRep = e.reportLocked(now)
-	e.hasRep = true
-	e.publishLocked(e.lastRep)
+	if e.n > 0 {
+		prev := e.ring[(e.n-1)%ringSize]
+		if dt := now.Sub(prev.Time).Seconds(); dt > 0 {
+			cur.CPUFrac = math.Max(0, cur.CPUSeconds-prev.CPUSeconds) / dt
+			cur.QPS = math.Max(0, cur.requests-prev.requests) / dt
+		}
+	}
+	slot := &e.ring[e.n%ringSize]
+	*slot = cur
+	e.n++
+	e.rep = e.reportLocked(now)
+	for _, rr := range e.rep.Routes {
+		w := rr.Windows[0]
+		slot.PeakBurn = math.Max(slot.PeakBurn, math.Max(w.AvailabilityBurn, w.LatencyBurn))
+	}
+	e.publishLocked(*slot)
 }
 
-// samplesLocked returns retained samples oldest first.
-func (e *Engine) samplesLocked() []sample {
-	if !e.full {
-		return e.ring[:e.next]
+// History returns the retained samples, oldest first.
+func (e *Engine) History() []Sample {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	out := make([]Sample, min(e.n, ringSize))
+	for k := range out {
+		out[k] = *e.at(k)
 	}
-	out := make([]sample, 0, len(e.ring))
-	out = append(out, e.ring[e.next:]...)
-	out = append(out, e.ring[:e.next]...)
 	return out
+}
+
+// at returns the k-th oldest retained sample.
+func (e *Engine) at(k int) *Sample {
+	return &e.ring[(e.n-min(e.n, ringSize)+k)%ringSize]
 }
 
 // WindowBurn is one window's burn state for one route.
@@ -222,37 +381,13 @@ type Report struct {
 	Routes    []RouteReport `json:"routes"`
 }
 
-// Report evaluates burn rates as of now over the retained samples.
-func (e *Engine) Report(now time.Time) Report {
+// Report returns the report the most recent Tick evaluated: the one that
+// set the eil_slo_* gauges. Before the first Tick it lists the windows and
+// no routes.
+func (e *Engine) Report() Report {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.reportLocked(now)
-}
-
-// LastReport returns the report cached by the most recent Tick (ok=false
-// before the first Tick).
-func (e *Engine) LastReport() (Report, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.lastRep, e.hasRep
-}
-
-// PeakBurn reports the worst burn rate across routes at the shortest
-// window, per the last Tick — availability or latency, whichever is higher,
-// as alertFor weighs them. It is the single "how much trouble are we in"
-// number the dashboard sparkline and telemetry samples carry.
-func (e *Engine) PeakBurn() float64 {
-	rep, ok := e.LastReport()
-	if !ok {
-		return 0
-	}
-	peak := 0.0
-	for _, rr := range rep.Routes {
-		if len(rr.Windows) > 0 {
-			peak = math.Max(peak, math.Max(rr.Windows[0].AvailabilityBurn, rr.Windows[0].LatencyBurn))
-		}
-	}
-	return peak
+	return e.rep
 }
 
 func (e *Engine) reportLocked(now time.Time) Report {
@@ -260,11 +395,18 @@ func (e *Engine) reportLocked(now time.Time) Report {
 	for _, w := range DefWindows {
 		rep.Windows = append(rep.Windows, w.String())
 	}
-	samples := e.samplesLocked()
-	if len(samples) == 0 {
+	n := min(e.n, ringSize)
+	if n == 0 {
 		return rep
 	}
-	cur := samples[len(samples)-1]
+	cur := e.at(n - 1)
+	// Each window's base is the newest sample at or before its start (the
+	// oldest retained one when the ring does not reach back that far).
+	bases := make([]*Sample, len(DefWindows))
+	for i, w := range DefWindows {
+		k := sort.Search(n, func(k int) bool { return e.at(k).Time.After(now.Add(-w)) })
+		bases[i] = e.at(max(k-1, 0))
+	}
 
 	// Stable route order.
 	routes := make([]string, 0, len(cur.routes))
@@ -293,11 +435,10 @@ func (e *Engine) reportLocked(now time.Time) Report {
 			(rr.ObservedP99Seconds == 0 || rr.ObservedP99Seconds <= o.LatencyP99.Seconds())
 
 		availBudget := 1 - o.Availability
-		for _, w := range DefWindows {
-			base := baseSample(samples, now.Add(-w))
+		for i, w := range DefWindows {
+			base := bases[i]
 			wb := WindowBurn{Window: w.String()}
-			span := cur.t.Sub(base.t)
-			wb.Partial = span < w-w/20
+			wb.Partial = cur.Time.Sub(base.Time) < w-w/20
 			var dTotal, dErr, dSlow float64
 			if brc, ok := base.routes[route]; ok {
 				dTotal = rc.total - brc.total
@@ -319,19 +460,6 @@ func (e *Engine) reportLocked(now time.Time) Report {
 		rep.Routes = append(rep.Routes, rr)
 	}
 	return rep
-}
-
-// baseSample returns the newest sample at or before t (the oldest retained
-// one when the ring does not reach back that far).
-func baseSample(samples []sample, t time.Time) sample {
-	base := samples[0]
-	for _, s := range samples {
-		if s.t.After(t) {
-			break
-		}
-		base = s
-	}
-	return base
 }
 
 // alertFor applies the multi-window, multi-burn-rate rule: page on fast
@@ -361,19 +489,25 @@ func alertFor(ws []WindowBurn) string {
 	return "ok"
 }
 
-// publishLocked exports the cached report as gauges.
-func (e *Engine) publishLocked(rep Report) {
+// publishLocked exports one tick's sample and report as gauges.
+func (e *Engine) publishLocked(cur Sample) {
 	reg := e.opts.Registry
-	for _, rr := range rep.Routes {
+	reg.Gauge("runtime_goroutines").Set(float64(cur.Goroutines))
+	reg.Gauge("runtime_heap_live_bytes").Set(float64(cur.HeapLiveBytes))
+	reg.Gauge("runtime_heap_goal_bytes").Set(float64(cur.HeapGoalBytes))
+	reg.Gauge("runtime_gc_cycles_total").Set(float64(cur.GCCycles))
+	reg.Gauge("runtime_gc_pause_p99_seconds").Set(cur.GCPauseP99)
+	reg.Gauge("runtime_sched_latency_p99_seconds").Set(cur.SchedLatencyP99)
+	reg.Gauge("process_cpu_seconds_total").Set(cur.CPUSeconds)
+	reg.Gauge("process_cpu_utilization").Set(cur.CPUFrac)
+	for _, rr := range e.rep.Routes {
 		for _, wb := range rr.Windows {
 			reg.Gauge("eil_slo_burn_rate", "route", rr.Route, "slo", SLOAvailability, "window", wb.Window).Set(wb.AvailabilityBurn)
 			reg.Gauge("eil_slo_burn_rate", "route", rr.Route, "slo", SLOLatency, "window", wb.Window).Set(wb.LatencyBurn)
 		}
-		if len(rr.Windows) > 0 {
-			last := rr.Windows[len(rr.Windows)-1]
-			reg.Gauge("eil_slo_budget_remaining", "route", rr.Route, "slo", SLOAvailability).Set(clamp01(1 - last.AvailabilityBurn))
-			reg.Gauge("eil_slo_budget_remaining", "route", rr.Route, "slo", SLOLatency).Set(clamp01(1 - last.LatencyBurn))
-		}
+		last := rr.Windows[len(rr.Windows)-1]
+		reg.Gauge("eil_slo_budget_remaining", "route", rr.Route, "slo", SLOAvailability).Set(clamp01(1 - last.AvailabilityBurn))
+		reg.Gauge("eil_slo_budget_remaining", "route", rr.Route, "slo", SLOLatency).Set(clamp01(1 - last.LatencyBurn))
 		compliant := 0.0
 		if rr.Compliant {
 			compliant = 1

@@ -1,6 +1,8 @@
 package slo
 
 import (
+	"runtime"
+	"runtime/metrics"
 	"strings"
 	"testing"
 	"time"
@@ -31,7 +33,7 @@ func TestQuantileFromCum(t *testing.T) {
 		t.Errorf("p75 = %v, want ~0.15", got)
 	}
 	eng.Tick(time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC))
-	rep, _ := eng.LastReport()
+	rep := eng.Report()
 	if len(rep.Routes) != 1 {
 		t.Fatalf("routes = %+v, want one", rep.Routes)
 	}
@@ -100,7 +102,7 @@ func TestWindowDeltasRiseAndDecay(t *testing.T) {
 	}
 	eng.Tick(t0.Add(time.Minute))
 
-	rep := eng.Report(t0.Add(time.Minute))
+	rep := eng.Report()
 	if len(rep.Routes) != 1 || rep.Routes[0].Route != "/api/search" {
 		t.Fatalf("routes = %+v, want just /api/search", rep.Routes)
 	}
@@ -116,7 +118,7 @@ func TestWindowDeltasRiseAndDecay(t *testing.T) {
 	if rr.Alert != "page" {
 		t.Fatalf("alert = %q during a total outage, want page", rr.Alert)
 	}
-	if got := eng.PeakBurn(); got != short.AvailabilityBurn {
+	if got := newest(eng).PeakBurn; got != short.AvailabilityBurn {
 		t.Fatalf("PeakBurn = %v, want %v", got, short.AvailabilityBurn)
 	}
 	if g := reg.Gauge("eil_slo_burn_rate", "route", "/api/search", "slo", SLOAvailability, "window", "5m0s"); g.Value() <= 0 {
@@ -130,7 +132,7 @@ func TestWindowDeltasRiseAndDecay(t *testing.T) {
 	}
 	eng.Tick(t0.Add(2 * time.Minute))
 	eng.Tick(t0.Add(9 * time.Minute))
-	rep = eng.Report(t0.Add(9 * time.Minute))
+	rep = eng.Report()
 	if burn := rep.Routes[0].Windows[0].AvailabilityBurn; burn != 0 {
 		t.Fatalf("5m burn after recovery = %v, want 0", burn)
 	}
@@ -160,7 +162,7 @@ func TestLatencyBurn(t *testing.T) {
 		record(reg, "/api/search", "2xx", lat)
 	}
 	eng.Tick(t0.Add(time.Minute))
-	rep := eng.Report(t0.Add(time.Minute))
+	rep := eng.Report()
 	lb := rep.Routes[0].Windows[0].LatencyBurn
 	if lb < 40 || lb > 60 {
 		t.Fatalf("latency burn = %v, want ~50", lb)
@@ -177,7 +179,7 @@ func TestPartialWindowFlag(t *testing.T) {
 	record(reg, "/api/search", "2xx", time.Millisecond)
 	eng.Tick(t0)
 	eng.Tick(t0.Add(time.Minute))
-	rep := eng.Report(t0.Add(time.Minute))
+	rep := eng.Report()
 	for _, wb := range rep.Routes[0].Windows {
 		if !wb.Partial {
 			t.Fatalf("window %s not marked partial with only 1m of history", wb.Window)
@@ -185,20 +187,20 @@ func TestPartialWindowFlag(t *testing.T) {
 	}
 }
 
-// The ring reaches back across the longest window whatever the Tick
-// cadence: seven hours of 1 s ticks with one request a minute leave the 6h
-// window complete, with 360 requests in it.
-func TestRingCoversLongestWindowAtOneSecondTicks(t *testing.T) {
+// The ring reaches back across the longest window at the sampling cadence:
+// seven hours of ticks with one request a minute leave the 6h window
+// complete, with 360 requests in it.
+func TestRingCoversLongestWindow(t *testing.T) {
 	reg := obs.NewRegistry()
 	eng := New(Options{Registry: reg})
 	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	for at := time.Second; at <= 7*time.Hour; at += time.Second {
+	for at := interval; at <= 7*time.Hour; at += interval {
 		if at%time.Minute == 30*time.Second {
 			record(reg, "/api/search", "2xx", time.Millisecond)
 		}
 		eng.Tick(t0.Add(at))
 	}
-	rep, _ := eng.LastReport()
+	rep := eng.Report()
 	if len(rep.Routes) != 1 {
 		t.Fatalf("routes = %+v, want one", rep.Routes)
 	}
@@ -217,11 +219,7 @@ func TestSkipRouteFiltersScrapes(t *testing.T) {
 	record(reg, "/metrics", "2xx", time.Millisecond)
 	record(reg, "/debug/traces", "2xx", time.Millisecond)
 	eng.Tick(time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC))
-	rep, ok := eng.LastReport()
-	if !ok {
-		t.Fatal("no report after Tick")
-	}
-	if len(rep.Routes) != 0 {
+	if rep := eng.Report(); len(rep.Routes) != 0 {
 		t.Fatalf("scrape routes leaked into the report: %+v", rep.Routes)
 	}
 }
@@ -240,8 +238,8 @@ func TestAlertLadderAcrossTicks(t *testing.T) {
 	var ladder []string
 	tick := func(at time.Duration) {
 		eng.Tick(t0.Add(at))
-		rep, ok := eng.LastReport()
-		if !ok || len(rep.Routes) != 1 {
+		rep := eng.Report()
+		if len(rep.Routes) != 1 {
 			t.Fatalf("report after tick at +%v = %+v, want one route", at, rep.Routes)
 		}
 		ladder = append(ladder, rep.Routes[0].Alert)
@@ -266,7 +264,7 @@ func TestAlertLadderAcrossTicks(t *testing.T) {
 	}
 }
 
-// PeakBurn weighs latency burn as alertFor does: a route that pages on
+// A sample's PeakBurn weighs latency burn as alertFor does: a route that pages on
 // slow answers alone must not read as a zero burn on the dashboard.
 func TestPeakBurnCountsLatency(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -280,7 +278,7 @@ func TestPeakBurnCountsLatency(t *testing.T) {
 		record(reg, "/api/search", "2xx", 2*time.Second)
 	}
 	eng.Tick(t0.Add(time.Minute))
-	rep, _ := eng.LastReport()
+	rep := eng.Report()
 	if len(rep.Routes) != 1 || rep.Routes[0].Alert != "page" {
 		t.Fatalf("routes = %+v, want one route paging", rep.Routes)
 	}
@@ -288,7 +286,104 @@ func TestPeakBurnCountsLatency(t *testing.T) {
 	if lat < 99 || lat > 101 {
 		t.Fatalf("latency burn = %v, want ~100 (every request slow)", lat)
 	}
-	if got := eng.PeakBurn(); got != lat {
+	if got := newest(eng).PeakBurn; got != lat {
 		t.Fatalf("PeakBurn = %v, want the latency burn %v", got, lat)
+	}
+}
+
+// newest returns the last sample the engine took.
+func newest(eng *Engine) Sample {
+	h := eng.History()
+	return h[len(h)-1]
+}
+
+func TestTickFillsRuntimeFields(t *testing.T) {
+	reg := obs.NewRegistry()
+	eng := New(Options{Registry: reg})
+	runtime.GC() // at least one pause in the cumulative distribution
+	eng.Tick(time.Now())
+	s := newest(eng)
+
+	if s.Goroutines <= 0 {
+		t.Fatalf("goroutines = %d, want > 0", s.Goroutines)
+	}
+	if s.HeapLiveBytes == 0 || s.HeapGoalBytes == 0 {
+		t.Fatalf("heap live/goal = %d/%d, want both nonzero", s.HeapLiveBytes, s.HeapGoalBytes)
+	}
+	if s.GCCycles == 0 {
+		t.Fatal("gc cycles = 0 after an explicit runtime.GC()")
+	}
+	if v := reg.Gauge("runtime_goroutines").Value(); v != float64(s.Goroutines) {
+		t.Fatalf("runtime_goroutines gauge = %v, sample says %d", v, s.Goroutines)
+	}
+	if v := reg.Gauge("runtime_heap_live_bytes").Value(); v != float64(s.HeapLiveBytes) {
+		t.Fatalf("runtime_heap_live_bytes gauge = %v, sample says %d", v, s.HeapLiveBytes)
+	}
+}
+
+// Two ticks with requests between them record the request rate and p99 of
+// the middleware's overall histogram on the second sample.
+func TestTickRecordsRequestRate(t *testing.T) {
+	reg := obs.NewRegistry()
+	eng := New(Options{Registry: reg})
+	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	eng.Tick(t0)
+	for i := 0; i < 50; i++ {
+		reg.Histogram("http_requests_overall_seconds", nil).Observe(0.004)
+	}
+	eng.Tick(t0.Add(interval))
+	h := eng.History()
+	if h[0].QPS != 0 || h[1].QPS != 5 {
+		t.Fatalf("QPS = %v then %v, want 0 then 5 (50 requests over 10s)", h[0].QPS, h[1].QPS)
+	}
+	if h[1].HTTPP99 <= 0.0025 || h[1].HTTPP99 > 0.01 {
+		t.Fatalf("HTTP p99 = %v, want inside the 4ms observations' bucket", h[1].HTTPP99)
+	}
+}
+
+func TestRingBoundsHistory(t *testing.T) {
+	eng := New(Options{Registry: obs.NewRegistry()})
+	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	var last time.Time
+	for i := 0; i < ringSize+3; i++ {
+		last = t0.Add(time.Duration(i) * interval)
+		eng.Tick(last)
+	}
+	h := eng.History()
+	if len(h) != ringSize {
+		t.Fatalf("history length = %d, want ring size %d", len(h), ringSize)
+	}
+	for i := 1; i < len(h); i++ {
+		if !h[i].Time.After(h[i-1].Time) {
+			t.Fatal("history not oldest-first")
+		}
+	}
+	if !h[0].Time.Equal(t0.Add(3*interval)) || !h[len(h)-1].Time.Equal(last) {
+		t.Fatalf("history spans %v..%v, want the newest %d ticks", h[0].Time, h[len(h)-1].Time, ringSize)
+	}
+}
+
+func TestStartStop(t *testing.T) {
+	eng := New(Options{Registry: obs.NewRegistry()})
+	eng.Start()
+	deadline := time.After(5 * time.Second)
+	// History and Report race the sampling goroutine's first tick.
+	for len(eng.History()) == 0 || eng.Report().CheckedAt.IsZero() {
+		select {
+		case <-deadline:
+			t.Fatal("no sample within 5s of Start")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	eng.Stop()
+	eng.Stop() // idempotent
+
+	unstarted := New(Options{Registry: obs.NewRegistry()})
+	unstarted.Stop() // must not hang
+}
+
+func TestHistQuantile(t *testing.T) {
+	if got := histQuantile(metrics.Value{}, 0.5); got != 0 {
+		t.Fatalf("quantile of a missing metric = %v, want 0", got)
 	}
 }

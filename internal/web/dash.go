@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/runtimetel"
 	"repro/internal/slo"
 )
 
@@ -17,9 +16,14 @@ import (
 // generated server-side as plain HTML with inline SVG sparklines — no
 // JavaScript, no external assets — so it works from curl --head checks,
 // airgapped environments, and the text-mode browsers ops tend to have.
-// History comes from the runtimetel sample ring; judgment (verdict, burn
-// rates, breaker states) from the health and SLO layers; trace links from
-// the latency histograms' exemplars.
+// History and burn rates come from the SLO engine's one sample ring, the
+// same ticks /metrics and /api/slo report; the verdict from the health
+// layer, breaker states from the backend, and trace links from the latency
+// histograms' exemplars.
+
+// dashSamples is how much history the sparklines draw: the newest 720
+// samples, two hours at the ten-second tick.
+const dashSamples = 720
 
 // sparkline renders values as an inline SVG polyline, min-max normalized.
 // Returns an em-dash placeholder when there is nothing to draw.
@@ -45,15 +49,6 @@ func sparkline(values []float64, w, h int) template.HTML {
 	}
 	b.WriteString(`"/></svg>`)
 	return template.HTML(b.String())
-}
-
-// appSeries extracts one App key across samples (missing keys become 0).
-func appSeries(hist []runtimetel.Sample, key string) []float64 {
-	out := make([]float64, len(hist))
-	for i, s := range hist {
-		out[i] = s.App[key]
-	}
-	return out
 }
 
 // dashPanel is one sparkline panel.
@@ -116,44 +111,46 @@ func (h *handler) debugDash(w http.ResponseWriter, _ *http.Request) {
 		data.Failover = df
 	}
 
-	var hist []runtimetel.Sample
-	if h.collector != nil {
-		hist = h.collector.History()
+	var hist []slo.Sample
+	if h.slo != nil {
+		hist = h.slo.History()
+		hist = hist[max(len(hist)-dashSamples, 0):]
+		r := h.slo.Report()
+		data.SLO = &r
 	}
 	data.Samples = len(hist)
 	if len(hist) > 1 {
 		data.Span = hist[len(hist)-1].Time.Sub(hist[0].Time).Round(time.Second).String()
 	}
 
-	var latest runtimetel.Sample
+	var latest slo.Sample
 	if len(hist) > 0 {
 		latest = hist[len(hist)-1]
 	}
-	series := func(f func(runtimetel.Sample) float64) []float64 {
+	series := func(f func(slo.Sample) float64) template.HTML {
 		out := make([]float64, len(hist))
 		for i, s := range hist {
 			out[i] = f(s)
 		}
-		return out
+		return sparkline(out, 220, 36)
 	}
-	const sw, sh = 220, 36
 	data.Panels = []dashPanel{
-		{"QPS", fmt.Sprintf("%.1f", latest.App["qps"]),
-			sparkline(appSeries(hist, "qps"), sw, sh)},
-		{"HTTP p99", fmt.Sprintf("%.1f ms", latest.App["http_p99_seconds"]*1000),
-			sparkline(appSeries(hist, "http_p99_seconds"), sw, sh)},
-		{"SLO burn (5m, worst route)", fmt.Sprintf("%.2fx", latest.App["slo_burn"]),
-			sparkline(appSeries(hist, "slo_burn"), sw, sh)},
+		{"QPS", fmt.Sprintf("%.1f", latest.QPS),
+			series(func(s slo.Sample) float64 { return s.QPS })},
+		{"HTTP p99", fmt.Sprintf("%.1f ms", latest.HTTPP99*1000),
+			series(func(s slo.Sample) float64 { return s.HTTPP99 })},
+		{"SLO burn (5m, worst route)", fmt.Sprintf("%.2fx", latest.PeakBurn),
+			series(func(s slo.Sample) float64 { return s.PeakBurn })},
 		{"GC pause p99", fmt.Sprintf("%.2f ms", latest.GCPauseP99*1000),
-			sparkline(series(func(s runtimetel.Sample) float64 { return s.GCPauseP99 }), sw, sh)},
+			series(func(s slo.Sample) float64 { return s.GCPauseP99 })},
 		{"Heap live", fmt.Sprintf("%.1f MiB (goal %.1f)", float64(latest.HeapLiveBytes)/(1<<20), float64(latest.HeapGoalBytes)/(1<<20)),
-			sparkline(series(func(s runtimetel.Sample) float64 { return float64(s.HeapLiveBytes) }), sw, sh)},
+			series(func(s slo.Sample) float64 { return float64(s.HeapLiveBytes) })},
 		{"Goroutines", fmt.Sprintf("%d", latest.Goroutines),
-			sparkline(series(func(s runtimetel.Sample) float64 { return float64(s.Goroutines) }), sw, sh)},
+			series(func(s slo.Sample) float64 { return float64(s.Goroutines) })},
 		{"CPU utilization", fmt.Sprintf("%.0f%%", latest.CPUFrac*100),
-			sparkline(series(func(s runtimetel.Sample) float64 { return s.CPUFrac }), sw, sh)},
+			series(func(s slo.Sample) float64 { return s.CPUFrac })},
 		{"Sched latency p99", fmt.Sprintf("%.2f ms", latest.SchedLatencyP99*1000),
-			sparkline(series(func(s runtimetel.Sample) float64 { return s.SchedLatencyP99 }), sw, sh)},
+			series(func(s slo.Sample) float64 { return s.SchedLatencyP99 })},
 	}
 
 	for _, b := range h.sys.BreakerStates() {
@@ -162,11 +159,6 @@ func (h *handler) debugDash(w http.ResponseWriter, _ *http.Request) {
 			label += "#" + b.Shard
 		}
 		data.Breakers = append(data.Breakers, dashBreaker{Backend: label, State: b.State})
-	}
-
-	if h.slo != nil {
-		r := h.slo.Report(now)
-		data.SLO = &r
 	}
 
 	data.Exemplars = h.slowExemplars(now, 8)

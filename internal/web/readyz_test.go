@@ -50,7 +50,7 @@ func opsServer(t *testing.T, inj *fault.Injector) (*httptest.Server, *eil.System
 	}
 	sloEng := slo.New(slo.Options{Registry: sys.Metrics})
 	checks := serving.NewHealth(sys, eil.HealthOptions{})
-	srv := httptest.NewServer(HandlerFor(sys, WithHealth(checks), WithSLO(sloEng), WithRuntime(nil)))
+	srv := httptest.NewServer(HandlerFor(sys, WithHealth(checks), WithSLO(sloEng)))
 	t.Cleanup(srv.Close)
 	return srv, sys, sloEng
 }
@@ -184,8 +184,8 @@ func TestSLOBurnRisesAndDecays(t *testing.T) {
 	}
 	sloEng.Tick(start.Add(time.Minute))
 
-	burnAt := func(now time.Time) float64 {
-		rep := sloEng.Report(now)
+	burnAt := func() float64 {
+		rep := sloEng.Report()
 		for _, rr := range rep.Routes {
 			if rr.Route == "/api/search" {
 				if len(rr.Windows) == 0 {
@@ -197,7 +197,7 @@ func TestSLOBurnRisesAndDecays(t *testing.T) {
 		t.Fatalf("no /api/search route in SLO report: %+v", rep.Routes)
 		return 0
 	}
-	if burn := burnAt(start.Add(time.Minute)); burn <= 0 {
+	if burn := burnAt(); burn <= 0 {
 		t.Fatalf("5m availability burn = %v after a 100%% error window, want > 0", burn)
 	}
 	if v := sys.Metrics.Gauge("eil_slo_burn_rate",
@@ -221,7 +221,7 @@ func TestSLOBurnRisesAndDecays(t *testing.T) {
 	}
 	sloEng.Tick(start.Add(2 * time.Minute))
 	sloEng.Tick(start.Add(9 * time.Minute))
-	if burn := burnAt(start.Add(9 * time.Minute)); burn != 0 {
+	if burn := burnAt(); burn != 0 {
 		t.Fatalf("5m availability burn = %v long after faults stopped, want 0", burn)
 	}
 }

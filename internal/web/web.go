@@ -24,7 +24,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/health"
 	"repro/internal/obs"
-	"repro/internal/runtimetel"
 	"repro/internal/serving"
 	"repro/internal/slo"
 	"repro/internal/trace"
@@ -38,7 +37,6 @@ type config struct {
 	accessLog  *slog.Logger
 	health     *health.Registry
 	slo        *slo.Engine
-	collector  *runtimetel.Collector
 	replFn     func() any
 	failoverFn func() FailoverInfo
 	promoteFn  func(target string) error
@@ -88,15 +86,10 @@ func WithHealth(reg *health.Registry) Option {
 	return func(c *config) { c.health = reg }
 }
 
-// WithSLO mounts /api/slo backed by the engine and feeds the dashboard's
-// burn-rate panel.
+// WithSLO mounts /api/slo backed by the engine's last report and feeds
+// /debug/dash from its sample history.
 func WithSLO(engine *slo.Engine) Option {
 	return func(c *config) { c.slo = engine }
-}
-
-// WithRuntime feeds /debug/dash from the collector's sample ring.
-func WithRuntime(c *runtimetel.Collector) Option {
-	return func(cfg *config) { cfg.collector = c }
 }
 
 // Backend is the serving surface the handler needs: the read facet and the
@@ -115,7 +108,7 @@ func HandlerFor(sys Backend, opts ...Option) http.Handler {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	h := &handler{sys: sys, health: cfg.health, slo: cfg.slo, collector: cfg.collector, replFn: cfg.replFn, failoverFn: cfg.failoverFn, promoteFn: cfg.promoteFn}
+	h := &handler{sys: sys, health: cfg.health, slo: cfg.slo, replFn: cfg.replFn, failoverFn: cfg.failoverFn, promoteFn: cfg.promoteFn}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", h.home)
 	mux.HandleFunc("/deal", h.dealPage)
@@ -159,7 +152,6 @@ type handler struct {
 	sys        Backend
 	health     *health.Registry
 	slo        *slo.Engine
-	collector  *runtimetel.Collector
 	replFn     func() any
 	failoverFn func() FailoverInfo
 	promoteFn  func(target string) error
@@ -351,13 +343,14 @@ func (h *handler) apiPromote(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"promoted": true, "target": target})
 }
 
-// apiSLO serves the burn-rate report (404 when no SLO engine is wired).
+// apiSLO serves the last tick's burn-rate report (404 when no SLO engine is
+// wired).
 func (h *handler) apiSLO(w http.ResponseWriter, _ *http.Request) {
 	if h.slo == nil {
 		http.Error(w, "slo engine disabled", http.StatusNotFound)
 		return
 	}
-	writeJSON(w, h.slo.Report(time.Now()))
+	writeJSON(w, h.slo.Report())
 }
 
 // userFrom reconstructs the principal from the simulated SSO headers. An

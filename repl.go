@@ -287,6 +287,21 @@ func StartFollower(opts FollowerOptions) (*Follower, error) {
 	f := &Follower{opts: opts, done: make(chan struct{})}
 	f.Switch = serving.NewSwitch(opts.Metrics, opts.Tracer, f.current)
 
+	// The adopted failover term survives restarts in the EPOCH record; a
+	// replica that never witnessed a promotion hellos at epoch 0. An
+	// unreadable record is durably reset to epoch 0 before anything loads
+	// (every load refuses a corrupt one): a follower never writes, so the
+	// reset cannot let a fenced node write again, and the primary's stream
+	// stamps the term it serves under through AdoptEpoch.
+	if ep, ok, err := durable.ReadEpoch(nil, opts.Dir); err != nil {
+		f.logf("eil: follower resetting unreadable epoch record: %v", err)
+		if err := durable.WriteEpoch(nil, opts.Dir, durable.EpochRecord{}); err != nil {
+			return nil, fmt.Errorf("eil: reset epoch record: %w", err)
+		}
+	} else if ok {
+		f.fenceEpoch.Store(ep.Epoch)
+	}
+
 	// Resume from local state when a prior run left a committed
 	// generation: the replica re-serves immediately and tail-resumes from
 	// its checkpointed position instead of re-copying the whole snapshot.
@@ -298,14 +313,6 @@ func StartFollower(opts FollowerOptions) (*Follower, error) {
 		// Unloadable local state is not fatal — the bootstrap transfer
 		// replaces it — but it is worth a line.
 		f.logf("eil: follower discarding local state: %v", err)
-	}
-
-	// The adopted failover term survives restarts in the EPOCH record; a
-	// replica that never witnessed a promotion hellos at epoch 0. An
-	// unreadable record degrades to epoch 0 — the primary then fences
-	// this replica into a re-sync, which rewrites it.
-	if ep, ok, err := durable.ReadEpoch(nil, opts.Dir); err == nil && ok {
-		f.fenceEpoch.Store(ep.Epoch)
 	}
 
 	f.client = &repl.Client{

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -497,4 +499,29 @@ func TestFollowerBootstrapsFromFormat1Generation(t *testing.T) {
 		t.Fatal("the follower's checkpoint did not write format 2")
 	}
 	assertReplicaIdentity(t, "after the checkpoint", sys, f)
+}
+
+// A follower whose EPOCH record is unreadable resets it to epoch 0 and
+// syncs: every install loads the directory, and a load refuses a corrupt
+// record, so a follower that kept it would re-download the snapshot at
+// every backoff and never serve.
+func TestFollowerResetsUnreadableEpoch(t *testing.T) {
+	_, sys, addr := replPrimary(t, nil)
+	if err := sys.AddDocuments(newDealDocs(t, "EPOCH RESET")); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, durable.EpochName), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f := startReplica(t, addr, dir, "replica", nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := f.WaitSynced(ctx, 0); err != nil {
+		t.Fatalf("follower over a garbage EPOCH never synced: %v (client: %+v)", err, f.Status().Client)
+	}
+	waitApplied(t, f, primarySeq(sys))
+	if ep, ok, err := durable.ReadEpoch(nil, dir); err != nil || !ok || ep.Epoch != 0 {
+		t.Fatalf("EPOCH after sync = %+v, %v, %v; want a readable epoch-0 record", ep, ok, err)
+	}
 }
