@@ -6,6 +6,7 @@ package eil
 // queries as one that never crashed, and must keep accepting updates.
 
 import (
+	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -14,12 +15,14 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/annotators"
 	"repro/internal/core"
 	"repro/internal/docmodel"
 	"repro/internal/durable"
+	"repro/internal/fault"
 	"repro/internal/relstore"
 	"repro/internal/synopsis"
 	"repro/internal/synth"
@@ -534,4 +537,99 @@ func TestRecoveryRebuildsReorderedSynopses(t *testing.T) {
 		t.Fatalf("only %d of %d searches returned hits; the query set is too sparse", withHits, len(queries))
 	}
 	t.Logf("%d deals, %d searches (%d with hits) identical after recovery", len(wantIDs), len(queries), withHits)
+}
+
+// holdsDeal reports whether sys serves anything of the deal: an indexed
+// document or a synopsis.
+func holdsDeal(sys *System, dealID string) bool {
+	_, err := sys.Synopses.Get(dealID)
+	return err == nil || len(sys.Index.ExtIDsByMeta("deal", dealID)) > 0
+}
+
+// TestFailedAppendPoisonsJournal: the journal is the commit point. An
+// append that fails — a torn write, or a failed fsync — leaves the live
+// system without the batch and poisons the journal, so no later write is
+// acknowledged until a checkpoint re-establishes it. A crash right after
+// the failure recovers the batch only when its bytes reached the file (the
+// fsync case, whose outcome is indeterminate), and never anything after
+// it. The checkpoint persists memory, so not the refused batch, and a
+// batch acknowledged after it survives a reload.
+func TestFailedAppendPoisonsJournal(t *testing.T) {
+	for _, site := range []string{durable.SiteWrite, durable.SiteSync} {
+		t.Run(site, func(t *testing.T) {
+			_, sys := testSystem(t, Options{Workers: 1})
+			dir := t.TempDir()
+			inj := fault.New(1)
+			sys.WALFS = &durable.FaultFS{Ctx: fault.With(context.Background(), inj)}
+			if err := sys.EnableWAL(dir, 1); err != nil {
+				t.Fatal(err)
+			}
+			defer sys.CloseWAL()
+			if err := sys.AddDocuments(newDealDocs(t, "DEAL ZA")); err != nil {
+				t.Fatal(err)
+			}
+			_, acked := sys.ReplPosition()
+
+			inj.Add(&fault.Rule{Site: site, Mode: fault.ModeError, Times: 1})
+			err := sys.AddDocuments(newDealDocs(t, "DEAL ZB"))
+			if err == nil {
+				t.Fatal("a batch whose append failed was acknowledged")
+			}
+			if site == durable.SiteSync && !strings.Contains(err.Error(), "whether a crash keeps it is unknown") {
+				t.Fatalf("failed fsync reported as %q, which does not say the outcome is indeterminate", err)
+			}
+			if holdsDeal(sys, "DEAL ZB") {
+				t.Fatal("the live system serves a batch whose append failed")
+			}
+			if _, seq := sys.ReplPosition(); seq != acked {
+				t.Fatalf("position moved %d -> %d on a failed append", acked, seq)
+			}
+
+			// The fault is spent, but the journal stays poisoned.
+			err = sys.AddDocuments(newDealDocs(t, "DEAL ZC"))
+			if err == nil || !strings.HasPrefix(err.Error(), "eil: journal: durable: journal poisoned: ") ||
+				!strings.HasSuffix(err.Error(), "(writes refused until a checkpoint)") {
+				t.Fatalf("write after a failed append = %v, want the poisoned-journal refusal", err)
+			}
+			if holdsDeal(sys, "DEAL ZC") {
+				t.Fatal("the live system serves a refused batch")
+			}
+
+			// A crash now, with no checkpoint in between.
+			crashed, err := LoadSystem(dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !holdsDeal(crashed, "DEAL ZA") {
+				t.Fatal("crash lost the acknowledged batch")
+			}
+			if got, want := holdsDeal(crashed, "DEAL ZB"), site == durable.SiteSync; got != want {
+				t.Fatalf("crash recovered the failed batch: %v, want %v", got, want)
+			}
+			if holdsDeal(crashed, "DEAL ZC") {
+				t.Fatal("crash recovered a batch refused after the failed append")
+			}
+
+			// A checkpoint re-establishes the journal from memory.
+			if _, err := sys.Checkpoint(dir); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.AddDocuments(newDealDocs(t, "DEAL ZC")); err != nil {
+				t.Fatalf("write after the checkpoint: %v", err)
+			}
+			re, err := LoadSystem(dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !holdsDeal(re, "DEAL ZA") || !holdsDeal(re, "DEAL ZC") {
+				t.Fatal("reload lost an acknowledged batch")
+			}
+			if holdsDeal(re, "DEAL ZB") {
+				t.Fatal("the checkpoint persisted the batch whose append failed")
+			}
+			if got, want := queryFingerprint(t, re), queryFingerprint(t, sys); got != want {
+				t.Fatalf("reload answers differently:\ngot  %s\nwant %s", got, want)
+			}
+		})
+	}
 }

@@ -163,7 +163,7 @@ type System struct {
 	// names the primary generation the state derives from (0 on a
 	// primary). replLog is the state's in-memory ship history in either
 	// role: on a primary it is live once a shipper serves it, and
-	// journalLocked tees every record into it; on a follower's state it
+	// commitLocked tees every record into it; on a follower's state it
 	// starts at the adopted position and applyReplicated extends it, so a
 	// promoted state ships from it unchanged. Once set, it is never
 	// replaced.

@@ -13,11 +13,13 @@ package eil
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/durable"
 	"repro/internal/failover"
+	"repro/internal/fault"
 	"repro/internal/serving"
 )
 
@@ -694,5 +696,62 @@ func TestPoisonedJournalReopenRestoresWritability(t *testing.T) {
 	}
 	if _, err := final.Synopses.Get("LOST DEAL"); err == nil {
 		t.Fatal("refused deal resurrected on reload")
+	}
+}
+
+// TestFailoverFailedAppendFollowerConverges runs a failed append through
+// a primary node with a connected follower: the refused batch reaches
+// neither, writes are refused until a checkpoint re-establishes the
+// journal, and after the next write the follower stands at the primary's
+// position answering the differential query set float-exact like it.
+func TestFailoverFailedAppendFollowerConverges(t *testing.T) {
+	for _, site := range []string{durable.SiteWrite, durable.SiteSync} {
+		t.Run(site, func(t *testing.T) {
+			_, sysA := testSystem(t, Options{Workers: 1})
+			inj := fault.New(1)
+			sysA.WALFS = &durable.FaultFS{Ctx: fault.With(context.Background(), inj)}
+			dirA := t.TempDir()
+			a, err := NewPrimaryHANode(sysA, HANodeOptions{Name: "a", Dir: dirA, ListenAddr: "127.0.0.1:0", SyncEvery: 1, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = a.Close() })
+			b, err := NewFollowerHANode(a.ReplAddr(), HANodeOptions{Name: "b", Dir: t.TempDir(), ListenAddr: "127.0.0.1:0", SyncEvery: 1, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = b.Close() })
+
+			if err := a.AddDocuments(newDealDocs(t, "DEAL ZA")); err != nil {
+				t.Fatal(err)
+			}
+			waitNodeApplied(t, b, primarySeq(sysA))
+
+			inj.Add(&fault.Rule{Site: site, Mode: fault.ModeError, Times: 1})
+			if err := a.AddDocuments(newDealDocs(t, "DEAL ZB")); err == nil {
+				t.Fatal("a batch whose append failed was acknowledged")
+			}
+			if err := a.AddDocuments(newDealDocs(t, "DEAL ZC")); err == nil || !strings.Contains(err.Error(), "journal poisoned") {
+				t.Fatalf("write after a failed append = %v, want the poisoned-journal refusal", err)
+			}
+			if _, err := sysA.Checkpoint(dirA); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.AddDocuments(newDealDocs(t, "DEAL ZC")); err != nil {
+				t.Fatalf("write after the checkpoint: %v", err)
+			}
+
+			waitNodeApplied(t, b, primarySeq(sysA))
+			if _, seq := b.Follower().Position(); seq != primarySeq(sysA) {
+				t.Fatalf("follower at seq %d, primary at %d", seq, primarySeq(sysA))
+			}
+			bsys := b.Follower().System()
+			for _, sys := range []*System{sysA, bsys} {
+				if holdsDeal(sys, "DEAL ZB") || !holdsDeal(sys, "DEAL ZA") || !holdsDeal(sys, "DEAL ZC") {
+					t.Fatal("a node holds the refused batch or lacks an acknowledged one")
+				}
+			}
+			assertReplicaIdentity(t, site, sysA, b.Follower())
+		})
 	}
 }

@@ -45,7 +45,7 @@ type WALOptions struct {
 	// SyncEvery batches fsyncs: the journal fsyncs after every SyncEvery
 	// appends (<=1 means every append — full durability, the default).
 	// Batched mode trades the tail of the batch on power loss for append
-	// throughput; Sync() force-flushes at commit points either way.
+	// throughput.
 	SyncEvery int
 	// Metrics receives durable_wal_* telemetry; nil disables.
 	Metrics *obs.Registry
@@ -63,10 +63,13 @@ type WAL struct {
 	base     uint64
 	syncEach int
 	unsynced int
-	// broken poisons the journal after a failed Rotate: the snapshot has
-	// already committed, so the on-disk journal extends a superseded base —
-	// an append there would be silently discarded on the next load. Refusing
-	// the append keeps "Append returned nil" meaning "recoverable".
+	// broken poisons the journal: every append is refused until a
+	// successful Rotate replaces the file. A failed Write may have left a
+	// torn frame, and replay stops there, so a record appended after it
+	// would be lost; after a failed Sync nothing the page cache holds can
+	// be trusted; after a failed Rotate the snapshot has committed, so the
+	// on-disk journal extends a superseded base. Refusing keeps "Append
+	// returned nil" meaning "recoverable". Seal sets it for good.
 	broken  error
 	metrics *obs.Registry
 }
@@ -215,12 +218,12 @@ func (w *WAL) Base() uint64 {
 
 // Append journals one operation. The record is on disk (though possibly
 // unsynced, per SyncEvery) when Append returns; with SyncEvery <= 1 it is
-// also fsynced.
+// also fsynced. A failed Write or Sync poisons the journal (see broken).
 func (w *WAL) Append(kind uint8, payload []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.broken != nil {
-		return fmt.Errorf("durable: wal append: journal poisoned by failed rotate: %w", w.broken)
+	if err := w.poisonedLocked(); err != nil {
+		return err
 	}
 	body := make([]byte, 0, len(payload)+9)
 	body = append(body, kind)
@@ -230,52 +233,47 @@ func (w *WAL) Append(kind uint8, payload []byte) error {
 	binary.BigEndian.PutUint32(frame[4:], crc32.Checksum(body, castagnoli))
 	frame = append(frame, body...)
 	if _, err := w.f.Write(frame); err != nil {
-		return fmt.Errorf("durable: wal append: %w", err)
+		w.broken = fmt.Errorf("durable: wal append: %w", err)
+		return w.broken
 	}
 	w.metrics.Counter("durable_wal_appends_total").Inc()
 	w.unsynced++
 	if w.unsynced >= w.syncEach {
-		return w.syncLocked()
+		if err := w.syncLocked(); err != nil {
+			w.broken = err
+			return fmt.Errorf("%w (the record reached the file, so whether a crash keeps it is unknown)", err)
+		}
 	}
 	return nil
 }
 
-// Healthy reports whether the journal can accept appends. It returns the
-// poisoning error after a failed rotation, letting callers refuse a
-// mutation up front instead of applying it to memory and then failing to
-// make it durable.
+// Healthy reports whether the journal can accept appends: the poisoning
+// error, if any, so callers can refuse a mutation up front.
 func (w *WAL) Healthy() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.poisonedLocked()
+}
+
+// poisonedLocked is the one check of the poison; it wraps the failure that
+// set it.
+func (w *WAL) poisonedLocked() error {
 	if w.broken != nil {
-		return fmt.Errorf("durable: journal poisoned by failed rotate: %w", w.broken)
+		return fmt.Errorf("durable: journal poisoned: %w", w.broken)
 	}
 	return nil
 }
 
-// Sync force-fsyncs pending appends (commit points call this regardless of
-// the batching policy).
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.broken != nil {
-		return fmt.Errorf("durable: wal sync: journal poisoned by failed rotate: %w", w.broken)
-	}
-	if w.unsynced == 0 {
-		return nil
-	}
-	return w.syncLocked()
-}
-
 // Probe verifies the journal is still appendable by forcing an fsync on the
-// open file regardless of pending state — unlike Sync, which no-ops when
-// nothing is unsynced. Health checks use it: a probe failing means the next
-// real Append would too (disk gone, volume read-only, fd revoked).
+// open file regardless of pending state. Health checks use it: a probe
+// failing means the next real Append would too (disk gone, volume
+// read-only, fd revoked). A failed probe does not poison the journal: it
+// acknowledged nothing.
 func (w *WAL) Probe() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.broken != nil {
-		return fmt.Errorf("durable: journal poisoned by failed rotate: %w", w.broken)
+	if err := w.poisonedLocked(); err != nil {
+		return err
 	}
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("durable: wal probe: %w", err)
@@ -293,10 +291,10 @@ func (w *WAL) syncLocked() error {
 	return nil
 }
 
-// Seal permanently poisons the journal: every future Append, Sync, and
+// Seal permanently poisons the journal: every future Append, Probe and
 // Healthy fails with an error wrapping ErrSealed. Fencing calls it when a
-// newer epoch takes over the write lineage — unlike rotate-failure
-// poisoning, sealing is not recoverable by re-establishing a journal; the
+// newer epoch takes over the write lineage — unlike a failed append or
+// rotation, sealing is not recoverable by re-establishing a journal; the
 // node must re-sync under the new epoch. Pending appends are fsynced first
 // so the sealed history is at least complete.
 func (w *WAL) Seal(reason string) {
@@ -318,15 +316,14 @@ func (w *WAL) Seal(reason string) {
 // snapshot already committed at newBase, so the surviving on-disk journal
 // extends a superseded generation. Accepting further appends there would
 // acknowledge operations the next load silently discards (base mismatch);
-// instead Append and Sync fail until the owner re-establishes a journal
-// whose base matches reality (EnableWAL after a successful checkpoint).
+// instead Append fails until a later Rotate succeeds. A successful Rotate
+// clears any poison but a seal.
 func (w *WAL) Rotate(newBase uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if errors.Is(w.broken, ErrSealed) {
-		// A successful rotate clears rotate-failure poisoning, but a seal is
-		// permanent: the write lineage moved to a newer epoch and no local
-		// recovery may resurrect this journal.
+		// A seal is permanent: the write lineage moved to a newer epoch and
+		// no local recovery may resurrect this journal.
 		return fmt.Errorf("durable: wal rotate: %w", w.broken)
 	}
 	dir := filepath.Dir(w.path)

@@ -2,11 +2,15 @@ package durable
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 func TestWALAppendReplay(t *testing.T) {
@@ -139,7 +143,7 @@ func TestWALSyncBatching(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Sync(); err != nil { // commit point force-flush
+	if err := w.Probe(); err != nil { // force-flush the batch
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -179,4 +183,65 @@ func TestWALCorruptHeader(t *testing.T) {
 	if _, err := ReplayWAL(dir, WALOptions{}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
+}
+
+// TestWALFailedAppendPoisons: a failed Write (which may leave a torn
+// frame) or Sync of an append poisons the journal, as a failed Rotate
+// does: every later Append is refused with the failure wrapped, even after
+// the disk recovers, until a successful Rotate replaces the file. A failed
+// Probe acknowledged nothing and poisons nothing.
+func TestWALFailedAppendPoisons(t *testing.T) {
+	for _, site := range []string{SiteWrite, SiteSync} {
+		t.Run(site, func(t *testing.T) {
+			dir := t.TempDir()
+			inj := fault.New(1)
+			w, err := CreateWAL(dir, 1, WALOptions{FS: &FaultFS{Ctx: fault.With(context.Background(), inj)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			if err := w.Append(1, []byte("acked")); err != nil {
+				t.Fatal(err)
+			}
+			inj.Add(&fault.Rule{Site: site, Mode: fault.ModeError, Times: 1})
+			if err := w.Append(1, []byte("failed")); !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("append under a %s fault = %v", site, err)
+			}
+			for name, op := range map[string]func() error{
+				"Append":  func() error { return w.Append(1, []byte("refused")) },
+				"Healthy": w.Healthy,
+				"Probe":   w.Probe,
+			} {
+				if err := op(); err == nil || !strings.HasPrefix(err.Error(), "durable: journal poisoned: ") || !errors.Is(err, fault.ErrInjected) {
+					t.Fatalf("%s after a failed append = %v, want the poison wrapping the fault", name, err)
+				}
+			}
+			if err := w.Rotate(2); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Append(1, []byte("after rotate")); err != nil {
+				t.Fatalf("append after a successful rotate: %v", err)
+			}
+			rep, err := ReplayWAL(dir, WALOptions{})
+			if err != nil || rep.Base != 2 || rep.Torn || len(rep.Records) != 1 || string(rep.Records[0].Payload) != "after rotate" {
+				t.Fatalf("replay after rotate = %+v, %v", rep, err)
+			}
+		})
+	}
+
+	t.Run("probe", func(t *testing.T) {
+		inj := fault.New(1)
+		w, err := CreateWAL(t.TempDir(), 1, WALOptions{FS: &FaultFS{Ctx: fault.With(context.Background(), inj)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		inj.Add(&fault.Rule{Site: SiteSync, Mode: fault.ModeError, Times: 1})
+		if err := w.Probe(); err == nil {
+			t.Fatal("probe under a sync fault succeeded")
+		}
+		if err := w.Append(1, []byte("after probe")); err != nil {
+			t.Fatalf("a failed probe poisoned the journal: %v", err)
+		}
+	})
 }

@@ -370,4 +370,15 @@ func TestFencedErrorClassification(t *testing.T) {
 	if IsFenced(errors.New("plain")) {
 		t.Fatal("plain error classified as fenced")
 	}
+	for _, c := range []struct {
+		err  *FencedError
+		want string
+	}{
+		{&FencedError{Mine: 1, Current: 2}, "failover: fenced: epoch 1 superseded by 2"},
+		{&FencedError{Mine: 3}, "failover: fenced: not the write primary (epoch 3)"},
+	} {
+		if got := c.err.Error(); got != c.want {
+			t.Fatalf("%+v.Error() = %q, want %q", *c.err, got, c.want)
+		}
+	}
 }

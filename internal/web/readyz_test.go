@@ -16,6 +16,7 @@ import (
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/docmodel"
 	"repro/internal/durable"
 	"repro/internal/fault"
 	"repro/internal/health"
@@ -163,6 +164,41 @@ func TestReadyz503OnUnwritableWAL(t *testing.T) {
 	walInj.Reset()
 	if code, rep := readyReport(t, srv); code != 200 {
 		t.Fatalf("readyz after recovery = %d (causes %v), want 200", code, rep.Causes)
+	}
+}
+
+// TestReadyz503AfterFailedAppend: a failed append poisons the journal, so
+// the node refuses writes and /readyz fails on the wal check — and stays
+// failed after the disk recovers, unlike a failed probe, until a
+// checkpoint re-establishes the journal.
+func TestReadyz503AfterFailedAppend(t *testing.T) {
+	srv, sys, _ := opsServer(t, nil)
+	walInj := fault.New(7)
+	sys.WALFS = &durable.FaultFS{Ctx: fault.With(context.Background(), walInj)}
+	dir := t.TempDir()
+	if err := sys.EnableWAL(dir, 1); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.CloseWAL()
+
+	walInj.Add(&fault.Rule{Site: durable.SiteWrite, Mode: fault.ModeError})
+	doc := &docmodel.Document{Path: "DEAL NEW/overview.txt", DealID: "DEAL NEW", Title: "Deal Overview", Body: "Customer: Nova Corp"}
+	if err := sys.AddDocuments([]*docmodel.Document{doc}); err == nil {
+		t.Fatal("append under a write fault succeeded")
+	}
+	code, rep := readyReport(t, srv)
+	if code != 503 || !hasCause(rep, "wal") {
+		t.Fatalf("readyz after a failed append = %d (causes %v), want 503 naming wal", code, rep.Causes)
+	}
+	walInj.Reset()
+	if code, rep := readyReport(t, srv); code != 503 || !hasCause(rep, "wal") {
+		t.Fatalf("readyz after the disk recovered = %d (causes %v), want 503 until a checkpoint", code, rep.Causes)
+	}
+	if _, err := sys.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	if code, rep := readyReport(t, srv); code != 200 {
+		t.Fatalf("readyz after a checkpoint = %d (causes %v), want 200", code, rep.Causes)
 	}
 }
 

@@ -467,30 +467,15 @@ func (s *System) CloseWAL() error {
 	return err
 }
 
-// journalHealthyLocked refuses a mutation before it is applied while the
-// journal is poisoned (a failed rotation left it extending a superseded
-// generation). Applying first and failing the append would leave memory
-// ahead of anything durable — worse, a later successful checkpoint would
-// then persist an operation the caller was told failed.
-func (s *System) journalHealthyLocked() error {
-	if s.wal == nil {
-		return nil
-	}
-	if err := s.wal.Healthy(); err != nil {
-		return fmt.Errorf("eil: journal: %w", err)
-	}
-	return nil
-}
-
 // errReplica refuses a local mutation or journal on a follower's state.
 var errReplica = errors.New("eil: read-only replica: it neither writes nor journals; its history and durability follow the primary's")
 
 // writeGuardLocked is the refusal gate every mutation passes before it
-// is applied: a fenced node refuses outright — a newer epoch owns the
-// history now, and applying (let alone journaling) here would be a lost
-// write at best and a split brain at worst — a follower's state refuses
-// because only the shipped journal may change it, and a poisoned journal
-// refuses for the reason journalHealthyLocked documents.
+// is staged for commit: a fenced node refuses outright — a newer epoch
+// owns the history now, and writing here would be a lost write at best and
+// a split brain at worst — a follower's state refuses because only the
+// shipped journal may change it, and a poisoned journal (a failed append
+// or rotation) refuses until a successful checkpoint replaces it.
 func (s *System) writeGuardLocked() error {
 	if by := s.fencedBy.Load(); by != 0 {
 		return &failover.FencedError{Mine: s.fenceEpoch.Load(), Current: by}
@@ -498,26 +483,53 @@ func (s *System) writeGuardLocked() error {
 	if s.replica.Load() {
 		return errReplica
 	}
-	return s.journalHealthyLocked()
+	if s.wal != nil {
+		if err := s.wal.Healthy(); err != nil {
+			return fmt.Errorf("eil: journal: %w (writes refused until a checkpoint)", err)
+		}
+	}
+	return nil
 }
 
-// journalLocked appends one operation record; callers hold upMu. With no
-// journal attached it is a no-op. The record is durable (per the journal's
-// sync policy) when it returns — this is the commit point incremental
-// operations acknowledge from.
-func (s *System) journalLocked(kind uint8, payload []byte) error {
-	if s.wal == nil {
-		return nil
+// writeLocked commits one staged local write: journal first, when a
+// journal is attached, and only then apply (commitLocked). The record is
+// the commit point: a failed append leaves memory untouched and poisons
+// the journal, so no write is acknowledged after it until a checkpoint,
+// and a read sees a write only once the write is durable. Callers hold
+// upMu and have passed writeGuardLocked.
+func (s *System) writeLocked(kind uint8, payload []byte, cases []*analysis.CAS) error {
+	if s.wal != nil {
+		if err := s.wal.Append(kind, payload); err != nil {
+			return fmt.Errorf("eil: journal: %w (not applied)", err)
+		}
 	}
-	if err := s.wal.Append(kind, payload); err != nil {
-		return fmt.Errorf("eil: journal: %w", err)
+	return s.commitLocked(kind, payload, cases)
+}
+
+// commitLocked is the step the primary and a follower share once a record
+// is journaled (by this state, or by the primary that shipped it): apply
+// it, publish the synopses of the deals it touched, advance the position
+// and tee the record into the ship log. The synopsis store is a derived
+// view, so a failed publish does not un-commit the record: the position
+// still advances and the error names the deal left unpublished. Callers
+// hold upMu.
+func (s *System) commitLocked(kind uint8, payload []byte, cases []*analysis.CAS) error {
+	touched, err := s.applyLocked(kind, payload, cases)
+	if err != nil {
+		return fmt.Errorf("eil: apply: %w", err)
 	}
-	seq := s.seq.Add(1)
-	if s.replLog != nil {
-		// Tee the acknowledged record into the ship buffer so connected
-		// followers stream it live. Under upMu, so ship order is exactly
-		// journal order.
-		s.replLog.Append(repl.Entry{Seq: seq, Kind: kind, Payload: payload})
+	failed, perr := s.publishDeals(touched)
+	// seq counts the journal records this state folds in, its own or its
+	// primary's; a write with no journal attached is in no history.
+	if s.wal != nil || s.replica.Load() {
+		seq := s.seq.Add(1)
+		if s.replLog != nil {
+			// Under upMu, so ship order is exactly journal order.
+			s.replLog.Append(repl.Entry{Seq: seq, Kind: kind, Payload: payload})
+		}
+	}
+	if perr != nil {
+		return fmt.Errorf("eil: write committed, but deal %s's synopsis was not published: %w", failed, perr)
 	}
 	return nil
 }
@@ -530,48 +542,59 @@ func encodeDocs(docs []*docmodel.Document) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// replay applies the journal's recovered records in append order, through
-// the same code paths live operations use, minus re-journaling and minus
-// the synopsis writes: the records change the index and the analysis state
-// only, and the caller builds the synopsis database once after the last.
-// Any record that fails to apply aborts the load with a typed error — the
-// caller discards the partially replayed system, so partial state never
-// escapes.
+// replay applies the journal's recovered records in append order through
+// the apply every role uses, minus the synopsis writes: the records change
+// the index and the analysis state only, and the caller builds the
+// synopsis database once after the last. Any record that fails to apply
+// aborts the load with a typed error — the caller discards the partially
+// replayed system, so partial state never escapes.
 func (s *System) replay(records []durable.Record) error {
 	for i, rec := range records {
-		if _, err := s.applyRecord(rec.Kind, rec.Payload); err != nil {
+		cases, err := s.stage(rec.Kind, rec.Payload)
+		if err == nil {
+			_, err = s.applyLocked(rec.Kind, rec.Payload, cases)
+		}
+		if err != nil {
 			return fmt.Errorf("eil: replay record %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-// applyRecord routes one journal record through the shared apply paths —
-// the single entry point crash recovery (replay) and live replication
-// (applyReplicated) both go through, so a follower's state evolves by
-// exactly the transitions a recovering primary would make. It returns the
-// deals whose synopses the record changed; only a caller that serves reads
-// between records publishes them.
-func (s *System) applyRecord(kind uint8, payload []byte) ([]string, error) {
+// stage decodes a journal record and analyzes an add's documents: what
+// replay and a follower do with a record before applyLocked, as the live
+// writer analyzes its batch before journaling it.
+func (s *System) stage(kind uint8, payload []byte) ([]*analysis.CAS, error) {
+	if kind != walOpAddDocuments {
+		return nil, nil
+	}
+	var docs []*docmodel.Document
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&docs); err != nil {
+		return nil, &durable.CorruptError{Path: durable.WALName, Detail: err.Error()}
+	}
+	cases, err := s.analyze(docs)
+	if err != nil {
+		return nil, fmt.Errorf("add: analyze %w", err)
+	}
+	return cases, nil
+}
+
+// applyLocked applies one staged record to the index and the analysis
+// state: the one apply of every role — the primary after its append, a
+// follower (applyReplicated) and replay — so a follower's state and a
+// recovered one evolve by exactly the transitions the primary made. It
+// writes no synopsis; it returns the deals whose synopses the record
+// changed, for a caller that serves reads between records to publish.
+// Callers hold upMu (or own the system exclusively during replay).
+func (s *System) applyLocked(kind uint8, payload []byte, cases []*analysis.CAS) ([]string, error) {
 	switch kind {
 	case walOpAddDocuments:
-		var docs []*docmodel.Document
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&docs); err != nil {
-			return nil, &durable.CorruptError{Path: durable.WALName, Detail: err.Error()}
-		}
-		touched, err := s.applyAddDocuments(docs)
-		if err != nil {
-			return nil, fmt.Errorf("add: %w", err)
-		}
-		return touched, nil
+		return s.applyDocsLocked(cases)
 	case walOpRemoveDeal:
 		dealID := string(payload)
-		if err := s.applyRemoveDeal(dealID); err != nil {
-			return nil, fmt.Errorf("remove: %w", err)
-		}
-		return []string{dealID}, nil
+		return []string{dealID}, s.applyRemoveDeal(dealID)
 	case walOpCompact:
-		s.applyCompact()
+		s.publish(s.Index.Compact())
 		return nil, nil
 	}
 	return nil, &durable.CorruptError{Path: durable.WALName, Detail: fmt.Sprintf("unknown op %d", kind)}

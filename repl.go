@@ -181,12 +181,20 @@ func shipShards(shards map[string]*System, lis net.Listener, metrics *obs.Regist
 	return sh, nil
 }
 
-// applyReplicated applies one shipped journal record and appends it to the
-// state's ship log, so a promotion ships the history it applied. The
+// applyReplicated commits one shipped journal record through the step the
+// primary took after its own append (commitLocked), so the record reaches
+// the state's ship log and a promotion ships the history it applied. The
 // sequence must be exactly the successor of the local position: any gap
 // means frames were skipped somewhere (the generation-handoff hazard), and
 // the error forces a reconnect rather than letting state silently diverge.
+// A failed synopsis publish is returned too, after the position advanced:
+// the reconnect it forces resumes after the record instead of re-applying
+// it.
 func (s *System) applyReplicated(seq uint64, kind uint8, payload []byte) error {
+	cases, err := s.stage(kind, payload)
+	if err != nil {
+		return err
+	}
 	s.upMu.Lock()
 	defer s.upMu.Unlock()
 	if s.wal != nil {
@@ -196,16 +204,7 @@ func (s *System) applyReplicated(seq uint64, kind uint8, payload []byte) error {
 	if seq != cur+1 {
 		return fmt.Errorf("eil: replication gap: record %d after position %d", seq, cur)
 	}
-	touched, err := s.applyRecord(kind, payload)
-	if err != nil {
-		return err
-	}
-	if failed, err := s.publishDeals(touched); err != nil {
-		return fmt.Errorf("eil: replicated synopsis %s: %w", failed, err)
-	}
-	s.seq.Store(seq)
-	s.replLog.Append(repl.Entry{Seq: seq, Kind: kind, Payload: payload})
-	return nil
+	return s.commitLocked(kind, payload, cases)
 }
 
 // ReplPosition reports the replication position: the primary generation

@@ -8,11 +8,13 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/docmodel"
 	"repro/internal/durable"
 	"repro/internal/fault"
 	"repro/internal/repl"
@@ -523,5 +525,51 @@ func TestFollowerResetsUnreadableEpoch(t *testing.T) {
 	waitApplied(t, f, primarySeq(sys))
 	if ep, ok, err := durable.ReadEpoch(nil, dir); err != nil || !ok || ep.Epoch != 0 {
 		t.Fatalf("EPOCH after sync = %+v, %v, %v; want a readable epoch-0 record", ep, ok, err)
+	}
+}
+
+// TestFollowerSurvivesFailedPublish: a synopsis write that the follower's
+// store refuses does not un-commit the shipped record. The follower's
+// position moves past it, so the stream goes on; it does not re-ship the
+// record into an index that already holds it.
+func TestFollowerSurvivesFailedPublish(t *testing.T) {
+	_, sys, addr := replPrimary(t, nil)
+	f := startReplica(t, addr, t.TempDir(), "replica", nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := f.WaitSynced(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	// Every newDealDocs deal has the same customer, so the follower's
+	// store refuses the second one's row; the primary's store takes it.
+	if err := f.System().Synopses.Conn().DB().CreateIndex("deals_by_customer", "deals", []string{"customer"}, true); err != nil {
+		t.Fatal(err)
+	}
+	for _, docs := range [][]*docmodel.Document{
+		newDealDocs(t, "DEAL P1"),
+		newDealDocs(t, "DEAL P2"),
+		customerDealDocs(t, "DEAL P3", "Vega Corp"),
+	} {
+		if err := sys.AddDocuments(docs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := primarySeq(sys)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st := f.Status()
+		if strings.Contains(st.Client.LastError, "duplicate external id") {
+			t.Fatalf("the follower re-applied a committed record: %s", st.Client.LastError)
+		}
+		if st.Seq == want {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower stuck at seq %d, primary at %d (client: %+v)", st.Seq, want, st.Client)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if _, err := f.System().Synopses.Get("DEAL P3"); err != nil {
+		t.Fatalf("the follower does not serve the deal written after the failed publish: %v", err)
 	}
 }

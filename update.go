@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/docmodel"
@@ -12,31 +11,6 @@ import (
 	"repro/internal/synopsis"
 	"repro/internal/trace"
 )
-
-// PartialBatchError reports an AddDocuments batch that could not be applied
-// atomically: the apply phase failed after some documents were already
-// folded into the live system. Applied names exactly the document paths
-// that took effect (and that the journal records, so a restart converges on
-// the same state). Failed names where the batch stopped: the document the
-// analysis state refused, or, when every document was applied and the
-// synopsis publish failed, the deal whose synopsis write failed.
-//
-// Staging makes this rare: analysis and validation failures — the common
-// ways a batch dies — abort before anything is applied and return ordinary
-// errors, not a PartialBatchError.
-type PartialBatchError struct {
-	Applied []string // paths applied before the failure, in batch order
-	Failed  string   // document path or deal ID the batch stopped at
-	Err     error    // the underlying failure
-}
-
-func (e *PartialBatchError) Error() string {
-	return fmt.Sprintf("eil: partial batch: %d of batch applied (%s), failed at %s: %v",
-		len(e.Applied), strings.Join(e.Applied, ", "), e.Failed, e.Err)
-}
-
-// Unwrap exposes the underlying failure to errors.Is/As.
-func (e *PartialBatchError) Unwrap() error { return e.Err }
 
 // DealNotFoundError is RemoveDeal's refusal of a deal the state does not
 // hold: no indexed document, no synopsis and no accumulated analysis state.
@@ -55,26 +29,23 @@ func (e *DealNotFoundError) Error() string {
 // 1000 engagements have been incorporated"). Systems restored from disk
 // accept it exactly like live ones: LoadSystem rebuilds the pipeline state.
 //
-// The batch is staged before it is applied: every document is analyzed and
-// validated (duplicate paths rejected) first, so analysis failures abort
-// cleanly with nothing applied. An apply-phase failure after the index
-// batch landed surfaces as a *PartialBatchError naming the applied prefix.
-// With a journal attached (EnableWAL), the applied batch is recorded as one
-// fsynced record before AddDocuments returns.
+// The batch commits as every write does (writeLocked): it is staged first
+// (every document analyzed and the record encoded, outside the update
+// lock), then validated (an empty or duplicate path refuses the batch),
+// then journaled as one record when a journal is attached (EnableWAL), and
+// only then applied. A failure before the apply leaves the system
+// untouched.
 func (s *System) AddDocuments(docs []*docmodel.Document) error {
 	if len(docs) == 0 {
 		return nil
 	}
-	// Stage: analyze every document before touching any system state.
-	// Analysis is the failure-prone phase (parsers, annotators) and is
-	// side-effect free, so running it first makes its failures atomic.
-	cases := make([]*analysis.CAS, len(docs))
-	for i, doc := range docs {
-		cas := analysis.NewCAS(doc)
-		if err := s.flow.Process(cas); err != nil {
-			return fmt.Errorf("eil: update %s: %w (batch not applied)", doc.Path, err)
-		}
-		cases[i] = cas
+	cases, err := s.analyze(docs)
+	if err != nil {
+		return fmt.Errorf("eil: update %w (batch not applied)", err)
+	}
+	payload, err := encodeDocs(docs)
+	if err != nil {
+		return err
 	}
 	s.upMu.Lock()
 	defer s.upMu.Unlock()
@@ -82,9 +53,8 @@ func (s *System) AddDocuments(docs []*docmodel.Document) error {
 		return err
 	}
 	// Validate: an empty path, or a duplicate one (already indexed, or
-	// repeated within the batch), fails the whole batch before anything is
-	// applied, instead of surfacing from an index flush after earlier
-	// flushes of the batch landed.
+	// repeated within the batch), is the one way the index refuses a
+	// document, so refusing it here leaves the apply nothing to fail on.
 	seen := make(map[string]bool, len(docs))
 	for i, doc := range docs {
 		if doc.Path == "" {
@@ -95,85 +65,42 @@ func (s *System) AddDocuments(docs []*docmodel.Document) error {
 		}
 		seen[doc.Path] = true
 	}
-	affected, err := s.applyStagedLocked(docs, cases)
-	if err == nil {
-		if failed, perr := s.publishDeals(affected); perr != nil {
-			err = &PartialBatchError{Applied: docPaths(docs), Failed: failed, Err: fmt.Errorf("synopsis rebuild: %w", perr)}
-		}
-	}
-	if err != nil {
-		var pbe *PartialBatchError
-		if errors.As(err, &pbe) && len(pbe.Applied) > 0 {
-			// Journal the prefix that did take effect, so a restart
-			// converges on the state the caller was just told about.
-			if payload, jerr := encodeDocs(docs[:len(pbe.Applied)]); jerr == nil {
-				_ = s.journalLocked(walOpAddDocuments, payload)
-			}
-		}
-		return err
-	}
-	payload, err := encodeDocs(docs)
-	if err != nil {
-		return err
-	}
-	return s.journalLocked(walOpAddDocuments, payload)
+	return s.writeLocked(walOpAddDocuments, payload, cases)
 }
 
-func docPaths(docs []*docmodel.Document) []string {
-	paths := make([]string, len(docs))
-	for i, doc := range docs {
-		paths[i] = doc.Path
-	}
-	return paths
-}
-
-// applyAddDocuments is the replay-path AddDocuments: same staging and
-// application, no journaling (the record being replayed already exists).
-// It returns the deals the batch touched, for the caller to publish.
-func (s *System) applyAddDocuments(docs []*docmodel.Document) ([]string, error) {
+// analyze stages a batch: every document through the annotator flow. It is
+// side-effect free, so the live writer runs it before taking upMu, and
+// replay and a follower run it on a decoded record.
+func (s *System) analyze(docs []*docmodel.Document) ([]*analysis.CAS, error) {
 	cases := make([]*analysis.CAS, len(docs))
 	for i, doc := range docs {
-		cas := analysis.NewCAS(doc)
-		if err := s.flow.Process(cas); err != nil {
-			return nil, fmt.Errorf("analyze %s: %w", doc.Path, err)
+		cases[i] = analysis.NewCAS(doc)
+		if err := s.flow.Process(cases[i]); err != nil {
+			return nil, fmt.Errorf("%s: %w", doc.Path, err)
 		}
-		cases[i] = cas
 	}
-	return s.applyStagedLocked(docs, cases)
+	return cases, nil
 }
 
-// applyStagedLocked folds a fully staged batch into the index (as one batch
-// — the flush either merges everything or nothing), then into the per-deal
+// applyDocsLocked folds an analyzed batch into the index (as one batch —
+// the flush either merges everything or nothing), then into the per-deal
 // accumulation state, and returns the deals it touched in first-seen order.
-// It writes no synopsis: a caller that serves reads between operations
-// publishes the touched deals (publishDeals); replay leaves them to the one
-// build after the last record. Callers hold upMu (or own the system
-// exclusively during replay).
-func (s *System) applyStagedLocked(docs []*docmodel.Document, cases []*analysis.CAS) ([]string, error) {
-	for i, cas := range cases {
+func (s *System) applyDocsLocked(cases []*analysis.CAS) ([]string, error) {
+	for _, cas := range cases {
 		if err := s.writer.Consume(cas); err != nil {
-			// Consume flushes every full index batch (256 documents), and
-			// only a failed flush fails it: that flush's documents are
-			// discarded, but earlier flushes of this batch stay indexed.
-			// AddDocuments refuses every path the index would refuse
-			// before it gets here.
-			return nil, fmt.Errorf("eil: update %s: %w (batch not applied)", docs[i].Path, err)
+			return nil, fmt.Errorf("index %s: %w", cas.Doc.Path, err)
 		}
 	}
 	// The IndexWriter batches; push the buffered batch into the index
 	// before callers search.
 	if err := s.writer.Flush(); err != nil {
-		return nil, fmt.Errorf("eil: update flush: %w (batch not applied)", err)
+		return nil, err
 	}
 	var affected []string
 	affectedSet := map[string]bool{}
-	applied := make([]string, 0, len(docs))
-	for i, cas := range cases {
-		if err := s.builder.Consume(cas); err != nil {
-			return nil, &PartialBatchError{Applied: applied, Failed: docs[i].Path, Err: err}
-		}
-		applied = append(applied, docs[i].Path)
-		if id := docs[i].DealID; id != "" && !affectedSet[id] {
+	for _, cas := range cases {
+		_ = s.builder.Consume(cas) // it returns nil on every path
+		if id := cas.Doc.DealID; id != "" && !affectedSet[id] {
 			affectedSet[id] = true
 			affected = append(affected, id)
 		}
@@ -238,28 +165,21 @@ func (s *System) synopsisWrite(route string, deals int, write func() error) erro
 // the old or the new index, both of which answer identically — the swap is
 // an atomic-pointer publish on the search path, so no search ever observes
 // a torn mix of old and new backends. Like every mutation it is refused
-// on a fenced node and journaled before it returns.
+// on a fenced node and journaled before it is applied.
 func (s *System) Compact() error {
 	s.upMu.Lock()
 	defer s.upMu.Unlock()
 	if err := s.writeGuardLocked(); err != nil {
 		return err
 	}
-	s.applyCompact()
-	return s.journalLocked(walOpCompact, nil)
-}
-
-// applyCompact is the body of Compact, shared with journal replay; callers
-// hold upMu (or own the system exclusively during replay).
-func (s *System) applyCompact() {
-	s.publish(s.Index.Compact())
+	return s.writeLocked(walOpCompact, nil, nil)
 }
 
 // RemoveDeal withdraws an entire business activity: its documents leave the
 // index, its synopsis is deleted, and its accumulated analysis state is
 // dropped, so a later AddDocuments for the same ID starts clean. A deal the
 // state does not hold is refused with a *DealNotFoundError. With a journal
-// attached, the removal is recorded before RemoveDeal returns.
+// attached, the removal is journaled before it is applied.
 func (s *System) RemoveDeal(dealID string) error {
 	if dealID == "" {
 		return errors.New("eil: empty deal id")
@@ -276,13 +196,7 @@ func (s *System) RemoveDeal(dealID string) error {
 	if !held {
 		return &DealNotFoundError{DealID: dealID}
 	}
-	if err := s.applyRemoveDeal(dealID); err != nil {
-		return err
-	}
-	if _, err := s.publishDeals([]string{dealID}); err != nil {
-		return fmt.Errorf("eil: remove synopsis %s: %w", dealID, err)
-	}
-	return s.journalLocked(walOpRemoveDeal, []byte(dealID))
+	return s.writeLocked(walOpRemoveDeal, []byte(dealID), nil)
 }
 
 // holdsLocked reports whether the state holds anything of the deal, cheapest
@@ -300,12 +214,10 @@ func (s *System) holdsLocked(dealID string) (bool, error) {
 	return len(s.Index.ExtIDsByMeta("deal", dealID)) > 0, nil
 }
 
-// applyRemoveDeal is the body of RemoveDeal, shared with journal replay: it
-// takes the deal out of the index and the analysis state and leaves its
-// synopsis to the caller (publishDeals, or replay's one build after the last
-// record). Callers hold upMu (or own the system exclusively during replay).
-// Replay accepts a removal of an absent deal, which journals written before
-// RemoveDeal refused one may hold, as a no-op.
+// applyRemoveDeal takes the deal out of the index and the analysis state
+// and leaves its synopsis to the caller (applyLocked's). Replay accepts a
+// removal of an absent deal, which journals written before RemoveDeal
+// refused one may hold, as a no-op.
 func (s *System) applyRemoveDeal(dealID string) error {
 	for _, path := range s.Index.ExtIDsByMeta("deal", dealID) {
 		if err := s.Index.Delete(path); err != nil {

@@ -3,7 +3,6 @@ package eil
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -16,8 +15,14 @@ import (
 
 func newDealDocs(t *testing.T, dealID string) []*docmodel.Document {
 	t.Helper()
+	return customerDealDocs(t, dealID, "Nova Corp")
+}
+
+// customerDealDocs is newDealDocs for a deal of another customer.
+func customerDealDocs(t *testing.T, dealID, customer string) []*docmodel.Document {
+	t.Helper()
 	files := []struct{ name, content string }{
-		{"overview.txt", "Deal Overview\nCustomer: Nova Corp\nIndustry: Retail\nTotal Contract Value: over 100M\nScope summary: Network Services.\n"},
+		{"overview.txt", "Deal Overview\nCustomer: " + customer + "\nIndustry: Retail\nTotal Contract Value: over 100M\nScope summary: Network Services.\n"},
 		{"scope.deck", "# Services Scope Baseline\n- Network Services\n- Voice Services coverage\n"},
 		{"team.grid", "GRID Deal Team Roster\nName | Role | Email | Phone\nNew Person | CSE | new.person@ibm.com |\n"},
 		{"tsa-1.grid", "GRID Network Services Service Details\nService Item | cross tower TSA | Notes\nNetwork Services item 1 | | pending\n"},
@@ -178,6 +183,9 @@ func TestRemoveAbsentDeal(t *testing.T) {
 		if !errors.As(err, &nf) || nf.DealID != id {
 			t.Fatalf("%s: RemoveDeal of an absent deal = %v, want *DealNotFoundError", shape, err)
 		}
+		if want := fmt.Sprintf("eil: remove %q: no such deal", id); err.Error() != want {
+			t.Fatalf("%s: refusal reads %q, want %q", shape, err, want)
+		}
 	}
 	h, err := NewPrimaryHANode(sys, HANodeOptions{Name: "p", Dir: t.TempDir(), ListenAddr: "127.0.0.1:0", SyncEvery: 1, Logf: t.Logf})
 	if err != nil {
@@ -221,7 +229,7 @@ func TestReplayAbsentRemoval(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.upMu.Lock()
-	err = sys.journalLocked(walOpRemoveDeal, []byte("NO SUCH DEAL"))
+	err = sys.writeLocked(walOpRemoveDeal, []byte("NO SUCH DEAL"), nil)
 	sys.upMu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -331,27 +339,6 @@ func TestAddDocumentsEmptyPathAborts(t *testing.T) {
 	}
 	if got := sys.Index.DocCount(); got != before+len(docs) {
 		t.Fatalf("DocCount = %d after corrected batch, want %d", got, before+len(docs))
-	}
-}
-
-func TestPartialBatchError(t *testing.T) {
-	underlying := errors.New("disk on fire")
-	err := error(&PartialBatchError{
-		Applied: []string{"d/a.txt", "d/b.txt"},
-		Failed:  "d/c.txt",
-		Err:     underlying,
-	})
-	if !errors.Is(err, underlying) {
-		t.Fatal("Unwrap lost the underlying error")
-	}
-	var pbe *PartialBatchError
-	if !errors.As(err, &pbe) || len(pbe.Applied) != 2 || pbe.Failed != "d/c.txt" {
-		t.Fatalf("errors.As = %+v", pbe)
-	}
-	for _, want := range []string{"d/a.txt", "d/c.txt", "disk on fire"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("Error() = %q, missing %q", err.Error(), want)
-		}
 	}
 }
 
